@@ -4,7 +4,7 @@ Standalone (not a paper figure):
 
     PYTHONPATH=src python benchmarks/bench_backend.py [--smoke]
 
-Times the warm batched hydro step (``HydroIntegrator(batched=True)``) under
+Times the warm batched hydro step (``HydroIntegrator.step``) under
 each host array backend (:mod:`repro.kokkos.backend`): the seed path
 (``array_backend=None``), dispatch through ``numpy`` (must be free — same
 functions, different call path) and the preferred JIT backend
@@ -106,7 +106,7 @@ def bench_level(levels: int, reps: int, trials: int, jit_name: str):
         ("seed", None), ("numpy", "numpy"), (jit_name, jit_name),
     ):
         mesh, eos = build_mesh(levels)
-        integ = HydroIntegrator(mesh, eos, batched=True, array_backend=backend)
+        integ = HydroIntegrator(mesh, eos, array_backend=backend)
         integ.step(dt)  # warm: plan build + (for JIT) kernel compilation
         times[label] = best_of(lambda: integ.step(dt), reps, trials)
         if label == "seed":

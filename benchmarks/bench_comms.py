@@ -1,32 +1,34 @@
-"""Message-coalescing benchmark: bundled vs per-face ghost exchange.
+"""Message-coalescing benchmark: the bundled ghost exchange.
 
 Standalone (not a paper figure):
 
     PYTHONPATH=src python benchmarks/bench_comms.py [--smoke]
 
 Measures the locality-aware bundle layer (``repro.comms``, see
-``docs/comms.md``) through the functional distributed driver: the same
-warm RK3 step at level 2 on 4 localities, coalescing on vs off, plus the
-per-step payload message counts against the closed-form neighbor-pair
-bound.  Also runs the discrete-event ablation (± coalescing x ± the
-SVII-B local-communication optimization) across node counts — the
+``docs/comms.md``) through the functional distributed driver: the warm
+RK3 step at levels 1 and 2 on 4 localities, with the per-step payload
+message count against the closed-form neighbor-pair bound.  The per-face
+exchange it replaced survives as a *pricing* ablation only, so the
+with/without comparison is the discrete-event one (± coalescing x ± the
+SVII-B local-communication optimization across node counts — the
 simulated analogue of the paper's with/without-optimization scaling
-figure.  Persists:
+figure).  Persists:
 
 * ``benchmarks/output/comms.txt`` — the human-readable tables,
 * ``BENCH_comms.json`` at the repo root — machine-readable numbers.
 
-Drift gate (exit 1 on violation): after the timed steps the coalesced
-and per-face meshes must agree **bit-for-bit** (``np.array_equal``) —
-coalescing re-routes bytes, it must never change them.
+Gates (exit 1 on violation): the payload message count equals
+``3 x len(neighbor_locality_pairs)``, and after the timed steps the
+driver's mesh agrees **bit-for-bit** (``np.array_equal``) with a serial
+``HydroIntegrator`` stepped as often — coalescing routes bytes, it must
+never change them.
 
 Timing methodology: minimum over several single-step trials,
 ``gc.collect()`` before each.  Each step is also decomposed into
-*in-kernel time* (the per-leaf hydro kernels, identical arithmetic on
-both paths) and *runtime/exchange overhead* (everything else: task-graph
-machinery, pack/unpack or per-face fills, transport timers) by timing the
-kernel through the driver's module global — the overhead column is the
-cost coalescing actually attacks, and its speedup is the headline number.
+*in-kernel time* (the per-leaf hydro kernels) and *runtime/exchange
+overhead* (everything else: task-graph machinery, pack/unpack, transport
+timers) by timing the kernel through the driver's module global — the
+overhead column is the cost coalescing attacks.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.comms import neighbor_locality_pairs  # noqa: E402
 from repro.core.distributed import DistributedHydroDriver  # noqa: E402
 from repro.distsim import RunConfig  # noqa: E402
 from repro.distsim.sweep import comm_ablation_curves  # noqa: E402
-from repro.hydro import IdealGasEOS  # noqa: E402
+from repro.hydro import HydroIntegrator, IdealGasEOS  # noqa: E402
 from repro.hydro.integrator import _RK3_STAGES  # noqa: E402
 from repro.machines import FUGAKU  # noqa: E402
 from repro.octree import AmrMesh, Field  # noqa: E402
@@ -90,9 +92,9 @@ class _KernelTimer:
     The driver resolves the kernel through its module global, so rebinding
     ``dist.dudt_subgrid`` times every kernel invocation without touching
     the driver.  This decomposes a step into *kernel time* (identical
-    arithmetic either way) and *runtime/exchange overhead* (task graph,
-    transport, pack/unpack or per-face fills) — the part coalescing
-    actually targets: fewer engine events and transport timers.
+    arithmetic whatever the exchange) and *runtime/exchange overhead*
+    (task graph, transport, pack/unpack) — the part coalescing actually
+    targets: fewer engine events and transport timers.
     """
 
     def __init__(self) -> None:
@@ -129,47 +131,38 @@ def _timed_steps(driver, trials: int):
 
 
 def bench_driver(levels: int, trials: int):
-    """Warm distributed step, coalescing on vs off, same mesh and dt."""
-    mesh_on, eos = build_mesh(levels)
-    mesh_off, _ = build_mesh(levels)
-    on = DistributedHydroDriver(
-        mesh_on, eos, config=RunConfig(machine=FUGAKU, nodes=NODES, coalesce=True)
+    """Warm distributed step, checked against the serial integrator."""
+    mesh, eos = build_mesh(levels)
+    mesh_serial, _ = build_mesh(levels)
+    driver = DistributedHydroDriver(
+        mesh, eos, config=RunConfig(machine=FUGAKU, nodes=NODES)
     )
-    off = DistributedHydroDriver(
-        mesh_off, eos,
-        config=RunConfig(machine=FUGAKU, nodes=NODES, coalesce=False),
-    )
+    serial = HydroIntegrator(mesh_serial, eos, reflux=False)
 
     gc.collect()
     t0 = time.perf_counter()
-    res_on = on.step(DT)  # arena adoption + bundle-plan build + first step
+    result = driver.step(DT)  # arena adoption + bundle-plan build + first step
     cold_s = time.perf_counter() - t0
-    res_off = off.step(DT)
-
-    warm_on, over_on = _timed_steps(on, trials)
-    warm_off, over_off = _timed_steps(off, trials)
+    warm, overhead = _timed_steps(driver, trials)
+    for _ in range(driver.steps_taken):
+        serial.step(DT)
 
     drift = 0.0
-    for key in mesh_on.leaf_keys():
-        a = mesh_on.nodes[key].subgrid.data
-        b = mesh_off.nodes[key].subgrid.data
+    for key in mesh.leaf_keys():
+        a = mesh.nodes[key].subgrid.data
+        b = mesh_serial.nodes[key].subgrid.data
         if not np.array_equal(a, b):
             drift = max(drift, float(np.abs(a - b).max()))
 
-    pairs = neighbor_locality_pairs(mesh_on)
+    pairs = neighbor_locality_pairs(mesh)
     return {
         "levels": levels,
-        "leaves": len(mesh_on.leaves()),
+        "leaves": len(mesh.leaves()),
         "localities": NODES,
         "cold_coalesced_ms": cold_s * 1e3,
-        "warm_coalesced_ms": warm_on * 1e3,
-        "warm_per_face_ms": warm_off * 1e3,
-        "warm_speedup": warm_off / warm_on,
-        "overhead_coalesced_ms": over_on * 1e3,
-        "overhead_per_face_ms": over_off * 1e3,
-        "overhead_speedup": over_off / over_on,
-        "payload_messages_coalesced": res_on.payload_messages,
-        "payload_messages_per_face": res_off.payload_messages,
+        "warm_coalesced_ms": warm * 1e3,
+        "overhead_coalesced_ms": overhead * 1e3,
+        "payload_messages_coalesced": result.payload_messages,
         "closed_form_messages": len(_RK3_STAGES) * len(pairs),
         "neighbor_pairs": len(pairs),
         "drift": drift,
@@ -213,30 +206,26 @@ def main(argv=None) -> int:
         ablation = bench_ablation(512, [1, 4, 16, 64])
 
     lines = [
-        "comms: coalesced (one bundle per neighbor locality per stage) vs "
-        "per-face ghost exchange",
+        "comms: coalesced ghost exchange (one bundle per neighbor locality "
+        "per stage)",
         f"functional driver, {NODES} localities (min-of-trials, ms per RK3 "
         "step)",
         "overhead = step minus in-kernel time: the runtime/exchange cost "
         "coalescing targets",
-        f"{'mesh':<10} {'leaves':>6} {'cold':>8} {'warm':>8} {'per-face':>9} "
-        f"{'speedup':>8} {'ovh':>7} {'ovh-pf':>7} {'ovh-spd':>8} "
-        f"{'msgs':>5} {'faces':>6}",
+        f"{'mesh':<10} {'leaves':>6} {'cold':>8} {'warm':>8} {'ovh':>7} "
+        f"{'msgs':>5}",
     ]
     for c in driver_cases:
         lines.append(
             f"level {c['levels']:<4} {c['leaves']:>6} "
             f"{c['cold_coalesced_ms']:>8.1f} {c['warm_coalesced_ms']:>8.1f} "
-            f"{c['warm_per_face_ms']:>9.1f} {c['warm_speedup']:>7.2f}x "
             f"{c['overhead_coalesced_ms']:>7.1f} "
-            f"{c['overhead_per_face_ms']:>7.1f} "
-            f"{c['overhead_speedup']:>7.2f}x "
-            f"{c['payload_messages_coalesced']:>5} "
-            f"{c['payload_messages_per_face']:>6}"
+            f"{c['payload_messages_coalesced']:>5}"
         )
     for c in driver_cases:
         lines.append(
-            f"drift level {c['levels']}: max|on - off| = {c['drift']:.3e}; "
+            f"drift level {c['levels']}: max|driver - serial| = "
+            f"{c['drift']:.3e}; "
             f"messages {c['payload_messages_coalesced']} == closed form "
             f"{c['closed_form_messages']}"
         )
@@ -269,7 +258,7 @@ def main(argv=None) -> int:
     for c in driver_cases:
         if c["drift"] != 0.0:
             print(
-                f"FAIL: level {c['levels']} coalesced vs per-face drift "
+                f"FAIL: level {c['levels']} driver vs serial drift "
                 f"{c['drift']:.3e} != 0 (coalescing must be bit-identical)",
                 file=sys.stderr,
             )

@@ -4,10 +4,10 @@ Standalone (not a paper figure):
 
     PYTHONPATH=src python benchmarks/bench_hydro_plan.py [--smoke]
 
-Measures the cached batched hydro step (``HydroIntegrator(batched=True)``,
-see ``docs/hydro_plan.md``) against the retained per-leaf reference path on
-multi-leaf meshes, verifies the two paths agree (the batched step is
-designed to be bit-identical; the acceptance gate is 1e-13), and persists:
+Measures the cached batched hydro step (``HydroIntegrator.step``, see
+``docs/hydro_plan.md``) against the per-leaf oracle ``step_reference`` on
+multi-leaf meshes, verifies the two agree (the batched step is designed to
+be bit-identical; the acceptance gate is 1e-13), and persists:
 
 * ``benchmarks/output/hydro_plan.txt`` — the human-readable table,
 * ``BENCH_hydro.json`` at the repo root — machine-readable numbers.
@@ -89,11 +89,11 @@ def check_drift(levels: int, steps: int, refine_keys=()) -> float:
     """Evolve batched and reference side by side; return the max |diff|."""
     mesh_a, eos = build_mesh(levels, refine_keys=refine_keys)
     mesh_b, _ = build_mesh(levels, refine_keys=refine_keys)
-    a = HydroIntegrator(mesh_a, eos, batched=True)
-    b = HydroIntegrator(mesh_b, eos, batched=False)
+    a = HydroIntegrator(mesh_a, eos)
+    b = HydroIntegrator(mesh_b, eos)
     for _ in range(steps):
         dt_a = a.step()
-        dt_b = b.step()
+        dt_b = b.step_reference()
         if dt_a != dt_b:
             return float("inf")
     return max(
@@ -105,8 +105,8 @@ def check_drift(levels: int, steps: int, refine_keys=()) -> float:
 def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
     mesh_a, eos = build_mesh(levels, refine_keys=refine_keys)
     mesh_b, _ = build_mesh(levels, refine_keys=refine_keys)
-    batched = HydroIntegrator(mesh_a, eos, batched=True)
-    reference = HydroIntegrator(mesh_b, eos, batched=False)
+    batched = HydroIntegrator(mesh_a, eos)
+    reference = HydroIntegrator(mesh_b, eos)
     n_leaves = len(mesh_a.leaves())
     dt = 1e-4
 
@@ -115,15 +115,15 @@ def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
     t0 = time.perf_counter()
     batched.step(dt)
     cold_s = time.perf_counter() - t0
-    reference.step(dt)  # warm the reference path's caches too
+    reference.step_reference(dt)  # warm the reference path's caches too
 
     warm_batched = best_of(lambda: batched.step(dt), reps, trials)
-    warm_reference = best_of(lambda: reference.step(dt), reps, trials)
+    warm_reference = best_of(lambda: reference.step_reference(dt), reps, trials)
     # Full step: dt recomputed every step.  The batched path serves
     # global_timestep from the signal reduction folded into the previous
     # step; the reference re-walks every leaf's primitives.
     full_batched = best_of(lambda: batched.step(), reps, trials)
-    full_reference = best_of(lambda: reference.step(), reps, trials)
+    full_reference = best_of(lambda: reference.step_reference(), reps, trials)
 
     return {
         "levels": levels,

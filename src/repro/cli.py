@@ -31,18 +31,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--nodes", type=int, default=4)
     run.add_argument("--checkpoint", default=None,
                      help="write a checkpoint here after the run")
-    run.add_argument("--hydro-plan", default=True,
-                     action=argparse.BooleanOptionalAction,
-                     help="use the cached batched hydro step (stacked "
-                          "sub-grid kernels + vectorized ghost exchange); "
-                          "--no-hydro-plan selects the per-leaf reference "
-                          "path (identical bits, slower)")
     run.add_argument("--coalesce", default=True,
                      action=argparse.BooleanOptionalAction,
-                     help="bundle ghost messages per locality pair (one "
-                          "message per neighbor locality per phase, see "
-                          "docs/comms.md); --no-coalesce sends one message "
-                          "per leaf face (identical bits, more messages)")
+                     help="price the virtual timing with ghost messages "
+                          "bundled per locality pair (one message per "
+                          "neighbor locality per phase, see docs/comms.md); "
+                          "--no-coalesce prices one message per leaf face "
+                          "(the Fig. 8 ablation; the physics is unaffected)")
     run.add_argument("--m2l-split", type=int, default=0, metavar="ROWS",
                      help="shard heavy same-level M2L batches to at most "
                           "ROWS interaction rows each (0 = unsplit; "
@@ -190,11 +185,11 @@ def _command_run(args: argparse.Namespace) -> int:
         return 2
     machine = MACHINES[args.machine]
     if args.backend == "process":
-        cores_online = os.cpu_count() or 1
-        if args.nprocs > cores_online:
+        cores_usable = len(os.sched_getaffinity(0))
+        if args.nprocs > cores_usable:
             print(
                 f"warning: --nprocs {args.nprocs} exceeds the "
-                f"{cores_online} online core(s); workers will timeshare "
+                f"{cores_usable} usable core(s); workers will timeshare "
                 "and measured speedups are not meaningful",
                 file=sys.stderr,
             )
@@ -213,7 +208,6 @@ def _command_run(args: argparse.Namespace) -> int:
             machine=machine, nodes=args.nodes, coalesce=args.coalesce
         ),
         m2l_split=args.m2l_split,
-        hydro_plan=args.hydro_plan,
         sanitize=args.sanitize,
         faults=faults,
         recovery=not args.no_recovery,

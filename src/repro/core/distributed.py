@@ -5,14 +5,16 @@ Where :class:`~repro.core.driver.OctoTigerSim` computes physics serially and
 distributed task graph on the AMT runtime:
 
 * every leaf lives on a locality (Morton partition);
-* each RK stage's ghost fill for a face is a task on the *destination*
-  locality, preceded by a network message when the donor is remote (or the
-  promise-guarded direct path when local and the communication optimization
-  is on — the paper's SVII-B mechanism, executed rather than modelled);
-* the hydro kernel of a leaf is a task on its owner, dependent on its six
-  face fills and the previous stage's update;
+* each RK stage's ghost exchange is one coalesced bundle per ordered
+  locality pair (:mod:`repro.comms`): a pack task on the source, one
+  network message, an unpack task on the destination — or a single
+  promise-guarded apply task and no message when the pair is local and the
+  communication optimization is on (the paper's SVII-B mechanism, executed
+  rather than modelled);
+* the hydro kernel of a leaf is a task on its owner, dependent on every
+  bundle that covers its ghost bands and the previous stage's update;
 * anti-dependencies are honoured: a leaf's stage-k update waits for every
-  neighbour fill that still reads its stage-(k-1) interior.
+  bundle pack that still reads its stage-(k-1) interior.
 
 The payoff is a strong test: the distributed execution produces **the same
 field values** as the serial reference integrator, step for step, while the
@@ -21,16 +23,19 @@ network reports real message counts.
 
 Scope: hydro only (no gravity, no reflux) — enough to pin the distribution
 semantics; the rotating-frame source is supported because it is local.
+The per-face exchange this replaced survives only as a *pricing* ablation
+in :mod:`repro.distsim` (``RunConfig.coalesce`` / ``--no-coalesce``, Fig. 8);
+real multi-process execution is ``HydroIntegrator(backend="process")``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.amt.future import Future, Promise, when_all
+from repro.amt.future import Future, Promise, make_ready_future, when_all
 from repro.amt.locality import Runtime
 from repro.amt.network import Message, NetworkModel
 from repro.comms import GhostBundlePlan, adopt_arena, build_bundle_plan
@@ -42,14 +47,8 @@ from repro.hydro.plan import stacked_resync_tau_kernel
 from repro.hydro.solver import dudt_subgrid
 from repro.hydro.sources import rotating_frame_source
 from repro.octree.fields import NFIELDS, Field
-from repro.octree.ghost import (
-    _fill_boundary,
-    _fill_coarse,
-    _fill_fine,
-    _fill_same,
-)
 from repro.octree.mesh import AmrMesh
-from repro.octree.node import NodeKey, OctreeNode
+from repro.octree.node import NodeKey
 from repro.octree.partition import sfc_partition
 from repro.resilience.faults import FaultSpec
 from repro.resilience.protocol import ReliableTransport, RetryPolicy
@@ -88,26 +87,9 @@ class DistributedHydroDriver:
         workers_per_locality: int = 8,
         faults: Optional[FaultSpec] = None,
         recovery: Any = None,
-        coalesce: Optional[bool] = None,
-        backend: str = "des",
-        nprocs: int = 2,
-        wire: str = "shm",
-        overlap: bool = False,
     ) -> None:
         from repro.machines.specs import FUGAKU
 
-        if backend not in ("des", "process"):
-            raise ValueError(f"backend must be 'des' or 'process', got {backend!r}")
-        #: "des" executes the task graph on the virtual clock (default);
-        #: "process" fans the same step out over real OS processes via
-        #: :class:`repro.hydro.process_backend.ProcessHydroExecutor` and
-        #: reports measured wall-clock as the makespan.
-        self.backend = backend
-        self.nprocs = nprocs
-        self.wire = wire
-        #: Process backend only: futurized interior/halo overlap schedule.
-        self.overlap = overlap
-        self._executor = None  # lazy ProcessHydroExecutor
         self.mesh = mesh
         self.eos = eos or IdealGasEOS()
         self.omega = omega
@@ -124,17 +106,8 @@ class DistributedHydroDriver:
         self.time = 0.0
         self.steps_taken = 0
         self.last_result: Optional[DistributedStepResult] = None
-        #: Cached step skeleton (leaves, donor kinds, anti-dependency
-        #: readers), keyed on the mesh topology version — the same
-        #: invalidation contract as the hydro/FMM execution plans.  The
-        #: task graph is re-instantiated every step (costs and futures are
-        #: per-step state) but its *shape* only changes on regrid.
-        self._skeleton: Optional[tuple] = None
-        self._skeleton_version = -1
-        #: Coalesced ghost exchange (one bundle message per locality pair
-        #: per stage, see repro.comms) vs the retained per-face path.
-        #: ``None`` defers to the run configuration.
-        self.coalesce = self.config.coalesce if coalesce is None else coalesce
+        #: The coalescing plan and the arena it adopted the mesh into,
+        #: rebuilt only when the mesh regrids (:meth:`_bundles`).
         self._bundle_plan: Optional[GhostBundlePlan] = None
         self._arena: Optional[np.ndarray] = None
         self._bundle_version = -1
@@ -155,115 +128,10 @@ class DistributedHydroDriver:
             name=net.name,
         )
 
-    def _step_skeleton(self):  # noqa: ANN202
-        """Topology-derived step structure, cached until the mesh regrids.
-
-        Returns ``(leaves, face_kinds, readers)`` where ``face_kinds`` maps
-        ``(leaf, axis, side)`` to its donor classification and ``readers``
-        is the anti-dependency map (which fills read each leaf's interior).
-        All three are pure functions of the octree structure, so they are
-        rebuilt only when ``mesh.topology_version`` moves.
-        """
-        if self._skeleton_version == self.mesh.topology_version and (
-            self._skeleton is not None
-        ):
-            return self._skeleton
-        mesh = self.mesh
-        leaves = mesh.leaves()
-        readers: Dict[NodeKey, List[Tuple[NodeKey, int, int]]] = {
-            k.key: [] for k in leaves
-        }
-        face_kinds: Dict[Tuple[NodeKey, int, int], Tuple[str, object]] = {}
-        for leaf in leaves:
-            for axis in range(3):
-                for side in (0, 1):
-                    kind, other = mesh.face_neighbor(leaf, axis, side)
-                    face_kinds[(leaf.key, axis, side)] = (kind, other)
-                    if kind == "same" or kind == "coarse":
-                        readers[other.key].append((leaf.key, axis, side))
-                    elif kind == "fine":
-                        for child in other:
-                            readers[child.key].append((leaf.key, axis, side))
-        self._skeleton = (leaves, face_kinds, readers)
-        self._skeleton_version = mesh.topology_version
-        return self._skeleton
-
-    # -- process backend -------------------------------------------------------
-    def executor(self):
-        """Lazy real-parallel executor (reflux off, matching this driver's
-        hydro-only scope; the numerics are bit-identical to the DES path)."""
-        if self._executor is None:
-            from repro.hydro.process_backend import ProcessHydroExecutor
-
-            self._executor = ProcessHydroExecutor(
-                self.mesh,
-                eos=self.eos,
-                nprocs=self.nprocs,
-                omega=self.omega,
-                reflux=False,
-                wire=self.wire,
-                overlap=self.overlap,
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the process backend's worker pool and shm arenas."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def _step_process(self, dt: float) -> DistributedStepResult:
-        """One step on the real-parallel backend, timed with a wall clock.
-
-        The crash fate of ``faults`` is made real: the victim worker
-        process dies mid-protocol and the step raises
-        :class:`~repro.amt.parallel.WorkerCrashError` (an
-        ``UnrecoverableFault``), with the executor's lifecycle guard
-        reclaiming every shm segment on the way out.
-        """
-        import time as _time
-
-        ex = self.executor()
-        ex.ensure()
-        if (
-            self.faults is not None
-            and self.faults.crash_locality >= 0
-            and self.faults.crash_step == self.steps_taken
-            and self.faults.crash_locality < ex.nprocs
-        ):
-            ex.engine.crash(self.faults.crash_locality)
-        rounds_before = ex.engine.rounds
-        control_before = ex.engine.control_messages
-        t0 = _time.perf_counter()
-        try:
-            ex.step(dt)
-        except BaseException:
-            self.close()
-            raise
-        makespan = _time.perf_counter() - t0
-        self.time += dt
-        self.steps_taken += 1
-        payload = ex.payload_messages
-        control = ex.engine.control_messages - control_before
-        result = DistributedStepResult(
-            dt=dt,
-            makespan_s=makespan,
-            messages=payload + control,
-            bytes_sent=ex.payload_bytes,
-            tasks_completed=(ex.engine.rounds - rounds_before) * ex.nprocs,
-            utilization=0.0,
-            payload_messages=payload,
-            control_messages=control,
-        )
-        self.last_result = result
-        return result
-
     # -- step ------------------------------------------------------------------
     def step(self, dt: float) -> DistributedStepResult:
-        if self.backend == "process":
-            return self._step_process(dt)
         mesh, eos = self.mesh, self.eos
-        leaves, face_kinds, readers = self._step_skeleton()
+        leaves = mesh.leaves()
         network = self._network()
         if self.faults is not None:
             network.fault_injector = self.faults.injector(stream=self.steps_taken)
@@ -281,77 +149,29 @@ class DistributedHydroDriver:
         kernel_cost = self._kernel_cost()
         fill_cost = self.constants.face_sync_cpu_s
 
-        u0: Dict[NodeKey, np.ndarray] = {}
-        if self.coalesce:
-            # Arena payoff: every leaf interior is one strided view of the
-            # flat buffer, so the stage-0 state is captured with a single
-            # copy instead of one per leaf.
-            self._bundles()
-            u0_stack = self._stacked_interior().copy()
-            for slot, key in enumerate(sorted(leaf.key for leaf in leaves)):
-                u0[key] = u0_stack[slot]
-        else:
-            for leaf in leaves:
-                s = leaf.subgrid.interior
-                u0[leaf.key] = leaf.subgrid.data[:, s, s, s].copy()
+        # Arena payoff: every leaf interior is one strided view of the
+        # flat buffer, so the stage-0 state is captured with a single
+        # copy instead of one per leaf.
+        self._bundles()
+        u0_stack = self._stacked_interior().copy()
+        u0: Dict[NodeKey, np.ndarray] = {
+            key: u0_stack[slot]
+            for slot, key in enumerate(sorted(leaf.key for leaf in leaves))
+        }
 
         update_futures: Dict[NodeKey, Future] = {
-            leaf.key: _ready() for leaf in leaves
+            leaf.key: make_ready_future(None) for leaf in leaves
         }
 
         prev_bundle_done: Dict[Tuple[int, int], Future] = {}
         for a0, a1 in _RK3_STAGES:
-            # 1. Ghost fills: coalesced bundles (one message per locality
-            # pair) or the retained per-face reference path.  Both produce
-            # ``cover_futures`` (what each leaf's kernel waits for) and
-            # ``anti_futures`` (what reads each leaf's current interior).
-            if self.coalesce:
-                cover_futures, anti_futures, prev_bundle_done = (
-                    self._bundle_stage(
-                        runtime, network, transport, watchdog,
-                        update_futures, fill_cost, prev_bundle_done,
-                    )
-                )
-            else:
-                fill_futures: Dict[Tuple[NodeKey, int, int], Future] = {}
-                for leaf in leaves:
-                    loc = runtime.localities[leaf.locality]
-                    for axis in range(3):
-                        for side in (0, 1):
-                            kind, other = face_kinds[(leaf.key, axis, side)]
-                            deps: List[Future] = [update_futures[leaf.key]]
-                            donors: List[OctreeNode] = []
-                            if kind == "same" or kind == "coarse":
-                                donors = [other]
-                            elif kind == "fine":
-                                donors = list(other)
-                            for donor in donors:
-                                deps.append(update_futures[donor.key])
-
-                            fill = self._fill_task(
-                                runtime, network, loc, leaf, axis, side,
-                                kind, other, deps, fill_cost, transport,
-                                watchdog,
-                            )
-                            fill_futures[(leaf.key, axis, side)] = fill
-                            watchdog.watch(
-                                fill, deps,
-                                name=f"fill.{leaf.key}.ax{axis}.s{side}",
-                            )
-                cover_futures = {
-                    leaf.key: [
-                        fill_futures[(leaf.key, axis, side)]
-                        for axis in range(3)
-                        for side in (0, 1)
-                    ]
-                    for leaf in leaves
-                }
-                anti_futures = {
-                    leaf.key: [
-                        fill_futures[reader] for reader in readers[leaf.key]
-                    ]
-                    for leaf in leaves
-                }
+            # 1. Ghost fills as coalesced bundles (one message per locality
+            # pair): ``cover_futures`` is what each leaf's kernel waits
+            # for, ``anti_futures`` what reads each leaf's current interior.
+            cover_futures, anti_futures, prev_bundle_done = self._bundle_stage(
+                runtime, network, transport, watchdog,
+                update_futures, fill_cost, prev_bundle_done,
+            )
             # 2. Kernels + updates with anti-dependencies.
             new_updates: Dict[NodeKey, Future] = {}
             rhs_store: Dict[NodeKey, np.ndarray] = {}
@@ -372,9 +192,8 @@ class DistributedHydroDriver:
                     deps, compute, cost=kernel_cost,
                     name=f"hydro.{leaf.key}", kind="hydro.kernel",
                 )
-                # The update may not run until every neighbour fill (or
-                # bundle pack) that reads this leaf's current interior has
-                # executed.
+                # The update may not run until every bundle pack that
+                # reads this leaf's current interior has executed.
                 anti = anti_futures[leaf.key]
 
                 def update(leaf=leaf, a0=a0, a1=a1, rhs_store=rhs_store):  # noqa: ANN001
@@ -405,14 +224,9 @@ class DistributedHydroDriver:
         watchdog.watch(barrier, list(update_futures.values()), name="step.final")
         runtime.run_until_ready(barrier, watchdog=watchdog)
 
-        if self.coalesce:
-            # Same elementwise resync as the per-leaf loop, applied to the
-            # whole arena in one set of vectorized ops (bit-identical: the
-            # math per cell is unchanged, only the batching differs).
-            stacked_resync_tau_kernel(self._stacked_interior(), eos)
-        else:
-            for leaf in leaves:
-                self._resync_tau(leaf)
+        # Same elementwise resync as the serial integrator, applied to the
+        # whole arena in one set of vectorized ops.
+        stacked_resync_tau_kernel(self._stacked_interior(), eos)
         mesh.restrict_all()
 
         self.time += dt
@@ -483,9 +297,9 @@ class DistributedHydroDriver:
         payload), one network message, and an **unpack** task on the
         destination (scatters into the ghost bands).  Same-locality pairs
         under the local-communication optimization collapse to a single
-        work-split **apply** task and send nothing.  Virtual cost matches
-        the per-face path (``fill_cost`` per member face), spread over the
-        pool via :meth:`~repro.amt.locality.Locality.async_sharded`.
+        work-split **apply** task and send nothing.  Virtual cost is
+        ``fill_cost`` per member face, spread over the pool via
+        :meth:`~repro.amt.locality.Locality.async_sharded`.
 
         ``prev_done`` carries each bundle's previous-stage completion: the
         payload buffer is reused across stages, so stage ``k``'s pack may
@@ -577,96 +391,8 @@ class DistributedHydroDriver:
         }
         return cover_futures, anti_futures, fill_done
 
-    def _fill_task(
-        self,
-        runtime: Runtime,
-        network: NetworkModel,
-        loc,  # noqa: ANN001
-        leaf: OctreeNode,
-        axis: int,
-        side: int,
-        kind: str,
-        other,  # noqa: ANN001
-        deps: List[Future],
-        fill_cost: float,
-        transport: Optional[ReliableTransport] = None,
-        watchdog: Optional[DeadlockWatchdog] = None,
-    ) -> Future:
-        """Schedule one face fill with the right transport."""
-
-        def do_fill() -> None:
-            if kind == "boundary":
-                _fill_boundary(leaf, axis, side)
-            elif kind == "same":
-                _fill_same(leaf, other, axis, side)
-            elif kind == "coarse":
-                _fill_coarse(leaf, other, axis, side)
-            else:
-                _fill_fine(leaf, other, axis, side)
-
-        if kind == "boundary":
-            return loc.async_after(deps, do_fill, cost=fill_cost, kind="ghost.boundary")
-
-        donor_localities = (
-            {other.locality} if kind in ("same", "coarse") else {c.locality for c in other}
-        )
-        remote = donor_localities - {leaf.locality}
-        if not remote and self.config.comm_local_optimization:
-            # Direct memory access guarded by a promise/future pair.
-            return loc.async_after(deps, do_fill, cost=fill_cost, kind="ghost.local")
-
-        # Remote (or unoptimized local) path: the donor side sends the band.
-        name = f"ghost.{leaf.key}.ax{axis}.s{side}"
-        promise = Promise(name=name)
-        size = leaf.subgrid.nbytes_face()
-
-        def send(_v) -> None:  # noqa: ANN001
-            pending = [len(donor_localities)]
-
-            def deliver(_m: Message) -> None:
-                pending[0] -= 1
-                if pending[0] == 0:
-                    promise.set_value(None)
-
-            # Retained per-face ablation path (--no-coalesce); the default
-            # coalesced path sends one bundle per locality pair instead.
-            for src in donor_localities:  # reprolint: sanctioned-bundle
-                message = Message(src, leaf.locality, None, size, tag=name)
-                if transport is not None:
-                    transport.send(message, deliver, local=src == leaf.locality)
-                else:
-                    network.send(
-                        runtime.engine, message, deliver,
-                        local=src == leaf.locality,
-                    )
-
-        when_all(deps).add_done_callback(send)
-        arrived = promise.get_future()
-        if watchdog is not None:
-            watchdog.watch(arrived, deps, name=name)
-        return loc.async_after([arrived], do_fill, cost=fill_cost, kind="ghost.remote")
-
     def _floors_view(self, u: np.ndarray) -> None:
         np.maximum(u[Field.RHO], self.eos.rho_floor, out=u[Field.RHO])
         np.maximum(u[Field.TAU], 0.0, out=u[Field.TAU])
         np.maximum(u[Field.FRAC1], 0.0, out=u[Field.FRAC1])
         np.maximum(u[Field.FRAC2], 0.0, out=u[Field.FRAC2])
-
-    def _resync_tau(self, leaf: OctreeNode) -> None:
-        s = leaf.subgrid.interior
-        u = leaf.subgrid.data[:, s, s, s]
-        rho = np.maximum(u[Field.RHO], self.eos.rho_floor)
-        kinetic = 0.5 * (u[Field.SX] ** 2 + u[Field.SY] ** 2 + u[Field.SZ] ** 2) / rho
-        diff = u[Field.EGAS] - kinetic
-        healthy = diff > self.eos.dual_eta * u[Field.EGAS]
-        u[Field.TAU] = np.where(
-            healthy,
-            self.eos.tau_from_eint(np.maximum(diff, self.eos.eint_floor)),
-            u[Field.TAU],
-        )
-
-
-def _ready() -> Future:
-    from repro.amt.future import make_ready_future
-
-    return make_ready_future(None)

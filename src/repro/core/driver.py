@@ -86,7 +86,6 @@ class OctoTigerSim:
         constants: ModelConstants = DEFAULT_CONSTANTS,
         empty_mass_threshold: float = 1e-12,
         m2l_split: int = 0,
-        hydro_plan: bool = True,
         sanitize: bool = False,
         faults: Optional[FaultSpec] = None,
         recovery: Any = True,
@@ -166,7 +165,6 @@ class OctoTigerSim:
         self.plan_cache = plan_cache
 
         self.gravity_solver: Optional[FmmSolver] = None
-        gravity_cb = None
         if gravity:
             self.gravity_solver = FmmSolver(
                 order=gravity_order,
@@ -182,30 +180,36 @@ class OctoTigerSim:
             # Route the solver's per-phase timers (fmm.plan, fmm.p2m_m2m,
             # fmm.m2l, fmm.l2p, fmm.p2p) into this run's counter registry.
             self.gravity_solver.registry = self.counters
+        self.integrator = self._make_integrator(mesh, cfl, omega)
+        sfc_partition(mesh, self.config.nodes)
+        self._spec: Optional[ScenarioSpec] = None
+        self.records: List[StepRecord] = []
+        self.last_phi: Optional[Dict[NodeKey, np.ndarray]] = None
+
+    def _make_integrator(
+        self, mesh: AmrMesh, cfl: float, omega: float
+    ) -> HydroIntegrator:
+        """The hydro integrator for ``mesh`` with this run's gravity solver
+        and execution options — the one construction site, shared by
+        ``__init__`` and the post-fault :meth:`_rollback`."""
+        gravity_cb = None
+        if self.gravity_solver is not None:
             gravity_cb = self.gravity_solver.as_gravity_callback()
-        #: ``hydro_plan`` selects the cached batched hydro step (stacked
-        #: sub-grid kernels + vectorized ghost exchange); ``False`` keeps the
-        #: per-leaf reference path.  Both produce identical bits.
-        self.hydro_plan = hydro_plan
-        self.integrator = HydroIntegrator(
+        integrator = HydroIntegrator(
             mesh, self.eos, cfl=cfl, omega=omega, gravity=gravity_cb,
-            batched=hydro_plan,
-            backend="process" if backend == "process" else "serial",
-            nprocs=nprocs,
-            overlap=overlap,
-            verify_plans=verify_plans,
-            detect_races=detect_races,
-            array_backend=array_backend,
+            backend="process" if self.backend == "process" else "serial",
+            nprocs=self.nprocs,
+            overlap=self.overlap,
+            verify_plans=self.verify_plans,
+            detect_races=self.detect_races,
+            array_backend=self.array_backend,
             plan_cache=self.plan_cache,
         )
         # Route the integrator's per-phase timers (hydro.plan, hydro.ghost,
         # hydro.reconstruct, hydro.riemann, hydro.update) into this run's
         # counter registry, next to the fmm.* phases.
-        self.integrator.registry = self.counters
-        sfc_partition(mesh, self.config.nodes)
-        self._spec: Optional[ScenarioSpec] = None
-        self.records: List[StepRecord] = []
-        self.last_phi: Optional[Dict[NodeKey, np.ndarray]] = None
+        integrator.registry = self.counters
+        return integrator
 
     def close(self) -> None:
         """Shut down process-backend worker pools and shm arenas (no-op on
@@ -441,27 +445,14 @@ class OctoTigerSim:
         """Restore the newest checkpoint and rebind solvers to the mesh."""
         mesh, meta = series.load_latest()
         self.mesh = mesh
-        gravity_cb = None
-        if self.gravity_solver is not None:
-            gravity_cb = self.gravity_solver.as_gravity_callback()
         self.integrator.close()  # old worker pool aliases the pre-rollback mesh
-        restored = HydroIntegrator(
+        restored = self._make_integrator(
             mesh,
-            self.eos,
-            cfl=self.integrator.cfl,
-            omega=meta["extra"].get("omega", self.integrator.omega),
-            gravity=gravity_cb,
-            batched=self.hydro_plan,
-            backend="process" if self.backend == "process" else "serial",
-            nprocs=self.nprocs,
-            overlap=self.overlap,
-            verify_plans=self.verify_plans,
-            detect_races=self.detect_races,
-            array_backend=self.array_backend,
+            self.integrator.cfl,
+            meta["extra"].get("omega", self.integrator.omega),
         )
         restored.reconstruction = self.integrator.reconstruction
         restored.reflux = self.integrator.reflux
-        restored.registry = self.counters
         restored.time = meta.get("time", 0.0)
         restored.steps_taken = meta.get("step", 0)
         self.integrator = restored

@@ -47,10 +47,9 @@ import numpy as np
 
 #: Bump when any payload layout or plan-assembly semantics change: old
 #: entries then read as misses and are rewritten, never misinterpreted.
-#: v2: hydro payloads carry the interior/halo region split
-#: (``split_meta``/``split_interior``/``split_halos``) next to the ghost
-#: index arrays.
-CACHE_FORMAT_VERSION = 2
+#: v3: hydro payloads are the ghost index arrays alone (v2 also carried
+#: the interior/halo region split, which no product path ever read back).
+CACHE_FORMAT_VERSION = 3
 
 _META_KEY = "__plancache_meta__"
 

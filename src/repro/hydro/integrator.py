@@ -12,33 +12,44 @@ gravity / rotating-frame sources, and applies floors.  After the full step
 the entropy tracer is re-synchronised with the energy where the dual-energy
 switch is inactive, and interior nodes are restricted from their children.
 
-Two execution paths share those numerics:
+The stage order exists once, as data: :func:`rk3_ops` yields the ordered
+ops of one step (``ghost → rhs → reflux → update`` per stage, framed by
+``begin`` / ``finish``, with the parent's acceleration rewrites in place),
+and the kernel-level ops are the methods of one
+:class:`repro.hydro.plan.RankStep`.  Three interpreters run that program:
 
-* the **batched** path (default) routes the whole step through a cached
-  :class:`repro.hydro.plan.HydroPlan` — stacked per-level kernels and a
-  vectorized ghost exchange, bit-identical to the reference but without the
-  per-leaf Python walks;
-* :meth:`HydroIntegrator.step_reference` keeps the original per-leaf loops
-  as the numerics oracle (exactly like ``FmmSolver.solve_reference``).
+* **serial** — :meth:`HydroIntegrator.step` inline, over one ``RankStep``
+  spanning the cached :class:`repro.hydro.plan.HydroPlan` (stacked
+  per-level kernels, vectorized ghost exchange);
+* **BSP** — ``backend="process"``: every op is one barrier round of
+  :class:`repro.hydro.process_backend.ProcessHydroExecutor`, each worker
+  forwarding it to the ``RankStep`` over the leaves it owns;
+* **overlap** — the same executor with ``overlap=True``: the program hoists
+  ``rhs("interior")`` before the exchange drains and runs ``rhs("halo")`` +
+  ``update`` after it, fused into one dependency-grained round per stage.
 
-Both fold the per-leaf CFL signal reduction into the end of the step, so
-:meth:`HydroIntegrator.timestep` serves the next dt from a cache instead of
-re-walking the mesh with a second primitives pass.
+:meth:`HydroIntegrator.step_reference` keeps the original per-leaf loops as
+the numerics oracle (exactly like ``FmmSolver.solve_reference``); all three
+interpreters are bit-identical to it.
+
+Every path folds the per-leaf CFL signal reduction into the end of the
+step, so :meth:`HydroIntegrator.timestep` serves the next dt from a cache
+instead of re-walking the mesh with a second primitives pass.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.plan import (
-    NFIELDS,
     HydroPlan,
     StackedKernels,
     build_hydro_plan,
     resolve_stacked_kernels,
+    stack_accel,
 )
 from repro.kokkos.backend import get_backend
 from repro.hydro.reflux import apply_flux_corrections
@@ -61,21 +72,67 @@ GravityCallback = Callable[[AmrMesh], Dict[NodeKey, np.ndarray]]
 # Convex-combination coefficients (a0, a1): U_new = a0 U0 + a1 (U + dt L(U)).
 _RK3_STAGES = ((0.0, 1.0), (0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))
 
-#: Sentinel for :attr:`HydroIntegrator._trace_fp`: a regrid was announced
-#: via :meth:`HydroIntegrator.notify_regrid` and the surviving face traces
-#: are valid for the (not yet fingerprinted) post-delta topology.
-_TRACES_PENDING = object()
+
+def rk3_ops(
+    dt: float,
+    collect_fluxes: bool,
+    use_accel: bool,
+    gravity_every_stage: bool,
+    overlap: bool = False,
+) -> Iterator[tuple]:
+    """The ordered ops of one stacked SSP-RK3 step — the single definition
+    every interpreter (serial, BSP, overlap) runs.
+
+    Parent ops: ``("accel",)`` solves gravity and restages the stacked
+    accelerations; ``("ghost",)`` is the whole ghost exchange.  Rank ops
+    name :class:`repro.hydro.plan.RankStep` methods and carry their
+    arguments: ``begin``, ``rhs(region, collect_fluxes, use_accel)``,
+    ``reflux``, ``update(a0, a1, dt)``, ``finish``.
+
+    With ``overlap`` a stage becomes ``("fused", ops)``: the exchange is
+    split into ``post`` / ``drain`` and ``rhs`` into its interior and halo
+    regions, interior hoisted before the drain — otherwise the same rank
+    ops with the same arguments.  The fused group ends at ``update``
+    unless a ``reflux`` (whose flux reads span all ranks, so it keeps a
+    barrier) has to come first.  A per-stage acceleration rewrite needs
+    the parent between the ghost fill and the rhs, a seam the fused group
+    does not have, so those stages keep the barrier form.
+    """
+    if use_accel:
+        yield ("accel",)
+    yield ("begin",)
+    rhs_args = (collect_fluxes, use_accel)
+    for stage_index, (a0, a1) in enumerate(_RK3_STAGES):
+        rewrite_accel = bool(use_accel and gravity_every_stage and stage_index)
+        fuse = overlap and not rewrite_accel
+        update = ("update", a0, a1, dt)
+        if fuse:
+            yield ("fused", (
+                ("post",),
+                ("rhs", "interior", *rhs_args),
+                ("drain",),
+                ("rhs", "halo", *rhs_args),
+            ) + (() if collect_fluxes else (update,)))
+        else:
+            yield ("ghost",)
+            if rewrite_accel:
+                yield ("accel",)
+            yield ("rhs", "all", *rhs_args)
+        if collect_fluxes:
+            yield ("reflux",)
+        if collect_fluxes or not fuse:
+            yield update
+    yield ("finish",)
 
 
 class HydroIntegrator:
     """Drives SSP-RK3 steps over the whole mesh.
 
-    The distributed driver in :mod:`repro.core` performs the same stages as
-    Kokkos kernels on the AMT runtime; this class is the numerics oracle the
-    integration tests compare against.  ``batched`` selects the plan-cached
-    stacked path (default; see :mod:`repro.hydro.plan`); the per-leaf
-    reference stays available via ``batched=False`` or
-    :meth:`step_reference`.  Set ``registry`` to route the ``hydro.*``
+    :meth:`step` runs the step program (:func:`rk3_ops`) over the cached
+    :class:`~repro.hydro.plan.HydroPlan` — inline (``backend="serial"``) or
+    fanned out over worker processes (``backend="process"``);
+    :meth:`step_reference` is the per-leaf numerics oracle the tests
+    compare both against.  Set ``registry`` to route the ``hydro.*``
     per-phase timers into a specific :class:`CounterRegistry` instead of the
     process-global one.
     """
@@ -90,7 +147,6 @@ class HydroIntegrator:
         gravity_every_stage: bool = False,
         reflux: bool = True,
         reconstruction: str = "muscl",
-        batched: bool = True,
         backend: str = "serial",
         nprocs: int = 2,
         wire: str = "shm",
@@ -104,7 +160,7 @@ class HydroIntegrator:
             raise ValueError(
                 f"backend must be 'serial' or 'process', got {backend!r}"
             )
-        #: Array backend the batched kernels dispatch through (see
+        #: Array backend the stacked kernels dispatch through (see
         #: :mod:`repro.kokkos.backend`).  ``None`` is the inline seed path;
         #: "numpy" routes the same kernels through the dispatch table
         #: (bit-identical); "numba"/"pyjit" swap in the JIT kernel set
@@ -131,8 +187,6 @@ class HydroIntegrator:
         self.reflux = reflux
         #: "muscl" (2nd order, default) or "constant" (1st order Godunov).
         self.reconstruction = reconstruction
-        #: Route steps through the cached :class:`HydroPlan` (fast path).
-        self.batched = batched
         #: "serial" runs in-process; "process" fans the step out over a
         #: :class:`repro.hydro.process_backend.ProcessHydroExecutor` pool.
         self.backend = backend
@@ -155,16 +209,9 @@ class HydroIntegrator:
         self.faces_refluxed = 0
         self._plan: Optional[HydroPlan] = None
         #: Per-face ghost trace cache reused across plan rebuilds; a regrid
-        #: invalidates exactly the touched faces (:meth:`notify_regrid`).
+        #: invalidates exactly the touched faces (:meth:`notify_regrid`),
+        #: and the cache itself knows which topology its survivors serve.
         self._trace_cache = FaceTraceCache()
-        #: Fingerprint the surviving traces are valid for — either a mesh
-        #: fingerprint (cache matches that exact topology) or
-        #: :data:`_TRACES_PENDING` right after an announced regrid (the
-        #: surviving traces are valid for the regridded mesh, whose
-        #: fingerprint the next build will record).  Anything else means
-        #: the topology moved without a :meth:`notify_regrid` and the
-        #: traces must be dropped, preserving the pre-delta safety net.
-        self._trace_fp: Optional[str] = None
         #: Optional persistent content-addressed plan store
         #: (:class:`repro.core.plancache.PlanCache`): ghost index-plan
         #: arrays are looked up by mesh fingerprint before re-tracing.
@@ -194,15 +241,7 @@ class HydroIntegrator:
         fingerprint = mesh.fingerprint()
         params = {"n": mesh.n, "ghost": mesh.ghost}
         same_mesh = self._plan is not None and self._plan.mesh_ref() is mesh
-        # The surviving traces are trustworthy only for the topology they
-        # were recorded against — either this exact fingerprint, or (after
-        # an announced regrid of the same mesh object) the post-delta state.
-        traces_ok = len(self._trace_cache) > 0 and (
-            self._trace_fp == fingerprint
-            or (self._trace_fp is _TRACES_PENDING and same_mesh)
-        )
-        if not traces_ok:
-            self._trace_cache.clear()
+        traces_ok = self._trace_cache.usable_for(fingerprint, same_mesh)
         plan = None
         if self._plan is not None and traces_ok:
             with reg.timer("plan.hydro.delta"):
@@ -227,7 +266,6 @@ class HydroIntegrator:
                         mesh, ghost_payload=payload, reuse=self._plan
                     )
                 reg.increment("plan.hydro.cache_hit_builds")
-                self._trace_fp = None  # cache hits do not populate traces
         if plan is None:
             with reg.timer("plan.hydro.cold"):
                 plan = build_hydro_plan(mesh, trace_cache=self._trace_cache, reuse=self._plan)  # reprolint: sanctioned-cold-build
@@ -236,15 +274,15 @@ class HydroIntegrator:
                 self.plan_cache.store(
                     "hydro", plan.fingerprint, params, plan.cache_payload()
                 )
-        # Trace-populating builds (cold / delta) leave a cache valid for
-        # exactly this topology; a persistent-cache hit leaves it empty.
-        self._trace_fp = plan.fingerprint if len(self._trace_cache) else None
+        # Whatever traces the build left (none after a persistent-cache
+        # hit) are valid for exactly this topology.
+        self._trace_cache.mark_valid(plan.fingerprint)
         self._plan = plan
         reg.increment("hydro.plan_builds")
         return self._plan
 
     def invalidate_plan(self) -> None:
-        """Drop the cached plan (the next batched step rebuilds it)."""
+        """Drop the cached plan (the next step rebuilds it)."""
         self._plan = None
 
     def notify_regrid(self, delta) -> None:
@@ -258,7 +296,6 @@ class HydroIntegrator:
         """
         if delta is not None:
             self._trace_cache.invalidate(delta)
-            self._trace_fp = _TRACES_PENDING
         if self._executor is not None:
             self._executor.notify_regrid(delta)
 
@@ -277,7 +314,7 @@ class HydroIntegrator:
 
     def timestep(self) -> float:
         """The next global CFL dt, served from the end-of-step signal cache
-        when valid (both step paths populate it) — exactly equal to a full
+        when valid (every step path populates it) — exactly equal to a full
         :func:`global_timestep` recomputation.
 
         The cache assumes leaf fields did not change outside ``step``; code
@@ -338,12 +375,55 @@ class HydroIntegrator:
 
     # -- full step ------------------------------------------------------------
     def step(self, dt: Optional[float] = None) -> float:
-        """Advance the mesh by one RK3 step; returns the dt used."""
+        """Advance the mesh by one RK3 step; returns the dt used.
+
+        The serial interpreter of :func:`rk3_ops`: parent ops run inline
+        against the cached plan, rank ops on one
+        :class:`~repro.hydro.plan.RankStep` spanning the whole mesh.
+        Bit-identical to :meth:`step_reference`: every kernel reuses the
+        reference's elementwise building blocks on the stacked blocks, the
+        reflux table replays the reference's face order, and maxima /
+        convex combinations are order-independent per element.
+        """
         if self.backend == "process":
             return self._step_process(dt)
-        if self.batched:
-            return self._step_batched(dt)
-        return self.step_reference(dt)
+        reg = self._registry()
+        with reg.timer("hydro.plan"):
+            plan = self.plan_for()
+        if dt is None:
+            dt = self.timestep()
+        use_accel = self.gravity is not None
+        # The plan knows whether any coarse-fine interface exists at all
+        # (fine-class ghost faces); without one, refluxing cannot trigger
+        # and the boundary-flux extraction is pure overhead.
+        collect_fluxes = self.reflux and plan.ghosts.face_counts["fine"] > 0
+        rank = plan.rank_step(
+            self.eos, self.reconstruction, self.omega, self._kernels, reg,
+            use_accel, collect_fluxes,
+        )
+        signals: Dict[NodeKey, float] = {}
+        for op, *args in rk3_ops(
+            dt, collect_fluxes, use_accel, self.gravity_every_stage
+        ):
+            if op == "ghost":
+                with reg.timer("hydro.ghost"):
+                    plan.ghosts.fill_ghosts_kernel(plan.arena)
+            elif op == "accel":
+                stack_accel(
+                    self.gravity(self.mesh), plan.leaf_keys, rank.accel_view
+                )
+            elif op == "reflux":
+                self.faces_refluxed += rank.reflux()
+            elif op == "finish":
+                signals = rank.finish()
+            else:
+                getattr(rank, op)(*args)
+        self.mesh.restrict_all()
+        self.time += dt
+        self.steps_taken += 1
+        self.last_dt = dt
+        self._record_signals(signals)
+        return dt
 
     # -- process-parallel step ------------------------------------------------
     def executor(self):
@@ -374,17 +454,24 @@ class HydroIntegrator:
     def _step_process(self, dt: Optional[float] = None) -> float:
         """One RK3 step fanned out over the worker processes.
 
-        Same stacked kernels as :meth:`_step_batched`, partitioned over
-        disjoint leaf sets — bit-identical to both in-process paths (the
-        cross-check harness in :mod:`repro.core.crosscheck` asserts it).
+        Same program, same rank ops as the serial :meth:`step`, partitioned
+        over disjoint leaf sets — bit-identical to it (the cross-check
+        harness in :mod:`repro.core.crosscheck` asserts it).  A failed step
+        (worker crash, timeout) tears the pool and its shm arenas down on
+        the way out, so nothing is left behind in ``/dev/shm``.
         """
         ex = self.executor()
         ex.registry = self._registry()
         if dt is None:
             dt = self.timestep()
-        signals = ex.step(
-            dt, gravity=self.gravity, gravity_every_stage=self.gravity_every_stage
-        )
+        try:
+            signals = ex.step(
+                dt, gravity=self.gravity,
+                gravity_every_stage=self.gravity_every_stage,
+            )
+        except BaseException:
+            self.close()
+            raise
         self.faces_refluxed = ex.faces_refluxed
         self.time += dt
         self.steps_taken += 1
@@ -445,123 +532,6 @@ class HydroIntegrator:
         self._record_signals(
             {leaf.key: max_signal_subgrid(leaf.subgrid, self.eos) for leaf in leaves}
         )
-        return dt
-
-    # -- batched step ---------------------------------------------------------
-    def _gather_accel(self, plan: HydroPlan) -> List[np.ndarray]:
-        """Solve gravity and stack the per-leaf accelerations per block."""
-        accel_map = self.gravity(self.mesh)
-        out: List[np.ndarray] = []
-        n = plan.n
-        for b, blk in enumerate(plan.blocks):
-            buf = plan.scratch.get(("accel", b), (blk.n_leaves, 3, n, n, n))
-            for j, key in enumerate(blk.keys):
-                a = accel_map.get(key)
-                if a is None:
-                    buf[j] = 0.0
-                else:
-                    buf[j] = a
-            out.append(buf)
-        return out
-
-    def _step_batched(self, dt: Optional[float] = None) -> float:
-        """One RK3 step through the cached plan's stacked kernels.
-
-        Bit-identical to :meth:`step_reference`: every kernel reuses the
-        reference's elementwise building blocks on the stacked blocks, the
-        refluxing runs on per-leaf views into the stacked dudt, and maxima /
-        convex combinations are order-independent per element.
-        """
-        reg = self._registry()
-        with reg.timer("hydro.plan"):
-            plan = self.plan_for()
-        if dt is None:
-            dt = self.timestep()
-        kernels = self._kernels
-        eos = self.eos
-        s = plan.interior
-        scratch = plan.scratch
-        blocks = plan.blocks
-        n = plan.n
-
-        u0: List[np.ndarray] = []
-        for b, blk in enumerate(blocks):
-            buf = scratch.get(("u0", b), (blk.n_leaves, NFIELDS, n, n, n))
-            np.copyto(buf, blk.u[:, :, s, s, s])
-            u0.append(buf)
-
-        accel_blocks: List[Optional[np.ndarray]] = [None] * len(blocks)
-        if self.gravity is not None:
-            accel_blocks = self._gather_accel(plan)
-
-        # The plan knows whether any coarse-fine interface exists at all
-        # (fine-class ghost faces); without one, refluxing cannot trigger
-        # and the boundary-flux extraction is pure overhead.
-        collect_fluxes = self.reflux and plan.ghosts.face_counts["fine"] > 0
-        for stage_index, (a0, a1) in enumerate(_RK3_STAGES):
-            with reg.timer("hydro.ghost"):
-                plan.ghosts.fill_ghosts_kernel(plan.arena)
-            if self.gravity is not None and self.gravity_every_stage and stage_index:
-                accel_blocks = self._gather_accel(plan)
-            rhs_views: Dict[NodeKey, np.ndarray] = {}
-            flux_views: Dict[NodeKey, dict] = {}
-            dudts: List[np.ndarray] = []
-            for b, blk in enumerate(blocks):
-                dudt = scratch.get(("dudt", b), (blk.n_leaves, NFIELDS, n, n, n))
-                faces = None
-                if collect_fluxes:
-                    faces = {
-                        (axis, side): scratch.get(
-                            ("face", b, axis, side), (blk.n_leaves, NFIELDS, n, n)
-                        )
-                        for axis in range(3)
-                        for side in (0, 1)
-                    }
-                kernels.rhs(
-                    blk.u, blk.dx, eos, dudt,
-                    reconstruction=self.reconstruction,
-                    faces=faces,
-                    registry=reg,
-                    scratch=scratch,
-                    tag=b,
-                )
-                if accel_blocks[b] is not None or self.omega != 0.0:
-                    kernels.source(
-                        blk.u[:, :, s, s, s], dudt,
-                        accel=accel_blocks[b], omega=self.omega, x=blk.x, y=blk.y,
-                    )
-                dudts.append(dudt)
-                if collect_fluxes:
-                    for j, key in enumerate(blk.keys):
-                        rhs_views[key] = dudt[j]
-                        flux_views[key] = {fs: face[j] for fs, face in faces.items()}
-            if collect_fluxes and flux_views:
-                # apply_flux_corrections mutates the per-leaf dudt views in
-                # place, which lands directly in the stacked scratch arrays.
-                self.faces_refluxed += apply_flux_corrections(
-                    self.mesh, rhs_views, flux_views
-                )
-            with reg.timer("hydro.update"):
-                for b, blk in enumerate(blocks):
-                    kernels.update(
-                        blk.u[:, :, s, s, s], u0[b], dudts[b], a0, a1, dt, eos,
-                        scratch=scratch, tag=b,
-                    )
-
-        with reg.timer("hydro.update"):
-            for blk in blocks:
-                kernels.resync_tau(blk.u[:, :, s, s, s], eos)
-        self.mesh.restrict_all()
-        self.time += dt
-        self.steps_taken += 1
-        self.last_dt = dt
-        signals: Dict[NodeKey, float] = {}
-        for b, blk in enumerate(blocks):
-            out = scratch.get(("signal", b), (blk.n_leaves,))
-            kernels.signal(blk.u[:, :, s, s, s], eos, out)
-            for j, key in enumerate(blk.keys):
-                signals[key] = float(out[j])
-        self._record_signals(signals)
         return dt
 
     def run(self, t_end: float, max_steps: int = 100_000) -> int:

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.analysis.effects import ANY, declare_effects
 from repro.hydro.eos import IdealGasEOS
+from repro.hydro.reflux import apply_flux_table, build_reflux_table
 from repro.hydro.riemann import PRIM_KEYS
 from repro.hydro.solver import primitives_from_conserved
 from repro.octree.fields import Field, NFIELDS
@@ -121,9 +122,7 @@ class RegionSplit:
     the executor is allowed to schedule it.
 
     The split is a pure function of ``(n, width)``: regrids never change
-    it (delta rebuilds hand it forward via ``reuse``), and the persistent
-    plan cache stores it alongside the ghost payload so a cache hit
-    restores the exact boxes that were verified when the entry was seeded.
+    it, so the executor computes it once and nothing caches it.
     """
 
     n: int
@@ -142,37 +141,6 @@ class RegionSplit:
         out = [self.interior_box] if self.has_interior else []
         out.extend(self.halo_boxes)
         return tuple(out)
-
-    @staticmethod
-    def box_cells(box: Box) -> int:
-        x0, x1, y0, y1, z0, z1 = box
-        return max(0, x1 - x0) * max(0, y1 - y0) * max(0, z1 - z0)
-
-    def to_payload(self) -> Dict[str, np.ndarray]:
-        """Flat arrays for the persistent plan cache (prefixed ``split_``
-        so they coexist with the ghost payload in one entry)."""
-        return {
-            "split_meta": np.array([self.n, self.width], dtype=np.int64),
-            "split_interior": np.array(self.interior_box, dtype=np.int64),
-            "split_halos": np.array(self.halo_boxes, dtype=np.int64).reshape(
-                len(self.halo_boxes), 6
-            ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, np.ndarray]) -> "RegionSplit":
-        meta = np.asarray(payload["split_meta"], dtype=np.int64)
-        interior = tuple(
-            int(v) for v in np.asarray(payload["split_interior"], dtype=np.int64)
-        )
-        halos = tuple(
-            tuple(int(v) for v in row)
-            for row in np.asarray(payload["split_halos"], dtype=np.int64).reshape(-1, 6)
-        )
-        return cls(
-            n=int(meta[0]), width=int(meta[1]),
-            interior_box=interior, halo_boxes=halos,
-        )
 
 
 def compute_region_split(n: int, width: int = STENCIL_RADIUS) -> RegionSplit:
@@ -286,8 +254,6 @@ class HydroPlan:
         self.ghost_width = mesh.ghost
         m = self.n + 2 * self.ghost_width
         self.m = m
-        #: Interior slice shared by every sub-grid in the mesh.
-        self.interior = slice(self.ghost_width, self.ghost_width + self.n)
         chunk = NFIELDS * m**3
 
         leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
@@ -359,25 +325,50 @@ class HydroPlan:
         else:
             self.ghosts = ghost_index_plan(mesh, offsets, trace_cache=trace_cache)
 
-        # Interior/halo split for the futurized overlap path.  A pure
-        # function of (n, stencil radius): delta rebuilds inherit the
-        # previous plan's object, a persistent-cache hit restores the
-        # stored boxes (and cross-checks them against the canonical
-        # construction — a corrupt entry must not schedule), and a cold
-        # build computes it fresh.
-        split: Optional[RegionSplit] = None
-        if reuse is not None and reuse.n == self.n:
-            split = getattr(reuse, "split", None)
-        if split is None and ghost_payload is not None and "split_meta" in ghost_payload:
-            restored = RegionSplit.from_payload(ghost_payload)
-            if restored == compute_region_split(self.n):
-                split = restored
-        self.split: RegionSplit = split or compute_region_split(self.n)
+        #: Mesh-free coarse-fine flux correction rows in slot terms; empty
+        #: when no coarse-fine interface exists (nothing to reflux).
+        self.reflux_table = (
+            build_reflux_table(mesh, self.slot)
+            if self.ghosts.face_counts["fine"] > 0 else []
+        )
         self.scratch = ScratchArena()
 
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_keys)
+
+    def rank_step(
+        self,
+        eos: IdealGasEOS,
+        reconstruction: str,
+        omega: float,
+        kernels: "StackedKernels",
+        registry,
+        use_accel: bool,
+        collect_fluxes: bool,
+    ) -> "RankStep":
+        """The whole mesh as one rank: every level block is a run, and the
+        working set (u0, dudt, stacked accelerations, boundary fluxes)
+        lives in this plan's :class:`ScratchArena`."""
+        n, total = self.n, self.n_leaves
+        runs, lo = [], 0
+        for blk in self.blocks:
+            runs.append((lo, lo + blk.n_leaves, blk.dx, blk.u, blk.x, blk.y))
+            lo += blk.n_leaves
+        return RankStep(
+            runs, self.leaf_keys, n, self.ghost_width,
+            eos=eos, reconstruction=reconstruction, omega=omega,
+            kernels=kernels, registry=registry, scratch=self.scratch,
+            accel_view=(
+                self.scratch.get(("accel",), (total, 3, n, n, n))
+                if use_accel else None
+            ),
+            flux_view=(
+                self.scratch.get(("flux",), (total, 3, 2, NFIELDS, n, n))
+                if collect_fluxes else None
+            ),
+            reflux_table=self.reflux_table,
+        )
 
     def matches(self, mesh: AmrMesh) -> bool:
         """Whether this plan is still valid for ``mesh``.
@@ -403,9 +394,9 @@ class HydroPlan:
         return self.arena.nbytes + self.scratch.nbytes()
 
     def cache_payload(self) -> Dict[str, np.ndarray]:
-        """Everything the persistent plan cache stores for this plan:
-        the ghost index arrays plus the interior/halo split boxes."""
-        return {**self.ghosts.to_payload(), **self.split.to_payload()}
+        """Everything the persistent plan cache stores for this plan: the
+        ghost index arrays."""
+        return self.ghosts.to_payload()
 
 
 def build_hydro_plan(
@@ -1015,21 +1006,14 @@ class StackedKernels:
 
 
 #: The inline seed table: exactly the module-level stacked kernels.
-_SEED_KERNELS = None  # built lazily (the functions are defined above)
-
-
-def _seed_kernels() -> StackedKernels:
-    global _SEED_KERNELS
-    if _SEED_KERNELS is None:
-        _SEED_KERNELS = StackedKernels(
-            backend_name="seed",
-            rhs=stacked_rhs_kernel,
-            source=stacked_source_kernel,
-            update=stacked_update_kernel,
-            resync_tau=stacked_resync_tau_kernel,
-            signal=stacked_signal_kernel,
-        )
-    return _SEED_KERNELS
+_SEED_KERNELS = StackedKernels(
+    backend_name="seed",
+    rhs=stacked_rhs_kernel,
+    source=stacked_source_kernel,
+    update=stacked_update_kernel,
+    resync_tau=stacked_resync_tau_kernel,
+    signal=stacked_signal_kernel,
+)
 
 
 def _jit_kernels(backend) -> StackedKernels:
@@ -1096,10 +1080,9 @@ def resolve_stacked_kernels(backend=None) -> StackedKernels:
     resync implementations, bounded by the tolerance tier.
     """
     if backend is None:
-        return _seed_kernels()
+        return _SEED_KERNELS
     if backend.jit:
         return _jit_kernels(backend)
-    seed = _seed_kernels()
     return StackedKernels(
         backend_name=backend.name,
         rhs=backend.specialize("hydro.rhs", lambda: stacked_rhs_kernel),
@@ -1110,3 +1093,181 @@ def resolve_stacked_kernels(backend=None) -> StackedKernels:
         ),
         signal=backend.specialize("hydro.signal", lambda: stacked_signal_kernel),
     )
+
+
+# -- the rank step ------------------------------------------------------------
+
+
+def stack_accel(
+    accel_map: Dict[NodeKey, np.ndarray], keys: List[NodeKey], out: np.ndarray
+) -> None:
+    """Stage a gravity callback's per-leaf output into the slot-ordered
+    ``(slots, 3, n, n, n)`` acceleration stack the ``rhs`` op reads."""
+    for slot, key in enumerate(keys):
+        a = accel_map.get(key)
+        out[slot] = 0.0 if a is None else a
+
+
+#: One stacked run of a rank: ``(lo, hi, dx, u, x, y)`` — the slot range
+#: into the accel/flux stacks, the cell size, the ``(hi - lo, NFIELDS, M, M,
+#: M)`` field block and its interior cell-centre coordinates.
+Run = Tuple[int, int, float, np.ndarray, np.ndarray, np.ndarray]
+
+
+class RankStep:
+    """One rank's share of the stacked SSP-RK3 step.
+
+    The kernel-level ops of :func:`repro.hydro.integrator.rk3_ops` —
+    ``begin / rhs(region) / reflux / update / finish`` — over a list of
+    stacked same-level runs.  Every interpreter of the step program drives
+    this one object: the serial integrator inline over the whole mesh
+    (:meth:`HydroPlan.rank_step`), each process-backend worker over the
+    runs it owns, with ``accel_view`` / ``flux_view`` the whole-mesh
+    slot-ordered stacks (scratch buffers there, shm arenas here).
+
+    ``rhs`` takes a *region*, a list of boxes per run: ``"all"`` is the
+    one-box case (the whole block); ``"interior"`` / ``"halo"`` (available
+    when ``split`` is given) are the sub-box passes of the overlap
+    schedule, whose union writes every dudt cell and boundary-flux patch
+    exactly once with the same bits.
+    """
+
+    def __init__(
+        self,
+        runs: List[Run],
+        keys: List[NodeKey],
+        n: int,
+        ghost: int,
+        eos: IdealGasEOS,
+        reconstruction: str,
+        omega: float,
+        kernels: "StackedKernels",
+        registry,
+        scratch: ScratchArena,
+        accel_view: Optional[np.ndarray] = None,
+        flux_view: Optional[np.ndarray] = None,
+        reflux_table=(),
+        split: Optional[RegionSplit] = None,
+    ) -> None:
+        self.runs = runs
+        self.keys = keys
+        self.n = n
+        self.eos = eos
+        self.reconstruction = reconstruction
+        self.omega = omega
+        self.kernels = kernels
+        self.registry = registry
+        self.scratch = scratch
+        self.accel_view = accel_view
+        self.flux_view = flux_view
+        self.reflux_table = reflux_table
+        s = slice(ghost, ghost + n)
+        self.u_int = [run[3][:, :, s, s, s] for run in runs]
+        self.u0 = [
+            scratch.get(("u0", i), ui.shape) for i, ui in enumerate(self.u_int)
+        ]
+        self.dudt = [
+            scratch.get(("dudt", i), ui.shape) for i, ui in enumerate(self.u_int)
+        ]
+        #: Owned leaves for the reflux pass: key -> dudt interior view.
+        self.owned_rhs: Dict[NodeKey, np.ndarray] = {}
+        if reflux_table:
+            for i, (lo, hi, *_rest) in enumerate(runs):
+                for j, key in enumerate(keys[lo:hi]):
+                    self.owned_rhs[key] = self.dudt[i][j]
+        # Per region, per run: the (u, dudt, boundary-flux patches, scratch
+        # tag) passes of the rhs kernel.  Only boxes touching a block face
+        # collect flux there — together the patches tile each face exactly.
+        regions: Dict[str, List[Box]] = {"all": [(0, n, 0, n, 0, n)]}
+        if split is not None:
+            regions["interior"] = [split.interior_box] if split.has_interior else []
+            regions["halo"] = list(split.halo_boxes)
+        self.passes = {
+            region: [
+                [
+                    region_views(u, self.dudt[i], box, ghost)
+                    + (self._faces(lo, hi, box), (region, i, bi))
+                    for bi, box in enumerate(boxes)
+                ]
+                for i, (lo, hi, _dx, u, _x, _y) in enumerate(runs)
+            ]
+            for region, boxes in regions.items()
+        }
+
+    def _faces(self, lo: int, hi: int, box: Box) -> Dict[Tuple[int, int], np.ndarray]:
+        """Boundary-flux patches a box owns: for each block face the box
+        touches, the sub-view of the flux stack covering the box's
+        transverse extent."""
+        faces: Dict[Tuple[int, int], np.ndarray] = {}
+        if self.flux_view is None:
+            return faces
+        bounds = ((box[0], box[1]), (box[2], box[3]), (box[4], box[5]))
+        for axis in range(3):
+            t1, t2 = [bounds[i] for i in range(3) if i != axis]
+            for side in (0, 1):
+                if bounds[axis][side] == (self.n if side else 0):
+                    faces[(axis, side)] = self.flux_view[lo:hi, axis, side][
+                        :, :, t1[0]:t1[1], t2[0]:t2[1]
+                    ]
+        return faces
+
+    # -- ops (one method per program op) --------------------------------------
+    def begin(self) -> None:
+        for u_int, u0 in zip(self.u_int, self.u0):
+            np.copyto(u0, u_int)
+
+    def rhs(self, region: str, collect_fluxes: bool, use_accel: bool) -> None:
+        """Flux divergence over ``region`` of every run; the last region of
+        a stage (anything but ``"interior"``) then adds the sources, which
+        read only the cell's own state."""
+        for i, (lo, hi, dx, _u, x, y) in enumerate(self.runs):
+            for u_sub, d_sub, faces, tag in self.passes[region][i]:
+                self.kernels.rhs(
+                    u_sub, dx, self.eos, d_sub,
+                    reconstruction=self.reconstruction,
+                    faces=(faces or None) if collect_fluxes else None,
+                    registry=self.registry,
+                    scratch=self.scratch,
+                    tag=tag,
+                )
+            if region != "interior" and (use_accel or self.omega != 0.0):
+                self.kernels.source(
+                    self.u_int[i], self.dudt[i],
+                    accel=self.accel_view[lo:hi] if use_accel else None,
+                    omega=self.omega, x=x, y=y,
+                )
+
+    def reflux(self) -> int:
+        """Flux corrections for owned leaves, reading all leaves' faces.
+
+        Replays the plan-time mesh-free reflux table
+        (:func:`repro.hydro.reflux.build_reflux_table`): rows for unowned
+        leaves are skipped, so each coarse face is corrected exactly once
+        — by its owner — while the whole-mesh flux stack supplies every
+        child face.
+        """
+        with self.registry.timer("hydro.update"):
+            return apply_flux_table(
+                self.reflux_table, self.owned_rhs, self.flux_view, self.n
+            )
+
+    def update(self, a0: float, a1: float, dt: float) -> None:
+        with self.registry.timer("hydro.update"):
+            for i, u_int in enumerate(self.u_int):
+                self.kernels.update(
+                    u_int, self.u0[i], self.dudt[i], a0, a1, dt, self.eos,
+                    scratch=self.scratch, tag=i,
+                )
+
+    def finish(self) -> Dict[NodeKey, float]:
+        """Tau resync + per-leaf CFL signals of the owned leaves."""
+        signals: Dict[NodeKey, float] = {}
+        with self.registry.timer("hydro.update"):
+            for i, (lo, hi, *_rest) in enumerate(self.runs):
+                u_int = self.u_int[i]
+                self.kernels.resync_tau(u_int, self.eos)
+                out = self.scratch.get(("signal", i), (hi - lo,))
+                self.kernels.signal(u_int, self.eos, out)
+                for j, key in enumerate(self.keys[lo:hi]):
+                    signals[key] = float(out[j])
+        return signals

@@ -1,9 +1,9 @@
 """Process-parallel hydro execution: the RK3 step on real OS cores.
 
-:class:`ProcessHydroExecutor` runs the same batched SSP-RK3 step as
-:meth:`repro.hydro.integrator.HydroIntegrator._step_batched`, but with the
-leaves partitioned over the worker processes of a
-:class:`repro.amt.parallel.ParallelEngine`:
+:class:`ProcessHydroExecutor` interprets the same step program as the
+serial :meth:`repro.hydro.integrator.HydroIntegrator.step`
+(:func:`repro.hydro.integrator.rk3_ops`), with the leaves partitioned over
+the worker processes of a :class:`repro.amt.parallel.ParallelEngine`:
 
 * the plan adopts every leaf sub-grid into a **shared-memory arena**
   (:func:`repro.comms.bundle.adopt_arena` with a
@@ -11,9 +11,10 @@ leaves partitioned over the worker processes of a
   inherited numpy views alias the same pages — writes to owned interiors
   and ghost bands are visible everywhere without copies;
 * leaves are partitioned along the space-filling curve
-  (:func:`repro.octree.partition.sfc_partition`) and each worker runs the
-  stacked kernels over maximal contiguous same-level slot runs of its
-  leaves — the per-worker step is the batched step on a sub-arena;
+  (:func:`repro.octree.partition.sfc_partition`) and each worker holds one
+  :class:`repro.hydro.plan.RankStep` over the maximal contiguous
+  same-level slot runs of its leaves — the rank ops of the program are
+  that object's methods, here and in the serial integrator alike;
 * ghost exchange reuses the traced :class:`~repro.comms.bundle.PairBundle`
   plan.  In the default ``wire="shm"`` mode the *destination* worker
   applies each of its bundles directly (pack reads donor interiors from
@@ -22,16 +23,22 @@ leaves partitioned over the worker processes of a
   payload buffer as-is through the parent (source packs, parent relays,
   destination unpacks) — the explicit wire format, kept for the
   message-counting experiments;
-* each RK stage is two bulk-synchronous rounds (ghost+rhs, then update) —
-  three when flux corrections are active — so the schedule satisfies the
-  same dependence structure the DES driver wires through futures: fills
-  read only stage-``k-1`` interiors (every traced fill reads interiors
-  only), kernels read own interiors + ghosts, updates write own interiors.
+* **BSP schedule** (default): every program op is one bulk-synchronous
+  round, so the schedule satisfies the same dependence structure the DES
+  driver wires through futures: fills read only stage-``k-1`` interiors
+  (every traced fill reads interiors only), kernels read own interiors +
+  ghosts, updates write own interiors;
+* **overlap schedule** (``overlap=True``): the program's ``fused`` groups
+  run as one dependency-grained round per stage — exchange posted,
+  interior rhs computed while it is in flight, arrivals drained, halo rhs
+  and (when no reflux barrier intervenes) the update behind a
+  ``ghosts`` → ``go`` handshake.
 
-Every kernel is the bit-identical stacked implementation the batched
-integrator uses, partitioned over disjoint leaf sets, so the result is
-``np.array_equal`` with both the batched single-process step and the DES
-driver — the cross-check contract of ``repro.core.crosscheck``.
+This module owns what is specific to real processes — the wires, the
+bundle plan, the event log, the in-place replan; the arithmetic is the
+shared ``RankStep``, so the result is ``np.array_equal`` with both the
+serial step and the DES driver — the cross-check contract of
+``repro.core.crosscheck``.
 
 Worker crashes (the ``FaultSpec`` crash fate, or a real SIGKILL) surface
 as :class:`~repro.amt.parallel.WorkerCrashError`; the shm segments are
@@ -74,16 +81,13 @@ from repro.analysis.shmrace import (
 from repro.comms.bundle import GhostBundlePlan, adopt_arena, build_bundle_plan
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.plan import (
+    RankStep,
     ScratchArena,
     compute_region_split,
-    region_views,
-    stacked_resync_tau_kernel,
-    stacked_rhs_kernel,
-    stacked_signal_kernel,
-    stacked_source_kernel,
-    stacked_update_kernel,
+    resolve_stacked_kernels,
+    stack_accel,
 )
-from repro.hydro.reflux import apply_flux_table, build_reflux_table
+from repro.hydro.reflux import build_reflux_table
 from repro.octree.fields import NFIELDS
 from repro.octree.ghost import FaceTraceCache
 from repro.octree.mesh import AmrMesh
@@ -91,8 +95,8 @@ from repro.octree.node import NodeKey
 from repro.octree.partition import sfc_partition
 from repro.profiling.apex import CounterRegistry
 
-#: Convex-combination coefficients, shared with the serial integrator.
-from repro.hydro.integrator import _RK3_STAGES  # noqa: E402  (cycle-free)
+#: The step program, shared with the serial integrator.
+from repro.hydro.integrator import rk3_ops  # noqa: E402  (cycle-free)
 
 #: Shm arenas are allocated for this many times the current leaf count, so
 #: a growing regrid usually fits the existing segments and can be patched
@@ -100,13 +104,16 @@ from repro.hydro.integrator import _RK3_STAGES  # noqa: E402  (cycle-free)
 #: re-forking the pool.
 ARENA_HEADROOM = 1.5
 
-#: Sentinel: a regrid was announced via ``notify_regrid`` and the surviving
-#: ghost face traces are valid for the (not yet fingerprinted) new topology.
-_TRACES_PENDING = object()
+#: Program ops a worker forwards verbatim to its :class:`RankStep`, and the
+#: commands it handles itself (the wires, fused groups, in-place replans).
+RANK_OPS = frozenset({"begin", "rhs", "reflux", "update", "finish"})
+WORKER_OPS = frozenset({"ghost", "ghost_pack", "ghost_unpack", "fused", "replan"})
 
 
 class _WorkerState:
-    """Everything one worker precomputes after fork (child-side only)."""
+    """Everything one worker precomputes after fork (child-side only):
+    its :class:`RankStep` plus the wire, bundle and event-log state the
+    rank ops know nothing about."""
 
     def __init__(
         self,
@@ -121,7 +128,6 @@ class _WorkerState:
         #: Futurization primitive for the overlap schedule (mid-round
         #: notes/waits); ``None`` only in direct unit-test construction.
         self.link = link
-        self.interior = slice(executor.ghost, executor.ghost + executor.n)
         #: BSP epoch: one per dispatched command, advanced identically on
         #: every rank (rounds broadcast the same command sequence).
         self.epoch = 0
@@ -141,16 +147,21 @@ class _WorkerState:
         stacked = ex.arena_view.reshape(-1, NFIELDS, m, m, m)
         #: Maximal contiguous same-level slot runs owned by this rank.
         self.runs: List[Tuple[int, int, float]] = ex.runs[rank]
-        self.u = [stacked[lo:hi] for lo, hi, _ in self.runs]
-        self.u_int = [u[:, :, self.interior, self.interior, self.interior]
-                      for u in self.u]
-        self.u0 = [np.empty_like(ui) for ui in self.u_int]
-        self.dudt = [np.empty_like(ui) for ui in self.u_int]
-        self.scratch = ScratchArena()
-        #: Per-run interior cell-centre coordinates (rotating frame),
-        #: precomputed by the parent (pure functions of the leaf keys).
-        self.x = [bx for bx, _ in ex.run_xy[rank]]
-        self.y = [by for _, by in ex.run_xy[rank]]
+        #: The rank ops of the step program, over the owned runs (cell
+        #: centres precomputed by the parent: pure functions of the keys).
+        self.step = RankStep(
+            [
+                (lo, hi, dx, stacked[lo:hi], bx, by)
+                for (lo, hi, dx), (bx, by) in zip(self.runs, ex.run_xy[rank])
+            ],
+            ex.leaf_keys, ex.n, ex.ghost,
+            eos=ex.eos, reconstruction=ex.reconstruction, omega=ex.omega,
+            kernels=resolve_stacked_kernels(None), registry=self.registry,
+            scratch=ScratchArena(),
+            accel_view=ex.accel_view, flux_view=ex.flux_view,
+            reflux_table=ex.reflux_table,
+            split=ex.split if ex.overlap else None,
+        )
         #: Bundles this rank applies (wire=shm: all with dst == rank;
         #: wire=pipe: the local ones — remote payloads arrive by pipe).
         plan = ex.bundle_plan
@@ -163,59 +174,6 @@ class _WorkerState:
         )
         self.dst_local = [p for p in self.dst_pairs if p[0] == p[1]]
         self.dst_remote = [p for p in self.dst_pairs if p[0] != p[1]]
-        self.accel_view = ex.accel_view
-        self.flux_view = ex.flux_view
-        #: Owned leaves for the reflux pass: key -> dudt interior view.
-        keys = ex.leaf_keys
-        self.owned_rhs: Dict[NodeKey, np.ndarray] = {}
-        for run_index, (lo, hi, _) in enumerate(self.runs):
-            for j, key in enumerate(keys[lo:hi]):
-                self.owned_rhs[key] = self.dudt[run_index][j]
-        # Interior/halo sub-views for the futurized schedule: per run, the
-        # (u, dudt) region views of every split box plus the boundary-face
-        # patches the box owns (only boxes touching a block face collect
-        # flux there — together the patches tile each face exactly).
-        split = ex.split
-        self.region_interior: List[list] = []
-        self.region_halo: List[list] = []
-        for run_index, (lo, hi, _dx) in enumerate(self.runs):
-            u = self.u[run_index]
-            dudt = self.dudt[run_index]
-            boxes = []
-            if split.has_interior:
-                boxes.append(("i", split.interior_box))
-            boxes.extend(("h", box) for box in split.halo_boxes)
-            interior_list: list = []
-            halo_list: list = []
-            for bi, (kind, box) in enumerate(boxes):
-                u_sub, d_sub = region_views(u, dudt, box, ex.ghost)
-                faces_sub = self._region_faces(lo, hi, box)
-                entry = (u_sub, d_sub, faces_sub, (run_index, bi))
-                (interior_list if kind == "i" else halo_list).append(entry)
-            self.region_interior.append(interior_list)
-            self.region_halo.append(halo_list)
-
-    def _region_faces(
-        self, lo: int, hi: int, box: Tuple[int, ...]
-    ) -> Dict[Tuple[int, int], np.ndarray]:
-        """Boundary-flux patches a split box owns: for each block face the
-        box touches, the sub-view of the face buffer covering the box's
-        transverse extent."""
-        n = self.ex.n
-        bounds = ((box[0], box[1]), (box[2], box[3]), (box[4], box[5]))
-        faces: Dict[Tuple[int, int], np.ndarray] = {}
-        for axis in range(3):
-            t1, t2 = [bounds[i] for i in range(3) if i != axis]
-            for side in (0, 1):
-                touches = (
-                    bounds[axis][0] == 0 if side == 0
-                    else bounds[axis][1] == n
-                )
-                if touches:
-                    faces[(axis, side)] = self.flux_view[
-                        lo:hi, axis, side
-                    ][:, :, t1[0]:t1[1], t2[0]:t2[1]]
-        return faces
 
     def replan(self, payload: Dict[str, Any]) -> None:
         """Patch this worker's executor state for a regridded topology.
@@ -282,7 +240,6 @@ class _WorkerState:
 
         own_int_read = runs_rows(MODE_READ, SEG_FIELDS, REGION_INTERIOR)
         own_int_write = runs_rows(MODE_WRITE, SEG_FIELDS, REGION_INTERIOR)
-        local_pairs = [p for p in self.dst_pairs if p[0] == p[1]]
         ev: Dict[Any, np.ndarray] = {
             "begin": own_int_read,
             "ghost": np.vstack(
@@ -294,7 +251,7 @@ class _WorkerState:
                 or [np.empty((0, 5), dtype=np.int64)]
             ),
             "ghost_unpack": np.vstack(
-                bundle_rows(local_pairs, srcs=True, dsts=False)
+                bundle_rows(self.dst_local, srcs=True, dsts=False)
                 + bundle_rows(self.dst_pairs, srcs=False, dsts=True)
                 or [np.empty((0, 5), dtype=np.int64)]
             ),
@@ -320,48 +277,40 @@ class _WorkerState:
 
     def _log_phase(self, command: Any) -> None:
         op = command[0]
-        if op == "xstage":
+        rows = self._event_rows
+        if op == "fused":
             # Fused overlap epoch: stamp each access group with its
             # protocol phase so the detector can apply the sanctioned
             # message-grained happens-before edges (exchange -> update).
-            if self.ex.wire == "shm":
-                self.events.log(
-                    self.epoch, self._event_rows["ghost"],
-                    phase=PHASE_EXCHANGE,
-                )
-            else:
-                self.events.log(
-                    self.epoch, self._event_rows["ghost_pack"],
-                    phase=PHASE_EXCHANGE,
-                )
-                self.events.log(
-                    self.epoch, self._event_rows["ghost_unpack"],
-                    phase=PHASE_EXCHANGE,
-                )
-            self.events.log(
-                self.epoch,
-                self._event_rows[("rhs", bool(command[1]), bool(command[2]))],
-                phase=PHASE_COMPUTE,
+            ghost = (
+                ("ghost",) if self.ex.wire == "shm"
+                else ("ghost_pack", "ghost_unpack")
             )
-            if command[4]:  # fused update rides in the same epoch
-                self.events.log(
-                    self.epoch, self._event_rows["update"],
-                    phase=PHASE_UPDATE,
-                )
+            for name in ghost:
+                self.events.log(self.epoch, rows[name], phase=PHASE_EXCHANGE)
+            for sub in command[1]:
+                if sub[0] == "rhs" and sub[1] != "interior":
+                    # One entry per stage: the region passes together
+                    # touch exactly the whole-block rhs footprint.
+                    self.events.log(
+                        self.epoch, rows[("rhs", bool(sub[2]), bool(sub[3]))],
+                        phase=PHASE_COMPUTE,
+                    )
+                elif sub[0] == "update":  # rides in the same epoch
+                    self.events.log(
+                        self.epoch, rows["update"], phase=PHASE_UPDATE
+                    )
             return
         if op == "rhs":
-            rows = self._event_rows[("rhs", bool(command[1]), bool(command[2]))]
+            found = rows[("rhs", bool(command[2]), bool(command[3]))]
         else:
-            rows = self._event_rows.get(op)
-        if rows is not None:
-            self.events.log(self.epoch, rows)
+            found = rows.get(op)
+        if found is not None:
+            self.events.log(self.epoch, found)
 
-    # -- phases (one method per command) --------------------------------------
-    def begin(self) -> None:
-        for u_int, u0 in zip(self.u_int, self.u0):
-            np.copyto(u0, u_int)
-
-    def ghost_shm(self) -> None:
+    # -- ghost exchange (the wires) -------------------------------------------
+    def ghost(self) -> None:
+        """wire=shm: the destination applies each of its bundles in place."""
         arena = self.ex.arena_view
         plan = self.ex.bundle_plan
         with self.registry.timer("hydro.ghost"):
@@ -391,55 +340,42 @@ class _WorkerState:
                     np.copyto(bundle.payload, payloads[pair])
                     bundle.unpack(arena)
 
-    def rhs(self, collect_fluxes: bool, use_accel: bool, omega: float) -> None:
-        ex = self.ex
-        for run_index, (lo, hi, dx) in enumerate(self.runs):
-            faces = None
-            if collect_fluxes:
-                faces = {
-                    (axis, side): self.flux_view[lo:hi, axis, side]
-                    for axis in range(3)
-                    for side in (0, 1)
-                }
-            stacked_rhs_kernel(
-                self.u[run_index], dx, ex.eos, self.dudt[run_index],
-                reconstruction=ex.reconstruction,
-                faces=faces,
-                registry=self.registry,
-                scratch=self.scratch,
-                tag=run_index,
-            )
-            if use_accel or omega != 0.0:
-                accel = self.accel_view[lo:hi] if use_accel else None
-                stacked_source_kernel(
-                    self.u_int[run_index], self.dudt[run_index],
-                    accel=accel, omega=omega,
-                    x=self.x[run_index], y=self.y[run_index],
-                )
+    def _post(self, fuse_update: bool) -> None:
+        """Start the stage's exchange without waiting for remote data."""
+        if self.ex.wire == "shm":
+            self.ghost()
+            if fuse_update:
+                self.link.note("ghosts")
+            return
+        arena = self.ex.arena_view
+        plan = self.ex.bundle_plan
+        with self.registry.timer("hydro.ghost"):
+            # Post every remote payload before touching compute; the
+            # parent relays each to its destination as it arrives.
+            for pair in self.src_remote:
+                bundle = plan.bundles[pair]
+                bundle.flip()
+                self.link.note(("payload", pair), bundle.pack(arena))
+            for pair in self.dst_local:
+                plan.bundles[pair].apply(arena)
 
-    def _rhs_regions(self, passes: list, collect_fluxes: bool, dx: float) -> None:
-        for u_sub, d_sub, faces_sub, tag in passes:
-            stacked_rhs_kernel(
-                u_sub, dx, self.ex.eos, d_sub,
-                reconstruction=self.ex.reconstruction,
-                faces=(faces_sub or None) if collect_fluxes else None,
-                registry=self.registry,
-                scratch=self.scratch,
-                tag=("region",) + tag,
-            )
+    def _drain(self) -> None:
+        """Receive what :meth:`_post` left in flight (pipe wire only: on
+        shm the apply *was* the receive)."""
+        if self.ex.wire != "pipe":
+            return
+        arena = self.ex.arena_view
+        plan = self.ex.bundle_plan
+        with self.registry.timer("hydro.ghost"):
+            for pair in self.dst_remote:
+                bundle = plan.bundles[pair]
+                np.copyto(bundle.payload, self.link.wait(("payload", pair)))
+                bundle.unpack(arena)
 
-    def xstage(
-        self,
-        collect_fluxes: bool,
-        use_accel: bool,
-        omega: float,
-        fuse_update: bool,
-        a0: float,
-        a1: float,
-        dt: float,
-    ) -> Dict[str, float]:
-        """One futurized RK stage: post the exchange, compute the interior
-        while it is in flight, drain arrivals, then compute the halo.
+    def fused(self, ops: Tuple[tuple, ...]) -> Dict[str, float]:
+        """One futurized RK stage: the program's fused op group, run
+        without intermediate barriers — post the exchange, compute the
+        interior while it is in flight, drain arrivals, compute the halo.
 
         wire=shm — the apply *is* the receive (donor interiors were
         sealed by the previous barrier), so the latency hidden here is
@@ -455,136 +391,38 @@ class _WorkerState:
 
         Returns per-phase wall-time attribution for the bench harness.
         """
-        ex = self.ex
-        arena = ex.arena_view
-        plan = ex.bundle_plan
-        link = self.link
         seg = {"ghost_s": 0.0, "wait_s": 0.0, "rhs_s": 0.0}
-
-        t0 = time.perf_counter()
-        with self.registry.timer("hydro.ghost"):
-            if ex.wire == "pipe":
-                # Post every remote payload before touching compute; the
-                # parent relays each to its destination as it arrives.
-                for pair in self.src_remote:
-                    bundle = plan.bundles[pair]
-                    bundle.flip()
-                    link.note(("payload", pair), bundle.pack(arena))
-                for pair in self.dst_local:
-                    plan.bundles[pair].apply(arena)
+        fuse_update = ops[-1][0] == "update"
+        for op, *args in ops:
+            t0 = time.perf_counter()
+            if op == "post":
+                self._post(fuse_update)
+                bucket = "ghost_s"
+            elif op == "drain":
+                self._drain()
+                bucket = "wait_s"
             else:
-                for pair in self.dst_pairs:
-                    plan.bundles[pair].apply(arena)
-        if ex.wire == "shm" and fuse_update:
-            link.note("ghosts")
-        seg["ghost_s"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for run_index, (_lo, _hi, dx) in enumerate(self.runs):
-            self._rhs_regions(
-                self.region_interior[run_index], collect_fluxes, dx
-            )
-        seg["rhs_s"] += time.perf_counter() - t0
-
-        if ex.wire == "pipe":
-            t0 = time.perf_counter()
-            with self.registry.timer("hydro.ghost"):
-                for pair in self.dst_remote:
-                    bundle = plan.bundles[pair]
-                    np.copyto(bundle.payload, link.wait(("payload", pair)))
-                    bundle.unpack(arena)
-            seg["wait_s"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for run_index, (lo, hi, dx) in enumerate(self.runs):
-            self._rhs_regions(self.region_halo[run_index], collect_fluxes, dx)
-            if use_accel or omega != 0.0:
-                accel = self.accel_view[lo:hi] if use_accel else None
-                stacked_source_kernel(
-                    self.u_int[run_index], self.dudt[run_index],
-                    accel=accel, omega=omega,
-                    x=self.x[run_index], y=self.y[run_index],
-                )
-        seg["rhs_s"] += time.perf_counter() - t0
-
-        if fuse_update:
-            if ex.wire == "shm":
-                # The go-ahead orders every rank's donor-interior reads
-                # before any rank's interior writes; by now the compute
-                # above has usually already absorbed the wait.
-                t0 = time.perf_counter()
-                link.wait("go")
-                seg["wait_s"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            self.update(a0, a1, dt)
-            seg["rhs_s"] += time.perf_counter() - t0
+                if op == "update" and self.ex.wire == "shm":
+                    # The go-ahead orders every rank's donor-interior reads
+                    # before any rank's interior writes; by now the compute
+                    # above has usually already absorbed the wait.
+                    self.link.wait("go")
+                    seg["wait_s"] += time.perf_counter() - t0
+                    t0 = time.perf_counter()
+                getattr(self.step, op)(*args)
+                bucket = "rhs_s"
+            seg[bucket] += time.perf_counter() - t0
         return seg
-
-    def reflux(self) -> int:
-        """Flux corrections for owned leaves, reading all leaves' faces.
-
-        Replays the parent-built mesh-free reflux table
-        (:func:`repro.hydro.reflux.build_reflux_table`): rows for unowned
-        leaves are skipped, so each coarse face is corrected exactly once
-        — by its owner — while the full shm flux arena supplies every
-        child face.  The table, not the forked mesh copy, is the source
-        of truth: it stays correct across in-place replans where the
-        child mesh goes stale.
-        """
-        with self.registry.timer("hydro.update"):
-            return apply_flux_table(
-                self.ex.reflux_table, self.owned_rhs, self.flux_view,
-                self.ex.n,
-            )
-
-    def update(self, a0: float, a1: float, dt: float) -> None:
-        with self.registry.timer("hydro.update"):
-            for run_index in range(len(self.runs)):
-                stacked_update_kernel(
-                    self.u_int[run_index], self.u0[run_index],
-                    self.dudt[run_index], a0, a1, dt, self.ex.eos,
-                    scratch=self.scratch, tag=run_index,
-                )
-
-    def finish(self) -> Dict[NodeKey, float]:
-        """Tau resync + per-leaf CFL signals of the owned leaves."""
-        keys = self.ex.leaf_keys
-        signals: Dict[NodeKey, float] = {}
-        with self.registry.timer("hydro.update"):
-            for run_index, (lo, hi, _) in enumerate(self.runs):
-                u_int = self.u_int[run_index]
-                stacked_resync_tau_kernel(u_int, self.ex.eos)
-                out = self.scratch.get(("signal", run_index), (hi - lo,))
-                stacked_signal_kernel(u_int, self.ex.eos, out)
-                for j, key in enumerate(keys[lo:hi]):
-                    signals[key] = float(out[j])
-        return signals
 
     def dispatch(self, command: Any) -> Any:
         op = command[0]
         self.epoch += 1
         if self.events is not None:
             self._log_phase(command)
-        if op == "begin":
-            return self.begin()
-        if op == "ghost":
-            return self.ghost_shm()
-        if op == "ghost_pack":
-            return self.ghost_pack()
-        if op == "ghost_unpack":
-            return self.ghost_unpack(command[1])
-        if op == "rhs":
-            return self.rhs(command[1], command[2], command[3])
-        if op == "xstage":
-            return self.xstage(*command[1:])
-        if op == "reflux":
-            return self.reflux()
-        if op == "update":
-            return self.update(command[1], command[2], command[3])
-        if op == "finish":
-            return self.finish()
-        if op == "replan":
-            return self.replan(command[1])
+        if op in RANK_OPS:
+            return getattr(self.step, op)(*command[1:])
+        if op in WORKER_OPS:
+            return getattr(self, op)(*command[1:])
         raise ValueError(f"unknown command {op!r}")
 
 
@@ -633,10 +471,11 @@ class ProcessHydroExecutor:
         self.reflux = reflux
         self.reconstruction = reconstruction
         self.wire = wire
-        #: Futurized schedule: fuse ghost exchange + rhs (+ update when no
-        #: reflux round is needed) into one dependency-grained round per RK
-        #: stage, hiding exchange latency behind interior compute.  Off by
-        #: default — the BSP schedule is the ablation baseline.
+        #: Futurized schedule: run the program's fused groups (exchange +
+        #: rhs, + update when no reflux round is needed) as one
+        #: dependency-grained round per RK stage, hiding exchange latency
+        #: behind interior compute.  Off by default — the BSP schedule is
+        #: the ablation baseline.
         self.overlap = bool(overlap)
         self.engine = ParallelEngine(nprocs, timeout=timeout)
         self.nprocs = self.engine.nprocs
@@ -686,10 +525,9 @@ class ProcessHydroExecutor:
         #: Arena capacity in leaf slots (current count x ARENA_HEADROOM at
         #: allocation time); regrids that fit are patched in place.
         self.capacity_slots = 0
-        #: Ghost face traces reused across bundle plan rebuilds, plus the
-        #: fingerprint they are valid for (mirrors HydroIntegrator).
+        #: Ghost face traces reused across bundle plan rebuilds (the cache
+        #: tracks which topology its survivors are valid for).
         self._trace_cache = FaceTraceCache()
-        self._trace_fp: Any = None
         self.faces_refluxed = 0
         #: Wire-format accounting (pipe mode): payload messages and bytes
         #: relayed last step.
@@ -734,7 +572,6 @@ class ProcessHydroExecutor:
         cache instead (the pre-delta safety net)."""
         if delta is not None:
             self._trace_cache.invalidate(delta)
-            self._trace_fp = _TRACES_PENDING
 
     def _build_plan_state(self):  # noqa: ANN202
         """Everything that is a pure function of the current mesh topology:
@@ -753,15 +590,11 @@ class ProcessHydroExecutor:
         offsets = {leaf.key: i * chunk for i, leaf in enumerate(leaves)}
 
         fingerprint = mesh.fingerprint()
-        if not (
-            self._trace_fp == fingerprint
-            or self._trace_fp is _TRACES_PENDING
-        ):
-            self._trace_cache.clear()
+        self._trace_cache.usable_for(fingerprint)  # clears itself if stale
         self.bundle_plan = build_bundle_plan(
             mesh, offsets, trace_cache=self._trace_cache
         )
-        self._trace_fp = fingerprint
+        self._trace_cache.mark_valid(fingerprint)
 
         # Contiguous same-level slot runs per rank: the unit of stacked
         # kernel execution inside each worker.
@@ -822,32 +655,17 @@ class ProcessHydroExecutor:
             self._replan_in_place()
             return
         self.close()
-        mesh = self.mesh
-        n, m = self.n, self.m
-        chunk = NFIELDS * m**3
+        n = self.n
         with self._timer("plan.bundle.cold"):
             leaves = self._build_plan_state()
         self._count("plan.bundle.cold_builds")
 
         cap = max(len(leaves), int(math.ceil(len(leaves) * ARENA_HEADROOM)))
         self.capacity_slots = cap
-        self.arena = ShmArena(cap * chunk * 8)
-        self.arena_view = self.arena.ndarray((len(leaves) * chunk,))
-        adopt_arena(mesh, out=self.arena_view)
-        self._views = [mesh.nodes[k].subgrid.data for k in self.leaf_keys]
-
+        self.arena = ShmArena(cap * NFIELDS * self.m**3 * 8)
         self.accel_arena = ShmArena(cap * 3 * n**3 * 8)
-        self.accel_view = self.accel_arena.ndarray((len(leaves), 3, n, n, n))
         self.flux_arena = ShmArena(cap * 6 * NFIELDS * n**2 * 8)
-        self.flux_view = self.flux_arena.ndarray(
-            (len(leaves), 3, 2, NFIELDS, n, n)
-        )
-
-        if self.bundle_plan_hook is not None:
-            self.bundle_plan_hook(self.bundle_plan)
-        if self.verify_plans:
-            require_verified(verify_process_plan(self))
-            self._split_verified = True
+        self._adopt(len(leaves))
         if self.detect_races:
             self.event_log = ShmEventLog(self.nprocs)
             # The only sanctioned intra-epoch cross-rank edge: on the shm
@@ -866,7 +684,24 @@ class ProcessHydroExecutor:
         if self.race_detector is not None:
             self.engine.round_observer = self.race_detector.scan
         self.engine.start(_make_handler(self))
-        self._fingerprint = mesh.fingerprint()
+        self._fingerprint = self.mesh.fingerprint()
+
+    def _adopt(self, n_leaves: int) -> None:
+        """Size the arena views for the freshly built plan state, move the
+        mesh's leaf storage into them, and verify the plan they serve."""
+        n = self.n
+        self.arena_view = self.arena.ndarray((n_leaves * NFIELDS * self.m**3,))
+        adopt_arena(self.mesh, out=self.arena_view)
+        self._views = [self.mesh.nodes[k].subgrid.data for k in self.leaf_keys]
+        self.accel_view = self.accel_arena.ndarray((n_leaves, 3, n, n, n))
+        self.flux_view = self.flux_arena.ndarray(
+            (n_leaves, 3, 2, NFIELDS, n, n)
+        )
+        if self.bundle_plan_hook is not None:
+            self.bundle_plan_hook(self.bundle_plan)
+        if self.verify_plans:
+            require_verified(verify_process_plan(self))
+            self._split_verified = True
 
     def _replan_in_place(self) -> None:
         """Patch arenas, partitions and plans for the regridded mesh and
@@ -877,35 +712,14 @@ class ProcessHydroExecutor:
         message: every worker rebinds its views inside the barrier, so the
         round after this one runs entirely on the new topology.
         """
-        mesh = self.mesh
-        n, m = self.n, self.m
-        chunk = NFIELDS * m**3
         # Detach surviving leaves from the arena first: the new layout
         # overlaps the old one in the same shm pages, so adoption must not
         # read storage it is about to overwrite.
-        nodes = mesh.nodes
-        for key, view in zip(self.leaf_keys, self._views):
-            node = nodes.get(key)
-            if node is not None and node.subgrid.data is view:
-                node.subgrid.data = view.copy()
-
+        self._detach_leaves()
         with self._timer("plan.bundle.delta"):
             leaves = self._build_plan_state()
         self._count("plan.bundle.delta_builds")
-
-        self.arena_view = self.arena.ndarray((len(leaves) * chunk,))
-        adopt_arena(mesh, out=self.arena_view)
-        self._views = [nodes[k].subgrid.data for k in self.leaf_keys]
-        self.accel_view = self.accel_arena.ndarray((len(leaves), 3, n, n, n))
-        self.flux_view = self.flux_arena.ndarray(
-            (len(leaves), 3, 2, NFIELDS, n, n)
-        )
-
-        if self.bundle_plan_hook is not None:
-            self.bundle_plan_hook(self.bundle_plan)
-        if self.verify_plans:
-            require_verified(verify_process_plan(self))
-            self._split_verified = True
+        self._adopt(len(leaves))
 
         plan = self.bundle_plan
         common = {
@@ -927,22 +741,26 @@ class ProcessHydroExecutor:
         self.engine.rounds += 1
         if self.engine.round_observer is not None:
             self.engine.round_observer()
-        self._fingerprint = mesh.fingerprint()
+        self._fingerprint = self.mesh.fingerprint()
 
-    def close(self) -> None:
-        """Stop the workers and release every shm segment.
-
-        Leaf storage still aliasing the arena is copied back to private
-        numpy arrays first — the mesh must stay readable (and steppable by
-        another backend) after its shm pages are gone.
-        """
-        if self.engine.started:
-            self.engine.shutdown()
+    def _detach_leaves(self) -> None:
+        """Copy leaf storage still aliasing the arena back to private
+        numpy arrays."""
         nodes = self.mesh.nodes
         for key, view in zip(self.leaf_keys, self._views):
             node = nodes.get(key)
             if node is not None and node.subgrid.data is view:
                 node.subgrid.data = view.copy()
+
+    def close(self) -> None:
+        """Stop the workers and release every shm segment.
+
+        Leaf storage is detached first — the mesh must stay readable (and
+        steppable by another backend) after its shm pages are gone.
+        """
+        if self.engine.started:
+            self.engine.shutdown()
+        self._detach_leaves()
         self._views = []
         self.leaf_keys = []
         for arena in (self.arena, self.accel_arena, self.flux_arena):
@@ -978,12 +796,7 @@ class ProcessHydroExecutor:
         runs, so the write is ordered against both the previous and the
         next round — the declared effect documents the footprint for the
         shm discipline lint (R007)."""
-        for slot, key in enumerate(self.leaf_keys):
-            a = accel_map.get(key)
-            if a is None:
-                self.accel_view[slot] = 0.0
-            else:
-                self.accel_view[slot] = a
+        stack_accel(accel_map, self.leaf_keys, self.accel_view)
 
     # -- ghost exchange -------------------------------------------------------
     def _ghost_round(self) -> None:
@@ -1013,24 +826,15 @@ class ProcessHydroExecutor:
         if self.engine.round_observer is not None:
             self.engine.round_observer()
 
-    def _overlap_stage(
-        self,
-        a0: float,
-        a1: float,
-        dt: float,
-        collect_fluxes: bool,
-        use_accel: bool,
-    ) -> None:
-        """One futurized RK stage: a dependency-grained fused round.
+    def _fused_round(self, ops: Tuple[tuple, ...]) -> None:
+        """One futurized RK stage: the program's fused op group as a
+        dependency-grained round.
 
         The parent acts as the message router: pipe-wire ghost payloads
         posted mid-round are relayed straight to their destination rank,
         and the shm-wire fused update's go-ahead is granted once every
-        rank has finished reading donor interiors.  Reflux (when needed)
-        keeps its own barrier round — its flux reads span all ranks.
+        rank has finished reading donor interiors.
         """
-        engine = self.engine
-        fuse_update = not collect_fluxes
         ghosts_done = {"count": 0}
 
         def on_note(rank: int, tag: Any, payload: Any):
@@ -1044,22 +848,11 @@ class ProcessHydroExecutor:
             self.payload_bytes += payload.size * 8
             return [(pair[1], tag, payload)]
 
-        segs = engine.round_async(
-            (
-                "xstage", collect_fluxes, use_accel, self.omega,
-                fuse_update, a0, a1, dt,
-            ),
-            on_note=on_note,
-        )
+        segs = self.engine.round_async(("fused", ops), on_note=on_note)
         self.exchange_wait_s += max(
             s["ghost_s"] + s["wait_s"] for s in segs
         )
         self.compute_s += max(s["rhs_s"] for s in segs)
-        if collect_fluxes:
-            t0 = time.perf_counter()
-            self.faces_refluxed += sum(engine.round(("reflux",)))
-            engine.round(("update", a0, a1, dt))
-            self.compute_s += time.perf_counter() - t0
 
     # -- the step -------------------------------------------------------------
     def step(
@@ -1070,9 +863,11 @@ class ProcessHydroExecutor:
     ) -> Dict[NodeKey, float]:
         """One RK3 step across the worker pool; returns per-leaf signals.
 
-        The parent solves gravity (when given) and restricts at the end —
-        both read/write the shm arena directly, so the workers never see a
-        stale field.
+        Interprets :func:`repro.hydro.integrator.rk3_ops`: rank ops become
+        one barrier round each (``fused`` groups one dependency-grained
+        round), parent ops run here between rounds.  The parent solves
+        gravity (when given) and restricts at the end — both read/write
+        the shm arena directly, so the workers never see a stale field.
         """
         self.ensure()
         engine = self.engine
@@ -1081,9 +876,6 @@ class ProcessHydroExecutor:
         self.exchange_wait_s = 0.0
         self.compute_s = 0.0
 
-        use_accel = gravity is not None
-        if use_accel:
-            self._write_accel(gravity(self.mesh))
         collect_fluxes = (
             self.reflux and self.bundle_plan is not None
             and any(b.fine_dst.size for b in self.bundle_plan.bundles.values())
@@ -1097,41 +889,37 @@ class ProcessHydroExecutor:
             )
             self._split_verified = True
 
-        engine.round(("begin",))
-        for stage_index, (a0, a1) in enumerate(_RK3_STAGES):
-            # Per-stage accel rewrites need the parent between the ghost
-            # fill and the rhs — a seam the fused round does not have, so
-            # those stages fall back to the barrier schedule.
-            rewrite_accel = use_accel and gravity_every_stage and stage_index
-            if self.overlap and not rewrite_accel:
-                self._overlap_stage(a0, a1, dt, collect_fluxes, use_accel)
-                continue
-            t0 = time.perf_counter()
-            self._ghost_round()
-            self.exchange_wait_s += time.perf_counter() - t0
-            if rewrite_accel:
+        signals: Dict[NodeKey, float] = {}
+        for op in rk3_ops(
+            dt, collect_fluxes, gravity is not None, gravity_every_stage,
+            self.overlap,
+        ):
+            name = op[0]
+            if name == "accel":
                 # Workers are between rounds (idle at the barrier), so the
                 # parent may rewrite the accel arena they read next round.
                 self._write_accel(gravity(self.mesh))
+                continue
             t0 = time.perf_counter()
-            # BSP ablation baseline (and the per-stage accel-rewrite path):
-            # the barrier schedule is the comparison point for the overlap
-            # crosscheck, so these rounds stay blocking on purpose.
-            engine.round(  # reprolint: sanctioned-barrier
-                ("rhs", collect_fluxes, use_accel, self.omega)
-            )
-            if collect_fluxes:
-                self.faces_refluxed += sum(
-                    engine.round(("reflux",))  # reprolint: sanctioned-barrier
-                )
-            engine.round(("update", a0, a1, dt))  # reprolint: sanctioned-barrier
-            self.compute_s += time.perf_counter() - t0
-
-        signal_maps = engine.round(("finish",))
+            if name == "ghost":
+                self._ghost_round()
+                self.exchange_wait_s += time.perf_counter() - t0
+            elif name == "fused":
+                self._fused_round(op[1])
+            else:
+                # One barrier per rank op: the BSP schedule is the ablation
+                # baseline the overlap crosscheck compares against, and
+                # reflux has a genuine all-rank dependency (its flux reads
+                # span every rank) — these rounds stay blocking on purpose.
+                out = engine.round(op)  # reprolint: sanctioned-barrier
+                if name == "reflux":
+                    self.faces_refluxed += sum(out)
+                if name == "finish":
+                    for per_worker in out:
+                        signals.update(per_worker)
+                elif name != "begin":
+                    self.compute_s += time.perf_counter() - t0
         if self.registry is not None:
             engine.harvest_timers(self.registry)
         self.mesh.restrict_all()
-        signals: Dict[NodeKey, float] = {}
-        for per_worker in signal_maps:
-            signals.update(per_worker)
         return signals

@@ -510,11 +510,20 @@ class FaceTraceCache:
     Shared by :func:`ghost_index_plan` and
     :func:`repro.comms.bundle.build_bundle_plan`, which consume the same
     traces grouped differently.
+
+    The cache also owns *which topology its traces are valid for*: the
+    fingerprint recorded by the last build (:meth:`mark_valid`), or — right
+    after an announced regrid (:meth:`invalidate`) — the not yet
+    fingerprinted post-delta state of the same mesh.  :meth:`usable_for`
+    is the one question plan builders ask; anything else means the
+    topology moved unannounced and the traces are dropped.
     """
 
     def __init__(self, nfields: int = NFIELDS) -> None:
         self.nfields = nfields
         self._traces: Dict[Tuple[NodeKey, int, int], FaceTrace] = {}
+        self._fingerprint: Optional[str] = None
+        self._pending = False
         self.hits = 0
         self.misses = 0
 
@@ -531,7 +540,11 @@ class FaceTraceCache:
 
     def invalidate(self, delta) -> int:
         """Drop traces with a participant in the regrid delta's changed
-        sets; returns how many entries were dropped."""
+        sets and mark the survivors valid for the regridded mesh (whose
+        fingerprint the next build records); returns how many entries were
+        dropped."""
+        self._fingerprint = None
+        self._pending = True
         touched = delta.drop_set | delta.emit_set
         if not touched:
             return 0
@@ -544,8 +557,28 @@ class FaceTraceCache:
             del self._traces[key]
         return len(stale)
 
+    def usable_for(self, fingerprint: str, same_mesh: bool = True) -> bool:
+        """Whether the surviving traces may seed a build of the topology
+        ``fingerprint``: they were recorded against exactly it, or a regrid
+        of the same mesh object was announced since.  A stale cache clears
+        itself, so the build that follows re-traces every face."""
+        ok = len(self._traces) > 0 and (
+            self._fingerprint == fingerprint or (self._pending and same_mesh)
+        )
+        if not ok:
+            self.clear()
+        return ok
+
+    def mark_valid(self, fingerprint: str) -> None:
+        """Record that a build just (re)populated the traces for
+        ``fingerprint``."""
+        self._fingerprint = fingerprint
+        self._pending = False
+
     def clear(self) -> None:
         self._traces.clear()
+        self._fingerprint = None
+        self._pending = False
 
     def __len__(self) -> int:
         return len(self._traces)

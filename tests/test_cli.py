@@ -64,3 +64,26 @@ class TestRun:
 
         mesh, meta = load_checkpoint(tmp_path / "state.npz")
         assert meta["step"] == 1
+
+    def test_oversubscription_warning_uses_affinity_mask(
+        self, capsys, monkeypatch
+    ):
+        """`--nprocs` is compared with the cores this process may run on
+        (the affinity mask a container or `taskset` narrows), not with the
+        machine's `cpu_count`."""
+        import repro.cli as cli
+        from repro.scenarios.blast import sedov_blast
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(
+            cli, "_scenario_spec",
+            lambda name, level, build_mesh: sedov_blast(levels=level),
+        )
+        argv = ["run", "--level", "1", "--steps", "1", "--nodes", "2",
+                "--backend", "process", "--nprocs", "2"]
+        assert main(argv) == 0
+        assert "exceeds the 1 usable core(s)" in capsys.readouterr().err
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(argv) == 0
+        assert "warning" not in capsys.readouterr().err

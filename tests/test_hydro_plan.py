@@ -1,9 +1,10 @@
-"""The batched hydro plan: bit-equivalence with the per-leaf reference,
+"""The stacked hydro plan: bit-equivalence with the per-leaf reference,
 ghost index-plan fidelity, cache invalidation, and the folded-in CFL cache.
 
-The batched path is designed to be *bit-identical* to the reference
-integrator (every optimization preserves IEEE semantics), so the
-equivalence assertions here use exact array equality, not a tolerance.
+``HydroIntegrator.step`` (the step program over the cached plan) is designed
+to be *bit-identical* to ``step_reference`` (every optimization preserves
+IEEE semantics), so the equivalence assertions here use exact array
+equality, not a tolerance.
 """
 
 import numpy as np
@@ -69,17 +70,17 @@ def assert_meshes_identical(mesh_a, mesh_b):
 
 
 def run_pair(steps=3, **cfg):
-    """Advance a batched and a reference integrator on twin meshes."""
+    """Advance twin meshes through ``step`` and ``step_reference``."""
     mesh_kw = {
         k: cfg.pop(k) for k in ("levels", "n", "refine_keys", "mach") if k in cfg
     }
     mesh_a, eos = make_state_mesh(**mesh_kw)
     mesh_b, _ = make_state_mesh(**mesh_kw)
-    a = HydroIntegrator(mesh_a, eos, batched=True, **cfg)
-    b = HydroIntegrator(mesh_b, eos, batched=False, **cfg)
+    a = HydroIntegrator(mesh_a, eos, **cfg)
+    b = HydroIntegrator(mesh_b, eos, **cfg)
     for _ in range(steps):
         dt_a = a.step()
-        dt_b = b.step()
+        dt_b = b.step_reference()
         assert dt_a == dt_b
     return a, b, mesh_a, mesh_b
 
@@ -112,7 +113,7 @@ class TestEquivalence:
 
     def test_supersonic_bitwise(self):
         # Mach 4 along z: supersonic faces make the HLL upwind selects
-        # (s_left >= 0 / s_right <= 0) actually fire in the batched path.
+        # (s_left >= 0 / s_right <= 0) actually fire in the stacked kernels.
         a, b, mesh_a, mesh_b = run_pair(levels=1, refine_keys=(4,), mach=4.0)
         assert_meshes_identical(mesh_a, mesh_b)
 
@@ -230,15 +231,15 @@ class TestCflSignalCache:
 
 class TestRefluxSkip:
     def test_uniform_meshes_skip_flux_collection(self):
-        # Satellite: nothing to reflux on uniform meshes.  The batched path
+        # Satellite: nothing to reflux on uniform meshes.  The program
         # skips the boundary-flux copies whenever the plan has no fine
         # faces (any uniform mesh); the reference skips on a single-root
         # mesh (max_level() == 0).  Both must count zero refluxed faces.
         for levels in (0, 1):
-            for batched in (True, False):
+            for step in (HydroIntegrator.step, HydroIntegrator.step_reference):
                 mesh, eos = make_state_mesh(levels=levels)
-                integ = HydroIntegrator(mesh, eos, batched=batched)
-                integ.step(1e-4)
+                integ = HydroIntegrator(mesh, eos)
+                step(integ, 1e-4)
                 assert integ.faces_refluxed == 0
 
     def test_single_root_mesh_bitwise(self):
@@ -322,7 +323,7 @@ class TestBatchedInvalidationProperty:
     def test_reused_integrator_tracks_topology_changes(
         self, ops, reconstruction, with_sources
     ):
-        """A batched integrator reused across arbitrary refine/derefine
+        """An integrator reused across arbitrary refine/derefine
         sequences stays bit-identical to the reference at every
         intermediate topology."""
         kw = dict(reconstruction=reconstruction)
@@ -330,14 +331,14 @@ class TestBatchedInvalidationProperty:
             kw.update(gravity=fake_gravity, omega=0.3)
         mesh_a, eos = make_state_mesh(levels=1, n=4)
         mesh_b, _ = make_state_mesh(levels=1, n=4)
-        a = HydroIntegrator(mesh_a, eos, batched=True, **kw)
-        b = HydroIntegrator(mesh_b, eos, batched=False, **kw)
+        a = HydroIntegrator(mesh_a, eos, **kw)
+        b = HydroIntegrator(mesh_b, eos, **kw)
         a.step()
-        b.step()
+        b.step_reference()
         for op, pick in ops:
             changed = _apply_mutation(mesh_a, op, pick)
             assert _apply_mutation(mesh_b, op, pick) == changed
             dt_a = a.step()
-            dt_b = b.step()
+            dt_b = b.step_reference()
             assert dt_a == dt_b
             assert_meshes_identical(mesh_a, mesh_b)

@@ -15,8 +15,8 @@ Covers the tentpole contracts and their satellites:
 * the shm race detector's message-grained ``ordered_phases`` edges:
   the fused-update conflict is real without the ``ghosts``→``go`` edge
   and sanctioned with it, and the edge excuses *only* that phase pair;
-* the plan cache carries the split (format v2) and a split-less payload
-  still cold-computes it.
+* the plan cache no longer carries the split (format v3): the payload is
+  the ghost arrays alone and builds a complete plan.
 """
 
 import numpy as np
@@ -86,10 +86,6 @@ class TestRegionSplitPartition:
     def test_verifier_accepts_canonical_split(self, n):
         split = compute_region_split(n)
         assert verify_region_split(split, n, ghost=STENCIL_RADIUS) == []
-
-    def test_payload_round_trip(self):
-        split = compute_region_split(8)
-        assert RegionSplit.from_payload(split.to_payload()) == split
 
     def test_interior_cells_never_reach_ghosts(self):
         split = compute_region_split(12)
@@ -370,36 +366,22 @@ class TestOrderedPhases:
 
 
 # ---------------------------------------------------------------------------
-# The plan cache carries the split (format v2).
+# The plan cache does not carry the split (format v3).
 # ---------------------------------------------------------------------------
 class TestSplitInPlanCache:
-    def test_cache_format_is_v2(self):
-        assert CACHE_FORMAT_VERSION == 2
+    def test_cache_format_is_v3(self):
+        assert CACHE_FORMAT_VERSION == 3
 
-    def test_cache_payload_includes_split(self):
+    def test_split_less_payload_still_builds(self, tmp_path):
+        # The stored payload is the ghost arrays alone; a cache hit on it
+        # builds a complete plan (the executor computes the split itself).
         mesh, _ = make_state_mesh(levels=1)
         plan = build_hydro_plan(mesh)
         payload = plan.cache_payload()
-        for key in ("split_meta", "split_interior", "split_halos"):
-            assert key in payload
-        assert RegionSplit.from_payload(payload) == plan.split
-
-    def test_cache_hit_restores_identical_split(self, tmp_path):
-        mesh, _ = make_state_mesh(levels=1)
-        plan = build_hydro_plan(mesh)
+        assert not [key for key in payload if key.startswith("split_")]
         cache = PlanCache(tmp_path)
-        cache.store("hydro", "fp", {}, plan.cache_payload())
+        cache.store("hydro", "fp", {}, payload)
         hit = cache.load("hydro", "fp", {})
-        assert hit is not None
-        restored = build_hydro_plan(mesh, ghost_payload=dict(hit))
-        assert restored.split == plan.split
-
-    def test_split_less_payload_still_builds(self):
-        # A v1-shaped payload (ghost arrays only) must cold-compute the
-        # split rather than fail -- forward compatibility within v2.
-        mesh, _ = make_state_mesh(levels=1)
-        plan = build_hydro_plan(mesh)
-        ghost_only = plan.ghosts.to_payload()
-        assert "split_meta" not in ghost_only
-        rebuilt = build_hydro_plan(mesh, ghost_payload=ghost_only)
-        assert rebuilt.split == compute_region_split(mesh.n)
+        rebuilt = build_hydro_plan(mesh, ghost_payload=dict(hit))
+        for name, arr in plan.ghosts.to_payload().items():
+            assert np.array_equal(rebuilt.ghosts.to_payload()[name], arr)

@@ -367,6 +367,23 @@ class TestDriverAcceptance:
         assert sim.counters.total("resilience.checkpoints") >= 2
         _assert_conserved_match(conserved_totals(sim.mesh), blast_reference)
 
+    def test_rollback_keeps_the_plan_cache(self, tmp_path):
+        """The post-rollback integrator comes from the same construction
+        helper as the first one: it still uses the persistent plan cache,
+        so the replayed topology (stored by the first build) is a cache
+        hit, never a second cold build."""
+        scenario = sedov_blast(levels=1)
+        sim = OctoTigerSim(
+            scenario.mesh, eos=scenario.eos, nodes=2, plan_cache=tmp_path,
+            faults=FaultSpec(crash_locality=1, crash_step=1, seed=0),
+            checkpoint_every=1,
+        )
+        sim.run(2)
+        assert sim.counters.total("resilience.rollbacks") >= 1
+        assert sim.integrator.plan_cache is sim.plan_cache
+        assert sim.counters.total("plan.hydro.cold_builds") == 1
+        assert sim.counters.total("plan.hydro.cache_hit_builds") >= 1
+
     def test_crash_without_checkpoints_raises(self):
         # Recovery is on but there is nothing to roll back to: the typed
         # fault from the transport must reach the caller.

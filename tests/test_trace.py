@@ -107,17 +107,8 @@ class TestRecorder:
             mesh, eos, config=RunConfig(machine=FUGAKU, nodes=2)
         )
         # The driver builds its own runtime per step; use counters instead.
-        # Default (coalesced) exchange: kernels + updates per stage, plus a
-        # handful of bundle pack/unpack shards — far below the per-face
-        # task count, which the ablation path below still reaches.
+        # Coalesced exchange: kernels + updates per stage, plus a handful
+        # of bundle pack/unpack shards — far below one fill task per face.
         result = driver.step(1e-3)
         assert result.tasks_completed >= 8 * 2 * 3  # kernel+update per stage
-
-        mesh_pf, eos_pf = build_mesh()
-        per_face = DistributedHydroDriver(
-            mesh_pf, eos_pf,
-            config=RunConfig(machine=FUGAKU, nodes=2, coalesce=False),
-        )
-        result_pf = per_face.step(1e-3)
-        assert result_pf.tasks_completed >= 8 * (6 + 2) * 3  # fills too
-        assert result.tasks_completed < result_pf.tasks_completed
+        assert result.tasks_completed < 8 * (6 + 2) * 3  # never a task per face

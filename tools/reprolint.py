@@ -33,8 +33,8 @@ R005 no-uncoalesced-send
     A send per loop iteration is the O(leaf faces) message pattern the
     coalescing layer (``repro.comms``, see docs/comms.md) exists to
     replace with one bundle per neighbor locality; new code should go
-    through a bundle plan.  Deliberate per-item paths (the
-    ``--no-coalesce`` ablation, retransmit loops over already-bundled
+    through a bundle plan.  Deliberate per-item paths (one send per
+    neighbor-locality bundle, retransmit loops over already-bundled
     messages) carry a ``# reprolint: sanctioned-bundle`` comment on the
     send line or on the loop header.
 
