@@ -6,7 +6,8 @@ ranks write only their own slot runs, ghost scatters write only their own
 ghost bands, every ghost cell has exactly one donor, FMM shards own
 disjoint target slices.  All of those sets exist as concrete index arrays
 inside the plans (:class:`~repro.comms.bundle.GhostBundlePlan` scatter
-arrays, executor slot runs, :meth:`~repro.gravity.plan.FmmPlan.split` CSR
+arrays, the hydro plan's per-rank slot runs,
+:meth:`~repro.gravity.plan.FmmPlan.split` CSR
 slices), so instead of *trusting* the planners we can check the invariant
 in closed form before a single worker forks:
 
@@ -20,7 +21,9 @@ in closed form before a single worker forks:
 * :func:`verify_fmm_split` — sharded M2L batches preserve the unsplit
   target/source order, keep CSR bounds consistent, and own pairwise
   disjoint target sets (``np.intersect1d`` on every shard pair);
-* :func:`verify_process_plan` — the executor-level bundle of the above.
+* :func:`verify_process_plan` — all of the above over one
+  :class:`~repro.hydro.plan.HydroPlan`: the plan that runs, not a
+  reconstruction of it.
 
 Checks are pure ``numpy`` set algebra over the live index arrays (the
 ones the workers will actually use — an injected overlap *is* the checked
@@ -36,7 +39,7 @@ return :class:`PlanViolation` records; callers in raise mode get a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from repro.octree.mesh import AmrMesh
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.comms.bundle import GhostBundlePlan
     from repro.gravity.plan import FmmPlan
+    from repro.hydro.plan import HydroPlan
 
 
 @dataclass(frozen=True)
@@ -92,13 +96,14 @@ def _classify(
 
 
 def verify_partition(
-    runs: Sequence[Sequence[Tuple[int, int, float]]],
+    runs: Sequence[Sequence[tuple]],
     n_slots: int,
     localities: Sequence[int],
 ) -> List[PlanViolation]:
     """Per-rank slot runs partition ``[0, n_slots)`` and match localities.
 
-    ``runs[rank]`` holds ``(lo, hi, dx)`` ranges; every slot must appear
+    ``runs[rank]`` holds ``(lo, hi, ...)`` ranges
+    (:class:`~repro.hydro.plan.SlotRun`); every slot must appear
     in exactly one rank's runs (the per-rank interior/flux/accel write
     sets are these ranges, so disjoint cover == race-free writes), and
     each covered slot's leaf locality must equal the covering rank.
@@ -106,7 +111,7 @@ def verify_partition(
     out: List[PlanViolation] = []
     owner = np.full(n_slots, -1, dtype=np.int64)
     for rank, rank_runs in enumerate(runs):
-        for lo, hi, _dx in rank_runs:
+        for lo, hi, *_rest in rank_runs:
             if not (0 <= lo < hi <= n_slots):
                 out.append(PlanViolation(
                     "partition-bounds",
@@ -169,11 +174,16 @@ def _expected_ghost_targets(
 
 
 def verify_bundle_plan(
-    mesh: AmrMesh, plan: "GhostBundlePlan", nfields: int = NFIELDS
+    mesh: AmrMesh,
+    plan: "GhostBundlePlan",
+    localities: Sequence[int],
+    nfields: int = NFIELDS,
 ) -> List[PlanViolation]:
     """Ghost-exchange scatter/gather index arrays are race-free.
 
-    Checked in closed form over the live arrays:
+    ``localities`` is the owning rank of every arena slot (sorted-leaf
+    order) — the assignment the plan was built for.  Checked in closed
+    form over the live arrays:
 
     * every scatter target (``copy_dst``/``fine_dst``) is written by
       exactly one donor — globally unique *and* exactly equal to the set
@@ -187,10 +197,8 @@ def verify_bundle_plan(
     out: List[PlanViolation] = []
     n, g = mesh.n, mesh.ghost
     m = n + 2 * g
-    leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
-    n_slots = len(leaves)
-    total = n_slots * nfields * m**3
-    loc = np.array([leaf.locality for leaf in leaves], dtype=np.int64)
+    loc = np.asarray(localities, dtype=np.int64)
+    total = loc.size * nfields * m**3
 
     all_dst: List[np.ndarray] = []
     for pair in sorted(plan.bundles):
@@ -416,59 +424,26 @@ def verify_region_split(split, n: int, ghost: int) -> List[PlanViolation]:  # no
     return out
 
 
-def verify_process_plan(executor) -> List[PlanViolation]:  # noqa: ANN001
-    """Executor-level pass: partition + ghost bundles + interior/halo
-    split of a built
-    :class:`~repro.hydro.process_backend.ProcessHydroExecutor` plan."""
-    mesh = executor.mesh
-    leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
-    out = verify_partition(
-        executor.runs, len(leaves), [leaf.locality for leaf in leaves]
-    )
-    out.extend(verify_bundle_plan(mesh, executor.bundle_plan))
-    split = getattr(executor, "split", None)
+def verify_process_plan(plan: "HydroPlan", split=None) -> List[PlanViolation]:  # noqa: ANN001
+    """Whole-plan pass over a built :class:`~repro.hydro.plan.HydroPlan`:
+    rank partition + ghost bundles and, when the caller schedules one
+    (``split``, a :class:`~repro.hydro.plan.RegionSplit`), the
+    interior/halo split."""
+    out = verify_partition(plan.runs, plan.n_leaves, plan.rank_of)
+    out.extend(verify_bundle_plan(plan.mesh_ref(), plan.ghosts, plan.rank_of))
     if split is not None:
-        out.extend(verify_region_split(split, mesh.n, mesh.ghost))
+        out.extend(verify_region_split(split, plan.n, plan.ghost_width))
     return out
 
 
 def verify_mesh_plans(mesh: AmrMesh, nprocs: int) -> List[PlanViolation]:
-    """Scenario-level pass without forking anything: partition a mesh,
-    rebuild the executor's slot runs and ghost bundle plan, verify both.
+    """Scenario-level pass without forking anything (the ``repro
+    verify-plans`` gate): build the plan the executor would serve for
+    ``nprocs`` ranks — same builder, private memory instead of shm — and
+    verify it."""
+    from repro.hydro.plan import build_hydro_plan
 
-    Used by the ``repro verify-plans`` CLI gate — deterministically
-    reconstructs the exact plan :class:`ProcessHydroExecutor` would build
-    (same SFC partition, same sorted-key arena layout, same maximal
-    contiguous same-level run decomposition) and checks it statically.
-    """
-    from repro.comms.bundle import build_bundle_plan
-    from repro.octree.partition import sfc_partition
-
-    sfc_partition(mesh, nprocs)
-    leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
-    m = mesh.n + 2 * mesh.ghost
-    chunk = NFIELDS * m**3
-    offsets: Dict = {leaf.key: i * chunk for i, leaf in enumerate(leaves)}
-    plan = build_bundle_plan(mesh, offsets)
-    runs: List[List[Tuple[int, int, float]]] = [[] for _ in range(nprocs)]
-    start = 0
-    while start < len(leaves):
-        rank = leaves[start].locality
-        level = leaves[start].level
-        stop = start
-        while (
-            stop < len(leaves)
-            and leaves[stop].locality == rank
-            and leaves[stop].level == level
-        ):
-            stop += 1
-        runs[rank].append((start, stop, leaves[start].dx))
-        start = stop
-    out = verify_partition(
-        runs, len(leaves), [leaf.locality for leaf in leaves]
-    )
-    out.extend(verify_bundle_plan(mesh, plan))
-    return out
+    return verify_process_plan(build_hydro_plan(mesh, nranks=nprocs))
 
 
 def require_verified(violations: Sequence[PlanViolation]) -> None:

@@ -8,10 +8,14 @@ module groups every ghost-band transfer by its ordered
 backed by a single flat numpy payload buffer, so one step phase sends
 O(neighbor localities) messages instead.
 
+This is the **one** ghost-exchange index format: on a single locality the
+whole-mesh exchange is the lone ``(0, 0)`` bundle and its
+:meth:`PairBundle.apply` *is* the serial ghost fill — the paper's
+same-locality exchange as the local case of the one channel exchange
+(§VII-B: same pack/unpack, the message skipped).
+
 The pack/unpack index arrays are *traced* from the reference fill
-functions of :mod:`repro.octree.ghost`, exactly like
-:class:`~repro.octree.ghost.GhostIndexPlan` but grouped by locality pair
-rather than by exchange class:
+functions of :mod:`repro.octree.ghost` (``trace_face``):
 
 * ``same`` / ``coarse`` / ``boundary`` fills are pure gathers — tracing a
   fill over cubes of flat-arena indices leaves the ghost band holding the
@@ -27,20 +31,17 @@ rather than by exchange class:
   restricted band, an 8x payload reduction, and the unpack side is a pure
   scatter.
 
-Both sides are bit-identical to the per-face reference fills; the
-distributed-driver equivalence tests assert ``np.array_equal`` between the
-coalesced and un-coalesced paths.
-
-A bundle plan is rebuilt only when the mesh's content
-:meth:`~repro.octree.mesh.AmrMesh.fingerprint` moves — the same
-invalidation contract as the hydro/FMM execution plans (see
-``docs/plan_lifecycle.md``), and rebuilds reuse the per-face
-:class:`~repro.octree.ghost.FaceTraceCache` entries a regrid left intact.
+Both sides are bit-identical to the per-face reference fills
+(:func:`repro.octree.ghost.fill_all_ghosts` is the oracle the tests compare
+against).  A bundle plan is part of the hydro plan
+(:func:`repro.hydro.plan.build_hydro_plan` is its only builder in ``src/``)
+and shares its lifecycle (``docs/plan_lifecycle.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -63,12 +64,12 @@ def adopt_arena(
     of that leaf's ``(nfields, M, M, M)`` chunk; each leaf's
     ``subgrid.data`` is rebound to a view of the arena (values preserved),
     so all existing kernels keep working while pack/unpack can fancy-index
-    the whole mesh at once.  Same layout as the batched hydro plan: leaves
-    sorted by key, one chunk per slot.
+    the whole mesh at once.  The canonical layout: leaves sorted by key,
+    one chunk per slot.
 
     ``out`` supplies the storage instead of a fresh allocation — the
-    process backend passes a shared-memory view here, which is what lets
-    forked workers see the adopted mesh without any copies.
+    process backend hands its shared-memory view down here, which is what
+    lets forked workers see the adopted mesh without any copies.
     """
     leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
     m = mesh.n + 2 * mesh.ghost
@@ -131,43 +132,32 @@ class PairBundle:
     copy_dst: np.ndarray  # (C,) flat-arena scatter indices
     fine_src: np.ndarray  # (8, K) restriction gather rows
     fine_dst: np.ndarray  # (K,) flat-arena scatter indices
-    #: Leaves whose interiors this bundle reads / whose ghosts it writes,
-    #: in deterministic (sorted-key) order — the driver's dependency and
-    #: anti-dependency wiring.
-    donor_keys: Tuple[NodeKey, ...]
-    dest_keys: Tuple[NodeKey, ...]
-    #: Member (dest_key, axis, side) faces; a fine face straddling
-    #: localities is a member of each contributing pair.
-    faces: Tuple[Tuple[NodeKey, int, int], ...]
-    payload: np.ndarray = field(init=False, repr=False)
-    _payloads: Tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    _fine_accs: Tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    _fine_acc: np.ndarray = field(init=False, repr=False)
-    _fine_tmp: np.ndarray = field(init=False, repr=False)
-    _active: int = field(init=False, repr=False)
+    #: Member face transfers (a fine face counts once per contributing
+    #: child) — the unit the DES driver prices pack/unpack work in.
+    n_faces: int
 
     def __post_init__(self) -> None:
-        # Double-buffered payloads: ``flip()`` swaps which buffer ``pack``
-        # fills, so the overlap schedule can start packing stage s+1 while
-        # stage s's packed payload is still in flight (queued on the wire
-        # or pending a late drain) without clobbering it.  The barrier
-        # path never flips and sees exactly one buffer.
-        size = self.copy_src.size + self.fine_dst.size
-        self._payloads = (np.empty(size), np.empty(size))
-        self._fine_accs = tuple(
-            buf[self.copy_src.size :] for buf in self._payloads
-        )
-        self._active = 0
-        self.payload = self._payloads[0]
-        self._fine_acc = self._fine_accs[0]
+        # Scratch (not fields): the active ``payload`` of the two
+        # ``_payloads`` buffers and the fine-restriction accumulators.
+        self._payloads: List[Optional[np.ndarray]] = [None, None]
+        self._active = 1  # flip() lands on buffer 0
+        self.flip()
         self._fine_tmp = np.empty(self.fine_dst.size)
 
     def flip(self) -> None:
         """Switch to the other payload buffer (the previously packed one
-        survives until the *next* flip)."""
+        survives until the *next* flip), so the overlap schedule can pack
+        stage s+1 while stage s's payload is still in flight.  Only the
+        pipe-wire overlap schedule ever flips, so the second buffer is
+        allocated on the first flip — every other path sees (and pays for)
+        exactly one."""
         self._active ^= 1
+        if self._payloads[self._active] is None:
+            self._payloads[self._active] = np.empty(
+                self.copy_src.size + self.fine_dst.size
+            )
         self.payload = self._payloads[self._active]
-        self._fine_acc = self._fine_accs[self._active]
+        self._fine_acc = self.payload[self.copy_src.size :]
 
     def __getstate__(self) -> dict:
         # The scratch buffers must not cross a pickle boundary: _fine_acc
@@ -176,8 +166,8 @@ class PairBundle:
         # fine data nowhere and unpack() scatter uninitialized memory.
         # (The replan broadcast pickles bundles; fork inherits them intact.)
         state = self.__dict__.copy()
-        for scratch in ("payload", "_payloads", "_fine_accs", "_fine_acc",
-                        "_fine_tmp", "_active"):
+        for scratch in ("payload", "_payloads", "_fine_acc", "_fine_tmp",
+                        "_active"):
             state.pop(scratch, None)
         return state
 
@@ -193,10 +183,6 @@ class PairBundle:
     def nbytes(self) -> int:
         """Wire size: one float64 per packed ghost cell (all fields)."""
         return self.payload.size * 8
-
-    @property
-    def n_faces(self) -> int:
-        return len(self.faces)
 
     def pack(self, arena: np.ndarray) -> np.ndarray:
         """Gather (and sender-side restrict) into the payload buffer."""
@@ -224,21 +210,31 @@ class PairBundle:
         self.unpack(arena)
 
 
+#: Ghost face classes, in the order ``face_counts`` is serialised.
+FACE_KINDS = ("same", "coarse", "boundary", "fine")
+#: The index arrays of a :class:`PairBundle`.
+_INDEX_FIELDS = ("copy_src", "copy_dst", "fine_src", "fine_dst")
+
+
+def _cat(arrays: List[np.ndarray], axis: int = 0) -> np.ndarray:
+    """Concatenate index arrays (``axis=1``: ``(8, K_i)`` restriction row
+    blocks along ``K``); an empty list gives the matching empty array."""
+    if not arrays:
+        return np.empty((8, 0) if axis else 0, dtype=np.intp)
+    return np.concatenate(arrays, axis=axis).astype(np.intp, copy=False)
+
+
 @dataclass
 class GhostBundlePlan:
-    """All pair bundles of one mesh topology, plus the membership maps the
-    distributed driver wires dependencies through."""
+    """All pair bundles of one mesh topology under one rank assignment —
+    the only ghost-exchange index format."""
 
-    topology_version: int
     bundles: Dict[PairKey, PairBundle]
-    #: dest leaf key -> pair keys whose bundles fill (part of) its ghosts.
-    cover: Dict[NodeKey, Tuple[PairKey, ...]]
-    #: donor leaf key -> pair keys whose bundles read its interior.
-    donor_of: Dict[NodeKey, Tuple[PairKey, ...]]
+    #: Faces per exchange class (:data:`FACE_KINDS`); ``face_counts["fine"]``
+    #: tells the step whether any coarse-fine interface exists at all.
+    face_counts: Dict[str, int]
     #: Content hash of the topology this plan was traced for (see
-    #: :meth:`repro.octree.mesh.AmrMesh.fingerprint`); ``matches`` compares
-    #: it instead of the monotonic counter, so a mesh that regrids back to
-    #: a previously-seen topology revalidates instead of rebuilding.
+    #: :meth:`repro.octree.mesh.AmrMesh.fingerprint`).
     fingerprint: str = ""
 
     @property
@@ -246,131 +242,129 @@ class GhostBundlePlan:
         return sorted(k for k in self.bundles if k[0] != k[1])
 
     @property
-    def local_pairs(self) -> List[PairKey]:
-        return sorted(k for k in self.bundles if k[0] == k[1])
-
-    @property
     def remote_payload_bytes(self) -> int:
         return sum(self.bundles[k].nbytes for k in self.remote_pairs)
 
-    def matches(self, mesh: AmrMesh) -> bool:
-        return self.fingerprint == mesh.fingerprint()
+    def to_payload(self) -> Dict[str, np.ndarray]:
+        """Flat array payload for the persistent plan cache
+        (:mod:`repro.core.plancache`), keyed there on ``(fingerprint, n,
+        ghost, nranks)``: the pair list plus each bundle's index arrays
+        under ``<field>.<i>``.  The arrays are absolute indices into the
+        canonical sorted-leaf arena layout, itself a pure function of
+        topology — so the payload reconstructs this plan bit for bit."""
+        pairs = sorted(self.bundles)
+        out = {
+            "pairs": np.array(pairs, dtype=np.int64).reshape(-1, 2),
+            "n_faces": np.array(
+                [self.bundles[pair].n_faces for pair in pairs], dtype=np.int64
+            ),
+            "face_counts": np.array(
+                [self.face_counts[k] for k in FACE_KINDS], dtype=np.int64
+            ),
+        }
+        for i, pair in enumerate(pairs):
+            for name in _INDEX_FIELDS:
+                out[f"{name}.{i}"] = getattr(self.bundles[pair], name)
+        return out
+
+    @classmethod
+    def from_payload(
+        cls, payload: Dict[str, np.ndarray], fingerprint: str
+    ) -> "GhostBundlePlan":
+        bundles: Dict[PairKey, PairBundle] = {}
+        for i, (src, dst) in enumerate(np.asarray(payload["pairs"]).tolist()):
+            bundles[(src, dst)] = PairBundle(
+                src, dst, n_faces=int(payload["n_faces"][i]),
+                **{
+                    name: np.asarray(payload[f"{name}.{i}"]).astype(
+                        np.intp, copy=False
+                    )
+                    for name in _INDEX_FIELDS
+                },
+            )
+        counts = np.asarray(payload["face_counts"]).tolist()
+        return cls(bundles, dict(zip(FACE_KINDS, counts)), fingerprint)
 
 
 class _PairAccumulator:
     """Per-pair lists collected during the face walk."""
-
-    __slots__ = ("copy_src", "copy_dst", "fine_src", "fine_dst",
-                 "donor_keys", "dest_keys", "faces")
 
     def __init__(self) -> None:
         self.copy_src: List[np.ndarray] = []
         self.copy_dst: List[np.ndarray] = []
         self.fine_src: List[np.ndarray] = []
         self.fine_dst: List[np.ndarray] = []
-        self.donor_keys: Dict[NodeKey, None] = {}
-        self.dest_keys: Dict[NodeKey, None] = {}
-        self.faces: List[Tuple[NodeKey, int, int]] = []
-
-
-def _cat(arrays: List[np.ndarray]) -> np.ndarray:
-    if not arrays:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(arrays).astype(np.intp, copy=False)
+        self.n_faces = 0
 
 
 def build_bundle_plan(
     mesh: AmrMesh,
     offsets: Dict[NodeKey, int],
+    locality: Dict[NodeKey, int],
     nfields: int = NFIELDS,
     trace_cache: Optional[FaceTraceCache] = None,
 ) -> GhostBundlePlan:
     """Trace the reference fills into per-locality-pair bundles.
 
     ``offsets`` maps each leaf key to its flat-arena chunk offset (see
-    :func:`adopt_arena`).  Consumes the same per-face traces as
-    :func:`repro.octree.ghost.ghost_index_plan` — leaf-local index cubes
-    relocated into the arena layout — but grouped by
-    ``(donor_locality, dest_locality)``.  Passing a
-    :class:`~repro.octree.ghost.FaceTraceCache` (typically the one the
-    hydro plan already populated) reuses the traces of faces a regrid did
-    not touch.
+    :func:`adopt_arena`); ``locality`` maps each leaf key to its rank —
+    an explicit input, not a read of ``leaf.locality`` (all on one rank:
+    the one-bundle serial plan).  Every face's fill is traced in
+    leaf-local indices (:func:`~repro.octree.ghost.trace_face`), relocated
+    into the arena layout and grouped by
+    ``(donor_locality, dest_locality)``; passing a
+    :class:`~repro.octree.ghost.FaceTraceCache` reuses the traces of faces
+    a regrid did not touch, which is the bulk of an incremental rebuild.
+    The walk is over **sorted** leaf keys, so the plan arrays are a pure
+    function of topology and assignment (not of mesh construction order).
     """
     leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
     n, g = mesh.n, mesh.ghost
     m = n + 2 * g
     chunk = nfields * m**3
-    locality: Dict[NodeKey, int] = {leaf.key: leaf.locality for leaf in leaves}
 
-    acc: Dict[PairKey, _PairAccumulator] = {}
-
-    def pair_acc(src_loc: int, dst_loc: int) -> _PairAccumulator:
-        entry = acc.get((src_loc, dst_loc))
-        if entry is None:
-            entry = acc[(src_loc, dst_loc)] = _PairAccumulator()
-        return entry
-
+    acc: Dict[PairKey, _PairAccumulator] = defaultdict(_PairAccumulator)
+    face_counts = dict.fromkeys(FACE_KINDS, 0)
     for leaf in leaves:
         dest_base = offsets[leaf.key]
+        dest_loc = locality[leaf.key]
         for axis in range(3):
             for side in (0, 1):
                 if trace_cache is not None:
                     trace = trace_cache.face(mesh, leaf, axis, side)
                 else:
                     trace = trace_face(mesh, leaf, axis, side, nfields)
+                face_counts[trace.kind] += 1
                 bases = np.array(
                     [offsets[k] for k in trace.participants], dtype=np.intp
                 )
                 if trace.kind == "fine":
                     for child_key, rows, dst in trace.fine_parts:
-                        entry = pair_acc(locality[child_key], leaf.locality)
+                        entry = acc[locality[child_key], dest_loc]
                         entry.fine_src.append(trace.relocate(rows, bases, chunk))
                         entry.fine_dst.append(dst + dest_base)
-                        entry.donor_keys[child_key] = None
-                        entry.dest_keys[leaf.key] = None
-                        entry.faces.append((leaf.key, axis, side))
+                        entry.n_faces += 1
                     continue
                 donor_key = trace.participants[1] if len(
                     trace.participants
                 ) > 1 else leaf.key
-                entry = pair_acc(locality[donor_key], leaf.locality)
+                entry = acc[locality[donor_key], dest_loc]
                 entry.copy_src.append(trace.relocate(trace.copy_src, bases, chunk))
                 entry.copy_dst.append(trace.copy_dst + dest_base)
-                entry.donor_keys[donor_key] = None
-                entry.dest_keys[leaf.key] = None
-                entry.faces.append((leaf.key, axis, side))
+                entry.n_faces += 1
 
     bundles: Dict[PairKey, PairBundle] = {}
-    cover: Dict[NodeKey, List[PairKey]] = {leaf.key: [] for leaf in leaves}
-    donor_of: Dict[NodeKey, List[PairKey]] = {leaf.key: [] for leaf in leaves}
     for pair in sorted(acc):
         entry = acc[pair]
-        if entry.fine_src:
-            fine_src = np.concatenate(entry.fine_src, axis=1).astype(
-                np.intp, copy=False
-            )
-        else:
-            fine_src = np.empty((8, 0), dtype=np.intp)
         bundles[pair] = PairBundle(
             src_locality=pair[0],
             dst_locality=pair[1],
             copy_src=_cat(entry.copy_src),
             copy_dst=_cat(entry.copy_dst),
-            fine_src=fine_src,
+            fine_src=_cat(entry.fine_src, axis=1),
             fine_dst=_cat(entry.fine_dst),
-            donor_keys=tuple(entry.donor_keys),
-            dest_keys=tuple(entry.dest_keys),
-            faces=tuple(entry.faces),
+            n_faces=entry.n_faces,
         )
-        for key in entry.dest_keys:
-            cover[key].append(pair)
-        for key in entry.donor_keys:
-            donor_of[key].append(pair)
-
     return GhostBundlePlan(
-        topology_version=mesh.topology_version,
-        bundles=bundles,
-        cover={k: tuple(v) for k, v in cover.items()},
-        donor_of={k: tuple(v) for k, v in donor_of.items()},
-        fingerprint=mesh.fingerprint(),
+        bundles=bundles, face_counts=face_counts, fingerprint=mesh.fingerprint()
     )

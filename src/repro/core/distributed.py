@@ -38,12 +38,11 @@ import numpy as np
 from repro.amt.future import Future, Promise, make_ready_future, when_all
 from repro.amt.locality import Runtime
 from repro.amt.network import Message, NetworkModel
-from repro.comms import GhostBundlePlan, adopt_arena, build_bundle_plan
 from repro.distsim.model import DEFAULT_CONSTANTS, ModelConstants, _cpu_rate
 from repro.distsim.runconfig import RunConfig
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.integrator import _RK3_STAGES
-from repro.hydro.plan import stacked_resync_tau_kernel
+from repro.hydro.plan import HydroPlan, build_hydro_plan, stacked_resync_tau_kernel
 from repro.hydro.solver import dudt_subgrid
 from repro.hydro.sources import rotating_frame_source
 from repro.octree.fields import NFIELDS, Field
@@ -72,6 +71,25 @@ class DistributedStepResult:
     payload_messages: int = 0
     control_messages: int = 0
     duplicates_suppressed: int = 0
+
+
+def _bundle_members(plan: HydroPlan) -> Dict[Tuple[int, int], Tuple[list, list]]:
+    """Task wiring: per pair bundle, ``(donor_keys, dest_keys)`` — the
+    leaves whose interiors it reads and whose ghost bands it writes, i.e.
+    the arena slots its gather / scatter index arrays touch, in slot
+    (sorted-key) order."""
+    chunk = NFIELDS * plan.m**3
+
+    def keys_of(*index_arrays: np.ndarray) -> list:
+        slots = np.unique(
+            np.concatenate([a.ravel() for a in index_arrays]) // chunk
+        )
+        return [plan.leaf_keys[slot] for slot in slots]
+
+    return {
+        pair: (keys_of(b.copy_src, b.fine_src), keys_of(b.copy_dst, b.fine_dst))
+        for pair, b in plan.ghosts.bundles.items()
+    }
 
 
 class DistributedHydroDriver:
@@ -106,11 +124,11 @@ class DistributedHydroDriver:
         self.time = 0.0
         self.steps_taken = 0
         self.last_result: Optional[DistributedStepResult] = None
-        #: The coalescing plan and the arena it adopted the mesh into,
-        #: rebuilt only when the mesh regrids (:meth:`_bundles`).
-        self._bundle_plan: Optional[GhostBundlePlan] = None
-        self._arena: Optional[np.ndarray] = None
-        self._bundle_version = -1
+        #: The hydro plan over ``config.nodes`` ranks (arena + coalescing
+        #: bundles), rebuilt only when it stops matching the mesh, and the
+        #: task-wiring membership derived from it (:meth:`_hydro_plan`).
+        self._plan: Optional[HydroPlan] = None
+        self._members: Dict[Tuple[int, int], Tuple[list, list]] = {}
 
     # -- cost helpers --------------------------------------------------------
     def _kernel_cost(self) -> float:
@@ -152,7 +170,7 @@ class DistributedHydroDriver:
         # Arena payoff: every leaf interior is one strided view of the
         # flat buffer, so the stage-0 state is captured with a single
         # copy instead of one per leaf.
-        self._bundles()
+        self._hydro_plan()
         u0_stack = self._stacked_interior().copy()
         u0: Dict[NodeKey, np.ndarray] = {
             key: u0_stack[slot]
@@ -251,33 +269,34 @@ class DistributedHydroDriver:
         return result
 
     # -- pieces ------------------------------------------------------------------
-    def _bundles(self) -> GhostBundlePlan:
-        """The coalescing plan, rebuilt only when the mesh regrids.
-
-        Adopting the arena rebinds every leaf's sub-grid to a view of one
-        flat buffer (values preserved), so pack/unpack are single
-        fancy-indexed gathers/scatters over the whole mesh.
-        """
-        if (
-            self._bundle_plan is None
-            or self._bundle_version != self.mesh.topology_version
-        ):
-            self._arena, offsets = adopt_arena(self.mesh)
-            self._bundle_plan = build_bundle_plan(self.mesh, offsets)
-            self._bundle_version = self.mesh.topology_version
-        return self._bundle_plan
+    def _hydro_plan(self) -> HydroPlan:
+        """The plan the serial and process backends step too, built over
+        ``config.nodes`` ranks with this driver's ``leaf.locality`` map as
+        the explicit assignment.  Building it adopts the arena: every
+        leaf's sub-grid becomes a view of one flat buffer (values
+        preserved), so pack/unpack are single fancy-indexed
+        gathers/scatters over the whole mesh.  :meth:`HydroPlan.matches`
+        (fingerprint + view identity) decides validity, so a regrid *and*
+        anything else re-adopting the mesh's storage trigger a rebuild."""
+        if self._plan is None or not self._plan.matches(self.mesh):
+            plan = self._plan = build_hydro_plan(
+                self.mesh,
+                nranks=self.config.nodes,
+                assignment={leaf.key: leaf.locality for leaf in self.mesh.leaves()},
+                reuse=self._plan,
+            )
+            self._members = _bundle_members(plan)
+        return self._plan
 
     def _stacked_interior(self) -> np.ndarray:
         """All leaf interiors as one ``(leaves, fields, n, n, n)`` view.
 
-        Valid only after :meth:`_bundles` adopted the arena for the current
-        topology; slot order is sorted leaf key, matching ``adopt_arena``.
+        Valid only after :meth:`_hydro_plan` adopted the arena for the
+        current topology; slot order is sorted leaf key.
         """
-        m = self.mesh.n + 2 * self.mesh.ghost
-        chunk = NFIELDS * m**3
-        s = slice(self.mesh.ghost, self.mesh.ghost + self.mesh.n)
-        stacked = self._arena.reshape(-1, NFIELDS, m, m, m)
-        assert stacked.shape[0] * chunk == self._arena.size
+        plan = self._plan
+        s = slice(plan.ghost_width, plan.ghost_width + plan.n)
+        stacked = plan.arena.reshape(-1, NFIELDS, plan.m, plan.m, plan.m)
         return stacked[:, :, s, s, s]
 
     def _bundle_stage(
@@ -305,18 +324,19 @@ class DistributedHydroDriver:
         payload buffer is reused across stages, so stage ``k``'s pack may
         not overwrite it until stage ``k-1``'s unpack has scattered it.
         """
-        plan = self._bundles()
-        arena = self._arena
+        plan = self._hydro_plan()
+        arena, bundles = plan.arena, plan.ghosts.bundles
         fill_done: Dict[Tuple[int, int], Future] = {}
         pack_done: Dict[Tuple[int, int], Future] = {}
         # One send per neighbor-locality bundle — the coalesced pattern
         # R005 exists to enforce, not a per-item loop.
-        for pair in sorted(plan.bundles):  # reprolint: sanctioned-bundle
-            bundle = plan.bundles[pair]
+        for pair in sorted(bundles):  # reprolint: sanctioned-bundle
+            bundle = bundles[pair]
             src_loc = runtime.localities[bundle.src_locality]
             dst_loc = runtime.localities[bundle.dst_locality]
-            donor_deps = [update_futures[k] for k in bundle.donor_keys]
-            dest_deps = [update_futures[k] for k in bundle.dest_keys]
+            donor_keys, dest_keys = self._members[pair]
+            donor_deps = [update_futures[k] for k in donor_keys]
+            dest_deps = [update_futures[k] for k in dest_keys]
             # Work-split granularity: a shard carries at least ~4 faces of
             # pack/unpack work — narrower shards cost more in per-task
             # overhead (real and virtual) than the parallelism they buy.
@@ -381,14 +401,17 @@ class DistributedHydroDriver:
             watchdog.watch(unpack, unpack_deps, name=f"{name}.unpack")
             fill_done[pair] = unpack
             pack_done[pair] = pack
-        cover_futures = {
-            key: [fill_done[p] for p in pairs]
-            for key, pairs in plan.cover.items()
-        }
-        anti_futures = {
-            key: [pack_done[p] for p in pairs]
-            for key, pairs in plan.donor_of.items()
-        }
+        # Per leaf: the bundles covering its ghost bands (what its kernel
+        # waits for) and the packs reading its interior (what its update
+        # waits for), in sorted pair order.
+        cover_futures = {key: [] for key in plan.leaf_keys}
+        anti_futures = {key: [] for key in plan.leaf_keys}
+        for pair in sorted(bundles):
+            donor_keys, dest_keys = self._members[pair]
+            for key in dest_keys:
+                cover_futures[key].append(fill_done[pair])
+            for key in donor_keys:
+                anti_futures[key].append(pack_done[pair])
         return cover_futures, anti_futures, fill_done
 
     def _floors_view(self, u: np.ndarray) -> None:

@@ -47,9 +47,11 @@ import numpy as np
 
 #: Bump when any payload layout or plan-assembly semantics change: old
 #: entries then read as misses and are rewritten, never misinterpreted.
-#: v3: hydro payloads are the ghost index arrays alone (v2 also carried
-#: the interior/halo region split, which no product path ever read back).
-CACHE_FORMAT_VERSION = 3
+#: v4: hydro payloads are the per-locality-pair ghost bundle arrays
+#: (:meth:`repro.comms.bundle.GhostBundlePlan.to_payload`), keyed on the rank
+#: count as well; v3 stored the class-grouped index format that no longer
+#: exists.  The version is part of the entry digest, so v3 files simply miss.
+CACHE_FORMAT_VERSION = 4
 
 _META_KEY = "__plancache_meta__"
 

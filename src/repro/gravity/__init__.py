@@ -17,12 +17,13 @@ phase.  Everything derived from the octree topology alone — the dual tree
 traversal, far/near/P2P interaction lists, CSR source-index arrays, leaf
 cell positions and the P2P geometry-class templates — is captured once in
 an :class:`~repro.gravity.plan.FmmPlan` (see :func:`~repro.gravity.plan.build_plan`).
-The plan is keyed on ``AmrMesh.topology_version``, a counter bumped by
-every :meth:`~repro.octree.mesh.AmrMesh.refine` /
-:meth:`~repro.octree.mesh.AmrMesh.derefine`, so
+The plan is valid while the mesh's content
+:meth:`~repro.octree.mesh.AmrMesh.fingerprint` equals the one it was built
+for (every :meth:`~repro.octree.mesh.AmrMesh.refine` /
+:meth:`~repro.octree.mesh.AmrMesh.derefine` moves it), so
 :meth:`~repro.gravity.fmm.FmmSolver.solve` transparently reuses it across
-steps between regrids and rebuilds it afterwards (the invalidation
-contract is documented on :class:`~repro.octree.mesh.AmrMesh`).  The
+steps between regrids and rebuilds it afterwards — incrementally, from the
+plan cache, or cold (``docs/plan_lifecycle.md``).  The
 execute phase replaces the per-node Python loops with stacked moment
 arrays, segmented M2L batches per level and two GEMMs per P2P geometry
 class; :meth:`~repro.gravity.fmm.FmmSolver.solve_reference` retains the

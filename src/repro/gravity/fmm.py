@@ -21,9 +21,12 @@ Plan / execute split
 Everything that depends only on mesh *topology* — the dual tree traversal,
 interaction lists, CSR source-index arrays, leaf cell positions and the
 P2P geometry-class templates — lives in a cached
-:class:`~repro.gravity.plan.FmmPlan`, keyed on
-``AmrMesh.topology_version`` so it invalidates automatically after a
-regrid.  :meth:`FmmSolver.solve` is the batched execute phase: stacked
+:class:`~repro.gravity.plan.FmmPlan`, valid while the mesh's content
+:meth:`~repro.octree.mesh.AmrMesh.fingerprint` (and ``theta``) still
+equal the ones it was built for, so it invalidates automatically after a
+regrid and is maintained through the lifecycle every plan kind shares
+(:class:`FmmPlanLifecycle`, ``docs/plan_lifecycle.md``).
+:meth:`FmmSolver.solve` is the batched execute phase: stacked
 P2M/M2M moments, a few segmented M2L calls per level, vectorised
 L2L/L2P, and two GEMMs per P2P geometry class.  It is numerically
 equivalent (to ~1e-13 relative) to :meth:`FmmSolver.solve_reference`,
@@ -69,6 +72,7 @@ from repro.octree.fields import Field
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey, OctreeNode
 from repro.profiling.apex import CounterRegistry, global_registry
+from repro.util.lifecycle import PlanLifecycle
 
 
 @dataclass
@@ -98,6 +102,32 @@ class FmmResult:
     phi: Dict[NodeKey, np.ndarray]  # (N, N, N) per leaf
     accel: Dict[NodeKey, np.ndarray]  # (3, N, N, N) per leaf
     stats: FmmStats
+
+
+class FmmPlanLifecycle(PlanLifecycle):
+    """The FMM kind of the shared plan lifecycle; a request is ``theta``.
+
+    The delta tier is :func:`repro.gravity.plan.update_plan` (exact; it
+    returns ``None`` past its cold-fraction cutoff), the cache payload the
+    canonical traversal pair state.
+    """
+
+    kind = "fmm"
+
+    def matches(self, plan, mesh, theta) -> bool:  # noqa: ANN001
+        return plan.matches(mesh, theta)
+
+    def params(self, mesh, theta) -> Dict:  # noqa: ANN001
+        return {"theta": theta, "n": mesh.n}
+
+    def build(self, tier, prev, mesh, payload=None, *, theta):  # noqa: ANN001, ANN201
+        if tier == "delta":
+            return update_plan(prev, mesh, theta)
+        state = PairState.from_payload(payload) if payload is not None else None
+        return build_plan(mesh, theta, pair_state=state, reuse=self.donor(prev, mesh))  # reprolint: sanctioned-cold-build
+
+    def payload_of(self, plan) -> Dict[str, np.ndarray]:  # noqa: ANN001
+        return plan.pair_state.to_payload()
 
 
 class FmmSolver:
@@ -156,13 +186,11 @@ class FmmSolver:
         self.empty_mass_threshold = empty_mass_threshold
         self.last_stats: Optional[FmmStats] = None
         self.registry: Optional[CounterRegistry] = None
-        self._plan: Optional[FmmPlan] = None
-        #: Optional persistent content-addressed plan store
-        #: (:class:`repro.core.plancache.PlanCache`): on a topology the
-        #: in-memory plan does not match, the canonical traversal pair
-        #: state is looked up by mesh fingerprint before paying a cold
-        #: dual-tree traversal, and cold results are stored back.
-        self.plan_cache = plan_cache
+        #: The FMM plan lifecycle: the current plan plus the optional
+        #: persistent store (:class:`repro.core.plancache.PlanCache`) in
+        #: which the canonical traversal pair state is looked up by mesh
+        #: fingerprint before paying a cold dual-tree traversal.
+        self.plans = FmmPlanLifecycle(plan_cache)
         #: "process" fans the sharded far-field M2L batches out to a pool
         #: of stateless worker processes (:mod:`repro.amt.parallel`); the
         #: shard arrays ride the pipes and the partials are accumulated in
@@ -200,81 +228,16 @@ class FmmSolver:
     def plan_for(self, mesh: AmrMesh) -> FmmPlan:
         """The cached traversal plan for ``mesh``, rebuilt only when the
         mesh topology (by content :meth:`~repro.octree.mesh.AmrMesh.\
-fingerprint`) or ``theta`` changed.
-
-        This is the sanctioned cache-miss hook (reprolint R010): on a miss
-        it tries, in order, (1) an incremental delta rebuild from the
-        previous plan (:func:`repro.gravity.plan.update_plan` — exact, see
-        ``docs/plan_lifecycle.md``), (2) the persistent plan cache keyed on
-        the fingerprint, (3) the cold dual-tree traversal, storing the
-        result back into the cache.  The three paths are bit-identical;
-        the ``plan.fmm.{delta,cache_hit,cold}`` timers record which one
-        ran.
+fingerprint`) or ``theta`` changed — through the shared lifecycle
+        (:class:`repro.util.lifecycle.PlanLifecycle`: match → delta →
+        cache hit → cold, ``plan.fmm.*`` timers; the tiers are
+        bit-identical).
         """
-        if self._plan is not None and self._plan.matches(mesh, self.theta):
-            return self._plan
-        reg = self._registry()
-        fingerprint = mesh.fingerprint()
-        plan: Optional[FmmPlan] = None
-        # Donating recomputable state (cell positions, P2P templates) from
-        # the previous plan is only sound within one (n, domain_size)
-        # geometry family — node keys alone don't pin the geometry.
-        reuse = self._plan
-        if reuse is not None:
-            old_mesh = reuse.mesh_ref()
-            if reuse.n != mesh.n or (
-                old_mesh is not mesh
-                and (old_mesh is None or old_mesh.domain_size != mesh.domain_size)
-            ):
-                reuse = None
-        if self._plan is not None:
-            with reg.timer("plan.fmm.delta"):
-                plan = update_plan(self._plan, mesh, self.theta)
-            if plan is not None:
-                reg.increment("plan.fmm.delta_builds")
-                # Delta-assembled pair state is bit-identical to a cold
-                # traversal's — seed the cache with it too, or topologies
-                # only visited incrementally would miss on every rerun.
-                if self.plan_cache is not None and not self.plan_cache.contains(
-                    "fmm", fingerprint, {"theta": self.theta, "n": mesh.n}
-                ):
-                    self.plan_cache.store(
-                        "fmm",
-                        fingerprint,
-                        {"theta": self.theta, "n": mesh.n},
-                        plan.pair_state.to_payload(),
-                    )
-        if plan is None and self.plan_cache is not None:
-            payload = self.plan_cache.load(
-                "fmm", fingerprint, {"theta": self.theta, "n": mesh.n}
-            )
-            if payload is not None:
-                with reg.timer("plan.fmm.cache_hit"):
-                    plan = build_plan(
-                        mesh,
-                        self.theta,
-                        pair_state=PairState.from_payload(payload),
-                        reuse=reuse,
-                    )
-                reg.increment("plan.fmm.cache_hit_builds")
-        if plan is None:
-            with reg.timer("plan.fmm.cold"):
-                plan = build_plan(mesh, self.theta, reuse=reuse)  # reprolint: sanctioned-cold-build
-            reg.increment("plan.fmm.cold_builds")
-            if self.plan_cache is not None:
-                self.plan_cache.store(
-                    "fmm",
-                    fingerprint,
-                    {"theta": self.theta, "n": mesh.n},
-                    plan.pair_state.to_payload(),
-                )
-        self._plan = plan
-        reg.increment("fmm.plan_builds")
-        return self._plan
+        return self.plans.plan_for(mesh, self._registry(), theta=self.theta)
 
     def invalidate_plan(self) -> None:
         """Drop the cached plan (the next solve rebuilds it)."""
-        self._plan = None
+        self.plans.drop()
 
     def _registry(self) -> CounterRegistry:
         return self.registry if self.registry is not None else global_registry()

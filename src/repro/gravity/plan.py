@@ -353,7 +353,6 @@ class FmmPlan:
     and ``docs/plan_lifecycle.md``.
     """
 
-    topology_version: int
     theta: float
     n: int
     mesh_ref: "weakref.ReferenceType[AmrMesh]"
@@ -691,7 +690,6 @@ def _assemble_plan(
 
     n_interiors = n_nodes - n_leaves
     return FmmPlan(
-        topology_version=mesh.topology_version,
         theta=theta,
         n=mesh.n,
         mesh_ref=weakref.ref(mesh),

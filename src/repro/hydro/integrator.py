@@ -18,9 +18,9 @@ ops of one step (``ghost → rhs → reflux → update`` per stage, framed by
 and the kernel-level ops are the methods of one
 :class:`repro.hydro.plan.RankStep`.  Three interpreters run that program:
 
-* **serial** — :meth:`HydroIntegrator.step` inline, over one ``RankStep``
-  spanning the cached :class:`repro.hydro.plan.HydroPlan` (stacked
-  per-level kernels, vectorized ghost exchange);
+* **serial** — :meth:`HydroIntegrator.step` inline, over rank 0 of the
+  one-rank :class:`repro.hydro.plan.HydroPlan` (stacked per-level kernels;
+  the ghost exchange is the plan's single ``(0, 0)`` bundle);
 * **BSP** — ``backend="process"``: every op is one barrier round of
   :class:`repro.hydro.process_backend.ProcessHydroExecutor`, each worker
   forwarding it to the ``RankStep`` over the leaves it owns;
@@ -46,8 +46,9 @@ import numpy as np
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.plan import (
     HydroPlan,
+    HydroPlanLifecycle,
+    RankStep,
     StackedKernels,
-    build_hydro_plan,
     resolve_stacked_kernels,
     stack_accel,
 )
@@ -57,14 +58,13 @@ from repro.hydro.solver import dudt_subgrid
 from repro.hydro.sources import gravity_source, rotating_frame_source
 from repro.hydro.timestep import global_timestep, max_signal_subgrid
 from repro.octree.fields import Field
-from repro.octree.ghost import FaceTraceCache, fill_all_ghosts
+from repro.octree.ghost import fill_all_ghosts
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey, OctreeNode
 from repro.profiling.apex import CounterRegistry, global_registry
 
 if TYPE_CHECKING:
     from repro.core.plancache import PlanCache
-    from repro.octree.regrid import RegridDelta
 
 #: Signature of a gravity callback: mesh -> {leaf key: (3, N, N, N) accel}.
 GravityCallback = Callable[[AmrMesh], Dict[NodeKey, np.ndarray]]
@@ -207,97 +207,42 @@ class HydroIntegrator:
         self.steps_taken = 0
         self.last_dt = 0.0
         self.faces_refluxed = 0
-        self._plan: Optional[HydroPlan] = None
-        #: Per-face ghost trace cache reused across plan rebuilds; a regrid
-        #: invalidates exactly the touched faces (:meth:`notify_regrid`),
-        #: and the cache itself knows which topology its survivors serve.
-        self._trace_cache = FaceTraceCache()
-        #: Optional persistent content-addressed plan store
-        #: (:class:`repro.core.plancache.PlanCache`): ghost index-plan
-        #: arrays are looked up by mesh fingerprint before re-tracing.
-        self.plan_cache = plan_cache
+        #: The hydro plan lifecycle — current plan, face-trace cache and
+        #: the optional persistent :class:`repro.core.plancache.PlanCache`
+        #: (ghost bundle arrays looked up by mesh fingerprint before
+        #: re-tracing) — shared with the executor this integrator creates,
+        #: so the cache is honoured on either backend.
+        self.plans = HydroPlanLifecycle(plan_cache)
         #: (topology_version, steps_taken, {leaf key: peak signal}) from the
         #: end of the last step — valid until the mesh or the state moves on.
         self._signal_cache: Optional[Tuple[int, int, Dict[NodeKey, float]]] = None
 
     # -- plan cache -----------------------------------------------------------
     def plan_for(self, mesh: Optional[AmrMesh] = None) -> HydroPlan:
-        """The cached batched plan, rebuilt only when the mesh topology
-        (by content :meth:`~repro.octree.mesh.AmrMesh.fingerprint`) changed
-        or leaf storage was rebound.
-
-        This is the sanctioned cache-miss hook (reprolint R010).  On a miss
-        it tries, in order, (1) an incremental rebuild reusing the previous
-        plan's surviving ghost face traces and cell-centre rows, (2) the
-        persistent plan cache (ghost index arrays keyed on the
-        fingerprint), (3) the cold trace.  All paths build bit-identical
-        plans; the ``plan.hydro.{delta,cache_hit,cold}`` timers record
-        which one ran.
-        """
-        mesh = mesh if mesh is not None else self.mesh
-        if self._plan is not None and self._plan.matches(mesh):
-            return self._plan
-        reg = self._registry()
-        fingerprint = mesh.fingerprint()
-        params = {"n": mesh.n, "ghost": mesh.ghost}
-        same_mesh = self._plan is not None and self._plan.mesh_ref() is mesh
-        traces_ok = self._trace_cache.usable_for(fingerprint, same_mesh)
-        plan = None
-        if self._plan is not None and traces_ok:
-            with reg.timer("plan.hydro.delta"):
-                plan = build_hydro_plan(
-                    mesh, trace_cache=self._trace_cache, reuse=self._plan
-                )
-            reg.increment("plan.hydro.delta_builds")
-            # Delta builds are bit-identical to cold ones, so they are
-            # just as good a cache seed: store them too, or topologies
-            # only ever visited incrementally would miss on every rerun.
-            if self.plan_cache is not None and not self.plan_cache.contains(
-                "hydro", plan.fingerprint, params
-            ):
-                self.plan_cache.store(
-                    "hydro", plan.fingerprint, params, plan.cache_payload()
-                )
-        if plan is None and self.plan_cache is not None:
-            payload = self.plan_cache.load("hydro", fingerprint, params)
-            if payload is not None:
-                with reg.timer("plan.hydro.cache_hit"):
-                    plan = build_hydro_plan(
-                        mesh, ghost_payload=payload, reuse=self._plan
-                    )
-                reg.increment("plan.hydro.cache_hit_builds")
-        if plan is None:
-            with reg.timer("plan.hydro.cold"):
-                plan = build_hydro_plan(mesh, trace_cache=self._trace_cache, reuse=self._plan)  # reprolint: sanctioned-cold-build
-            reg.increment("plan.hydro.cold_builds")
-            if self.plan_cache is not None:
-                self.plan_cache.store(
-                    "hydro", plan.fingerprint, params, plan.cache_payload()
-                )
-        # Whatever traces the build left (none after a persistent-cache
-        # hit) are valid for exactly this topology.
-        self._trace_cache.mark_valid(plan.fingerprint)
-        self._plan = plan
-        reg.increment("hydro.plan_builds")
-        return self._plan
+        """The current hydro plan, rebuilt only when the mesh topology (by
+        content :meth:`~repro.octree.mesh.AmrMesh.fingerprint`) changed or
+        leaf storage was rebound — through the shared lifecycle
+        (:class:`repro.util.lifecycle.PlanLifecycle`, ``plan.hydro.*``).
+        The serial backend asks for the one-rank plan; the process backend
+        for the one its executor serves (``nprocs`` ranks, in shm)."""
+        if self.backend == "process":
+            ex = self.executor()
+            ex.ensure()
+            return ex.plan
+        return self.plans.plan_for(
+            mesh if mesh is not None else self.mesh, self._registry()
+        )
 
     def invalidate_plan(self) -> None:
         """Drop the cached plan (the next step rebuilds it)."""
-        self._plan = None
+        self.plans.drop()
 
     def notify_regrid(self, delta) -> None:
-        """Tell the integrator a regrid happened.
-
-        Invalidates exactly the ghost face traces the
-        :class:`~repro.octree.regrid.RegridDelta` touched; the next
-        :meth:`plan_for` then rebuilds incrementally from the surviving
-        traces instead of re-tracing the whole mesh.  The executor's
-        in-place replan (process backend) keys off the same delta.
-        """
-        if delta is not None:
-            self._trace_cache.invalidate(delta)
-        if self._executor is not None:
-            self._executor.notify_regrid(delta)
+        """Announce a regrid's :class:`~repro.octree.regrid.RegridDelta`:
+        only the ghost face traces it touched are dropped, so the next
+        plan request — serial or the executor's in-place replan, they
+        share the lifecycle — rebuilds incrementally."""
+        self.plans.notify_regrid(delta)
 
     def _registry(self) -> CounterRegistry:
         return self.registry if self.registry is not None else global_registry()
@@ -397,17 +342,18 @@ class HydroIntegrator:
         # (fine-class ghost faces); without one, refluxing cannot trigger
         # and the boundary-flux extraction is pure overhead.
         collect_fluxes = self.reflux and plan.ghosts.face_counts["fine"] > 0
-        rank = plan.rank_step(
-            self.eos, self.reconstruction, self.omega, self._kernels, reg,
+        rank = RankStep(
+            plan, 0, self.eos, self.reconstruction, self.omega, self._kernels, reg,
             use_accel, collect_fluxes,
         )
+        ghosts = plan.ghosts.bundles[(0, 0)]
         signals: Dict[NodeKey, float] = {}
         for op, *args in rk3_ops(
             dt, collect_fluxes, use_accel, self.gravity_every_stage
         ):
             if op == "ghost":
                 with reg.timer("hydro.ghost"):
-                    plan.ghosts.fill_ghosts_kernel(plan.arena)
+                    ghosts.apply(plan.arena)
             elif op == "accel":
                 stack_accel(
                     self.gravity(self.mesh), plan.leaf_keys, rank.accel_view
@@ -443,6 +389,8 @@ class HydroIntegrator:
                 verify_plans=self.verify_plans,
                 detect_races=self.detect_races,
             )
+            self._executor.plans = self.plans
+        self._executor.registry = self._registry()
         return self._executor
 
     def close(self) -> None:
@@ -461,7 +409,6 @@ class HydroIntegrator:
         the way out, so nothing is left behind in ``/dev/shm``.
         """
         ex = self.executor()
-        ex.registry = self._registry()
         if dt is None:
             dt = self.timestep()
         try:

@@ -11,25 +11,32 @@ restructuring for wide vector execution on A64FX (SVE vectorization, Fig 7)
 * **storage arena** — all leaf sub-grids move into one flat ``float64``
   arena, ordered by ``(level, morton)``; each leaf's
   ``(NFIELDS, M, M, M)`` chunk is *adopted* as its ``subgrid.data`` (a view,
-  so every existing per-leaf API keeps working), and the leaves of each
-  refinement level form one contiguous ``(B, NFIELDS, M, M, M)`` block;
-* **ghost index plan** — the whole-mesh ghost exchange becomes four
-  class-grouped fancy-indexed copies over the arena
-  (:func:`repro.octree.ghost.ghost_index_plan`);
+  so every existing per-leaf API keeps working), and every maximal run of
+  same-level slots one rank owns forms one contiguous
+  ``(B, NFIELDS, M, M, M)`` block;
+* **ghost bundles** — the whole-mesh ghost exchange is one
+  :class:`~repro.comms.bundle.PairBundle` per ordered rank pair
+  (:func:`repro.comms.bundle.build_bundle_plan`): a fancy-indexed gather
+  into a flat payload and a scatter out of it.  On one rank that is the
+  single ``(0, 0)`` bundle and its ``apply`` is the serial ghost fill;
 * **stacked kernels** — reconstruction, HLL fluxes, flux divergence,
   boundary-flux extraction, sources, the RK3 convex combination, floors,
-  the tau resync and the CFL signal reduction each run once per level block
+  the tau resync and the CFL signal reduction each run once per block
   instead of once per leaf.  They reuse the *same* elementwise building
   blocks as the reference (``primitives_from_conserved``,
   ``reconstruct_axis``, ``hll_flux``), so batching cannot change rounding:
   the batched step is bit-identical to the reference step.
 
-The plan is keyed on :attr:`repro.octree.mesh.AmrMesh.topology_version`
-(same invalidation contract as ``FmmPlan``) plus an identity check that the
-leaves still reference the plan's arena views — so regrids *and* external
-storage rebinding (e.g. a second plan adopting the mesh) both trigger a
-rebuild.  Scratch buffers live in a :class:`ScratchArena` reused across
-stages and steps; the hot path allocates nothing (reprolint R001).
+There is **one** plan for any rank count (:func:`build_hydro_plan`): the
+serial integrator steps ``nranks=1``, the process backend forks over
+``nranks=P`` adopted into shared memory, the DES driver wires its task
+graph from one built over its virtual-node map.  A plan is valid while the
+mesh's content :meth:`~repro.octree.mesh.AmrMesh.fingerprint` equals the one
+it was built for *and* the leaves still reference its arena views; a
+rebuild goes through the lifecycle every plan kind shares
+(:class:`HydroPlanLifecycle`, ``docs/plan_lifecycle.md``).  Scratch buffers
+live in a :class:`ScratchArena` reused across stages and steps; the hot
+path allocates nothing (reprolint R001).
 
 See ``docs/hydro_plan.md`` for the full architecture.
 """
@@ -41,19 +48,22 @@ import numbers
 import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.effects import ANY, declare_effects
+from repro.comms.bundle import GhostBundlePlan, adopt_arena, build_bundle_plan
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.reflux import apply_flux_table, build_reflux_table
 from repro.hydro.riemann import PRIM_KEYS
 from repro.hydro.solver import primitives_from_conserved
 from repro.octree.fields import Field, NFIELDS
-from repro.octree.ghost import FaceTraceCache, GhostIndexPlan, ghost_index_plan
+from repro.octree.ghost import FaceTraceCache
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
+from repro.octree.partition import sfc_assignment
+from repro.util.lifecycle import PlanLifecycle
 
 
 class ScratchArena:
@@ -209,121 +219,103 @@ def region_views(
     return u_sub, d_sub
 
 
-@dataclass
-class LevelBlock:
-    """All leaves of one refinement level, stacked contiguously."""
+class SlotRun(NamedTuple):
+    """One maximal run of consecutive same-level arena slots owned by one
+    rank — the unit of stacked kernel execution (on one rank: a whole
+    refinement level, leaves sort level-major)."""
 
-    level: int
+    lo: int
+    hi: int
     dx: float
-    keys: List[NodeKey]
-    #: (B, NFIELDS, M, M, M) view into the plan arena.
-    u: np.ndarray
-    #: (B, n, n, n) interior cell-centre coordinates (rotating frame).
+    #: (hi - lo, n, n, n) interior cell-centre coordinates (rotating frame).
     x: np.ndarray
     y: np.ndarray
 
-    @property
-    def n_leaves(self) -> int:
-        return len(self.keys)
-
 
 class HydroPlan:
-    """Cached batched execution plan for the hydro step.
+    """The hydro step's topology plan, for any rank count.
 
-    Build with :func:`build_hydro_plan`; validity is checked with
-    :meth:`matches` (topology version + arena-view identity).  Building the
-    plan *adopts* the mesh's leaf storage into one flat arena — field values
-    are preserved, and ``leaf.subgrid.data`` stays a live
-    ``(NFIELDS, M, M, M)`` array for every per-leaf consumer.
+    Build with :func:`build_hydro_plan` (parameters documented there);
+    validity is checked with :meth:`matches`.  Building the plan *adopts*
+    the mesh's leaf storage into one flat arena — field values are
+    preserved, and ``leaf.subgrid.data`` stays a live
+    ``(NFIELDS, M, M, M)`` array for every per-leaf consumer.  Everything
+    else is in sorted-leaf slot terms: the rank of every slot, per-rank
+    :class:`SlotRun` lists, the ghost bundles and the reflux table;
+    :class:`RankStep` is one rank's share, the object every interpreter
+    drives.
     """
 
     def __init__(
         self,
         mesh: AmrMesh,
+        nranks: int = 1,
+        assignment: Optional[Dict[NodeKey, int]] = None,
+        out: Optional[np.ndarray] = None,
         trace_cache: Optional[FaceTraceCache] = None,
         reuse: Optional["HydroPlan"] = None,
-        ghost_payload: Optional[Dict[str, np.ndarray]] = None,
+        payload: Optional[Dict[str, np.ndarray]] = None,
     ) -> None:
         self.mesh_ref = weakref.ref(mesh)
-        self.topology_version = mesh.topology_version
-        #: Content hash of the topology this plan was built for; the
-        #: validity key :meth:`matches` compares (see
-        #: ``docs/plan_lifecycle.md``).
+        #: Content hash of the topology this plan was built for.
         self.fingerprint = mesh.fingerprint()
         self.n = mesh.n
         self.ghost_width = mesh.ghost
-        m = self.n + 2 * self.ghost_width
-        self.m = m
-        chunk = NFIELDS * m**3
+        self.m = self.n + 2 * self.ghost_width
+        self.nranks = nranks
 
         leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
         self.leaf_keys: List[NodeKey] = [leaf.key for leaf in leaves]
         self.slot: Dict[NodeKey, int] = {k: i for i, k in enumerate(self.leaf_keys)}
-        offsets = {leaf.key: i * chunk for i, leaf in enumerate(leaves)}
+        if assignment is None:
+            assignment = sfc_assignment(mesh, nranks)
+        #: Owning rank of every slot.
+        self.rank_of = np.array(
+            [assignment[k] for k in self.leaf_keys], dtype=np.int64
+        )
 
-        self.arena = np.empty(len(leaves) * chunk)
-        self.views: List[np.ndarray] = []
-        for i, leaf in enumerate(leaves):
-            view = self.arena[i * chunk : (i + 1) * chunk].reshape(NFIELDS, m, m, m)
-            np.copyto(view, leaf.subgrid.data)
-            leaf.subgrid.data = view
-            self.views.append(view)
+        self.arena, offsets = adopt_arena(mesh, out=out)
+        self.views: List[np.ndarray] = [leaf.subgrid.data for leaf in leaves]
 
-        # Cell centres are pure functions of the key: rebuilds reuse the
-        # previous plan's rows for surviving leaves (exact, not approximate).
+        # Cell centres are pure functions of the key (within one geometry
+        # family): rebuilds reuse the previous plan's rows for surviving
+        # leaves (exact, not approximate).
         reuse_xy: Dict[NodeKey, Tuple[np.ndarray, np.ndarray]] = {}
-        if reuse is not None and reuse.n == self.n:
-            old_mesh = reuse.mesh_ref()
-            if old_mesh is mesh or (
-                old_mesh is not None and old_mesh.domain_size == mesh.domain_size
-            ):
-                for block in reuse.blocks:
-                    for j, key in enumerate(block.keys):
-                        reuse_xy[key] = (block.x[j], block.y[j])
+        if PlanLifecycle.donor(reuse, mesh) is not None:
+            for run in (r for rank_runs in reuse.runs for r in rank_runs):
+                for j, key in enumerate(reuse.leaf_keys[run.lo : run.hi]):
+                    reuse_xy[key] = (run.x[j], run.y[j])
 
-        # Leaves sort level-major under (level, morton), so each level is one
-        # contiguous arena run and stacks into a (B, NFIELDS, M, M, M) view.
-        self.blocks: List[LevelBlock] = []
+        # Each maximal run of same-rank same-level slots is one contiguous
+        # arena block and stacks into a (B, NFIELDS, M, M, M) view.
+        self.runs: List[List[SlotRun]] = [[] for _ in range(nranks)]
         start = 0
         while start < len(leaves):
-            level = leaves[start].level
+            rank, level = self.rank_of[start], leaves[start].level
             stop = start
-            while stop < len(leaves) and leaves[stop].level == level:
+            while (
+                stop < len(leaves)
+                and self.rank_of[stop] == rank
+                and leaves[stop].level == level
+            ):
                 stop += 1
-            batch = leaves[start:stop]
-            u = self.arena[start * chunk : stop * chunk].reshape(
-                len(batch), NFIELDS, m, m, m
-            )
-            x = np.empty((len(batch), self.n, self.n, self.n))
+            x = np.empty((stop - start, self.n, self.n, self.n))
             y = np.empty_like(x)
-            for j, leaf in enumerate(batch):
-                cached = reuse_xy.get(leaf.key) if reuse_xy else None
+            for j, leaf in enumerate(leaves[start:stop]):
+                cached = reuse_xy.get(leaf.key)
                 if cached is not None:
                     x[j], y[j] = cached
                 else:
-                    cx, cy, _ = leaf.cell_centers()
-                    x[j] = cx
-                    y[j] = cy
-            self.blocks.append(
-                LevelBlock(
-                    level=level,
-                    dx=batch[0].dx,
-                    keys=[b.key for b in batch],
-                    u=u,
-                    x=x,
-                    y=y,
-                )
-            )
+                    x[j], y[j], _ = leaf.cell_centers()
+            self.runs[rank].append(SlotRun(start, stop, leaves[start].dx, x, y))
             start = stop
 
-        if ghost_payload is not None:
-            # Cache hit: the ghost index plan is a pure function of topology
-            # and the canonical sorted-leaf arena layout above, so the
-            # fingerprint-keyed payload reconstructs it bit for bit without
-            # re-tracing a single face.
-            self.ghosts: GhostIndexPlan = GhostIndexPlan.from_payload(ghost_payload)
+        if payload is not None:  # cache hit: no face is re-traced
+            self.ghosts = GhostBundlePlan.from_payload(payload, self.fingerprint)
         else:
-            self.ghosts = ghost_index_plan(mesh, offsets, trace_cache=trace_cache)
+            self.ghosts = build_bundle_plan(
+                mesh, offsets, locality=assignment, trace_cache=trace_cache
+            )
 
         #: Mesh-free coarse-fine flux correction rows in slot terms; empty
         #: when no coarse-fine interface exists (nothing to reflux).
@@ -336,39 +328,6 @@ class HydroPlan:
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_keys)
-
-    def rank_step(
-        self,
-        eos: IdealGasEOS,
-        reconstruction: str,
-        omega: float,
-        kernels: "StackedKernels",
-        registry,
-        use_accel: bool,
-        collect_fluxes: bool,
-    ) -> "RankStep":
-        """The whole mesh as one rank: every level block is a run, and the
-        working set (u0, dudt, stacked accelerations, boundary fluxes)
-        lives in this plan's :class:`ScratchArena`."""
-        n, total = self.n, self.n_leaves
-        runs, lo = [], 0
-        for blk in self.blocks:
-            runs.append((lo, lo + blk.n_leaves, blk.dx, blk.u, blk.x, blk.y))
-            lo += blk.n_leaves
-        return RankStep(
-            runs, self.leaf_keys, n, self.ghost_width,
-            eos=eos, reconstruction=reconstruction, omega=omega,
-            kernels=kernels, registry=registry, scratch=self.scratch,
-            accel_view=(
-                self.scratch.get(("accel",), (total, 3, n, n, n))
-                if use_accel else None
-            ),
-            flux_view=(
-                self.scratch.get(("flux",), (total, 3, 2, NFIELDS, n, n))
-                if collect_fluxes else None
-            ),
-            reflux_table=self.reflux_table,
-        )
 
     def matches(self, mesh: AmrMesh) -> bool:
         """Whether this plan is still valid for ``mesh``.
@@ -393,30 +352,106 @@ class HydroPlan:
         """Arena + scratch footprint (index arrays excluded)."""
         return self.arena.nbytes + self.scratch.nbytes()
 
-    def cache_payload(self) -> Dict[str, np.ndarray]:
-        """Everything the persistent plan cache stores for this plan: the
-        ghost index arrays."""
-        return self.ghosts.to_payload()
+    # -- the replan broadcast (process backend) --------------------------------
+    def rank_slice(self, rank: int) -> Dict[str, Any]:
+        """The topology attributes of this plan as ``rank`` needs them (its
+        own runs, the bundles it packs or applies) — the executor's replan
+        broadcast.  A forked worker cannot derive any of it: its mesh copy
+        is stale the moment the parent regrids."""
+        mine = {p: b for p, b in self.ghosts.bundles.items() if rank in p}
+        return {
+            "fingerprint": self.fingerprint,
+            "leaf_keys": self.leaf_keys,
+            "slot": self.slot,
+            "runs": [rs if r == rank else [] for r, rs in enumerate(self.runs)],
+            "reflux_table": self.reflux_table,
+            "ghosts": GhostBundlePlan(mine, self.ghosts.face_counts, self.fingerprint),
+        }
+
+    def rebind(self, piece: Dict[str, Any], arena: np.ndarray) -> None:
+        """Worker side of the replan broadcast: patch this (forked, stale)
+        plan with a :meth:`rank_slice` of the parent's new one, over the
+        re-sized view ``arena`` of the same shm pages."""
+        vars(self).update(piece, arena=arena)
 
 
 def build_hydro_plan(
     mesh: AmrMesh,
+    nranks: int = 1,
+    assignment: Optional[Dict[NodeKey, int]] = None,
+    out: Optional[np.ndarray] = None,
     trace_cache: Optional[FaceTraceCache] = None,
     reuse: Optional[HydroPlan] = None,
-    ghost_payload: Optional[Dict[str, np.ndarray]] = None,
+    payload: Optional[Dict[str, np.ndarray]] = None,
 ) -> HydroPlan:
-    """Build the batched execution plan for ``mesh`` (adopts leaf storage).
+    """Build the hydro plan for ``mesh`` over ``nranks`` ranks.
 
-    ``trace_cache`` reuses per-face ghost traces a regrid left intact;
-    ``reuse`` donates recomputable per-leaf state (cell-centre rows) from
-    the previous plan; ``ghost_payload`` (a persistent-cache hit, see
-    :mod:`repro.core.plancache`) skips the ghost trace entirely.  All three
-    change build time only — the plan arrays are a pure function of
-    topology either way.
+    Adopts leaf storage; the only builder of arena layout, slot runs,
+    ghost bundles and reflux table.
+
+    ``assignment`` maps each leaf key to its rank (default: the SFC
+    partition, :func:`repro.octree.partition.sfc_assignment`).  It is an
+    explicit input, never a read of ``leaf.locality`` — the DES driver
+    writes virtual-node localities there that must not split the serial
+    plan.  ``out`` adopts the leaves into a caller-supplied flat
+    ``float64`` view (the executor's shared memory) instead of private
+    memory.  ``trace_cache`` (per-face ghost traces a regrid left intact),
+    ``reuse`` (the previous plan's cell-centre rows) and ``payload`` (a
+    :meth:`~repro.comms.bundle.GhostBundlePlan.to_payload` cache hit: no
+    tracing at all) change build time only — the plan arrays are a pure
+    function of topology and assignment either way.
     """
     return HydroPlan(
-        mesh, trace_cache=trace_cache, reuse=reuse, ghost_payload=ghost_payload
+        mesh, nranks=nranks, assignment=assignment, out=out,
+        trace_cache=trace_cache, reuse=reuse, payload=payload,
     )
+
+
+class HydroPlanLifecycle(PlanLifecycle):
+    """The hydro kind of the shared plan lifecycle; also owns the single
+    :class:`~repro.octree.ghost.FaceTraceCache`.  A request is ``nranks``
+    plus, for the process backend, ``out`` — the shm view to adopt into."""
+
+    kind = "hydro"
+
+    def __init__(self, cache=None) -> None:  # noqa: ANN001 - PlanCache
+        super().__init__(cache)
+        #: Per-face ghost traces reused across rebuilds; the cache itself
+        #: knows which topology its survivors serve.
+        self.traces = FaceTraceCache()
+
+    def notify_regrid(self, delta) -> None:  # noqa: ANN001 - RegridDelta
+        """Announce a regrid's exact topology delta: only the ghost face
+        traces it touched are dropped, so the next rebuild is incremental
+        (an unannounced change drops the whole trace cache instead)."""
+        if delta is not None:
+            self.traces.invalidate(delta)
+
+    def matches(self, plan, mesh, nranks=1, out=None) -> bool:  # noqa: ANN001
+        return (
+            plan.nranks == nranks
+            and plan.matches(mesh)
+            and (out is None or np.may_share_memory(plan.arena, out))
+        )
+
+    def params(self, mesh, nranks=1, out=None) -> Dict:  # noqa: ANN001
+        return {"n": mesh.n, "ghost": mesh.ghost, "nranks": nranks}
+
+    def build(self, tier, prev, mesh, payload=None, **request):  # noqa: ANN001, ANN201
+        # Every tier is the one builder, handed different things.  A stale
+        # trace cache clears itself here, whichever tier builds.
+        same_mesh = prev is not None and prev.mesh_ref() is mesh
+        usable = self.traces.usable_for(mesh.fingerprint(), same_mesh)
+        if tier == "delta" and not usable:
+            return None
+        plan = build_hydro_plan(mesh, trace_cache=self.traces, reuse=prev, payload=payload, **request)  # reprolint: sanctioned-cold-build
+        # Whatever traces the build left (none after a persistent-cache
+        # hit) are valid for exactly this topology.
+        self.traces.mark_valid(plan.fingerprint)
+        return plan
+
+    def payload_of(self, plan) -> Dict[str, np.ndarray]:  # noqa: ANN001
+        return plan.ghosts.to_payload()
 
 
 def _timer(registry, name: str):
@@ -1024,7 +1059,7 @@ def _jit_kernels(backend) -> StackedKernels:
     compilation serves every topology); all per-topology state — the
     scratch buffers the wrappers use — lives in the plan's
     :class:`ScratchArena` and is therefore rebuilt with the plan whenever
-    a regrid bumps ``topology_version``.
+    a regrid moves the mesh fingerprint.
     """
     from repro.hydro.jit_kernels import build_kernels
 
@@ -1108,22 +1143,18 @@ def stack_accel(
         out[slot] = 0.0 if a is None else a
 
 
-#: One stacked run of a rank: ``(lo, hi, dx, u, x, y)`` — the slot range
-#: into the accel/flux stacks, the cell size, the ``(hi - lo, NFIELDS, M, M,
-#: M)`` field block and its interior cell-centre coordinates.
-Run = Tuple[int, int, float, np.ndarray, np.ndarray, np.ndarray]
-
-
 class RankStep:
     """One rank's share of the stacked SSP-RK3 step.
 
     The kernel-level ops of :func:`repro.hydro.integrator.rk3_ops` —
-    ``begin / rhs(region) / reflux / update / finish`` — over a list of
-    stacked same-level runs.  Every interpreter of the step program drives
-    this one object: the serial integrator inline over the whole mesh
-    (:meth:`HydroPlan.rank_step`), each process-backend worker over the
-    runs it owns, with ``accel_view`` / ``flux_view`` the whole-mesh
-    slot-ordered stacks (scratch buffers there, shm arenas here).
+    ``begin / rhs(region) / reflux / update / finish`` — over the stacked
+    arena blocks of ``plan.runs[rank]``.  Every interpreter of the step
+    program drives this one object: the serial integrator inline over rank
+    0 of the one-rank plan, each process-backend worker over the runs it
+    owns.  ``accel_view`` / ``flux_view`` are the whole-mesh slot-ordered
+    acceleration and boundary-flux stacks — the caller's (the executor's
+    shm arenas) or, by default, buffers in ``scratch`` (default: the
+    plan's), allocated only when ``use_accel`` / ``collect_fluxes`` ask.
 
     ``rhs`` takes a *region*, a list of boxes per run: ``"all"`` is the
     one-box case (the whole block); ``"interior"`` / ``"halo"`` (available
@@ -1134,23 +1165,29 @@ class RankStep:
 
     def __init__(
         self,
-        runs: List[Run],
-        keys: List[NodeKey],
-        n: int,
-        ghost: int,
+        plan: HydroPlan,
+        rank: int,
         eos: IdealGasEOS,
         reconstruction: str,
         omega: float,
         kernels: "StackedKernels",
         registry,
-        scratch: ScratchArena,
+        use_accel: bool = True,
+        collect_fluxes: bool = True,
         accel_view: Optional[np.ndarray] = None,
         flux_view: Optional[np.ndarray] = None,
-        reflux_table=(),
+        scratch: Optional[ScratchArena] = None,
         split: Optional[RegionSplit] = None,
     ) -> None:
-        self.runs = runs
-        self.keys = keys
+        n, ghost, total = plan.n, plan.ghost_width, plan.n_leaves
+        if scratch is None:
+            scratch = plan.scratch
+        if accel_view is None and use_accel:
+            accel_view = scratch.get(("accel",), (total, 3, n, n, n))
+        if flux_view is None and collect_fluxes:
+            flux_view = scratch.get(("flux",), (total, 3, 2, NFIELDS, n, n))
+        self.runs = runs = plan.runs[rank]
+        self.keys = keys = plan.leaf_keys
         self.n = n
         self.eos = eos
         self.reconstruction = reconstruction
@@ -1160,9 +1197,11 @@ class RankStep:
         self.scratch = scratch
         self.accel_view = accel_view
         self.flux_view = flux_view
-        self.reflux_table = reflux_table
+        self.reflux_table = plan.reflux_table
         s = slice(ghost, ghost + n)
-        self.u_int = [run[3][:, :, s, s, s] for run in runs]
+        stacked = plan.arena.reshape(-1, NFIELDS, plan.m, plan.m, plan.m)
+        blocks = [stacked[run.lo : run.hi] for run in runs]
+        self.u_int = [u[:, :, s, s, s] for u in blocks]
         self.u0 = [
             scratch.get(("u0", i), ui.shape) for i, ui in enumerate(self.u_int)
         ]
@@ -1171,9 +1210,9 @@ class RankStep:
         ]
         #: Owned leaves for the reflux pass: key -> dudt interior view.
         self.owned_rhs: Dict[NodeKey, np.ndarray] = {}
-        if reflux_table:
-            for i, (lo, hi, *_rest) in enumerate(runs):
-                for j, key in enumerate(keys[lo:hi]):
+        if self.reflux_table:
+            for i, run in enumerate(runs):
+                for j, key in enumerate(keys[run.lo : run.hi]):
                     self.owned_rhs[key] = self.dudt[i][j]
         # Per region, per run: the (u, dudt, boundary-flux patches, scratch
         # tag) passes of the rhs kernel.  Only boxes touching a block face
@@ -1186,10 +1225,10 @@ class RankStep:
             region: [
                 [
                     region_views(u, self.dudt[i], box, ghost)
-                    + (self._faces(lo, hi, box), (region, i, bi))
+                    + (self._faces(run.lo, run.hi, box), (region, i, bi))
                     for bi, box in enumerate(boxes)
                 ]
-                for i, (lo, hi, _dx, u, _x, _y) in enumerate(runs)
+                for i, (run, u) in enumerate(zip(runs, blocks))
             ]
             for region, boxes in regions.items()
         }
@@ -1220,10 +1259,10 @@ class RankStep:
         """Flux divergence over ``region`` of every run; the last region of
         a stage (anything but ``"interior"``) then adds the sources, which
         read only the cell's own state."""
-        for i, (lo, hi, dx, _u, x, y) in enumerate(self.runs):
+        for i, run in enumerate(self.runs):
             for u_sub, d_sub, faces, tag in self.passes[region][i]:
                 self.kernels.rhs(
-                    u_sub, dx, self.eos, d_sub,
+                    u_sub, run.dx, self.eos, d_sub,
                     reconstruction=self.reconstruction,
                     faces=(faces or None) if collect_fluxes else None,
                     registry=self.registry,
@@ -1233,8 +1272,8 @@ class RankStep:
             if region != "interior" and (use_accel or self.omega != 0.0):
                 self.kernels.source(
                     self.u_int[i], self.dudt[i],
-                    accel=self.accel_view[lo:hi] if use_accel else None,
-                    omega=self.omega, x=x, y=y,
+                    accel=self.accel_view[run.lo : run.hi] if use_accel else None,
+                    omega=self.omega, x=run.x, y=run.y,
                 )
 
     def reflux(self) -> int:
@@ -1263,11 +1302,11 @@ class RankStep:
         """Tau resync + per-leaf CFL signals of the owned leaves."""
         signals: Dict[NodeKey, float] = {}
         with self.registry.timer("hydro.update"):
-            for i, (lo, hi, *_rest) in enumerate(self.runs):
+            for i, run in enumerate(self.runs):
                 u_int = self.u_int[i]
                 self.kernels.resync_tau(u_int, self.eos)
-                out = self.scratch.get(("signal", i), (hi - lo,))
+                out = self.scratch.get(("signal", i), (run.hi - run.lo,))
                 self.kernels.signal(u_int, self.eos, out)
-                for j, key in enumerate(self.keys[lo:hi]):
+                for j, key in enumerate(self.keys[run.lo : run.hi]):
                     signals[key] = float(out[j])
         return signals

@@ -5,19 +5,18 @@ serial :meth:`repro.hydro.integrator.HydroIntegrator.step`
 (:func:`repro.hydro.integrator.rk3_ops`), with the leaves partitioned over
 the worker processes of a :class:`repro.amt.parallel.ParallelEngine`:
 
-* the plan adopts every leaf sub-grid into a **shared-memory arena**
-  (:func:`repro.comms.bundle.adopt_arena` with a
-  :class:`repro.amt.shm.ShmArena` view) *before* forking, so each worker's
+* the plan is the same :class:`repro.hydro.plan.HydroPlan` the serial
+  integrator steps, asked for with ``nranks=nprocs`` and a
+  :class:`repro.amt.shm.ShmArena` view as its arena: every leaf sub-grid
+  is adopted into **shared memory** *before* forking, so each worker's
   inherited numpy views alias the same pages — writes to owned interiors
   and ghost bands are visible everywhere without copies;
-* leaves are partitioned along the space-filling curve
-  (:func:`repro.octree.partition.sfc_partition`) and each worker holds one
-  :class:`repro.hydro.plan.RankStep` over the maximal contiguous
-  same-level slot runs of its leaves — the rank ops of the program are
-  that object's methods, here and in the serial integrator alike;
-* ghost exchange reuses the traced :class:`~repro.comms.bundle.PairBundle`
-  plan.  In the default ``wire="shm"`` mode the *destination* worker
-  applies each of its bundles directly (pack reads donor interiors from
+* the plan partitions the leaves along the space-filling curve and each
+  worker holds the :class:`repro.hydro.plan.RankStep` of its rank — the
+  same rank ops the serial integrator runs;
+* ghost exchange uses the plan's :class:`~repro.comms.bundle.PairBundle`
+  per rank pair.  In the default ``wire="shm"`` mode the *destination*
+  worker applies each of its bundles directly (pack reads donor interiors from
   shm, unpack writes its own ghost bands — a shm write plus the round's
   control message).  ``wire="pipe"`` serializes each remote bundle's flat
   payload buffer as-is through the parent (source packs, parent relays,
@@ -34,11 +33,12 @@ the worker processes of a :class:`repro.amt.parallel.ParallelEngine`:
   and (when no reflux barrier intervenes) the update behind a
   ``ghosts`` → ``go`` handshake.
 
-This module owns what is specific to real processes — the wires, the
-bundle plan, the event log, the in-place replan; the arithmetic is the
-shared ``RankStep``, so the result is ``np.array_equal`` with both the
-serial step and the DES driver — the cross-check contract of
-``repro.core.crosscheck``.
+This module owns what is specific to real processes — the shm arenas, the
+wires, the event log, the fork and the in-place replan broadcast; topology
+(partition, runs, bundles, reflux table, plan validity and lifecycle) is
+the shared plan's and the arithmetic the shared ``RankStep``, so the result
+is ``np.array_equal`` with both the serial step and the DES driver — the
+cross-check contract of ``repro.core.crosscheck``.
 
 Worker crashes (the ``FaultSpec`` crash fate, or a real SIGKILL) surface
 as :class:`~repro.amt.parallel.WorkerCrashError`; the shm segments are
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -78,22 +77,21 @@ from repro.analysis.shmrace import (
     ShmRaceDetector,
     field_access_rows,
 )
-from repro.comms.bundle import GhostBundlePlan, adopt_arena, build_bundle_plan
+from repro.comms.bundle import GhostBundlePlan
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.plan import (
+    HydroPlan,
+    HydroPlanLifecycle,
     RankStep,
     ScratchArena,
     compute_region_split,
     resolve_stacked_kernels,
     stack_accel,
 )
-from repro.hydro.reflux import build_reflux_table
 from repro.octree.fields import NFIELDS
-from repro.octree.ghost import FaceTraceCache
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
-from repro.octree.partition import sfc_partition
-from repro.profiling.apex import CounterRegistry
+from repro.profiling.apex import CounterRegistry, global_registry
 
 #: The step program, shared with the serial integrator.
 from repro.hydro.integrator import rk3_ops  # noqa: E402  (cycle-free)
@@ -135,83 +133,45 @@ class _WorkerState:
         self._bind()
         if executor.event_log is not None:
             self.events = executor.event_log.writer(rank)
-            self._build_event_rows(len(executor.leaf_keys))
+            self._build_event_rows()
 
     def _bind(self) -> None:
         """(Re)derive every topology-dependent view from the executor's
-        current plan state — at fork time from the inherited state, and
-        again after each :meth:`replan` patches that state in place."""
+        current plan — at fork time from the inherited one, and again
+        after each :meth:`replan` patches it in place."""
         ex = self.ex
-        m = ex.m
-        rank = self.rank
-        stacked = ex.arena_view.reshape(-1, NFIELDS, m, m, m)
-        #: Maximal contiguous same-level slot runs owned by this rank.
-        self.runs: List[Tuple[int, int, float]] = ex.runs[rank]
-        #: The rank ops of the step program, over the owned runs (cell
-        #: centres precomputed by the parent: pure functions of the keys).
+        plan, rank = ex.plan, self.rank
+        #: The rank ops of the step program, over this rank's slot runs.
         self.step = RankStep(
-            [
-                (lo, hi, dx, stacked[lo:hi], bx, by)
-                for (lo, hi, dx), (bx, by) in zip(self.runs, ex.run_xy[rank])
-            ],
-            ex.leaf_keys, ex.n, ex.ghost,
-            eos=ex.eos, reconstruction=ex.reconstruction, omega=ex.omega,
-            kernels=resolve_stacked_kernels(None), registry=self.registry,
-            scratch=ScratchArena(),
+            plan, rank, ex.eos, ex.reconstruction, ex.omega,
+            resolve_stacked_kernels(None), self.registry,
             accel_view=ex.accel_view, flux_view=ex.flux_view,
-            reflux_table=ex.reflux_table,
+            scratch=ScratchArena(),
             split=ex.split if ex.overlap else None,
         )
         #: Bundles this rank applies (wire=shm: all with dst == rank;
         #: wire=pipe: the local ones — remote payloads arrive by pipe).
-        plan = ex.bundle_plan
-        self.dst_pairs = sorted(
-            pair for pair in plan.bundles if pair[1] == rank
-        )
+        bundles = plan.ghosts.bundles
+        self.dst_pairs = sorted(pair for pair in bundles if pair[1] == rank)
         self.src_remote = sorted(
-            pair for pair in plan.bundles
-            if pair[0] == rank and pair[0] != pair[1]
+            pair for pair in bundles if pair[0] == rank and pair[0] != pair[1]
         )
         self.dst_local = [p for p in self.dst_pairs if p[0] == p[1]]
         self.dst_remote = [p for p in self.dst_pairs if p[0] != p[1]]
 
-    def replan(self, payload: Dict[str, Any]) -> None:
-        """Patch this worker's executor state for a regridded topology.
-
-        The parent's replan broadcast carries everything the child cannot
-        derive itself (its forked mesh copy is stale the moment the parent
-        regrids): the new arena layout, partitions, ghost bundles, cell
-        centres and the mesh-free reflux table.  Rebinding happens inside
-        the barrier, so no stale index array survives into the next round
-        — the same guarantee a re-fork gave, without the fork.
-        """
+    def replan(self, piece: Dict[str, Any]) -> None:
+        """Patch this worker's plan with its slice of the parent's new one
+        (:meth:`HydroPlan.rank_slice`).  Rebinding happens inside the
+        barrier, so no stale index array survives into the next round —
+        the same guarantee a re-fork gave, without the fork."""
         ex = self.ex
-        n, m = ex.n, ex.m
-        chunk = NFIELDS * m**3
-        ex.leaf_keys = payload["leaf_keys"]
-        ex.slot = {k: i for i, k in enumerate(ex.leaf_keys)}
-        n_slots = len(ex.leaf_keys)
-        ex.arena_view = ex.arena.ndarray((n_slots * chunk,))
-        ex.accel_view = ex.accel_arena.ndarray((n_slots, 3, n, n, n))
-        ex.flux_view = ex.flux_arena.ndarray(
-            (n_slots, 3, 2, NFIELDS, n, n)
-        )
-        ex.runs = payload["runs"]
-        ex.run_xy = [[] for _ in range(ex.nprocs)]
-        ex.run_xy[self.rank] = payload["run_xy"]
-        ex.reflux_table = payload["reflux_table"]
-        plan = ex.bundle_plan
-        plan.bundles = payload["bundles"]
-        plan.fingerprint = payload["fingerprint"]
-        # Membership maps are parent-side concerns; drop the stale copies
-        # so nothing can read them by accident.
-        plan.cover = {}
-        plan.donor_of = {}
+        ex.size_views(len(piece["leaf_keys"]))
+        ex.plan.rebind(piece, ex.arena_view)
         self._bind()
         if self.events is not None:
-            self._build_event_rows(n_slots)
+            self._build_event_rows()
 
-    def _build_event_rows(self, n_slots: int) -> None:
+    def _build_event_rows(self) -> None:
         """Precompute per-phase shm access descriptors from the *live*
         plan arrays — whatever indices the phases will actually use
         (including anything injected into the bundle plan) is what gets
@@ -219,10 +179,11 @@ class _WorkerState:
         ex = self.ex
         n, g, nfields = ex.n, ex.ghost, NFIELDS
         plan = ex.bundle_plan
+        n_slots = ex.plan.n_leaves
 
         def runs_rows(mode: int, seg: int, region: int) -> np.ndarray:
             return np.array(
-                [[mode, seg, lo, hi, region] for lo, hi, _ in self.runs],
+                [[mode, seg, run.lo, run.hi, region] for run in self.step.runs],
                 dtype=np.int64,
             ).reshape(-1, 5)
 
@@ -441,12 +402,13 @@ class ProcessHydroExecutor:
     """Owns the shm arenas and the worker pool for process-parallel steps.
 
     Build once and call :meth:`step` repeatedly; :meth:`ensure` revalidates
-    arenas, plans and workers whenever the mesh topology moved or leaf
-    storage was rebound.  A regrid that fits the allocated arena headroom
-    is patched **in place** and broadcast to the live workers — no
-    re-fork; an overflow (or first build) takes the cold path, where
-    re-forking is the plan invalidation broadcast of last resort: new
-    children inherit the new plan, so no stale index array can survive.
+    arenas and workers whenever the plan they serve stopped matching the
+    mesh (topology moved, leaf storage rebound).  The plan itself comes
+    from the shared hydro lifecycle (:attr:`plans` — the integrator's when
+    it created this executor, its own otherwise).  A regrid that fits the
+    allocated arena headroom is patched **in place** and broadcast to the
+    live workers — no re-fork; an overflow (or first build) takes the cold
+    path and re-forks.
     """
 
     def __init__(
@@ -509,25 +471,16 @@ class ProcessHydroExecutor:
         self.arena_view: Optional[np.ndarray] = None
         self.accel_view: Optional[np.ndarray] = None
         self.flux_view: Optional[np.ndarray] = None
-        self.bundle_plan: Optional[GhostBundlePlan] = None
-        self.leaf_keys: List[NodeKey] = []
-        self.slot: Dict[NodeKey, int] = {}
-        self.runs: List[List[Tuple[int, int, float]]] = []
-        #: Per-rank, per-run interior cell-centre stacks (parent-computed;
-        #: the workers' forked mesh copy cannot be trusted after a replan).
-        self.run_xy: List[List[Tuple[np.ndarray, np.ndarray]]] = []
-        #: Mesh-free coarse-fine flux correction table (same story).
-        self.reflux_table: list = []
-        self._views: List[np.ndarray] = []
-        #: Topology content hash the current arenas/plans/workers serve
-        #: (:meth:`repro.octree.mesh.AmrMesh.fingerprint`).
-        self._fingerprint = ""
+        #: The lifecycle this executor asks for its plan.  A
+        #: :class:`~repro.hydro.integrator.HydroIntegrator` replaces it
+        #: with its own, so regrid announcements and the plan cache reach
+        #: both backends through one object.
+        self.plans = HydroPlanLifecycle()
+        #: The plan the arenas and the live workers currently serve.
+        self.plan: Optional[HydroPlan] = None
         #: Arena capacity in leaf slots (current count x ARENA_HEADROOM at
         #: allocation time); regrids that fit are patched in place.
         self.capacity_slots = 0
-        #: Ghost face traces reused across bundle plan rebuilds (the cache
-        #: tracks which topology its survivors are valid for).
-        self._trace_cache = FaceTraceCache()
         self.faces_refluxed = 0
         #: Wire-format accounting (pipe mode): payload messages and bytes
         #: relayed last step.
@@ -541,131 +494,80 @@ class ProcessHydroExecutor:
         self.compute_s = 0.0
 
     # -- lifecycle ------------------------------------------------------------
-    def matches(self) -> bool:
-        """Whether the current arenas/workers are valid for the mesh."""
-        if self._fingerprint != self.mesh.fingerprint():
-            return False
-        if not self.engine.started:
-            return False
-        nodes = self.mesh.nodes
-        return all(
-            nodes[key].subgrid.data is view
-            for key, view in zip(self.leaf_keys, self._views)
-        )
-
-    def _timer(self, name: str):  # noqa: ANN202
-        return (
-            self.registry.timer(name) if self.registry is not None
-            else nullcontext()
-        )
-
-    def _count(self, name: str) -> None:
-        if self.registry is not None:
-            self.registry.increment(name)
-
-    def notify_regrid(self, delta) -> None:  # noqa: ANN001 - RegridDelta
-        """Announce a regrid's exact topology delta.
-
-        Invalidates only the ghost face traces the delta touched; the next
-        :meth:`ensure` then rebuilds the bundle plan incrementally from the
-        survivors.  Unannounced topology changes drop the whole trace
-        cache instead (the pre-delta safety net)."""
-        if delta is not None:
-            self._trace_cache.invalidate(delta)
-
-    def _build_plan_state(self):  # noqa: ANN202
-        """Everything that is a pure function of the current mesh topology:
-        SFC partition, sorted-leaf arena layout, ghost bundle plan (trace
-        cache reused where a regrid left faces intact), slot runs, cell
-        centres and the mesh-free reflux table.  Shared by the cold build
-        and the in-place replan — both paths produce identical plans.
-        """
-        mesh = self.mesh
-        sfc_partition(mesh, self.nprocs)
-        leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
-        self.leaf_keys = [leaf.key for leaf in leaves]
-        self.slot = {k: i for i, k in enumerate(self.leaf_keys)}
-        n = self.n
-        chunk = NFIELDS * self.m**3
-        offsets = {leaf.key: i * chunk for i, leaf in enumerate(leaves)}
-
-        fingerprint = mesh.fingerprint()
-        self._trace_cache.usable_for(fingerprint)  # clears itself if stale
-        self.bundle_plan = build_bundle_plan(
-            mesh, offsets, trace_cache=self._trace_cache
-        )
-        self._trace_cache.mark_valid(fingerprint)
-
-        # Contiguous same-level slot runs per rank: the unit of stacked
-        # kernel execution inside each worker.
-        self.runs = [[] for _ in range(self.nprocs)]
-        start = 0
-        while start < len(leaves):
-            rank = leaves[start].locality
-            level = leaves[start].level
-            stop = start
-            while (
-                stop < len(leaves)
-                and leaves[stop].locality == rank
-                and leaves[stop].level == level
-            ):
-                stop += 1
-            self.runs[rank].append((start, stop, leaves[start].dx))
-            start = stop
-
-        self.run_xy = [[] for _ in range(self.nprocs)]
-        for rank, rank_runs in enumerate(self.runs):
-            for lo, hi, _ in rank_runs:
-                bx = np.empty((hi - lo, n, n, n))
-                by = np.empty_like(bx)
-                for j, key in enumerate(self.leaf_keys[lo:hi]):
-                    cx, cy, _ = mesh.nodes[key].cell_centers()
-                    bx[j] = cx
-                    by[j] = cy
-                self.run_xy[rank].append((bx, by))
-
-        self.reflux_table = build_reflux_table(mesh, self.slot)
-        return leaves
-
-    def _can_replan(self) -> bool:
-        """Whether the regridded mesh fits the live arenas and pool.
-
-        The rank count is fixed for an executor's lifetime, so only an
-        arena overflow (leaf count beyond the allocated headroom) forces
-        the re-fork cold path.
-        """
-        if not self.engine.started or self.arena is None:
-            return False
-        return sum(1 for _ in self.mesh.leaves()) <= self.capacity_slots
+    @property
+    def bundle_plan(self) -> Optional[GhostBundlePlan]:
+        """The served plan's ghost bundles."""
+        return self.plan.ghosts if self.plan is not None else None
 
     def ensure(self) -> None:
-        """(Re)validate arenas, plans and the worker pool for the mesh.
+        """(Re)validate arenas, plan and the worker pool for the mesh.
 
-        Three tiers: a fingerprint match is free; a changed topology that
-        fits the allocated arenas is patched in place and broadcast to the
-        live workers (:meth:`_replan_in_place`); anything else — first
-        build, arena overflow, rebound storage after a :meth:`close` —
-        takes the cold path: rebuild everything and re-fork, which is the
-        plan invalidation broadcast of last resort (new children inherit
-        the new plan, so no stale index array can survive).
+        Three tiers: a served plan that still matches is free; a changed
+        topology that fits the allocated arenas is patched in place
+        (:meth:`_replan_in_place`); anything else — first build, arena
+        overflow, rebound storage after a :meth:`close` — takes the cold
+        path (:meth:`_cold_start`).  Either way the plan is the shared
+        lifecycle's (``plan.hydro.*``); ``plan.bundle.{cold,delta}`` time
+        only what this executor adds around it.
         """
-        if self.matches():
+        if (
+            self.plan is not None
+            and self.engine.started
+            and self.plan.matches(self.mesh)
+        ):
             return
-        if self._can_replan():
-            self._replan_in_place()
-            return
+        n_leaves = sum(1 for _ in self.mesh.leaves())
+        t0 = time.perf_counter()
+        # The rank count is fixed for an executor's lifetime, so only an
+        # arena overflow forces the re-fork cold path.
+        in_place = self.engine.started and n_leaves <= self.capacity_slots
+        tier = "delta" if in_place else "cold"
+        build_s = (self._replan_in_place if in_place else self._cold_start)(n_leaves)
+        reg = self._registry()
+        reg.sample(f"plan.bundle.{tier}", time.perf_counter() - t0 - build_s)
+        reg.increment(f"plan.bundle.{tier}_builds")
+
+    def _registry(self) -> CounterRegistry:
+        return self.registry if self.registry is not None else global_registry()
+
+    def size_views(self, n_leaves: int) -> None:
+        """Size the three arena views for ``n_leaves`` slots (parent and,
+        on a replan, every worker — same pages, new shapes)."""
+        n = self.n
+        self.arena_view = self.arena.ndarray((n_leaves * NFIELDS * self.m**3,))
+        self.accel_view = self.accel_arena.ndarray((n_leaves, 3, n, n, n))
+        self.flux_view = self.flux_arena.ndarray(
+            (n_leaves, 3, 2, NFIELDS, n, n)
+        )
+
+    def _adopt(self, n_leaves: int) -> float:
+        """Ask the lifecycle for the ``nprocs``-rank plan adopted into the
+        arena and verify it; returns the seconds the plan build took."""
+        self.size_views(n_leaves)
+        t0 = time.perf_counter()
+        self.plan = self.plans.plan_for(
+            self.mesh, self._registry(), nranks=self.nprocs, out=self.arena_view
+        )
+        build_s = time.perf_counter() - t0
+        if self.bundle_plan_hook is not None:
+            self.bundle_plan_hook(self.plan.ghosts)
+        if self.verify_plans:
+            require_verified(verify_process_plan(self.plan, self.split))
+            self._split_verified = True
+        return build_s
+
+    def _cold_start(self, n_leaves: int) -> float:
+        """Allocate arenas with headroom, adopt, fork.  Re-forking is the
+        plan invalidation broadcast of last resort: new children inherit
+        the new plan, so no stale index array can survive."""
         self.close()
         n = self.n
-        with self._timer("plan.bundle.cold"):
-            leaves = self._build_plan_state()
-        self._count("plan.bundle.cold_builds")
-
-        cap = max(len(leaves), int(math.ceil(len(leaves) * ARENA_HEADROOM)))
+        cap = max(n_leaves, int(math.ceil(n_leaves * ARENA_HEADROOM)))
         self.capacity_slots = cap
         self.arena = ShmArena(cap * NFIELDS * self.m**3 * 8)
         self.accel_arena = ShmArena(cap * 3 * n**3 * 8)
         self.flux_arena = ShmArena(cap * 6 * NFIELDS * n**2 * 8)
-        self._adopt(len(leaves))
+        build_s = self._adopt(n_leaves)
         if self.detect_races:
             self.event_log = ShmEventLog(self.nprocs)
             # The only sanctioned intra-epoch cross-rank edge: on the shm
@@ -684,70 +586,33 @@ class ProcessHydroExecutor:
         if self.race_detector is not None:
             self.engine.round_observer = self.race_detector.scan
         self.engine.start(_make_handler(self))
-        self._fingerprint = self.mesh.fingerprint()
+        return build_s
 
-    def _adopt(self, n_leaves: int) -> None:
-        """Size the arena views for the freshly built plan state, move the
-        mesh's leaf storage into them, and verify the plan they serve."""
-        n = self.n
-        self.arena_view = self.arena.ndarray((n_leaves * NFIELDS * self.m**3,))
-        adopt_arena(self.mesh, out=self.arena_view)
-        self._views = [self.mesh.nodes[k].subgrid.data for k in self.leaf_keys]
-        self.accel_view = self.accel_arena.ndarray((n_leaves, 3, n, n, n))
-        self.flux_view = self.flux_arena.ndarray(
-            (n_leaves, 3, 2, NFIELDS, n, n)
-        )
-        if self.bundle_plan_hook is not None:
-            self.bundle_plan_hook(self.bundle_plan)
-        if self.verify_plans:
-            require_verified(verify_process_plan(self))
-            self._split_verified = True
-
-    def _replan_in_place(self) -> None:
-        """Patch arenas, partitions and plans for the regridded mesh and
-        broadcast the new state to the live workers — no re-fork.
-
-        The per-rank replan payload (new arena layout, slot runs, filtered
-        ghost bundles, cell centres, reflux table) *is* the invalidation
-        message: every worker rebinds its views inside the barrier, so the
-        round after this one runs entirely on the new topology.
-        """
+    def _replan_in_place(self, n_leaves: int) -> float:
+        """Re-adopt the regridded mesh into the live arenas and broadcast
+        each rank its slice of the new plan — no re-fork.  The slice *is*
+        the invalidation message: every worker rebinds inside the barrier,
+        so the round after this one runs entirely on the new topology."""
         # Detach surviving leaves from the arena first: the new layout
         # overlaps the old one in the same shm pages, so adoption must not
         # read storage it is about to overwrite.
         self._detach_leaves()
-        with self._timer("plan.bundle.delta"):
-            leaves = self._build_plan_state()
-        self._count("plan.bundle.delta_builds")
-        self._adopt(len(leaves))
-
-        plan = self.bundle_plan
-        common = {
-            "leaf_keys": self.leaf_keys,
-            "runs": self.runs,
-            "reflux_table": self.reflux_table,
-            "fingerprint": plan.fingerprint,
-        }
+        build_s = self._adopt(n_leaves)
         for rank in range(self.nprocs):
-            bundles = {
-                pair: b for pair, b in plan.bundles.items()
-                if pair[1] == rank or pair[0] == rank
-            }
-            payload = dict(
-                common, run_xy=self.run_xy[rank], bundles=bundles
-            )
-            self.engine.send(rank, ("replan", payload))
+            self.engine.send(rank, ("replan", self.plan.rank_slice(rank)))
         self.engine.gather()
         self.engine.rounds += 1
         if self.engine.round_observer is not None:
             self.engine.round_observer()
-        self._fingerprint = self.mesh.fingerprint()
+        return build_s
 
     def _detach_leaves(self) -> None:
         """Copy leaf storage still aliasing the arena back to private
         numpy arrays."""
+        if self.plan is None:
+            return
         nodes = self.mesh.nodes
-        for key, view in zip(self.leaf_keys, self._views):
+        for key, view in zip(self.plan.leaf_keys, self.plan.views):
             node = nodes.get(key)
             if node is not None and node.subgrid.data is view:
                 node.subgrid.data = view.copy()
@@ -761,8 +626,11 @@ class ProcessHydroExecutor:
         if self.engine.started:
             self.engine.shutdown()
         self._detach_leaves()
-        self._views = []
-        self.leaf_keys = []
+        # The served plan's views pin the shm mapping: let go of it here
+        # and in the lifecycle (whose next request then builds afresh).
+        if self.plans.plan is self.plan:
+            self.plans.drop()
+        self.plan = None
         for arena in (self.arena, self.accel_arena, self.flux_arena):
             if arena is not None:
                 arena.unlink()
@@ -772,7 +640,6 @@ class ProcessHydroExecutor:
         self.race_detector = None
         self.arena = self.accel_arena = self.flux_arena = None
         self.arena_view = self.accel_view = self.flux_view = None
-        self._fingerprint = ""
         self.capacity_slots = 0
 
     def __enter__(self) -> "ProcessHydroExecutor":
@@ -796,7 +663,7 @@ class ProcessHydroExecutor:
         runs, so the write is ordered against both the previous and the
         next round — the declared effect documents the footprint for the
         shm discipline lint (R007)."""
-        stack_accel(accel_map, self.leaf_keys, self.accel_view)
+        stack_accel(accel_map, self.plan.leaf_keys, self.accel_view)
 
     # -- ghost exchange -------------------------------------------------------
     def _ghost_round(self) -> None:
@@ -877,8 +744,7 @@ class ProcessHydroExecutor:
         self.compute_s = 0.0
 
         collect_fluxes = (
-            self.reflux and self.bundle_plan is not None
-            and any(b.fine_dst.size for b in self.bundle_plan.bundles.values())
+            self.reflux and self.plan.ghosts.face_counts["fine"] > 0
         )
         if self.overlap and not self._split_verified:
             # The schedule below trusts the split partition for coverage

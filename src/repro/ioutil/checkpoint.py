@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -14,6 +16,11 @@ from repro.octree.node import OctreeNode
 FORMAT_VERSION = 1
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file exists but cannot be restored (truncated or
+    corrupt archive, missing member, unsupported format version)."""
+
+
 def save_checkpoint(
     mesh: AmrMesh,
     path: Union[str, Path],
@@ -23,7 +30,10 @@ def save_checkpoint(
 ) -> Path:
     """Write the full mesh (topology + every node's fields) to ``path``.
 
-    Returns the path written (``.npz`` appended if missing).
+    Returns the path written (``.npz`` appended if missing).  The archive
+    goes to a same-directory temp file and is ``os.replace``d onto the
+    final name, so a crash mid-write never leaves a torn newest checkpoint
+    — readers see the previous complete file or the new one.
     """
     path = Path(path)
     if path.suffix != ".npz":
@@ -47,24 +57,47 @@ def save_checkpoint(
         "step": step,
         "extra": extra or {},
     }
-    np.savez_compressed(
-        path,
-        levels=levels,
-        codes=codes,
-        leaf_flags=leaf_flags,
-        localities=localities,
-        blocks=blocks,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-    )
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                levels=levels,
+                codes=codes,
+                leaf_flags=leaf_flags,
+                localities=localities,
+                blocks=blocks,
+                meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return path
 
 
 def load_checkpoint(path: Union[str, Path]) -> Tuple[AmrMesh, Dict[str, Any]]:
-    """Restore a mesh and its metadata record."""
-    with np.load(Path(path)) as archive:
+    """Restore a mesh and its metadata record.
+
+    Raises :class:`CheckpointError` for any file that is there but not a
+    restorable checkpoint (``FileNotFoundError`` for one that is not there).
+    """
+    try:
+        return _load(Path(path))
+    except (CheckpointError, FileNotFoundError):
+        raise
+    except Exception as exc:  # bad zip, missing member, bad JSON, bad shapes...
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+
+
+def _load(path: Path) -> Tuple[AmrMesh, Dict[str, Any]]:
+    with np.load(path) as archive:
         meta = json.loads(bytes(archive["meta"].tobytes()).decode())
         if meta.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
+            raise CheckpointError(
                 f"unsupported checkpoint format {meta.get('format_version')!r}"
             )
         mesh = AmrMesh(

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.effects import ANY, declare_effects
 from repro.octree.fields import NFIELDS
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey, OctreeNode
@@ -50,7 +49,7 @@ def _transverse_axes(axis: int) -> Tuple[int, int]:
 
 
 #: Child-cell offsets of the 2x2x2 restriction stencil, in summation order.
-#: :func:`_restrict2` and :meth:`GhostIndexPlan.fill_ghosts_kernel` must add
+#: :func:`_restrict2` and :meth:`repro.comms.bundle.PairBundle.pack` must add
 #: the eight terms in exactly this order so the two paths stay bit-identical.
 _RESTRICT_OFFSETS = (
     (0, 0, 0),
@@ -239,16 +238,18 @@ def exchange_plan(mesh: AmrMesh) -> List[GhostExchange]:
     return plan
 
 
-# -- vectorized ghost index plan ---------------------------------------------
+# -- fill tracing -------------------------------------------------------------
 #
 # When every leaf's storage lives in one flat arena (repro.hydro.plan), each
 # ghost band fill above is a pure gather: boundary/same/coarse fills move
 # values with slicing, np.repeat, np.take and np.tile only, and the fine fill
 # is a fixed 8-term average.  Tracing those *same* fill functions over cubes
-# of flat arena indices (instead of field values) therefore yields, per
-# class, a source-index array and a destination-index array such that
-# ``arena[dst] = arena[src]`` reproduces the fill exactly.  The whole-mesh
-# exchange collapses to four fancy-indexed copies.
+# of flat arena indices (instead of field values) therefore yields, per face,
+# a source-index array and a destination-index array such that
+# ``arena[dst] = arena[src]`` reproduces the fill exactly.
+# :func:`repro.comms.bundle.build_bundle_plan` groups the traces by
+# ``(donor locality, dest locality)`` into the one ghost-exchange index
+# format; on one locality the whole-mesh exchange is a single bundle.
 
 
 class _IndexSubGrid(SubGrid):
@@ -268,113 +269,6 @@ class _IndexNode:
         self.subgrid = subgrid
         self.coords = coords
         self.octant = octant
-
-
-def _as_index(arrays: List[np.ndarray]) -> np.ndarray:
-    if not arrays:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(arrays).astype(np.intp, copy=False)
-
-
-class GhostIndexPlan:
-    """Vectorized whole-mesh ghost exchange as class-grouped index copies.
-
-    Built by :func:`ghost_index_plan` for meshes whose leaf sub-grids share
-    one flat storage arena.  Faces group into the four exchange classes
-    (``same``, ``coarse``, ``boundary`` each as one src/dst gather pair;
-    ``fine`` as eight gathers averaged in :func:`_restrict2`'s summation
-    order), and :meth:`fill_ghosts_kernel` applies all of them with
-    preallocated buffers — no per-leaf Python walk, no hot-loop allocation.
-    """
-
-    def __init__(
-        self,
-        same: Tuple[np.ndarray, np.ndarray],
-        coarse: Tuple[np.ndarray, np.ndarray],
-        boundary: Tuple[np.ndarray, np.ndarray],
-        fine: Tuple[np.ndarray, np.ndarray],
-        face_counts: Dict[str, int],
-    ) -> None:
-        self.same_src, self.same_dst = same
-        self.coarse_src, self.coarse_dst = coarse
-        self.boundary_src, self.boundary_dst = boundary
-        self.fine_src, self.fine_dst = fine  # (8, K) and (K,)
-        self.face_counts = face_counts
-        self._same_buf = np.empty(self.same_dst.size)
-        self._coarse_buf = np.empty(self.coarse_dst.size)
-        self._boundary_buf = np.empty(self.boundary_dst.size)
-        self._fine_buf = np.empty(self.fine_dst.size)
-        self._fine_acc = np.empty(self.fine_dst.size)
-
-    @property
-    def n_ghost_cells(self) -> int:
-        """Total arena slots written per exchange (all fields)."""
-        return (
-            self.same_dst.size
-            + self.coarse_dst.size
-            + self.boundary_dst.size
-            + self.fine_dst.size
-        )
-
-    _FACE_KINDS = ("same", "coarse", "boundary", "fine")
-
-    def to_payload(self) -> Dict[str, np.ndarray]:
-        """Flat array payload for the persistent plan cache
-        (:mod:`repro.core.plancache`).  The arrays are absolute indices
-        into the canonical sorted-leaf arena layout, which is itself a
-        pure function of topology — so a payload keyed on the mesh
-        fingerprint reconstructs this plan bit for bit."""
-        return {
-            "same_src": self.same_src,
-            "same_dst": self.same_dst,
-            "coarse_src": self.coarse_src,
-            "coarse_dst": self.coarse_dst,
-            "boundary_src": self.boundary_src,
-            "boundary_dst": self.boundary_dst,
-            "fine_src": self.fine_src,
-            "fine_dst": self.fine_dst,
-            "face_counts": np.array(
-                [self.face_counts[k] for k in self._FACE_KINDS], dtype=np.int64
-            ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, np.ndarray]) -> "GhostIndexPlan":
-        def idx(name: str) -> np.ndarray:
-            return np.asarray(payload[name]).astype(np.intp, copy=False)
-
-        counts = np.asarray(payload["face_counts"], dtype=np.int64)
-        return cls(
-            same=(idx("same_src"), idx("same_dst")),
-            coarse=(idx("coarse_src"), idx("coarse_dst")),
-            boundary=(idx("boundary_src"), idx("boundary_dst")),
-            fine=(idx("fine_src").reshape(8, -1), idx("fine_dst")),
-            face_counts={
-                k: int(c) for k, c in zip(cls._FACE_KINDS, counts)
-            },
-        )
-
-    @declare_effects(reads=[(ANY, "U", "Host")], writes=[(ANY, "U.ghost", "Host")])
-    def fill_ghosts_kernel(self, flat: np.ndarray) -> None:
-        """Whole-mesh ghost exchange over the flat storage arena.
-
-        Equivalent to :func:`fill_all_ghosts` bit for bit: sources are
-        interior cells only (which no fill writes) and each ghost band has
-        exactly one writer, so class application order is irrelevant.
-        """
-        np.take(flat, self.same_src, out=self._same_buf)
-        flat[self.same_dst] = self._same_buf
-        np.take(flat, self.coarse_src, out=self._coarse_buf)
-        flat[self.coarse_dst] = self._coarse_buf
-        np.take(flat, self.boundary_src, out=self._boundary_buf)
-        flat[self.boundary_dst] = self._boundary_buf
-        if self.fine_dst.size:
-            np.take(flat, self.fine_src[0], out=self._fine_acc)
-            for row in range(1, 8):
-                np.take(flat, self.fine_src[row], out=self._fine_buf)
-                np.add(self._fine_acc, self._fine_buf, out=self._fine_acc)
-            np.multiply(0.125, self._fine_acc, out=self._fine_acc)
-            flat[self.fine_dst] = self._fine_acc
 
 
 def _child_fine_rows(
@@ -507,9 +401,7 @@ class FaceTraceCache:
     if the neighbouring topology changed, and every node involved in such a
     change appears in the :class:`~repro.octree.regrid.RegridDelta`'s
     drop/emit sets — so :meth:`invalidate` drops exactly the stale entries.
-    Shared by :func:`ghost_index_plan` and
-    :func:`repro.comms.bundle.build_bundle_plan`, which consume the same
-    traces grouped differently.
+    Consumed by :func:`repro.comms.bundle.build_bundle_plan`.
 
     The cache also owns *which topology its traces are valid for*: the
     fingerprint recorded by the last build (:meth:`mark_valid`), or — right
@@ -524,30 +416,22 @@ class FaceTraceCache:
         self._traces: Dict[Tuple[NodeKey, int, int], FaceTrace] = {}
         self._fingerprint: Optional[str] = None
         self._pending = False
-        self.hits = 0
-        self.misses = 0
 
     def face(self, mesh: AmrMesh, leaf: OctreeNode, axis: int, side: int) -> FaceTrace:
         key = (leaf.key, axis, side)
         trace = self._traces.get(key)
         if trace is None:
-            self.misses += 1
             trace = trace_face(mesh, leaf, axis, side, self.nfields)
             self._traces[key] = trace
-        else:
-            self.hits += 1
         return trace
 
-    def invalidate(self, delta) -> int:
+    def invalidate(self, delta) -> None:
         """Drop traces with a participant in the regrid delta's changed
         sets and mark the survivors valid for the regridded mesh (whose
-        fingerprint the next build records); returns how many entries were
-        dropped."""
+        fingerprint the next build records)."""
         self._fingerprint = None
         self._pending = True
         touched = delta.drop_set | delta.emit_set
-        if not touched:
-            return 0
         stale = [
             key
             for key, trace in self._traces.items()
@@ -555,9 +439,8 @@ class FaceTraceCache:
         ]
         for key in stale:
             del self._traces[key]
-        return len(stale)
 
-    def usable_for(self, fingerprint: str, same_mesh: bool = True) -> bool:
+    def usable_for(self, fingerprint: str, same_mesh: bool) -> bool:
         """Whether the surviving traces may seed a build of the topology
         ``fingerprint``: they were recorded against exactly it, or a regrid
         of the same mesh object was announced since.  A stale cache clears
@@ -566,7 +449,8 @@ class FaceTraceCache:
             self._fingerprint == fingerprint or (self._pending and same_mesh)
         )
         if not ok:
-            self.clear()
+            self._traces.clear()
+            self._fingerprint, self._pending = None, False
         return ok
 
     def mark_valid(self, fingerprint: str) -> None:
@@ -575,69 +459,3 @@ class FaceTraceCache:
         self._fingerprint = fingerprint
         self._pending = False
 
-    def clear(self) -> None:
-        self._traces.clear()
-        self._fingerprint = None
-        self._pending = False
-
-    def __len__(self) -> int:
-        return len(self._traces)
-
-
-def ghost_index_plan(
-    mesh: AmrMesh,
-    offsets: Dict[NodeKey, int],
-    nfields: int = NFIELDS,
-    trace_cache: Optional[FaceTraceCache] = None,
-) -> GhostIndexPlan:
-    """Trace the reference fills into a :class:`GhostIndexPlan`.
-
-    ``offsets`` maps each leaf key to the flat-arena offset of its
-    ``(nfields, M, M, M)`` chunk.  Every face's fill is traced in
-    leaf-local indices (:func:`trace_face`) and relocated into the arena
-    layout; passing a :class:`FaceTraceCache` reuses the traces of faces a
-    regrid did not touch, which is the bulk of an incremental rebuild.
-    The walk is over **sorted** leaf keys, so the plan arrays are a pure
-    function of topology (not of mesh construction order).
-    """
-    leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
-    n, g = mesh.n, mesh.ghost
-    m = n + 2 * g
-    chunk = nfields * m**3
-
-    src: Dict[str, List[np.ndarray]] = {"same": [], "coarse": [], "boundary": []}
-    dst: Dict[str, List[np.ndarray]] = {"same": [], "coarse": [], "boundary": []}
-    fine_src: List[np.ndarray] = []
-    fine_dst: List[np.ndarray] = []
-    face_counts = {"same": 0, "coarse": 0, "boundary": 0, "fine": 0}
-    for leaf in leaves:
-        dest_base = offsets[leaf.key]
-        for axis in range(3):
-            for side in (0, 1):
-                if trace_cache is not None:
-                    trace = trace_cache.face(mesh, leaf, axis, side)
-                else:
-                    trace = trace_face(mesh, leaf, axis, side, nfields)
-                face_counts[trace.kind] += 1
-                bases = np.array(
-                    [offsets[k] for k in trace.participants], dtype=np.intp
-                )
-                if trace.kind == "fine":
-                    for _child_key, rows, part_dst in trace.fine_parts:
-                        fine_src.append(trace.relocate(rows, bases, chunk))
-                        fine_dst.append(part_dst + dest_base)
-                    continue
-                src[trace.kind].append(trace.relocate(trace.copy_src, bases, chunk))
-                dst[trace.kind].append(trace.copy_dst + dest_base)
-
-    if fine_src:
-        fine = (np.concatenate(fine_src, axis=1), _as_index(fine_dst))
-    else:
-        fine = (np.empty((8, 0), dtype=np.intp), np.empty(0, dtype=np.intp))
-    return GhostIndexPlan(
-        same=(_as_index(src["same"]), _as_index(dst["same"])),
-        coarse=(_as_index(src["coarse"]), _as_index(dst["coarse"])),
-        boundary=(_as_index(src["boundary"]), _as_index(dst["boundary"])),
-        fine=fine,
-        face_counts=face_counts,
-    )

@@ -22,13 +22,13 @@ def sfc_key(node: OctreeNode, max_level: int) -> int:
     return node.code << (3 * (max_level - node.level))
 
 
-def sfc_partition(
+def sfc_assignment(
     mesh: AmrMesh,
     n_localities: int,
     weights: Optional[Dict[NodeKey, float]] = None,
 ) -> Dict[NodeKey, int]:
-    """Assign each leaf to a locality; writes ``node.locality`` and returns
-    the mapping.
+    """The SFC leaf-to-locality mapping, a pure function of topology
+    (nothing is written to the mesh: plan builders take it as an input).
 
     ``weights`` defaults to uniform (every sub-grid has the same cell
     count).  The split is the classic SFC prefix-sum partition: locality
@@ -39,8 +39,6 @@ def sfc_partition(
         raise ValueError("n_localities must be >= 1")
     max_level = mesh.max_level()
     leaves = sorted(mesh.leaves(), key=lambda nd: (sfc_key(nd, max_level), nd.level))
-    if not leaves:
-        return {}
     total = 0.0
     w: List[float] = []
     for leaf in leaves:
@@ -53,17 +51,32 @@ def sfc_partition(
     acc = 0.0
     for leaf, weight in zip(leaves, w):
         midpoint = acc + weight / 2.0
-        loc = min(int(midpoint * n_localities / total), n_localities - 1)
-        assignment[leaf.key] = loc
-        leaf.locality = loc
+        assignment[leaf.key] = min(
+            int(midpoint * n_localities / total), n_localities - 1
+        )
         acc += weight
-    # Interior nodes live with their first child (Octo-Tiger keeps tree
-    # internals near the data they aggregate).
-    for level in range(max_level - 1, -1, -1):
+    return assignment
+
+
+def sfc_partition(
+    mesh: AmrMesh,
+    n_localities: int,
+    weights: Optional[Dict[NodeKey, float]] = None,
+) -> Dict[NodeKey, int]:
+    """Assign each leaf to a locality: writes ``node.locality`` and returns
+    the :func:`sfc_assignment` mapping."""
+    return _apply(mesh, sfc_assignment(mesh, n_localities, weights))
+
+
+def _apply(mesh: AmrMesh, assignment: Dict[NodeKey, int]) -> Dict[NodeKey, int]:
+    """Write a leaf assignment onto the mesh; interior nodes live with their
+    first child (Octo-Tiger keeps tree internals near their data)."""
+    for key, loc in assignment.items():
+        mesh.nodes[key].locality = loc
+    for level in range(mesh.max_level() - 1, -1, -1):
         for node in mesh.nodes_at_level(level):
             if not node.is_leaf:
-                first_child = mesh.nodes[node.children_keys()[0]]
-                node.locality = first_child.locality
+                node.locality = mesh.nodes[node.children_keys()[0]].locality
     return assignment
 
 
@@ -76,15 +89,10 @@ def round_robin_partition(mesh: AmrMesh, n_localities: int) -> Dict[NodeKey, int
     """
     if n_localities < 1:
         raise ValueError("n_localities must be >= 1")
-    assignment: Dict[NodeKey, int] = {}
-    for i, leaf in enumerate(sorted(mesh.leaves(), key=lambda nd: hash(nd.key))):
-        assignment[leaf.key] = i % n_localities
-        leaf.locality = i % n_localities
-    for level in range(mesh.max_level() - 1, -1, -1):
-        for node in mesh.nodes_at_level(level):
-            if not node.is_leaf:
-                node.locality = mesh.nodes[node.children_keys()[0]].locality
-    return assignment
+    ordered = sorted(mesh.leaves(), key=lambda nd: hash(nd.key))
+    return _apply(
+        mesh, {leaf.key: i % n_localities for i, leaf in enumerate(ordered)}
+    )
 
 
 @dataclass

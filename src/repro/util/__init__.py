@@ -1,4 +1,4 @@
-"""Shared utilities: Morton codes, physical constants, configuration.
+"""Shared utilities: Morton codes, constants, configuration, plan lifecycle.
 
 These are the substrate-neutral helpers every other subpackage builds on.
 Nothing here knows about octrees, hydro, or machines.

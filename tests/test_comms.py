@@ -30,7 +30,7 @@ from repro.comms import (
 )
 from repro.core.distributed import DistributedHydroDriver
 from repro.distsim import RunConfig
-from repro.hydro import HydroIntegrator, IdealGasEOS
+from repro.hydro import HydroIntegrator, IdealGasEOS, build_hydro_plan
 from repro.hydro.integrator import _RK3_STAGES
 from repro.machines import FUGAKU
 from repro.octree import AmrMesh, Field
@@ -62,12 +62,12 @@ class TestBundlePlanEquivalence:
         mesh_a, _ = build_mesh(adaptive=adaptive)
         mesh_b = clone(mesh_a)
         sfc_partition(mesh_a, nodes)
-        sfc_partition(mesh_b, nodes)
+        locality = sfc_partition(mesh_b, nodes)
 
         fill_all_ghosts(mesh_a)
 
         arena, offsets = adopt_arena(mesh_b)
-        plan = build_bundle_plan(mesh_b, offsets)
+        plan = build_bundle_plan(mesh_b, offsets, locality)
         for bundle in plan.bundles.values():
             bundle.apply(arena)
 
@@ -91,11 +91,50 @@ class TestBundlePlanEquivalence:
 
     def test_plan_matches_topology_version(self):
         mesh, _ = build_mesh()
-        arena, offsets = adopt_arena(mesh)
-        plan = build_bundle_plan(mesh, offsets)
+        plan = build_hydro_plan(mesh, nranks=2)
         assert plan.matches(mesh)
         mesh.refine((1, 1))
         assert not plan.matches(mesh)
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(picks=st.lists(st.integers(min_value=0, max_value=63), max_size=3))
+    def test_one_plan_for_any_rank_count(self, picks):
+        """On refined meshes the one-rank plan is a single bundle whose
+        apply writes the exact bits of ``fill_all_ghosts``; for any rank
+        count the pair bundles' scatter indices partition that same ghost
+        set — every ghost cell written exactly once."""
+        mesh_a, _ = build_mesh()
+        for pick in picks:
+            leaves = [k for k in mesh_a.leaf_keys() if k[0] < 3]
+            mesh_a.refine(leaves[pick % len(leaves)])
+        seeded_fields(mesh_a)
+        mesh_b = clone(mesh_a)
+        sfc_partition(mesh_b, 4)  # leaf.locality must not split the plan
+
+        fill_all_ghosts(mesh_a)
+        plan = build_hydro_plan(mesh_b)
+        assert list(plan.ghosts.bundles) == [(0, 0)]
+        plan.ghosts.bundles[(0, 0)].apply(plan.arena)
+        for key in mesh_a.leaf_keys():
+            assert np.array_equal(
+                mesh_b.nodes[key].subgrid.data, mesh_a.nodes[key].subgrid.data
+            )
+
+        def scatter_set(ghosts):
+            return np.sort(np.concatenate([
+                idx for b in ghosts.bundles.values()
+                for idx in (b.copy_dst, b.fine_dst)
+            ]))
+
+        one_rank = scatter_set(plan.ghosts)
+        assert np.unique(one_rank).size == one_rank.size
+        for nranks in (2, 3):
+            split = build_hydro_plan(mesh_b, nranks=nranks)
+            assert np.array_equal(scatter_set(split.ghosts), one_rank)
 
 
 class TestClosedFormMessageCounts:
@@ -124,7 +163,7 @@ class TestClosedFormMessageCounts:
         )
         result = driver.step(1e-4)
         pairs = neighbor_locality_pairs(mesh)
-        assert driver._bundle_plan.remote_pairs == pairs
+        assert driver._plan.ghosts.remote_pairs == pairs
         assert result.payload_messages == len(_RK3_STAGES) * len(pairs)
 
     def test_coalescing_cuts_messages_to_pair_count(self):
@@ -221,21 +260,25 @@ class TestBundleUnitDedup:
 class TestBundlePlanShape:
     def test_bundle_count_is_pair_count(self):
         mesh, _ = build_mesh(adaptive=True)
-        sfc_partition(mesh, 4)
+        locality = sfc_partition(mesh, 4)
         arena, offsets = adopt_arena(mesh)
-        plan = build_bundle_plan(mesh, offsets)
+        plan = build_bundle_plan(mesh, offsets, locality)
         assert isinstance(plan, GhostBundlePlan)
         remote = [b for b in plan.bundles.values() if not b.local]
         assert len(remote) == len(neighbor_locality_pairs(mesh))
 
     def test_payload_bytes_accounted(self):
         mesh, _ = build_mesh()
-        sfc_partition(mesh, 4)
+        locality = sfc_partition(mesh, 4)
         arena, offsets = adopt_arena(mesh)
-        plan = build_bundle_plan(mesh, offsets)
+        plan = build_bundle_plan(mesh, offsets, locality)
         for bundle in plan.bundles.values():
             assert bundle.nbytes == bundle.payload.size * 8
-            assert bundle.n_faces == len(bundle.faces)
+        # Every face transfer is a member of exactly one bundle (this
+        # uniform mesh has no fine faces, which would count per child).
+        assert sum(b.n_faces for b in plan.bundles.values()) == 6 * len(
+            mesh.leaves()
+        )
         assert plan.remote_payload_bytes == sum(
             b.nbytes for b in plan.bundles.values() if not b.local
         )

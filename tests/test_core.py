@@ -11,7 +11,7 @@ from repro.core.diagnostics import (
     total_angular_momentum_z,
     total_energy,
 )
-from repro.ioutil import load_checkpoint, save_checkpoint
+from repro.ioutil import CheckpointError, load_checkpoint, save_checkpoint
 from repro.machines import FUGAKU, OOKAMI
 from repro.octree import AmrMesh, Field
 from repro.profiling import CounterRegistry, global_registry
@@ -115,6 +115,36 @@ class TestCheckpoint(object):
         with pytest.raises(ValueError, match="format"):
             load_checkpoint(path)
 
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A crash mid-write must not tear the newest checkpoint: the
+        previous file stays loadable and no temp file is left behind."""
+        import repro.ioutil.checkpoint as module
+
+        mesh = make_uniform_mesh(levels=1)
+        fill_gaussian(mesh)
+        path = save_checkpoint(mesh, tmp_path / "state", step=1)
+
+        def torn(fh, **arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(module.np, "savez_compressed", torn)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(mesh, path, step=2)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        _, meta = load_checkpoint(path)
+        assert meta["step"] == 1
+
+    def test_truncated_file_raises_checkpoint_error(self, tmp_path):
+        mesh = make_uniform_mesh(levels=1)
+        path = save_checkpoint(mesh, tmp_path / "state")
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
+        with pytest.raises(CheckpointError, match="unreadable"):
+            load_checkpoint(path)
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "absent.npz")
+
 
 class TestProfiling:
     def test_counters(self):
@@ -190,6 +220,31 @@ class TestDriver:
         sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, nodes=4)
         localities = {leaf.locality for leaf in scenario.mesh.leaves()}
         assert localities == {0, 1, 2, 3}
+
+    def test_virtual_nodes_do_not_split_the_serial_plan(self):
+        """The DES backend writes virtual-node localities onto the leaves
+        (``nodes=4``); the serial hydro plan takes its rank assignment as
+        an explicit input, so it is still exactly one bundle and the
+        physics is bit-identical to ``nodes=1``."""
+        from repro.scenarios.blast import sedov_blast
+
+        sims = []
+        for nodes in (1, 4):
+            scenario = sedov_blast(levels=1)
+            scenario.mesh.refine(sorted(scenario.mesh.leaf_keys())[0])
+            sim = OctoTigerSim(
+                scenario.mesh, eos=scenario.eos, gravity=False, nodes=nodes
+            )
+            sim.step()
+            sim.step()
+            assert list(sim.integrator.plan_for().ghosts.bundles) == [(0, 0)]
+            sims.append(sim)
+        assert {leaf.locality for leaf in sims[1].mesh.leaves()} == {0, 1, 2, 3}
+        for key in sims[0].mesh.leaf_keys():
+            assert np.array_equal(
+                sims[0].mesh.nodes[key].subgrid.data,
+                sims[1].mesh.nodes[key].subgrid.data,
+            ), key
 
     def test_gravity_free_driver(self, scenario):
         sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, gravity=False, nodes=1)

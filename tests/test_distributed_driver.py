@@ -117,6 +117,31 @@ class TestEquivalenceWithSerial:
             )
 
 
+    def test_survives_foreign_adoption_between_steps(self):
+        """Anything else adopting the mesh's leaf storage between two
+        steps (here a serial integrator asking for its plan) must make the
+        driver re-adopt, not keep updating a dead arena."""
+        mesh_a, eos = build_mesh(adaptive=True)
+        mesh_b = clone(mesh_a)
+        serial = HydroIntegrator(mesh_a, eos, reflux=False)
+        driver = DistributedHydroDriver(
+            mesh_b, eos, config=RunConfig(machine=FUGAKU, nodes=2)
+        )
+        serial.step(1e-3)
+        driver.step(1e-3)
+        stale = driver._plan
+        HydroIntegrator(mesh_b, eos).plan_for()  # rebinds mesh_b's leaves
+        assert not stale.matches(mesh_b)
+        serial.step(1e-3)
+        driver.step(1e-3)
+        assert driver._plan is not stale
+        for key in mesh_a.leaf_keys():
+            assert np.array_equal(
+                mesh_b.nodes[key].subgrid.interior_view(),
+                mesh_a.nodes[key].subgrid.interior_view(),
+            ), key
+
+
 class TestDistributionMechanics:
     def test_single_locality_sends_nothing(self):
         mesh, eos = build_mesh()

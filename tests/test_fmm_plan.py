@@ -87,31 +87,31 @@ class TestPlanCache:
         fill_gaussian(mesh)
         solver = FmmSolver()
         solver.solve(mesh)
-        plan = solver._plan
+        plan = solver.plans.plan
         solver.solve(mesh)
-        assert solver._plan is plan
+        assert solver.plans.plan is plan
 
     def test_plan_invalidated_by_refine(self):
         mesh = make_uniform_mesh(1, n=4)
         fill_gaussian(mesh)
         solver = FmmSolver()
         solver.solve(mesh)
-        plan = solver._plan
+        plan = solver.plans.plan
         mesh.refine(sorted(mesh.leaf_keys())[0])
         assert not plan.matches(mesh, solver.theta)
         solver.solve(mesh)
-        assert solver._plan is not plan
+        assert solver.plans.plan is not plan
 
     def test_plan_invalidated_by_theta_change(self):
         mesh = make_uniform_mesh(1)
         fill_gaussian(mesh)
         solver = FmmSolver()
         solver.solve(mesh)
-        plan = solver._plan
+        plan = solver.plans.plan
         solver.theta = 0.7
         solver.solve(mesh)
-        assert solver._plan is not plan
-        assert solver._plan.theta == 0.7
+        assert solver.plans.plan is not plan
+        assert solver.plans.plan.theta == 0.7
 
     def test_plan_not_shared_between_meshes(self):
         mesh_a = make_uniform_mesh(1, n=4)
@@ -120,7 +120,7 @@ class TestPlanCache:
         fill_gaussian(mesh_b)
         solver = FmmSolver()
         solver.solve(mesh_a)
-        plan = solver._plan
+        plan = solver.plans.plan
         # Same topology_version value, different object: must rebuild.
         assert not plan.matches(mesh_b, solver.theta)
 
@@ -129,10 +129,10 @@ class TestPlanCache:
         fill_gaussian(mesh)
         solver = FmmSolver()
         solver.solve(mesh)
-        plan = solver._plan
+        plan = solver.plans.plan
         solver.invalidate_plan()
         solver.solve(mesh)
-        assert solver._plan is not plan
+        assert solver.plans.plan is not plan
 
 
 class TestTopologyVersion:

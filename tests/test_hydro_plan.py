@@ -1,5 +1,6 @@
 """The stacked hydro plan: bit-equivalence with the per-leaf reference,
-ghost index-plan fidelity, cache invalidation, and the folded-in CFL cache.
+one-rank ghost-bundle fidelity, cache invalidation, and the folded-in CFL
+cache.
 
 ``HydroIntegrator.step`` (the step program over the cached plan) is designed
 to be *bit-identical* to ``step_reference`` (every optimization preserves
@@ -122,7 +123,7 @@ class TestEquivalence:
         assert_meshes_identical(mesh_a, mesh_b)
 
 
-class TestGhostIndexPlan:
+class TestOneRankGhostBundle:
     def test_vectorized_fill_matches_reference(self):
         mesh_a, _ = make_state_mesh(levels=1, refine_keys=(0, 3))
         mesh_b, _ = make_state_mesh(levels=1, refine_keys=(0, 3))
@@ -135,7 +136,8 @@ class TestGhostIndexPlan:
                 interior = data[:, g : g + n, g : g + n, g : g + n].copy()
                 data[:] = -99.0
                 data[:, g : g + n, g : g + n, g : g + n] = interior
-        plan.ghosts.fill_ghosts_kernel(plan.arena)
+        assert list(plan.ghosts.bundles) == [(0, 0)]
+        plan.ghosts.bundles[(0, 0)].apply(plan.arena)
         fill_all_ghosts(mesh_b)
         assert_meshes_identical(mesh_a, mesh_b)
 

@@ -366,22 +366,23 @@ class TestOrderedPhases:
 
 
 # ---------------------------------------------------------------------------
-# The plan cache does not carry the split (format v3).
+# The plan cache does not carry the split (format v4: bundle arrays only).
 # ---------------------------------------------------------------------------
 class TestSplitInPlanCache:
-    def test_cache_format_is_v3(self):
-        assert CACHE_FORMAT_VERSION == 3
+    def test_cache_format_is_v4(self):
+        assert CACHE_FORMAT_VERSION == 4
 
     def test_split_less_payload_still_builds(self, tmp_path):
-        # The stored payload is the ghost arrays alone; a cache hit on it
-        # builds a complete plan (the executor computes the split itself).
+        # The stored payload is the ghost bundle arrays alone; a cache hit
+        # on it builds a complete plan (the executor computes the split
+        # itself).
         mesh, _ = make_state_mesh(levels=1)
         plan = build_hydro_plan(mesh)
-        payload = plan.cache_payload()
+        payload = plan.ghosts.to_payload()
         assert not [key for key in payload if key.startswith("split_")]
         cache = PlanCache(tmp_path)
         cache.store("hydro", "fp", {}, payload)
         hit = cache.load("hydro", "fp", {})
-        rebuilt = build_hydro_plan(mesh, ghost_payload=dict(hit))
-        for name, arr in plan.ghosts.to_payload().items():
+        rebuilt = build_hydro_plan(mesh, payload=dict(hit))
+        for name, arr in payload.items():
             assert np.array_equal(rebuilt.ghosts.to_payload()[name], arr)

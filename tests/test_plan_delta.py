@@ -1,13 +1,16 @@
-"""Delta-maintained plans are bit-identical to cold rebuilds.
+"""Delta-maintained and cache-served plans are bit-identical to cold
+rebuilds, and every plan kind goes through the one shared lifecycle.
 
 Hypothesis sweeps drive random refine/coarsen sequences and assert,
 array for array, that the incremental path of each plan layer — FmmPlan
 (``update_plan``), HydroPlan (trace-cache delta rebuild through
 ``plan_for``), and the ghost bundle plan (trace-cache reuse after
 ``FaceTraceCache.invalidate``) — produces exactly the plan a cold build
-would.  A final case runs the blast crosscheck with a plan cache on both
-the serial and process backends: the cache-hit plan path must keep the
-backends bit-identical.
+would; a cache-hit hydro plan equals a cold one for one and two ranks.
+One parametrised case drives the shared ``PlanLifecycle`` for both kinds
+through match / cold / delta / cache hit.  A final group runs the blast
+with a plan cache on both the serial and process backends: the cache is
+honoured on both and keeps them bit-identical.
 """
 
 import numpy as np
@@ -38,12 +41,7 @@ _SKIP_ATTRS = {
     "_payloads",
     "_active",
     "_fine_acc",
-    "_fine_accs",
     "_fine_tmp",
-    "_same_buf",
-    "_coarse_buf",
-    "_boundary_buf",
-    "_fine_buf",
     "_splits",
     "_split_cache",
     "template_store",
@@ -174,6 +172,75 @@ class TestHydroDeltaEquivalence:
         assert warm.fingerprint == cold.fingerprint
         assert warm.slot == cold.slot
 
+    @pytest.mark.parametrize("nranks", [1, 2])
+    def test_cache_hit_plan_identical_to_cold(self, tmp_path, nranks):
+        """A plan assembled from the stored payload is the whole plan a
+        cold build produces — bundles, runs, reflux table — so it can
+        drive any interpreter."""
+        mesh = make_uniform_mesh(1, n=4)
+        mesh.refine(sorted(mesh.leaf_keys())[0])
+        fill_gaussian(mesh)
+        cold = build_hydro_plan(mesh, nranks=nranks)
+        cache = PlanCache(tmp_path)
+        cache.store("hydro", cold.fingerprint, {}, cold.ghosts.to_payload())
+        hit = build_hydro_plan(
+            mesh, nranks=nranks,
+            payload=cache.load("hydro", cold.fingerprint, {}),
+        )
+        assert sorted(hit.ghosts.bundles) == sorted(cold.ghosts.bundles)
+        assert_plans_equal(hit.ghosts, cold.ghosts)
+        assert_plans_equal(hit.runs, cold.runs)
+        assert_plans_equal(hit.reflux_table, cold.reflux_table)
+        assert np.array_equal(hit.rank_of, cold.rank_of)
+
+
+class TestSharedLifecycle:
+    @pytest.mark.parametrize("kind", ["hydro", "fmm"])
+    def test_match_cold_delta_cache_hit(self, tmp_path, kind):
+        """Both plan kinds reach their plans through the same holder: the
+        tiers fire in the same order and report under the same counter
+        names, ``plan.<kind>.{cold,delta,cache_hit}`` + ``*_builds``."""
+        from repro.gravity.fmm import FmmPlanLifecycle
+        from repro.hydro.plan import HydroPlanLifecycle
+        from repro.profiling.apex import CounterRegistry
+
+        make, request = {
+            "hydro": (HydroPlanLifecycle, {}),
+            "fmm": (FmmPlanLifecycle, {"theta": 0.5}),
+        }[kind]
+        mesh = make_uniform_mesh(2, n=4)
+        fill_gaussian(mesh)
+        reg = CounterRegistry()
+
+        def tiers():
+            return tuple(
+                reg.count(f"plan.{kind}.{tier}_builds")
+                for tier in ("cold", "delta", "cache_hit")
+            )
+
+        holder = make(PlanCache(tmp_path))
+        first = holder.plan_for(mesh, reg, **request)
+        assert tiers() == (1, 0, 0)
+        assert reg.count(f"plan.{kind}.cold") == 1  # the timer
+        assert holder.plan_for(mesh, reg, **request) is first  # match: free
+        assert tiers() == (1, 0, 0)
+
+        delta = apply_ops(mesh, [("refine", 5)])
+        if kind == "hydro":
+            holder.notify_regrid(delta)
+        second = holder.plan_for(mesh, reg, **request)
+        assert second is not first
+        assert tiers() == (1, 1, 0)
+        assert reg.count(f"{kind}.plan_builds") == 2
+        # Both builds were stored (the delta one under its own topology).
+        assert holder.cache.stats.stores == 2
+
+        fresh = make(PlanCache(tmp_path))  # a restart on the warmed cache
+        third = fresh.plan_for(mesh, reg, **request)
+        assert tiers() == (1, 1, 1)
+        assert reg.count(f"plan.{kind}.cache_hit") == 1
+        assert third.fingerprint == second.fingerprint
+
 
 class TestBundleDeltaEquivalence:
     @given(ops=_mutation_sequences(), nprocs=st.sampled_from([1, 2, 4]))
@@ -185,18 +252,18 @@ class TestBundleDeltaEquivalence:
     def test_trace_reuse_identical_to_cold(self, ops, nprocs):
         mesh = make_uniform_mesh(1, n=4)
         fill_gaussian(mesh)
-        sfc_partition(mesh, nprocs)
+        locality = sfc_partition(mesh, nprocs)
         _, offsets = adopt_arena(mesh)
         cache = FaceTraceCache()
-        build_bundle_plan(mesh, offsets, trace_cache=cache)
+        build_bundle_plan(mesh, offsets, locality, trace_cache=cache)
         delta = apply_ops(mesh, ops)
         if delta is None:
             return
         cache.invalidate(delta)
-        sfc_partition(mesh, nprocs)
+        locality = sfc_partition(mesh, nprocs)
         _, offsets = adopt_arena(mesh)
-        warm = build_bundle_plan(mesh, offsets, trace_cache=cache)
-        cold = build_bundle_plan(mesh, offsets)
+        warm = build_bundle_plan(mesh, offsets, locality, trace_cache=cache)
+        cold = build_bundle_plan(mesh, offsets, locality)
         assert_plans_equal(warm, cold)
 
 
@@ -231,13 +298,46 @@ class TestPlanCacheCrosscheck:
             hit.step(1e-4)
         finally:
             hit.close()
-        if backend == "serial":
-            # The process backend's plans live in the executor and never
-            # consult the persistent cache; only assert hits on serial.
-            assert hit_cache.stats.hits >= 1
+        assert hit_cache.stats.hits >= 1  # honoured on both backends
         for key in sorted(mesh_cold.leaf_keys()):
             assert np.array_equal(
                 mesh_cold.nodes[key].subgrid.data,
+                mesh_hit.nodes[key].subgrid.data,
+            ), key
+
+    def test_process_backend_stores_and_hits(self, tmp_path):
+        """Regression: ``backend="process"`` used to accept ``plan_cache``
+        and never consult it.  A process run on a fresh cache stores one
+        hydro entry; a second one on the same topology is served from it
+        (no cold build) and stays bit-identical to serial."""
+        from repro.profiling.apex import CounterRegistry
+        from repro.scenarios.blast import sedov_blast
+
+        def run(**kwargs):
+            scenario = sedov_blast(levels=1)
+            integ = HydroIntegrator(scenario.mesh, eos=scenario.eos, **kwargs)
+            integ.registry = CounterRegistry()
+            try:
+                integ.step(1e-4)
+            finally:
+                integ.close()
+            return scenario.mesh, integ.registry
+
+        process = dict(backend="process", nprocs=2)
+        seed_cache = PlanCache(tmp_path)
+        _, reg = run(plan_cache=seed_cache, **process)
+        assert seed_cache.stats.stores == 1
+        assert len(list(tmp_path.glob("hydro-*.npz"))) == 1
+        assert reg.count("plan.hydro.cold_builds") == 1
+
+        mesh_hit, reg = run(plan_cache=PlanCache(tmp_path), **process)
+        assert reg.count("plan.hydro.cache_hit_builds") == 1
+        assert reg.count("plan.hydro.cold_builds") == 0
+
+        mesh_serial, _ = run()
+        for key in sorted(mesh_serial.leaf_keys()):
+            assert np.array_equal(
+                mesh_serial.nodes[key].subgrid.data,
                 mesh_hit.nodes[key].subgrid.data,
             ), key
 

@@ -69,30 +69,32 @@ class TestVerifyPartition:
 
 
 def _partitioned_mesh_and_plan(nprocs=2):
+    """Mesh, bundle plan, and the per-slot rank list it was built for."""
     mesh, _ = make_state_mesh(levels=1, refine_keys=(0,))
-    sfc_partition(mesh, nprocs)
+    locality = sfc_partition(mesh, nprocs)
     leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
     m = mesh.n + 2 * mesh.ghost
     chunk = NFIELDS * m**3
     offsets = {leaf.key: i * chunk for i, leaf in enumerate(leaves)}
-    return mesh, build_bundle_plan(mesh, offsets)
+    plan = build_bundle_plan(mesh, offsets, locality)
+    return mesh, plan, [locality[leaf.key] for leaf in leaves]
 
 
 class TestVerifyBundlePlan:
     def test_real_plan_is_clean(self):
-        mesh, plan = _partitioned_mesh_and_plan()
-        assert verify_bundle_plan(mesh, plan) == []
+        mesh, plan, ranks = _partitioned_mesh_and_plan()
+        assert verify_bundle_plan(mesh, plan, ranks) == []
 
     def test_injected_overlap_flagged(self):
-        mesh, plan = _partitioned_mesh_and_plan()
+        mesh, plan, ranks = _partitioned_mesh_and_plan()
         inject_scatter_overlap(plan)
-        found = checks(verify_bundle_plan(mesh, plan))
+        found = checks(verify_bundle_plan(mesh, plan, ranks))
         assert "bundle-dst-overlap" in found
         assert "bundle-dst-coverage" in found  # retargeted band lost its donor
         assert "bundle-dst-ownership" in found
 
     def test_interior_scatter_flagged(self):
-        mesh, plan = _partitioned_mesh_and_plan()
+        mesh, plan, ranks = _partitioned_mesh_and_plan()
         m = mesh.n + 2 * mesh.ghost
         g = mesh.ghost
         bundle = next(b for _, b in sorted(plan.bundles.items())
@@ -101,31 +103,30 @@ class TestVerifyBundlePlan:
         slot = int(bundle.copy_dst[0]) // (NFIELDS * m**3)
         interior = slot * NFIELDS * m**3 + ((g * m) + g) * m + g
         bundle.copy_dst[0] = interior
-        found = checks(verify_bundle_plan(mesh, plan))
+        found = checks(verify_bundle_plan(mesh, plan, ranks))
         assert "bundle-dst-interior" in found
         assert "bundle-dst-coverage" in found
 
     def test_out_of_bounds_flagged(self):
-        mesh, plan = _partitioned_mesh_and_plan()
+        mesh, plan, ranks = _partitioned_mesh_and_plan()
         bundle = next(b for _, b in sorted(plan.bundles.items())
                       if b.copy_dst.size)
         bundle.copy_dst[0] = 10**9
-        found = checks(verify_bundle_plan(mesh, plan))
+        found = checks(verify_bundle_plan(mesh, plan, ranks))
         assert "bundle-bounds" in found
 
     def test_foreign_source_flagged(self):
-        mesh, plan = _partitioned_mesh_and_plan()
+        mesh, plan, ranks = _partitioned_mesh_and_plan()
         m = mesh.n + 2 * mesh.ghost
         chunk = NFIELDS * m**3
-        leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
         bundle = next(b for _, b in sorted(plan.bundles.items())
                       if b.copy_src.size)
         # Point one gather read at a slot the src rank does not own.
-        foreign = next(i for i, leaf in enumerate(leaves)
-                       if leaf.locality != bundle.src_locality)
+        foreign = next(i for i, rank in enumerate(ranks)
+                       if rank != bundle.src_locality)
         bundle.copy_src[0] = foreign * chunk + (bundle.copy_src[0] % chunk)
         assert "bundle-src-ownership" in checks(
-            verify_bundle_plan(mesh, plan)
+            verify_bundle_plan(mesh, plan, ranks)
         )
 
 
@@ -205,7 +206,7 @@ class TestExecutorGate:
         ex = ProcessHydroExecutor(mesh, eos=eos, nprocs=2)
         try:
             ex.ensure()
-            assert verify_process_plan(ex) == []
+            assert verify_process_plan(ex.plan, ex.split) == []
         finally:
             ex.close()
 

@@ -462,8 +462,7 @@ class TestColdPlanBuild:
         assert rules(lint_source(src, "src/repro/core/driver.py")) == ["R010"]
 
     def test_all_builders_covered(self):
-        for fn in ("build_plan", "build_hydro_plan", "build_bundle_plan",
-                   "ghost_index_plan"):
+        for fn in ("build_plan", "build_hydro_plan", "build_bundle_plan"):
             src = f"for _ in steps:\n    p = {fn}(mesh)\n"
             assert rules(lint_source(src, "src/repro/x.py")) == ["R010"], fn
 
@@ -490,7 +489,7 @@ class TestColdPlanBuild:
         src = (
             "for a in outer:\n"
             "    for b in inner:\n"
-            "        p = ghost_index_plan(mesh, offsets)\n"
+            "        p = build_bundle_plan(mesh, offsets)\n"
         )
         findings = lint_source(src, "src/repro/x.py")
         assert [f.rule for f in findings] == ["R010"]

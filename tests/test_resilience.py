@@ -380,7 +380,7 @@ class TestDriverAcceptance:
         )
         sim.run(2)
         assert sim.counters.total("resilience.rollbacks") >= 1
-        assert sim.integrator.plan_cache is sim.plan_cache
+        assert sim.integrator.plans.cache is sim.plan_cache
         assert sim.counters.total("plan.hydro.cold_builds") == 1
         assert sim.counters.total("plan.hydro.cache_hit_builds") >= 1
 

@@ -78,13 +78,14 @@ R009 array-backends-via-registry
 
 R010 no-cold-plan-in-step-loop
     No cold plan construction (``build_plan``, ``build_hydro_plan``,
-    ``build_bundle_plan``, ``ghost_index_plan``) inside a loop.  Plans are
+    ``build_bundle_plan``) inside a loop.  Plans are
     keyed on the mesh topology fingerprint and maintained incrementally
     (delta rebuild) or served from the content-addressed plan cache
     (``repro.core.plancache``); a cold build per loop iteration silently
     reinstates the regrid cold-path this machinery exists to kill — the
     exact ~5×-per-regrid overhead BENCH_fmm.json measures.  The sanctioned
-    cache-miss hooks (the ``plan_for`` fallbacks) and deliberate
+    cache-miss hooks (the shared lifecycle's ``cold`` hooks, one per plan
+    kind — ``repro.util.lifecycle``) and deliberate
     per-scenario sweeps carry ``# reprolint: sanctioned-cold-build`` on
     the call line or the loop header.
 
@@ -151,9 +152,7 @@ _BACKEND_MODULES = {"numba", "cupy", "jax"}
 _BACKEND_EXEMPT = ("repro/kokkos/backend.py",)
 #: Cold plan constructors — every call pays the full traversal/trace cost
 #: the fingerprint/delta/cache machinery exists to amortize (R010).
-_COLD_BUILD_FNS = {
-    "build_plan", "build_hydro_plan", "build_bundle_plan", "ghost_index_plan",
-}
+_COLD_BUILD_FNS = {"build_plan", "build_hydro_plan", "build_bundle_plan"}
 _COLD_SANCTION_TAG = "# reprolint: sanctioned-cold-build"
 #: Engine-owner names whose ``.round(...)`` is a blocking barrier (R011);
 #: matching on the receiver name keeps ``np.round`` and friends out.
