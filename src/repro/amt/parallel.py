@@ -18,9 +18,9 @@ with
   primitive: the parent broadcasts one command, every worker executes it
   and replies, and the gather is the barrier.
 
-The DES engine stays the bit-exact oracle: consumers (the process hydro
-executor, the FMM M2L fan-out) run the same kernels on the same arenas, so
-the cross-check harness can assert ``np.array_equal`` between backends.
+The DES engine stays the bit-exact oracle: the one consumer (the process
+hydro executor) runs the same kernels on the same arenas, so the
+cross-check harness can assert ``np.array_equal`` between backends.
 
 Failure semantics are typed, mirroring the validation contract of
 :meth:`repro.amt.engine.Engine.post`: non-finite or non-positive timeouts
@@ -348,21 +348,18 @@ class ParallelEngine:
             loc.send(command)
         self.control_messages += len(self.localities)
 
-    def gather(self, ranks: Optional[Sequence[int]] = None) -> List[Any]:
+    def gather(self) -> List[Any]:
         """Collect one reply per worker; the barrier of a BSP round.
 
         Raises :class:`WorkerError` (handler raised remotely),
         :class:`WorkerCrashError` (process died) or
         :class:`WorkerTimeoutError` (deadline passed), naming the ranks.
         """
-        if ranks is None:
-            ranks = range(len(self.localities))
         results: List[Any] = []
         error: Optional[WorkerError] = None
         dead: List[int] = []
         stalled: List[int] = []
-        for rank in ranks:
-            loc = self.localities[rank]
+        for rank, loc in enumerate(self.localities):
             try:
                 if not loc.conn.poll(self.timeout):
                     if loc.alive:

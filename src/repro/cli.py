@@ -65,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", default="des", choices=["des", "process"],
                      help="execution backend: 'des' runs physics in-process "
                           "with discrete-event timing (default); 'process' "
-                          "fans hydro steps and the far-field M2L out over "
-                          "real worker processes with shared-memory arenas "
+                          "runs the hydro step on real worker processes "
+                          "with shared-memory arenas, gravity in the parent "
                           "(identical bits, see docs/parallel.md)")
     run.add_argument("--nprocs", type=int, default=2, metavar="N",
                      help="worker processes for --backend process")
@@ -88,10 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           "and replay them against the barrier structure "
                           "after each round, raising on unordered conflicts")
     run.add_argument("--array-backend", default="numpy", metavar="NAME",
-                     help="array backend for the hot kernels "
+                     help="array backend for the hot hydro kernels "
                           "(repro.kokkos.backend registry): numpy "
-                          "(default, bit-identical), pyjit, numba, cupy, "
-                          "jax — optional backends must be installed")
+                          "(default, bit-identical), pyjit, numba — "
+                          "numba must be installed")
     run.add_argument("--plan-cache", default=None, metavar="DIR",
                      nargs="?", const="auto",
                      help="persist execution plans to a content-addressed "
@@ -203,7 +203,6 @@ def _command_run(args: argparse.Namespace) -> int:
     sim = OctoTigerSim(
         scenario.mesh, eos=scenario.eos,
         omega=getattr(scenario, "omega", 0.0),
-        machine=machine, nodes=args.nodes,
         config=RunConfig(
             machine=machine, nodes=args.nodes, coalesce=args.coalesce
         ),

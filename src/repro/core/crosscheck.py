@@ -308,7 +308,7 @@ def crosscheck_array_backend(
     steps: int = 3,
     eos: Optional[IdealGasEOS] = None,
     omega: float = 0.0,
-    gravity: Optional[Callable[[Optional[str]], GravityCallback]] = None,
+    gravity: Optional[Callable[[], GravityCallback]] = None,
     gravity_every_stage: bool = False,
     reflux: bool = True,
     dt: Optional[float] = None,
@@ -319,17 +319,16 @@ def crosscheck_array_backend(
 
     Runs ``steps`` RK3 steps twice on cloned meshes: the reference side
     with the seed path (``array_backend=None``) and the other side
-    dispatching through ``backend_name`` (both hydro and FMM gravity).
+    dispatching the hydro kernels through ``backend_name``.
     The ``exact`` tier demands identical bits (:func:`assert_identical` +
     conserved-sum equality); the ``tolerance`` tier gates per-field
     relative errors against ``budgets`` (default
     :data:`TOLERANCE_BUDGETS`) and the conserved-sum drift against
     :data:`CONSERVED_DRIFT_BUDGET`.
 
-    ``gravity`` is a factory taking the array-backend name (``None`` on
-    the reference side) so each side gets a private solver routed through
-    its own backend.  The result reuses the timing fields: ``serial_s``
-    is the reference side, ``process_s`` the backend side.
+    ``gravity`` is a factory, as in :func:`crosscheck_hydro`, so each side
+    gets a private solver.  The result reuses the timing fields:
+    ``serial_s`` is the reference side, ``process_s`` the backend side.
     """
     import time as _time
 
@@ -341,12 +340,12 @@ def crosscheck_array_backend(
     mesh_alt = clone_mesh(mesh)
     ref = HydroIntegrator(
         mesh_ref, eos=eos, omega=omega,
-        gravity=gravity(None) if gravity else None,
+        gravity=gravity() if gravity else None,
         gravity_every_stage=gravity_every_stage, reflux=reflux,
     )
     alt = HydroIntegrator(
         mesh_alt, eos=eos, omega=omega,
-        gravity=gravity(backend_name) if gravity else None,
+        gravity=gravity() if gravity else None,
         gravity_every_stage=gravity_every_stage, reflux=reflux,
         array_backend=backend_name,
     )
@@ -421,6 +420,9 @@ def crosscheck_scenarios(
     blast = sedov_blast(levels=2)
     dwd = dwd_scenario(level=1, scf_grid=24)
 
+    def gravity_factory() -> GravityCallback:
+        return FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback()
+
     if tier is None:
         results.append(
             crosscheck_hydro(
@@ -428,10 +430,6 @@ def crosscheck_scenarios(
                 wire=wire, overlap=overlap, plan_cache=plan_cache,
             )
         )
-
-        def gravity_factory() -> GravityCallback:
-            return FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback()
-
         results.append(
             crosscheck_hydro(
                 dwd.mesh, steps=steps, nprocs=nprocs, eos=dwd.eos,
@@ -448,15 +446,10 @@ def crosscheck_scenarios(
         )
     )
 
-    def gravity_for(array_backend: Optional[str]) -> GravityCallback:
-        return FmmSolver(
-            empty_mass_threshold=1e-12, array_backend=array_backend
-        ).as_gravity_callback()
-
     results.append(
         crosscheck_array_backend(
             dwd.mesh, backend_name, tier=tier, steps=steps, eos=dwd.eos,
-            omega=dwd.omega, gravity=gravity_for,
+            omega=dwd.omega, gravity=gravity_factory,
         )
     )
     return results

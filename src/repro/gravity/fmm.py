@@ -152,17 +152,11 @@ class FmmSolver:
         angmom_correction: bool = True,
         empty_mass_threshold: float = 0.0,
         m2l_split: int = 0,
-        backend: str = "des",
-        nprocs: int = 2,
-        overlap: bool = False,
         verify_plans: bool = True,
-        array_backend: Optional[str] = None,
         plan_cache: Optional["PlanCache"] = None,
     ) -> None:
         if not 0.0 < theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
-        if backend not in ("des", "process"):
-            raise ValueError(f"backend must be 'des' or 'process', got {backend!r}")
         self.order = order
         self.theta = theta
         self.g_newton = g_newton
@@ -173,12 +167,6 @@ class FmmSolver:
         #: interleave them with communication (the paper's SVII-C
         #: multipole work-splitting); results are bit-identical.
         self.m2l_split = m2l_split
-        #: Futurized M2L fan-out (process backend): the parent keeps a
-        #: slice of the shards and computes them locally while the posted
-        #: remote shard payloads propagate — the same latency-hiding shape
-        #: as the hydro overlap schedule, and bit-identical either way
-        #: (shard target rows are disjoint, accumulation is shard-ordered).
-        self.overlap = bool(overlap)
         #: Sub-grids whose total mass is below this act as pure vacuum
         #: sources (their P2P/M2L source side is skipped).  Star scenarios
         #: are mostly floor-density vacuum; skipping it changes forces by
@@ -191,38 +179,12 @@ class FmmSolver:
         #: which the canonical traversal pair state is looked up by mesh
         #: fingerprint before paying a cold dual-tree traversal.
         self.plans = FmmPlanLifecycle(plan_cache)
-        #: "process" fans the sharded far-field M2L batches out to a pool
-        #: of stateless worker processes (:mod:`repro.amt.parallel`); the
-        #: shard arrays ride the pipes and the partials are accumulated in
-        #: deterministic shard order — bit-identical to "des"/in-process
-        #: because shard target rows within a level are disjoint.
-        self.backend = backend
-        self.nprocs = nprocs
         #: Statically verify every sharded M2L batch decomposition before
         #: executing it (:func:`repro.analysis.planverify.verify_fmm_split`):
         #: shard target sets must be disjoint and reproduce the unsplit
         #: order, or the solve refuses to run.  Memoised per (plan, split).
         self.verify_plans = verify_plans
         self._verified_splits = set()
-        self._engine = None  # lazy ParallelEngine
-        #: Array backend for the batched M2L / P2P GEMM kernels
-        #: (:mod:`repro.kokkos.backend`).  ``None`` keeps the seed host
-        #: path.  Host-storage backends (``numpy``/``pyjit``/``numba``)
-        #: run in place and are bit-identical; device backends
-        #: boundary-convert per batch (see :meth:`_m2l_dispatch`).
-        self.array_backend = array_backend
-        if array_backend is not None:
-            from repro.kokkos.backend import get_backend
-
-            self._abackend = get_backend(array_backend)
-            if backend == "process" and self._abackend.module is not np:
-                raise ValueError(
-                    "the process backend ships M2L shards over pipes as "
-                    "host ndarrays; it cannot be combined with array "
-                    f"backend {array_backend!r}"
-                )
-        else:
-            self._abackend = None
 
     # -- plan cache -----------------------------------------------------------
     def plan_for(self, mesh: AmrMesh) -> FmmPlan:
@@ -242,72 +204,6 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
     def _registry(self) -> CounterRegistry:
         return self.registry if self.registry is not None else global_registry()
 
-    # -- array-backend dispatch ------------------------------------------------
-    def _m2l_dispatch(self, mass, com, quad, octu, centers, indptr):
-        """Route one segmented M2L batch through the selected array backend.
-
-        Host-storage backends (module is NumPy) run in place — bit-identical
-        to the seed path.  Device backends boundary-convert the batch in and
-        the four local tensors back out; this is solver-internal staging of
-        raw batch arrays, not a View crossing, so it does not go through
-        ``deep_copy``.
-        """
-        b = self._abackend
-        if b is None or b.module is np:
-            return m2l_segmented(
-                mass, com, quad, octu, centers, indptr, order=self.order
-            )
-        out = m2l_segmented(
-            b.from_numpy(mass),
-            b.from_numpy(com),
-            b.from_numpy(quad),
-            b.from_numpy(octu),
-            b.from_numpy(centers),
-            indptr,
-            order=self.order,
-            xp=b.module,
-        )
-        return tuple(b.to_numpy(t) for t in out)
-
-    def _p2p_dispatch(
-        self, t1, t3, tgt, pos_t, mass_s, pos_s, inv_dx, phi_out, acc_out
-    ):
-        """Route one P2P geometry class through the selected array backend."""
-        b = self._abackend
-        if b is None or b.module is np:
-            p2p_apply_class(
-                t1, t3, tgt, pos_t, mass_s, pos_s, inv_dx,
-                self.g_newton, phi_out, acc_out,
-            )
-            return
-        nc = phi_out.shape[1]
-        dphi = b.zeros(phi_out.shape)
-        dacc = b.zeros(acc_out.shape)
-        p2p_apply_class(
-            b.from_numpy(t1), b.from_numpy(t3), tgt,
-            b.from_numpy(pos_t), b.from_numpy(mass_s), b.from_numpy(pos_s),
-            b.from_numpy(inv_dx), self.g_newton, dphi, dacc, xp=b.module,
-        )
-        phi_out += b.to_numpy(dphi).reshape(-1, nc)
-        acc_out += b.to_numpy(dacc).reshape(-1, nc, 3)
-
-    # -- process backend -------------------------------------------------------
-    def engine(self):
-        """Lazy worker pool for the process backend (stateless workers:
-        every shard's arrays ride the pipe, so no re-fork on regrid)."""
-        if self._engine is None:
-            from repro.amt.parallel import ParallelEngine
-
-            self._engine = ParallelEngine(self.nprocs)
-            self._engine.start(_m2l_worker_factory)
-        return self._engine
-
-    def close(self) -> None:
-        """Shut down the M2L worker pool (process backend)."""
-        if self._engine is not None:
-            self._engine.shutdown()
-            self._engine = None
-
     def _check_split(self, plan, split):  # noqa: ANN001
         """Refuse unverified shard decompositions (once per plan+split)."""
         if not self.verify_plans:
@@ -316,65 +212,6 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
         if key not in self._verified_splits:
             require_verified(verify_fmm_split(plan, split))
             self._verified_splits.add(key)
-
-    def _m2l_fanout(self, plan, mom, locals_, reg):  # noqa: ANN001
-        """Far-field M2L sharded over the worker processes.
-
-        Shards are dealt round-robin and their partial locals accumulated
-        in deterministic shard order; within a level the shard target rows
-        are disjoint, so the result is bit-identical to the in-process
-        loop regardless of which worker computed what.
-        """
-        mom_m, mom_c, mom_q, mom_o = mom
-        l0, l1, l2, l3 = locals_
-        engine = self.engine()
-        split = self.m2l_split
-        if split == 0:
-            # Auto-shard: ~4 batches per worker so the round-robin deal
-            # stays balanced even when levels have uneven row counts.
-            total_rows = sum(len(fl.tgt_idx) for fl in plan.split(0))
-            split = max(1, -(-total_rows // (4 * engine.nprocs)))
-        self._check_split(plan, split)
-        shards = list(plan.split(split))
-        # Futurized fan-out: the parent claims every (nprocs+1)-th shard
-        # for itself and computes it *between* posting the remote sends
-        # and draining their replies — local compute hides remote payload
-        # latency.  Partials are accumulated in shard index order either
-        # way, so the sums are bit-identical to the all-remote deal.
-        lanes = engine.nprocs + 1 if self.overlap else engine.nprocs
-        ranks = [
-            i % lanes if i % lanes < engine.nprocs else None
-            for i in range(len(shards))
-        ]
-        for i, fl in enumerate(shards):
-            if ranks[i] is None:
-                continue  # parent-local shard
-            centers = np.repeat(mom_c[fl.tgt_idx], np.diff(fl.indptr), axis=0)
-            engine.send(ranks[i], (
-                "m2l",
-                mom_m[fl.src_idx], mom_c[fl.src_idx],
-                mom_q[fl.src_idx], mom_o[fl.src_idx],
-                centers, fl.indptr, self.order,
-            ))
-        for i, rank in enumerate(ranks):
-            fl = shards[i]
-            if rank is None:
-                with reg.timer("fmm.m2l.local"):
-                    centers = np.repeat(
-                        mom_c[fl.tgt_idx], np.diff(fl.indptr), axis=0
-                    )
-                    s0, s1, s2, s3 = self._m2l_dispatch(
-                        mom_m[fl.src_idx], mom_c[fl.src_idx],
-                        mom_q[fl.src_idx], mom_o[fl.src_idx],
-                        centers, fl.indptr,
-                    )
-            else:
-                s0, s1, s2, s3 = engine.gather([rank])[0]
-            l0[fl.tgt_idx] += s0
-            l1[fl.tgt_idx] += s1
-            l2[fl.tgt_idx] += s2
-            l3[fl.tgt_idx] += s3
-        engine.harvest_timers(reg)
 
     # -- leaf particle data ---------------------------------------------------
     @staticmethod
@@ -448,28 +285,24 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
             l1 = np.zeros((n_nodes, 3))
             l2 = np.zeros((n_nodes, 3, 3))
             l3 = np.zeros((n_nodes, 3, 3, 3))
-            if self.backend == "process":
-                self._m2l_fanout(
-                    plan, (mom_m, mom_c, mom_q, mom_o), (l0, l1, l2, l3), reg
+            self._check_split(plan, self.m2l_split)
+            for fl in plan.split(self.m2l_split):
+                centers = np.repeat(
+                    mom_c[fl.tgt_idx], np.diff(fl.indptr), axis=0
                 )
-            else:
-                self._check_split(plan, self.m2l_split)
-                for fl in plan.split(self.m2l_split):
-                    centers = np.repeat(
-                        mom_c[fl.tgt_idx], np.diff(fl.indptr), axis=0
-                    )
-                    s0, s1, s2, s3 = self._m2l_dispatch(
-                        mom_m[fl.src_idx],
-                        mom_c[fl.src_idx],
-                        mom_q[fl.src_idx],
-                        mom_o[fl.src_idx],
-                        centers,
-                        fl.indptr,
-                    )
-                    l0[fl.tgt_idx] += s0
-                    l1[fl.tgt_idx] += s1
-                    l2[fl.tgt_idx] += s2
-                    l3[fl.tgt_idx] += s3
+                s0, s1, s2, s3 = m2l_segmented(
+                    mom_m[fl.src_idx],
+                    mom_c[fl.src_idx],
+                    mom_q[fl.src_idx],
+                    mom_o[fl.src_idx],
+                    centers,
+                    fl.indptr,
+                    order=self.order,
+                )
+                l0[fl.tgt_idx] += s0
+                l1[fl.tgt_idx] += s1
+                l2[fl.tgt_idx] += s2
+                l3[fl.tgt_idx] += s3
 
             n_part = len(plan.part_slots)
             n_near_tgt = len(plan.near_tgt_slots)
@@ -487,9 +320,9 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
                 centers = np.repeat(
                     oc[plan.near_center_rows], np.diff(plan.near_indptr), axis=0
                 )
-                q0, q1, q2, q3 = self._m2l_dispatch(
+                q0, q1, q2, q3 = m2l_segmented(
                     om[rows], oc[rows], oq[rows], oo[rows],
-                    centers, plan.near_indptr,
+                    centers, plan.near_indptr, order=self.order,
                 )
 
         # Phase 3: top-down L2L, then far-field evaluation (L2P).
@@ -542,10 +375,10 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
                     if not keep.all():
                         tgt, src, inv_dx = tgt[keep], src[keep], inv_dx[keep]
                 t1, t3 = cls.templates()
-                self._p2p_dispatch(
+                p2p_apply_class(
                     t1, t3, tgt,
                     plan.leaf_pos[tgt], mass[src], plan.leaf_pos[src],
-                    inv_dx, phi_flat, acc_flat,
+                    inv_dx, self.g_newton, phi_flat, acc_flat,
                 )
 
         phi: Dict[NodeKey, np.ndarray] = {}
@@ -568,16 +401,6 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
         return FmmResult(phi, accel, stats)
 
     # -- reference implementation ---------------------------------------------
-    def _traverse(
-        self, mesh: AmrMesh
-    ) -> Tuple[
-        List[Tuple[NodeKey, NodeKey]],
-        List[Tuple[NodeKey, NodeKey]],
-        List[Tuple[NodeKey, NodeKey]],
-    ]:
-        """Dual tree traversal (delegates to :func:`repro.gravity.plan.traverse`)."""
-        return traverse(mesh, self.theta)
-
     def solve_reference(self, mesh: AmrMesh) -> FmmResult:
         """Unbatched per-node solve, kept as the numerical reference.
 
@@ -609,7 +432,7 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
                     )
                     stats.m2m += 1
 
-        far_pairs, near_pairs, p2p_pairs = self._traverse(mesh)
+        far_pairs, near_pairs, p2p_pairs = traverse(mesh, self.theta)
         stats.m2l_pairs = len(far_pairs)
         stats.near_pairs = len(near_pairs)
         stats.m2l_by_level = count_m2l_by_level(far_pairs)
@@ -813,20 +636,3 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
             return self.solve(mesh).accel
 
         return callback
-
-
-def _m2l_worker_factory(rank: int, registry):  # noqa: ANN001
-    """Handler for the process backend's M2L workers (stateless: every
-    command carries its shard arrays, so the pool survives regrids)."""
-
-    def handler(command):  # noqa: ANN001
-        op = command[0]
-        if op != "m2l":
-            raise ValueError(f"unknown command {op!r}")
-        mom_m, mom_c, mom_q, mom_o, centers, indptr, order = command[1:]
-        with registry.timer("fmm.m2l"):
-            return m2l_segmented(
-                mom_m, mom_c, mom_q, mom_o, centers, indptr, order=order
-            )
-
-    return handler

@@ -161,7 +161,6 @@ def m2l_segmented(
     centers: np.ndarray,
     indptr: np.ndarray,
     order: int = 3,
-    xp=np,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Segmented M2L: many targets' interaction lists in one vectorised call.
 
@@ -172,20 +171,14 @@ def m2l_segmented(
     CSR segment boundaries: rows ``indptr[t]:indptr[t+1]`` belong to target
     ``t`` (segments must be non-empty).  Returns the per-target local
     tensors ``(l0 (S,), l1 (S, 3), l2 (S, 3, 3), l3 (S, 3, 3, 3))``,
-    summing each segment with ``xp.add.reduceat`` — the batched form of
+    summing each segment with ``np.add.reduceat`` — the batched form of
     calling :func:`m2l_batch` once per target.
-
-    ``xp`` is the array namespace the GEMM chain runs in (the
-    :attr:`repro.kokkos.backend.ArrayBackend.module` of the selected
-    backend); the inputs must already live in that namespace.  The default
-    host path (``xp is np``) is bit-identical to the pre-dispatch kernel.
     """
-    eye = _EYE if xp is np else xp.eye(3)
     x = centers - com  # (R, 3)
-    r2 = xp.einsum("ni,ni->n", x, x)
+    r2 = np.einsum("ni,ni->n", x, x)
     if bool((r2 <= 0.0).any()):
         raise ZeroDivisionError("m2l_segmented source coincides with target centre")
-    inv_r = 1.0 / xp.sqrt(r2)
+    inv_r = 1.0 / np.sqrt(r2)
     inv_r3 = inv_r / r2
     inv_r5 = inv_r3 / r2
     inv_r7 = inv_r5 / r2
@@ -196,37 +189,35 @@ def m2l_segmented(
 
     l0r = mass * inv_r
     l1r = -m3[:, None] * x
-    l2r = 3.0 * xp.einsum("n,ni,nj->nij", m5, x, x) - m3[:, None, None] * eye
+    l2r = 3.0 * np.einsum("n,ni,nj->nij", m5, x, x) - m3[:, None, None] * _EYE
     xs5 = m5[:, None] * x
-    l3r = -15.0 * xp.einsum("n,ni,nj,nk->nijk", m7, x, x, x) + 3.0 * (
-        xp.einsum("ni,jk->nijk", xs5, eye)
-        + xp.einsum("nj,ik->nijk", xs5, eye)
-        + xp.einsum("nk,ij->nijk", xs5, eye)
+    l3r = -15.0 * np.einsum("n,ni,nj,nk->nijk", m7, x, x, x) + 3.0 * (
+        np.einsum("ni,jk->nijk", xs5, _EYE)
+        + np.einsum("nj,ik->nijk", xs5, _EYE)
+        + np.einsum("nk,ij->nijk", xs5, _EYE)
     )
 
     if order >= 2:
-        q_xx = xp.einsum("nij,ni,nj->n", quad, x, x)
-        q_tr = xp.einsum("nii->n", quad)
+        q_xx = np.einsum("nij,ni,nj->n", quad, x, x)
+        q_tr = np.einsum("nii->n", quad)
         l0r += 0.5 * (3.0 * q_xx * inv_r5 - q_tr * inv_r3)
-        qx = xp.einsum("nij,nj->ni", quad, x)
+        qx = np.einsum("nij,nj->ni", quad, x)
         l1r += 0.5 * (
             -15.0 * (q_xx * inv_r7)[:, None] * x
             + 3.0 * (2.0 * inv_r5[:, None] * qx + (q_tr * inv_r5)[:, None] * x)
         )
     if order >= 3:
-        o_xxx = xp.einsum("nijk,ni,nj,nk->n", octu, x, x, x)
-        o_contr = xp.einsum("nijj->ni", octu)
-        o_dot = xp.einsum("ni,ni->n", o_contr, x)
+        o_xxx = np.einsum("nijk,ni,nj,nk->n", octu, x, x, x)
+        o_contr = np.einsum("nijj->ni", octu)
+        o_dot = np.einsum("ni,ni->n", o_contr, x)
         l0r += -(-15.0 * o_xxx * inv_r7 + 9.0 * o_dot * inv_r5) / 6.0
 
-    # Segment starts stay host-side integers; xp.asarray is a no-op for np
-    # and a (cheap, index-sized) upload for device namespaces.
-    starts = xp.asarray(np.asarray(indptr[:-1], dtype=np.intp))
+    starts = np.asarray(indptr[:-1], dtype=np.intp)
     return (
-        xp.add.reduceat(l0r, starts),
-        xp.add.reduceat(l1r, starts, axis=0),
-        xp.add.reduceat(l2r, starts, axis=0),
-        xp.add.reduceat(l3r, starts, axis=0),
+        np.add.reduceat(l0r, starts),
+        np.add.reduceat(l1r, starts, axis=0),
+        np.add.reduceat(l2r, starts, axis=0),
+        np.add.reduceat(l3r, starts, axis=0),
     )
 
 

@@ -115,7 +115,6 @@ def p2p_apply_class(
     g_newton: float,
     phi_out: np.ndarray,
     acc_out: np.ndarray,
-    xp=np,
 ) -> None:
     """Execute all directed P2P edges of one geometry class in two GEMMs.
 
@@ -123,11 +122,6 @@ def p2p_apply_class(
     positions, ``mass_s`` (E, nc)/``pos_s`` (E, nc, 3) source cells and
     ``inv_dx`` (E,) the per-edge template scale.  Accumulates into the
     stacked leaf fields ``phi_out`` (L, nc) / ``acc_out`` (L, nc, 3).
-
-    ``xp`` is the array namespace the GEMMs run in (an
-    :class:`repro.kokkos.backend.ArrayBackend` module); all array inputs
-    and the output buffers must live in that namespace.  The default host
-    path (``xp is np``) is bit-identical to the pre-dispatch kernel.
 
     The physical sums factor through the templates:
 
@@ -141,7 +135,7 @@ def p2p_apply_class(
     n_edges = tgt.shape[0]
     nc = mass_s.shape[1]
     out1 = t1 @ mass_s.T  # (nc_t, E)
-    rhs = xp.concatenate([mass_s[:, :, None], mass_s[:, :, None] * pos_s], axis=2)
+    rhs = np.concatenate([mass_s[:, :, None], mass_s[:, :, None] * pos_s], axis=2)
     out3 = (t3 @ rhs.transpose(1, 0, 2).reshape(nc, 4 * n_edges)).reshape(
         -1, n_edges, 4
     )

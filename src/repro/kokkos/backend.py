@@ -23,15 +23,11 @@ Registered backends:
     The interpreted twin of ``numba``: runs the same kernel source
     uncompiled on NumPy storage.  Always available, so the JIT kernel
     *logic* is exercised even on boxes without numba installed.
-``cupy`` / ``jax``
-    Registered device/accelerator backends, skipped when not importable.
-    ``cupy`` maps naturally onto the Device memory space
-    (``set_space_backend("Device", "cupy")``).
 
-This module is the **only** place allowed to import ``numba``, ``cupy`` or
-``jax`` (reprolint R009): every other module reaches them through the
-registry, so a missing optional dependency degrades to a skipped backend
-instead of an import error.
+This module is the **only** place allowed to import ``numba`` (reprolint
+R009, which also keeps ``cupy``/``jax`` imports out of the tree): every
+other module reaches it through the registry, so a missing optional
+dependency degrades to a skipped backend instead of an import error.
 
 Like :mod:`repro.analysis.spacesan`, this module imports nothing from the
 rest of ``repro`` so the lowest layers can depend on it without cycles.
@@ -188,49 +184,6 @@ class NumbaBackend(ArrayBackend):
         return numba.njit(cache=False)(func)
 
 
-class CupyBackend(ArrayBackend):
-    """CuPy device backend (GPU-resident storage), optional."""
-
-    name = "cupy"
-    is_device = True
-    requires = "cupy"
-
-    def _import_module(self) -> Any:
-        return importlib.import_module("cupy")
-
-    def from_numpy(self, array: np.ndarray) -> Any:
-        return self.module.asarray(array)
-
-    def to_numpy(self, array: Any) -> np.ndarray:
-        return self.module.asnumpy(array)
-
-    def copy_into(self, dst: Any, src_host: np.ndarray) -> None:
-        dst[...] = self.module.asarray(src_host)
-
-
-class JaxBackend(ArrayBackend):
-    """JAX backend (jax.numpy namespace), optional.
-
-    JAX arrays are immutable, so ``copy_into`` rebinds rather than writes;
-    the View layer treats that as replacement storage.
-    """
-
-    name = "jax"
-    requires = "jax"
-
-    def _import_module(self) -> Any:
-        return importlib.import_module("jax.numpy")
-
-    def zeros(self, shape, dtype=np.float64) -> Any:
-        return self.module.zeros(shape, dtype=dtype)
-
-    def from_numpy(self, array: np.ndarray) -> Any:
-        return self.module.asarray(array)
-
-    def to_numpy(self, array: Any) -> np.ndarray:
-        return np.asarray(array)
-
-
 # -- registry ---------------------------------------------------------------
 
 _REGISTRY: Dict[str, ArrayBackend] = {}
@@ -274,8 +227,6 @@ def jit_backend_name() -> str:
 register_backend(NumpyBackend())
 register_backend(PyJitBackend())
 register_backend(NumbaBackend())
-register_backend(CupyBackend())
-register_backend(JaxBackend())
 
 
 # -- memory-space -> backend mapping ----------------------------------------

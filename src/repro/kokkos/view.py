@@ -112,7 +112,7 @@ def _tag_device(array: np.ndarray, label: str) -> np.ndarray:
         guarded = array.view(_DeviceArray)
         guarded._view_label = label
         return guarded
-    return array  # real device storage (e.g. cupy) needs no simulation
+    return array  # not an ndarray: nothing to guard
 
 
 class View:

@@ -76,23 +76,34 @@ class ScenarioSpec:
         return replace(self, n_subgrids=n_subgrids)
 
 
-def workload_from_mesh(mesh, name: str = "measured") -> ScenarioSpec:  # noqa: ANN001
-    """Measure a spec from a real mesh (small levels)."""
-    from repro.gravity.fmm import FmmSolver
-    from repro.octree.ghost import exchange_plan
-
+def measured_spec(
+    mesh, name: str, m2l_pairs: int, p2p_pairs: int, ghost_faces: int  # noqa: ANN001
+) -> ScenarioSpec:
+    """The spec of a real mesh from its measured totals: undirected
+    same-level (far + near) M2L pairs, undirected P2P pairs, and
+    non-boundary ghost transfers (a coarse face fed by four fine
+    neighbours counts four)."""
     n_subgrids = mesh.n_subgrids()
-    solver = FmmSolver()
-    far, near, p2p = solver._traverse(mesh)  # noqa: SLF001 - measurement hook
-    plan = exchange_plan(mesh)
-    non_boundary = sum(1 for ex in plan if ex.src is not None)
     return ScenarioSpec(
         name=name,
         n_subgrids=n_subgrids,
         max_level=mesh.max_level(),
         subgrid_n=mesh.n,
         ghost_width=mesh.ghost,
-        fmm_interactions_per_subgrid=2.0 * (len(far) + len(near)) / n_subgrids,
-        p2p_pairs_per_subgrid=2.0 * len(p2p) / n_subgrids,
-        ghost_faces_per_subgrid=non_boundary / n_subgrids,
+        fmm_interactions_per_subgrid=2.0 * m2l_pairs / n_subgrids,
+        p2p_pairs_per_subgrid=2.0 * p2p_pairs / n_subgrids,
+        ghost_faces_per_subgrid=ghost_faces / n_subgrids,
     )
+
+
+def workload_from_mesh(mesh, name: str = "measured") -> ScenarioSpec:  # noqa: ANN001
+    """Measure a spec from a real mesh alone (small levels): one dual-tree
+    traversal at the default ``theta = 0.5`` and one walk over the ghost
+    faces.  A caller that already holds the mesh's plans reads the same
+    totals off them and calls :func:`measured_spec` (the driver does)."""
+    from repro.gravity.plan import traverse
+    from repro.octree.ghost import exchange_plan
+
+    far, near, p2p = traverse(mesh, 0.5)
+    non_boundary = sum(1 for ex in exchange_plan(mesh) if ex.src is not None)
+    return measured_spec(mesh, name, len(far) + len(near), len(p2p), non_boundary)

@@ -56,7 +56,7 @@ class Config:
         # Gravity work-splitting: max M2L rows per far batch (0 = unsplit)
         "gravity.m2l_split": 0,
         # Array backend for hot kernels (repro.kokkos.backend registry):
-        # numpy (default, bit-identical) | pyjit | numba | cupy | jax
+        # numpy (default, bit-identical) | pyjit | numba
         "kokkos.backend": "numpy",
     }
 

@@ -7,7 +7,6 @@ sweep drives regrids mid-run so the per-topology kernel scratch is
 invalidated and rebuilt on both sides.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,26 +54,14 @@ class TestExactTier:
     def test_dwd_with_gravity_bit_identical(self):
         dwd = dwd_scenario(level=1, scf_grid=16)
 
-        def gravity(array_backend):
-            return FmmSolver(
-                empty_mass_threshold=1e-12, array_backend=array_backend
-            ).as_gravity_callback()
+        def gravity():
+            return FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback()
 
         r = crosscheck_array_backend(
             dwd.mesh, "numpy", tier="exact", steps=2, eos=dwd.eos,
             omega=dwd.omega, gravity=gravity,
         )
         assert r.max_rel_err == 0.0
-
-    def test_fmm_numpy_dispatch_bit_identical(self):
-        mesh = sedov_blast(levels=1).mesh
-        seed = FmmSolver(empty_mass_threshold=1e-12).solve(mesh)
-        alt = FmmSolver(
-            empty_mass_threshold=1e-12, array_backend="numpy"
-        ).solve(mesh)
-        for key in seed.phi:
-            assert np.array_equal(seed.phi[key], alt.phi[key])
-            assert np.array_equal(seed.accel[key], alt.accel[key])
 
 
 class TestToleranceTier:
@@ -97,10 +84,8 @@ class TestToleranceTier:
     def test_dwd_with_gravity_within_budgets(self):
         dwd = dwd_scenario(level=1, scf_grid=16)
 
-        def gravity(array_backend):
-            return FmmSolver(
-                empty_mass_threshold=1e-12, array_backend=array_backend
-            ).as_gravity_callback()
+        def gravity():
+            return FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback()
 
         crosscheck_array_backend(
             dwd.mesh, jit_backend_name(), tier="tolerance", steps=2,
@@ -219,5 +204,4 @@ class TestDriverWiring:
             blast.mesh, Config({"kokkos.backend": "pyjit", "frame.omega": 0.0})
         )
         assert sim.integrator.array_backend == "pyjit"
-        assert sim.gravity_solver.array_backend == "pyjit"
         sim.close()

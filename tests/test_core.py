@@ -246,8 +246,121 @@ class TestDriver:
                 sims[1].mesh.nodes[key].subgrid.data,
             ), key
 
+    def test_config_is_the_source_of_machine_and_nodes(self):
+        """A given ``config`` prices the step *and* the power draw; the
+        ``machine``/``nodes`` arguments only build the default config."""
+        from repro.distsim.runconfig import RunConfig
+        from repro.scenarios.blast import sedov_blast
+
+        def power(**kwargs):
+            scenario = sedov_blast(levels=1)
+            sim = OctoTigerSim(
+                scenario.mesh, eos=scenario.eos, gravity=False, **kwargs
+            )
+            assert sim.machine is sim.config.machine
+            return sim.step().node_power_w
+
+        fugaku = RunConfig(machine=FUGAKU, nodes=1)
+        mixed = power(machine=OOKAMI, nodes=4, config=fugaku)
+        assert mixed == power(config=fugaku)
+        assert mixed != power(machine=OOKAMI, nodes=1)
+
     def test_gravity_free_driver(self, scenario):
         sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, gravity=False, nodes=1)
         record = sim.step(dt=1e-4)
         assert record.dt == 1e-4
         assert sim.gravity_solver is None
+
+
+def _count_run_step(monkeypatch):
+    """Count entries into the DES (wrapped by name, as the benchmark does)."""
+    from repro.distsim.taskgraph import TaskGraphSimulator
+
+    calls = []
+    inner = TaskGraphSimulator.run_step
+
+    def run_step(self, *args, **kwargs):
+        calls.append(self.spec)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(TaskGraphSimulator, "run_step", run_step)
+    return calls
+
+
+class TestVirtualTimingReuse:
+    """Without faults or the sanitizer the modelled timing is a pure
+    function of ``(spec, config, constants)``: priced once per workload."""
+
+    def test_priced_once_per_workload(self, monkeypatch):
+        from repro.octree.regrid import DensityCriterion
+        from repro.scenarios.blast import sedov_blast
+
+        calls = _count_run_step(monkeypatch)
+        scenario = sedov_blast(levels=1)
+        sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, gravity=False, nodes=2)
+        records = [sim.step() for _ in range(3)]
+        assert len(calls) == 1
+        assert len({r.virtual_seconds for r in records}) == 1
+        assert sim.counters.count("virtual.step_seconds") == 3
+
+        before = sim.spec
+        result = sim.regrid(DensityCriterion(refine_above=0.5), max_level=2)
+        assert result.changed and sim.spec != before
+        after = sim.step()
+        sim.step()
+        assert len(calls) == 2
+        assert after.virtual_seconds != records[0].virtual_seconds
+
+    @pytest.mark.parametrize("per_step", ["faults", "sanitize"])
+    def test_fault_and_sanitizer_runs_price_every_step(self, monkeypatch, per_step):
+        from repro.resilience.faults import FaultSpec
+        from repro.scenarios.blast import sedov_blast
+
+        calls = _count_run_step(monkeypatch)
+        scenario = sedov_blast(levels=1)
+        options = {
+            "faults": dict(faults=FaultSpec(delay_rate=0.1, delay_s=1e-6, seed=3)),
+            "sanitize": dict(sanitize=True),
+        }[per_step]
+        sim = OctoTigerSim(
+            scenario.mesh, eos=scenario.eos, gravity=False, nodes=2, **options
+        )
+        for _ in range(3):
+            sim.step()
+        assert len(calls) == 3
+
+
+class TestDriverSpecFromPlans:
+    """With gravity on, the driver reads its workload off the live plans;
+    the numbers are the ones the mesh-only traversal measures."""
+
+    @staticmethod
+    def _mesh(refine_first: bool):
+        mesh = make_uniform_mesh(levels=1)
+        if refine_first:
+            mesh.refine(sorted(mesh.leaf_keys())[0])
+        fill_gaussian(mesh)
+        return mesh
+
+    @pytest.mark.parametrize("refine_first", [False, True])
+    def test_equals_workload_from_mesh(self, refine_first):
+        from repro.scenarios.spec import workload_from_mesh
+
+        mesh = self._mesh(refine_first)
+        sim = OctoTigerSim(mesh)
+        faces = sim.integrator.plan_for().ghosts.face_counts
+        assert (faces["fine"] > 0) == refine_first
+        assert sim.spec == workload_from_mesh(mesh, name="driver")
+
+    def test_follows_the_solver_theta(self):
+        from repro.gravity.plan import traverse
+        from repro.scenarios.spec import workload_from_mesh
+
+        mesh = make_uniform_mesh(levels=2)  # large enough for theta to matter
+        sim = OctoTigerSim(mesh)
+        sim.gravity_solver.theta = 1.0
+        far, near, p2p = traverse(mesh, 1.0)
+        n = mesh.n_subgrids()
+        assert sim.spec.fmm_interactions_per_subgrid == 2.0 * (len(far) + len(near)) / n
+        assert sim.spec.p2p_pairs_per_subgrid == 2.0 * len(p2p) / n
+        assert sim.spec != workload_from_mesh(mesh, name="driver")

@@ -197,25 +197,18 @@ class TestOverlapBitIdentity:
         )
 
     def test_fmm_overlap_bit_identical(self):
-        # Same shape for the FMM fan-out: every (nprocs+1)-th M2L shard
-        # stays parent-local and is computed inside the ordered drain
-        # loop; the accumulation order -- hence the bits -- is unchanged.
+        # Real FMM gravity under the overlap schedule: the parent solves
+        # it between steps and ships the accelerations through shm, so the
+        # process run stays bit-identical to the serial one.
         from repro.gravity.fmm import FmmSolver
 
-        mesh, _ = make_state_mesh(levels=1, refine_keys=(2,))
-        des = FmmSolver(empty_mass_threshold=1e-12)
-        par = FmmSolver(
-            empty_mass_threshold=1e-12, backend="process", nprocs=2,
-            overlap=True,
+        mesh, eos = make_state_mesh(levels=1, refine_keys=(2,))
+        crosscheck_hydro(
+            mesh, steps=2, nprocs=2, eos=eos, omega=0.4, overlap=True,
+            gravity=lambda: FmmSolver(
+                empty_mass_threshold=1e-12
+            ).as_gravity_callback(),
         )
-        try:
-            r_des = des.solve(mesh)
-            r_par = par.solve(mesh)
-        finally:
-            par.close()
-        for key in r_des.accel:
-            assert np.array_equal(r_des.accel[key], r_par.accel[key])
-            assert np.array_equal(r_des.phi[key], r_par.phi[key])
 
     def test_overlap_attribution_populated(self):
         mesh, eos = make_state_mesh(levels=1)

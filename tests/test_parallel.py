@@ -10,8 +10,8 @@ Covers the ISSUE-6 satellite contracts:
   backends with bit-identical conserved sums and final fields, plus a
   hypothesis refine/derefine sweep proving plan invalidation propagates
   to the worker pool;
-* per-worker ``hydro.*``/``fmm.*`` timers aggregated (max + mean) into
-  the driver's counter registry.
+* per-worker ``hydro.*`` timers aggregated (max + mean) into the driver's
+  counter registry.
 """
 
 import math
@@ -309,21 +309,39 @@ class TestBackendEquivalence:
         assert payload_bytes > 0
 
     def test_fmm_process_backend_bit_identical(self):
-        from repro.gravity.fmm import FmmSolver
+        """A process-backend run with FMM gravity forks exactly ``nprocs``
+        workers (gravity has no pool of its own: it is solved in the
+        parent, under the parent's own ``fmm.*`` timers) and stays
+        bit-identical to the DES run."""
+        import multiprocessing
 
-        mesh, _ = make_state_mesh(levels=1, refine_keys=(2,))
-        des = FmmSolver(empty_mass_threshold=1e-12)
-        par = FmmSolver(
-            empty_mass_threshold=1e-12, backend="process", nprocs=2
+        from repro.core import OctoTigerSim
+        from repro.scenarios.dwd import dwd_scenario
+
+        ref = dwd_scenario(level=1, scf_grid=24)
+        run = dwd_scenario(level=1, scf_grid=24)
+        des = OctoTigerSim(ref.mesh, eos=ref.eos, omega=ref.omega)
+        par = OctoTigerSim(
+            run.mesh, eos=run.eos, omega=run.omega, gravity=True,
+            backend="process", nprocs=2,
         )
+        before = set(multiprocessing.active_children())
         try:
-            r_des = des.solve(mesh)
-            r_par = par.solve(mesh)
+            for step in range(2):
+                dt = des.integrator.timestep()
+                des.step(dt)
+                par.step(dt)
+                if step == 0:
+                    forked = set(multiprocessing.active_children()) - before
+                    assert len(forked) == 2
+                    assert all(child.is_alive() for child in forked)
         finally:
             par.close()
-        for key in r_des.accel:
-            assert np.array_equal(r_des.accel[key], r_par.accel[key])
-            assert np.array_equal(r_des.phi[key], r_par.phi[key])
+        assert np.array_equal(conserved_sums(ref.mesh), conserved_sums(run.mesh))
+        assert_meshes_identical(ref.mesh, run.mesh)
+        solves = par.counters.count("fmm.m2l")
+        assert solves == des.counters.count("fmm.m2l") > 0
+        assert "fmm.m2l.workers_mean" not in par.counters.names()
 
     def test_timers_aggregated_into_registry(self):
         mesh, eos = make_state_mesh(levels=1)
@@ -421,10 +439,6 @@ class TestDistributedDriverBackend:
         assert_meshes_identical(mesh_a, mesh_b)
 
     def test_invalid_backend_rejected(self):
-        from repro.gravity.fmm import FmmSolver
-
         mesh, eos = make_state_mesh(levels=0)
         with pytest.raises(ValueError, match="backend"):
             HydroIntegrator(mesh, eos, backend="threads")
-        with pytest.raises(ValueError, match="backend"):
-            FmmSolver(backend="threads")
