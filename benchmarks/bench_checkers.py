@@ -70,7 +70,7 @@ def bench_case(levels: int, nprocs: int, reps: int, trials: int) -> dict:
                 entry["dropped"] = det.dropped
             if name == "verify":
                 t0 = time.perf_counter()
-                violations = verify_process_plan(ex.plan, ex.split)
+                violations = verify_process_plan(ex.plan)
                 entry["verify_ms"] = (time.perf_counter() - t0) * 1e3
                 entry["violations"] = len(violations)
         finally:

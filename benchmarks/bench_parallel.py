@@ -8,14 +8,14 @@ Measures the true-parallel multiprocessing backend
 (``HydroIntegrator(backend="process")``, see ``docs/parallel.md``) on the
 level-1 and level-2 meshes: warm RK3 step wall-clock at 1, 2 and 4 worker
 processes against the single-process batched baseline — once with the BSP
-barrier schedule and once with the futurized interior/halo overlap
-schedule — next to the distsim-predicted strong-scaling curves (overlap on
-and off) for the same workload shape from ``repro.machines``.
+barrier schedule and once with the fused ("overlap") schedule, one round
+per RK stage — next to the distsim-predicted strong-scaling curves (overlap
+on and off) for the same workload shape from ``repro.machines``.
 
 Every point also records the per-phase attribution the executor measures:
 ``exchange_wait_ms`` (time in / blocked on the ghost exchange) versus
-``compute_ms`` (rhs/reflux/update), so the overlap win is visible as a
-falling exchange-wait share, not just total wall-clock.
+``compute_ms`` (rhs/reflux/update) and their ``exchange_wait_share``, on
+both schedules.
 
 Before timing anything, every benchmarked (nprocs, schedule) case is run
 through the DES-vs-process cross-check harness
@@ -26,13 +26,13 @@ benchmark exits non-zero.  Persists:
 * ``benchmarks/output/parallel.txt`` — the human-readable table,
 * ``BENCH_parallel.json`` at the repo root — machine-readable numbers.
 
-Gates: the bit-identity cross-check always; on hosts with >= 4 cores the
->= 1.6x wall-clock gate at 4 workers on the warm level-2 step, the
->= 1.15x overlap-vs-BSP warm-step gate and the >= 30% exchange-wait-share
-reduction gate.  On smaller containers the measured curve is recorded
-honestly (``oversubscribed`` points carry no headline vs-serial speedup)
-and the distsim-predicted values are recorded in place of the skipped
-measured gates.
+Gates: the bit-identity cross-check always; on hosts with >= 4 usable
+cores the >= 1.6x wall-clock gate at 4 workers on the warm level-2 step
+and the one thing the fused schedule claims — a warm step no slower than
+BSP at the same point.  On smaller containers the measured curve is
+recorded honestly (``oversubscribed`` points carry no headline vs-serial
+speedup) and the gates are reported as *unmeasured* (``gate_ok: null``),
+never as a pass.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ from repro.scenarios.spec import ScenarioSpec  # noqa: E402
 OUTPUT_DIR = Path(__file__).parent / "output"
 SPEEDUP_GATE = 1.6
 GATE_NPROCS = 4
-#: Measured overlap gates (level-2 warm step at GATE_NPROCS, >= 4 cores):
-#: overlap wall-clock win vs BSP and exchange-wait-share reduction.
-OVERLAP_SPEEDUP_GATE = 1.15
-WAIT_SHARE_REDUCTION_GATE = 0.30
+#: Level-2 warm step at GATE_NPROCS, >= 4 cores: BSP time over fused time.
+#: The fused schedule drops two barriers per stage and hides nothing else,
+#: so all it claims is not to lose to the baseline.
+FUSED_OVER_BSP_GATE = 1.0
 
 
 def build_mesh(levels: int, n: int = 8, seed: int = 0):
@@ -134,7 +134,8 @@ def predicted_curve(levels: int, n_leaves: int, nprocs_list, overlap: bool) -> d
 def predicted_overlap_point(levels: int, n_leaves: int, nprocs: int) -> dict:
     """distsim's view of what overlap buys at ``nprocs`` nodes: the
     overlap-vs-BSP step speedup and the exposed-wire share both ways.
-    Recorded in place of the measured gates on undersized hosts."""
+    Recorded beside the unmeasured gates on undersized hosts (the model's
+    multi-node wire term, not a stand-in for the measurement)."""
     machine = MACHINES["Fugaku"]
     spec = ScenarioSpec(
         name=f"bench-level-{levels}", n_subgrids=n_leaves, max_level=levels
@@ -294,7 +295,7 @@ def main(argv=None) -> int:
 
     lines = [
         "process backend strong scaling: warm RK3 step, min-of-trials "
-        f"(host exposes {cores} core(s))",
+        f"(host exposes {cores} usable core(s))",
         f"{'mesh':<10} {'nprocs':>6} {'sched':>8} {'cold':>9} {'warm':>9} "
         f"{'wait':>8} {'compute':>8} {'vs-serial':>10} {'vs-1proc':>9} "
         f"{'predicted':>10} {'bits':>6}",
@@ -326,53 +327,41 @@ def main(argv=None) -> int:
     )
 
     gate_applies = cores >= GATE_NPROCS and not args.smoke
-    gate_ok = True
-    overlap_gates = {}
+    gate_ok = None  # unmeasured until a gate has actually run
     if gate_applies:
         level2 = next(c for c in cases if c["levels"] == 2)
-        gate_point = _point(level2, GATE_NPROCS, False)
-        assert not gate_point["oversubscribed"]  # implied by cores check
-        measured = gate_point["speedup_vs_1proc"]
-        gate_ok = measured >= SPEEDUP_GATE
+        bsp = _point(level2, GATE_NPROCS, False)
+        ovl = _point(level2, GATE_NPROCS, True)
+        assert not bsp["oversubscribed"]  # implied by cores check
+        measured = bsp["speedup_vs_1proc"]
+        scaling_ok = measured >= SPEEDUP_GATE
         lines.append(
             f"gate: level-2 warm speedup at {GATE_NPROCS} procs = "
             f"{measured:.2f}x (require >= {SPEEDUP_GATE}x) "
-            f"{'PASS' if gate_ok else 'FAIL'}"
+            f"{'PASS' if scaling_ok else 'FAIL'}"
         )
-        bsp = _point(level2, GATE_NPROCS, False)
-        ovl = _point(level2, GATE_NPROCS, True)
-        ovl_speedup = bsp["warm_ms"] / ovl["warm_ms"]
-        share_bsp = bsp["exchange_wait_share"]
-        share_ovl = ovl["exchange_wait_share"]
-        reduction = 1.0 - share_ovl / share_bsp if share_bsp > 0 else 0.0
-        speedup_ok = ovl_speedup >= OVERLAP_SPEEDUP_GATE
-        share_ok = reduction >= WAIT_SHARE_REDUCTION_GATE
+        fused_over_bsp = bsp["warm_ms"] / ovl["warm_ms"]
+        fused_ok = fused_over_bsp >= FUSED_OVER_BSP_GATE
         overlap_gates = {
             "measured": True,
-            "speedup_overlap_vs_bsp": ovl_speedup,
-            "speedup_ok": speedup_ok,
-            "wait_share_bsp": share_bsp,
-            "wait_share_overlap": share_ovl,
-            "wait_share_reduction": reduction,
-            "wait_share_ok": share_ok,
+            "speedup_overlap_vs_bsp": fused_over_bsp,
+            "speedup_ok": fused_ok,
+            "wait_share_bsp": bsp["exchange_wait_share"],
+            "wait_share_overlap": ovl["exchange_wait_share"],
         }
-        gate_ok = gate_ok and speedup_ok and share_ok
+        gate_ok = scaling_ok and fused_ok
         lines.append(
-            f"gate: level-2 overlap vs bsp at {GATE_NPROCS} procs = "
-            f"{ovl_speedup:.2f}x (require >= {OVERLAP_SPEEDUP_GATE}x) "
-            f"{'PASS' if speedup_ok else 'FAIL'}"
-        )
-        lines.append(
-            f"gate: exchange-wait share {share_bsp:.1%} -> {share_ovl:.1%} "
-            f"({reduction:.0%} reduction, require >= "
-            f"{WAIT_SHARE_REDUCTION_GATE:.0%}) "
-            f"{'PASS' if share_ok else 'FAIL'}"
+            f"gate: level-2 fused vs bsp at {GATE_NPROCS} procs = "
+            f"{fused_over_bsp:.2f}x (require >= {FUSED_OVER_BSP_GATE}x) "
+            f"{'PASS' if fused_ok else 'FAIL'}; exchange-wait share "
+            f"{bsp['exchange_wait_share']:.1%} -> "
+            f"{ovl['exchange_wait_share']:.1%}"
         )
     else:
         pred = cases[-1]["predicted_overlap"]
         overlap_gates = {"measured": False, "predicted": pred}
         lines.append(
-            f"gate: skipped ({'smoke mode' if args.smoke else f'only {cores} core(s) online'}); "
+            f"gate: unmeasured ({'smoke mode' if args.smoke else f'only {cores} usable core(s)'}); "
             "bit-identity cross-check still enforced; distsim-predicted "
             f"overlap at {pred['nprocs']} procs: "
             f"{pred['speedup_overlap_vs_bsp']:.2f}x step speedup, "
@@ -390,8 +379,7 @@ def main(argv=None) -> int:
         "cores_online": cores,
         "speedup_gate": SPEEDUP_GATE,
         "gate_nprocs": GATE_NPROCS,
-        "overlap_speedup_gate": OVERLAP_SPEEDUP_GATE,
-        "wait_share_reduction_gate": WAIT_SHARE_REDUCTION_GATE,
+        "fused_over_bsp_gate": FUSED_OVER_BSP_GATE,
         "gate_applies": gate_applies,
         "gate_ok": gate_ok,
         "overlap_gates": overlap_gates,
@@ -401,7 +389,7 @@ def main(argv=None) -> int:
         json.dumps(payload, indent=2) + "\n"
     )
 
-    if not gate_ok:
+    if gate_ok is False:
         print(
             f"FAIL: performance gate(s) below threshold at {GATE_NPROCS} "
             "procs",

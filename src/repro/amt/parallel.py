@@ -423,9 +423,13 @@ class ParallelEngine:
         before the method returns, so the :attr:`round_observer` still
         sees a quiescent state.
 
-        Failure semantics match :meth:`round`: remote raise →
+        Failure semantics match :meth:`round` — remote raise →
         :class:`WorkerError`, dead process → :class:`WorkerCrashError`,
-        deadline → :class:`WorkerTimeoutError`.
+        deadline → :class:`WorkerTimeoutError` — except that a remote
+        raise or a death ends the round at once: the failed worker's peers
+        may be blocked in ``link.wait`` on a route that now never comes,
+        so waiting for them would only turn the real error into a timeout
+        naming the healthy ranks.  The pool is not reusable afterwards.
         """
         from multiprocessing import connection as mp_connection
 
@@ -434,7 +438,6 @@ class ParallelEngine:
         n = len(self.localities)
         results: List[Any] = [None] * n
         done = [False] * n
-        error: Optional[WorkerError] = None
         dead: List[int] = []
         conn_rank = {self.localities[r].conn: r for r in range(n)}
         deadline = time.monotonic() + self.timeout
@@ -471,15 +474,12 @@ class ParallelEngine:
                             self.control_messages += 1
                     continue
                 status, payload = message
-                done[rank] = True
                 if status == "err":
-                    error = error or WorkerError(rank, payload)
-                else:
-                    results[rank] = payload
+                    raise WorkerError(rank, payload)
+                done[rank] = True
+                results[rank] = payload
             if dead:
                 raise WorkerCrashError(dead)
-        if error is not None:
-            raise error
         if self.round_observer is not None:
             self.round_observer()
         return results

@@ -341,98 +341,11 @@ def verify_fmm_split(plan: "FmmPlan", max_rows: int) -> List[PlanViolation]:
     return out
 
 
-def verify_region_split(split, n: int, ghost: int) -> List[PlanViolation]:  # noqa: ANN001
-    """The interior/halo split is an exact, overlap-safe partition.
-
-    The overlap schedule computes ``interior_box`` *before* the ghost
-    exchange has drained, so its safety rests on four closed-form facts,
-    each checked against the live box arrays
-    (:class:`~repro.hydro.plan.RegionSplit`):
-
-    * **cover** — interior ∪ halo boxes hit every cell of ``[0, n)^3``;
-    * **disjoint** — no cell is in two boxes (each cell's dudt is written
-      by exactly one region pass);
-    * **width** — on every face of the cube the halo band is exactly
-      ``split.width`` cells deep, and ``width`` equals the kernel stencil
-      radius (a thinner band would let an interior stencil reach a ghost;
-      a wider one silently shrinks the overlap win);
-    * **closure** — every interior-box cell's stencil, ``width`` cells
-      each way per axis, stays inside ``[0, n)`` (never reads a ghost),
-      and the ghost margin is at least the stencil radius so halo
-      sub-views are well formed.
-    """
-    from repro.hydro.plan import STENCIL_RADIUS
-
-    out: List[PlanViolation] = []
-    boxes = list(split.boxes)
-    count = np.zeros((n, n, n), dtype=np.int64)
-    for box in boxes:
-        x0, x1, y0, y1, z0, z1 = box
-        if not (0 <= x0 <= x1 <= n and 0 <= y0 <= y1 <= n and 0 <= z0 <= z1 <= n):
-            out.append(PlanViolation(
-                "split-bounds", f"box {box} outside [0, {n})^3"
-            ))
-            continue
-        count[x0:x1, y0:y1, z0:z1] += 1
-    over = np.nonzero(count > 1)
-    if over[0].size:
-        c = tuple(int(a[0]) for a in over)
-        out.append(PlanViolation(
-            "split-disjoint",
-            f"{over[0].size} cell(s) covered by more than one region "
-            f"(first: {c})",
-        ))
-    holes = np.nonzero(count == 0)
-    if holes[0].size:
-        c = tuple(int(a[0]) for a in holes)
-        out.append(PlanViolation(
-            "split-cover",
-            f"{holes[0].size} cell(s) in no region (first: {c})",
-        ))
-    if split.width != STENCIL_RADIUS:
-        out.append(PlanViolation(
-            "split-width",
-            f"halo width {split.width} != stencil radius {STENCIL_RADIUS}",
-        ))
-    if ghost < STENCIL_RADIUS:
-        out.append(PlanViolation(
-            "split-closure",
-            f"ghost margin {ghost} below stencil radius {STENCIL_RADIUS}",
-        ))
-    if split.has_interior:
-        x0, x1, y0, y1, z0, z1 = split.interior_box
-        w = split.width
-        for name, lo, hi in (("x", x0, x1), ("y", y0, y1), ("z", z0, z1)):
-            if lo - w < 0 or hi + w > n:
-                out.append(PlanViolation(
-                    "split-closure",
-                    f"interior box {split.interior_box} stencil leaves "
-                    f"[0, {n}) along {name}",
-                ))
-            if lo != w or hi != n - w:
-                out.append(PlanViolation(
-                    "split-width",
-                    f"halo band along {name} is [{0}, {lo}) / [{hi}, {n}), "
-                    f"not {w} cells deep",
-                ))
-    elif n > 2 * split.width:
-        out.append(PlanViolation(
-            "split-width",
-            f"empty interior box for n={n}, width={split.width} "
-            f"(interior [{split.width}, {n - split.width}) expected)",
-        ))
-    return out
-
-
-def verify_process_plan(plan: "HydroPlan", split=None) -> List[PlanViolation]:  # noqa: ANN001
+def verify_process_plan(plan: "HydroPlan") -> List[PlanViolation]:
     """Whole-plan pass over a built :class:`~repro.hydro.plan.HydroPlan`:
-    rank partition + ghost bundles and, when the caller schedules one
-    (``split``, a :class:`~repro.hydro.plan.RegionSplit`), the
-    interior/halo split."""
+    rank partition + ghost bundles."""
     out = verify_partition(plan.runs, plan.n_leaves, plan.rank_of)
     out.extend(verify_bundle_plan(plan.mesh_ref(), plan.ghosts, plan.rank_of))
-    if split is not None:
-        out.extend(verify_region_split(split, plan.n, plan.ghost_width))
     return out
 
 

@@ -72,11 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="worker processes for --backend process")
     run.add_argument("--overlap", default=False,
                      action=argparse.BooleanOptionalAction,
-                     help="process backend: futurized interior/halo "
-                          "schedule — ghost-exchange latency hidden behind "
-                          "interior compute in a dependency-grained fused "
-                          "round (bit-identical to the default BSP rounds; "
-                          "--no-overlap is the ablation baseline)")
+                     help="process backend: fused schedule — each RK "
+                          "stage's ghost exchange, rhs and update run as "
+                          "one dependency-grained round instead of three "
+                          "barrier rounds (bit-identical to the default "
+                          "BSP rounds; --no-overlap is the baseline)")
     run.add_argument("--verify-plans", default=True,
                      action=argparse.BooleanOptionalAction,
                      help="statically verify the parallel plans (disjoint "
@@ -108,15 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "assert bit-identical fields (the parallel-smoke CI gate)")
     check.add_argument("--nprocs", type=int, default=2, metavar="N")
     check.add_argument("--steps", type=int, default=2)
-    check.add_argument("--wire", default="shm", choices=["shm", "pipe"],
-                       help="ghost-exchange wire format for the process "
-                            "backend: shm writes (default) or serialized "
-                            "payload buffers over pipes")
     check.add_argument("--overlap", default=False,
                        action=argparse.BooleanOptionalAction,
-                       help="run the process side with the futurized "
-                            "interior/halo schedule; the bit-identity "
-                            "assertion then covers the overlap path")
+                       help="run the process side with the fused "
+                            "schedule (one round per RK stage); the "
+                            "bit-identity assertion then covers that path")
     check.add_argument("--tier", default=None,
                        choices=["exact", "tolerance"],
                        help="array-backend equivalence tier instead of the "
@@ -258,12 +254,7 @@ def _command_run(args: argparse.Namespace) -> int:
         if n:
             return 3
     if args.checkpoint:
-        from repro.ioutil import save_checkpoint
-
-        path = save_checkpoint(
-            sim.mesh, args.checkpoint, time=sim.integrator.time,
-            step=sim.integrator.steps_taken,
-        )
+        path = sim.save_checkpoint(args.checkpoint)
         print(f"checkpoint written to {path}")
     sim.close()
     return 0
@@ -278,7 +269,7 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
 
     try:
         results = crosscheck_scenarios(
-            nprocs=args.nprocs, steps=args.steps, wire=args.wire,
+            nprocs=args.nprocs, steps=args.steps,
             overlap=args.overlap, tier=args.tier,
             plan_cache=args.plan_cache,
         )

@@ -137,27 +137,11 @@ class PairBundle:
     n_faces: int
 
     def __post_init__(self) -> None:
-        # Scratch (not fields): the active ``payload`` of the two
-        # ``_payloads`` buffers and the fine-restriction accumulators.
-        self._payloads: List[Optional[np.ndarray]] = [None, None]
-        self._active = 1  # flip() lands on buffer 0
-        self.flip()
-        self._fine_tmp = np.empty(self.fine_dst.size)
-
-    def flip(self) -> None:
-        """Switch to the other payload buffer (the previously packed one
-        survives until the *next* flip), so the overlap schedule can pack
-        stage s+1 while stage s's payload is still in flight.  Only the
-        pipe-wire overlap schedule ever flips, so the second buffer is
-        allocated on the first flip — every other path sees (and pays for)
-        exactly one."""
-        self._active ^= 1
-        if self._payloads[self._active] is None:
-            self._payloads[self._active] = np.empty(
-                self.copy_src.size + self.fine_dst.size
-            )
-        self.payload = self._payloads[self._active]
+        # Scratch (not fields): the payload buffer, its fine-restriction
+        # tail and the restriction accumulator.
+        self.payload = np.empty(self.copy_src.size + self.fine_dst.size)
         self._fine_acc = self.payload[self.copy_src.size :]
+        self._fine_tmp = np.empty(self.fine_dst.size)
 
     def __getstate__(self) -> dict:
         # The scratch buffers must not cross a pickle boundary: _fine_acc
@@ -166,8 +150,7 @@ class PairBundle:
         # fine data nowhere and unpack() scatter uninitialized memory.
         # (The replan broadcast pickles bundles; fork inherits them intact.)
         state = self.__dict__.copy()
-        for scratch in ("payload", "_payloads", "_fine_acc", "_fine_tmp",
-                        "_active"):
+        for scratch in ("payload", "_fine_acc", "_fine_tmp"):
             state.pop(scratch, None)
         return state
 

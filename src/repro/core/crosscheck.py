@@ -209,7 +209,6 @@ def crosscheck_hydro(
     gravity: Optional[Callable[[], GravityCallback]] = None,
     gravity_every_stage: bool = False,
     reflux: bool = True,
-    wire: str = "shm",
     overlap: bool = False,
     dt: Optional[float] = None,
     mutate: Optional[Callable[[AmrMesh, int], None]] = None,
@@ -257,7 +256,7 @@ def crosscheck_hydro(
         mesh_process, eos=eos, omega=omega,
         gravity=gravity() if gravity else None,
         gravity_every_stage=gravity_every_stage, reflux=reflux,
-        backend="process", nprocs=nprocs, wire=wire, overlap=overlap,
+        backend="process", nprocs=nprocs, overlap=overlap,
         detect_races=detect_races,
         plan_cache=cache_handle(),
     )
@@ -399,7 +398,6 @@ def crosscheck_array_backend(
 def crosscheck_scenarios(
     nprocs: int = 2,
     steps: int = 2,
-    wire: str = "shm",
     overlap: bool = False,
     tier: Optional[str] = None,
     plan_cache=None,  # PlanCache | str | Path | None
@@ -427,13 +425,13 @@ def crosscheck_scenarios(
         results.append(
             crosscheck_hydro(
                 blast.mesh, steps=steps, nprocs=nprocs, eos=blast.eos,
-                wire=wire, overlap=overlap, plan_cache=plan_cache,
+                overlap=overlap, plan_cache=plan_cache,
             )
         )
         results.append(
             crosscheck_hydro(
                 dwd.mesh, steps=steps, nprocs=nprocs, eos=dwd.eos,
-                omega=dwd.omega, gravity=gravity_factory, wire=wire,
+                omega=dwd.omega, gravity=gravity_factory,
                 overlap=overlap, plan_cache=plan_cache,
             )
         )

@@ -114,8 +114,8 @@ class OctoTigerSim:
         #: solved in the parent either way.
         self.backend = backend
         self.nprocs = nprocs
-        #: Process backend only: futurized interior/halo schedule — ghost
-        #: exchange latency hidden behind interior compute, bit-identical
+        #: Process backend only: fused schedule — each RK stage's ghost,
+        #: rhs and update as one dependency-grained round, bit-identical
         #: to the BSP rounds (the ``--overlap`` ablation flag).
         self.overlap = overlap
         #: Checker wiring for the process backend: refuse statically

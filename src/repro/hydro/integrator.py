@@ -24,9 +24,10 @@ and the kernel-level ops are the methods of one
 * **BSP** — ``backend="process"``: every op is one barrier round of
   :class:`repro.hydro.process_backend.ProcessHydroExecutor`, each worker
   forwarding it to the ``RankStep`` over the leaves it owns;
-* **overlap** — the same executor with ``overlap=True``: the program hoists
-  ``rhs("interior")`` before the exchange drains and runs ``rhs("halo")`` +
-  ``update`` after it, fused into one dependency-grained round per stage.
+* **overlap** — the same executor with ``overlap=True``: the same ops,
+  with each stage's ``ghost``, ``rhs`` and (when no reflux intervenes)
+  ``update`` grouped into one dependency-grained round instead of three
+  barrier rounds.
 
 :meth:`HydroIntegrator.step_reference` keeps the original per-leaf loops as
 the numerics oracle (exactly like ``FmmSolver.solve_reference``); all three
@@ -86,42 +87,33 @@ def rk3_ops(
     Parent ops: ``("accel",)`` solves gravity and restages the stacked
     accelerations; ``("ghost",)`` is the whole ghost exchange.  Rank ops
     name :class:`repro.hydro.plan.RankStep` methods and carry their
-    arguments: ``begin``, ``rhs(region, collect_fluxes, use_accel)``,
-    ``reflux``, ``update(a0, a1, dt)``, ``finish``.
+    arguments: ``begin``, ``rhs(collect_fluxes, use_accel)``, ``reflux``,
+    ``update(a0, a1, dt)``, ``finish``.
 
-    With ``overlap`` a stage becomes ``("fused", ops)``: the exchange is
-    split into ``post`` / ``drain`` and ``rhs`` into its interior and halo
-    regions, interior hoisted before the drain — otherwise the same rank
-    ops with the same arguments.  The fused group ends at ``update``
-    unless a ``reflux`` (whose flux reads span all ranks, so it keeps a
-    barrier) has to come first.  A per-stage acceleration rewrite needs
-    the parent between the ghost fill and the rhs, a seam the fused group
-    does not have, so those stages keep the barrier form.
+    With ``overlap`` the leading ops of a stage are grouped as
+    ``("fused", ops)`` — the same ops in the same order, so flattening the
+    groups gives the ``overlap=False`` program verbatim.  The group is
+    ``ghost, rhs, update`` unless a ``reflux`` (whose flux reads span all
+    ranks, so it keeps a barrier) has to come before the update.  A
+    per-stage acceleration rewrite needs the parent between the ghost fill
+    and the rhs, a seam a group does not have, so those stages stay
+    ungrouped.
     """
     if use_accel:
         yield ("accel",)
     yield ("begin",)
-    rhs_args = (collect_fluxes, use_accel)
     for stage_index, (a0, a1) in enumerate(_RK3_STAGES):
         rewrite_accel = bool(use_accel and gravity_every_stage and stage_index)
-        fuse = overlap and not rewrite_accel
-        update = ("update", a0, a1, dt)
-        if fuse:
-            yield ("fused", (
-                ("post",),
-                ("rhs", "interior", *rhs_args),
-                ("drain",),
-                ("rhs", "halo", *rhs_args),
-            ) + (() if collect_fluxes else (update,)))
-        else:
-            yield ("ghost",)
-            if rewrite_accel:
-                yield ("accel",)
-            yield ("rhs", "all", *rhs_args)
+        stage = [("ghost",), ("rhs", collect_fluxes, use_accel)]
         if collect_fluxes:
-            yield ("reflux",)
-        if collect_fluxes or not fuse:
-            yield update
+            stage.append(("reflux",))
+        stage.append(("update", a0, a1, dt))
+        if rewrite_accel:
+            stage.insert(1, ("accel",))
+        elif overlap:
+            cut = 2 if collect_fluxes else 3
+            stage[:cut] = [("fused", tuple(stage[:cut]))]
+        yield from stage
     yield ("finish",)
 
 
@@ -149,7 +141,6 @@ class HydroIntegrator:
         reconstruction: str = "muscl",
         backend: str = "serial",
         nprocs: int = 2,
-        wire: str = "shm",
         overlap: bool = False,
         verify_plans: bool = True,
         detect_races: bool = False,
@@ -191,9 +182,8 @@ class HydroIntegrator:
         #: :class:`repro.hydro.process_backend.ProcessHydroExecutor` pool.
         self.backend = backend
         self.nprocs = nprocs
-        self.wire = wire
-        #: Process backend only: futurized interior/halo schedule that
-        #: hides ghost-exchange latency behind interior compute
+        #: Process backend only: run each stage's ghost, rhs and update as
+        #: one dependency-grained round instead of three barrier rounds
         #: (bit-identical to the BSP schedule; off = ablation baseline).
         self.overlap = overlap
         #: Process backend only: static plan verification before forking
@@ -384,7 +374,6 @@ class HydroIntegrator:
                 omega=self.omega,
                 reflux=self.reflux,
                 reconstruction=self.reconstruction,
-                wire=self.wire,
                 overlap=self.overlap,
                 verify_plans=self.verify_plans,
                 detect_races=self.detect_races,

@@ -44,7 +44,6 @@ See ``docs/hydro_plan.md`` for the full architecture.
 from __future__ import annotations
 
 import math
-import numbers
 import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -108,115 +107,8 @@ class ScratchArena:
 #: Stencil radius of the hydro reconstruction: a cell's RHS reads at most
 #: this many cells away along each sweep axis (MUSCL reconstruction of the
 #: faces around cell ``i`` reads cells ``[i - 2, i + 2]``; the first-order
-#: path reads a subset).  The interior/halo split below is keyed on it.
+#: path reads a subset).  The ghost margin must be at least this wide.
 STENCIL_RADIUS = 2
-
-#: Half-open box ``(x0, x1, y0, y1, z0, z1)`` in interior coordinates.
-Box = Tuple[int, int, int, int, int, int]
-
-
-@dataclass(frozen=True)
-class RegionSplit:
-    """Interior/halo decomposition of every ``n^3`` leaf interior.
-
-    ``interior_box`` holds the cells whose stencil closes over the leaf's
-    own interior — their RHS never reads a ghost cell, so they can be
-    computed while the ghost exchange is still in flight (the futurized
-    overlap path of :mod:`repro.hydro.process_backend`).  ``halo_boxes``
-    are the stencil-radius-wide shell whose stencils do read ghosts; they
-    wait for the exchange to drain.  Boxes are half-open
-    ``(x0, x1, y0, y1, z0, z1)`` in interior coordinates ``[0, n)`` and
-    partition the cube exactly — covering, disjoint, halo width equal to
-    the stencil radius on every face — which
-    :func:`repro.analysis.planverify.verify_region_split` re-proves before
-    the executor is allowed to schedule it.
-
-    The split is a pure function of ``(n, width)``: regrids never change
-    it, so the executor computes it once and nothing caches it.
-    """
-
-    n: int
-    width: int
-    interior_box: Box
-    halo_boxes: Tuple[Box, ...]
-
-    @property
-    def has_interior(self) -> bool:
-        x0, x1, y0, y1, z0, z1 = self.interior_box
-        return x1 > x0 and y1 > y0 and z1 > z0
-
-    @property
-    def boxes(self) -> Tuple[Box, ...]:
-        """All regions, interior first, empty boxes dropped."""
-        out = [self.interior_box] if self.has_interior else []
-        out.extend(self.halo_boxes)
-        return tuple(out)
-
-
-def compute_region_split(n: int, width: int = STENCIL_RADIUS) -> RegionSplit:
-    """The canonical interior/halo split of an ``n^3`` interior.
-
-    The interior box is ``[w, n - w)^3`` (every stencil stays inside the
-    leaf's own cells); the halo is six face slabs trimmed so they tile the
-    shell without overlap: the x slabs span the full transverse extent,
-    the y slabs are trimmed in x, the z slabs in both.  When ``n <= 2w``
-    no cell's stencil closes locally and the whole cube is one halo box.
-    """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(width, numbers.Integral) or isinstance(width, bool) or width < 1:
-        raise ValueError(f"width must be a positive integer, got {width!r}")
-    n = int(n)
-    w = int(width)
-    if n <= 2 * w:
-        return RegionSplit(
-            n=n, width=w,
-            interior_box=(0, 0, 0, 0, 0, 0),
-            halo_boxes=((0, n, 0, n, 0, n),),
-        )
-    lo, hi = w, n - w
-    return RegionSplit(
-        n=n, width=w,
-        interior_box=(lo, hi, lo, hi, lo, hi),
-        halo_boxes=(
-            (0, lo, 0, n, 0, n),      # x-low slab, full transverse extent
-            (hi, n, 0, n, 0, n),      # x-high slab
-            (lo, hi, 0, lo, 0, n),    # y-low, trimmed in x
-            (lo, hi, hi, n, 0, n),    # y-high
-            (lo, hi, lo, hi, 0, lo),  # z-low, trimmed in x and y
-            (lo, hi, lo, hi, hi, n),  # z-high
-        ),
-    )
-
-
-def region_views(
-    u: np.ndarray, dudt: np.ndarray, box: Box, ghost: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(u, dudt)`` sub-views for one region pass of
-    :func:`stacked_rhs_kernel`.
-
-    ``u`` is ``(B, NFIELDS, M, M, M)`` with ghost margin ``ghost`` and
-    ``dudt`` is ``(B, NFIELDS, n, n, n)``; ``box`` is half-open in interior
-    coordinates.  The ``u`` sub-view keeps a ``STENCIL_RADIUS`` margin
-    around the box on every axis, so the kernel's derived per-axis ghost
-    margins equal the stencil radius exactly and each cell of the box sees
-    the same neighbourhood values as the full-block pass — the fluxes, and
-    therefore the divergence bits, are identical.
-    """
-    if ghost < STENCIL_RADIUS:
-        raise ValueError(
-            f"ghost width {ghost} below stencil radius {STENCIL_RADIUS}"
-        )
-    x0, x1, y0, y1, z0, z1 = box
-    g, r = ghost, STENCIL_RADIUS
-    u_sub = u[
-        :, :,
-        x0 + g - r : x1 + g + r,
-        y0 + g - r : y1 + g + r,
-        z0 + g - r : z1 + g + r,
-    ]
-    d_sub = dudt[:, :, x0:x1, y0:y1, z0:z1]
-    return u_sub, d_sub
 
 
 class SlotRun(NamedTuple):
@@ -355,10 +247,10 @@ class HydroPlan:
     # -- the replan broadcast (process backend) --------------------------------
     def rank_slice(self, rank: int) -> Dict[str, Any]:
         """The topology attributes of this plan as ``rank`` needs them (its
-        own runs, the bundles it packs or applies) — the executor's replan
+        own runs, the bundles it applies) — the executor's replan
         broadcast.  A forked worker cannot derive any of it: its mesh copy
         is stale the moment the parent regrids."""
-        mine = {p: b for p, b in self.ghosts.bundles.items() if rank in p}
+        mine = {p: b for p, b in self.ghosts.bundles.items() if p[1] == rank}
         return {
             "fingerprint": self.fingerprint,
             "leaf_keys": self.leaf_keys,
@@ -832,13 +724,8 @@ def stacked_rhs_kernel(
         raise ValueError(f"unknown reconstruction {reconstruction!r}")
     if scratch is None:
         scratch = ScratchArena()
-    # Per-axis interior extents and ghost margins: the full-block call has
-    # all three equal (n, n, n with margin g), but the overlap path runs
-    # the same kernel over interior/halo sub-boxes whose extents differ
-    # per axis — the arithmetic per cell is identical either way.
-    nb = dudt.shape[0]
-    ns = (dudt.shape[2], dudt.shape[3], dudt.shape[4])
-    gs = tuple((u.shape[2 + i] - ns[i]) // 2 for i in range(3))
+    nb, n = dudt.shape[0], dudt.shape[2]
+    g = (u.shape[2] - n) // 2
     ws = stacked_primitives_kernel(u, eos, scratch, tag)
     # Passive primitive rows (tau / f1 / f2) equal their conserved fields,
     # and PRIM_KEYS[5:] lines up with Field.TAU..FRAC2 — read them straight
@@ -846,7 +733,7 @@ def stacked_rhs_kernel(
     upass = u.transpose(1, 0, 2, 3, 4)[Field.TAU : Field.FRAC2 + 1]
     dudt[...] = 0.0
     nk = len(PRIM_KEYS)
-    interiors = tuple(slice(gs[i], gs[i] + ns[i]) for i in range(3))
+    interior = slice(g, g + n)
     # When dx is a power of two (every level of a power-of-two domain),
     # x / dx == x * (1 / dx) for every float x: scaling by an exact power
     # of two changes only the exponent, so division and
@@ -864,33 +751,28 @@ def stacked_rhs_kernel(
 
     for axis in range(3):
         sweep = axis + 2  # the sweep spatial axis within (K, B, x, y, z)
-        na = ns[axis]
-        ga = gs[axis]
-        t1, t2 = tuple(ns[i] for i in range(3) if i != axis)
         with _timer(registry, "hydro.reconstruct"):
             # Stencil trim along the sweep axis (cells [g-2, g+n+2) feed the
             # n + 1 interior faces) + transverse trim to the interior, copied
             # once into sweep-major contiguous layout (K, Mx, B, t1, t2) so
             # every reconstruction pass streams contiguous memory.
-            index = [slice(None)] * 5
-            for i in range(3):
-                index[i + 2] = interiors[i]
-            index[sweep] = slice(ga - 2, ga + na + 2)
+            index = [slice(None)] * 2 + [interior] * 3
+            index[sweep] = slice(g - 2, g + n + 2)
             perm = (0, sweep, 1) + tuple(d for d in (2, 3, 4) if d != sweep)
             trim = tuple(index)
-            wbuf = scratch.get(("rhs.sweep", tag), (nk, na + 4, nb, t1, t2))
+            wbuf = scratch.get(("rhs.sweep", tag), (nk, n + 4, nb, n, n))
             np.copyto(wbuf[:5], ws[:5][trim].transpose(perm))
             np.copyto(wbuf[5:], upass[trim].transpose(perm))
             wlr = reconstruct(wbuf, 1, scratch)
-            assert wlr.shape[2] == na + 1, "stencil accounting broke"
+            assert wlr.shape[2] == n + 1, "stencil accounting broke"
 
         with _timer(registry, "hydro.riemann"):
             flux = _hll_scratch(wlr, axis, eos, scratch)
 
-        # flux is (NFIELDS, na + 1, B, t1, t2): divergence always slices the
+        # flux is (NFIELDS, n + 1, B, n, n): divergence always slices the
         # face axis, and the strided write lands in the dudt view once.
-        div = scratch.get(("rhs.div", tag), (NFIELDS, na, nb, t1, t2))
-        np.subtract(flux[:, 1 : na + 1], flux[:, 0:na], out=div)
+        div = scratch.get(("rhs.div", tag), (NFIELDS, n, nb, n, n))
+        np.subtract(flux[:, 1 : n + 1], flux[:, 0:n], out=div)
         if dx_pow2:
             div *= rdx
         else:
@@ -898,18 +780,10 @@ def stacked_rhs_kernel(
         target = dudt_sweep[axis]
         target -= div
 
-        # Boundary-flux extraction: faces maps (axis, side) to a buffer for
-        # the first / last face of this sweep.  A sub-box pass only carries
-        # the keys whose faces coincide with the *block* boundary, so the
-        # dict may be sparse — absent keys are internal sub-box faces whose
-        # fluxes must not be recorded.
+        # Boundary-flux extraction: the first / last face of this sweep.
         if faces is not None:
-            f_lo = faces.get((axis, 0))
-            if f_lo is not None:
-                f_lo[...] = flux[:, 0].transpose(1, 0, 2, 3)
-            f_hi = faces.get((axis, 1))
-            if f_hi is not None:
-                f_hi[...] = flux[:, na].transpose(1, 0, 2, 3)
+            faces[(axis, 0)][...] = flux[:, 0].transpose(1, 0, 2, 3)
+            faces[(axis, 1)][...] = flux[:, n].transpose(1, 0, 2, 3)
 
 
 @declare_effects(
@@ -1147,20 +1021,14 @@ class RankStep:
     """One rank's share of the stacked SSP-RK3 step.
 
     The kernel-level ops of :func:`repro.hydro.integrator.rk3_ops` —
-    ``begin / rhs(region) / reflux / update / finish`` — over the stacked
-    arena blocks of ``plan.runs[rank]``.  Every interpreter of the step
-    program drives this one object: the serial integrator inline over rank
-    0 of the one-rank plan, each process-backend worker over the runs it
-    owns.  ``accel_view`` / ``flux_view`` are the whole-mesh slot-ordered
+    ``begin / rhs / reflux / update / finish`` — over the stacked arena
+    blocks of ``plan.runs[rank]``.  Every interpreter of the step program
+    drives this one object: the serial integrator inline over rank 0 of
+    the one-rank plan, each process-backend worker over the runs it owns.
+    ``accel_view`` / ``flux_view`` are the whole-mesh slot-ordered
     acceleration and boundary-flux stacks — the caller's (the executor's
     shm arenas) or, by default, buffers in ``scratch`` (default: the
     plan's), allocated only when ``use_accel`` / ``collect_fluxes`` ask.
-
-    ``rhs`` takes a *region*, a list of boxes per run: ``"all"`` is the
-    one-box case (the whole block); ``"interior"`` / ``"halo"`` (available
-    when ``split`` is given) are the sub-box passes of the overlap
-    schedule, whose union writes every dudt cell and boundary-flux patch
-    exactly once with the same bits.
     """
 
     def __init__(
@@ -1177,9 +1045,12 @@ class RankStep:
         accel_view: Optional[np.ndarray] = None,
         flux_view: Optional[np.ndarray] = None,
         scratch: Optional[ScratchArena] = None,
-        split: Optional[RegionSplit] = None,
     ) -> None:
         n, ghost, total = plan.n, plan.ghost_width, plan.n_leaves
+        if ghost < STENCIL_RADIUS:
+            raise ValueError(
+                f"ghost width {ghost} below stencil radius {STENCIL_RADIUS}"
+            )
         if scratch is None:
             scratch = plan.scratch
         if accel_view is None and use_accel:
@@ -1199,9 +1070,12 @@ class RankStep:
         self.flux_view = flux_view
         self.reflux_table = plan.reflux_table
         s = slice(ghost, ghost + n)
+        # What the rhs reads: the interior plus a stencil-radius margin.
+        w = slice(ghost - STENCIL_RADIUS, ghost + n + STENCIL_RADIUS)
         stacked = plan.arena.reshape(-1, NFIELDS, plan.m, plan.m, plan.m)
         blocks = [stacked[run.lo : run.hi] for run in runs]
         self.u_int = [u[:, :, s, s, s] for u in blocks]
+        self.u_rhs = [u[:, :, w, w, w] for u in blocks]
         self.u0 = [
             scratch.get(("u0", i), ui.shape) for i, ui in enumerate(self.u_int)
         ]
@@ -1214,62 +1088,34 @@ class RankStep:
             for i, run in enumerate(runs):
                 for j, key in enumerate(keys[run.lo : run.hi]):
                     self.owned_rhs[key] = self.dudt[i][j]
-        # Per region, per run: the (u, dudt, boundary-flux patches, scratch
-        # tag) passes of the rhs kernel.  Only boxes touching a block face
-        # collect flux there — together the patches tile each face exactly.
-        regions: Dict[str, List[Box]] = {"all": [(0, n, 0, n, 0, n)]}
-        if split is not None:
-            regions["interior"] = [split.interior_box] if split.has_interior else []
-            regions["halo"] = list(split.halo_boxes)
-        self.passes = {
-            region: [
-                [
-                    region_views(u, self.dudt[i], box, ghost)
-                    + (self._faces(run.lo, run.hi, box), (region, i, bi))
-                    for bi, box in enumerate(boxes)
-                ]
-                for i, (run, u) in enumerate(zip(runs, blocks))
-            ]
-            for region, boxes in regions.items()
-        }
-
-    def _faces(self, lo: int, hi: int, box: Box) -> Dict[Tuple[int, int], np.ndarray]:
-        """Boundary-flux patches a box owns: for each block face the box
-        touches, the sub-view of the flux stack covering the box's
-        transverse extent."""
-        faces: Dict[Tuple[int, int], np.ndarray] = {}
-        if self.flux_view is None:
-            return faces
-        bounds = ((box[0], box[1]), (box[2], box[3]), (box[4], box[5]))
-        for axis in range(3):
-            t1, t2 = [bounds[i] for i in range(3) if i != axis]
-            for side in (0, 1):
-                if bounds[axis][side] == (self.n if side else 0):
-                    faces[(axis, side)] = self.flux_view[lo:hi, axis, side][
-                        :, :, t1[0]:t1[1], t2[0]:t2[1]
-                    ]
-        return faces
+        #: Per run: the six ``(axis, side)`` boundary-flux faces of the
+        #: block, as views of the flux stack (``None`` without one).
+        self.faces = [
+            {
+                (axis, side): flux_view[run.lo : run.hi, axis, side]
+                for axis in range(3) for side in (0, 1)
+            } if flux_view is not None else None
+            for run in runs
+        ]
 
     # -- ops (one method per program op) --------------------------------------
     def begin(self) -> None:
         for u_int, u0 in zip(self.u_int, self.u0):
             np.copyto(u0, u_int)
 
-    def rhs(self, region: str, collect_fluxes: bool, use_accel: bool) -> None:
-        """Flux divergence over ``region`` of every run; the last region of
-        a stage (anything but ``"interior"``) then adds the sources, which
-        read only the cell's own state."""
+    def rhs(self, collect_fluxes: bool, use_accel: bool) -> None:
+        """Flux divergence over every run, then the sources, which read
+        only the cell's own state."""
         for i, run in enumerate(self.runs):
-            for u_sub, d_sub, faces, tag in self.passes[region][i]:
-                self.kernels.rhs(
-                    u_sub, run.dx, self.eos, d_sub,
-                    reconstruction=self.reconstruction,
-                    faces=(faces or None) if collect_fluxes else None,
-                    registry=self.registry,
-                    scratch=self.scratch,
-                    tag=tag,
-                )
-            if region != "interior" and (use_accel or self.omega != 0.0):
+            self.kernels.rhs(
+                self.u_rhs[i], run.dx, self.eos, self.dudt[i],
+                reconstruction=self.reconstruction,
+                faces=self.faces[i] if collect_fluxes else None,
+                registry=self.registry,
+                scratch=self.scratch,
+                tag=i,
+            )
+            if use_accel or self.omega != 0.0:
                 self.kernels.source(
                     self.u_int[i], self.dudt[i],
                     accel=self.accel_view[run.lo : run.hi] if use_accel else None,

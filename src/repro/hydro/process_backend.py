@@ -15,26 +15,24 @@ the worker processes of a :class:`repro.amt.parallel.ParallelEngine`:
   worker holds the :class:`repro.hydro.plan.RankStep` of its rank — the
   same rank ops the serial integrator runs;
 * ghost exchange uses the plan's :class:`~repro.comms.bundle.PairBundle`
-  per rank pair.  In the default ``wire="shm"`` mode the *destination*
-  worker applies each of its bundles directly (pack reads donor interiors from
-  shm, unpack writes its own ghost bands — a shm write plus the round's
-  control message).  ``wire="pipe"`` serializes each remote bundle's flat
-  payload buffer as-is through the parent (source packs, parent relays,
-  destination unpacks) — the explicit wire format, kept for the
-  message-counting experiments;
+  per rank pair: the *destination* worker applies each of its bundles
+  directly (pack reads donor interiors from shm, unpack writes its own
+  ghost bands — a shm write plus the round's control message, the paper's
+  local-communication optimisation, §VII-B).  The apply is synchronous:
+  when it returns every ghost band of the rank is complete, so nothing is
+  ever in flight and the rhs needs no interior/halo split;
 * **BSP schedule** (default): every program op is one bulk-synchronous
   round, so the schedule satisfies the same dependence structure the DES
   driver wires through futures: fills read only stage-``k-1`` interiors
   (every traced fill reads interiors only), kernels read own interiors +
   ghosts, updates write own interiors;
 * **overlap schedule** (``overlap=True``): the program's ``fused`` groups
-  run as one dependency-grained round per stage — exchange posted,
-  interior rhs computed while it is in flight, arrivals drained, halo rhs
-  and (when no reflux barrier intervenes) the update behind a
-  ``ghosts`` → ``go`` handshake.
+  run as one dependency-grained round per stage — ``ghost``, ``rhs`` and
+  (when no reflux barrier intervenes) ``update`` back to back, the update
+  behind a ``ghosts`` → ``go`` handshake instead of two barriers.
 
 This module owns what is specific to real processes — the shm arenas, the
-wires, the event log, the fork and the in-place replan broadcast; topology
+event log, the fork and the in-place replan broadcast; topology
 (partition, runs, bundles, reflux table, plan validity and lifecycle) is
 the shared plan's and the arithmetic the shared ``RankStep``, so the result
 is ``np.array_equal`` with both the serial step and the DES driver — the
@@ -50,18 +48,14 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.amt.parallel import ParallelEngine, WorkerLink
 from repro.amt.shm import ShmArena
 from repro.analysis.effects import ANY, declare_effects
-from repro.analysis.planverify import (
-    require_verified,
-    verify_process_plan,
-    verify_region_split,
-)
+from repro.analysis.planverify import require_verified, verify_process_plan
 from repro.analysis.shmrace import (
     MODE_READ,
     MODE_WRITE,
@@ -84,7 +78,6 @@ from repro.hydro.plan import (
     HydroPlanLifecycle,
     RankStep,
     ScratchArena,
-    compute_region_split,
     resolve_stacked_kernels,
     stack_accel,
 )
@@ -103,15 +96,19 @@ from repro.hydro.integrator import rk3_ops  # noqa: E402  (cycle-free)
 ARENA_HEADROOM = 1.5
 
 #: Program ops a worker forwards verbatim to its :class:`RankStep`, and the
-#: commands it handles itself (the wires, fused groups, in-place replans).
+#: commands it handles itself (the exchange, fused groups, in-place replans).
 RANK_OPS = frozenset({"begin", "rhs", "reflux", "update", "finish"})
-WORKER_OPS = frozenset({"ghost", "ghost_pack", "ghost_unpack", "fused", "replan"})
+WORKER_OPS = frozenset({"ghost", "fused", "replan"})
+#: Protocol phase of each op a fused group can hold (race-detector stamps).
+FUSED_PHASES = {
+    "ghost": PHASE_EXCHANGE, "rhs": PHASE_COMPUTE, "update": PHASE_UPDATE,
+}
 
 
 class _WorkerState:
     """Everything one worker precomputes after fork (child-side only):
-    its :class:`RankStep` plus the wire, bundle and event-log state the
-    rank ops know nothing about."""
+    its :class:`RankStep` plus the bundle and event-log state the rank ops
+    know nothing about."""
 
     def __init__(
         self,
@@ -147,17 +144,11 @@ class _WorkerState:
             resolve_stacked_kernels(None), self.registry,
             accel_view=ex.accel_view, flux_view=ex.flux_view,
             scratch=ScratchArena(),
-            split=ex.split if ex.overlap else None,
         )
-        #: Bundles this rank applies (wire=shm: all with dst == rank;
-        #: wire=pipe: the local ones — remote payloads arrive by pipe).
-        bundles = plan.ghosts.bundles
-        self.dst_pairs = sorted(pair for pair in bundles if pair[1] == rank)
-        self.src_remote = sorted(
-            pair for pair in bundles if pair[0] == rank and pair[0] != pair[1]
+        #: Bundles this rank applies: every one it is the destination of.
+        self.dst_pairs = sorted(
+            pair for pair in plan.ghosts.bundles if pair[1] == rank
         )
-        self.dst_local = [p for p in self.dst_pairs if p[0] == p[1]]
-        self.dst_remote = [p for p in self.dst_pairs if p[0] != p[1]]
 
     def replan(self, piece: Dict[str, Any]) -> None:
         """Patch this worker's plan with its slice of the parent's new one
@@ -187,35 +178,19 @@ class _WorkerState:
                 dtype=np.int64,
             ).reshape(-1, 5)
 
-        def bundle_rows(pairs, srcs: bool, dsts: bool) -> List[np.ndarray]:
-            rows = []
-            for pair in pairs:
-                b = plan.bundles[pair]
-                if srcs:
-                    rows.append(field_access_rows(
-                        [b.copy_src, b.fine_src], MODE_READ, n, g, nfields))
-                if dsts:
-                    rows.append(field_access_rows(
-                        [b.copy_dst, b.fine_dst], MODE_WRITE, n, g, nfields))
-            return rows
+        ghost_rows = [np.empty((0, 5), dtype=np.int64)]
+        for pair in self.dst_pairs:
+            b = plan.bundles[pair]
+            ghost_rows.append(field_access_rows(
+                [b.copy_src, b.fine_src], MODE_READ, n, g, nfields))
+            ghost_rows.append(field_access_rows(
+                [b.copy_dst, b.fine_dst], MODE_WRITE, n, g, nfields))
 
         own_int_read = runs_rows(MODE_READ, SEG_FIELDS, REGION_INTERIOR)
         own_int_write = runs_rows(MODE_WRITE, SEG_FIELDS, REGION_INTERIOR)
         ev: Dict[Any, np.ndarray] = {
             "begin": own_int_read,
-            "ghost": np.vstack(
-                bundle_rows(self.dst_pairs, srcs=True, dsts=True)
-                or [np.empty((0, 5), dtype=np.int64)]
-            ),
-            "ghost_pack": np.vstack(
-                bundle_rows(self.src_remote, srcs=True, dsts=False)
-                or [np.empty((0, 5), dtype=np.int64)]
-            ),
-            "ghost_unpack": np.vstack(
-                bundle_rows(self.dst_local, srcs=True, dsts=False)
-                + bundle_rows(self.dst_pairs, srcs=False, dsts=True)
-                or [np.empty((0, 5), dtype=np.int64)]
-            ),
+            "ghost": np.vstack(ghost_rows),
             "reflux": np.array(
                 [[MODE_READ, SEG_FLUX, 0, n_slots, REGION_ALL]],
                 dtype=np.int64,
@@ -238,117 +213,44 @@ class _WorkerState:
 
     def _log_phase(self, command: Any) -> None:
         op = command[0]
-        rows = self._event_rows
         if op == "fused":
             # Fused overlap epoch: stamp each access group with its
             # protocol phase so the detector can apply the sanctioned
-            # message-grained happens-before edges (exchange -> update).
-            ghost = (
-                ("ghost",) if self.ex.wire == "shm"
-                else ("ghost_pack", "ghost_unpack")
-            )
-            for name in ghost:
-                self.events.log(self.epoch, rows[name], phase=PHASE_EXCHANGE)
+            # message-grained happens-before edge (exchange -> update).
             for sub in command[1]:
-                if sub[0] == "rhs" and sub[1] != "interior":
-                    # One entry per stage: the region passes together
-                    # touch exactly the whole-block rhs footprint.
-                    self.events.log(
-                        self.epoch, rows[("rhs", bool(sub[2]), bool(sub[3]))],
-                        phase=PHASE_COMPUTE,
-                    )
-                elif sub[0] == "update":  # rides in the same epoch
-                    self.events.log(
-                        self.epoch, rows["update"], phase=PHASE_UPDATE
-                    )
+                self.events.log(
+                    self.epoch, self._rows_of(sub), phase=FUSED_PHASES[sub[0]]
+                )
             return
-        if op == "rhs":
-            found = rows[("rhs", bool(command[2]), bool(command[3]))]
-        else:
-            found = rows.get(op)
+        found = self._rows_of(command)
         if found is not None:
             self.events.log(self.epoch, found)
 
-    # -- ghost exchange (the wires) -------------------------------------------
+    def _rows_of(self, command: tuple) -> Optional[np.ndarray]:
+        if command[0] == "rhs":
+            return self._event_rows[("rhs", bool(command[1]), bool(command[2]))]
+        return self._event_rows.get(command[0])
+
+    # -- ghost exchange --------------------------------------------------------
     def ghost(self) -> None:
-        """wire=shm: the destination applies each of its bundles in place."""
+        """The destination applies each of its bundles in place."""
         arena = self.ex.arena_view
         plan = self.ex.bundle_plan
         with self.registry.timer("hydro.ghost"):
             for pair in self.dst_pairs:
                 plan.bundles[pair].apply(arena)
-
-    def ghost_pack(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """wire=pipe, phase 1: pack remote payloads for the parent relay."""
-        arena = self.ex.arena_view
-        plan = self.ex.bundle_plan
-        out = {}
-        with self.registry.timer("hydro.ghost"):
-            for pair in self.src_remote:
-                out[pair] = plan.bundles[pair].pack(arena).copy()
-        return out
-
-    def ghost_unpack(self, payloads: Dict[Tuple[int, int], np.ndarray]) -> None:
-        """wire=pipe, phase 2: local applies + scatter relayed payloads."""
-        arena = self.ex.arena_view
-        plan = self.ex.bundle_plan
-        with self.registry.timer("hydro.ghost"):
-            for pair in self.dst_pairs:
-                bundle = plan.bundles[pair]
-                if pair[0] == pair[1]:
-                    bundle.apply(arena)
-                else:
-                    np.copyto(bundle.payload, payloads[pair])
-                    bundle.unpack(arena)
-
-    def _post(self, fuse_update: bool) -> None:
-        """Start the stage's exchange without waiting for remote data."""
-        if self.ex.wire == "shm":
-            self.ghost()
-            if fuse_update:
-                self.link.note("ghosts")
-            return
-        arena = self.ex.arena_view
-        plan = self.ex.bundle_plan
-        with self.registry.timer("hydro.ghost"):
-            # Post every remote payload before touching compute; the
-            # parent relays each to its destination as it arrives.
-            for pair in self.src_remote:
-                bundle = plan.bundles[pair]
-                bundle.flip()
-                self.link.note(("payload", pair), bundle.pack(arena))
-            for pair in self.dst_local:
-                plan.bundles[pair].apply(arena)
-
-    def _drain(self) -> None:
-        """Receive what :meth:`_post` left in flight (pipe wire only: on
-        shm the apply *was* the receive)."""
-        if self.ex.wire != "pipe":
-            return
-        arena = self.ex.arena_view
-        plan = self.ex.bundle_plan
-        with self.registry.timer("hydro.ghost"):
-            for pair in self.dst_remote:
-                bundle = plan.bundles[pair]
-                np.copyto(bundle.payload, self.link.wait(("payload", pair)))
-                bundle.unpack(arena)
 
     def fused(self, ops: Tuple[tuple, ...]) -> Dict[str, float]:
         """One futurized RK stage: the program's fused op group, run
-        without intermediate barriers — post the exchange, compute the
-        interior while it is in flight, drain arrivals, compute the halo.
+        without intermediate barriers.
 
-        wire=shm — the apply *is* the receive (donor interiors were
-        sealed by the previous barrier), so the latency hidden here is
-        the cross-rank wait for the fused update's go-ahead: every rank
-        notes ``ghosts`` once its applies are done (it has finished
-        reading donor interiors) and the parent routes ``go`` when all
-        have — a message-grained happens-before edge that replaces the
-        rhs/update barrier and is hidden behind interior+halo compute.
-
-        wire=pipe — remote payloads are posted to the parent relay
-        first, interior compute runs while they propagate, then the
-        drain/unpack feeds the halo passes.
+        The apply *is* the receive (donor interiors were sealed by the
+        previous barrier), so the only cross-rank wait is the fused
+        update's go-ahead: every rank notes ``ghosts`` once its applies
+        are done (it has finished reading donor interiors) and the parent
+        routes ``go`` when all have — a message-grained happens-before
+        edge that replaces the rhs/update barrier and is hidden behind the
+        rhs.
 
         Returns per-phase wall-time attribution for the bench harness.
         """
@@ -356,16 +258,15 @@ class _WorkerState:
         fuse_update = ops[-1][0] == "update"
         for op, *args in ops:
             t0 = time.perf_counter()
-            if op == "post":
-                self._post(fuse_update)
+            if op == "ghost":
+                self.ghost()
+                if fuse_update:
+                    self.link.note("ghosts")
                 bucket = "ghost_s"
-            elif op == "drain":
-                self._drain()
-                bucket = "wait_s"
             else:
-                if op == "update" and self.ex.wire == "shm":
+                if op == "update":
                     # The go-ahead orders every rank's donor-interior reads
-                    # before any rank's interior writes; by now the compute
+                    # before any rank's interior writes; by now the rhs
                     # above has usually already absorbed the wait.
                     self.link.wait("go")
                     seg["wait_s"] += time.perf_counter() - t0
@@ -419,25 +320,20 @@ class ProcessHydroExecutor:
         omega: float = 0.0,
         reflux: bool = True,
         reconstruction: str = "muscl",
-        wire: str = "shm",
         timeout: float = 120.0,
         verify_plans: bool = True,
         detect_races: bool = False,
         overlap: bool = False,
     ) -> None:
-        if wire not in ("shm", "pipe"):
-            raise ValueError(f"wire must be 'shm' or 'pipe', got {wire!r}")
         self.mesh = mesh
         self.eos = eos or IdealGasEOS()
         self.omega = omega
         self.reflux = reflux
         self.reconstruction = reconstruction
-        self.wire = wire
         #: Futurized schedule: run the program's fused groups (exchange +
         #: rhs, + update when no reflux round is needed) as one
-        #: dependency-grained round per RK stage, hiding exchange latency
-        #: behind interior compute.  Off by default — the BSP schedule is
-        #: the ablation baseline.
+        #: dependency-grained round per RK stage.  Off by default — the
+        #: BSP schedule is the ablation baseline.
         self.overlap = bool(overlap)
         self.engine = ParallelEngine(nprocs, timeout=timeout)
         self.nprocs = self.engine.nprocs
@@ -458,12 +354,6 @@ class ProcessHydroExecutor:
         self.n = mesh.n
         self.ghost = mesh.ghost
         self.m = self.n + 2 * self.ghost
-        #: Plan-time interior/halo partition of every stacked block (a pure
-        #: function of n, so it survives every regrid unchanged).
-        self.split = compute_region_split(self.n)
-        #: Set once :func:`verify_region_split` has passed for this
-        #: executor; the overlap schedule refuses to run without it.
-        self._split_verified = False
 
         self.arena: Optional[ShmArena] = None
         self.accel_arena: Optional[ShmArena] = None
@@ -482,8 +372,8 @@ class ProcessHydroExecutor:
         #: allocation time); regrids that fit are patched in place.
         self.capacity_slots = 0
         self.faces_refluxed = 0
-        #: Wire-format accounting (pipe mode): payload messages and bytes
-        #: relayed last step.
+        #: What the ghost exchanges of the last step moved between ranks:
+        #: one message per remote bundle per exchange, and its payload.
         self.payload_messages = 0
         self.payload_bytes = 0
         #: Per-step phase attribution (seconds): critical-path time spent
@@ -552,8 +442,7 @@ class ProcessHydroExecutor:
         if self.bundle_plan_hook is not None:
             self.bundle_plan_hook(self.plan.ghosts)
         if self.verify_plans:
-            require_verified(verify_process_plan(self.plan, self.split))
-            self._split_verified = True
+            require_verified(verify_process_plan(self.plan))
         return build_s
 
     def _cold_start(self, n_leaves: int) -> float:
@@ -570,13 +459,10 @@ class ProcessHydroExecutor:
         build_s = self._adopt(n_leaves)
         if self.detect_races:
             self.event_log = ShmEventLog(self.nprocs)
-            # The only sanctioned intra-epoch cross-rank edge: on the shm
-            # wire the fused update is gated by the ghosts->go handshake,
-            # ordering every donor-interior read before any interior write.
-            edges = (
-                {(PHASE_EXCHANGE, PHASE_UPDATE)}
-                if self.overlap and self.wire == "shm" else None
-            )
+            # The only sanctioned intra-epoch cross-rank edge: the fused
+            # update is gated by the ghosts->go handshake, ordering every
+            # donor-interior read before any interior write.
+            edges = {(PHASE_EXCHANGE, PHASE_UPDATE)} if self.overlap else None
             self.race_detector = ShmRaceDetector(
                 self.event_log, ordered_phases=edges
             )
@@ -665,55 +551,19 @@ class ProcessHydroExecutor:
         shm discipline lint (R007)."""
         stack_accel(accel_map, self.plan.leaf_keys, self.accel_view)
 
-    # -- ghost exchange -------------------------------------------------------
-    def _ghost_round(self) -> None:
-        if self.wire == "shm":
-            self.engine.round(("ghost",))
-            return
-        # Pipe wire: source ranks pack, the parent relays each bundle's
-        # flat payload (serialized as-is — the wire format), destination
-        # ranks unpack.  The parent-side relay collects every pack before
-        # dispatching unpacks, so no pair of workers can deadlock on a
-        # full pipe while sitting in the same barrier.
-        packed = self.engine.round(("ghost_pack",))
-        by_dst: List[Dict[Tuple[int, int], np.ndarray]] = [
-            {} for _ in range(self.nprocs)
-        ]
-        for payloads in packed:
-            for pair, payload in payloads.items():
-                by_dst[pair[1]][pair] = payload
-                self.payload_messages += 1
-                self.payload_bytes += payload.size * 8
-        for rank in range(self.nprocs):
-            self.engine.send(rank, ("ghost_unpack", by_dst[rank]))
-        self.engine.gather()
-        self.engine.rounds += 1
-        # The manual send/gather above bypasses round(); fire the barrier
-        # observer by hand so unpack-epoch events are scanned too.
-        if self.engine.round_observer is not None:
-            self.engine.round_observer()
-
+    # -- fused rounds ---------------------------------------------------------
     def _fused_round(self, ops: Tuple[tuple, ...]) -> None:
         """One futurized RK stage: the program's fused op group as a
-        dependency-grained round.
-
-        The parent acts as the message router: pipe-wire ghost payloads
-        posted mid-round are relayed straight to their destination rank,
-        and the shm-wire fused update's go-ahead is granted once every
-        rank has finished reading donor interiors.
-        """
+        dependency-grained round.  The parent routes the one message in
+        it: the fused update's go-ahead, granted once every rank has
+        finished reading donor interiors."""
         ghosts_done = {"count": 0}
 
         def on_note(rank: int, tag: Any, payload: Any):
-            if tag == "ghosts":
-                ghosts_done["count"] += 1
-                if ghosts_done["count"] == self.nprocs:
-                    return [(r, "go", None) for r in range(self.nprocs)]
-                return ()
-            _, pair = tag  # ("payload", (src, dst))
-            self.payload_messages += 1
-            self.payload_bytes += payload.size * 8
-            return [(pair[1], tag, payload)]
+            ghosts_done["count"] += 1
+            if ghosts_done["count"] == self.nprocs:
+                return [(r, "go", None) for r in range(self.nprocs)]
+            return ()
 
         segs = self.engine.round_async(("fused", ops), on_note=on_note)
         self.exchange_wait_s += max(
@@ -743,17 +593,10 @@ class ProcessHydroExecutor:
         self.exchange_wait_s = 0.0
         self.compute_s = 0.0
 
-        collect_fluxes = (
-            self.reflux and self.plan.ghosts.face_counts["fine"] > 0
-        )
-        if self.overlap and not self._split_verified:
-            # The schedule below trusts the split partition for coverage
-            # and write-disjointness; refuse to overlap on an unverified
-            # split even when whole-plan verification is off.
-            require_verified(
-                verify_region_split(self.split, self.n, self.ghost)
-            )
-            self._split_verified = True
+        ghosts = self.plan.ghosts
+        collect_fluxes = self.reflux and ghosts.face_counts["fine"] > 0
+        remote_messages = len(ghosts.remote_pairs)
+        remote_bytes = ghosts.remote_payload_bytes
 
         signals: Dict[NodeKey, float] = {}
         for op in rk3_ops(
@@ -766,25 +609,27 @@ class ProcessHydroExecutor:
                 # parent may rewrite the accel arena they read next round.
                 self._write_accel(gravity(self.mesh))
                 continue
-            t0 = time.perf_counter()
-            if name == "ghost":
-                self._ghost_round()
-                self.exchange_wait_s += time.perf_counter() - t0
-            elif name == "fused":
+            if name in ("ghost", "fused"):
+                self.payload_messages += remote_messages
+                self.payload_bytes += remote_bytes
+            if name == "fused":
                 self._fused_round(op[1])
-            else:
-                # One barrier per rank op: the BSP schedule is the ablation
-                # baseline the overlap crosscheck compares against, and
-                # reflux has a genuine all-rank dependency (its flux reads
-                # span every rank) — these rounds stay blocking on purpose.
-                out = engine.round(op)  # reprolint: sanctioned-barrier
+                continue
+            # One barrier per op: the BSP schedule is the ablation baseline
+            # the overlap crosscheck compares against, and reflux has a
+            # genuine all-rank dependency (its flux reads span every rank)
+            # — these rounds stay blocking on purpose.
+            t0 = time.perf_counter()
+            out = engine.round(op)  # reprolint: sanctioned-barrier
+            if name == "ghost":
+                self.exchange_wait_s += time.perf_counter() - t0
+            elif name == "finish":
+                for per_worker in out:
+                    signals.update(per_worker)
+            elif name != "begin":
+                self.compute_s += time.perf_counter() - t0
                 if name == "reflux":
                     self.faces_refluxed += sum(out)
-                if name == "finish":
-                    for per_worker in out:
-                        signals.update(per_worker)
-                elif name != "begin":
-                    self.compute_s += time.perf_counter() - t0
         if self.registry is not None:
             engine.harvest_timers(self.registry)
         self.mesh.restrict_all()

@@ -65,6 +65,24 @@ class TestRun:
         mesh, meta = load_checkpoint(tmp_path / "state.npz")
         assert meta["step"] == 1
 
+    def test_checkpoint_resumes_in_the_rotating_frame(self, tmp_path):
+        """``run --checkpoint`` records ``omega``: every CLI scenario is a
+        rotating frame, and a resume at ``omega = 0`` is different physics."""
+        from repro.core import OctoTigerSim
+        from repro.scenarios import rotating_star
+
+        chk = tmp_path / "state.npz"
+        code = main(
+            ["run", "--scenario", "rotating_star", "--level", "1",
+             "--steps", "1", "--nodes", "2", "--checkpoint", str(chk)]
+        )
+        assert code == 0
+        omega = rotating_star(level=1).omega
+        assert omega != 0.0
+        resumed = OctoTigerSim.from_checkpoint(chk, gravity=False)
+        assert resumed.integrator.omega == omega
+        assert resumed.integrator.steps_taken == 1
+
     def test_oversubscription_warning_uses_affinity_mask(
         self, capsys, monkeypatch
     ):

@@ -38,8 +38,6 @@ from repro.octree.regrid import RegridDelta
 _SKIP_ATTRS = {
     "mesh_ref",
     "payload",
-    "_payloads",
-    "_active",
     "_fine_acc",
     "_fine_tmp",
     "_splits",

@@ -206,7 +206,7 @@ class TestExecutorGate:
         ex = ProcessHydroExecutor(mesh, eos=eos, nprocs=2)
         try:
             ex.ensure()
-            assert verify_process_plan(ex.plan, ex.split) == []
+            assert verify_process_plan(ex.plan) == []
         finally:
             ex.close()
 

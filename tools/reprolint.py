@@ -91,10 +91,10 @@ R010 no-cold-plan-in-step-loop
 
 R011 no-barrier-round-in-step-loop
     No blocking barrier round (``engine.round(...)``) inside a loop.  A
-    barrier per loop iteration serializes the ghost exchange against the
-    compute that could hide it; the dependency-grained alternative
-    (``ParallelEngine.round_async`` + the futurized interior/halo
-    schedule, see docs/parallel.md) exists precisely to overlap them.
+    barrier per loop iteration makes every rank wait for the slowest at
+    every op; the dependency-grained alternative
+    (``ParallelEngine.round_async`` + the fused schedule, see
+    docs/parallel.md) orders only what has to be ordered.
     Deliberate barrier loops — the BSP ablation baseline, collective
     phases with genuine all-rank dependencies (reflux), test harnesses —
     carry ``# reprolint: sanctioned-barrier`` on the call line or the
@@ -728,9 +728,9 @@ def _check_barrier_round_in_loop(
             seen.add(key)
             findings.append(Finding(
                 path, call.lineno, "R011",
-                "blocking barrier round inside a loop serializes the "
-                "exchange against compute that could hide it; use "
-                "round_async with the interior/halo overlap schedule, or "
+                "blocking barrier round inside a loop makes every rank "
+                "wait for the slowest at every op; use round_async with "
+                "the fused overlap schedule, or "
                 "mark a deliberate barrier (BSP ablation, reflux "
                 f"collective) with {_BARRIER_SANCTION_TAG!r}",
             ))
