@@ -12,7 +12,9 @@ be bit-identical; the acceptance gate is 1e-13), and persists:
 * ``benchmarks/output/hydro_plan.txt`` — the human-readable table,
 * ``BENCH_hydro.json`` at the repo root — machine-readable numbers.
 
-Exits non-zero if the batched and reference states drift apart.
+Exits non-zero if the batched and reference states drift apart, or if the
+level-2 plan holds more than ``SCRATCH_GATE`` scratch bytes per cell (the
+leaf-blocked rhs keeps it at 680; the whole-run kernel held 1 953).
 
 Timing methodology: minimum over several trials of the mean of a few
 repetitions, with a ``gc.collect()`` before each trial — single-core
@@ -27,6 +29,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -41,6 +46,30 @@ from repro.octree import AmrMesh, Field  # noqa: E402
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 DRIFT_TOL = 1e-13
+#: Scratch bytes per cell the level-2 plan may hold (docs/hydro_plan.md,
+#: "Leaf blocking").
+SCRATCH_GATE = 800.0
+
+
+def host_manifest() -> dict:
+    """Where and on what these numbers were measured."""
+    git = subprocess.run(
+        ["git", "-C", str(REPO_ROOT), "rev-parse", "HEAD"],
+        capture_output=True, text=True, check=False,
+    )
+    dirty = subprocess.run(
+        ["git", "-C", str(REPO_ROOT), "status", "--porcelain", "--", "src"],
+        capture_output=True, text=True, check=False,
+    )
+    return {
+        "git_commit": git.stdout.strip() or "unknown",
+        "src_dirty": bool(dirty.stdout.strip()),
+        "usable_cores": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
 
 
 def build_mesh(levels: int, n: int = 8, refine_keys=(), seed: int = 0):
@@ -137,6 +166,9 @@ def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
         "full_reference_ms": full_reference * 1e3,
         "full_speedup": full_reference / full_batched,
         "plan_nbytes": batched.plan_for().nbytes(),
+        "scratch_bytes_per_cell": (
+            batched.plan_for().scratch.nbytes() / mesh_a.n_cells()
+        ),
     }
 
 
@@ -170,18 +202,27 @@ def main(argv=None) -> int:
         "hydro plan: batched stacked step vs per-leaf reference "
         "(min-of-trials, ms per RK3 step)",
         f"{'mesh':<10} {'leaves':>6} {'cold':>8} {'warm':>8} {'ref':>8} "
-        f"{'speedup':>8} {'full':>8} {'full-ref':>9} {'speedup':>8}",
+        f"{'speedup':>8} {'full':>8} {'full-ref':>9} {'speedup':>8} "
+        f"{'scratch B/cell':>15}",
     ]
     for c in cases:
         lines.append(
             f"level {c['levels']:<4} {c['leaves']:>6} {c['cold_batched_ms']:>8.1f} "
             f"{c['warm_batched_ms']:>8.1f} {c['warm_reference_ms']:>8.1f} "
             f"{c['warm_speedup']:>7.2f}x {c['full_batched_ms']:>8.1f} "
-            f"{c['full_reference_ms']:>9.1f} {c['full_speedup']:>7.2f}x"
+            f"{c['full_reference_ms']:>9.1f} {c['full_speedup']:>7.2f}x "
+            f"{c['scratch_bytes_per_cell']:>15.1f}"
         )
     for name, d in drifts:
         lines.append(f"drift {name}: max|batched - reference| = {d:.3e}")
 
+    manifest = host_manifest()
+    lines.append(
+        "host: {usable_cores} usable core(s), {machine}, python {python}, "
+        "numpy {numpy}; commit {git_commit}{dirty}; {utc}".format(
+            dirty=" + uncommitted src/" if manifest["src_dirty"] else "", **manifest
+        )
+    )
     text = "\n".join(lines)
     print(text)
     OUTPUT_DIR.mkdir(exist_ok=True)
@@ -189,18 +230,28 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "hydro_plan",
         "smoke": args.smoke,
+        "manifest": manifest,
         "drift_tol": DRIFT_TOL,
+        "scratch_gate_bytes_per_cell": SCRATCH_GATE,
         "drift": {name: d for name, d in drifts},
         "cases": cases,
     }
     (REPO_ROOT / "BENCH_hydro.json").write_text(json.dumps(payload, indent=2) + "\n")
 
     bad = [(name, d) for name, d in drifts if not (d <= DRIFT_TOL)]
-    if bad:
-        for name, d in bad:
-            print(f"FAIL: {name} drift {d:.3e} > {DRIFT_TOL}", file=sys.stderr)
-        return 1
-    return 0
+    for name, d in bad:
+        print(f"FAIL: {name} drift {d:.3e} > {DRIFT_TOL}", file=sys.stderr)
+    fat = [
+        c for c in cases
+        if c["levels"] == 2 and c["scratch_bytes_per_cell"] > SCRATCH_GATE
+    ]
+    for c in fat:
+        print(
+            f"FAIL: level {c['levels']} plan holds "
+            f"{c['scratch_bytes_per_cell']:.1f} scratch B/cell > {SCRATCH_GATE}",
+            file=sys.stderr,
+        )
+    return 1 if bad or fat else 0
 
 
 if __name__ == "__main__":

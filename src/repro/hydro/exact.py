@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,7 @@ def _f_K(p: float, state: RiemannState, gamma: float) -> Tuple[float, float]:
 def _star_pressure(left: RiemannState, right: RiemannState, gamma: float) -> float:
     """Pressure in the star region via root finding on Toro's pressure
     function; bracketed with brentq for robustness."""
+    from scipy.optimize import brentq
 
     def pressure_function(p: float) -> float:
         fl, _ = _f_K(p, left, gamma)

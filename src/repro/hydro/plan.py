@@ -615,7 +615,7 @@ def _hll_scratch(
 
 
 def stacked_primitives_kernel(
-    u: np.ndarray, eos: IdealGasEOS, scratch: ScratchArena, tag
+    u: np.ndarray, eos: IdealGasEOS, scratch: ScratchArena
 ) -> np.ndarray:
     """Primitives of one ``(B, NFIELDS, M, M, M)`` block, stacked per key.
 
@@ -633,9 +633,9 @@ def stacked_primitives_kernel(
     """
     ut = u.transpose(1, 0, 2, 3, 4)
     shape = ut.shape[1:]
-    ws = scratch.get(("prims", tag), (len(PRIM_KEYS),) + shape)
-    work = scratch.get(("prims.work", tag), (2,) + shape)
-    mask = scratch.get(("prims.mask", tag), shape, dtype=bool)
+    ws = scratch.get("prims", (len(PRIM_KEYS),) + shape)
+    work = scratch.get("prims.work", (2,) + shape)
+    mask = scratch.get("prims.mask", shape, dtype=bool)
     rho = ws[_PRIM_SLOT["rho"]]
     vx = ws[_PRIM_SLOT["vx"]]
     vy = ws[_PRIM_SLOT["vy"]]
@@ -669,7 +669,7 @@ def stacked_primitives_kernel(
     if any_tau:
         np.maximum(ut[Field.TAU], 0.0, out=tmp)
         np.power(tmp, eos.gamma, out=tmp)
-        umask = scratch.get(("prims.umask", tag), shape, dtype=np.uint64)
+        umask = scratch.get("prims.umask", shape, dtype=np.uint64)
         np.multiply(mask, _U64_ONES, out=umask)
         ev = eint.view(np.uint64)
         tv = tmp.view(np.uint64)
@@ -693,10 +693,9 @@ def stacked_rhs_kernel(
     eos: IdealGasEOS,
     dudt: np.ndarray,
     reconstruction: str = "muscl",
-    faces: Optional[Dict[Tuple[int, int], np.ndarray]] = None,
+    faces: Optional[np.ndarray] = None,
     registry=None,
     scratch: Optional[ScratchArena] = None,
-    tag=0,
 ) -> None:
     """Flux divergence over one stacked ``(B, NFIELDS, M, M, M)`` block.
 
@@ -713,8 +712,8 @@ def stacked_rhs_kernel(
       each axis sweep is one wide reconstruction instead of eight.
 
     ``dudt`` is ``(B, NFIELDS, n, n, n)`` and is overwritten; ``faces``
-    (when given) maps ``(axis, side)`` to ``(B, NFIELDS, n, n)``
-    boundary-flux buffers for the refluxing step.
+    (when given) is the block's ``(B, 3, 2, NFIELDS, n, n)`` rows of the
+    boundary-flux stack the refluxing step reads.
     """
     if reconstruction == "muscl":
         reconstruct = _muscl_scratch
@@ -726,7 +725,8 @@ def stacked_rhs_kernel(
         scratch = ScratchArena()
     nb, n = dudt.shape[0], dudt.shape[2]
     g = (u.shape[2] - n) // 2
-    ws = stacked_primitives_kernel(u, eos, scratch, tag)
+    with _timer(registry, "hydro.primitives"):
+        ws = stacked_primitives_kernel(u, eos, scratch)
     # Passive primitive rows (tau / f1 / f2) equal their conserved fields,
     # and PRIM_KEYS[5:] lines up with Field.TAU..FRAC2 — read them straight
     # from u instead of staging copies through ws.
@@ -760,7 +760,7 @@ def stacked_rhs_kernel(
             index[sweep] = slice(g - 2, g + n + 2)
             perm = (0, sweep, 1) + tuple(d for d in (2, 3, 4) if d != sweep)
             trim = tuple(index)
-            wbuf = scratch.get(("rhs.sweep", tag), (nk, n + 4, nb, n, n))
+            wbuf = scratch.get("rhs.sweep", (nk, n + 4, nb, n, n))
             np.copyto(wbuf[:5], ws[:5][trim].transpose(perm))
             np.copyto(wbuf[5:], upass[trim].transpose(perm))
             wlr = reconstruct(wbuf, 1, scratch)
@@ -769,21 +769,22 @@ def stacked_rhs_kernel(
         with _timer(registry, "hydro.riemann"):
             flux = _hll_scratch(wlr, axis, eos, scratch)
 
-        # flux is (NFIELDS, n + 1, B, n, n): divergence always slices the
-        # face axis, and the strided write lands in the dudt view once.
-        div = scratch.get(("rhs.div", tag), (NFIELDS, n, nb, n, n))
-        np.subtract(flux[:, 1 : n + 1], flux[:, 0:n], out=div)
-        if dx_pow2:
-            div *= rdx
-        else:
-            div /= dx
-        target = dudt_sweep[axis]
-        target -= div
+        with _timer(registry, "hydro.divergence"):
+            # flux is (NFIELDS, n + 1, B, n, n): divergence always slices the
+            # face axis, and the strided write lands in the dudt view once.
+            div = scratch.get("rhs.div", (NFIELDS, n, nb, n, n))
+            np.subtract(flux[:, 1 : n + 1], flux[:, 0:n], out=div)
+            if dx_pow2:
+                div *= rdx
+            else:
+                div /= dx
+            target = dudt_sweep[axis]
+            target -= div
 
-        # Boundary-flux extraction: the first / last face of this sweep.
-        if faces is not None:
-            faces[(axis, 0)][...] = flux[:, 0].transpose(1, 0, 2, 3)
-            faces[(axis, 1)][...] = flux[:, n].transpose(1, 0, 2, 3)
+            # Boundary-flux extraction: the first / last face of this sweep.
+            if faces is not None:
+                faces[:, axis, 0] = flux[:, 0].transpose(1, 0, 2, 3)
+                faces[:, axis, 1] = flux[:, n].transpose(1, 0, 2, 3)
 
 
 @declare_effects(
@@ -838,7 +839,6 @@ def stacked_update_kernel(
     dt: float,
     eos: IdealGasEOS,
     scratch: Optional[ScratchArena] = None,
-    tag=0,
 ) -> None:
     """RK3 convex combination + positivity floors over one level block.
 
@@ -848,8 +848,8 @@ def stacked_update_kernel(
     if scratch is None:
         u_int[...] = a0 * u0 + a1 * (u_int + dt * dudt)
     else:
-        acc = scratch.get(("upd.acc", tag), u0.shape)
-        tmp = scratch.get(("upd.tmp", tag), u0.shape)
+        acc = scratch.get("upd.acc", u0.shape)
+        tmp = scratch.get("upd.tmp", u0.shape)
         np.multiply(dt, dudt, out=acc)
         np.add(u_int, acc, out=acc)
         np.multiply(a1, acc, out=acc)
@@ -941,15 +941,13 @@ def _jit_kernels(backend) -> StackedKernels:
     k_rhs, k_update, k_resync = kset["rhs"], kset["update"], kset["resync_tau"]
 
     def rhs(u, dx, eos, dudt, reconstruction="muscl", faces=None,
-            registry=None, scratch=None, tag=0):
+            registry=None, scratch=None):
         if reconstruction not in ("muscl", "constant"):
             raise ValueError(f"unknown reconstruction {reconstruction!r}")
         if scratch is None:
             scratch = ScratchArena()
         n = dudt.shape[2]
-        face_buf = scratch.get(
-            ("jit.faces", tag), (6, dudt.shape[0], NFIELDS, n, n)
-        )
+        face_buf = scratch.get("jit.faces", (6, dudt.shape[0], NFIELDS, n, n))
         with _timer(registry, "hydro.riemann"):
             k_rhs(
                 u, dudt, face_buf, 1.0 / dx,
@@ -958,11 +956,10 @@ def _jit_kernels(backend) -> StackedKernels:
                 1 if faces is not None else 0,
             )
         if faces is not None:
-            for axis in range(3):
-                for side in (0, 1):
-                    faces[(axis, side)][...] = face_buf[2 * axis + side]
+            for k in range(6):
+                faces[:, k // 2, k % 2] = face_buf[k]
 
-    def update(u_int, u0, dudt, a0, a1, dt, eos, scratch=None, tag=0):
+    def update(u_int, u0, dudt, a0, a1, dt, eos, scratch=None):
         k_update(u_int, u0, dudt, a0, a1, dt, eos.rho_floor)
 
     def resync(u_int, eos):
@@ -1005,6 +1002,13 @@ def resolve_stacked_kernels(backend=None) -> StackedKernels:
 
 
 # -- the rank step ------------------------------------------------------------
+
+#: Cells per ``rhs`` sub-batch (16 leaves of 8^3): a run's flux divergence
+#: runs in batches of ``max(1, RHS_BLOCK_CELLS // n**3)`` leaves, so each
+#: ufunc pass streams temporaries that fit a 2 MB L2 and the scratch set is
+#: sized by the batch, not the run.  Measured optimum (docs/hydro_plan.md,
+#: "Leaf blocking"): 8 and 16 leaves tie, below 8 dispatch overhead wins.
+RHS_BLOCK_CELLS = 8192
 
 
 def stack_accel(
@@ -1073,9 +1077,7 @@ class RankStep:
         # What the rhs reads: the interior plus a stencil-radius margin.
         w = slice(ghost - STENCIL_RADIUS, ghost + n + STENCIL_RADIUS)
         stacked = plan.arena.reshape(-1, NFIELDS, plan.m, plan.m, plan.m)
-        blocks = [stacked[run.lo : run.hi] for run in runs]
-        self.u_int = [u[:, :, s, s, s] for u in blocks]
-        self.u_rhs = [u[:, :, w, w, w] for u in blocks]
+        self.u_int = [stacked[run.lo : run.hi, :, s, s, s] for run in runs]
         self.u0 = [
             scratch.get(("u0", i), ui.shape) for i, ui in enumerate(self.u_int)
         ]
@@ -1088,15 +1090,21 @@ class RankStep:
             for i, run in enumerate(runs):
                 for j, key in enumerate(keys[run.lo : run.hi]):
                     self.owned_rhs[key] = self.dudt[i][j]
-        #: Per run: the six ``(axis, side)`` boundary-flux faces of the
-        #: block, as views of the flux stack (``None`` without one).
-        self.faces = [
-            {
-                (axis, side): flux_view[run.lo : run.hi, axis, side]
-                for axis in range(3) for side in (0, 1)
-            } if flux_view is not None else None
-            for run in runs
-        ]
+        #: Per run: its rhs sub-batches ``(u, dudt, faces)`` — views of at
+        #: most ``RHS_BLOCK_CELLS`` cells of consecutive leaves; ``faces`` is
+        #: the batch's rows of the flux stack (``None`` without one).
+        nb = max(1, RHS_BLOCK_CELLS // n**3)
+        self.batches: List[list] = []
+        for run, dudt in zip(runs, self.dudt):
+            cuts = [(lo, min(lo + nb, run.hi)) for lo in range(run.lo, run.hi, nb)]
+            self.batches.append([
+                (
+                    stacked[lo:hi, :, w, w, w],
+                    dudt[lo - run.lo : hi - run.lo],
+                    None if flux_view is None else flux_view[lo:hi],
+                )
+                for lo, hi in cuts
+            ])
 
     # -- ops (one method per program op) --------------------------------------
     def begin(self) -> None:
@@ -1104,17 +1112,17 @@ class RankStep:
             np.copyto(u0, u_int)
 
     def rhs(self, collect_fluxes: bool, use_accel: bool) -> None:
-        """Flux divergence over every run, then the sources, which read
-        only the cell's own state."""
+        """Flux divergence over every run, one cache-sized sub-batch at a time,
+        then the sources, which read only the cell's own state."""
         for i, run in enumerate(self.runs):
-            self.kernels.rhs(
-                self.u_rhs[i], run.dx, self.eos, self.dudt[i],
-                reconstruction=self.reconstruction,
-                faces=self.faces[i] if collect_fluxes else None,
-                registry=self.registry,
-                scratch=self.scratch,
-                tag=i,
-            )
+            for u, dudt, faces in self.batches[i]:
+                self.kernels.rhs(
+                    u, run.dx, self.eos, dudt,
+                    reconstruction=self.reconstruction,
+                    faces=faces if collect_fluxes else None,
+                    registry=self.registry,
+                    scratch=self.scratch,
+                )
             if use_accel or self.omega != 0.0:
                 self.kernels.source(
                     self.u_int[i], self.dudt[i],
@@ -1141,7 +1149,7 @@ class RankStep:
             for i, u_int in enumerate(self.u_int):
                 self.kernels.update(
                     u_int, self.u0[i], self.dudt[i], a0, a1, dt, self.eos,
-                    scratch=self.scratch, tag=i,
+                    scratch=self.scratch,
                 )
 
     def finish(self) -> Dict[NodeKey, float]:

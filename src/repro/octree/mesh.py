@@ -23,28 +23,18 @@ from repro.octree.node import NodeKey, OctreeNode
 from repro.util.morton import morton_encode3, morton_neighbors, morton_parent
 
 
-def pack_key(key: NodeKey) -> int:
-    """Pack ``(level, morton code)`` into one int: ``level << 58 | code``.
+def pack_keys(keys) -> np.ndarray:
+    """Pack ``(level, morton code)`` keys into one int64 each:
+    ``level << 58 | code``.
 
     Morton codes use 3 bits per level, so codes at the maximum practical
     depth (19 levels, 57 bits) still fit below bit 58, and packed keys sort
     exactly like ``(level, code)`` tuples within a level.
     """
-    level, code = key
-    return (level << 58) | code
-
-
-def pack_keys(keys) -> np.ndarray:
-    """Vectorized :func:`pack_key` over an iterable of keys -> int64 array."""
     arr = np.asarray(list(keys), dtype=np.int64)
     if arr.size == 0:
         return np.empty(0, dtype=np.int64)
     return (arr[:, 0] << 58) | arr[:, 1]
-
-
-def unpack_key(packed: int) -> NodeKey:
-    """Inverse of :func:`pack_key`."""
-    return (int(packed) >> 58, int(packed) & ((1 << 58) - 1))
 
 
 class AmrMesh:

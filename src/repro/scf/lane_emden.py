@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,8 @@ def lane_emden(n: float, xi_max: float = 50.0, rtol: float = 1e-10) -> LaneEmden
 
     Raises for n >= 5 (no finite surface) and n < 0.
     """
+    from scipy.integrate import solve_ivp
+
     if n < 0:
         raise ValueError("polytropic index must be non-negative")
     if n >= 5:

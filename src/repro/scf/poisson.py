@@ -13,7 +13,6 @@ point mass and its immediate neighbourhood carry the right monopole weight.
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sp_fft
 
 
 def _mean_inverse_distance_unit_cube(samples: int = 48) -> float:
@@ -41,6 +40,8 @@ class FftPoissonSolver:
     """
 
     def __init__(self, n: int, dx: float, g_newton: float = 1.0) -> None:
+        from scipy import fft as sp_fft
+
         if n < 4:
             raise ValueError("grid too small")
         self.n = n
@@ -60,6 +61,8 @@ class FftPoissonSolver:
 
     def solve(self, rho: np.ndarray) -> np.ndarray:
         """Potential of the density field ``rho`` (n, n, n)."""
+        from scipy import fft as sp_fft
+
         if rho.shape != (self.n,) * 3:
             raise ValueError(f"expected shape {(self.n,)*3}, got {rho.shape}")
         m = self._m

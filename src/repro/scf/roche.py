@@ -8,7 +8,6 @@ the paper's DWD scenario (Fig. 1) is exactly such dynamical mass transfer.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 def keplerian_omega(m1: float, m2: float, separation: float, g_newton: float = 1.0) -> float:
@@ -34,6 +33,8 @@ def lagrange_l1(m1: float, m2: float, separation: float = 1.0) -> float:
     Solves the co-rotating-frame force balance with the COM at the origin
     of rotation.
     """
+    from scipy.optimize import brentq
+
     if m1 <= 0 or m2 <= 0:
         raise ValueError("masses must be positive")
     a = separation

@@ -446,6 +446,32 @@ class TestBackendImports:
         ) == []
 
 
+class TestModuleLevelScipy:
+    def test_module_level_imports_flagged(self):
+        for src in (
+            "import scipy\n",
+            "from scipy.optimize import brentq\n",
+            "import scipy.fft as sp_fft\n",
+            "try:\n    from scipy import ndimage\nexcept ImportError:\n    ndimage = None\n",
+            "class Solver:\n    from scipy import fft\n",
+        ):
+            assert rules(lint_source(src, "src/repro/scf/x.py")) == ["R012"], src
+
+    def test_function_level_import_ok(self):
+        src = (
+            "def solve(f, a, b):\n"
+            "    from scipy.optimize import brentq\n"
+            "\n"
+            "    return brentq(f, a, b)\n"
+        )
+        assert lint_source(src, "src/repro/scf/x.py") == []
+
+    def test_only_the_package_is_covered(self):
+        # Tests, tools and benchmarks may import scipy wherever they like.
+        assert lint_source("import scipy\n", "tests/test_scf.py") == []
+        assert lint_source("from .scipy import x\n", "src/repro/scf/x.py") == []
+
+
 class TestColdPlanBuild:
     def test_cold_build_in_loop_flagged(self):
         src = (

@@ -100,6 +100,14 @@ R011 no-barrier-round-in-step-loop
     carry ``# reprolint: sanctioned-barrier`` on the call line or the
     loop header.
 
+R012 no-module-level-scipy
+    Under ``src/repro/`` scipy is imported inside the function that uses
+    it, never at module level (or in a class body): ``repro.hydro`` is on
+    every import path, and one module-level ``from scipy.optimize import
+    brentq`` made ``import repro.core.driver`` load 355 scipy modules
+    (0.8 s, +47 MB RSS) for runs that never build a star or solve a
+    Riemann problem exactly.
+
 Exit status: 0 clean, 1 findings reported, 2 usage error, 3 unreadable
 or unparseable input (R000).  ``--json`` emits the findings as a machine
 readable object for CI annotation.
@@ -665,6 +673,32 @@ def _check_backend_imports(tree: ast.Module, path: str) -> List[Finding]:
     return findings
 
 
+def _check_module_level_scipy(tree: ast.Module, path: str) -> List[Finding]:
+    """R012: under src/repro/, scipy imports live inside functions."""
+    if "src/repro/" not in path.replace("\\", "/"):
+        return []
+    findings: List[Finding] = []
+    stack: List[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+            continue
+        if any(name.split(".", 1)[0] == "scipy" for name in names):
+            findings.append(Finding(
+                path, node.lineno, "R012",
+                "module-level scipy import: import it inside the function "
+                "that uses it, so importing repro does not load scipy",
+            ))
+    return findings
+
+
 def _check_cold_plan_build(
     tree: ast.Module, path: str, sanctioned: Set[int]
 ) -> List[Finding]:
@@ -755,6 +789,7 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
         tree, path, _sanctioned_lines(source, _WIRE_SANCTION_TAG)
     )
     findings += _check_backend_imports(tree, path)
+    findings += _check_module_level_scipy(tree, path)
     findings += _check_cold_plan_build(
         tree, path, _sanctioned_lines(source, _COLD_SANCTION_TAG)
     )
