@@ -1,49 +1,68 @@
-"""FMM plan benchmark: cold / warm solves, work-split shards, reference.
+"""FMM plan benchmark: cold / warm solves, row blocks, memory by owner.
 
 Standalone (not a paper figure):
 
     PYTHONPATH=src python benchmarks/bench_fmm_plan.py [--smoke]
 
 Measures the plan-cached batched FMM solve (``FmmSolver.solve``) against
-the per-node reference traversal (``solve_reference``), and the
-work-split solve (``m2l_split``, see ``docs/comms.md``) against the
-unsplit one.  Persists:
+the per-node reference traversal (``solve_reference``), the row-blocked
+M2L (``FmmPlan.near_blocks`` / ``FarLevel.blocks``, see
+``docs/gravity_plan.md``) against one kernel call over each whole row
+list, and what the plan holds (``FmmPlan.nbytes()`` by owner) beside the
+tracemalloc transient peak of one warm solve.  Persists:
 
-* ``benchmarks/output/fmm_plan.txt`` — the human-readable table,
-* ``BENCH_fmm.json`` at the repo root — machine-readable numbers.
+* ``benchmarks/output/fmm_plan.txt`` — the human-readable tables,
+* ``BENCH_fmm.json`` at the repo root — machine-readable numbers,
 
-Drift gates (exit 1 on violation):
+both with the host/commit manifest ``BENCH_hydro.json`` carries.
+
+Gates (exit 1 on violation):
 
 * batched vs reference within 1e-13 (relative to the field scale);
-* split vs unsplit **exactly zero** — sharding a far batch must not
-  change a single bit (each target keeps its complete, order-preserved
-  source segment).
+* blocked vs single-call **exactly zero** — no block cuts a segment and
+  ``np.add.reduceat`` reduces each segment on its own, so not a bit moves;
+* the block-size sweep on the level-2 mesh has an **interior optimum**:
+  some block size strictly between "one block" and "one segment per
+  block" beats both on ``fmm.m2l`` (the measured companion of the paper's
+  Fig. 9; not evaluated under ``--smoke``, whose lists are too short).
 
 Timing methodology matches ``bench_hydro_plan.py``: minimum over several
 trials of the mean of a few repetitions, ``gc.collect()`` before each
-trial.
+trial.  The sweep rebuilds the plan at each block size by setting
+``repro.gravity.plan.M2L_BLOCK_ROWS`` for the build — a bench-only probe;
+the constant is not an option.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
+import repro.gravity.plan as plan_mod  # noqa: E402
+from benchmarks.bench_hydro_plan import best_of, host_manifest  # noqa: E402
 from repro.gravity.fmm import FmmSolver  # noqa: E402
 from repro.octree import AmrMesh, Field  # noqa: E402
+from repro.profiling.apex import CounterRegistry  # noqa: E402
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 DRIFT_TOL = 1e-13
-SPLIT_ROWS = 64
+#: Larger than any row list: one kernel call per list (the unblocked form).
+ONE_BLOCK = 10**9
+#: Rows per block of the sweep; 1 = every segment is its own block.
+SWEEP_ROWS = (ONE_BLOCK, 65536, 16384, 8192, 4096, 2048, 1024, 1)
+MB = 2**20  # MiB, the unit of the ledger's peak_rss_mb
 
 
 def build_mesh(levels: int, n: int = 8, refine_keys=(), seed: int = 0):
@@ -64,15 +83,19 @@ def build_mesh(levels: int, n: int = 8, refine_keys=(), seed: int = 0):
     return mesh
 
 
-def best_of(f, reps: int, trials: int) -> float:
-    out = []
-    for _ in range(trials):
-        gc.collect()
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            f()
-        out.append((time.perf_counter() - t0) / reps)
-    return min(out)
+@contextlib.contextmanager
+def block_rows(rows: int):
+    """Plans built inside are cut at ``rows`` rows per block."""
+    saved = plan_mod.M2L_BLOCK_ROWS
+    plan_mod.M2L_BLOCK_ROWS = rows
+    try:
+        yield
+    finally:
+        plan_mod.M2L_BLOCK_ROWS = saved
+
+
+def n_blocks(plan) -> int:
+    return len(plan.near_blocks) + sum(len(fl.blocks) for fl in plan.far_levels)
 
 
 def relative_drift(res, ref) -> float:
@@ -86,8 +109,8 @@ def relative_drift(res, ref) -> float:
     return float(worst)
 
 
-def split_drift(res, ref) -> float:
-    """0.0 when split and unsplit agree bit-for-bit, else the max |diff|."""
+def exact_drift(res, ref) -> float:
+    """0.0 when the two results agree bit-for-bit, else the max |diff|."""
     worst = 0.0
     for key in ref.phi:
         if not (
@@ -102,10 +125,21 @@ def split_drift(res, ref) -> float:
     return worst
 
 
+def transient_peak_mb(solver: FmmSolver, mesh) -> float:
+    """tracemalloc peak of one warm solve above what was held before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solver.solve(mesh)
+        return (tracemalloc.get_traced_memory()[1] - base) / MB
+    finally:
+        tracemalloc.stop()
+
+
 def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
     mesh = build_mesh(levels, refine_keys=refine_keys)
     solver = FmmSolver()
-    split_solver = FmmSolver(m2l_split=SPLIT_ROWS)
 
     gc.collect()
     t0 = time.perf_counter()
@@ -113,29 +147,60 @@ def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
     cold_s = time.perf_counter() - t0
 
     warm = best_of(lambda: solver.solve(mesh), reps, trials)
-    split_res = split_solver.solve(mesh)  # builds plan + shard cache
-    warm_split = best_of(lambda: split_solver.solve(mesh), reps, trials)
+    with block_rows(ONE_BLOCK):
+        single_solver = FmmSolver()
+        single_res = single_solver.solve(mesh)
+    warm_single = best_of(lambda: single_solver.solve(mesh), reps, trials)
     t0 = time.perf_counter()
     ref_res = solver.solve_reference(mesh)
     reference_s = time.perf_counter() - t0
 
     plan = solver.plan_for(mesh)
-    shards = plan.split(SPLIT_ROWS)
     return {
         "levels": levels,
         "leaves": len(mesh.leaves()),
         "cells": int(mesh.n_cells()),
         "cold_ms": cold_s * 1e3,
         "warm_ms": warm * 1e3,
-        "warm_split_ms": warm_split * 1e3,
+        "warm_single_call_ms": warm_single * 1e3,
         "reference_ms": reference_s * 1e3,
         "speedup_vs_reference": reference_s / warm,
-        "m2l_split_rows": SPLIT_ROWS,
-        "far_batches": len(plan.far_levels),
-        "split_batches": len(shards),
+        "m2l_block_rows": plan_mod.M2L_BLOCK_ROWS,
+        "m2l_rows": int(plan.near_rows.size + sum(fl.src_idx.size for fl in plan.far_levels)),
+        "m2l_blocks": n_blocks(plan),
+        "single_call_blocks": n_blocks(single_solver.plan_for(mesh)),
+        "plan_bytes": plan.nbytes(),
+        "transient_peak_mb": transient_peak_mb(solver, mesh),
+        "transient_peak_single_call_mb": transient_peak_mb(single_solver, mesh),
         "drift_vs_reference": relative_drift(cold_res, ref_res),
-        "split_drift": split_drift(split_res, cold_res),
+        "blocked_drift": exact_drift(cold_res, single_res),
     }
+
+
+def block_sweep(levels: int, trials: int, sizes=SWEEP_ROWS, refine_keys=()):
+    """``fmm.m2l`` per solve (min of ``trials``) at each block size."""
+    mesh = build_mesh(levels, refine_keys=refine_keys)
+    rows_out = []
+    for rows in sizes:
+        with block_rows(rows):
+            solver = FmmSolver()
+            solver.solve(mesh)
+        best = float("inf")
+        for _ in range(trials):
+            solver.registry = CounterRegistry()
+            gc.collect()
+            solver.solve(mesh)
+            best = min(best, solver.registry.total("fmm.m2l"))
+        rows_out.append({
+            "rows_per_block": rows,
+            "blocks": n_blocks(solver.plan_for(mesh)),
+            "m2l_ms": best * 1e3,
+        })
+    return rows_out
+
+
+def sweep_label(rows: int) -> str:
+    return {ONE_BLOCK: "all", 1: "1 segment"}.get(rows, str(rows))
 
 
 def main(argv=None) -> int:
@@ -149,33 +214,76 @@ def main(argv=None) -> int:
 
     if args.smoke:
         cases = [bench_level(1, reps=1, trials=1, refine_keys=(0,))]
+        sweep = block_sweep(1, trials=1, sizes=(ONE_BLOCK, 1024, 1), refine_keys=(0,))
     else:
         cases = [
             bench_level(1, reps=5, trials=8),
             bench_level(2, reps=2, trials=4),
             bench_level(1, reps=3, trials=6, refine_keys=(0, 3)),
         ]
+        sweep = block_sweep(2, trials=8)
 
     lines = [
         "fmm plan: batched solve vs reference traversal "
         "(min-of-trials, ms per solve)",
-        f"{'mesh':<10} {'leaves':>6} {'cold':>8} {'warm':>8} {'split':>8} "
-        f"{'ref':>9} {'speedup':>8} {'batches':>8}",
+        f"{'mesh':<10} {'leaves':>6} {'cold':>8} {'warm':>8} {'1-call':>8} "
+        f"{'ref':>9} {'speedup':>8} {'blocks':>8}",
     ]
     for c in cases:
         lines.append(
             f"level {c['levels']:<4} {c['leaves']:>6} {c['cold_ms']:>8.1f} "
-            f"{c['warm_ms']:>8.1f} {c['warm_split_ms']:>8.1f} "
+            f"{c['warm_ms']:>8.1f} {c['warm_single_call_ms']:>8.1f} "
             f"{c['reference_ms']:>9.1f} {c['speedup_vs_reference']:>7.2f}x "
-            f"{c['far_batches']:>3}->{c['split_batches']:<3}"
+            f"{c['single_call_blocks']:>3}->{c['m2l_blocks']:<4}"
         )
     for c in cases:
         lines.append(
             f"drift level {c['levels']} (leaves {c['leaves']}): "
             f"vs reference {c['drift_vs_reference']:.3e}, "
-            f"split vs unsplit {c['split_drift']:.3e}"
+            f"blocked vs single-call {c['blocked_drift']:.3e}"
+        )
+    lines.append(
+        "memory by owner (MiB held by the plan | tracemalloc transient peak "
+        "of one warm solve)"
+    )
+    lines.append(
+        f"{'mesh':<10} {'leaves':>6} {'lists':>8} {'positions':>10} "
+        f"{'templates':>10} | {'blocked':>8} {'1-call':>8}"
+    )
+    for c in cases:
+        owners = c["plan_bytes"]
+        lines.append(
+            f"level {c['levels']:<4} {c['leaves']:>6} {owners['lists'] / MB:>8.2f} "
+            f"{owners['positions'] / MB:>10.2f} {owners['templates'] / MB:>10.2f} | "
+            f"{c['transient_peak_mb']:>8.1f} {c['transient_peak_single_call_mb']:>8.1f}"
+        )
+    lines.append(
+        f"block sweep (level {1 if args.smoke else 2}, fmm.m2l ms per solve, "
+        f"min of {1 if args.smoke else 8}): rows per block (blocks) -> ms"
+    )
+    lines.append("  ".join(
+        f"{sweep_label(s['rows_per_block'])} ({s['blocks']}) {s['m2l_ms']:.1f}"
+        for s in sweep
+    ))
+    best = min(sweep[1:-1], key=lambda s: s["m2l_ms"])
+    interior_optimum = best["m2l_ms"] < min(sweep[0]["m2l_ms"], sweep[-1]["m2l_ms"])
+    if args.smoke:
+        lines.append("interior optimum: unmeasured (--smoke lists are too short)")
+    else:
+        lines.append(
+            f"interior optimum: {best['rows_per_block']} rows/block "
+            f"{best['m2l_ms']:.1f} ms vs one block {sweep[0]['m2l_ms']:.1f} / "
+            f"one segment per block {sweep[-1]['m2l_ms']:.1f} — "
+            f"{'yes' if interior_optimum else 'NO'}"
         )
 
+    manifest = host_manifest()
+    lines.append(
+        "host: {usable_cores} usable core(s), {machine}, python {python}, "
+        "numpy {numpy}; commit {git_commit}{dirty}; {utc}".format(
+            dirty=" + uncommitted src/" if manifest["src_dirty"] else "", **manifest
+        )
+    )
     text = "\n".join(lines)
     print(text)
     OUTPUT_DIR.mkdir(exist_ok=True)
@@ -183,12 +291,15 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "fmm_plan",
         "smoke": args.smoke,
+        "manifest": manifest,
         "drift_tol": DRIFT_TOL,
         "drift": {
             f"level {c['levels']} leaves {c['leaves']}": c["drift_vs_reference"]
             for c in cases
         },
         "cases": cases,
+        "block_sweep": sweep,
+        "interior_optimum": None if args.smoke else interior_optimum,
     }
     (REPO_ROOT / "BENCH_fmm.json").write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -201,13 +312,20 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             status = 1
-        if c["split_drift"] != 0.0:
+        if c["blocked_drift"] != 0.0:
             print(
-                f"FAIL: {label} split drift {c['split_drift']:.3e} != 0 "
-                "(work-splitting must be bit-identical)",
+                f"FAIL: {label} blocked drift {c['blocked_drift']:.3e} != 0 "
+                "(row blocking must be bit-identical)",
                 file=sys.stderr,
             )
             status = 1
+    if not args.smoke and not interior_optimum:
+        print(
+            "FAIL: no interior block size beats both one block and "
+            "one-segment blocks on fmm.m2l",
+            file=sys.stderr,
+        )
+        status = 1
     return status
 
 

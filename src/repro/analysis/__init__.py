@@ -45,7 +45,7 @@ from repro.analysis.planverify import (
     PlanViolation,
     require_verified,
     verify_bundle_plan,
-    verify_fmm_split,
+    verify_fmm_blocks,
     verify_mesh_plans,
     verify_partition,
     verify_process_plan,
@@ -68,7 +68,7 @@ __all__ = [
     "PlanViolation",
     "require_verified",
     "verify_bundle_plan",
-    "verify_fmm_split",
+    "verify_fmm_blocks",
     "verify_mesh_plans",
     "verify_partition",
     "verify_process_plan",

@@ -3,13 +3,13 @@
 The SIMD-merging companion work leans on one enabling invariant — per-task
 index sets are disjoint — and the process backend inherits it everywhere:
 ranks write only their own slot runs, ghost scatters write only their own
-ghost bands, every ghost cell has exactly one donor, FMM shards own
-disjoint target slices.  All of those sets exist as concrete index arrays
+ghost bands, every ghost cell has exactly one donor, FMM row blocks own
+disjoint segment ranges.  All of those sets exist as concrete index arrays
 inside the plans (:class:`~repro.comms.bundle.GhostBundlePlan` scatter
-arrays, the hydro plan's per-rank slot runs,
-:meth:`~repro.gravity.plan.FmmPlan.split` CSR
-slices), so instead of *trusting* the planners we can check the invariant
-in closed form before a single worker forks:
+arrays, the hydro plan's per-rank slot runs, the FMM plan's
+``near_blocks`` / ``FarLevel.blocks`` segment ranges), so instead of
+*trusting* the planners we can check the invariant in closed form before
+a single worker forks:
 
 * :func:`verify_partition` — rank slot runs are in-bounds, pairwise
   disjoint, cover every slot, and agree with the leaf localities;
@@ -18,9 +18,9 @@ in closed form before a single worker forks:
   donor), writes land only in ghost bands of leaves owned by the
   applying rank, reads come only from donor interiors of the declared
   source rank;
-* :func:`verify_fmm_split` — sharded M2L batches preserve the unsplit
-  target/source order, keep CSR bounds consistent, and own pairwise
-  disjoint target sets (``np.intersect1d`` on every shard pair);
+* :func:`verify_fmm_blocks` — the plan-time M2L row blocks tile every
+  row list's segments contiguously and in order (no overlap, gap or
+  reordering) over consistent CSR bounds;
 * :func:`verify_process_plan` — all of the above over one
   :class:`~repro.hydro.plan.HydroPlan`: the plan that runs, not a
   reconstruction of it.
@@ -280,64 +280,38 @@ def verify_bundle_plan(
     return out
 
 
-def verify_fmm_split(plan: "FmmPlan", max_rows: int) -> List[PlanViolation]:
-    """``FmmPlan.split`` shards are a disjoint, order-preserving cover.
+def verify_fmm_blocks(plan: "FmmPlan") -> List[PlanViolation]:
+    """Every M2L row list's plan-time blocks tile its segments in order.
 
-    Bit-identical accumulation needs each target in exactly one shard
-    with its complete source segment in original order.  Checked against
-    the unsplit levels: concatenated shard targets/sources reproduce the
-    level arrays exactly, shard CSR bounds are consistent, and every
-    shard pair has an empty ``np.intersect1d`` of targets.
+    Bit-identical blocked execution needs each ``(target, octant)``
+    segment in exactly one block with its complete source rows.  Checked
+    per list (the near list and every far level): CSR bounds are
+    consistent, and the ``[s0, s1)`` block ranges are non-empty and cover
+    ``[0, n_segments)`` contiguously and in order — no overlap, gap or
+    reordering.
     """
     out: List[PlanViolation] = []
-    shards = plan.split(max_rows)
-    for s, fl in enumerate(shards):
-        if fl.indptr.size != fl.tgt_idx.size + 1:
+    lists = [("near", plan.near_indptr, plan.near_rows.size,
+              plan.near_center_rows.size, plan.near_blocks)]
+    lists += [(f"far level batch {i}", fl.indptr, fl.src_idx.size,
+               fl.tgt_idx.size, fl.blocks) for i, fl in enumerate(plan.far_levels)]
+    for name, indptr, n_rows, n_seg, blocks in lists:
+        if (indptr.size != n_seg + 1 or indptr[0] != 0 or indptr[-1] != n_rows
+                or np.any(np.diff(indptr) < 0)):
             out.append(PlanViolation(
-                "fmm-shard-csr",
-                f"shard {s}: indptr has {fl.indptr.size} entries for "
-                f"{fl.tgt_idx.size} target(s)",
+                "fmm-block-csr",
+                f"{name}: indptr ({indptr.size} entries) inconsistent with "
+                f"{n_seg} segment(s) / {n_rows} row(s)",
             ))
-            continue
-        if fl.indptr[0] != 0 or fl.indptr[-1] != fl.src_idx.size:
+        blocks = np.asarray(blocks, dtype=np.intp).reshape(-1, 2)
+        edges = np.concatenate([[0], blocks[:, 1]])
+        if (not np.array_equal(blocks[:, 0], edges[:-1]) or edges[-1] != n_seg
+                or np.any(blocks[:, 1] <= blocks[:, 0])):
             out.append(PlanViolation(
-                "fmm-shard-csr",
-                f"shard {s}: indptr spans [{int(fl.indptr[0])}, "
-                f"{int(fl.indptr[-1])}) for {fl.src_idx.size} source row(s)",
+                "fmm-block-tiling",
+                f"{name}: blocks {blocks.tolist()[:4]}... do not tile "
+                f"[0, {n_seg}) contiguously and in order",
             ))
-        if np.any(np.diff(fl.indptr) < 0):
-            out.append(PlanViolation(
-                "fmm-shard-csr", f"shard {s}: indptr not monotone"
-            ))
-    for a in range(len(shards)):
-        for b in range(a + 1, len(shards)):
-            shared = np.intersect1d(shards[a].tgt_idx, shards[b].tgt_idx)
-            if shared.size:
-                out.append(PlanViolation(
-                    "fmm-shard-overlap",
-                    f"shards {a} and {b} both accumulate into target(s) "
-                    f"{shared.tolist()[:4]}",
-                ))
-    split_tgt = np.concatenate([fl.tgt_idx for fl in shards]) if shards \
-        else np.empty(0, dtype=np.intp)
-    split_src = np.concatenate([fl.src_idx for fl in shards]) if shards \
-        else np.empty(0, dtype=np.intp)
-    full_tgt = np.concatenate([fl.tgt_idx for fl in plan.far_levels]) \
-        if plan.far_levels else np.empty(0, dtype=np.intp)
-    full_src = np.concatenate([fl.src_idx for fl in plan.far_levels]) \
-        if plan.far_levels else np.empty(0, dtype=np.intp)
-    if not np.array_equal(split_tgt, full_tgt):
-        out.append(PlanViolation(
-            "fmm-shard-targets",
-            f"shard targets ({split_tgt.size}) do not reproduce the "
-            f"unsplit target order ({full_tgt.size})",
-        ))
-    if not np.array_equal(split_src, full_src):
-        out.append(PlanViolation(
-            "fmm-shard-sources",
-            f"shard source segments ({split_src.size} row(s)) do not "
-            f"reproduce the unsplit source order ({full_src.size})",
-        ))
     return out
 
 

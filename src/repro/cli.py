@@ -38,10 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "neighbor locality per phase, see docs/comms.md); "
                           "--no-coalesce prices one message per leaf face "
                           "(the Fig. 8 ablation; the physics is unaffected)")
-    run.add_argument("--m2l-split", type=int, default=0, metavar="ROWS",
-                     help="shard heavy same-level M2L batches to at most "
-                          "ROWS interaction rows each (0 = unsplit; "
-                          "identical bits)")
     run.add_argument("--sanitize", action="store_true",
                      help="run the analysis suite alongside each step: "
                           "memory-space sanitizer over the physics, static "
@@ -131,15 +127,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-plans",
         help="statically verify the parallel execution plans of every "
              "scenario: rank partitions, ghost bundle scatter sets and "
-             "FMM M2L split shards (no workers are forked)")
+             "FMM M2L row blocks (no workers are forked)")
     verify.add_argument("--nprocs", type=int, default=2, metavar="N")
     verify.add_argument("--levels", type=int, nargs="+", default=[1, 2])
     verify.add_argument("--scenarios", nargs="+",
                         default=["blast", "rotating_star", "dwd", "v1309"],
                         choices=["blast", "rotating_star", "dwd", "v1309"])
-    verify.add_argument("--m2l-split", type=int, nargs="+",
-                        default=[64, 256], metavar="ROWS",
-                        help="M2L shard sizes to verify (rows per shard)")
 
     scale = sub.add_parser("scale", help="evaluate the distributed model")
     scale.add_argument("--scenario", default="rotating_star",
@@ -202,7 +195,6 @@ def _command_run(args: argparse.Namespace) -> int:
         config=RunConfig(
             machine=machine, nodes=args.nodes, coalesce=args.coalesce
         ),
-        m2l_split=args.m2l_split,
         sanitize=args.sanitize,
         faults=faults,
         recovery=not args.no_recovery,
@@ -295,7 +287,7 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
 
 
 def _command_verify_plans(args: argparse.Namespace) -> int:
-    from repro.analysis.planverify import verify_fmm_split, verify_mesh_plans
+    from repro.analysis.planverify import verify_fmm_blocks, verify_mesh_plans
     from repro.gravity.plan import build_plan
     from repro.scenarios import dwd_scenario, rotating_star, v1309_scenario
     from repro.scenarios.blast import sedov_blast
@@ -317,12 +309,11 @@ def _command_verify_plans(args: argparse.Namespace) -> int:
             # Deliberate per-scenario sweep: verify-plans must prove each
             # topology's cold construction, never a cached/delta shortcut.
             plan = build_plan(mesh, theta=0.5)  # reprolint: sanctioned-cold-build
-            for split in args.m2l_split:
-                violations.extend(verify_fmm_split(plan, split))
+            violations.extend(verify_fmm_blocks(plan))
             status = "OK" if not violations else "FAIL"
-            shards = sum(len(plan.split(s)) for s in args.m2l_split)
+            blocks = len(plan.near_blocks) + sum(len(fl.blocks) for fl in plan.far_levels)
             print(f"{name:<14} level {level} nprocs {args.nprocs}: "
-                  f"{len(mesh.leaves())} leaves, {shards} M2L shard(s) "
+                  f"{len(mesh.leaves())} leaves, {blocks} M2L row block(s) "
                   f"verified — {status}")
             for v in violations:
                 print(f"  {v}", file=sys.stderr)

@@ -86,7 +86,6 @@ class OctoTigerSim:
         config: Optional[RunConfig] = None,
         constants: ModelConstants = DEFAULT_CONSTANTS,
         empty_mass_threshold: float = 1e-12,
-        m2l_split: int = 0,
         sanitize: bool = False,
         faults: Optional[FaultSpec] = None,
         recovery: Any = True,
@@ -172,7 +171,6 @@ class OctoTigerSim:
             self.gravity_solver = FmmSolver(
                 order=gravity_order,
                 empty_mass_threshold=empty_mass_threshold,
-                m2l_split=m2l_split,
                 verify_plans=verify_plans,
                 plan_cache=self.plan_cache,
             )
@@ -262,7 +260,6 @@ class OctoTigerSim:
             machine=machine,
             nodes=nodes,
             config=run_config,
-            m2l_split=config["gravity.m2l_split"],
             backend=backend,
             nprocs=nprocs,
             overlap=overlap,

@@ -27,8 +27,9 @@ equal the ones it was built for, so it invalidates automatically after a
 regrid and is maintained through the lifecycle every plan kind shares
 (:class:`FmmPlanLifecycle`, ``docs/plan_lifecycle.md``).
 :meth:`FmmSolver.solve` is the batched execute phase: stacked
-P2M/M2M moments, a few segmented M2L calls per level, vectorised
-L2L/L2P, and two GEMMs per P2P geometry class.  It is numerically
+P2M/M2M moments, one segmented M2L call per plan-time row block
+(``FmmPlan.near_blocks`` / ``FarLevel.blocks``), vectorised L2L/L2P, and
+two GEMMs per P2P geometry class.  It is numerically
 equivalent (to ~1e-13 relative) to :meth:`FmmSolver.solve_reference`,
 the retained per-node reference implementation, and produces identical
 :class:`FmmStats`.  Per-phase wall times are reported through
@@ -46,7 +47,7 @@ if TYPE_CHECKING:  # import cycle: repro.core.__init__ pulls in the driver
 
 import numpy as np
 
-from repro.analysis.planverify import require_verified, verify_fmm_split
+from repro.analysis.planverify import require_verified, verify_fmm_blocks
 from repro.gravity.conservation import project_angular_momentum, project_momentum
 from repro.gravity.kernels import m2l_batch, m2l_segmented
 from repro.gravity.multipole import (
@@ -151,7 +152,6 @@ class FmmSolver:
         momentum_correction: bool = True,
         angmom_correction: bool = True,
         empty_mass_threshold: float = 0.0,
-        m2l_split: int = 0,
         verify_plans: bool = True,
         plan_cache: Optional["PlanCache"] = None,
     ) -> None:
@@ -162,11 +162,6 @@ class FmmSolver:
         self.g_newton = g_newton
         self.momentum_correction = momentum_correction
         self.angmom_correction = angmom_correction
-        #: Maximum M2L rows per far batch (0 = unsplit).  Heavy same-level
-        #: batches are sharded via :meth:`FmmPlan.split` so a scheduler can
-        #: interleave them with communication (the paper's SVII-C
-        #: multipole work-splitting); results are bit-identical.
-        self.m2l_split = m2l_split
         #: Sub-grids whose total mass is below this act as pure vacuum
         #: sources (their P2P/M2L source side is skipped).  Star scenarios
         #: are mostly floor-density vacuum; skipping it changes forces by
@@ -179,12 +174,11 @@ class FmmSolver:
         #: which the canonical traversal pair state is looked up by mesh
         #: fingerprint before paying a cold dual-tree traversal.
         self.plans = FmmPlanLifecycle(plan_cache)
-        #: Statically verify every sharded M2L batch decomposition before
-        #: executing it (:func:`repro.analysis.planverify.verify_fmm_split`):
-        #: shard target sets must be disjoint and reproduce the unsplit
-        #: order, or the solve refuses to run.  Memoised per (plan, split).
+        #: Statically verify every plan's M2L row blocks before executing
+        #: them (:func:`repro.analysis.planverify.verify_fmm_blocks`): they
+        #: must tile each row list's segments in order, or the solve
+        #: refuses to run.  Once per plan; the verdict lives on the plan.
         self.verify_plans = verify_plans
-        self._verified_splits = set()
 
     # -- plan cache -----------------------------------------------------------
     def plan_for(self, mesh: AmrMesh) -> FmmPlan:
@@ -203,15 +197,6 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
 
     def _registry(self) -> CounterRegistry:
         return self.registry if self.registry is not None else global_registry()
-
-    def _check_split(self, plan, split):  # noqa: ANN001
-        """Refuse unverified shard decompositions (once per plan+split)."""
-        if not self.verify_plans:
-            return
-        key = (id(plan), split)
-        if key not in self._verified_splits:
-            require_verified(verify_fmm_split(plan, split))
-            self._verified_splits.add(key)
 
     # -- leaf particle data ---------------------------------------------------
     @staticmethod
@@ -285,24 +270,24 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
             l1 = np.zeros((n_nodes, 3))
             l2 = np.zeros((n_nodes, 3, 3))
             l3 = np.zeros((n_nodes, 3, 3, 3))
-            self._check_split(plan, self.m2l_split)
-            for fl in plan.split(self.m2l_split):
-                centers = np.repeat(
-                    mom_c[fl.tgt_idx], np.diff(fl.indptr), axis=0
-                )
-                s0, s1, s2, s3 = m2l_segmented(
-                    mom_m[fl.src_idx],
-                    mom_c[fl.src_idx],
-                    mom_q[fl.src_idx],
-                    mom_o[fl.src_idx],
-                    centers,
-                    fl.indptr,
-                    order=self.order,
-                )
-                l0[fl.tgt_idx] += s0
-                l1[fl.tgt_idx] += s1
-                l2[fl.tgt_idx] += s2
-                l3[fl.tgt_idx] += s3
+            if self.verify_plans and not plan.blocks_verified:
+                require_verified(verify_fmm_blocks(plan))
+                plan.blocks_verified = True
+            for fl in plan.far_levels:
+                for b0, b1 in fl.blocks:
+                    r0 = fl.indptr[b0]
+                    tgt = fl.tgt_idx[b0:b1]
+                    src = fl.src_idx[r0 : fl.indptr[b1]]
+                    seg = fl.indptr[b0 : b1 + 1] - r0
+                    centers = np.repeat(mom_c[tgt], np.diff(seg), axis=0)
+                    s0, s1, s2, s3 = m2l_segmented(
+                        mom_m[src], mom_c[src], mom_q[src], mom_o[src],
+                        centers, seg, order=self.order,
+                    )
+                    l0[tgt] += s0
+                    l1[tgt] += s1
+                    l2[tgt] += s2
+                    l3[tgt] += s3
 
             n_part = len(plan.part_slots)
             n_near_tgt = len(plan.near_tgt_slots)
@@ -316,14 +301,22 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
                     plan.oct_geo_centers.reshape(n_part * 8, 3),
                 )
             if n_near_tgt:
-                rows = plan.near_rows
-                centers = np.repeat(
-                    oc[plan.near_center_rows], np.diff(plan.near_indptr), axis=0
-                )
-                q0, q1, q2, q3 = m2l_segmented(
-                    om[rows], oc[rows], oq[rows], oo[rows],
-                    centers, plan.near_indptr, order=self.order,
-                )
+                indptr = plan.near_indptr
+                q0 = np.empty(8 * n_near_tgt)
+                q1 = np.empty((8 * n_near_tgt, 3))
+                q2 = np.empty((8 * n_near_tgt, 3, 3))
+                q3 = np.empty((8 * n_near_tgt, 3, 3, 3))
+                for b0, b1 in plan.near_blocks:
+                    r0 = indptr[b0]
+                    rows = plan.near_rows[r0 : indptr[b1]]
+                    seg = indptr[b0 : b1 + 1] - r0
+                    centers = np.repeat(
+                        oc[plan.near_center_rows[b0:b1]], np.diff(seg), axis=0
+                    )
+                    q0[b0:b1], q1[b0:b1], q2[b0:b1], q3[b0:b1] = m2l_segmented(
+                        om[rows], oc[rows], oq[rows], oo[rows],
+                        centers, seg, order=self.order,
+                    )
 
         # Phase 3: top-down L2L, then far-field evaluation (L2P).
         with reg.timer("fmm.l2p"):
@@ -366,6 +359,7 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
             thr = self.empty_mass_threshold
             if thr > 0.0:
                 src_total = mass.sum(axis=1)
+            t3_buf = np.empty((nc, nc))  # every cached class cubes its t1 here
             for cls in plan.p2p_classes:
                 tgt, src, inv_dx = cls.tgt, cls.src, cls.inv_dx
                 if thr > 0.0:
@@ -374,7 +368,7 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
                         continue
                     if not keep.all():
                         tgt, src, inv_dx = tgt[keep], src[keep], inv_dx[keep]
-                t1, t3 = cls.templates()
+                t1, t3 = cls.templates(t3_buf)
                 p2p_apply_class(
                     t1, t3, tgt,
                     plan.leaf_pos[tgt], mass[src], plan.leaf_pos[src],

@@ -43,9 +43,20 @@ Touching leaf pairs group into classes of identical relative geometry —
 ``(level difference, centre offset in half-units of the finer cell
 width)``.  All pairs of a class share one unit-distance separation matrix
 (cell positions are regular lattices), so the plan caches per class the
-``1/|u|`` and ``1/|u|**3`` templates (budget permitting) and the execute
-phase runs two GEMMs per class over all of its pairs at once instead of
-rebuilding an ``(n^3, n^3)`` distance matrix per pair.
+``1/|u|`` template (budget permitting; ``1/|u|**3`` is its elementwise
+cube, formed in one shared scratch) and the execute phase runs two GEMMs
+per class over all of its pairs at once instead of rebuilding an
+``(n^3, n^3)`` distance matrix per pair.
+
+Row blocking
+------------
+Every M2L row list (the near list and each far level) carries plan-time
+``blocks``: contiguous segment ranges of at most :data:`M2L_BLOCK_ROWS`
+rows cut by :func:`_row_blocks`, the paper's SVII-C / Fig. 9 work-split
+applied to memory.  The execute phase runs the segmented kernel once per
+block, so its temporaries are block-sized instead of list-sized; no block
+cuts a segment and each segment is reduced independently, so the result
+is bit-identical to one call over the whole list.
 """
 
 from __future__ import annotations
@@ -63,8 +74,8 @@ from repro.octree.node import NodeKey, OctreeNode
 from repro.octree.regrid import RegridDelta
 from repro.util.morton import morton_parent
 
-#: Default cap on cached P2P template bytes per plan (t1 + t3 across all
-#: classes).  Same-level meshes need at most 27 classes; adaptive meshes can
+#: Default cap on cached P2P template bytes per plan (one ``t1`` matrix
+#: per class).  Same-level meshes need at most 27 classes; adaptive meshes can
 #: produce many more cross-level classes, whose templates are then rebuilt
 #: per solve instead of cached once the budget is exhausted.
 DEFAULT_TEMPLATE_BUDGET = 192 * 2**20
@@ -73,6 +84,11 @@ DEFAULT_TEMPLATE_BUDGET = 192 * 2**20
 #: back to a cold traversal (the pruned traversal would visit most of the
 #: tree anyway).
 DELTA_COLD_FRACTION = 0.5
+
+#: Interaction rows per M2L kernel call.  Measured on a 64-leaf level-2
+#: mesh (docs/gravity_plan.md): ``fmm.m2l`` is flat between 2 048 and 16 384
+#: rows per block and slower on either side; 8 192 sits mid-plateau.
+M2L_BLOCK_ROWS = 8192
 
 _LEVEL_SHIFT = 58
 _CODE_MASK = (1 << _LEVEL_SHIFT) - 1
@@ -294,12 +310,31 @@ class P2PClass:
     upos_t: np.ndarray  # (nc, 3) unit target cell positions
     upos_s: np.ndarray  # (nc, 3) unit source cell positions
     t1: Optional[np.ndarray] = None  # cached 1/|u| template (None: rebuild per solve)
-    t3: Optional[np.ndarray] = None
 
-    def templates(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self.t1 is not None:
-            return self.t1, self.t3
-        return p2p_unit_templates(self.upos_t, self.upos_s)
+    def templates(self, out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """``(1/|u|, 1/|u|**3)``; the cube of a cached ``t1`` is formed in
+        ``out`` (a caller-shared ``(nc, nc)`` scratch) by the same two ufunc
+        calls :func:`p2p_unit_templates` uses, so the bits are the same."""
+        if self.t1 is None:
+            return p2p_unit_templates(self.upos_t, self.upos_s)
+        t3 = np.multiply(self.t1, self.t1, out=out)
+        t3 *= self.t1
+        return self.t1, t3
+
+
+def _row_blocks(indptr: np.ndarray, max_rows: int) -> np.ndarray:
+    """Cut a CSR row list into ``(B, 2)`` contiguous segment ranges
+    ``[s0, s1)`` of at most ``max_rows`` rows each, greedily and only at
+    segment boundaries; a single heavier segment is its own block."""
+    n_seg = indptr.size - 1
+    blocks: List[Tuple[int, int]] = []
+    s0 = 0
+    while s0 < n_seg:
+        fit = int(np.searchsorted(indptr, indptr[s0] + max_rows, side="right")) - 1
+        s1 = max(fit, s0 + 1)
+        blocks.append((s0, s1))
+        s0 = s1
+    return np.asarray(blocks, dtype=np.intp).reshape(-1, 2)
 
 
 @dataclass
@@ -309,38 +344,7 @@ class FarLevel:
     tgt_idx: np.ndarray  # (T,) target node indices
     indptr: np.ndarray  # (T+1,)
     src_idx: np.ndarray  # (R,) source node indices, concatenated per target
-
-
-def _split_far_level(fl: FarLevel, max_rows: int) -> List[FarLevel]:
-    """Shard one level's CSR batch into contiguous target slices of at most
-    ``max_rows`` interaction rows each (always at least one target).
-
-    Every target appears in exactly one shard with its complete,
-    order-preserved source segment, so accumulating the shards is
-    bit-identical to executing the unsplit batch.
-    """
-    n_targets = fl.tgt_idx.size
-    if fl.src_idx.size <= max_rows or n_targets <= 1:
-        return [fl]
-    counts = np.diff(fl.indptr)
-    shards: List[FarLevel] = []
-    start = 0
-    while start < n_targets:
-        end = start + 1
-        rows = int(counts[start])
-        while end < n_targets and rows + int(counts[end]) <= max_rows:
-            rows += int(counts[end])
-            end += 1
-        lo, hi = int(fl.indptr[start]), int(fl.indptr[end])
-        shards.append(
-            FarLevel(
-                tgt_idx=fl.tgt_idx[start:end],
-                indptr=fl.indptr[start : end + 1] - lo,
-                src_idx=fl.src_idx[lo:hi],
-            )
-        )
-        start = end
-    return shards
+    blocks: np.ndarray  # (B, 2) row blocks: target ranges [s0, s1)
 
 
 @dataclass
@@ -392,6 +396,7 @@ class FmmPlan:
     near_rows: np.ndarray  # (R,) rows into flattened (P*8) octant arrays
     near_indptr: np.ndarray  # (8T+1,) segment bounds per (target, octant)
     near_center_rows: np.ndarray  # (8T,) rows into flattened (P*8) octant COMs
+    near_blocks: np.ndarray  # (B, 2) row blocks: segment ranges [s0, s1)
 
     # -- P2P ----------------------------------------------------------------
     p2p_classes: List[P2PClass]
@@ -405,9 +410,9 @@ class FmmPlan:
     n_near_pairs: int
     m2l_by_level: Dict[int, int] = field(default_factory=dict)
 
-    #: Memoised :meth:`split` shards, keyed on ``max_rows`` — sharding is a
-    #: pure slicing of the CSR arrays, so shards share the plan's storage.
-    _split_cache: Dict[int, List[FarLevel]] = field(default_factory=dict)
+    #: Set once :func:`repro.analysis.planverify.verify_fmm_blocks` passed
+    #: on this very object (the verdict travels with the plan it is about).
+    blocks_verified: bool = False
 
     #: Chain-wide P2P template store, shared *by reference* along a
     #: reuse/update chain of plans.  Templates are pure functions of the
@@ -417,32 +422,9 @@ class FmmPlan:
     #: was absent from the immediately preceding plan.  Bounded by the
     #: build's ``template_budget_bytes``; dropped (with the chain) on
     #: :meth:`FmmSolver.invalidate_plan`.
-    template_store: Dict[
-        Tuple[int, Tuple[int, int, int]], Tuple[np.ndarray, np.ndarray]
-    ] = field(default_factory=dict)
-
-    def split(self, max_rows: int) -> List[FarLevel]:
-        """Far batches sharded to at most ``max_rows`` M2L rows each.
-
-        The paper's multipole work-splitting (SVII-C) at plan level: a
-        heavy same-level batch becomes several independent sub-batches a
-        scheduler can interleave with communication.  ``max_rows <= 0``
-        returns the unsplit levels.  Bit-identical to the unsplit
-        execution: each target lives in exactly one shard and its source
-        segment order is preserved, so the per-target accumulation is the
-        same single vectorised sum either way.
-        """
-        if max_rows <= 0:
-            return self.far_levels
-        cached = self._split_cache.get(max_rows)
-        if cached is None:
-            cached = [
-                shard
-                for fl in self.far_levels
-                for shard in _split_far_level(fl, max_rows)
-            ]
-            self._split_cache[max_rows] = cached
-        return cached
+    template_store: Dict[Tuple[int, Tuple[int, int, int]], np.ndarray] = field(
+        default_factory=dict
+    )
 
     def matches(self, mesh: AmrMesh, theta: float) -> bool:
         """Whether this plan is still valid for ``mesh`` at ``theta``.
@@ -465,12 +447,27 @@ class FmmPlan:
         (cell centres are a pure function of the key, so reuse is exact)."""
         return {k: self.leaf_pos[i] for i, k in enumerate(self.leaf_keys)}
 
-    def template_map(self) -> Dict[Tuple[int, Tuple[int, int, int]], Tuple[np.ndarray, np.ndarray]]:
-        """Cached P2P templates by class key (pure functions of the key)."""
+    def nbytes(self) -> Dict[str, int]:
+        """Bytes this plan holds, by owner: ``lists`` (CSR / index arrays),
+        ``positions`` (cell and node geometry) and ``templates`` (the P2P
+        store, each matrix once however many classes and plans share it)."""
+        lists = [self.pair_state.far, self.pair_state.near, self.pair_state.p2p,
+                 self.node_level, self.leaf_node_idx, self.part_slots,
+                 self.part_row, self.oct_cells, self.near_tgt_slots,
+                 self.near_tgt_rows, self.near_rows, self.near_indptr,
+                 self.near_center_rows, self.near_blocks]
+        for pair in self.level_interiors:
+            lists.extend(pair)
+        for fl in self.far_levels:
+            lists.extend((fl.tgt_idx, fl.indptr, fl.src_idx, fl.blocks))
+        positions = [self.node_center, self.leaf_pos, self.cell_vol, self.oct_geo_centers]
+        for cls in self.p2p_classes:
+            lists.extend((cls.tgt, cls.src, cls.inv_dx))
+            positions.extend((cls.upos_t, cls.upos_s))
         return {
-            cls.key: (cls.t1, cls.t3)
-            for cls in self.p2p_classes
-            if cls.t1 is not None
+            "lists": sum(a.nbytes for a in lists),
+            "positions": sum(a.nbytes for a in positions),
+            "templates": sum(t.nbytes for t in self.template_store.values()),
         }
 
 
@@ -561,7 +558,9 @@ def _assemble_plan(
             src_idx = np.searchsorted(
                 packed_nodes, src[bounds[lo] : bounds[hi]]
             ).astype(np.intp)
-            far_levels.append(FarLevel(tgt_idx, indptr, src_idx))
+            far_levels.append(
+                FarLevel(tgt_idx, indptr, src_idx, _row_blocks(indptr, M2L_BLOCK_ROWS))
+            )
 
     # Near (octant-resolved) interactions, target-major in sorted-slot order.
     octant = octant_ids(mesh.n)
@@ -675,18 +674,13 @@ def _assemble_plan(
     # this chain serves its template for free (templates are pure functions
     # of the key, so cross-topology reuse is exact), and only genuinely new
     # classes charge the budget.
-    template_bytes = 2 * nc * nc * 8
+    template_bytes = nc * nc * 8
     max_cached = max(0, template_budget_bytes // template_bytes)
     store = reuse.template_store if reuse is not None else {}
     for cls in sorted(p2p_classes, key=lambda c: (-c.tgt.size, c.key)):
-        cached = store.get(cls.key)
-        if cached is not None:
-            cls.t1, cls.t3 = cached
-            continue
-        if len(store) >= max_cached:
-            continue
-        cls.t1, cls.t3 = p2p_unit_templates(cls.upos_t, cls.upos_s)
-        store[cls.key] = (cls.t1, cls.t3)
+        cls.t1 = store.get(cls.key)
+        if cls.t1 is None and len(store) < max_cached:
+            cls.t1 = store[cls.key] = p2p_unit_templates(cls.upos_t, cls.upos_s)[0]
 
     n_interiors = n_nodes - n_leaves
     return FmmPlan(
@@ -715,6 +709,7 @@ def _assemble_plan(
         near_rows=near_rows,
         near_indptr=near_indptr,
         near_center_rows=near_center_rows,
+        near_blocks=_row_blocks(near_indptr, M2L_BLOCK_ROWS),
         p2p_classes=p2p_classes,
         template_store=store,
         p2p_pair_count=int(state.p2p.shape[0]),

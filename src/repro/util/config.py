@@ -53,8 +53,6 @@ class Config:
         # Communication
         "comm.local_optimization": True,
         "comm.coalesce": True,  # bundle ghost messages per locality pair
-        # Gravity work-splitting: max M2L rows per far batch (0 = unsplit)
-        "gravity.m2l_split": 0,
         # Array backend for hot kernels (repro.kokkos.backend registry):
         # numpy (default, bit-identical) | pyjit | numba
         "kokkos.backend": "numpy",
@@ -82,8 +80,6 @@ class Config:
             raise ConfigError("gravity.order must be 1, 2 or 3")
         if self["runtime.tasks_per_kernel"] < 1:
             raise ConfigError("runtime.tasks_per_kernel must be >= 1")
-        if self["gravity.m2l_split"] < 0:
-            raise ConfigError("gravity.m2l_split must be >= 0")
         if self["runtime.workers"] < 1:
             raise ConfigError("runtime.workers must be >= 1")
         from repro.kokkos.backend import registered_backends

@@ -173,50 +173,6 @@ class TestStatsSemantics:
         assert plan.n_l2l == ref.stats.l2l
 
 
-class TestM2LWorkSplitting:
-    def test_split_solve_bitwise_identical(self, gaussian_mesh_l2):
-        ref = FmmSolver().solve(gaussian_mesh_l2)
-        for max_rows in (1, 16, 1000):
-            res = FmmSolver(m2l_split=max_rows).solve(gaussian_mesh_l2)
-            for key in ref.phi:
-                assert np.array_equal(res.phi[key], ref.phi[key])
-                assert np.array_equal(res.accel[key], ref.accel[key])
-
-    def test_split_adaptive_bitwise_identical(self):
-        mesh = make_uniform_mesh(1, n=4)
-        fill_gaussian(mesh)
-        mesh.refine(sorted(mesh.leaf_keys())[0])
-        ref = FmmSolver().solve(mesh)
-        res = FmmSolver(m2l_split=8).solve(mesh)
-        for key in ref.phi:
-            assert np.array_equal(res.phi[key], ref.phi[key])
-            assert np.array_equal(res.accel[key], ref.accel[key])
-
-    def test_shards_partition_the_rows(self, gaussian_mesh_l2):
-        plan = build_plan(gaussian_mesh_l2, 0.5)
-        total_rows = sum(fl.src_idx.size for fl in plan.far_levels)
-        total_targets = sum(fl.tgt_idx.size for fl in plan.far_levels)
-        shards = plan.split(16)
-        assert len(shards) > len(plan.far_levels)
-        assert sum(fl.src_idx.size for fl in shards) == total_rows
-        assert sum(fl.tgt_idx.size for fl in shards) == total_targets
-        for fl in shards:
-            # a shard only exceeds the bound when one target alone does
-            assert fl.src_idx.size <= 16 or fl.tgt_idx.size == 1
-            assert fl.indptr[0] == 0
-            assert fl.indptr[-1] == fl.src_idx.size
-
-    def test_split_zero_returns_unsplit_levels(self, gaussian_mesh_l2):
-        plan = build_plan(gaussian_mesh_l2, 0.5)
-        assert plan.split(0) is plan.far_levels
-        assert plan.split(-1) is plan.far_levels
-
-    def test_split_cached_per_max_rows(self, gaussian_mesh_l2):
-        plan = build_plan(gaussian_mesh_l2, 0.5)
-        assert plan.split(16) is plan.split(16)
-        assert plan.split(16) is not plan.split(32)
-
-
 class TestProfilingCounters:
     def test_phase_timers_recorded(self):
         from repro.profiling.apex import CounterRegistry

@@ -32,19 +32,19 @@ from repro.octree.regrid import RegridDelta
 #: the live mesh, uninitialized scratch buffers (np.empty allocations
 #: whose bytes are meaningless until the first pack()/apply()), and
 #: build-time caches whose *presence* varies by rebuild path while their
-#: values are pure functions of the class key (P2P templates t1/t3 and
+#: values are pure functions of the class key (the P2P template t1 and
 #: the chain-wide template_store — a delta chain may carry entries for
-#: classes a one-shot cold build never met).
+#: classes a one-shot cold build never met), and the per-object
+#: blocks_verified verdict.
 _SKIP_ATTRS = {
     "mesh_ref",
     "payload",
     "_fine_acc",
     "_fine_tmp",
     "_splits",
-    "_split_cache",
+    "blocks_verified",
     "template_store",
     "t1",
-    "t3",
 }
 
 

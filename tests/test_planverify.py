@@ -14,7 +14,7 @@ from repro.analysis.planverify import (
     PlanViolation,
     require_verified,
     verify_bundle_plan,
-    verify_fmm_split,
+    verify_fmm_blocks,
     verify_mesh_plans,
     verify_partition,
     verify_process_plan,
@@ -130,60 +130,41 @@ class TestVerifyBundlePlan:
         )
 
 
-class _FakeLevel:
-    def __init__(self, tgt, src, indptr):
-        self.tgt_idx = np.asarray(tgt, dtype=np.intp)
-        self.src_idx = np.asarray(src, dtype=np.intp)
-        self.indptr = np.asarray(indptr, dtype=np.intp)
-
-
-class _FakePlan:
-    def __init__(self, levels, shards):
-        self.far_levels = levels
-        self._shards = shards
-
-    def split(self, max_rows):
-        return list(self._shards)
-
-
 class TestVerifyFmmSplit:
+    """The M2L split is the plan-time row blocks (``verify_fmm_blocks``);
+    the overlap / gap / reorder cases live in ``test_m2l_blocking.py``."""
+
     def test_real_plan_shards_clean(self):
         mesh = make_uniform_mesh(2)
         fill_gaussian(mesh)
         plan = build_plan(mesh, 0.5)
-        for split in (16, 64, 256):
-            assert verify_fmm_split(plan, split) == []
+        assert len(plan.near_blocks) > 1
+        assert verify_fmm_blocks(plan) == []
 
-    def test_shard_target_overlap_flagged(self):
-        level = _FakeLevel([0, 1], [5, 6], [0, 1, 2])
-        shards = [
-            _FakeLevel([0], [5], [0, 1]),
-            _FakeLevel([0], [6], [0, 1]),  # steals target 0
-        ]
-        found = checks(verify_fmm_split(_FakePlan([level], shards), 8))
-        assert "fmm-shard-overlap" in found
-        assert "fmm-shard-targets" in found
+    @staticmethod
+    def _refined_l1():
+        mesh = make_uniform_mesh(1)
+        mesh.refine(sorted(mesh.leaf_keys())[0])
+        fill_gaussian(mesh)
+        return mesh
 
     def test_csr_inconsistency_flagged(self):
-        level = _FakeLevel([0, 1], [5, 6], [0, 1, 2])
-        shards = [_FakeLevel([0, 1], [5, 6], [0, 2])]  # indptr too short
-        assert "fmm-shard-csr" in checks(
-            verify_fmm_split(_FakePlan([level], shards), 8)
-        )
-
-    def test_dropped_source_rows_flagged(self):
-        level = _FakeLevel([0, 1], [5, 6], [0, 1, 2])
-        shards = [_FakeLevel([0, 1], [5], [0, 1, 1])]
-        found = checks(verify_fmm_split(_FakePlan([level], shards), 8))
-        assert "fmm-shard-sources" in found
+        plan = build_plan(self._refined_l1(), 0.5)
+        assert plan.near_rows.size
+        plan.near_indptr = plan.near_indptr[:-1]  # indptr too short
+        assert "fmm-block-csr" in checks(verify_fmm_blocks(plan))
 
     def test_solver_refuses_bad_split(self):
-        """FmmSolver checks each shard decomposition before using it."""
-        mesh = make_uniform_mesh(2)
-        fill_gaussian(mesh)
-        solver = FmmSolver(m2l_split=64)
+        """FmmSolver verifies each plan's blocks once, before using them."""
+        mesh = self._refined_l1()
+        solver = FmmSolver()
         solver.solve(mesh)  # clean plan verifies and solves
-        assert solver.verify_plans
+        plan = solver.plan_for(mesh)
+        assert plan.blocks_verified
+        plan.near_blocks = plan.near_blocks[1:]  # drops the first segments
+        plan.blocks_verified = False
+        with pytest.raises(PlanVerificationError):
+            solver.solve(mesh)
 
 
 class TestExecutorGate:
