@@ -38,7 +38,6 @@ not run them (the guard's PID check is the second line of defence).
 
 from __future__ import annotations
 
-import inspect
 import math
 import multiprocessing
 import numbers
@@ -53,10 +52,11 @@ from repro.resilience.protocol import UnrecoverableFault
 
 #: A worker handler: called once per command, returns the reply payload.
 Handler = Callable[[Any], Any]
-#: Builds the handler inside the child after fork: (rank, registry) -> handler.
-#: A factory may also accept a third :class:`WorkerLink` argument to take
-#: part in dependency-grained rounds (:meth:`ParallelEngine.round_async`).
-HandlerFactory = Callable[[int, CounterRegistry], Handler]
+#: Builds the handler inside the child after fork:
+#: (rank, registry, link) -> handler.  The :class:`WorkerLink` is how a
+#: handler takes part in dependency-grained rounds
+#: (:meth:`ParallelEngine.round_async`).
+HandlerFactory = Callable[[int, CounterRegistry, "WorkerLink"], Handler]
 
 #: Reserved control commands (never passed to the handler).
 _STOP = "__stop__"
@@ -181,20 +181,6 @@ class WorkerLink:
             )
 
 
-def _build_handler(
-    factory: HandlerFactory, rank: int, registry: CounterRegistry, link: WorkerLink
-) -> Handler:
-    """Call the factory with the link when its signature takes one (the
-    overlap-aware handlers), without it otherwise (every legacy factory)."""
-    try:
-        n_params = len(inspect.signature(factory).parameters)
-    except (TypeError, ValueError):
-        n_params = 2
-    if n_params >= 3:
-        return factory(rank, registry, link)
-    return factory(rank, registry)
-
-
 def _worker_main(rank: int, factory: HandlerFactory, conn) -> None:  # noqa: ANN001
     """Child main loop: execute commands until told to stop.
 
@@ -205,7 +191,7 @@ def _worker_main(rank: int, factory: HandlerFactory, conn) -> None:  # noqa: ANN
     registry = CounterRegistry()
     try:
         link = WorkerLink(conn)
-        handler = _build_handler(factory, rank, registry, link)
+        handler = factory(rank, registry, link)
         while True:
             command = conn.recv()
             if isinstance(command, tuple) and len(command) == 3 \
@@ -287,8 +273,8 @@ class ParallelEngine:
         return bool(self.localities)
 
     def start(self, factory: HandlerFactory) -> None:
-        """Fork the workers.  ``factory(rank, registry)`` runs *in the
-        child* and returns the command handler, so everything the parent
+        """Fork the workers.  ``factory(rank, registry, link)`` runs *in
+        the child* and returns the command handler, so everything the parent
         set up before this call (mesh, plans, shm views) is inherited."""
         if self.started:
             raise RuntimeError("engine already started")

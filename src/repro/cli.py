@@ -83,11 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="process backend: log every worker's shm accesses "
                           "and replay them against the barrier structure "
                           "after each round, raising on unordered conflicts")
-    run.add_argument("--array-backend", default="numpy", metavar="NAME",
-                     help="array backend for the hot hydro kernels "
-                          "(repro.kokkos.backend registry): numpy "
-                          "(default, bit-identical), pyjit, numba — "
-                          "numba must be installed")
     run.add_argument("--plan-cache", default=None, metavar="DIR",
                      nargs="?", const="auto",
                      help="persist execution plans to a content-addressed "
@@ -109,13 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the process side with the fused "
                             "schedule (one round per RK stage); the "
                             "bit-identity assertion then covers that path")
-    check.add_argument("--tier", default=None,
-                       choices=["exact", "tolerance"],
+    check.add_argument("--tier", default=None, choices=["exact"],
                        help="array-backend equivalence tier instead of the "
                             "process check: 'exact' pins seed vs "
-                            "numpy-dispatch to identical bits, 'tolerance' "
-                            "bounds seed vs the preferred JIT backend by "
-                            "the declared per-field budgets")
+                            "numpy-dispatch to identical bits")
     check.add_argument("--plan-cache", default=None, metavar="DIR",
                        help="route both backends' plan construction through "
                             "one on-disk plan cache at DIR: whichever side "
@@ -205,7 +197,6 @@ def _command_run(args: argparse.Namespace) -> int:
         overlap=args.overlap,
         verify_plans=args.verify_plans,
         detect_races=args.detect_races,
-        array_backend=args.array_backend,
         plan_cache=plan_cache,
     )
     before = diagnostics(scenario.mesh)
@@ -253,11 +244,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_crosscheck(args: argparse.Namespace) -> int:
-    from repro.core.crosscheck import (
-        BackendMismatch,
-        ToleranceExceeded,
-        crosscheck_scenarios,
-    )
+    from repro.core.crosscheck import BackendMismatch, crosscheck_scenarios
 
     try:
         results = crosscheck_scenarios(
@@ -265,7 +252,7 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
             overlap=args.overlap, tier=args.tier,
             plan_cache=args.plan_cache,
         )
-    except (BackendMismatch, ToleranceExceeded) as exc:
+    except BackendMismatch as exc:
         print(f"CROSSCHECK FAILED: {exc}", file=sys.stderr)
         return 1
     findings = 0
@@ -278,11 +265,9 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
                   f"{r.race_findings} race finding(s) over {r.race_events} "
                   f"shm access events")
         else:
-            verdict = ("bit-identical" if r.tier == "exact"
-                       else f"max rel err {r.max_rel_err:.2e} within budgets")
             print(f"{name}: {r.steps} steps x {r.leaves} leaves, "
                   f"seed {r.serial_s:.2f}s / {r.backend_name} "
-                  f"{r.process_s:.2f}s — {verdict}")
+                  f"{r.process_s:.2f}s — bit-identical")
     return 1 if findings else 0
 
 

@@ -8,21 +8,11 @@ step** (not a tolerance: identical bits).  It backs the
 ``parallel-smoke`` CI job, the backend-equivalence tests and the
 benchmark gate in ``benchmarks/bench_parallel.py``.
 
-Array backends (:mod:`repro.kokkos.backend`) get the same treatment in
-two tiers:
-
-*exact*
-    Seed path vs dispatch through the ``numpy`` backend.  Same functions,
-    same storage, different call path — any diff is a dispatch bug, so
-    the gate is ``np.array_equal`` bits, like the process check.
-*tolerance*
-    Seed path vs the preferred JIT backend
-    (:func:`repro.kokkos.backend.jit_backend_name`: ``numba`` when
-    installed, its interpreted ``pyjit`` twin otherwise).  A JIT may
-    re-associate floating point, so the gate is the declared per-field
-    relative-error budgets in :data:`TOLERANCE_BUDGETS` plus the
-    conserved-sum drift gate :data:`CONSERVED_DRIFT_BUDGET` — explicit
-    numbers, not "close enough".
+Array-backend dispatch (:mod:`repro.kokkos.backend`) gets the same
+treatment (the *exact* tier): seed path vs dispatch through the ``numpy``
+backend.  Same functions, same storage, different call path — any diff is
+a dispatch bug, so the gate is ``np.array_equal`` bits, like the process
+check.
 
 The serial side runs the batched integrator — itself bit-identical to the
 per-leaf reference and to the DES driver's distributed schedule (the
@@ -33,39 +23,14 @@ test suites) — so one comparison pins all the execution paths together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.integrator import GravityCallback, HydroIntegrator
-from repro.octree.fields import Field
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
-
-#: Conserved-field names in storage row order (budget keys).
-FIELD_NAMES = tuple(f.name.lower() for f in sorted(Field, key=lambda f: f.value))
-
-#: Tolerance-tier per-field budgets: max-norm relative error
-#: ``max|seed - jit| / max|seed|`` allowed per field after each step.
-#: numba's LLVM pipeline may fuse/reorder the arithmetic of the stacked
-#: sweep kernels, so the budget is ULP-scale-times-slack rather than zero;
-#: the interpreted ``pyjit`` twin lands at exactly 0.0 on every scenario
-#: we run (same NumPy ops in the same order as the seed kernels).
-TOLERANCE_BUDGETS: Dict[str, float] = {
-    "rho": 1e-10,
-    "sx": 1e-9,
-    "sy": 1e-9,
-    "sz": 1e-9,
-    "egas": 1e-9,
-    "tau": 1e-10,
-    "frac1": 1e-10,
-    "frac2": 1e-10,
-}
-
-#: Tolerance-tier gate on the relative difference of volume-weighted
-#: conserved sums between the two runs (per field, after each step).
-CONSERVED_DRIFT_BUDGET = 1e-11
 
 
 class BackendMismatch(AssertionError):
@@ -78,20 +43,6 @@ class BackendMismatch(AssertionError):
         super().__init__(
             f"backend mismatch at step {step}, leaf {key}: "
             f"max |serial - process| = {max_abs_diff:.3e}"
-        )
-
-
-class ToleranceExceeded(AssertionError):
-    """A tolerance-tier cross-check left its declared error budget."""
-
-    def __init__(self, step: int, field: str, rel_err: float, budget: float) -> None:
-        self.step = step
-        self.field = field
-        self.rel_err = rel_err
-        self.budget = budget
-        super().__init__(
-            f"tolerance budget exceeded at step {step}: field {field!r} "
-            f"rel err {rel_err:.3e} > budget {budget:.1e}"
         )
 
 
@@ -111,14 +62,10 @@ class CrosscheckResult:
     race_findings: int = 0
     race_events: int = 0
     #: Which comparison produced this result: "process" (DES vs process
-    #: backend, bit gate), "exact" (seed vs numpy-dispatch, bit gate) or
-    #: "tolerance" (seed vs JIT backend, budget gate).
+    #: backend) or "exact" (seed vs numpy-dispatch); both are bit gates.
     tier: str = "process"
     #: The array backend on the non-seed side ("" for the process check).
     backend_name: str = ""
-    #: Worst per-field max-norm relative error seen across all steps
-    #: (identically 0.0 for the bit-gated tiers).
-    max_rel_err: float = 0.0
 
     @property
     def ok(self) -> bool:  # mismatches raise, so reaching a result is success
@@ -154,40 +101,6 @@ def assert_identical(mesh_a: AmrMesh, mesh_b: AmrMesh, step: int = -1) -> None:
         b = mesh_b.nodes[key].subgrid.data
         if not np.array_equal(a, b):
             raise BackendMismatch(step, key, float(np.max(np.abs(a - b))))
-
-
-def field_rel_errors(mesh_a: AmrMesh, mesh_b: AmrMesh) -> np.ndarray:
-    """Per-field max-norm relative errors ``max|a - b| / max|a|`` over all
-    leaves (normalising by the reference field's global magnitude keeps
-    near-zero cells — e.g. the symmetric momenta of a centred blast — from
-    reporting O(1) errors on last-bit differences)."""
-    diff = np.zeros(len(FIELD_NAMES))
-    scale = np.zeros(len(FIELD_NAMES))
-    for leaf in mesh_a.leaves():
-        a = leaf.subgrid.data
-        b = mesh_b.nodes[leaf.key].subgrid.data
-        diff = np.maximum(diff, np.abs(a - b).max(axis=(1, 2, 3)))
-        scale = np.maximum(scale, np.abs(a).max(axis=(1, 2, 3)))
-    return diff / np.where(scale > 0.0, scale, 1.0)
-
-
-def assert_within_budgets(
-    mesh_a: AmrMesh,
-    mesh_b: AmrMesh,
-    budgets: Dict[str, float],
-    step: int = -1,
-) -> float:
-    """Gate every field's relative error against its declared budget.
-
-    Raises :class:`ToleranceExceeded` on the first violation; returns the
-    worst relative error otherwise.
-    """
-    errs = field_rel_errors(mesh_a, mesh_b)
-    for i, name in enumerate(FIELD_NAMES):
-        budget = budgets[name]
-        if errs[i] > budget:
-            raise ToleranceExceeded(step, name, float(errs[i]), budget)
-    return float(errs.max())
 
 
 def conserved_sums(mesh: AmrMesh) -> np.ndarray:
@@ -303,7 +216,6 @@ def crosscheck_hydro(
 def crosscheck_array_backend(
     mesh: AmrMesh,
     backend_name: str,
-    tier: str = "exact",
     steps: int = 3,
     eos: Optional[IdealGasEOS] = None,
     omega: float = 0.0,
@@ -312,18 +224,14 @@ def crosscheck_array_backend(
     reflux: bool = True,
     dt: Optional[float] = None,
     mutate: Optional[Callable[[AmrMesh, int], None]] = None,
-    budgets: Optional[Dict[str, float]] = None,
 ) -> CrosscheckResult:
     """Cross-check the seed kernel path against an array backend.
 
     Runs ``steps`` RK3 steps twice on cloned meshes: the reference side
     with the seed path (``array_backend=None``) and the other side
-    dispatching the hydro kernels through ``backend_name``.
-    The ``exact`` tier demands identical bits (:func:`assert_identical` +
-    conserved-sum equality); the ``tolerance`` tier gates per-field
-    relative errors against ``budgets`` (default
-    :data:`TOLERANCE_BUDGETS`) and the conserved-sum drift against
-    :data:`CONSERVED_DRIFT_BUDGET`.
+    dispatching the hydro kernels through ``backend_name``.  The two must
+    end every step on identical bits (:func:`assert_identical` +
+    conserved-sum equality).
 
     ``gravity`` is a factory, as in :func:`crosscheck_hydro`, so each side
     gets a private solver.  The result reuses the timing fields:
@@ -331,10 +239,6 @@ def crosscheck_array_backend(
     """
     import time as _time
 
-    if tier not in ("exact", "tolerance"):
-        raise ValueError(f"tier must be 'exact' or 'tolerance', got {tier!r}")
-    if budgets is None:
-        budgets = TOLERANCE_BUDGETS
     mesh_ref = mesh
     mesh_alt = clone_mesh(mesh)
     ref = HydroIntegrator(
@@ -349,7 +253,6 @@ def crosscheck_array_backend(
         array_backend=backend_name,
     )
     ref_s = alt_s = 0.0
-    worst = 0.0
     for step in range(steps):
         if mutate is not None:
             mutate(mesh_ref, step)
@@ -363,25 +266,9 @@ def crosscheck_array_backend(
         t2 = _time.perf_counter()
         ref_s += t1 - t0
         alt_s += t2 - t1
-        sums_ref = conserved_sums(mesh_ref)
-        sums_alt = conserved_sums(mesh_alt)
-        if tier == "exact":
-            assert_identical(mesh_ref, mesh_alt, step)
-            if not np.array_equal(sums_ref, sums_alt):
-                raise BackendMismatch(step, (0, 0), float("nan"))
-        else:
-            worst = max(worst, assert_within_budgets(
-                mesh_ref, mesh_alt, budgets, step
-            ))
-            drift = np.abs(sums_ref - sums_alt) / np.maximum(
-                np.abs(sums_ref), 1e-300
-            )
-            if float(drift.max()) > CONSERVED_DRIFT_BUDGET:
-                i = int(drift.argmax())
-                raise ToleranceExceeded(
-                    step, f"conserved[{FIELD_NAMES[i]}]",
-                    float(drift.max()), CONSERVED_DRIFT_BUDGET,
-                )
+        assert_identical(mesh_ref, mesh_alt, step)
+        if not np.array_equal(conserved_sums(mesh_ref), conserved_sums(mesh_alt)):
+            raise BackendMismatch(step, (0, 0), float("nan"))
     return CrosscheckResult(
         steps=steps,
         leaves=len(mesh_ref.leaves()),
@@ -389,9 +276,8 @@ def crosscheck_array_backend(
         dt=ref.last_dt,
         serial_s=ref_s,
         process_s=alt_s,
-        tier=tier,
+        tier="exact",
         backend_name=backend_name,
-        max_rel_err=worst,
     )
 
 
@@ -406,13 +292,14 @@ def crosscheck_scenarios(
     (gravity via FMM), cross-checked per tier.
 
     ``tier=None`` runs the original DES-vs-process bit check; ``"exact"``
-    pins seed vs numpy-dispatch to identical bits; ``"tolerance"`` bounds
-    seed vs the preferred JIT backend by the declared budgets.
+    pins seed vs numpy-dispatch to identical bits.
     """
     from repro.gravity.fmm import FmmSolver
-    from repro.kokkos.backend import jit_backend_name
     from repro.scenarios.blast import sedov_blast
     from repro.scenarios.dwd import dwd_scenario
+
+    if tier not in (None, "exact"):
+        raise ValueError(f"tier must be None or 'exact', got {tier!r}")
 
     results = []
     blast = sedov_blast(levels=2)
@@ -437,16 +324,12 @@ def crosscheck_scenarios(
         )
         return results
 
-    backend_name = "numpy" if tier == "exact" else jit_backend_name()
     results.append(
-        crosscheck_array_backend(
-            blast.mesh, backend_name, tier=tier, steps=steps, eos=blast.eos
-        )
+        crosscheck_array_backend(blast.mesh, "numpy", steps=steps, eos=blast.eos)
     )
-
     results.append(
         crosscheck_array_backend(
-            dwd.mesh, backend_name, tier=tier, steps=steps, eos=dwd.eos,
+            dwd.mesh, "numpy", steps=steps, eos=dwd.eos,
             omega=dwd.omega, gravity=gravity_factory,
         )
     )

@@ -104,8 +104,7 @@ class OctoTigerSim:
             raise ValueError(f"backend must be 'des' or 'process', got {backend!r}")
         #: Array backend for the hot hydro kernels
         #: (:mod:`repro.kokkos.backend`): None keeps the seed path, "numpy"
-        #: dispatches bit-identically, JIT backends ("numba"/"pyjit") swap
-        #: in the compiled kernel set.
+        #: dispatches bit-identically; it is the only kernel set there is.
         self.array_backend = array_backend
         #: "des": physics in-process, timing on the virtual clock (default).
         #: "process": the hydro step runs on ``nprocs`` real worker

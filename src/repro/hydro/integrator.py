@@ -154,18 +154,10 @@ class HydroIntegrator:
         #: Array backend the stacked kernels dispatch through (see
         #: :mod:`repro.kokkos.backend`).  ``None`` is the inline seed path;
         #: "numpy" routes the same kernels through the dispatch table
-        #: (bit-identical); "numba"/"pyjit" swap in the JIT kernel set
-        #: (tolerance-tier equivalent).  Unknown or unavailable names
-        #: raise here, not mid-step.
+        #: (bit-identical).  Unknown, unavailable or kernel-less (JIT)
+        #: names raise here, not mid-step.
         self.array_backend = array_backend
         abackend = get_backend(array_backend) if array_backend else None
-        if backend == "process" and abackend is not None and abackend.jit:
-            raise ValueError(
-                "array_backend {!r} is not supported by the process "
-                "backend (workers run the seed kernel path)".format(
-                    array_backend
-                )
-            )
         self._kernels: StackedKernels = resolve_stacked_kernels(abackend)
         self.mesh = mesh
         self.eos = eos or IdealGasEOS()

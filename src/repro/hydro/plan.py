@@ -925,70 +925,22 @@ _SEED_KERNELS = StackedKernels(
 )
 
 
-def _jit_kernels(backend) -> StackedKernels:
-    """Table with the top kernels swapped for the backend-compiled
-    implementations from :mod:`repro.hydro.jit_kernels`.
-
-    The compiled set is cached on the *backend* (shape-generic, so one
-    compilation serves every topology); all per-topology state — the
-    scratch buffers the wrappers use — lives in the plan's
-    :class:`ScratchArena` and is therefore rebuilt with the plan whenever
-    a regrid moves the mesh fingerprint.
-    """
-    from repro.hydro.jit_kernels import build_kernels
-
-    kset = backend.kernel_table("hydro.stacked", build_kernels)
-    k_rhs, k_update, k_resync = kset["rhs"], kset["update"], kset["resync_tau"]
-
-    def rhs(u, dx, eos, dudt, reconstruction="muscl", faces=None,
-            registry=None, scratch=None):
-        if reconstruction not in ("muscl", "constant"):
-            raise ValueError(f"unknown reconstruction {reconstruction!r}")
-        if scratch is None:
-            scratch = ScratchArena()
-        n = dudt.shape[2]
-        face_buf = scratch.get("jit.faces", (6, dudt.shape[0], NFIELDS, n, n))
-        with _timer(registry, "hydro.riemann"):
-            k_rhs(
-                u, dudt, face_buf, 1.0 / dx,
-                eos.gamma, eos.dual_eta, eos.rho_floor, eos.eint_floor,
-                1 if reconstruction == "muscl" else 0,
-                1 if faces is not None else 0,
-            )
-        if faces is not None:
-            for k in range(6):
-                faces[:, k // 2, k % 2] = face_buf[k]
-
-    def update(u_int, u0, dudt, a0, a1, dt, eos, scratch=None):
-        k_update(u_int, u0, dudt, a0, a1, dt, eos.rho_floor)
-
-    def resync(u_int, eos):
-        k_resync(u_int, eos.gamma, eos.dual_eta, eos.rho_floor, eos.eint_floor)
-
-    return StackedKernels(
-        backend_name=backend.name,
-        rhs=rhs,
-        source=stacked_source_kernel,
-        update=update,
-        resync_tau=resync,
-        signal=stacked_signal_kernel,
-    )
-
-
 def resolve_stacked_kernels(backend=None) -> StackedKernels:
     """The stacked-kernel dispatch table for an array backend.
 
     ``None`` returns the inline seed table (no indirection beyond the
-    table itself).  A non-JIT backend (``numpy``) routes the *same*
-    functions through the backend's kernel cache — the exact tier of the
-    equivalence harness proves that plumbing moves no bits.  A JIT
-    backend (``numba`` / ``pyjit``) swaps in the compiled RHS / update /
-    resync implementations, bounded by the tolerance tier.
+    table itself).  ``numpy`` routes the *same* functions through the
+    backend's kernel cache — the exact tier of the equivalence harness
+    proves that plumbing moves no bits.  There is one writing of the
+    stencil, so a backend that would need its own (``jit=True``) is
+    rejected here.
     """
     if backend is None:
         return _SEED_KERNELS
     if backend.jit:
-        return _jit_kernels(backend)
+        raise ValueError(
+            f"array backend {backend.name!r} has no hydro kernel set"
+        )
     return StackedKernels(
         backend_name=backend.name,
         rhs=backend.specialize("hydro.rhs", lambda: stacked_rhs_kernel),

@@ -22,7 +22,6 @@ from repro.kokkos.backend import (
     available_backends,
     backend_for_space,
     get_backend,
-    jit_backend_name,
     register_backend,
     registered_backends,
     set_space_backend,
@@ -59,7 +58,6 @@ __all__ = [
     "available_backends",
     "backend_for_space",
     "get_backend",
-    "jit_backend_name",
     "register_backend",
     "registered_backends",
     "sanctioned_crossing",

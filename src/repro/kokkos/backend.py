@@ -11,18 +11,21 @@ only sanctioned cross-backend conversion (counting real bytes).
 Registered backends:
 
 ``numpy``
-    The default and the reference.  Dispatching through it is bit-identical
-    to the seed path (same functions, same storage) — the *exact* tier of
-    the equivalence harness in :mod:`repro.core.crosscheck` pins this.
+    The default and the reference, and the only backend the hydro step can
+    be dispatched through (``array_backend="numpy"``).  That dispatch is
+    bit-identical to the seed path (same functions, same storage) — the
+    *exact* tier of the equivalence harness in :mod:`repro.core.crosscheck`
+    pins this.
 ``numba``
-    JIT host backend: NumPy storage, hot kernels compiled with
-    ``numba.njit``.  Optional (gated on importability); the *tolerance*
-    tier bounds it with per-field error budgets because a JIT cannot
-    promise bit-identity.
+    JIT host backend for View kernels: NumPy storage, ``compile`` is
+    ``numba.njit``.  Optional (gated on importability).
 ``pyjit``
-    The interpreted twin of ``numba``: runs the same kernel source
-    uncompiled on NumPy storage.  Always available, so the JIT kernel
-    *logic* is exercised even on boxes without numba installed.
+    The interpreted twin of ``numba``: same storage, ``compile`` is the
+    identity.  Always available.
+
+Neither JIT backend has a hydro kernel set: the MUSCL+HLL stencil is
+written once, in :mod:`repro.hydro.plan`, and
+:func:`repro.hydro.plan.resolve_stacked_kernels` rejects ``jit=True``.
 
 This module is the **only** place allowed to import ``numba`` (reprolint
 R009, which also keeps ``cupy``/``jax`` imports out of the tree): every
@@ -68,7 +71,6 @@ class ArrayBackend:
     def __init__(self) -> None:
         self._module: Optional[Any] = None
         self._kernels: Dict[Any, Callable] = {}
-        self._tables: Dict[Any, Any] = {}
         #: Number of kernel sources handed to :meth:`compile` (not cache hits).
         self.compile_count = 0
 
@@ -119,8 +121,7 @@ class ArrayBackend:
         """Lower a pure-Python kernel for this backend (identity by default).
 
         Every call counts toward ``compile_count`` so tests can observe
-        that caching (``specialize`` / ``kernel_table``) actually avoids
-        recompilation.
+        that caching (``specialize``) actually avoids recompilation.
         """
         self.compile_count += 1
         return func
@@ -133,20 +134,9 @@ class ArrayBackend:
             self._kernels[key] = kern
         return kern
 
-    def kernel_table(self, key, builder: Callable[[Callable], Any]) -> Any:
-        """A cached kernel *set*: ``builder(self.compile)`` runs once per
-        key and may compile helpers plus the kernels that call them (the
-        pattern :func:`repro.hydro.jit_kernels.build_kernels` uses)."""
-        table = self._tables.get(key)
-        if table is None:
-            table = builder(self.compile)
-            self._tables[key] = table
-        return table
-
     def cache_clear(self) -> None:
         """Drop every compiled kernel (forces recompilation)."""
         self._kernels.clear()
-        self._tables.clear()
 
     def __repr__(self) -> str:
         state = "available" if self.available else "unavailable"
@@ -160,11 +150,7 @@ class NumpyBackend(ArrayBackend):
 
 
 class PyJitBackend(ArrayBackend):
-    """Interpreted twin of the numba backend (same kernels, no JIT).
-
-    Exists so the JIT kernel source is exercised — and tolerance-tier
-    cross-checked — on machines without numba installed.
-    """
+    """Interpreted twin of the numba backend (same storage, no JIT)."""
 
     name = "pyjit"
     jit = True
@@ -216,12 +202,6 @@ def registered_backends() -> List[str]:
 def available_backends() -> List[str]:
     """Registered backends whose array module imports on this machine."""
     return sorted(name for name, b in _REGISTRY.items() if b.available)
-
-
-def jit_backend_name() -> str:
-    """The preferred JIT backend here: ``numba`` if importable, else the
-    interpreted ``pyjit`` twin (same kernel source, no compilation)."""
-    return "numba" if _REGISTRY["numba"].available else "pyjit"
 
 
 register_backend(NumpyBackend())

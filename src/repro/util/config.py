@@ -53,8 +53,9 @@ class Config:
         # Communication
         "comm.local_optimization": True,
         "comm.coalesce": True,  # bundle ghost messages per locality pair
-        # Array backend for hot kernels (repro.kokkos.backend registry):
-        # numpy (default, bit-identical) | pyjit | numba
+        # Array backend the hydro kernels dispatch through
+        # (repro.kokkos.backend registry): numpy, bit-identical to the
+        # seed path, is the only one with a hydro kernel set
         "kokkos.backend": "numpy",
     }
 

@@ -48,6 +48,18 @@ class TestScale:
             main(["scale", "--machine", "Frontier", "--nodes", "1"])
 
 
+class TestRunOptions:
+    def test_array_backend_flag_is_gone(self, capsys):
+        """`repro run` steps the one kernel path the ledger measures; the
+        flag that selected another is an argparse error, not a traceback
+        from inside the integrator."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--level", "1", "--steps", "1",
+                  "--array-backend", "numpy"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --array-backend" in capsys.readouterr().err
+
+
 @pytest.mark.slow
 class TestRun:
     def test_run_and_checkpoint(self, capsys, tmp_path):

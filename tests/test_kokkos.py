@@ -287,7 +287,6 @@ from repro.kokkos import (  # noqa: E402
     available_backends,
     backend_for_space,
     get_backend,
-    jit_backend_name,
     registered_backends,
     sanctioned_crossing,
     set_space_backend,
@@ -325,10 +324,6 @@ class TestBackendRegistry:
         with pytest.raises(BackendUnavailable):
             get_backend(missing[0])
 
-    def test_jit_backend_name_prefers_numba(self):
-        expected = "numba" if "numba" in available_backends() else "pyjit"
-        assert jit_backend_name() == expected
-
     def test_specialize_compiles_once(self):
         b = get_backend("pyjit")
         b.cache_clear()
@@ -341,20 +336,6 @@ class TestBackendRegistry:
         k3 = b.specialize("t.key", lambda: (lambda x: x + 3))
         assert k3(1) == 4
         assert b.compile_count == before + 2
-
-    def test_kernel_table_builds_once(self):
-        b = get_backend("pyjit")
-        b.cache_clear()
-        built = []
-
-        def builder(compile_fn):
-            built.append(1)
-            return {"f": compile_fn(lambda x: 2 * x)}
-
-        t1 = b.kernel_table("t.table", builder)
-        t2 = b.kernel_table("t.table", builder)
-        assert t1 is t2 and built == [1]
-        assert t1["f"](3) == 6
 
     def test_space_backend_routing(self):
         assert space_backend_map()["Host"] == "numpy"

@@ -47,7 +47,7 @@ from tests.test_hydro_plan import (
 pytestmark = pytest.mark.timeout(300)
 
 
-def _echo_factory(rank, registry):
+def _echo_factory(rank, registry, link):
     def handler(command):
         if command == "boom":
             raise RuntimeError("boom from worker")
