@@ -1,4 +1,4 @@
-"""FMM plan benchmark: cold / warm solves, row blocks, memory by owner.
+"""FMM plan benchmark: cold / warm solves, row blocks, P2P stencil templates, memory by owner.
 
 Standalone (not a paper figure):
 
@@ -8,8 +8,12 @@ Measures the plan-cached batched FMM solve (``FmmSolver.solve``) against
 the per-node reference traversal (``solve_reference``), the row-blocked
 M2L (``FmmPlan.near_blocks`` / ``FarLevel.blocks``, see
 ``docs/gravity_plan.md``) against one kernel call over each whole row
-list, and what the plan holds (``FmmPlan.nbytes()`` by owner) beside the
-tracemalloc transient peak of one warm solve.  Persists:
+list, what the plan holds (``FmmPlan.nbytes()`` by owner, ``templates``
+split into the shared gather matrices and the per-class offset tables)
+beside the tracemalloc transient peak of one warm solve, and what the
+P2P templates cost per solve (``P2PClass.templates``: time per class and
+how many classes handed back a freshly built matrix instead of the
+solve's shared scratch).  Persists:
 
 * ``benchmarks/output/fmm_plan.txt`` — the human-readable tables,
 * ``BENCH_fmm.json`` at the repo root — machine-readable numbers,
@@ -24,7 +28,11 @@ Gates (exit 1 on violation):
 * the block-size sweep on the level-2 mesh has an **interior optimum**:
   some block size strictly between "one block" and "one segment per
   block" beats both on ``fmm.m2l`` (the measured companion of the paper's
-  Fig. 9; not evaluated under ``--smoke``, whose lists are too short).
+  Fig. 9; not evaluated under ``--smoke``, whose lists are too short);
+* P2P templates: ``templates`` <= 24 MiB on every mesh (the 139-class
+  78-leaf level-2 mesh is the one that filled the former 192 MiB store),
+  0 classes rebuilt per solve, and <= 0.6 ms of template time per class
+  (the time gate is not evaluated under ``--smoke``: one untimed trial).
 
 Timing methodology matches ``bench_hydro_plan.py``: minimum over several
 trials of the mean of a few repetitions, ``gc.collect()`` before each
@@ -63,6 +71,11 @@ ONE_BLOCK = 10**9
 #: Rows per block of the sweep; 1 = every segment is its own block.
 SWEEP_ROWS = (ONE_BLOCK, 65536, 16384, 8192, 4096, 2048, 1024, 1)
 MB = 2**20  # MiB, the unit of the ledger's peak_rss_mb
+TEMPLATE_MB_MAX = 24.0
+TEMPLATE_MS_PER_CLASS_MAX = 0.6
+#: ``build_mesh`` picks (into the sorted leaf keys) that refine (2, 56) and
+#: (2, 28): the 78-leaf ``dwd_l2_regrid`` topology with 139 P2P classes.
+DWD_WINDOW = (56, 28)
 
 
 def build_mesh(levels: int, n: int = 8, refine_keys=(), seed: int = 0):
@@ -137,6 +150,32 @@ def transient_peak_mb(solver: FmmSolver, mesh) -> float:
         tracemalloc.stop()
 
 
+def template_cost(solver: FmmSolver, mesh, trials: int):
+    """``(ms per class, classes rebuilt)`` inside warm solves: each class's
+    time in ``P2PClass.templates`` (min over ``trials`` solves, then the
+    mean over classes) and the calls that did not hand back the two
+    scratch matrices they were given."""
+    inner = plan_mod.P2PClass.templates
+    times, rebuilt = [], []  # per trial: [class, in plan order], count
+
+    def timed(self, t1, t3):
+        t0 = time.perf_counter()
+        out = inner(self, t1, t3)
+        times[-1].append(time.perf_counter() - t0)
+        rebuilt[-1] += not (out[0] is t1 and out[1] is t3)
+        return out
+
+    plan_mod.P2PClass.templates = timed
+    try:
+        for _ in range(trials):
+            times.append([])
+            rebuilt.append(0)
+            solver.solve(mesh)
+    finally:
+        plan_mod.P2PClass.templates = inner
+    return float(np.min(times, axis=0).mean()) * 1e3, max(rebuilt)
+
+
 def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
     mesh = build_mesh(levels, refine_keys=refine_keys)
     solver = FmmSolver()
@@ -156,6 +195,7 @@ def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
     reference_s = time.perf_counter() - t0
 
     plan = solver.plan_for(mesh)
+    template_ms, rebuilt = template_cost(solver, mesh, max(trials, 6))
     return {
         "levels": levels,
         "leaves": len(mesh.leaves()),
@@ -170,6 +210,12 @@ def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
         "m2l_blocks": n_blocks(plan),
         "single_call_blocks": n_blocks(single_solver.plan_for(mesh)),
         "plan_bytes": plan.nbytes(),
+        "p2p_classes": len(plan.p2p_classes),
+        "gather_matrices": len(plan.gather_store),
+        "gather_bytes": sum(k.nbytes for k in plan.gather_store.values()),
+        "table_bytes": sum(c.tab.nbytes for c in plan.p2p_classes),
+        "template_ms_per_class": template_ms,
+        "classes_rebuilt_per_solve": rebuilt,
         "transient_peak_mb": transient_peak_mb(solver, mesh),
         "transient_peak_single_call_mb": transient_peak_mb(single_solver, mesh),
         "drift_vs_reference": relative_drift(cold_res, ref_res),
@@ -220,6 +266,7 @@ def main(argv=None) -> int:
             bench_level(1, reps=5, trials=8),
             bench_level(2, reps=2, trials=4),
             bench_level(1, reps=3, trials=6, refine_keys=(0, 3)),
+            bench_level(2, reps=2, trials=4, refine_keys=DWD_WINDOW),
         ]
         sweep = block_sweep(2, trials=8)
 
@@ -248,14 +295,25 @@ def main(argv=None) -> int:
     )
     lines.append(
         f"{'mesh':<10} {'leaves':>6} {'lists':>8} {'positions':>10} "
-        f"{'templates':>10} | {'blocked':>8} {'1-call':>8}"
+        f"{'gathers':>8} {'tables':>7} | {'blocked':>8} {'1-call':>8}"
     )
     for c in cases:
         owners = c["plan_bytes"]
         lines.append(
             f"level {c['levels']:<4} {c['leaves']:>6} {owners['lists'] / MB:>8.2f} "
-            f"{owners['positions'] / MB:>10.2f} {owners['templates'] / MB:>10.2f} | "
+            f"{owners['positions'] / MB:>10.2f} {c['gather_bytes'] / MB:>8.2f} "
+            f"{c['table_bytes'] / MB:>7.2f} | "
             f"{c['transient_peak_mb']:>8.1f} {c['transient_peak_single_call_mb']:>8.1f}"
+        )
+    lines.append(
+        "P2P templates per warm solve: classes, gather matrices, "
+        "template ms per class, classes rebuilt per solve"
+    )
+    for c in cases:
+        lines.append(
+            f"level {c['levels']:<4} {c['leaves']:>6} {c['p2p_classes']:>8} "
+            f"{c['gather_matrices']:>10} "
+            f"{c['template_ms_per_class']:>8.2f} {c['classes_rebuilt_per_solve']:>7}"
         )
     lines.append(
         f"block sweep (level {1 if args.smoke else 2}, fmm.m2l ms per solve, "
@@ -316,6 +374,27 @@ def main(argv=None) -> int:
             print(
                 f"FAIL: {label} blocked drift {c['blocked_drift']:.3e} != 0 "
                 "(row blocking must be bit-identical)",
+                file=sys.stderr,
+            )
+            status = 1
+        if c["plan_bytes"]["templates"] > TEMPLATE_MB_MAX * MB:
+            print(
+                f"FAIL: {label} templates {c['plan_bytes']['templates'] / MB:.1f} "
+                f"MiB > {TEMPLATE_MB_MAX}",
+                file=sys.stderr,
+            )
+            status = 1
+        if c["classes_rebuilt_per_solve"]:
+            print(
+                f"FAIL: {label} {c['classes_rebuilt_per_solve']} class(es) built "
+                "their templates outside the shared scratch",
+                file=sys.stderr,
+            )
+            status = 1
+        if not args.smoke and c["template_ms_per_class"] > TEMPLATE_MS_PER_CLASS_MAX:
+            print(
+                f"FAIL: {label} template time {c['template_ms_per_class']:.2f} ms "
+                f"per class > {TEMPLATE_MS_PER_CLASS_MAX}",
                 file=sys.stderr,
             )
             status = 1

@@ -20,7 +20,8 @@ a single worker forks:
   source rank;
 * :func:`verify_fmm_blocks` — the plan-time M2L row blocks tile every
   row list's segments contiguously and in order (no overlap, gap or
-  reordering) over consistent CSR bounds;
+  reordering) over consistent CSR bounds, and (:func:`verify_fmm_gathers`)
+  every P2P class's shared gather matrix indexes inside its offset table;
 * :func:`verify_process_plan` — all of the above over one
   :class:`~repro.hydro.plan.HydroPlan`: the plan that runs, not a
   reconstruction of it.
@@ -288,9 +289,9 @@ def verify_fmm_blocks(plan: "FmmPlan") -> List[PlanViolation]:
     per list (the near list and every far level): CSR bounds are
     consistent, and the ``[s0, s1)`` block ranges are non-empty and cover
     ``[0, n_segments)`` contiguously and in order — no overlap, gap or
-    reordering.
+    reordering.  Includes :func:`verify_fmm_gathers`.
     """
-    out: List[PlanViolation] = []
+    out = verify_fmm_gathers(plan)
     lists = [("near", plan.near_indptr, plan.near_rows.size,
               plan.near_center_rows.size, plan.near_blocks)]
     lists += [(f"far level batch {i}", fl.indptr, fl.src_idx.size,
@@ -312,6 +313,35 @@ def verify_fmm_blocks(plan: "FmmPlan") -> List[PlanViolation]:
                 f"{name}: blocks {blocks.tolist()[:4]}... do not tile "
                 f"[0, {n_seg}) contiguously and in order",
             ))
+    return out
+
+
+def verify_fmm_gathers(plan: "FmmPlan") -> List[PlanViolation]:
+    """Every P2P class's gather matrix indexes inside its offset table.
+
+    ``P2PClass.templates`` gathers with ``mode="clip"`` (no bounds check),
+    so an out-of-range index would silently read the wrong distance.
+    Proved per class: the table has one entry per offset of its three
+    ``rel`` patterns, ``0 <= gather.min()`` and ``gather.max() < tab.size``
+    (extrema taken once per shared matrix), and classes sharing a gather
+    matrix share its ``rel`` patterns.
+    """
+    out: List[PlanViolation] = []
+    seen: dict = {}  # id(gather) -> (min, max, rel of the first class using it)
+    for cls in plan.p2p_classes:
+        if id(cls.gather) not in seen:
+            seen[id(cls.gather)] = (cls.gather.min(), cls.gather.max(), cls.rel)
+        lo, hi, rel = seen[id(cls.gather)]
+        for check, ok, detail in (
+            ("fmm-gather-table", cls.tab.shape == tuple(cls.rel.max(axis=(1, 2)) + 1),
+             f"table shape {cls.tab.shape} is not the extent of its rel patterns"),
+            ("fmm-gather-bounds", 0 <= lo and hi < cls.tab.size,
+             f"gather indices [{lo}, {hi}] outside its table of {cls.tab.size}"),
+            ("fmm-gather-pattern", np.array_equal(cls.rel, rel),
+             "shares a gather matrix built for other rel patterns"),
+        ):
+            if not ok:
+                out.append(PlanViolation(check, f"class {cls.key}: {detail}"))
     return out
 
 

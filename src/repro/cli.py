@@ -298,8 +298,8 @@ def _command_verify_plans(args: argparse.Namespace) -> int:
             status = "OK" if not violations else "FAIL"
             blocks = len(plan.near_blocks) + sum(len(fl.blocks) for fl in plan.far_levels)
             print(f"{name:<14} level {level} nprocs {args.nprocs}: "
-                  f"{len(mesh.leaves())} leaves, {blocks} M2L row block(s) "
-                  f"verified — {status}")
+                  f"{len(mesh.leaves())} leaves, {blocks} M2L row block(s) + "
+                  f"{len(plan.p2p_classes)} P2P gather(s) verified — {status}")
             for v in violations:
                 print(f"  {v}", file=sys.stderr)
             total += len(violations)

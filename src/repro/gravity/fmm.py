@@ -359,7 +359,7 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
             thr = self.empty_mass_threshold
             if thr > 0.0:
                 src_total = mass.sum(axis=1)
-            t3_buf = np.empty((nc, nc))  # every cached class cubes its t1 here
+            t_buf = np.empty((2, nc, nc))  # every class gathers its templates here
             for cls in plan.p2p_classes:
                 tgt, src, inv_dx = cls.tgt, cls.src, cls.inv_dx
                 if thr > 0.0:
@@ -368,7 +368,7 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
                         continue
                     if not keep.all():
                         tgt, src, inv_dx = tgt[keep], src[keep], inv_dx[keep]
-                t1, t3 = cls.templates(t3_buf)
+                t1, t3 = cls.templates(*t_buf)
                 p2p_apply_class(
                     t1, t3, tgt,
                     plan.leaf_pos[tgt], mass[src], plan.leaf_pos[src],

@@ -33,7 +33,7 @@ pairs with an endpoint in the :class:`~repro.octree.regrid.RegridDelta`
 ``drop_set`` are masked out, :func:`traverse_pruned` re-traverses only the
 subtrees containing ``emit_set`` nodes, and the merged pair state is
 re-assembled — reusing the previous plan's per-leaf cell positions and
-per-class P2P templates, which are pure deterministic functions of the
+P2P gather matrices, which are pure deterministic functions of the
 surviving keys.  This is exact (see ``docs/plan_lifecycle.md`` for the
 invariance argument), not approximate.
 
@@ -41,12 +41,14 @@ P2P geometry classes
 --------------------
 Touching leaf pairs group into classes of identical relative geometry —
 ``(level difference, centre offset in half-units of the finer cell
-width)``.  All pairs of a class share one unit-distance separation matrix
-(cell positions are regular lattices), so the plan caches per class the
-``1/|u|`` template (budget permitting; ``1/|u|**3`` is its elementwise
-cube, formed in one shared scratch) and the execute phase runs two GEMMs
-per class over all of its pairs at once instead of rebuilding an
-``(n^3, n^3)`` distance matrix per pair.
+width)``.  All pairs of a class share one unit-distance separation matrix,
+and on regular lattices that matrix is a *stencil*: entry ``(i, j)``
+depends only on the cell-index difference.  The plan keeps per class one
+small ``1/|u|`` table over the distinct offsets and a reference to a gather
+matrix shared by every class of the same level difference
+(:func:`_class_stencil`); the execute phase gathers ``1/|u|`` and
+``1/|u|**3`` into two scratch matrices shared by all classes and runs two
+GEMMs per class over all of its pairs.
 
 Row blocking
 ------------
@@ -68,17 +70,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.gravity.multipole import octant_ids
-from repro.gravity.pairwise import p2p_unit_templates
 from repro.octree.mesh import AmrMesh, pack_keys
 from repro.octree.node import NodeKey, OctreeNode
 from repro.octree.regrid import RegridDelta
 from repro.util.morton import morton_parent
-
-#: Default cap on cached P2P template bytes per plan (one ``t1`` matrix
-#: per class).  Same-level meshes need at most 27 classes; adaptive meshes can
-#: produce many more cross-level classes, whose templates are then rebuilt
-#: per solve instead of cached once the budget is exhausted.
-DEFAULT_TEMPLATE_BUDGET = 192 * 2**20
 
 #: Delta rebuilds touching more than this fraction of the new leaves fall
 #: back to a cold traversal (the pruned traversal would visit most of the
@@ -309,17 +304,63 @@ class P2PClass:
     inv_dx: np.ndarray  # (E,) template scale (1 / finer cell width)
     upos_t: np.ndarray  # (nc, 3) unit target cell positions
     upos_s: np.ndarray  # (nc, 3) unit source cell positions
-    t1: Optional[np.ndarray] = None  # cached 1/|u| template (None: rebuild per solve)
+    tab: np.ndarray  # (E_x, E_y, E_z) 1/|u| per distinct cell offset
+    rel: np.ndarray  # (3, n, n) per-axis offset index of (target, source)
+    gather: np.ndarray  # (nc, nc) flat index into ``tab``; shared, see gather_store
 
-    def templates(self, out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """``(1/|u|, 1/|u|**3)``; the cube of a cached ``t1`` is formed in
-        ``out`` (a caller-shared ``(nc, nc)`` scratch) by the same two ufunc
-        calls :func:`p2p_unit_templates` uses, so the bits are the same."""
-        if self.t1 is None:
-            return p2p_unit_templates(self.upos_t, self.upos_s)
-        t3 = np.multiply(self.t1, self.t1, out=out)
-        t3 *= self.t1
-        return self.t1, t3
+    def templates(self, t1: np.ndarray, t3: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Gather ``(1/|u|, 1/|u|**3)`` into the caller's two ``(nc, nc)``
+        scratch matrices.  ``mode="clip"`` skips numpy's per-element bounds
+        check (0.52 -> 0.19 ms per matrix); that ``gather`` is in range is
+        proved once per plan by ``planverify.verify_fmm_gathers``."""
+        tab3 = self.tab * self.tab
+        tab3 *= self.tab
+        np.take(self.tab, self.gather, out=t1, mode="clip")
+        np.take(tab3, self.gather, out=t3, mode="clip")
+        return t1, t3
+
+
+def _class_stencil(
+    key, upos_t: np.ndarray, upos_s: np.ndarray, n: int, store: Dict[bytes, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tab, rel, gather)`` of one class: ``tab[gather]`` is its ``1/|u|``
+    template, ``t1[i, j] = 1/|upos_t[i] - upos_s[j]|`` (0 where coincident).
+
+    ``a = 2 * upos_t`` and ``b = 2 * upos_s`` are integers that depend per
+    axis on that axis' cell index only (checked: ``ValueError`` naming
+    ``key``), so ``4 |u|^2`` is a sum of three squares of ``d_k = a_k[i_k] -
+    b_k[j_k] = lo_k + g_k * rel_k`` with ``rel_k`` in ``[0, E_k)``.  ``tab``
+    holds ``2 / sqrt(4 |u|^2)`` over the ``(E_x, E_y, E_z)`` distinct
+    offsets; ``gather`` flattens the three ``rel`` patterns into an index
+    into it and depends on nothing else, so it is looked up in (or added
+    to) ``store`` by the pattern bytes.
+    """
+    grid = (2.0 * np.stack([upos_t, upos_s])).reshape(2, n, n, n, 3)  # cells are C-ordered
+    ax = np.stack([grid[:, :, 0, 0, 0], grid[:, 0, :, 0, 1], grid[:, 0, 0, :, 2]], axis=1)
+    separable = np.empty_like(grid)
+    separable[..., 0] = ax[:, 0, :, None, None]
+    separable[..., 1] = ax[:, 1, None, :, None]
+    separable[..., 2] = ax[:, 2, None, None, :]
+    if not (np.array_equal(ax, np.rint(ax)) and np.array_equal(grid, separable)):
+        raise ValueError(
+            f"P2P class {key}: 2 * unit cell positions are not integral "
+            f"and separable in C order; the stencil form does not apply"
+        )
+    ax = ax.astype(np.intp)  # (2, 3, n): target / source, axis, cell index
+    d = ax[0][:, :, None] - ax[1][:, None, :]  # (3, n, n)
+    lo = d.min(axis=(1, 2), keepdims=True)
+    g = np.maximum(np.gcd.reduce((d - lo).reshape(3, -1), axis=1), 1)[:, None, None]
+    rel = (d - lo) // g
+    ext = rel.max(axis=(1, 2)) + 1
+    sx, sy, sz = ((lo[k, 0, 0] + g[k, 0, 0] * np.arange(ext[k])) ** 2 for k in range(3))
+    q = sx[:, None, None] + sy[:, None] + sz
+    tab = 2.0 / np.sqrt(np.maximum(q, 1))  # q = 4 |u|^2, an integer: 1/|u| = 2 / sqrt(q)
+    tab[q == 0] = 0.0  # coincident entries (the masked self-pair diagonal)
+    gather = store.get(rel.tobytes())
+    if gather is None:  # [i_x, j_x, i_y, j_y, i_z, j_z] -> [(i_x i_y i_z), (j_x j_y j_z)]
+        flat = np.add.outer(np.add.outer(rel[0] * (ext[1] * ext[2]), rel[1] * ext[2]), rel[2])
+        gather = store[rel.tobytes()] = flat.transpose(0, 2, 4, 1, 3, 5).reshape(n**3, n**3)
+    return tab, rel, gather
 
 
 def _row_blocks(indptr: np.ndarray, max_rows: int) -> np.ndarray:
@@ -368,7 +409,6 @@ class FmmPlan:
 
     # -- node indexing ------------------------------------------------------
     node_keys: List[NodeKey]
-    node_index: Dict[NodeKey, int]
     node_center: np.ndarray  # (N, 3)
     node_level: np.ndarray  # (N,)
     max_level: int
@@ -414,17 +454,12 @@ class FmmPlan:
     #: on this very object (the verdict travels with the plan it is about).
     blocks_verified: bool = False
 
-    #: Chain-wide P2P template store, shared *by reference* along a
-    #: reuse/update chain of plans.  Templates are pure functions of the
-    #: class key (level difference + centre offset), independent of the
-    #: topology that first produced them — so a regrid churn that revisits
-    #: a geometry class never recomputes its template, even when the class
-    #: was absent from the immediately preceding plan.  Bounded by the
-    #: build's ``template_budget_bytes``; dropped (with the chain) on
-    #: :meth:`FmmSolver.invalidate_plan`.
-    template_store: Dict[Tuple[int, Tuple[int, int, int]], np.ndarray] = field(
-        default_factory=dict
-    )
+    #: Chain-wide P2P gather matrices (``rel`` pattern bytes ->
+    #: :attr:`P2PClass.gather`), shared *by reference* along a reuse/update
+    #: chain of plans and by every class with the same pattern — one per
+    #: level difference, so 1 on a uniform mesh and 3 on a 2:1-balanced
+    #: one.  Dropped (with the chain) on :meth:`FmmSolver.invalidate_plan`.
+    gather_store: Dict[bytes, np.ndarray] = field(default_factory=dict)
 
     def matches(self, mesh: AmrMesh, theta: float) -> bool:
         """Whether this plan is still valid for ``mesh`` at ``theta``.
@@ -441,16 +476,10 @@ class FmmPlan:
             and self.theta == theta
         )
 
-    # -- delta/cache reuse maps ---------------------------------------------
-    def leaf_pos_rows(self) -> Dict[NodeKey, np.ndarray]:
-        """Per-key cell-centre rows, for reuse by an incremental rebuild
-        (cell centres are a pure function of the key, so reuse is exact)."""
-        return {k: self.leaf_pos[i] for i, k in enumerate(self.leaf_keys)}
-
     def nbytes(self) -> Dict[str, int]:
         """Bytes this plan holds, by owner: ``lists`` (CSR / index arrays),
-        ``positions`` (cell and node geometry) and ``templates`` (the P2P
-        store, each matrix once however many classes and plans share it)."""
+        ``positions`` (cell and node geometry) and ``templates`` (each shared
+        P2P gather matrix once, plus every class's offset table)."""
         lists = [self.pair_state.far, self.pair_state.near, self.pair_state.p2p,
                  self.node_level, self.leaf_node_idx, self.part_slots,
                  self.part_row, self.oct_cells, self.near_tgt_slots,
@@ -464,10 +493,12 @@ class FmmPlan:
         for cls in self.p2p_classes:
             lists.extend((cls.tgt, cls.src, cls.inv_dx))
             positions.extend((cls.upos_t, cls.upos_s))
+        templates = list(self.gather_store.values())
+        templates.extend(cls.tab for cls in self.p2p_classes)
         return {
             "lists": sum(a.nbytes for a in lists),
             "positions": sum(a.nbytes for a in positions),
-            "templates": sum(t.nbytes for t in self.template_store.values()),
+            "templates": sum(a.nbytes for a in templates),
         }
 
 
@@ -480,7 +511,6 @@ def _assemble_plan(
     mesh: AmrMesh,
     theta: float,
     state: PairState,
-    template_budget_bytes: int,
     reuse: Optional[FmmPlan] = None,
 ) -> FmmPlan:
     """Assemble every plan array from the canonical pair state.
@@ -488,14 +518,13 @@ def _assemble_plan(
     Pure vectorised grouping/sorting over the packed-key arrays: identical
     pair states produce bit-identical plans, no matter which path (cold
     traversal, delta splice, cache load) produced the state.  ``reuse``
-    donates per-leaf cell positions and per-class P2P templates from a
+    donates per-leaf cell positions and the P2P gather matrices from a
     previous plan of the same mesh family — both are exact functions of
     the surviving keys, so reuse changes build time, never values.
     """
     nc = mesh.n**3
     node_keys = sorted(mesh.nodes)
     packed_nodes = pack_keys(node_keys)  # sorted: pack is monotone in key order
-    node_index = {k: i for i, k in enumerate(node_keys)}
     n_nodes = len(node_keys)
     node_center = np.empty((n_nodes, 3))
     node_level = np.empty(n_nodes, dtype=np.intp)
@@ -510,7 +539,7 @@ def _assemble_plan(
     leaf_node_idx = np.searchsorted(packed_nodes, packed_leaves).astype(np.intp)
     n_leaves = len(leaf_keys)
 
-    reuse_pos = reuse.leaf_pos_rows() if reuse is not None else {}
+    reuse_pos = dict(zip(reuse.leaf_keys, reuse.leaf_pos)) if reuse is not None else {}
     leaf_pos = np.empty((n_leaves, nc, 3))
     for i, k in enumerate(leaf_keys):
         row = reuse_pos.get(k)
@@ -624,6 +653,7 @@ def _assemble_plan(
     # P2P geometry classes from directed edges, grouped by packed class key
     # and ordered canonically (class key, then target, then source).
     p2p_classes: List[P2PClass] = []
+    store = reuse.gather_store if reuse is not None else {}
     if state.p2p.size:
         self_mask = state.p2p[:, 0] == state.p2p[:, 1]
         a, b = state.p2p[:, 0], state.p2p[:, 1]
@@ -657,6 +687,7 @@ def _assemble_plan(
             # rounding makes every class member share identical templates.
             upos_t = np.rint(2.0 * (pos_t - pos_s[0]) / rep_dxm) / 2.0
             upos_s = np.rint(2.0 * (pos_s - pos_s[0]) / rep_dxm) / 2.0
+            tab, rel, gather = _class_stencil(key, upos_t, upos_s, mesh.n, store)
             p2p_classes.append(
                 P2PClass(
                     key=key,
@@ -665,22 +696,11 @@ def _assemble_plan(
                     inv_dx=1.0 / dxm[seg],
                     upos_t=upos_t,
                     upos_s=upos_s,
+                    tab=tab,
+                    rel=rel,
+                    gather=gather,
                 )
             )
-
-    # Cache templates for the busiest classes within the byte budget; ties
-    # break on the class key so the selection is canonical.  The store is
-    # shared by reference along the reuse chain: a class key ever seen on
-    # this chain serves its template for free (templates are pure functions
-    # of the key, so cross-topology reuse is exact), and only genuinely new
-    # classes charge the budget.
-    template_bytes = nc * nc * 8
-    max_cached = max(0, template_budget_bytes // template_bytes)
-    store = reuse.template_store if reuse is not None else {}
-    for cls in sorted(p2p_classes, key=lambda c: (-c.tgt.size, c.key)):
-        cls.t1 = store.get(cls.key)
-        if cls.t1 is None and len(store) < max_cached:
-            cls.t1 = store[cls.key] = p2p_unit_templates(cls.upos_t, cls.upos_s)[0]
 
     n_interiors = n_nodes - n_leaves
     return FmmPlan(
@@ -690,7 +710,6 @@ def _assemble_plan(
         fingerprint=mesh.fingerprint(),
         pair_state=state,
         node_keys=node_keys,
-        node_index=node_index,
         node_center=node_center,
         node_level=node_level,
         max_level=max_level,
@@ -711,7 +730,7 @@ def _assemble_plan(
         near_center_rows=near_center_rows,
         near_blocks=_row_blocks(near_indptr, M2L_BLOCK_ROWS),
         p2p_classes=p2p_classes,
-        template_store=store,
+        gather_store=store,
         p2p_pair_count=int(state.p2p.shape[0]),
         n_p2m=n_leaves,
         n_m2m=n_interiors,
@@ -725,7 +744,6 @@ def _assemble_plan(
 def build_plan(
     mesh: AmrMesh,
     theta: float,
-    template_budget_bytes: int = DEFAULT_TEMPLATE_BUDGET,
     pair_state: Optional[PairState] = None,
     reuse: Optional[FmmPlan] = None,
 ) -> FmmPlan:
@@ -739,14 +757,13 @@ def build_plan(
     if pair_state is None:
         far, near, p2p = traverse(mesh, theta)
         pair_state = PairState.from_traversal(far, near, p2p)
-    return _assemble_plan(mesh, theta, pair_state, template_budget_bytes, reuse=reuse)
+    return _assemble_plan(mesh, theta, pair_state, reuse=reuse)
 
 
 def update_plan(
     plan: FmmPlan,
     mesh: AmrMesh,
     theta: float,
-    template_budget_bytes: int = DEFAULT_TEMPLATE_BUDGET,
     delta: Optional[RegridDelta] = None,
     cold_fraction: float = DELTA_COLD_FRACTION,
 ) -> Optional[FmmPlan]:
@@ -803,4 +820,4 @@ def update_plan(
         near=merged(retained(plan.pair_state.near), near_add),
         p2p=merged(retained(plan.pair_state.p2p), p2p_add),
     )
-    return _assemble_plan(mesh, theta, state, template_budget_bytes, reuse=plan)
+    return _assemble_plan(mesh, theta, state, reuse=plan)

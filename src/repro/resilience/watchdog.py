@@ -82,17 +82,6 @@ class DeadlockWatchdog:
             if not future.is_ready()
         ]
 
-    def stalled_chain(self, final: Optional[Future] = None) -> Tuple[str, ...]:
-        """Walk from ``final`` through pending dependencies to the root.
-
-        Each hop picks the first pending dependency (deterministic: edges
-        keep spawn order), so the chain reads final <- ... <- root where the
-        root is a pending future none of whose dependencies are pending —
-        the event that was lost.
-        """
-        chain, _root = self._walk(final)
-        return chain
-
     def _walk(
         self, final: Optional[Future] = None
     ) -> Tuple[Tuple[str, ...], Optional[Future]]:

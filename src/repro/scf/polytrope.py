@@ -76,9 +76,6 @@ class PolytropeModel:
     def pressure(self, r: np.ndarray) -> np.ndarray:
         return self.eos.pressure(self.density(r))
 
-    def central_pressure(self) -> float:
-        return float(self.eos.pressure(np.array(self.rho_c)))
-
     def integrated_mass(self, n_samples: int = 4096) -> float:
         """Numerical check: 4 pi integral rho r^2 dr (should equal mass)."""
         r = np.linspace(0.0, self.radius, n_samples)

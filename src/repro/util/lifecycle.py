@@ -64,7 +64,7 @@ class PlanLifecycle:
     @staticmethod
     def donor(prev, mesh):  # noqa: ANN001, ANN205
         """``prev`` if it may donate recomputable per-leaf state (cell
-        positions, interaction templates) to a build for ``mesh``, else
+        positions, P2P gather matrices) to a build for ``mesh``, else
         ``None``: only sound within one ``(n, domain_size)`` geometry
         family — node keys alone don't pin the geometry."""
         if prev is None or prev.n != mesh.n:

@@ -1,8 +1,12 @@
 """Row-blocked M2L (``FmmPlan.near_blocks`` / ``FarLevel.blocks``) and the
-one-matrix P2P template store: same bits as the single-call execution,
-a bounded transient footprint, and a verifier that refuses bad blocks."""
+stencil-form P2P templates (one offset table per class, one shared gather
+matrix per level difference): same bits as the single-call execution and
+the dense oracle, a bounded footprint, and a verifier that refuses bad
+blocks."""
 
 import gc
+import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,9 +18,10 @@ import repro.gravity.fmm as fmm_mod
 import repro.gravity.plan as plan_mod
 from repro.analysis.planverify import verify_fmm_blocks
 from repro.gravity.fmm import FmmSolver
-from repro.gravity.pairwise import p2p_unit_templates
-from repro.gravity.plan import _row_blocks, build_plan
+from repro.gravity.plan import _class_stencil, _row_blocks, build_plan
+from repro.profiling.apex import CounterRegistry
 from tests.conftest import fill_gaussian, make_uniform_mesh
+from tests.oracles.p2p_templates import p2p_unit_templates
 
 ONE_BLOCK = 10**9  # larger than any list: one kernel call per row list
 
@@ -160,33 +165,135 @@ class TestTransientFootprint:
         assert _warm_solve_peak(mesh) <= 64.0
 
 
+#: The two refinement-window positions of the ``dwd_l2_regrid`` benchmark
+#: topology (78 leaves each; the window hops between them every step).
+DWD_WINDOWS = ([(2, 28), (2, 56)], [(2, 7), (2, 35)])
+
+
+def _assert_templates_equal_oracle(plan):
+    nc = plan.n**3
+    t1, t3 = np.empty((nc, nc)), np.empty((nc, nc))
+    for cls in plan.p2p_classes:
+        g1, g3 = cls.templates(t1, t3)
+        w1, w3 = p2p_unit_templates(cls.upos_t, cls.upos_s)
+        assert g1 is t1 and g3 is t3
+        assert np.array_equal(g1, w1) and np.array_equal(g3, w3)
+        assert cls.gather is plan.gather_store[cls.rel.tobytes()]
+        assert cls.gather.dtype == np.intp and cls.gather.shape == (nc, nc)
+
+
+def _solve_sha(result):
+    digest = hashlib.sha256()
+    for key in sorted(result.phi):
+        digest.update(np.ascontiguousarray(result.phi[key]).tobytes())
+        digest.update(np.ascontiguousarray(result.accel[key]).tobytes())
+    return digest.hexdigest()
+
+
 class TestOneMatrixTemplates:
     def test_templates_bit_identical_cached_and_uncached(self):
-        mesh = _refined_l2([(2, 5)])
-        nc = mesh.n**3
-        plan = build_plan(mesh, 0.5, template_budget_bytes=10 * nc * nc * 8)
-        cached = [c for c in plan.p2p_classes if c.t1 is not None]
-        assert len(cached) == 10 == len(plan.template_store)
-        assert len(plan.p2p_classes) > 10
-        buf = np.empty((nc, nc))
-        for cls in plan.p2p_classes:
-            t1, t3 = cls.templates(buf)
-            w1, w3 = p2p_unit_templates(cls.upos_t, cls.upos_s)
-            assert np.array_equal(t1, w1) and np.array_equal(t3, w3)
-            if cls.t1 is not None:
-                assert t3 is buf and t1 is plan.template_store[cls.key]
+        """Every class's gathered ``(t1, t3)`` equals the dense oracle (the
+        name predates the stencil form: there is one path now)."""
+        classes = {}
+        for name, mesh in [
+            ("uniform_l2", make_uniform_mesh(2)),
+            ("dwd_78_leaves", _refined_l2(DWD_WINDOWS[0])),
+            ("one_leaf_refined", _refined_l2([(2, 5)])),
+            ("n4", make_uniform_mesh(2, n=4)),
+        ]:
+            plan = build_plan(mesh, 0.5)
+            _assert_templates_equal_oracle(plan)
+            classes[name] = len(plan.p2p_classes)
+        assert classes == {
+            "uniform_l2": 27, "dwd_78_leaves": 139, "one_leaf_refined": 107, "n4": 27,
+        }
 
-    def test_default_budget_holds_96_of_139_classes(self):
-        mesh = make_uniform_mesh(2)  # the DWD benchmark topology: 78 leaves
-        for key in [(2, 28), (2, 56)]:
-            mesh.refine(key)
-        plan = build_plan(mesh, 0.5)
+    @given(picks=st.sets(st.integers(0, 63), max_size=4))
+    @settings(max_examples=8, deadline=None)
+    def test_templates_equal_oracle_on_random_refine_sets(self, picks):
+        plan = build_plan(_refined_l2([(2, code) for code in sorted(picks)]), 0.5)
+        assert len(plan.gather_store) == (3 if picks else 1)
+        _assert_templates_equal_oracle(plan)
+
+    def test_139_classes_need_three_gathers_under_24_mib(self):
+        plan = build_plan(_refined_l2(DWD_WINDOWS[0]), 0.5)
         assert len(plan.p2p_classes) == 139
-        assert sum(c.t1 is not None for c in plan.p2p_classes) == 96
+        assert len(plan.gather_store) == 3
         owners = plan.nbytes()
-        assert owners["templates"] == 96 * mesh.n**6 * 8
+        gathers = sum(k.nbytes for k in plan.gather_store.values())
+        tables = sum(c.tab.nbytes for c in plan.p2p_classes)
+        assert owners["templates"] == gathers + tables <= 24 * 2**20
         assert owners["lists"] > plan.near_rows.nbytes
         assert owners["positions"] > plan.leaf_pos.nbytes
+        same_level = {c.tab.shape for c in plan.p2p_classes if c.key[0] == 0}
+        cross_level = {c.tab.shape for c in plan.p2p_classes if c.key[0] != 0}
+        assert same_level == {(15, 15, 15)} and cross_level == {(22, 22, 22)}
+
+        uniform = build_plan(make_uniform_mesh(2), 0.5)
+        assert len(uniform.p2p_classes) == 27 and len(uniform.gather_store) == 1
+        assert uniform.nbytes()["templates"] <= 4 * 2**20
+
+    def test_delta_chain_shares_three_gathers_across_both_windows(self):
+        mesh = _refined_l2(DWD_WINDOWS[0])
+        solver = FmmSolver()
+        solver.registry = CounterRegistry()
+        solver.solve(mesh)
+        store = solver.plan_for(mesh).gather_store
+        gathers = dict(store)
+        for window in (DWD_WINDOWS[1], DWD_WINDOWS[0], DWD_WINDOWS[1]):
+            for parent in sorted({(2, c >> 3) for lv, c in mesh.leaf_keys() if lv == 3}):
+                mesh.derefine(parent)
+            for key in window:
+                mesh.refine(key)
+            fill_gaussian(mesh)
+            result = solver.solve(mesh)
+            plan = solver.plan_for(mesh)
+            assert plan.gather_store is store and len(store) == 3
+            assert all(store[p] is k for p, k in gathers.items())
+            assert all(c.gather is store[c.rel.tobytes()] for c in plan.p2p_classes)
+        assert solver.registry.count("plan.fmm.delta_builds") == 3
+        cold = FmmSolver().solve(_refined_l2(DWD_WINDOWS[1]))
+        assert _solve_sha(result) == _solve_sha(cold)
+
+    @pytest.mark.slow
+    def test_star_l3_templates_under_24_mib(self):
+        from repro.scenarios.rotating_star import rotating_star
+
+        plan = build_plan(rotating_star(level=3).mesh, 0.5)
+        assert plan.nbytes()["templates"] <= 24 * 2**20
+
+
+class TestLatticeProperty:
+    """The stencil form needs ``2 * upos`` integral and separable in C
+    order; plan assembly checks it instead of assuming it."""
+
+    @staticmethod
+    def _class():
+        return build_plan(make_uniform_mesh(1, n=4), 0.5).p2p_classes[0]
+
+    def test_clean_class_rebuilds_its_own_stencil(self):
+        cls = self._class()
+        tab, rel, gather = _class_stencil(cls.key, cls.upos_t, cls.upos_s, 4, {})
+        assert np.array_equal(tab, cls.tab) and np.array_equal(rel, cls.rel)
+        assert np.array_equal(gather, cls.gather)
+
+    def test_non_integral_positions_raise(self):
+        cls = self._class()
+        upos = cls.upos_t + 0.25
+        with pytest.raises(ValueError, match=re.escape(str(cls.key))):
+            _class_stencil(cls.key, upos, cls.upos_s, 4, {})
+
+    def test_non_separable_positions_raise(self):
+        cls = self._class()
+        upos = cls.upos_s.copy()
+        upos[5, 0] += 1.0  # one cell's x no longer a function of i_x alone
+        with pytest.raises(ValueError, match="separable"):
+            _class_stencil(cls.key, cls.upos_t, upos, 4, {})
+
+    def test_not_c_ordered_positions_raise(self):
+        cls = self._class()
+        with pytest.raises(ValueError, match="P2P class"):
+            _class_stencil(cls.key, cls.upos_t[:, ::-1].copy(), cls.upos_s, 4, {})
 
 
 class _FakeLevel:
@@ -206,6 +313,7 @@ class _FakePlan:
         self.near_center_rows = np.zeros(4, dtype=np.intp)
         self.near_blocks = np.asarray(near_blocks, dtype=np.intp)
         self.far_levels = [_FakeLevel([1, 2, 1], far_blocks)]
+        self.p2p_classes = []
 
 
 class TestVerifyFmmBlocks:

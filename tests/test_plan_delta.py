@@ -30,12 +30,11 @@ from repro.octree.regrid import RegridDelta
 
 #: Attributes a structural plan comparison must skip: back-references to
 #: the live mesh, uninitialized scratch buffers (np.empty allocations
-#: whose bytes are meaningless until the first pack()/apply()), and
-#: build-time caches whose *presence* varies by rebuild path while their
-#: values are pure functions of the class key (the P2P template t1 and
-#: the chain-wide template_store — a delta chain may carry entries for
-#: classes a one-shot cold build never met), and the per-object
-#: blocks_verified verdict.
+#: whose bytes are meaningless until the first pack()/apply()),
+#: the chain-wide gather_store, whose *contents* vary by rebuild path (a
+#: delta chain may carry gather matrices for level differences a one-shot
+#: cold build never met; each class's own ``gather`` is compared), and the
+#: per-object blocks_verified verdict.
 _SKIP_ATTRS = {
     "mesh_ref",
     "payload",
@@ -43,8 +42,7 @@ _SKIP_ATTRS = {
     "_fine_tmp",
     "_splits",
     "blocks_verified",
-    "template_store",
-    "t1",
+    "gather_store",
 }
 
 

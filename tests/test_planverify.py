@@ -15,6 +15,7 @@ from repro.analysis.planverify import (
     require_verified,
     verify_bundle_plan,
     verify_fmm_blocks,
+    verify_fmm_gathers,
     verify_mesh_plans,
     verify_partition,
     verify_process_plan,
@@ -164,6 +165,58 @@ class TestVerifyFmmSplit:
         plan.near_blocks = plan.near_blocks[1:]  # drops the first segments
         plan.blocks_verified = False
         with pytest.raises(PlanVerificationError):
+            solver.solve(mesh)
+
+
+class TestVerifyFmmGathers:
+    """``P2PClass.templates`` gathers with ``mode="clip"``; these proofs
+    are what license it.  One seeded violation per property."""
+
+    @staticmethod
+    def _plan():
+        mesh = make_uniform_mesh(1, n=4)
+        mesh.refine(sorted(mesh.leaf_keys())[0])
+        plan = build_plan(mesh, 0.5)
+        assert len(plan.gather_store) == 3
+        assert verify_fmm_gathers(plan) == []
+        return plan
+
+    def test_negative_index_flagged(self):
+        plan = self._plan()
+        cls = plan.p2p_classes[0]
+        cls.gather[0, 0] = -1  # the shared matrix: every user is refused
+        found = verify_fmm_blocks(plan)
+        assert checks(found) == ["fmm-gather-bounds"]
+        assert len(found) == sum(c.gather is cls.gather for c in plan.p2p_classes)
+
+    def test_index_past_table_flagged(self):
+        plan = self._plan()
+        cls = plan.p2p_classes[-1]
+        cls.gather = cls.gather.copy()
+        cls.gather[-1, -1] = cls.tab.size
+        found = verify_fmm_gathers(plan)
+        assert checks(found) == ["fmm-gather-bounds"]
+        assert str(cls.key) in found[0].detail
+
+    def test_table_not_the_pattern_extent_flagged(self):
+        plan = self._plan()
+        cls = plan.p2p_classes[0]
+        cls.tab = cls.tab[:, :, :-1]  # one offset plane short
+        assert "fmm-gather-table" in checks(verify_fmm_gathers(plan))
+
+    def test_shared_gather_with_other_pattern_flagged(self):
+        plan = self._plan()
+        levels = {c.key[0]: c for c in plan.p2p_classes}
+        levels[1].gather = levels[0].gather  # same-level matrix, cross-level rel
+        found = checks(verify_fmm_gathers(plan))
+        assert "fmm-gather-pattern" in found
+
+    def test_solver_refuses_out_of_range_gather(self):
+        mesh = TestVerifyFmmSplit._refined_l1()
+        solver = FmmSolver()
+        plan = solver.plan_for(mesh)
+        plan.p2p_classes[0].gather[0, 0] = plan.p2p_classes[0].tab.size
+        with pytest.raises(PlanVerificationError, match="fmm-gather-bounds"):
             solver.solve(mesh)
 
 
