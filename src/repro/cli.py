@@ -15,6 +15,22 @@ import sys
 from typing import List, Optional
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _fault_spec(text: str):  # noqa: ANN202 - repro.resilience.FaultSpec
+    from repro.resilience import FaultSpec
+
+    try:
+        return FaultSpec.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -42,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run the analysis suite alongside each step: "
                           "memory-space sanitizer over the physics, static "
                           "+ dynamic race detection over the task graph")
-    run.add_argument("--faults", default=None, metavar="SPEC",
+    run.add_argument("--faults", type=_fault_spec, default=None, metavar="SPEC",
                      help="inject seeded network faults, e.g. "
                           "'drop=0.01,seed=7' or 'crash_loc=1,crash_step=2' "
                           "(keys: drop, delay, delay_s, dup, seed, "
@@ -64,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "runs the hydro step on real worker processes "
                           "with shared-memory arenas, gravity in the parent "
                           "(identical bits, see docs/parallel.md)")
-    run.add_argument("--nprocs", type=int, default=2, metavar="N",
+    run.add_argument("--nprocs", type=_positive_int, default=2, metavar="N",
                      help="worker processes for --backend process")
     run.add_argument("--overlap", default=False,
                      action=argparse.BooleanOptionalAction,
@@ -97,17 +113,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "crosscheck",
         help="run the same steps on the DES and process backends and "
              "assert bit-identical fields (the parallel-smoke CI gate)")
-    check.add_argument("--nprocs", type=int, default=2, metavar="N")
+    check.add_argument("--nprocs", type=_positive_int, default=2, metavar="N")
     check.add_argument("--steps", type=int, default=2)
     check.add_argument("--overlap", default=False,
                        action=argparse.BooleanOptionalAction,
                        help="run the process side with the fused "
                             "schedule (one round per RK stage); the "
                             "bit-identity assertion then covers that path")
-    check.add_argument("--tier", default=None, choices=["exact"],
-                       help="array-backend equivalence tier instead of the "
-                            "process check: 'exact' pins seed vs "
-                            "numpy-dispatch to identical bits")
     check.add_argument("--plan-cache", default=None, metavar="DIR",
                        help="route both backends' plan construction through "
                             "one on-disk plan cache at DIR: whichever side "
@@ -120,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="statically verify the parallel execution plans of every "
              "scenario: rank partitions, ghost bundle scatter sets and "
              "FMM M2L row blocks (no workers are forked)")
-    verify.add_argument("--nprocs", type=int, default=2, metavar="N")
+    verify.add_argument("--nprocs", type=_positive_int, default=2, metavar="N")
     verify.add_argument("--levels", type=int, nargs="+", default=[1, 2])
     verify.add_argument("--scenarios", nargs="+",
                         default=["blast", "rotating_star", "dwd", "v1309"],
@@ -158,7 +170,7 @@ def _command_run(args: argparse.Namespace) -> int:
     from repro.core.diagnostics import diagnostics
     from repro.distsim import RunConfig
     from repro.machines import MACHINES
-    from repro.resilience import DeadlockError, FaultSpec, UnrecoverableFault
+    from repro.resilience import DeadlockError, UnrecoverableFault
 
     scenario = _scenario_spec(args.scenario, args.level, build_mesh=True)
     if scenario.mesh is None:
@@ -174,7 +186,6 @@ def _command_run(args: argparse.Namespace) -> int:
                 "and measured speedups are not meaningful",
                 file=sys.stderr,
             )
-    faults = FaultSpec.parse(args.faults) if args.faults else None
     plan_cache = None
     if args.plan_cache is not None:
         from repro.core.plancache import PlanCache, default_cache_dir
@@ -188,7 +199,7 @@ def _command_run(args: argparse.Namespace) -> int:
             machine=machine, nodes=args.nodes, coalesce=args.coalesce
         ),
         sanitize=args.sanitize,
-        faults=faults,
+        faults=args.faults,
         recovery=not args.no_recovery,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
@@ -220,7 +231,7 @@ def _command_run(args: argparse.Namespace) -> int:
         s = plan_cache.stats
         print(f"plan cache: {s.hits} hit(s), {s.misses} miss(es), "
               f"{s.stores} store(s), {s.errors} error(s)")
-    if faults is not None:
+    if args.faults is not None:
         totals = {
             name.split(".", 1)[1]: int(sim.counters.total(name))
             for name in sim.counters.names()
@@ -249,8 +260,7 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
     try:
         results = crosscheck_scenarios(
             nprocs=args.nprocs, steps=args.steps,
-            overlap=args.overlap, tier=args.tier,
-            plan_cache=args.plan_cache,
+            overlap=args.overlap, plan_cache=args.plan_cache,
         )
     except BackendMismatch as exc:
         print(f"CROSSCHECK FAILED: {exc}", file=sys.stderr)
@@ -258,16 +268,11 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
     findings = 0
     for name, r in zip(("blast", "dwd"), results):
         findings += r.race_findings
-        if args.tier is None:
-            print(f"{name}: {r.steps} steps x {r.leaves} leaves, "
-                  f"nprocs={r.nprocs}, serial {r.serial_s:.2f}s / "
-                  f"process {r.process_s:.2f}s — bit-identical, "
-                  f"{r.race_findings} race finding(s) over {r.race_events} "
-                  f"shm access events")
-        else:
-            print(f"{name}: {r.steps} steps x {r.leaves} leaves, "
-                  f"seed {r.serial_s:.2f}s / {r.backend_name} "
-                  f"{r.process_s:.2f}s — bit-identical")
+        print(f"{name}: {r.steps} steps x {r.leaves} leaves, "
+              f"nprocs={r.nprocs}, serial {r.serial_s:.2f}s / "
+              f"process {r.process_s:.2f}s — bit-identical, "
+              f"{r.race_findings} race finding(s) over {r.race_events} "
+              f"shm access events")
     return 1 if findings else 0
 
 

@@ -1,4 +1,4 @@
-"""Backend cross-check: the seed path vs every other way to run a step.
+"""Backend cross-check: the serial step vs the same step on real processes.
 
 The process backend promises *bit-identical* physics: same kernels, same
 leaves, different cores.  This harness makes that promise executable — it
@@ -7,12 +7,6 @@ asserts ``np.array_equal`` on **every field of every leaf after every
 step** (not a tolerance: identical bits).  It backs the
 ``parallel-smoke`` CI job, the backend-equivalence tests and the
 benchmark gate in ``benchmarks/bench_parallel.py``.
-
-Array-backend dispatch (:mod:`repro.kokkos.backend`) gets the same
-treatment (the *exact* tier): seed path vs dispatch through the ``numpy``
-backend.  Same functions, same storage, different call path — any diff is
-a dispatch bug, so the gate is ``np.array_equal`` bits, like the process
-check.
 
 The serial side runs the batched integrator — itself bit-identical to the
 per-leaf reference and to the DES driver's distributed schedule (the
@@ -61,11 +55,6 @@ class CrosscheckResult:
     #: must stay at zero) and access events it replayed.
     race_findings: int = 0
     race_events: int = 0
-    #: Which comparison produced this result: "process" (DES vs process
-    #: backend) or "exact" (seed vs numpy-dispatch); both are bit gates.
-    tier: str = "process"
-    #: The array backend on the non-seed side ("" for the process check).
-    backend_name: str = ""
 
     @property
     def ok(self) -> bool:  # mismatches raise, so reaching a result is success
@@ -213,124 +202,32 @@ def crosscheck_hydro(
     )
 
 
-def crosscheck_array_backend(
-    mesh: AmrMesh,
-    backend_name: str,
-    steps: int = 3,
-    eos: Optional[IdealGasEOS] = None,
-    omega: float = 0.0,
-    gravity: Optional[Callable[[], GravityCallback]] = None,
-    gravity_every_stage: bool = False,
-    reflux: bool = True,
-    dt: Optional[float] = None,
-    mutate: Optional[Callable[[AmrMesh, int], None]] = None,
-) -> CrosscheckResult:
-    """Cross-check the seed kernel path against an array backend.
-
-    Runs ``steps`` RK3 steps twice on cloned meshes: the reference side
-    with the seed path (``array_backend=None``) and the other side
-    dispatching the hydro kernels through ``backend_name``.  The two must
-    end every step on identical bits (:func:`assert_identical` +
-    conserved-sum equality).
-
-    ``gravity`` is a factory, as in :func:`crosscheck_hydro`, so each side
-    gets a private solver.  The result reuses the timing fields:
-    ``serial_s`` is the reference side, ``process_s`` the backend side.
-    """
-    import time as _time
-
-    mesh_ref = mesh
-    mesh_alt = clone_mesh(mesh)
-    ref = HydroIntegrator(
-        mesh_ref, eos=eos, omega=omega,
-        gravity=gravity() if gravity else None,
-        gravity_every_stage=gravity_every_stage, reflux=reflux,
-    )
-    alt = HydroIntegrator(
-        mesh_alt, eos=eos, omega=omega,
-        gravity=gravity() if gravity else None,
-        gravity_every_stage=gravity_every_stage, reflux=reflux,
-        array_backend=backend_name,
-    )
-    ref_s = alt_s = 0.0
-    for step in range(steps):
-        if mutate is not None:
-            mutate(mesh_ref, step)
-            mutate(mesh_alt, step)
-            assert_identical(mesh_ref, mesh_alt, step)
-        step_dt = ref.timestep() if dt is None else dt
-        t0 = _time.perf_counter()
-        ref.step(step_dt)
-        t1 = _time.perf_counter()
-        alt.step(step_dt)
-        t2 = _time.perf_counter()
-        ref_s += t1 - t0
-        alt_s += t2 - t1
-        assert_identical(mesh_ref, mesh_alt, step)
-        if not np.array_equal(conserved_sums(mesh_ref), conserved_sums(mesh_alt)):
-            raise BackendMismatch(step, (0, 0), float("nan"))
-    return CrosscheckResult(
-        steps=steps,
-        leaves=len(mesh_ref.leaves()),
-        nprocs=1,
-        dt=ref.last_dt,
-        serial_s=ref_s,
-        process_s=alt_s,
-        tier="exact",
-        backend_name=backend_name,
-    )
-
-
 def crosscheck_scenarios(
     nprocs: int = 2,
     steps: int = 2,
     overlap: bool = False,
-    tier: Optional[str] = None,
     plan_cache=None,  # PlanCache | str | Path | None
 ) -> List[CrosscheckResult]:
     """The CI smoke battery: blast (adaptive, reflux) and a rotating DWD
-    (gravity via FMM), cross-checked per tier.
-
-    ``tier=None`` runs the original DES-vs-process bit check; ``"exact"``
-    pins seed vs numpy-dispatch to identical bits.
-    """
+    (gravity via FMM), serial vs process, bit for bit."""
     from repro.gravity.fmm import FmmSolver
     from repro.scenarios.blast import sedov_blast
     from repro.scenarios.dwd import dwd_scenario
 
-    if tier not in (None, "exact"):
-        raise ValueError(f"tier must be None or 'exact', got {tier!r}")
-
-    results = []
     blast = sedov_blast(levels=2)
     dwd = dwd_scenario(level=1, scf_grid=24)
 
     def gravity_factory() -> GravityCallback:
         return FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback()
 
-    if tier is None:
-        results.append(
-            crosscheck_hydro(
-                blast.mesh, steps=steps, nprocs=nprocs, eos=blast.eos,
-                overlap=overlap, plan_cache=plan_cache,
-            )
-        )
-        results.append(
-            crosscheck_hydro(
-                dwd.mesh, steps=steps, nprocs=nprocs, eos=dwd.eos,
-                omega=dwd.omega, gravity=gravity_factory,
-                overlap=overlap, plan_cache=plan_cache,
-            )
-        )
-        return results
-
-    results.append(
-        crosscheck_array_backend(blast.mesh, "numpy", steps=steps, eos=blast.eos)
-    )
-    results.append(
-        crosscheck_array_backend(
-            dwd.mesh, "numpy", steps=steps, eos=dwd.eos,
+    return [
+        crosscheck_hydro(
+            blast.mesh, steps=steps, nprocs=nprocs, eos=blast.eos,
+            overlap=overlap, plan_cache=plan_cache,
+        ),
+        crosscheck_hydro(
+            dwd.mesh, steps=steps, nprocs=nprocs, eos=dwd.eos,
             omega=dwd.omega, gravity=gravity_factory,
-        )
-    )
-    return results
+            overlap=overlap, plan_cache=plan_cache,
+        ),
+    ]

@@ -97,15 +97,10 @@ class OctoTigerSim:
         overlap: bool = False,
         verify_plans: bool = True,
         detect_races: bool = False,
-        array_backend: Optional[str] = None,
         plan_cache: Any = None,  # PlanCache | str | Path | None
     ) -> None:
         if backend not in ("des", "process"):
             raise ValueError(f"backend must be 'des' or 'process', got {backend!r}")
-        #: Array backend for the hot hydro kernels
-        #: (:mod:`repro.kokkos.backend`): None keeps the seed path, "numpy"
-        #: dispatches bit-identically; it is the only kernel set there is.
-        self.array_backend = array_backend
         #: "des": physics in-process, timing on the virtual clock (default).
         #: "process": the hydro step runs on ``nprocs`` real worker
         #: processes (:mod:`repro.amt.parallel`), bit-identical; gravity is
@@ -201,7 +196,6 @@ class OctoTigerSim:
             overlap=self.overlap,
             verify_plans=self.verify_plans,
             detect_races=self.detect_races,
-            array_backend=self.array_backend,
             plan_cache=self.plan_cache,
         )
         # Route the integrator's per-phase timers (hydro.plan, hydro.ghost,
@@ -246,9 +240,6 @@ class OctoTigerSim:
             coalesce=config["comm.coalesce"],
             tasks_per_multipole_kernel=config["runtime.tasks_per_kernel"],
         )
-        # "numpy" is the config default and dispatches bit-identically to
-        # the seed path (the exact-tier cross-check pins this), so it is
-        # always safe to thread through.
         sim = cls(
             mesh,
             eos=eos,
@@ -262,7 +253,6 @@ class OctoTigerSim:
             backend=backend,
             nprocs=nprocs,
             overlap=overlap,
-            array_backend=config["kokkos.backend"],
             plan_cache=plan_cache,
         )
         if sim.gravity_solver is not None:

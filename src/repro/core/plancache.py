@@ -38,12 +38,13 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
+
+from repro.ioutil.atomic import atomic_write
 
 #: Bump when any payload layout or plan-assembly semantics change: old
 #: entries then read as misses and are rewritten, never misinterpreted.
@@ -134,20 +135,8 @@ class PlanCache:
                 **payload,
             )
             self.directory.mkdir(parents=True, exist_ok=True)
-            path = self._entry_path(kind, fingerprint, params)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.directory, prefix=path.stem, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(buf.getvalue())
-                os.replace(tmp, path)  # atomic on POSIX: readers never see partial files
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            with atomic_write(self._entry_path(kind, fingerprint, params)) as fh:
+                fh.write(buf.getvalue())
         except (OSError, ValueError):
             self.stats.errors += 1
             return False

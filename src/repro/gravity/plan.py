@@ -30,7 +30,7 @@ bit-identical too.
 
 After a regrid, :func:`update_plan` avoids re-traversing the whole tree:
 pairs with an endpoint in the :class:`~repro.octree.regrid.RegridDelta`
-``drop_set`` are masked out, :func:`traverse_pruned` re-traverses only the
+``drop_set`` are masked out, :func:`traverse` re-traverses only the
 subtrees containing ``emit_set`` nodes, and the merged pair state is
 re-assembled — reusing the previous plan's per-leaf cell positions and
 P2P gather matrices, which are pure deterministic functions of the
@@ -101,89 +101,47 @@ def is_touching(a: OctreeNode, b: OctreeNode) -> bool:
 
 
 def traverse(
-    mesh: AmrMesh, theta: float
+    mesh: AmrMesh, theta: float, emit_set: Optional[FrozenSet[NodeKey]] = None
 ) -> Tuple[
     List[Tuple[NodeKey, NodeKey]],
     List[Tuple[NodeKey, NodeKey]],
     List[Tuple[NodeKey, NodeKey]],
 ]:
-    """Dual tree traversal: returns (far, near, p2p) pairs, each unordered."""
-    far: List[Tuple[NodeKey, NodeKey]] = []
-    near: List[Tuple[NodeKey, NodeKey]] = []
-    p2p: List[Tuple[NodeKey, NodeKey]] = []
-    stack: List[Tuple[NodeKey, NodeKey]] = [((0, 0), (0, 0))]
-    while stack:
-        ka, kb = stack.pop()
-        a, b = mesh.nodes[ka], mesh.nodes[kb]
-        if ka == kb:
-            if a.is_leaf:
-                p2p.append((ka, ka))
-            else:
-                kids = a.children_keys()
-                for i in range(8):
-                    for j in range(i, 8):
-                        stack.append((kids[i], kids[j]))
-            continue
-        if is_far(a, b, theta):
-            far.append((ka, kb))
-            continue
-        if a.is_leaf and b.is_leaf:
-            if is_touching(a, b):
-                p2p.append((ka, kb))
-            else:
-                near.append((ka, kb))
-            continue
-        # Split the larger node; on a tie split whichever is refined.
-        split_a = (not a.is_leaf) and (a.node_size >= b.node_size or b.is_leaf)
-        if split_a:
-            for kid in a.children_keys():
-                stack.append((kid, kb))
-        else:
-            for kid in b.children_keys():
-                stack.append((ka, kid))
-    return far, near, p2p
+    """Dual tree traversal: returns (far, near, p2p) pairs, each unordered.
 
-
-def traverse_pruned(
-    mesh: AmrMesh, theta: float, emit_set: FrozenSet[NodeKey]
-) -> Tuple[
-    List[Tuple[NodeKey, NodeKey]],
-    List[Tuple[NodeKey, NodeKey]],
-    List[Tuple[NodeKey, NodeKey]],
-]:
-    """The subset of :func:`traverse` pairs with an endpoint in ``emit_set``.
-
-    A pair node ``(a, b)`` can only yield emitted pairs if the subtree of
-    ``a`` or of ``b`` contains an ``emit_set`` node, so the traversal skips
-    any pair node whose endpoints both lack a marked descendant-or-self —
-    for a localised regrid this visits a small neighbourhood of the changed
-    region instead of the whole pair space.  Decisions at visited pairs are
-    exactly :func:`traverse`'s, so the emitted pairs match the full
-    traversal's classification bit for bit.
+    With ``emit_set``, only the pairs with an endpoint in it.  A pair node
+    ``(a, b)`` can only yield such pairs if the subtree of ``a`` or of ``b``
+    contains an ``emit_set`` node, so the traversal skips any pair node
+    whose endpoints both lack a marked descendant-or-self — for a localised
+    regrid this visits a small neighbourhood of the changed region instead
+    of the whole pair space.  The decisions at visited pairs are the same
+    code either way, so the emitted pairs match the full traversal's
+    classification bit for bit.
     """
-    marked: set = set()
-    for key in emit_set:
-        k = key
-        while k not in marked:
-            marked.add(k)
-            level, code = k
-            if level == 0:
-                break
-            k = (level - 1, morton_parent(code))
+    marked: Optional[set] = None
+    if emit_set is not None:
+        marked = set()
+        for key in emit_set:
+            k = key
+            while k not in marked:
+                marked.add(k)
+                level, code = k
+                if level == 0:
+                    break
+                k = (level - 1, morton_parent(code))
     far: List[Tuple[NodeKey, NodeKey]] = []
     near: List[Tuple[NodeKey, NodeKey]] = []
     p2p: List[Tuple[NodeKey, NodeKey]] = []
-    if not marked:
-        return far, near, p2p
     stack: List[Tuple[NodeKey, NodeKey]] = [((0, 0), (0, 0))]
     while stack:
         ka, kb = stack.pop()
-        if ka not in marked and kb not in marked:
+        if marked is not None and ka not in marked and kb not in marked:
             continue
         a, b = mesh.nodes[ka], mesh.nodes[kb]
+        emit = emit_set is None or ka in emit_set or kb in emit_set
         if ka == kb:
             if a.is_leaf:
-                if ka in emit_set:
+                if emit:
                     p2p.append((ka, ka))
             else:
                 kids = a.children_keys()
@@ -192,16 +150,14 @@ def traverse_pruned(
                         stack.append((kids[i], kids[j]))
             continue
         if is_far(a, b, theta):
-            if ka in emit_set or kb in emit_set:
+            if emit:
                 far.append((ka, kb))
             continue
         if a.is_leaf and b.is_leaf:
-            if ka in emit_set or kb in emit_set:
-                if is_touching(a, b):
-                    p2p.append((ka, kb))
-                else:
-                    near.append((ka, kb))
+            if emit:
+                (p2p if is_touching(a, b) else near).append((ka, kb))
             continue
+        # Split the larger node; on a tie split whichever is refined.
         split_a = (not a.is_leaf) and (a.node_size >= b.node_size or b.is_leaf)
         if split_a:
             for kid in a.children_keys():
@@ -772,9 +728,9 @@ def update_plan(
     Computes the :class:`~repro.octree.regrid.RegridDelta` between the
     plan's stored topology and the live mesh (or takes one), drops every
     cached pair with an endpoint in the delta's ``drop_set``, re-traverses
-    only the changed subtrees (:func:`traverse_pruned`) and re-assembles —
-    the result is bit-identical to a cold :func:`build_plan` because both
-    assemble the same canonical pair state.
+    only the changed subtrees (:func:`traverse` with ``emit_set``) and
+    re-assembles — the result is bit-identical to a cold :func:`build_plan`
+    because both assemble the same canonical pair state.
 
     Returns ``None`` when the delta path does not apply (different
     ``theta`` or geometry — node keys only identify topology within one
@@ -807,7 +763,7 @@ def update_plan(
         keep = ~(np.isin(rows[:, 0], drop) | np.isin(rows[:, 1], drop))
         return rows[keep]
 
-    far_add, near_add, p2p_add = traverse_pruned(mesh, theta, delta.emit_set)
+    far_add, near_add, p2p_add = traverse(mesh, theta, delta.emit_set)
 
     def merged(kept: np.ndarray, added) -> np.ndarray:
         add_rows = _normalize_pairs(added)

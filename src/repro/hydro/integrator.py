@@ -49,11 +49,8 @@ from repro.hydro.plan import (
     HydroPlan,
     HydroPlanLifecycle,
     RankStep,
-    StackedKernels,
-    resolve_stacked_kernels,
     stack_accel,
 )
-from repro.kokkos.backend import get_backend
 from repro.hydro.reflux import apply_flux_corrections
 from repro.hydro.solver import dudt_subgrid
 from repro.hydro.sources import gravity_source, rotating_frame_source
@@ -144,21 +141,12 @@ class HydroIntegrator:
         overlap: bool = False,
         verify_plans: bool = True,
         detect_races: bool = False,
-        array_backend: Optional[str] = None,
         plan_cache: Optional["PlanCache"] = None,
     ) -> None:
         if backend not in ("serial", "process"):
             raise ValueError(
                 f"backend must be 'serial' or 'process', got {backend!r}"
             )
-        #: Array backend the stacked kernels dispatch through (see
-        #: :mod:`repro.kokkos.backend`).  ``None`` is the inline seed path;
-        #: "numpy" routes the same kernels through the dispatch table
-        #: (bit-identical).  Unknown, unavailable or kernel-less (JIT)
-        #: names raise here, not mid-step.
-        self.array_backend = array_backend
-        abackend = get_backend(array_backend) if array_backend else None
-        self._kernels: StackedKernels = resolve_stacked_kernels(abackend)
         self.mesh = mesh
         self.eos = eos or IdealGasEOS()
         self.cfl = cfl
@@ -325,7 +313,7 @@ class HydroIntegrator:
         # and the boundary-flux extraction is pure overhead.
         collect_fluxes = self.reflux and plan.ghosts.face_counts["fine"] > 0
         rank = RankStep(
-            plan, 0, self.eos, self.reconstruction, self.omega, self._kernels, reg,
+            plan, 0, self.eos, self.reconstruction, self.omega, reg,
             use_accel, collect_fluxes,
         )
         ghosts = plan.ghosts.bundles[(0, 0)]

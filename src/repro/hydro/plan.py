@@ -46,8 +46,7 @@ from __future__ import annotations
 import math
 import weakref
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -892,67 +891,6 @@ def stacked_signal_kernel(
     np.max(speed, axis=(1, 2, 3), out=out)
 
 
-# -- array-backend dispatch -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StackedKernels:
-    """The kernel set one batched RK3 step dispatches through.
-
-    Every entry has the corresponding ``stacked_*_kernel`` signature; the
-    integrator calls the table, not the module functions, so swapping the
-    table swaps the implementation without touching the step schedule —
-    the functor-contract analog of pointing one Kokkos kernel at another
-    execution space.
-    """
-
-    backend_name: str
-    rhs: Callable
-    source: Callable
-    update: Callable
-    resync_tau: Callable
-    signal: Callable
-
-
-#: The inline seed table: exactly the module-level stacked kernels.
-_SEED_KERNELS = StackedKernels(
-    backend_name="seed",
-    rhs=stacked_rhs_kernel,
-    source=stacked_source_kernel,
-    update=stacked_update_kernel,
-    resync_tau=stacked_resync_tau_kernel,
-    signal=stacked_signal_kernel,
-)
-
-
-def resolve_stacked_kernels(backend=None) -> StackedKernels:
-    """The stacked-kernel dispatch table for an array backend.
-
-    ``None`` returns the inline seed table (no indirection beyond the
-    table itself).  ``numpy`` routes the *same* functions through the
-    backend's kernel cache — the exact tier of the equivalence harness
-    proves that plumbing moves no bits.  There is one writing of the
-    stencil, so a backend that would need its own (``jit=True``) is
-    rejected here.
-    """
-    if backend is None:
-        return _SEED_KERNELS
-    if backend.jit:
-        raise ValueError(
-            f"array backend {backend.name!r} has no hydro kernel set"
-        )
-    return StackedKernels(
-        backend_name=backend.name,
-        rhs=backend.specialize("hydro.rhs", lambda: stacked_rhs_kernel),
-        source=backend.specialize("hydro.source", lambda: stacked_source_kernel),
-        update=backend.specialize("hydro.update", lambda: stacked_update_kernel),
-        resync_tau=backend.specialize(
-            "hydro.resync_tau", lambda: stacked_resync_tau_kernel
-        ),
-        signal=backend.specialize("hydro.signal", lambda: stacked_signal_kernel),
-    )
-
-
 # -- the rank step ------------------------------------------------------------
 
 #: Cells per ``rhs`` sub-batch (16 leaves of 8^3): a run's flux divergence
@@ -994,7 +932,6 @@ class RankStep:
         eos: IdealGasEOS,
         reconstruction: str,
         omega: float,
-        kernels: "StackedKernels",
         registry,
         use_accel: bool = True,
         collect_fluxes: bool = True,
@@ -1019,7 +956,6 @@ class RankStep:
         self.eos = eos
         self.reconstruction = reconstruction
         self.omega = omega
-        self.kernels = kernels
         self.registry = registry
         self.scratch = scratch
         self.accel_view = accel_view
@@ -1068,7 +1004,7 @@ class RankStep:
         then the sources, which read only the cell's own state."""
         for i, run in enumerate(self.runs):
             for u, dudt, faces in self.batches[i]:
-                self.kernels.rhs(
+                stacked_rhs_kernel(
                     u, run.dx, self.eos, dudt,
                     reconstruction=self.reconstruction,
                     faces=faces if collect_fluxes else None,
@@ -1076,7 +1012,7 @@ class RankStep:
                     scratch=self.scratch,
                 )
             if use_accel or self.omega != 0.0:
-                self.kernels.source(
+                stacked_source_kernel(
                     self.u_int[i], self.dudt[i],
                     accel=self.accel_view[run.lo : run.hi] if use_accel else None,
                     omega=self.omega, x=run.x, y=run.y,
@@ -1099,7 +1035,7 @@ class RankStep:
     def update(self, a0: float, a1: float, dt: float) -> None:
         with self.registry.timer("hydro.update"):
             for i, u_int in enumerate(self.u_int):
-                self.kernels.update(
+                stacked_update_kernel(
                     u_int, self.u0[i], self.dudt[i], a0, a1, dt, self.eos,
                     scratch=self.scratch,
                 )
@@ -1110,9 +1046,9 @@ class RankStep:
         with self.registry.timer("hydro.update"):
             for i, run in enumerate(self.runs):
                 u_int = self.u_int[i]
-                self.kernels.resync_tau(u_int, self.eos)
+                stacked_resync_tau_kernel(u_int, self.eos)
                 out = self.scratch.get(("signal", i), (run.hi - run.lo,))
-                self.kernels.signal(u_int, self.eos, out)
+                stacked_signal_kernel(u_int, self.eos, out)
                 for j, key in enumerate(self.keys[run.lo : run.hi]):
                     signals[key] = float(out[j])
         return signals

@@ -78,7 +78,6 @@ from repro.hydro.plan import (
     HydroPlanLifecycle,
     RankStep,
     ScratchArena,
-    resolve_stacked_kernels,
     stack_accel,
 )
 from repro.octree.fields import NFIELDS
@@ -140,8 +139,7 @@ class _WorkerState:
         plan, rank = ex.plan, self.rank
         #: The rank ops of the step program, over this rank's slot runs.
         self.step = RankStep(
-            plan, rank, ex.eos, ex.reconstruction, ex.omega,
-            resolve_stacked_kernels(None), self.registry,
+            plan, rank, ex.eos, ex.reconstruction, ex.omega, self.registry,
             accel_view=ex.accel_view, flux_view=ex.flux_view,
             scratch=ScratchArena(),
         )

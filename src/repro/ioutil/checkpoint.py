@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.ioutil.atomic import atomic_write
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import OctreeNode
 
@@ -57,25 +56,16 @@ def save_checkpoint(
         "step": step,
         "extra": extra or {},
     }
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                levels=levels,
-                codes=codes,
-                leaf_flags=leaf_flags,
-                localities=localities,
-                blocks=blocks,
-                meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as fh:
+        np.savez_compressed(
+            fh,
+            levels=levels,
+            codes=codes,
+            leaf_flags=leaf_flags,
+            localities=localities,
+            blocks=blocks,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        )
     return path
 
 

@@ -1,4 +1,4 @@
-"""Pluggable array backends for the Kokkos analog (array-API dispatch).
+"""Pluggable array backends for the Kokkos analog: View storage per space.
 
 The paper's portability claim is that one functor runs unchanged on the
 Serial, HPX and CUDA execution spaces; until this module existed every
@@ -8,29 +8,23 @@ a real array module: Views own backend-allocated storage, ``View.xp``
 exposes the backend's array namespace to kernels, and ``deep_copy`` is the
 only sanctioned cross-backend conversion (counting real bytes).
 
+The registry is storage and space routing, nothing else: the hydro step
+calls its one kernel set (:mod:`repro.hydro.plan`) directly and never
+asks a backend for a kernel.
+
 Registered backends:
 
 ``numpy``
-    The default and the reference, and the only backend the hydro step can
-    be dispatched through (``array_backend="numpy"``).  That dispatch is
-    bit-identical to the seed path (same functions, same storage) — the
-    *exact* tier of the equivalence harness in :mod:`repro.core.crosscheck`
-    pins this.
+    The default and the reference.
 ``numba``
-    JIT host backend for View kernels: NumPy storage, ``compile`` is
-    ``numba.njit``.  Optional (gated on importability).
+    NumPy storage; available only where ``numba`` is importable (probed
+    with ``find_spec``, never imported).
 ``pyjit``
-    The interpreted twin of ``numba``: same storage, ``compile`` is the
-    identity.  Always available.
+    The always-available twin of ``numba``: same storage.
 
-Neither JIT backend has a hydro kernel set: the MUSCL+HLL stencil is
-written once, in :mod:`repro.hydro.plan`, and
-:func:`repro.hydro.plan.resolve_stacked_kernels` rejects ``jit=True``.
-
-This module is the **only** place allowed to import ``numba`` (reprolint
-R009, which also keeps ``cupy``/``jax`` imports out of the tree): every
-other module reaches it through the registry, so a missing optional
-dependency degrades to a skipped backend instead of an import error.
+No module of the tree imports ``numba``, ``cupy`` or ``jax`` (reprolint
+R009 allows them here only): a missing optional dependency degrades to an
+unavailable backend instead of an import error.
 
 Like :mod:`repro.analysis.spacesan`, this module imports nothing from the
 rest of ``repro`` so the lowest layers can depend on it without cycles.
@@ -38,9 +32,8 @@ rest of ``repro`` so the lowest layers can depend on it without cycles.
 
 from __future__ import annotations
 
-import importlib
 import importlib.util
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -53,26 +46,18 @@ class ArrayBackend:
     """One array module behind the array-API subset the kernels use.
 
     Subclasses override :meth:`_import_module` (lazy import of the array
-    namespace) and optionally :meth:`compile` (JIT hook).  ``specialize``
-    caches compiled kernels per key so each kernel source is compiled at
-    most once per backend; ``compile_count`` makes the caching observable
-    to tests.
+    namespace) and the storage conversions a non-host module needs.
     """
 
     #: Registry name; also the CLI / config spelling.
     name: str = "abstract"
     #: Whether storage lives in a (simulated or real) device space.
     is_device: bool = False
-    #: Whether :meth:`compile` does real work (JIT backends).
-    jit: bool = False
     #: Module spec probed for availability (None = always available).
     requires: Optional[str] = None
 
     def __init__(self) -> None:
         self._module: Optional[Any] = None
-        self._kernels: Dict[Any, Callable] = {}
-        #: Number of kernel sources handed to :meth:`compile` (not cache hits).
-        self.compile_count = 0
 
     # -- availability ------------------------------------------------------
     @property
@@ -116,28 +101,6 @@ class ArrayBackend:
         """Copy host values into backend storage (deep_copy's write half)."""
         np.copyto(self.to_numpy(dst), src_host)
 
-    # -- kernels -----------------------------------------------------------
-    def compile(self, func: Callable) -> Callable:
-        """Lower a pure-Python kernel for this backend (identity by default).
-
-        Every call counts toward ``compile_count`` so tests can observe
-        that caching (``specialize``) actually avoids recompilation.
-        """
-        self.compile_count += 1
-        return func
-
-    def specialize(self, key, factory: Callable[[], Callable]) -> Callable:
-        """The compiled kernel for ``key``, compiling via ``factory`` once."""
-        kern = self._kernels.get(key)
-        if kern is None:
-            kern = self.compile(factory())
-            self._kernels[key] = kern
-        return kern
-
-    def cache_clear(self) -> None:
-        """Drop every compiled kernel (forces recompilation)."""
-        self._kernels.clear()
-
     def __repr__(self) -> str:
         state = "available" if self.available else "unavailable"
         return f"<ArrayBackend {self.name!r} ({state})>"
@@ -150,24 +113,16 @@ class NumpyBackend(ArrayBackend):
 
 
 class PyJitBackend(ArrayBackend):
-    """Interpreted twin of the numba backend (same storage, no JIT)."""
+    """Always-available twin of the numba backend (same storage)."""
 
     name = "pyjit"
-    jit = True
 
 
 class NumbaBackend(ArrayBackend):
-    """NumPy storage with hot kernels compiled by ``numba.njit``."""
+    """NumPy storage, available only where ``numba`` is installed."""
 
     name = "numba"
-    jit = True
     requires = "numba"
-
-    def compile(self, func: Callable) -> Callable:
-        self.require()
-        numba = importlib.import_module("numba")
-        self.compile_count += 1
-        return numba.njit(cache=False)(func)
 
 
 # -- registry ---------------------------------------------------------------

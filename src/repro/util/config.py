@@ -53,9 +53,9 @@ class Config:
         # Communication
         "comm.local_optimization": True,
         "comm.coalesce": True,  # bundle ghost messages per locality pair
-        # Array backend the hydro kernels dispatch through
-        # (repro.kokkos.backend registry): numpy, bit-identical to the
-        # seed path, is the only one with a hydro kernel set
+        # A registered array backend name (repro.kokkos.backend registry):
+        # validated, read by no code since the hydro step calls its one
+        # kernel set directly
         "kokkos.backend": "numpy",
     }
 

@@ -59,6 +59,39 @@ class TestRunOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments: --array-backend" in capsys.readouterr().err
 
+    def test_tier_flag_is_gone(self, capsys):
+        """One bit gate (serial vs process): the flag that chose the other
+        tier is an argparse error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["crosscheck", "--tier", "exact"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--backend", "process"], ["crosscheck"], ["verify-plans"],
+    ])
+    @pytest.mark.parametrize("nprocs", ["0", "-2"])
+    def test_nprocs_must_be_a_positive_int(self, capsys, command, nprocs):
+        """Rejected by the parser — usage line, exit 2, no scenario built
+        and no traceback from the worker pool on the first step."""
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--nprocs", nprocs])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro" in err and "argument --nprocs" in err
+
+    @pytest.mark.parametrize("spec, complaint", [
+        ("bogus=1", "unknown fault key 'bogus'"),
+        ("drop", "is not key=value"),
+        ("drop=often", "could not convert string to float"),
+    ])
+    def test_malformed_faults_spec_is_a_usage_error(self, capsys, spec, complaint):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--faults", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --faults" in err and complaint in err
+
 
 @pytest.mark.slow
 class TestRun:

@@ -136,6 +136,61 @@ class TestCheckpoint(object):
         _, meta = load_checkpoint(path)
         assert meta["step"] == 1
 
+    @pytest.mark.parametrize("caller", ["checkpoint", "plan_cache"])
+    def test_write_failing_mid_file_keeps_previous_file(
+        self, tmp_path, monkeypatch, caller
+    ):
+        """Both users of ``atomic_write``: the device fills up half-way
+        through a write, the previous complete file stays in place and
+        readable, no ``*.tmp`` is left; ``save_checkpoint`` raises,
+        ``PlanCache.store`` reports ``False``."""
+        import numpy as np
+
+        import repro.ioutil.atomic as atomic
+        from repro.core.plancache import PlanCache
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, data):
+                self.fh.write(bytes(data)[: len(data) // 2])
+                raise OSError("disk full")
+
+        mesh = make_uniform_mesh(levels=1)
+        cache = PlanCache(tmp_path)
+        payload = {"pairs": np.arange(6)}
+        if caller == "checkpoint":
+            save_checkpoint(mesh, tmp_path / "state", step=1)
+        else:
+            assert cache.store("fmm", "abc", {}, payload)
+        [before] = list(tmp_path.iterdir())
+        fdopen = atomic.os.fdopen
+        monkeypatch.setattr(
+            atomic.os, "fdopen", lambda fd, mode: FullDisk(fdopen(fd, mode))
+        )
+        if caller == "checkpoint":
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(mesh, before, step=2)
+        else:
+            assert not cache.store("fmm", "abc", {}, {"pairs": np.arange(9)})
+            assert cache.stats.errors == 1
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == [before]
+        if caller == "checkpoint":
+            assert load_checkpoint(before)[1]["step"] == 1
+        else:
+            assert np.array_equal(cache.load("fmm", "abc", {})["pairs"], payload["pairs"])
+
     def test_truncated_file_raises_checkpoint_error(self, tmp_path):
         mesh = make_uniform_mesh(levels=1)
         path = save_checkpoint(mesh, tmp_path / "state")

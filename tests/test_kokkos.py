@@ -324,19 +324,6 @@ class TestBackendRegistry:
         with pytest.raises(BackendUnavailable):
             get_backend(missing[0])
 
-    def test_specialize_compiles_once(self):
-        b = get_backend("pyjit")
-        b.cache_clear()
-        before = b.compile_count
-        k1 = b.specialize("t.key", lambda: (lambda x: x + 1))
-        k2 = b.specialize("t.key", lambda: (lambda x: x + 2))
-        assert k1 is k2  # cache hit: second factory never compiled
-        assert b.compile_count == before + 1
-        b.cache_clear()
-        k3 = b.specialize("t.key", lambda: (lambda x: x + 3))
-        assert k3(1) == 4
-        assert b.compile_count == before + 2
-
     def test_space_backend_routing(self):
         assert space_backend_map()["Host"] == "numpy"
         assert backend_for_space(HostSpace).name == "numpy"

@@ -23,7 +23,6 @@ from repro.hydro.plan import (
     STENCIL_RADIUS,
     RankStep,
     ScratchArena,
-    resolve_stacked_kernels,
     stacked_rhs_kernel,
 )
 from repro.octree import NFIELDS
@@ -45,8 +44,8 @@ def rank_step_over(run_leaves, reconstruction, collect_fluxes):
     plan = build_hydro_plan(mesh, nranks=2, assignment=assignment)
     fill_all_ghosts(mesh)
     rank = RankStep(
-        plan, 0, eos, reconstruction, 0.0, resolve_stacked_kernels(None),
-        CounterRegistry(), use_accel=False, collect_fluxes=collect_fluxes,
+        plan, 0, eos, reconstruction, 0.0, CounterRegistry(),
+        use_accel=False, collect_fluxes=collect_fluxes,
     )
     return plan, eos, rank
 
@@ -90,10 +89,7 @@ class TestBlockedRhsEqualsWholeRun:
     def test_level1_mesh_runs_as_one_batch(self):
         mesh, eos = make_state_mesh(levels=1)
         plan = build_hydro_plan(mesh)
-        rank = RankStep(
-            plan, 0, eos, "muscl", 0.0, resolve_stacked_kernels(None),
-            CounterRegistry(),
-        )
+        rank = RankStep(plan, 0, eos, "muscl", 0.0, CounterRegistry())
         assert [len(batches) for batches in rank.batches] == [1]
         assert len(rank.batches[0][0][1]) == 8
 
