@@ -28,7 +28,7 @@ and bad worker counts are rejected at construction, a worker that raises
 surfaces as :class:`WorkerError` carrying the remote traceback, and a
 worker that dies (the ``FaultSpec`` crash fate, a kill, an ``os._exit``)
 surfaces as :class:`WorkerCrashError` — a subclass of
-:class:`repro.resilience.protocol.UnrecoverableFault`, so the driver's
+:class:`repro.resilience.faults.UnrecoverableFault`, so the driver's
 checkpoint-rollback machinery applies unchanged.
 
 Workers terminate through ``os._exit`` on purpose: a forked child inherits
@@ -48,7 +48,7 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.profiling.apex import CounterRegistry
-from repro.resilience.protocol import UnrecoverableFault
+from repro.resilience.faults import UnrecoverableFault
 
 #: A worker handler: called once per command, returns the reply payload.
 Handler = Callable[[Any], Any]

@@ -186,12 +186,11 @@ def _command_run(args: argparse.Namespace) -> int:
                 "and measured speedups are not meaningful",
                 file=sys.stderr,
             )
-    plan_cache = None
-    if args.plan_cache is not None:
-        from repro.core.plancache import PlanCache, default_cache_dir
+    plan_cache = args.plan_cache
+    if plan_cache == "auto":
+        from repro.core.plancache import default_cache_dir
 
-        root = default_cache_dir() if args.plan_cache == "auto" else args.plan_cache
-        plan_cache = PlanCache(root)
+        plan_cache = default_cache_dir()
     sim = OctoTigerSim(
         scenario.mesh, eos=scenario.eos,
         omega=getattr(scenario, "omega", 0.0),
@@ -227,8 +226,8 @@ def _command_run(args: argparse.Namespace) -> int:
         return 5
     after = diagnostics(sim.mesh)
     print(f"mass drift {after.mass - before.mass:+.3e}")
-    if plan_cache is not None:
-        s = plan_cache.stats
+    if sim.plan_cache is not None:
+        s = sim.plan_cache.stats
         print(f"plan cache: {s.hits} hit(s), {s.misses} miss(es), "
               f"{s.stores} store(s), {s.errors} error(s)")
     if args.faults is not None:

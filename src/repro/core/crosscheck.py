@@ -21,6 +21,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.core.plancache import PlanCache
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.integrator import GravityCallback, HydroIntegrator
 from repro.octree.mesh import AmrMesh
@@ -137,22 +138,13 @@ def crosscheck_hydro(
     """
     import time as _time
 
-    def cache_handle():  # noqa: ANN202
-        if plan_cache is None:
-            return None
-        if hasattr(plan_cache, "load"):
-            return plan_cache
-        from repro.core.plancache import PlanCache
-
-        return PlanCache(plan_cache)
-
     mesh_serial = mesh
     mesh_process = clone_mesh(mesh)
     serial = HydroIntegrator(
         mesh_serial, eos=eos, omega=omega,
         gravity=gravity() if gravity else None,
         gravity_every_stage=gravity_every_stage, reflux=reflux,
-        plan_cache=cache_handle(),
+        plan_cache=PlanCache.of(plan_cache),
     )
     process = HydroIntegrator(
         mesh_process, eos=eos, omega=omega,
@@ -160,7 +152,7 @@ def crosscheck_hydro(
         gravity_every_stage=gravity_every_stage, reflux=reflux,
         backend="process", nprocs=nprocs, overlap=overlap,
         detect_races=detect_races,
-        plan_cache=cache_handle(),
+        plan_cache=PlanCache.of(plan_cache),
     )
     serial_s = process_s = 0.0
     try:

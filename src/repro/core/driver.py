@@ -26,6 +26,7 @@ import numpy as np
 from repro.analysis.race import RaceDetector
 from repro.analysis.spacesan import sanitizer_mode
 from repro.core.diagnostics import Diagnostics, diagnostics
+from repro.core.plancache import PlanCache
 from repro.distsim.model import DEFAULT_CONSTANTS, ModelConstants
 from repro.distsim.runconfig import RunConfig
 from repro.distsim.taskgraph import TaskGraphResult, TaskGraphSimulator
@@ -154,11 +155,7 @@ class OctoTigerSim:
         #: :mod:`repro.core.plancache` and ``docs/plan_lifecycle.md``).  A
         #: string/path builds a :class:`PlanCache` rooted there; ``None``
         #: disables persistence (in-memory delta maintenance still runs).
-        if plan_cache is not None and not hasattr(plan_cache, "load"):
-            from repro.core.plancache import PlanCache
-
-            plan_cache = PlanCache(plan_cache)
-        self.plan_cache = plan_cache
+        self.plan_cache = PlanCache.of(plan_cache)
 
         self.gravity_solver: Optional[FmmSolver] = None
         if gravity:

@@ -91,6 +91,15 @@ class PlanCache:
         self.directory = Path(directory) if directory is not None else default_cache_dir()
         self.stats = CacheStats()
 
+    @classmethod
+    def of(cls, value) -> Optional[PlanCache]:  # noqa: ANN001
+        """The store handle for a ``plan_cache=`` argument: ``None`` stays
+        ``None`` (no persistence), a store is used as given, and a
+        directory path opens a fresh handle rooted there."""
+        if value is None or hasattr(value, "load"):
+            return value
+        return cls(value)
+
     # -- keys ---------------------------------------------------------------
     def _entry_path(self, kind: str, fingerprint: str, params: Dict) -> Path:
         digest = hashlib.sha256(

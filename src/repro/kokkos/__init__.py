@@ -16,17 +16,7 @@ HPX-Kokkos integration that lets kernels participate in HPX dependency
 graphs.
 """
 
-from repro.kokkos.backend import (
-    ArrayBackend,
-    BackendUnavailable,
-    available_backends,
-    backend_for_space,
-    get_backend,
-    register_backend,
-    registered_backends,
-    set_space_backend,
-    space_backend_map,
-)
+from repro.kokkos.backend import ArrayBackend, get_backend, registered_backends
 from repro.kokkos.view import (
     View,
     deep_copy,
@@ -54,15 +44,9 @@ from repro.kokkos.parallel import (
 
 __all__ = [
     "ArrayBackend",
-    "BackendUnavailable",
-    "available_backends",
-    "backend_for_space",
     "get_backend",
-    "register_backend",
     "registered_backends",
     "sanctioned_crossing",
-    "set_space_backend",
-    "space_backend_map",
     "View",
     "deep_copy",
     "HostSpace",

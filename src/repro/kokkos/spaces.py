@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, List
 
 from repro.amt.future import Future, make_ready_future, when_all
 from repro.amt.locality import Locality
-from repro.kokkos.backend import ArrayBackend, backend_for_space
 from repro.kokkos.policies import RangePolicy
 from repro.kokkos.view import DeviceSpaceTag, HostSpace, sanctioned_crossing
 from repro.simd.abi import get_abi
@@ -53,11 +52,6 @@ class ExecutionSpace:
 
     def __init__(self) -> None:
         self.stats = KernelStats()
-
-    @property
-    def array_backend(self) -> ArrayBackend:
-        """The array backend owning this space's native View storage."""
-        return backend_for_space(self.memory_space)
 
     # -- cost model --------------------------------------------------------
     def item_cost(self, policy: RangePolicy) -> float:

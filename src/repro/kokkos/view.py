@@ -1,11 +1,10 @@
 """Views: labelled, memory-space-tagged multidimensional arrays.
 
 A ``Kokkos::View`` couples storage with a memory space so kernels can only
-touch data where they execute.  Here a view wraps *backend-owned* storage
-(see :mod:`repro.kokkos.backend`: the memory space selects the array
-module) plus a space tag; :func:`deep_copy` is the only sanctioned way to
-move data between spaces — and between backends — and it counts the bytes
-moved (feeding the GPU-offload cost model).
+touch data where they execute.  Here a view wraps host NumPy storage owned
+by the one :class:`~repro.kokkos.ArrayBackend` plus a space tag;
+:func:`deep_copy` is the only sanctioned way to move data between spaces,
+and it counts the bytes moved (feeding the GPU-offload cost model).
 
 Under :func:`repro.analysis.spacesan.sanitizer_mode` every element access
 and every raw ``.data`` grab of a *device*-tagged view from host code is a
@@ -27,7 +26,10 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.analysis.spacesan import report_violation, space_checks_enabled
-from repro.kokkos.backend import ArrayBackend, backend_for_space
+from repro.kokkos.backend import ArrayBackend, get_backend
+
+#: The storage backend of every View (Host and Device alike).
+_NUMPY = get_backend("numpy")
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ class View:
     ) -> None:
         self.label = label
         self.space = space
-        self.backend = backend if backend is not None else backend_for_space(space)
+        self.backend = backend if backend is not None else _NUMPY
         self._base_label = label
         data = self.backend.zeros(shape, dtype=dtype)
         if space.is_device:
@@ -144,7 +146,7 @@ class View:
         view = cls.__new__(cls)
         view.label = label
         view.space = space
-        view.backend = backend_for_space(space)
+        view.backend = _NUMPY
         view._base_label = label
         view._data = _tag_device(array, label) if space.is_device else array
         return view
@@ -235,13 +237,12 @@ class View:
 def deep_copy(dst: View, src: View) -> None:
     """Copy between views, accounting host<->device traffic.
 
-    This is the sanctioned space *and backend* crossing: it bypasses the
-    sanitizer's host-access check by construction (mirroring
-    ``Kokkos::deep_copy``, which is legal from host code for any space
-    pair), converts storage between array modules, and is the only place
-    allowed to do so.  Shape and dtype must match exactly — ``np.copyto``
-    would silently cast a float64 source into a float32 destination, losing
-    precision without any sanitizer finding.
+    This is the sanctioned space crossing: it bypasses the sanitizer's
+    host-access check by construction (mirroring ``Kokkos::deep_copy``,
+    which is legal from host code for any space pair).  Shape and dtype
+    must match exactly — ``np.copyto`` would silently cast a float64 source
+    into a float32 destination, losing precision without any sanitizer
+    finding.
     """
     if dst._data.shape != src._data.shape:
         raise ValueError(
@@ -253,12 +254,7 @@ def deep_copy(dst: View, src: View) -> None:
             "(an implicit cast would silently lose precision)"
         )
     with sanctioned_crossing():
-        if dst.backend is src.backend and isinstance(src._data, np.ndarray):
-            np.copyto(
-                np.asarray(dst._data), np.asarray(src._data)
-            )
-        else:
-            dst.backend.copy_into(dst._data, src.backend.to_numpy(src._data))
+        np.copyto(np.asarray(dst._data), np.asarray(src._data))
     transfer_counter["copies"] += 1
     if src.space.is_device and not dst.space.is_device:
         transfer_counter["d2h_bytes"] += src.nbytes

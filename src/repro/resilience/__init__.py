@@ -24,17 +24,13 @@ The driver ties the three together with checkpoint-restart
 replays — the same loop a training stack runs around collective comms.
 """
 
-# repro.amt.parallel imports this package's protocol module and the protocol
-# imports repro.amt: entering the cycle from the amt side is the one order in
-# which both finish, so enter it there whoever imports first.
-import repro.amt  # noqa: F401
-from repro.resilience.faults import FaultDecision, FaultInjector, FaultSpec
-from repro.resilience.protocol import (
-    RetryPolicy,
-    ReliableTransport,
-    TransportStats,
+from repro.resilience.faults import (
+    FaultDecision,
+    FaultInjector,
+    FaultSpec,
     UnrecoverableFault,
 )
+from repro.resilience.protocol import RetryPolicy, ReliableTransport, TransportStats
 from repro.resilience.watchdog import DeadlockError, DeadlockWatchdog
 
 __all__ = [

@@ -9,6 +9,9 @@ send index — retransmissions (which consume fresh indices) get fresh,
 independent draws, and inserting a retransmission never perturbs the fate
 of later messages.  ``stream`` separates timesteps, so a multi-step run
 does not replay the same fault pattern every step.
+
+:class:`UnrecoverableFault`, the typed end of every recovery path, lives
+here too: this module imports nothing from ``repro``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,22 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+
+
+class UnrecoverableFault(RuntimeError):
+    """A fault recovery cannot mask: retransmission gave up on a message
+    (e.g. its peer crashed) or a worker process died — the driver's cue to
+    roll back to a checkpoint.  The process engine
+    (:mod:`repro.amt.parallel`) raises it too, and imports it from here to
+    stay out of the ``repro.amt`` <-> protocol cycle."""
+
+    def __init__(self, message: str, tag: str = "", src: int = -1, dst: int = -1,
+                 attempts: int = 0) -> None:
+        super().__init__(message)
+        self.tag = tag
+        self.src = src
+        self.dst = dst
+        self.attempts = attempts
 
 
 @dataclass(frozen=True)

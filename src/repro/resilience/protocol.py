@@ -27,18 +27,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.amt.engine import Engine, EventHandle
 from repro.amt.network import Message, NetworkModel
-
-
-class UnrecoverableFault(RuntimeError):
-    """Retransmission gave up on a message (e.g. its peer crashed)."""
-
-    def __init__(self, message: str, tag: str = "", src: int = -1, dst: int = -1,
-                 attempts: int = 0) -> None:
-        super().__init__(message)
-        self.tag = tag
-        self.src = src
-        self.dst = dst
-        self.attempts = attempts
+from repro.resilience.faults import UnrecoverableFault
 
 
 @dataclass(frozen=True)

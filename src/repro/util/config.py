@@ -53,10 +53,6 @@ class Config:
         # Communication
         "comm.local_optimization": True,
         "comm.coalesce": True,  # bundle ghost messages per locality pair
-        # A registered array backend name (repro.kokkos.backend registry):
-        # validated, read by no code since the hydro step calls its one
-        # kernel set directly
-        "kokkos.backend": "numpy",
     }
 
     def __init__(self, overrides: Optional[Mapping[str, Any]] = None) -> None:
@@ -83,12 +79,6 @@ class Config:
             raise ConfigError("runtime.tasks_per_kernel must be >= 1")
         if self["runtime.workers"] < 1:
             raise ConfigError("runtime.workers must be >= 1")
-        from repro.kokkos.backend import registered_backends
-
-        if self["kokkos.backend"] not in registered_backends():
-            raise ConfigError(
-                f"kokkos.backend must be one of {registered_backends()}"
-            )
 
     def __getitem__(self, key: str) -> Any:
         try:

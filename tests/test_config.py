@@ -64,18 +64,11 @@ class TestValidation:
             ("gravity.order", 4),
             ("runtime.tasks_per_kernel", 0),
             ("runtime.workers", 0),
-            ("kokkos.backend", "fortran"),
         ],
     )
     def test_invalid_values(self, key, value):
         with pytest.raises(ConfigError):
             Config({key: value})
-
-    def test_registered_array_backends_accepted(self):
-        # Registered-but-uninstalled names validate (availability is
-        # checked at get_backend time, not config parse time).
-        for name in ("numpy", "pyjit", "numba"):
-            assert Config({"kokkos.backend": name})["kokkos.backend"] == name
 
 
 class TestUnits:

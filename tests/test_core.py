@@ -191,6 +191,17 @@ class TestCheckpoint(object):
         else:
             assert np.array_equal(cache.load("fmm", "abc", {})["pairs"], payload["pairs"])
 
+    def test_plan_cache_of_resolves_every_argument_form(self, tmp_path):
+        from repro.core.plancache import PlanCache
+
+        assert PlanCache.of(None) is None
+        store = PlanCache(tmp_path)
+        assert PlanCache.of(store) is store
+        for root in (tmp_path, str(tmp_path)):
+            handle = PlanCache.of(root)
+            assert isinstance(handle, PlanCache) and handle is not store
+            assert handle.directory == tmp_path
+
     def test_truncated_file_raises_checkpoint_error(self, tmp_path):
         mesh = make_uniform_mesh(levels=1)
         path = save_checkpoint(mesh, tmp_path / "state")

@@ -16,6 +16,11 @@ the SIGALRM shim in ``conftest.py`` otherwise): a hang is a failure, not
 a stuck CI job.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -419,3 +424,20 @@ class TestDriverAcceptance:
         assert sim.counters.total("resilience.retransmits") == 0
         assert sim.counters.total("resilience.messages_dropped") == 0
         _assert_conserved_match(conserved_totals(sim.mesh), blast_reference)
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.resilience", "repro.resilience.protocol", "repro.amt.parallel", "repro.amt"],
+)
+def test_first_repro_import_succeeds(module):
+    # repro.amt.parallel raises UnrecoverableFault and the protocol imports
+    # repro.amt: each side of that pair must import cleanly in a fresh
+    # interpreter, whichever comes first.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -70,11 +70,12 @@ R008 flat-wire-payloads
 
 R009 array-backends-via-registry
     ``numba``, ``cupy`` and ``jax`` may only be imported by
-    ``repro/kokkos/backend.py`` — the array-backend registry.  Anywhere
-    else a direct import turns a missing *optional* dependency into a
-    hard ImportError; kernels reach the accelerator module through
-    ``View.xp`` / ``ArrayBackend.module`` so unavailable backends degrade
-    to a skip instead.
+    ``repro/kokkos/backend.py`` — the View storage backend, today host
+    NumPy only, and the one place an accelerator array module would be
+    added.  Anywhere else a direct import scatters an optional dependency
+    through kernel and physics modules, where a missing install becomes a
+    hard ImportError at module load; kernels reach the array module
+    through ``View.xp`` / ``ArrayBackend.module`` instead.
 
 R010 no-cold-plan-in-step-loop
     No cold plan construction (``build_plan``, ``build_hydro_plan``,
@@ -634,14 +635,14 @@ def _check_flat_wire_payloads(
 
 
 def _check_backend_imports(tree: ast.Module, path: str) -> List[Finding]:
-    """R009: numba/cupy/jax imports only inside the backend registry."""
+    """R009: numba/cupy/jax imports only inside the View storage backend."""
     if _path_matches(path, _BACKEND_EXEMPT):
         return []
     findings: List[Finding] = []
     message = (
-        "direct import of optional array module {name!r}: go through the "
-        "backend registry (repro.kokkos.backend / View.xp) so a missing "
-        "install degrades to an unavailable backend, not an ImportError"
+        "direct import of optional array module {name!r}: only "
+        "repro/kokkos/backend.py may import it; reach the array module "
+        "through View.xp so a missing install is not an ImportError here"
     )
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
