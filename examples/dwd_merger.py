@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core import OctoTigerSim
 from repro.core.diagnostics import diagnostics
+from repro.distsim import RunConfig
 from repro.machines import FUGAKU
 from repro.scenarios import dwd_scenario
 from repro.scf import roche_lobe_radius
@@ -43,7 +44,8 @@ def main(steps: int = 4) -> None:
     )
 
     sim = OctoTigerSim(
-        mesh, eos=scenario.eos, omega=scenario.omega, machine=FUGAKU, nodes=2
+        mesh, eos=scenario.eos, omega=scenario.omega,
+        config=RunConfig(machine=FUGAKU, nodes=2),
     )
     before = diagnostics(mesh)
     print(f"\nEvolving {steps} steps...")

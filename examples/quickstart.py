@@ -11,6 +11,7 @@ every step on a Fugaku node.
 
 from repro.core import OctoTigerSim
 from repro.core.diagnostics import diagnostics
+from repro.distsim import RunConfig
 from repro.machines import FUGAKU
 from repro.scenarios import rotating_star
 
@@ -29,8 +30,7 @@ def main() -> None:
         mesh,
         eos=scenario.eos,
         omega=scenario.omega,
-        machine=FUGAKU,
-        nodes=4,
+        config=RunConfig(machine=FUGAKU, nodes=4),
     )
     before = diagnostics(mesh)
     print(f"  initial mass {before.mass:.6f}, gas energy {before.energy_gas:.6f}")

@@ -35,7 +35,8 @@ def main() -> None:
         print(f"    x={axis[i]:+.2f}  {profile[i]:.4f}  {bar}")
 
     sim = OctoTigerSim(
-        mesh, eos=scenario.eos, omega=scenario.omega, machine=FUGAKU, nodes=4
+        mesh, eos=scenario.eos, omega=scenario.omega,
+        config=RunConfig(machine=FUGAKU, nodes=4),
     )
     before = diagnostics(mesh)
     print("\nEvolving 3 steps in the co-rotating frame...")

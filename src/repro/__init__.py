@@ -13,10 +13,11 @@ Entry points:
 
 >>> from repro.scenarios import rotating_star
 >>> from repro.core import OctoTigerSim
+>>> from repro.distsim import RunConfig
 >>> from repro.machines import FUGAKU
 >>> scenario = rotating_star(level=2)          # doctest: +SKIP
->>> sim = OctoTigerSim(scenario.mesh, eos=scenario.eos,
-...                    omega=scenario.omega, machine=FUGAKU, nodes=4)  # doctest: +SKIP
+>>> sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, omega=scenario.omega,
+...                    config=RunConfig(machine=FUGAKU, nodes=4))  # doctest: +SKIP
 >>> sim.step()                                  # doctest: +SKIP
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -22,15 +22,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _fault_spec(text: str):  # noqa: ANN202 - repro.resilience.FaultSpec
-    from repro.resilience import FaultSpec
-
-    try:
-        return FaultSpec.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -54,26 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
                           "neighbor locality per phase, see docs/comms.md); "
                           "--no-coalesce prices one message per leaf face "
                           "(the Fig. 8 ablation; the physics is unaffected)")
-    run.add_argument("--sanitize", action="store_true",
-                     help="run the analysis suite alongside each step: "
-                          "memory-space sanitizer over the physics, static "
-                          "+ dynamic race detection over the task graph")
-    run.add_argument("--faults", type=_fault_spec, default=None, metavar="SPEC",
-                     help="inject seeded network faults, e.g. "
-                          "'drop=0.01,seed=7' or 'crash_loc=1,crash_step=2' "
-                          "(keys: drop, delay, delay_s, dup, seed, "
-                          "crash_loc, crash_step)")
     run.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                     help="write a checkpoint every N steps; with --faults "
-                          "this enables rollback-and-replay on unrecoverable "
-                          "faults")
+                     help="write a checkpoint every N steps and, when a "
+                          "worker process dies or stops replying, roll back "
+                          "to the newest one and replay (bit-exact)")
     run.add_argument("--checkpoint-dir", default=None,
-                     help="directory for the checkpoint series (default: a "
-                          "temporary directory)")
-    run.add_argument("--no-recovery", action="store_true",
-                     help="disable the acknowledged-retransmit transport: "
-                          "injected faults deadlock (diagnosed by the "
-                          "watchdog) instead of being retried")
+                     help="directory for the checkpoint series, every "
+                          "checkpoint kept (default: a temporary directory "
+                          "holding only the newest, removed when the run ends)")
     run.add_argument("--backend", default="des", choices=["des", "process"],
                      help="execution backend: 'des' runs physics in-process "
                           "with discrete-event timing (default); 'process' "
@@ -170,7 +149,7 @@ def _command_run(args: argparse.Namespace) -> int:
     from repro.core.diagnostics import diagnostics
     from repro.distsim import RunConfig
     from repro.machines import MACHINES
-    from repro.resilience import DeadlockError, UnrecoverableFault
+    from repro.resilience import UnrecoverableFault
 
     scenario = _scenario_spec(args.scenario, args.level, build_mesh=True)
     if scenario.mesh is None:
@@ -197,9 +176,6 @@ def _command_run(args: argparse.Namespace) -> int:
         config=RunConfig(
             machine=machine, nodes=args.nodes, coalesce=args.coalesce
         ),
-        sanitize=args.sanitize,
-        faults=args.faults,
-        recovery=not args.no_recovery,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
         backend=args.backend,
@@ -217,10 +193,6 @@ def _command_run(args: argparse.Namespace) -> int:
             print(f"  step {record.step}: dt={record.dt:.3e} "
                   f"{record.cells_per_second:.3e} cells/s "
                   f"{record.node_power_w:.0f} W/node")
-    except DeadlockError as exc:
-        # The paper's undebugable hang, reduced to one line.
-        print(f"DEADLOCK: {str(exc).splitlines()[0]}", file=sys.stderr)
-        return 4
     except UnrecoverableFault as exc:
         print(f"UNRECOVERABLE FAULT: {exc}", file=sys.stderr)
         return 5
@@ -230,22 +202,6 @@ def _command_run(args: argparse.Namespace) -> int:
         s = sim.plan_cache.stats
         print(f"plan cache: {s.hits} hit(s), {s.misses} miss(es), "
               f"{s.stores} store(s), {s.errors} error(s)")
-    if args.faults is not None:
-        totals = {
-            name.split(".", 1)[1]: int(sim.counters.total(name))
-            for name in sim.counters.names()
-            if name.startswith("resilience.")
-        }
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(totals.items()))
-        print(f"resilience: {summary}")
-    if args.sanitize:
-        n = len(sim.sanitizer_findings)
-        checked = sim.counters.total("sanitize.tasks_checked")
-        print(f"sanitizer: {n} finding(s) over {checked:.0f} checked tasks")
-        for finding in sim.sanitizer_findings:
-            print(f"  {finding}", file=sys.stderr)
-        if n:
-            return 3
     if args.checkpoint:
         path = sim.save_checkpoint(args.checkpoint)
         print(f"checkpoint written to {path}")

@@ -1,33 +1,34 @@
-"""OctoTigerSim: real physics plus machine-model timing per step.
+"""OctoTigerSim: real physics, plus the step's modelled distributed timing.
 
-Each :meth:`OctoTigerSim.step` does two coupled things:
+Each :meth:`OctoTigerSim.step` advances the *actual* simulation state —
+SSP-RK3 hydro with FMM gravity on the AMR octree (numerics identical to the
+serial reference integrator, tested against it), in-process or on real
+worker processes (``backend="process"``).  The step's record also carries
+the timing a distributed run of this mesh would take under ``config``
+(cells/s, utilisation, power), priced by the DES task-graph model from the
+workload *measured off the live mesh*; it is a pure function of
+``(spec, config)`` and is priced once per workload.
 
-1. advances the *actual* simulation state — SSP-RK3 hydro with FMM gravity
-   on the AMR octree (numerics identical to the serial reference
-   integrator, tested against it), and
-2. executes the step's task graph on the virtual AMT runtime under the
-   selected machine model and run configuration, yielding the timing a
-   distributed run of this mesh would take (cells/s, utilisation, power).
-
-The mesh is partitioned over localities along the Morton curve before the
-first step, mirroring Octo-Tiger's distribution, and the workload spec fed
-to the task graph is *measured from the live mesh*, so refinement changes
-propagate into the timing model.
+The mesh is partitioned over ``config.nodes`` localities along the Morton
+curve before the first step, mirroring Octo-Tiger's distribution.  With
+``checkpoint_every > 0``, :meth:`OctoTigerSim.run` checkpoints periodically
+and rolls back and replays when the real step raises an
+:class:`~repro.resilience.faults.UnrecoverableFault` (a worker process died
+or stopped replying); replay is bit-exact.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import shutil
+import tempfile
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.race import RaceDetector
-from repro.analysis.spacesan import sanitizer_mode
 from repro.core.diagnostics import Diagnostics, diagnostics
 from repro.core.plancache import PlanCache
-from repro.distsim.model import DEFAULT_CONSTANTS, ModelConstants
 from repro.distsim.runconfig import RunConfig
 from repro.distsim.taskgraph import TaskGraphResult, TaskGraphSimulator
 from repro.gravity.fmm import FmmSolver
@@ -38,15 +39,13 @@ from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
 from repro.octree.partition import sfc_partition
 from repro.profiling.apex import CounterRegistry
-from repro.resilience.faults import FaultSpec
-from repro.resilience.protocol import RetryPolicy, UnrecoverableFault
-from repro.resilience.watchdog import DeadlockError
+from repro.resilience.faults import UnrecoverableFault
 from repro.scenarios.spec import ScenarioSpec, measured_spec, workload_from_mesh
 
 
 @dataclass
 class StepRecord:
-    """Outcome of one step: physics + modelled performance."""
+    """Outcome of one step: physics + modelled performance under ``config``."""
 
     step: int
     time: float
@@ -64,14 +63,12 @@ class OctoTigerSim:
     ----------
     mesh:
         An initialised AMR mesh (typically from a scenario builder).
-    machine / nodes:
-        The machine model and node count for the virtual timing.  The
-        physics is identical regardless — that is the portability property
-        the paper demonstrates.  Read only when ``config`` is not given.
     config:
-        Optimization knobs (SIMD, communication optimization, multipole
-        task splitting...); defaults mirror the paper's tuned Fugaku setup.
-        A given ``config`` is the source of the machine and node count too.
+        The machine model, node count and optimization knobs (SIMD,
+        communication optimization, multipole task splitting...) the
+        modelled timing is priced under; the default is one Fugaku node.
+        The physics is identical regardless — that is the portability
+        property the paper demonstrates.
     """
 
     def __init__(
@@ -82,14 +79,8 @@ class OctoTigerSim:
         cfl: float = 0.4,
         gravity: bool = True,
         gravity_order: int = 3,
-        machine: MachineModel = FUGAKU,
-        nodes: int = 1,
         config: Optional[RunConfig] = None,
-        constants: ModelConstants = DEFAULT_CONSTANTS,
         empty_mass_threshold: float = 1e-12,
-        sanitize: bool = False,
-        faults: Optional[FaultSpec] = None,
-        recovery: Any = True,
         checkpoint_every: int = 0,
         checkpoint_dir: Any = None,  # str | Path | None
         max_rollbacks: int = 8,
@@ -119,37 +110,19 @@ class OctoTigerSim:
         self.detect_races = detect_races
         self.mesh = mesh
         self.eos = eos or IdealGasEOS()
-        self.config = config or RunConfig(machine=machine, nodes=nodes)
-        self.machine = self.config.machine
-        self.constants = constants
+        self.config = config or RunConfig(machine=FUGAKU, nodes=1)
         self.counters = CounterRegistry()
-        #: Resilience: ``faults`` injects a seeded fault schedule into every
-        #: step's virtual network; ``recovery`` (default on) enables the
-        #: acknowledged-retransmit transport; ``checkpoint_every`` > 0 writes
-        #: periodic checkpoints so :meth:`run` can roll back and replay after
-        #: an unrecoverable fault (retries exhausted, node crash).
-        self.faults = faults
-        if recovery is True:
-            recovery = RetryPolicy()
-        self.recovery: Optional[RetryPolicy] = recovery or None
+        #: Resilience: ``checkpoint_every`` > 0 writes periodic checkpoints
+        #: so :meth:`run` can roll back and replay after an unrecoverable
+        #: fault of the real step (a worker process died or timed out).
+        #: Without ``checkpoint_dir`` the series lives in a temporary
+        #: directory the driver owns: pruned to the newest checkpoint after
+        #: every write and removed by :meth:`close`.
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
         self.max_rollbacks = max_rollbacks
         self._series = None
-        #: A crashed locality rejoins after the first rollback (restart heals
-        #: the node); one-shot like the paper's "1 out of 20 runs".
-        self._crash_recovered = False
-        #: Bumped per rollback so replayed steps draw fresh fault schedules —
-        #: the network environment after a restart is not the one that failed.
-        self._replay_epoch = 0
-        #: When True, each step runs under the analysis suite: the physics
-        #: under the memory-space sanitizer (collect mode), the task graph
-        #: through the static checker and with the dynamic race detector
-        #: observing the virtual pools.  Findings accumulate here and in the
-        #: ``sanitize.*`` counters instead of raising, so a long run reports
-        #: everything at the end.
-        self.sanitize = sanitize
-        self.sanitizer_findings: List[Any] = []
+        self._remove_owned_dir: Optional[weakref.finalize] = None
 
         #: Persistent content-addressed plan store (fingerprint-keyed; see
         #: :mod:`repro.core.plancache` and ``docs/plan_lifecycle.md``).  A
@@ -171,8 +144,8 @@ class OctoTigerSim:
         self.integrator = self._make_integrator(mesh, cfl, omega)
         sfc_partition(mesh, self.config.nodes)
         self._spec: Optional[ScenarioSpec] = None
-        #: The last fault-free virtual timing and the inputs it is a pure
-        #: function of (see :meth:`_virtual_timing`).
+        #: The last virtual timing and the inputs it is a pure function of
+        #: (see :meth:`_virtual_timing`).
         self._timing: Tuple[Optional[tuple], Optional[TaskGraphResult]] = (None, None)
         self.records: List[StepRecord] = []
         self.last_phi: Optional[Dict[NodeKey, np.ndarray]] = None
@@ -202,9 +175,12 @@ class OctoTigerSim:
         return integrator
 
     def close(self) -> None:
-        """Shut down the process backend's worker pool and shm arenas (no-op
-        on the DES backend)."""
+        """Shut down the process backend's worker pool and shm arenas, and
+        remove the checkpoint directory if the driver created it."""
         self.integrator.close()
+        if self._remove_owned_dir is not None:
+            self._remove_owned_dir()
+            self._series = None
 
     # -- configuration --------------------------------------------------------
     @classmethod
@@ -244,8 +220,6 @@ class OctoTigerSim:
             cfl=config["hydro.cfl"],
             gravity=config["gravity.enabled"],
             gravity_order=config["gravity.order"],
-            machine=machine,
-            nodes=nodes,
             config=run_config,
             backend=backend,
             nprocs=nprocs,
@@ -346,13 +320,8 @@ class OctoTigerSim:
 
     # -- stepping ------------------------------------------------------------
     def step(self, dt: Optional[float] = None) -> StepRecord:
-        space_guard = sanitizer_mode(collect=True) if self.sanitize else nullcontext([])
-        with space_guard as space_findings:
-            with self.counters.timer("wall.step"):
-                dt_used = self.integrator.step(dt)
-        if space_findings:
-            self.sanitizer_findings.extend(space_findings)
-            self.counters.increment("sanitize.space_findings", len(space_findings))
+        with self.counters.timer("wall.step"):
+            dt_used = self.integrator.step(dt)
         if self.gravity_solver is not None and self.gravity_solver.last_stats:
             stats = self.gravity_solver.last_stats
             self.counters.sample("fmm.m2l_pairs", stats.m2l_pairs)
@@ -367,7 +336,7 @@ class OctoTigerSim:
             virtual_seconds=timing.makespan_s,
             cells_per_second=timing.cells_per_second,
             utilization=timing.utilization,
-            node_power_w=self.machine.power.node_power(
+            node_power_w=self.config.machine.power.node_power(
                 min(timing.utilization, 1.0), self.config.frequency_ghz
             ),
         )
@@ -376,12 +345,13 @@ class OctoTigerSim:
         return record
 
     def run(self, n_steps: int, dt: Optional[float] = None) -> List[StepRecord]:
-        """Advance ``n_steps``; with faults + checkpointing enabled this is
-        the resilient loop: periodic checkpoints, and on an unrecoverable
-        fault (retransmission gave up / node crash) roll back to the last
-        checkpoint and replay.  Replay is bit-deterministic, so the final
-        state matches an uninterrupted run exactly."""
-        if self.faults is None and not self.checkpoint_every:
+        """Advance ``n_steps``; with ``checkpoint_every > 0`` this is the
+        resilient loop: periodic checkpoints, and when the step raises an
+        :class:`UnrecoverableFault` (a worker process died or timed out)
+        roll back to the newest checkpoint and replay.  Replay is
+        bit-deterministic, so the final state matches an uninterrupted run
+        exactly."""
+        if self.checkpoint_every <= 0:
             return [self.step(dt) for _ in range(n_steps)]
         return self._run_resilient(n_steps, dt)
 
@@ -394,11 +364,7 @@ class OctoTigerSim:
         while self.integrator.steps_taken < target:
             try:
                 record = self.step(dt)
-            except (UnrecoverableFault, DeadlockError) as exc:
-                if isinstance(exc, DeadlockError):
-                    self.counters.increment("resilience.watchdog_trips")
-                if self.recovery is None or self.checkpoint_every <= 0:
-                    raise
+            except UnrecoverableFault as exc:
                 rollbacks += 1
                 if rollbacks > self.max_rollbacks:
                     raise UnrecoverableFault(
@@ -410,10 +376,7 @@ class OctoTigerSim:
                 records = [r for r in records if r.step <= self.integrator.steps_taken]
                 continue
             records.append(record)
-            if (
-                self.checkpoint_every > 0
-                and self.integrator.steps_taken % self.checkpoint_every == 0
-            ):
+            if self.integrator.steps_taken % self.checkpoint_every == 0:
                 self._write_checkpoint(series)
         return records
 
@@ -424,9 +387,10 @@ class OctoTigerSim:
 
             directory = self.checkpoint_dir
             if directory is None:
-                import tempfile
-
                 directory = tempfile.mkdtemp(prefix="repro-ckpt-")
+                self._remove_owned_dir = weakref.finalize(
+                    self, shutil.rmtree, directory, ignore_errors=True
+                )
             self._series = CheckpointSeries(directory, prefix="driver")
         return self._series
 
@@ -437,6 +401,8 @@ class OctoTigerSim:
             time=self.integrator.time,
             extra={"omega": self.integrator.omega},
         )
+        if self.checkpoint_dir is None:
+            series.prune(1)  # a rollback only ever reads the newest
         self.counters.increment("resilience.checkpoints")
 
     def _rollback(self, series) -> None:  # noqa: ANN001
@@ -457,70 +423,14 @@ class OctoTigerSim:
         sfc_partition(mesh, self.config.nodes)
         self._spec = None
         self.records = [r for r in self.records if r.step <= restored.steps_taken]
-        # The crashed node came back with the restart: heal the crash fault
-        # so the replay is not wedged by the same injection, and reseed the
-        # fault streams (the post-restart network is a fresh environment).
-        self._crash_recovered = True
-        self._replay_epoch += 1
-
-    def _effective_faults(self) -> Optional[FaultSpec]:
-        if self.faults is None:
-            return None
-        if self._crash_recovered and self.faults.crash_locality >= 0:
-            return self.faults.without_crash()
-        return self.faults
 
     def _virtual_timing(self) -> TaskGraphResult:
-        """The step's modelled timing.  Without faults or the sanitizer it
-        is a pure function of ``(spec, config, constants)``, so the last
-        result is reused while those compare equal; fault and sanitizer
-        runs draw per-step schedules and keep the per-step simulation."""
-        faults = self._effective_faults()
-        inputs = (self.spec, self.config, self.constants)
-        reusable = faults is None and not self.sanitize
-        if reusable and self._timing[0] == inputs:
-            return self._timing[1]
-        simulator = TaskGraphSimulator(
-            *inputs,
-            faults=faults,
-            recovery=self.recovery if faults is not None else None,
-            fault_stream=self.integrator.steps_taken
-            + 1_000_003 * self._replay_epoch,
-        )
-        try:
-            if not self.sanitize:
-                result = simulator.run_step()
-            else:
-                static = simulator.static_check()
-                detector = RaceDetector()
-                result = simulator.run_step(detector=detector)
-                self.sanitizer_findings.extend(static)
-                self.sanitizer_findings.extend(detector.findings)
-                self.counters.increment("sanitize.static_findings", len(static))
-                self.counters.increment("sanitize.race_findings", len(detector.findings))
-                self.counters.increment("sanitize.tasks_checked", detector.tasks_checked)
-        finally:
-            self._harvest_resilience_counters(simulator)
-        if reusable:
-            self._timing = (inputs, result)
-        return result
-
-    def _harvest_resilience_counters(self, simulator: TaskGraphSimulator) -> None:
-        if self.faults is None:
-            return
-        network = simulator.network
-        self.counters.increment("resilience.messages_dropped", network.messages_dropped)
-        self.counters.increment("resilience.messages_delayed", network.messages_delayed)
-        self.counters.increment(
-            "resilience.messages_duplicated", network.messages_duplicated
-        )
-        if simulator.transport is not None:
-            stats = simulator.transport.stats
-            self.counters.increment("resilience.retransmits", stats.retransmits)
-            self.counters.increment("resilience.acks", stats.acks_received)
-            self.counters.increment(
-                "resilience.duplicates_suppressed", stats.duplicates_suppressed
-            )
+        """The step's modelled timing: a pure function of ``(spec,
+        config)``, so the last result is reused while those compare equal."""
+        inputs = (self.spec, self.config)
+        if self._timing[0] != inputs:
+            self._timing = (inputs, TaskGraphSimulator(*inputs).run_step())
+        return self._timing[1]
 
     # -- diagnostics -----------------------------------------------------------
     def diagnostics(self) -> Diagnostics:

@@ -18,10 +18,15 @@ injects the faults; this package adds the *recovery* side:
   naming the stalled future chain (the paper's undebugable hang becomes a
   one-line diagnosis).
 
-The driver ties the three together with checkpoint-restart
-(:meth:`repro.core.driver.OctoTigerSim.run`): on an unrecoverable fault
-(retries exhausted, node crash) it rolls back to the last checkpoint and
-replays — the same loop a training stack runs around collective comms.
+The three act on the *modelled* network, where a dropped message means
+something: :class:`repro.distsim.taskgraph.TaskGraphSimulator` and
+:class:`repro.core.distributed.DistributedHydroDriver` take a ``faults=``
+schedule and a ``recovery=`` policy.  The real driver
+(:meth:`repro.core.driver.OctoTigerSim.run`) recovers from real faults
+instead: when a worker process dies or stops replying the step raises an
+:class:`UnrecoverableFault`, and the driver rolls back to its newest
+checkpoint and replays — the same loop a training stack runs around
+collective comms.
 """
 
 from repro.resilience.faults import (

@@ -16,7 +16,7 @@ here too: this module imports nothing from ``repro``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,12 +49,13 @@ class FaultDecision:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Declarative fault model, parseable from the CLI.
+    """Declarative fault model for the DES network.
 
     ``crash_locality`` models a node dying: once active, every message to
     or from that locality is dropped — retransmission cannot save it, so
     recovery requires checkpoint-restart.  ``crash_step`` limits the crash
-    to one injector stream (one driver timestep); ``-1`` means every step.
+    to one injector stream (one modelled timestep); ``-1`` means every
+    step.
     """
 
     drop_rate: float = 0.0
@@ -81,45 +82,8 @@ class FaultSpec:
             or self.duplicate_rate > 0.0
         )
 
-    def without_crash(self) -> "FaultSpec":
-        """The same schedule with the node crash healed (post-restart)."""
-        return replace(self, crash_locality=-1)
-
     def injector(self, stream: int = 0) -> "FaultInjector":
         return FaultInjector(self, stream=stream)
-
-    @classmethod
-    def parse(cls, text: str) -> "FaultSpec":
-        """Parse a CLI spec like ``"drop=0.01,seed=7,crash_loc=1,crash_step=2"``.
-
-        Keys: ``drop``, ``delay`` (rate), ``delay_s``, ``dup``, ``seed``,
-        ``crash_loc``, ``crash_step``.
-        """
-        keys = {
-            "drop": ("drop_rate", float),
-            "delay": ("delay_rate", float),
-            "delay_s": ("delay_s", float),
-            "dup": ("duplicate_rate", float),
-            "seed": ("seed", int),
-            "crash_loc": ("crash_locality", int),
-            "crash_step": ("crash_step", int),
-        }
-        kwargs = {}
-        for item in text.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise ValueError(f"fault spec item {item!r} is not key=value")
-            key, value = item.split("=", 1)
-            key = key.strip()
-            if key not in keys:
-                raise ValueError(
-                    f"unknown fault key {key!r}; expected one of {sorted(keys)}"
-                )
-            field_name, cast = keys[key]
-            kwargs[field_name] = cast(value)
-        return cls(**kwargs)
 
 
 class FaultInjector:

@@ -348,18 +348,26 @@ class TestKnownGoodSchedules:
         assert detector.tasks_checked == result.tasks  # every pool task declared
 
     def test_blast_driver_step_sanitized_zero_findings(self):
-        """One full driver step of the blast scenario under the whole
-        analysis suite: physics + space sanitizer + static & dynamic race
-        checks, zero false positives."""
+        """The task graph a driver step of the blast scenario is priced
+        with, built from the live workload: static and dynamic race checks,
+        zero false positives."""
         from repro.core import OctoTigerSim
+        from repro.distsim import RunConfig, TaskGraphSimulator
+        from repro.machines import FUGAKU
         from repro.scenarios import sedov_blast
 
         scenario = sedov_blast(levels=2)
-        sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, nodes=2, sanitize=True)
-        record = sim.step()
-        assert record.dt > 0
-        assert sim.sanitizer_findings == []
-        assert sim.counters.total("sanitize.tasks_checked") > 0
+        sim = OctoTigerSim(
+            scenario.mesh, eos=scenario.eos,
+            config=RunConfig(machine=FUGAKU, nodes=2),
+        )
+        assert sim.step().dt > 0
+        graph = TaskGraphSimulator(sim.spec, sim.config)
+        assert graph.static_check() == []
+        detector = RaceDetector()
+        result = graph.run_step(detector=detector)
+        assert detector.findings == []
+        assert detector.tasks_checked == result.tasks > 0
 
     def test_fmm_plan_path_sanitized_and_exact(self):
         """The cached-traversal-plan FMM path (cold build + warm reuse)

@@ -112,20 +112,23 @@ class TestRestartEquivalence:
 
     def test_mid_run_restart_is_bit_exact(self, tmp_path):
         from repro.core import OctoTigerSim
+        from repro.distsim.runconfig import RunConfig
+        from repro.machines import FUGAKU
         from tests.test_distributed_driver import build_mesh, clone
 
         mesh_ref, eos = build_mesh()
         mesh_chk = clone(mesh_ref)
+        two = RunConfig(machine=FUGAKU, nodes=2)
 
-        reference = OctoTigerSim(mesh_ref, eos=eos, gravity=False, nodes=2)
+        reference = OctoTigerSim(mesh_ref, eos=eos, gravity=False, config=two)
         reference.run(2)
 
-        first = OctoTigerSim(mesh_chk, eos=eos, gravity=False, nodes=2)
+        first = OctoTigerSim(mesh_chk, eos=eos, gravity=False, config=two)
         first.run(1)
         path = first.save_checkpoint(tmp_path / "mid")
 
         resumed = OctoTigerSim.from_checkpoint(
-            path, eos=eos, gravity=False, nodes=2
+            path, eos=eos, gravity=False, config=two
         )
         assert resumed.integrator.steps_taken == 1
         assert resumed.integrator.time == first.integrator.time

@@ -80,17 +80,19 @@ class TestRunOptions:
         err = capsys.readouterr().err
         assert "usage: repro" in err and "argument --nprocs" in err
 
-    @pytest.mark.parametrize("spec, complaint", [
-        ("bogus=1", "unknown fault key 'bogus'"),
-        ("drop", "is not key=value"),
-        ("drop=often", "could not convert string to float"),
-    ])
-    def test_malformed_faults_spec_is_a_usage_error(self, capsys, spec, complaint):
+    @pytest.mark.parametrize(
+        "option", ["faults x", "sanitize", "no-recovery"],
+        ids=["faults", "sanitize", "no-recovery"],
+    )
+    def test_model_fault_flags_are_gone(self, capsys, option):
+        """Modelled network faults and the task-graph sanitizer are not
+        options of the real run: each former flag (``--<option>``) is an
+        argparse error, not a scenario build."""
+        flag = f"--{option}"
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--faults", spec])
+            main(["run", "--level", "1", "--steps", "1", *flag.split()])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --faults" in err and complaint in err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -11,6 +11,7 @@ from repro.core.diagnostics import (
     total_angular_momentum_z,
     total_energy,
 )
+from repro.distsim.runconfig import RunConfig
 from repro.ioutil import CheckpointError, load_checkpoint, save_checkpoint
 from repro.machines import FUGAKU, OOKAMI
 from repro.octree import AmrMesh, Field
@@ -265,7 +266,7 @@ class TestDriver:
     def test_step_conserves_and_times(self, scenario):
         sim = OctoTigerSim(
             scenario.mesh, eos=scenario.eos, omega=scenario.omega,
-            machine=FUGAKU, nodes=4,
+            config=RunConfig(machine=FUGAKU, nodes=4),
         )
         mass0 = scenario.mesh.total_mass()
         record = sim.step()
@@ -276,14 +277,18 @@ class TestDriver:
         assert 35 <= record.node_power_w <= 120
 
     def test_counters_populated(self, scenario):
-        sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, machine=OOKAMI, nodes=2)
+        sim = OctoTigerSim(
+            scenario.mesh, eos=scenario.eos, config=RunConfig(machine=OOKAMI, nodes=2)
+        )
         sim.step()
         assert sim.counters.count("wall.step") == 1
         assert sim.counters.count("fmm.p2p_pairs") == 1
         assert sim.counters.total("virtual.step_seconds") > 0
 
     def test_partition_applied(self, scenario):
-        sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, nodes=4)
+        OctoTigerSim(
+            scenario.mesh, eos=scenario.eos, config=RunConfig(machine=FUGAKU, nodes=4)
+        )
         localities = {leaf.locality for leaf in scenario.mesh.leaves()}
         assert localities == {0, 1, 2, 3}
 
@@ -299,7 +304,8 @@ class TestDriver:
             scenario = sedov_blast(levels=1)
             scenario.mesh.refine(sorted(scenario.mesh.leaf_keys())[0])
             sim = OctoTigerSim(
-                scenario.mesh, eos=scenario.eos, gravity=False, nodes=nodes
+                scenario.mesh, eos=scenario.eos, gravity=False,
+                config=RunConfig(machine=FUGAKU, nodes=nodes),
             )
             sim.step()
             sim.step()
@@ -313,26 +319,24 @@ class TestDriver:
             ), key
 
     def test_config_is_the_source_of_machine_and_nodes(self):
-        """A given ``config`` prices the step *and* the power draw; the
-        ``machine``/``nodes`` arguments only build the default config."""
-        from repro.distsim.runconfig import RunConfig
+        """``config`` is the one place the machine and node count come
+        from: it prices the step's power draw, and the default is one
+        Fugaku node."""
         from repro.scenarios.blast import sedov_blast
 
-        def power(**kwargs):
+        def power(config=None):
             scenario = sedov_blast(levels=1)
             sim = OctoTigerSim(
-                scenario.mesh, eos=scenario.eos, gravity=False, **kwargs
+                scenario.mesh, eos=scenario.eos, gravity=False, config=config
             )
-            assert sim.machine is sim.config.machine
             return sim.step().node_power_w
 
-        fugaku = RunConfig(machine=FUGAKU, nodes=1)
-        mixed = power(machine=OOKAMI, nodes=4, config=fugaku)
-        assert mixed == power(config=fugaku)
-        assert mixed != power(machine=OOKAMI, nodes=1)
+        fugaku = power(RunConfig(machine=FUGAKU, nodes=1))
+        assert fugaku == power()
+        assert power(RunConfig(machine=OOKAMI, nodes=4)) != fugaku
 
     def test_gravity_free_driver(self, scenario):
-        sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, gravity=False, nodes=1)
+        sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, gravity=False)
         record = sim.step(dt=1e-4)
         assert record.dt == 1e-4
         assert sim.gravity_solver is None
@@ -354,8 +358,8 @@ def _count_run_step(monkeypatch):
 
 
 class TestVirtualTimingReuse:
-    """Without faults or the sanitizer the modelled timing is a pure
-    function of ``(spec, config, constants)``: priced once per workload."""
+    """The modelled timing is a pure function of ``(spec, config)``:
+    priced once per workload."""
 
     def test_priced_once_per_workload(self, monkeypatch):
         from repro.octree.regrid import DensityCriterion
@@ -363,7 +367,10 @@ class TestVirtualTimingReuse:
 
         calls = _count_run_step(monkeypatch)
         scenario = sedov_blast(levels=1)
-        sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, gravity=False, nodes=2)
+        sim = OctoTigerSim(
+            scenario.mesh, eos=scenario.eos, gravity=False,
+            config=RunConfig(machine=FUGAKU, nodes=2),
+        )
         records = [sim.step() for _ in range(3)]
         assert len(calls) == 1
         assert len({r.virtual_seconds for r in records}) == 1
@@ -376,24 +383,6 @@ class TestVirtualTimingReuse:
         sim.step()
         assert len(calls) == 2
         assert after.virtual_seconds != records[0].virtual_seconds
-
-    @pytest.mark.parametrize("per_step", ["faults", "sanitize"])
-    def test_fault_and_sanitizer_runs_price_every_step(self, monkeypatch, per_step):
-        from repro.resilience.faults import FaultSpec
-        from repro.scenarios.blast import sedov_blast
-
-        calls = _count_run_step(monkeypatch)
-        scenario = sedov_blast(levels=1)
-        options = {
-            "faults": dict(faults=FaultSpec(delay_rate=0.1, delay_s=1e-6, seed=3)),
-            "sanitize": dict(sanitize=True),
-        }[per_step]
-        sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, gravity=False, nodes=2, **options
-        )
-        for _ in range(3):
-            sim.step()
-        assert len(calls) == 3
 
 
 class TestDriverSpecFromPlans:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import OctoTigerSim
 from repro.core.diagnostics import diagnostics
+from repro.distsim.runconfig import RunConfig
 from repro.machines import FUGAKU
 from repro.octree import Field
 
@@ -26,8 +27,7 @@ class TestRotatingStarEvolution:
             scenario.mesh,
             eos=scenario.eos,
             omega=scenario.omega,
-            machine=FUGAKU,
-            nodes=4,
+            config=RunConfig(machine=FUGAKU, nodes=4),
         )
         before = diagnostics(scenario.mesh)
         records = sim.run(3)
@@ -74,8 +74,7 @@ class TestDwdEvolution:
             scenario.mesh,
             eos=scenario.eos,
             omega=scenario.omega,
-            machine=FUGAKU,
-            nodes=2,
+            config=RunConfig(machine=FUGAKU, nodes=2),
         )
         before = diagnostics(scenario.mesh)
         sim.run(2)
@@ -96,7 +95,7 @@ class TestCheckpointRestartConsistency:
 
         scenario = rotating_star(level=2, scf_grid=32)
         sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, omega=scenario.omega, nodes=1
+            scenario.mesh, eos=scenario.eos, omega=scenario.omega
         )
         sim.step(dt=1e-3)
         path = save_checkpoint(scenario.mesh, tmp_path / "mid", time=sim.integrator.time)
@@ -110,7 +109,7 @@ class TestCheckpointRestartConsistency:
 
         # Branch B: restart from the checkpoint and take the same step.
         restored, meta = load_checkpoint(path)
-        sim2 = OctoTigerSim(restored, eos=scenario.eos, omega=scenario.omega, nodes=1)
+        sim2 = OctoTigerSim(restored, eos=scenario.eos, omega=scenario.omega)
         sim2.integrator.time = meta["time"]
         sim2.step(dt=1e-3)
         for key, rho in direct.items():

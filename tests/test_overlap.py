@@ -1,7 +1,7 @@
 """The fused ("overlap") schedule of the process backend.
 
 * overlap is **bit-identical** to the BSP barrier schedule, with reflux,
-  with gravity + rotation, across regrids, and under seeded faults +
+  with gravity + rotation, across regrids, and across a worker crash +
   checkpoint recovery (the DES backend as oracle throughout, via
   ``crosscheck_hydro``); a fused step is ``begin`` + one round per stage +
   ``finish``;
@@ -149,25 +149,27 @@ class TestOverlapBitIdentity:
 
 class TestOverlapUnderFaults:
     def test_crash_rollback_replay_matches_bsp(self):
-        """Seeded crash + checkpoint recovery: the overlap run rolls back
-        and replays to the same bits as the barrier run."""
+        """A worker dies between steps; checkpoint recovery rolls the
+        overlap run back and replays it to the same bits as the barrier
+        run."""
         from repro.core.driver import OctoTigerSim
-        from repro.resilience.faults import FaultSpec
         from repro.scenarios.blast import sedov_blast
 
         def run(overlap):
             scenario = sedov_blast(levels=1)
             sim = OctoTigerSim(
-                scenario.mesh, eos=scenario.eos, nodes=2,
+                scenario.mesh, eos=scenario.eos, gravity=False,
                 backend="process", nprocs=2, overlap=overlap,
-                faults=FaultSpec(crash_locality=1, crash_step=1, seed=0),
                 checkpoint_every=1,
             )
             try:
-                sim.run(2)
+                sim.run(1)
+                sim.integrator.executor().engine.crash(1)
+                sim.run(1)
             finally:
                 sim.close()
-            assert sim.counters.total("resilience.rollbacks") >= 1
+            assert sim.counters.total("resilience.rollbacks") == 1
+            assert live_segments() == ()
             return conserved_sums(sim.mesh), sim.mesh
 
         sums_bsp, mesh_bsp = run(overlap=False)

@@ -82,12 +82,15 @@ class TestBinaryOrbitStability:
         the inferred orbital frequency (from the tracer COMs) drifts little
         over several steps."""
         from repro.core import OctoTigerSim
+        from repro.distsim.runconfig import RunConfig
+        from repro.machines import FUGAKU
         from repro.octree import Field
         from repro.scenarios import dwd_scenario
 
         scenario = dwd_scenario(level=2, scf_grid=32)
         sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, omega=scenario.omega, nodes=2
+            scenario.mesh, eos=scenario.eos, omega=scenario.omega,
+            config=RunConfig(machine=FUGAKU, nodes=2),
         )
 
         def star_separation():

@@ -99,10 +99,15 @@ class TestDriverIntegration:
     @pytest.mark.slow
     def test_driver_regrid_invalidates_workload(self):
         from repro.core import OctoTigerSim
+        from repro.distsim.runconfig import RunConfig
+        from repro.machines import FUGAKU
         from repro.scenarios import rotating_star
 
         scenario = rotating_star(level=2, scf_grid=32)
-        sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, gravity=False, nodes=2)
+        sim = OctoTigerSim(
+            scenario.mesh, eos=scenario.eos, gravity=False,
+            config=RunConfig(machine=FUGAKU, nodes=2),
+        )
         before = sim.spec.n_subgrids
         result = sim.regrid(DensityCriterion(refine_above=1e-4), max_level=3)
         if result.changed:

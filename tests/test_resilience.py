@@ -1,24 +1,33 @@
-"""Seeded chaos tests: the resilience layer under injected network faults.
+"""Chaos tests: the resilience layer under injected and real faults.
 
-The matrix crosses fault kinds (drop / delay / duplicate / node crash,
-plus a mixed schedule) with recovery on and off.  The property under test
-is always the same, and it is the one the paper could not get on Fugaku:
+Two worlds, each with the faults that mean something in it:
 
-* with recovery, every run **completes** and the physical state matches
-  the fault-free run to 1e-12 (in fact bit-exactly — the virtual clock
-  makes the protocol deterministic);
-* without recovery, lossy schedules raise a *typed* ``DeadlockError``
-  naming the stalled future chain (or ``UnrecoverableFault`` when
-  retransmission gives up on a crashed node) — never a silent hang.
+* the **modelled network** (``DistributedHydroDriver`` on the DES runtime):
+  the matrix crosses fault kinds (drop / delay / duplicate / node crash,
+  plus a mixed schedule) with recovery on and off.  With recovery every
+  run completes and the physical state matches the fault-free run
+  bit-exactly (the virtual clock makes the protocol deterministic);
+  without it, lossy schedules raise a *typed* ``DeadlockError`` naming the
+  stalled future chain (or ``UnrecoverableFault`` when retransmission
+  gives up on a crashed node) — never a silent hang;
+* the **real driver** (``OctoTigerSim`` on forked worker processes): a
+  worker that dies between steps — told to crash, or SIGKILLed — surfaces
+  as ``WorkerCrashError``, and checkpoint rollback replays to the
+  uninterrupted run's sha256 with no shm segment left behind; two runs
+  sharing one plan-cache directory agree and corrupt nothing.
 
 Every test carries a wall-clock timeout (pytest-timeout when installed,
 the SIGALRM shim in ``conftest.py`` otherwise): a hang is a failure, not
 a stuck CI job.
 """
 
+import hashlib
+import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +35,9 @@ import pytest
 
 from repro.amt.engine import Engine
 from repro.amt.network import Message, NetworkModel
+from repro.amt.parallel import WorkerCrashError
+from repro.amt.shm import live_segments
 from repro.core import OctoTigerSim
-from repro.core.diagnostics import conserved_totals
 from repro.core.distributed import DistributedHydroDriver
 from repro.distsim.runconfig import RunConfig
 from repro.machines import FUGAKU
@@ -59,20 +69,6 @@ def assert_fields_match(mesh_a, mesh_b, atol=1e-12):
 # Fault schedules
 # ---------------------------------------------------------------------------
 class TestFaultSpec:
-    def test_parse_round_trip(self):
-        spec = FaultSpec.parse("drop=0.01, delay=0.2, delay_s=1e-4, dup=0.05, "
-                               "seed=7, crash_loc=1, crash_step=2")
-        assert spec == FaultSpec(
-            drop_rate=0.01, delay_rate=0.2, delay_s=1e-4, duplicate_rate=0.05,
-            seed=7, crash_locality=1, crash_step=2,
-        )
-
-    def test_parse_rejects_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown fault key"):
-            FaultSpec.parse("lose=0.5")
-        with pytest.raises(ValueError, match="not key=value"):
-            FaultSpec.parse("drop")
-
     def test_rates_validated(self):
         with pytest.raises(ValueError):
             FaultSpec(drop_rate=1.5)
@@ -102,12 +98,6 @@ class TestFaultSpec:
         later = spec.injector(stream=1)
         assert not later.crash_active
         assert not later.decide(0, 1, 2).drop
-
-    def test_without_crash_heals_only_the_crash(self):
-        spec = FaultSpec(drop_rate=0.1, crash_locality=2)
-        healed = spec.without_crash()
-        assert healed.crash_locality == -1
-        assert healed.drop_rate == 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -311,119 +301,183 @@ class TestChaosDistributed:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: the full driver on the blast scenario
+# Acceptance: the full driver against real worker crashes
 # ---------------------------------------------------------------------------
+def _process_blast(**options):
+    """The level-1 blast on two forked workers (no gravity)."""
+    scenario = sedov_blast(levels=1)
+    return OctoTigerSim(
+        scenario.mesh, eos=scenario.eos, gravity=False,
+        backend="process", nprocs=2, **options,
+    )
+
+
+def _state_sha256(mesh):
+    digest = hashlib.sha256()
+    for key in sorted(mesh.leaf_keys()):
+        digest.update(repr(key).encode())
+        interior = mesh.nodes[key].subgrid.interior_view()
+        digest.update(np.ascontiguousarray(interior).tobytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
-def blast_reference():
-    """Fault-free blast run: final conserved totals (module-scoped)."""
-    scenario = sedov_blast(levels=2)
-    sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, nodes=2)
-    sim.run(2)
-    return conserved_totals(sim.mesh)
+def uninterrupted_sha():
+    """sha256 of the blast after three uninterrupted steps."""
+    sim = _process_blast()
+    try:
+        sim.run(3)
+    finally:
+        sim.close()
+    return _state_sha256(sim.mesh)
 
 
-def _assert_conserved_match(totals, reference, rtol=1e-12):
-    for name, value in reference.items():
-        assert abs(totals[name] - value) <= rtol * max(1.0, abs(value)), (
-            f"{name}: {totals[name]!r} != {value!r}"
-        )
+def _crash(sim):
+    sim.integrator.executor().engine.crash(1)
+
+
+def _sigkill(sim):
+    victim = sim.integrator.executor().engine.localities[1].process
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=10)
+    assert not victim.is_alive()
 
 
 class TestDriverAcceptance:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_seeded_drop_with_recovery_matches_fault_free(
-        self, seed, blast_reference
+    def _crash_after_one_step(self, kill=_crash, **options):
+        """Step once, kill worker 1 between steps, then step twice more:
+        the second run's first step meets the dead worker and rolls back."""
+        sim = _process_blast(checkpoint_every=1, **options)
+        try:
+            sim.run(1)
+            kill(sim)
+            records = sim.run(2)
+        finally:
+            sim.close()
+        assert [r.step for r in records] == [2, 3]
+        assert sim.counters.total("resilience.rollbacks") == 1
+        assert live_segments() == ()
+        return sim
+
+    def test_crash_rolls_back_and_replays_bit_exactly(self, uninterrupted_sha):
+        sim = self._crash_after_one_step()
+        assert _state_sha256(sim.mesh) == uninterrupted_sha
+
+    @pytest.mark.parametrize("overlap", [True, False], ids=["overlap", "bsp"])
+    def test_sigkill_between_steps_recovers_bit_exactly(
+        self, uninterrupted_sha, overlap
     ):
-        scenario = sedov_blast(levels=2)
-        sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, nodes=2,
-            faults=FaultSpec(drop_rate=0.1, seed=seed),
-        )
-        records = sim.run(2)
-        assert len(records) == 2
-        assert sim.counters.total("resilience.messages_dropped") > 0
-        assert sim.counters.total("resilience.retransmits") > 0
-        _assert_conserved_match(conserved_totals(sim.mesh), blast_reference)
+        """The worker dies with no goodbye (no reply, no pipe close from
+        its side) and the next step — one fused round per RK stage under
+        ``overlap`` — meets a dead peer."""
+        sim = self._crash_after_one_step(kill=_sigkill, overlap=overlap)
+        assert _state_sha256(sim.mesh) == uninterrupted_sha
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_same_seeds_without_recovery_deadlock(self, seed):
-        scenario = sedov_blast(levels=2)
-        sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, nodes=2,
-            faults=FaultSpec(drop_rate=0.1, seed=seed),
-            recovery=False,
-        )
-        with pytest.raises(DeadlockError) as exc:
-            sim.run(2)
-        assert exc.value.chain
-        assert "stalled chain" in str(exc.value)
-        assert sim.counters.total("resilience.watchdog_trips") == 1
-
-    def test_crash_rolls_back_and_replays_bit_exactly(self, blast_reference):
-        scenario = sedov_blast(levels=2)
-        sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, nodes=2,
-            faults=FaultSpec(crash_locality=1, crash_step=1, seed=0),
-            checkpoint_every=1,
-        )
-        records = sim.run(2)
-        assert len(records) == 2
-        assert sim.counters.total("resilience.rollbacks") >= 1
-        assert sim.counters.total("resilience.checkpoints") >= 2
-        _assert_conserved_match(conserved_totals(sim.mesh), blast_reference)
-
-    def test_rollback_keeps_the_plan_cache(self, tmp_path):
+    def test_rollback_keeps_the_plan_cache(self, tmp_path, uninterrupted_sha):
         """The post-rollback integrator comes from the same construction
         helper as the first one: it still uses the persistent plan cache,
         so the replayed topology (stored by the first build) is a cache
         hit, never a second cold build."""
-        scenario = sedov_blast(levels=1)
-        sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, nodes=2, plan_cache=tmp_path,
-            faults=FaultSpec(crash_locality=1, crash_step=1, seed=0),
-            checkpoint_every=1,
-        )
-        sim.run(2)
-        assert sim.counters.total("resilience.rollbacks") >= 1
+        sim = self._crash_after_one_step(plan_cache=tmp_path)
         assert sim.integrator.plans.cache is sim.plan_cache
         assert sim.counters.total("plan.hydro.cold_builds") == 1
         assert sim.counters.total("plan.hydro.cache_hit_builds") >= 1
+        assert _state_sha256(sim.mesh) == uninterrupted_sha
 
     def test_crash_without_checkpoints_raises(self):
-        # Recovery is on but there is nothing to roll back to: the typed
-        # fault from the transport must reach the caller.
-        scenario = sedov_blast(levels=2)
-        sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, nodes=2,
-            faults=FaultSpec(crash_locality=1, crash_step=1, seed=0),
-            recovery=RetryPolicy(timeout_s=1e-4, max_retries=2),
-        )
-        with pytest.raises(UnrecoverableFault):
+        """Nothing to roll back to: the typed fault reaches the caller, and
+        the failed step has already torn the pool and its arenas down."""
+        sim = _process_blast()
+        try:
             sim.run(1)
+            _crash(sim)
+            with pytest.raises(WorkerCrashError):
+                sim.run(1)
+            assert live_segments() == ()
+        finally:
+            sim.close()
 
-    def test_duplicate_storm_is_suppressed_and_counted(self, blast_reference):
-        scenario = sedov_blast(levels=2)
-        sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, nodes=2,
-            faults=FaultSpec(duplicate_rate=0.5, seed=4),
-        )
-        sim.run(2)
-        assert sim.counters.total("resilience.messages_duplicated") > 0
-        assert sim.counters.total("resilience.duplicates_suppressed") > 0
-        _assert_conserved_match(conserved_totals(sim.mesh), blast_reference)
 
-    def test_clean_run_under_transport_is_overhead_only(self, blast_reference):
-        # An all-zero-rate schedule still routes every ghost message through
-        # the ack protocol: no retransmits, no drops, same physics.
-        scenario = sedov_blast(levels=2)
+class TestDriverCheckpointDirectory:
+    def test_owned_directory_is_pruned_and_removed(self, monkeypatch, tmp_path):
+        """Without ``checkpoint_dir`` the series lives in a directory the
+        driver created: it holds only the newest checkpoint and ``close``
+        removes it."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        scenario = sedov_blast(levels=1)
         sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, nodes=2, faults=FaultSpec()
+            scenario.mesh, eos=scenario.eos, gravity=False, checkpoint_every=1
         )
-        sim.run(2)
-        assert sim.counters.total("resilience.acks") > 0
-        assert sim.counters.total("resilience.retransmits") == 0
-        assert sim.counters.total("resilience.messages_dropped") == 0
-        _assert_conserved_match(conserved_totals(sim.mesh), blast_reference)
+        sim.run(3)
+        [owned] = tmp_path.glob("repro-ckpt-*")
+        assert [p.name for p in owned.iterdir()] == ["driver_000003.npz"]
+        sim.close()
+        assert list(tmp_path.glob("repro-ckpt-*")) == []
+
+    def test_given_directory_keeps_every_checkpoint(self, tmp_path):
+        scenario = sedov_blast(levels=1)
+        sim = OctoTigerSim(
+            scenario.mesh, eos=scenario.eos, gravity=False,
+            checkpoint_every=1, checkpoint_dir=tmp_path,
+        )
+        sim.run(3)
+        sim.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"driver_{step:06d}.npz" for step in range(4)
+        ]
+
+
+_SHARED_CACHE_RUN = """
+import hashlib, json, sys
+import numpy as np
+from repro.core import OctoTigerSim
+from repro.scenarios.blast import sedov_blast
+
+scenario = sedov_blast(levels=1)
+sim = OctoTigerSim(scenario.mesh, eos=scenario.eos, gravity=False,
+                   plan_cache=sys.argv[1])
+sim.run(2)
+digest = hashlib.sha256()
+for key in sorted(sim.mesh.leaf_keys()):
+    digest.update(repr(key).encode())
+    interior = sim.mesh.nodes[key].subgrid.interior_view()
+    digest.update(np.ascontiguousarray(interior).tobytes())
+print(json.dumps({"sha": digest.hexdigest(),
+                  "errors": sim.plan_cache.stats.errors}))
+"""
+
+
+def test_two_runs_share_one_plan_cache_directory(tmp_path):
+    """Two processes run the same blast at the same time on one plan-cache
+    directory: both finish with the same bits and no cache error, and a
+    third run over the same topology builds nothing cold."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _SHARED_CACHE_RUN, str(tmp_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(2)
+    ]
+    results = []
+    for run in runs:
+        out, err = run.communicate(timeout=120)
+        assert run.returncode == 0, err
+        results.append(json.loads(out))
+    assert results[0]["sha"] == results[1]["sha"]
+    assert [r["errors"] for r in results] == [0, 0]
+
+    scenario = sedov_blast(levels=1)
+    third = OctoTigerSim(
+        scenario.mesh, eos=scenario.eos, gravity=False, plan_cache=tmp_path
+    )
+    third.run(2)
+    cold = [n for n in third.counters.names() if n.endswith(".cold_builds")]
+    assert [third.counters.total(n) for n in cold] == [0] * len(cold)
+    assert third.counters.total("plan.hydro.cache_hit_builds") >= 1
+    assert third.plan_cache.stats.errors == 0
+    assert _state_sha256(third.mesh) == results[0]["sha"]
 
 
 @pytest.mark.parametrize(

@@ -71,16 +71,19 @@ class TestSeries:
 class TestDriverRestart:
     def test_save_and_resume(self, tmp_path):
         from repro.core import OctoTigerSim
+        from repro.distsim.runconfig import RunConfig
+        from repro.machines import FUGAKU
         from repro.scenarios import rotating_star
 
         scenario = rotating_star(level=2, scf_grid=32)
+        two = RunConfig(machine=FUGAKU, nodes=2)
         sim = OctoTigerSim(
-            scenario.mesh, eos=scenario.eos, omega=scenario.omega, nodes=2
+            scenario.mesh, eos=scenario.eos, omega=scenario.omega, config=two
         )
         sim.step(dt=1e-3)
         path = sim.save_checkpoint(tmp_path / "run")
 
-        resumed = OctoTigerSim.from_checkpoint(path, eos=scenario.eos, nodes=2)
+        resumed = OctoTigerSim.from_checkpoint(path, eos=scenario.eos, config=two)
         assert resumed.integrator.time == pytest.approx(1e-3)
         assert resumed.integrator.steps_taken == 1
         assert resumed.integrator.omega == pytest.approx(scenario.omega)
