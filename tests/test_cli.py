@@ -80,17 +80,30 @@ class TestRunOptions:
         err = capsys.readouterr().err
         assert "usage: repro" in err and "argument --nprocs" in err
 
-    @pytest.mark.parametrize(
-        "option", ["faults x", "sanitize", "no-recovery"],
-        ids=["faults", "sanitize", "no-recovery"],
-    )
+    @pytest.mark.parametrize("spec, complaint", [
+        ("bogus=1", "unknown fault key 'bogus'"),
+        ("drop", "is not key=value"),
+        ("drop=often", "could not convert string to float"),
+    ])
+    def test_malformed_faults_spec_is_a_usage_error(self, capsys, spec, complaint):
+        """``--faults`` is no longer an option of the real run, so any spec
+        is an argparse usage error and is never parsed: the complaint the
+        old spec parser gave does not appear."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--faults", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --faults {spec}" in err
+        assert complaint not in err
+
+    @pytest.mark.parametrize("option", ["sanitize", "no-recovery"])
     def test_model_fault_flags_are_gone(self, capsys, option):
-        """Modelled network faults and the task-graph sanitizer are not
-        options of the real run: each former flag (``--<option>``) is an
-        argparse error, not a scenario build."""
+        """The task-graph sanitizer and the modelled-network recovery switch
+        are not options of the real run: each former flag is an argparse
+        error, not a scenario build."""
         flag = f"--{option}"
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--level", "1", "--steps", "1", *flag.split()])
+            main(["run", "--level", "1", "--steps", "1", flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
