@@ -25,10 +25,10 @@ never change them.
 
 Timing methodology: minimum over several single-step trials,
 ``gc.collect()`` before each.  Each step is also decomposed into
-*in-kernel time* (the per-leaf hydro kernels) and *runtime/exchange
-overhead* (everything else: task-graph machinery, pack/unpack, transport
-timers) by timing the kernel through the driver's module global — the
-overhead column is the cost coalescing attacks.
+*in-kernel time* (the rank ops' stacked hydro kernels, read from the
+driver's ``registry`` ``hydro.*`` timers) and *runtime/exchange overhead*
+(everything else: task-graph machinery, pack/unpack, transport timers) —
+the overhead column is the cost coalescing attacks.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import repro.core.distributed as dist  # noqa: E402
 from repro.comms import neighbor_locality_pairs  # noqa: E402
 from repro.core.distributed import DistributedHydroDriver  # noqa: E402
 from repro.distsim import RunConfig  # noqa: E402
@@ -54,6 +53,7 @@ from repro.hydro import HydroIntegrator, IdealGasEOS  # noqa: E402
 from repro.hydro.integrator import _RK3_STAGES  # noqa: E402
 from repro.machines import FUGAKU  # noqa: E402
 from repro.octree import AmrMesh, Field  # noqa: E402
+from repro.octree.partition import sfc_partition  # noqa: E402
 from repro.scenarios.spec import ScenarioSpec  # noqa: E402
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -86,47 +86,25 @@ def build_mesh(levels: int, n: int = 8, seed: int = 0):
     return mesh, eos
 
 
-class _KernelTimer:
-    """Accumulates time spent inside the per-leaf hydro kernel.
-
-    The driver resolves the kernel through its module global, so rebinding
-    ``dist.dudt_subgrid`` times every kernel invocation without touching
-    the driver.  This decomposes a step into *kernel time* (identical
-    arithmetic whatever the exchange) and *runtime/exchange overhead*
-    (task graph, transport, pack/unpack) — the part coalescing actually
-    targets: fewer engine events and transport timers.
-    """
-
-    def __init__(self) -> None:
-        self.real = dist.dudt_subgrid
-        self.acc = 0.0
-
-    def __enter__(self) -> "_KernelTimer":
-        def timed(*args, **kwargs):
-            t0 = time.perf_counter()
-            out = self.real(*args, **kwargs)
-            self.acc += time.perf_counter() - t0
-            return out
-
-        dist.dudt_subgrid = timed
-        return self
-
-    def __exit__(self, *exc) -> None:
-        dist.dudt_subgrid = self.real
+#: The ``hydro.*`` timers the rank ops' kernels report (disjoint spans).
+KERNEL_TIMERS = (
+    "hydro.primitives", "hydro.reconstruct", "hydro.riemann",
+    "hydro.divergence", "hydro.update",
+)
 
 
 def _timed_steps(driver, trials: int):
     """Min total step time and min runtime overhead over ``trials`` steps."""
     best_total = best_overhead = float("inf")
-    with _KernelTimer() as kt:
-        for _ in range(trials):
-            gc.collect()
-            kt.acc = 0.0
-            t0 = time.perf_counter()
-            driver.step(DT)
-            total = time.perf_counter() - t0
-            best_total = min(best_total, total)
-            best_overhead = min(best_overhead, total - kt.acc)
+    for _ in range(trials):
+        gc.collect()
+        driver.registry.reset()
+        t0 = time.perf_counter()
+        driver.step(DT)
+        total = time.perf_counter() - t0
+        kernel = sum(driver.registry.total(name) for name in KERNEL_TIMERS)
+        best_total = min(best_total, total)
+        best_overhead = min(best_overhead, total - kernel)
     return best_total, best_overhead
 
 
@@ -137,7 +115,7 @@ def bench_driver(levels: int, trials: int):
     driver = DistributedHydroDriver(
         mesh, eos, config=RunConfig(machine=FUGAKU, nodes=NODES)
     )
-    serial = HydroIntegrator(mesh_serial, eos, reflux=False)
+    serial = HydroIntegrator(mesh_serial, eos)
 
     gc.collect()
     t0 = time.perf_counter()
@@ -154,6 +132,7 @@ def bench_driver(levels: int, trials: int):
         if not np.array_equal(a, b):
             drift = max(drift, float(np.abs(a - b).max()))
 
+    sfc_partition(mesh, NODES)  # the driver's map, onto leaf.locality
     pairs = neighbor_locality_pairs(mesh)
     return {
         "levels": levels,

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Distributed execution, for real: the same step as a task graph.
 
-Runs one hydro step twice — once through the serial reference integrator
-and once as a distributed task graph on the virtual AMT runtime (ghost
-messages, promise-guarded local reads, anti-dependencies) — and shows that
-the *field values are identical* while the distributed run reports genuine
-scheduling information: makespan, message counts, and the effect of the
-paper's communication optimization (SVII-B).
+Runs one hydro step twice — once through the serial integrator and once
+as a distributed task graph on the virtual AMT runtime (the same step
+program: ghost messages, promise-guarded local reads, anti-dependencies) —
+and shows that the *field values are identical* while the distributed run
+reports genuine scheduling information: makespan, message counts, and the
+effect of the paper's communication optimization (SVII-B).
 
     python examples/distributed_execution_demo.py
 """
@@ -56,7 +56,7 @@ def main() -> None:
     print(f"Mesh: {base.n_subgrids()} sub-grids, dt = {dt:g}\n")
 
     serial_mesh = clone(base)
-    HydroIntegrator(serial_mesh, eos, reflux=False).step(dt)
+    HydroIntegrator(serial_mesh, eos).step(dt)
 
     print("Distributed execution across locality counts:")
     for nodes in (1, 2, 4, 8):

@@ -90,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "crosscheck",
-        help="run the same steps on the DES and process backends and "
-             "assert bit-identical fields (the parallel-smoke CI gate)")
+        help="run the same steps on the serial, DES and process backends "
+             "and assert bit-identical fields (the parallel-smoke CI gate)")
     check.add_argument("--nprocs", type=_positive_int, default=2, metavar="N")
     check.add_argument("--steps", type=int, default=2)
     check.add_argument("--overlap", default=False,
@@ -100,8 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "schedule (one round per RK stage); the "
                             "bit-identity assertion then covers that path")
     check.add_argument("--plan-cache", default=None, metavar="DIR",
-                       help="route both backends' plan construction through "
-                            "one on-disk plan cache at DIR: whichever side "
+                       help="route the serial and process backends' plan "
+                            "construction through one on-disk plan cache "
+                            "at DIR: whichever side "
                             "builds a topology cold serves the other a "
                             "cache hit, so the bit-identity assertion also "
                             "covers the cache-hit plan path")
@@ -225,7 +226,8 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
         findings += r.race_findings
         print(f"{name}: {r.steps} steps x {r.leaves} leaves, "
               f"nprocs={r.nprocs}, serial {r.serial_s:.2f}s / "
-              f"process {r.process_s:.2f}s — bit-identical, "
+              f"DES {r.des_s:.2f}s / process {r.process_s:.2f}s — "
+              f"bit-identical, "
               f"{r.race_findings} race finding(s) over {r.race_events} "
               f"shm access events")
     return 1 if findings else 0

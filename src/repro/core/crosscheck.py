@@ -1,17 +1,17 @@
-"""Backend cross-check: the serial step vs the same step on real processes.
+"""Backend cross-check: one step program, three interpreters, the same bits.
 
-The process backend promises *bit-identical* physics: same kernels, same
-leaves, different cores.  This harness makes that promise executable — it
-clones a mesh, runs the same step sequence through both backends, and
-asserts ``np.array_equal`` on **every field of every leaf after every
-step** (not a tolerance: identical bits).  It backs the
-``parallel-smoke`` CI job, the backend-equivalence tests and the
-benchmark gate in ``benchmarks/bench_parallel.py``.
-
-The serial side runs the batched integrator — itself bit-identical to the
-per-leaf reference and to the DES driver's distributed schedule (the
-equivalence chain established by the hydro-plan and distributed-driver
-test suites) — so one comparison pins all the execution paths together.
+The serial integrator, the DES driver
+(:class:`repro.core.distributed.DistributedHydroDriver`) and the process
+backend each interpret the one step program
+(:func:`repro.hydro.integrator.rk3_ops`) over the same rank ops, so they
+promise *bit-identical* physics: same kernels, same leaves, different
+schedules.  This harness makes that promise executable — it clones a mesh
+twice, runs the same step sequence through all three, and asserts
+``np.array_equal`` on **every field of every leaf after every step** (not a
+tolerance: identical bits).  The DES and process legs share the SFC
+partition over ``nprocs`` ranks.  It backs the ``parallel-smoke`` CI job,
+the backend-equivalence tests and the benchmark gate in
+``benchmarks/bench_parallel.py``.
 """
 
 from __future__ import annotations
@@ -21,15 +21,18 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.core.distributed import DistributedHydroDriver
 from repro.core.plancache import PlanCache
+from repro.distsim.runconfig import RunConfig
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.integrator import GravityCallback, HydroIntegrator
+from repro.machines import FUGAKU
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
 
 
 class BackendMismatch(AssertionError):
-    """The two backends produced different bits."""
+    """Two backends produced different bits."""
 
     def __init__(self, step: int, key: NodeKey, max_abs_diff: float) -> None:
         self.step = step
@@ -37,7 +40,7 @@ class BackendMismatch(AssertionError):
         self.max_abs_diff = max_abs_diff
         super().__init__(
             f"backend mismatch at step {step}, leaf {key}: "
-            f"max |serial - process| = {max_abs_diff:.3e}"
+            f"max |serial - other| = {max_abs_diff:.3e}"
         )
 
 
@@ -48,9 +51,10 @@ class CrosscheckResult:
     nprocs: int
     dt: float
     #: Wall-clock seconds spent inside step() per backend (the cross-check
-    #: is not a benchmark, but the ratio is a useful smoke signal).
+    #: is not a benchmark, but the ratios are a useful smoke signal).
     serial_s: float
     process_s: float
+    des_s: float
     #: Checker evidence from the process side: shm race findings (the
     #: dynamic detector runs at every barrier during the cross-check and
     #: must stay at zero) and access events it replayed.
@@ -111,24 +115,25 @@ def crosscheck_hydro(
     omega: float = 0.0,
     gravity: Optional[Callable[[], GravityCallback]] = None,
     gravity_every_stage: bool = False,
-    reflux: bool = True,
     overlap: bool = False,
     dt: Optional[float] = None,
     mutate: Optional[Callable[[AmrMesh, int], None]] = None,
     detect_races: bool = True,
     plan_cache=None,  # PlanCache | str | Path | None
 ) -> CrosscheckResult:
-    """Run ``steps`` RK3 steps on both backends; raise on any divergence.
+    """Run ``steps`` RK3 steps on all three backends; raise on any divergence.
 
-    ``gravity`` is a *factory* returning a fresh gravity callback (each
-    backend needs its own solver instance so plan caches never alias the
-    other's mesh).  ``mutate(mesh, step_index)`` is applied to **both**
-    meshes before each step — the regrid-propagation hook the hypothesis
-    sweep drives.  ``plan_cache`` (a directory path or a
-    :class:`repro.core.plancache.PlanCache`) gives each backend its own
-    store handle over the same on-disk cache, so whichever side builds a
-    topology cold serves the other a cache hit — and the bit-identity
-    assertion then covers the cache-hit plan path too.
+    The DES leg runs on ``nprocs`` virtual Fugaku nodes — the same SFC
+    partition as the process leg's ``nprocs`` workers.  ``gravity`` is a
+    *factory* returning a fresh gravity callback (each backend needs its
+    own solver instance so plan caches never alias another's mesh).
+    ``mutate(mesh, step_index)`` is applied to **every** mesh before each
+    step — the regrid-propagation hook the hypothesis sweep drives.
+    ``plan_cache`` (a directory path or a
+    :class:`repro.core.plancache.PlanCache`) gives the serial and process
+    backends each their own store handle over the same on-disk cache, so
+    whichever side builds a topology cold serves the other a cache hit —
+    and the bit-identity assertion then covers the cache-hit plan path too.
 
     The process side runs with static plan verification *and* (by
     default) the dynamic shm race detector enabled, so every cross-check
@@ -138,42 +143,45 @@ def crosscheck_hydro(
     """
     import time as _time
 
-    mesh_serial = mesh
-    mesh_process = clone_mesh(mesh)
+    def physics() -> dict:
+        """Each leg's physics options, with its own gravity solver."""
+        return dict(
+            eos=eos, omega=omega, gravity=gravity() if gravity else None,
+            gravity_every_stage=gravity_every_stage,
+        )
+
     serial = HydroIntegrator(
-        mesh_serial, eos=eos, omega=omega,
-        gravity=gravity() if gravity else None,
-        gravity_every_stage=gravity_every_stage, reflux=reflux,
-        plan_cache=PlanCache.of(plan_cache),
+        mesh, plan_cache=PlanCache.of(plan_cache), **physics()
+    )
+    des = DistributedHydroDriver(
+        clone_mesh(mesh), config=RunConfig(machine=FUGAKU, nodes=nprocs),
+        **physics(),
     )
     process = HydroIntegrator(
-        mesh_process, eos=eos, omega=omega,
-        gravity=gravity() if gravity else None,
-        gravity_every_stage=gravity_every_stage, reflux=reflux,
-        backend="process", nprocs=nprocs, overlap=overlap,
-        detect_races=detect_races,
-        plan_cache=PlanCache.of(plan_cache),
+        clone_mesh(mesh), backend="process", nprocs=nprocs, overlap=overlap,
+        detect_races=detect_races, plan_cache=PlanCache.of(plan_cache),
+        **physics(),
     )
-    serial_s = process_s = 0.0
+    legs = (serial, des, process)
+    seconds = [0.0, 0.0, 0.0]
     try:
         for step in range(steps):
             if mutate is not None:
-                mutate(mesh_serial, step)
-                mutate(mesh_process, step)
-                assert_identical(mesh_serial, mesh_process, step)
+                for leg in legs:
+                    mutate(leg.mesh, step)
+                for leg in legs[1:]:
+                    assert_identical(mesh, leg.mesh, step)
             step_dt = serial.timestep() if dt is None else dt
-            t0 = _time.perf_counter()
-            serial.step(step_dt)
-            t1 = _time.perf_counter()
-            process.step(step_dt)
-            t2 = _time.perf_counter()
-            serial_s += t1 - t0
-            process_s += t2 - t1
-            assert_identical(mesh_serial, mesh_process, step)
-            if not np.array_equal(
-                conserved_sums(mesh_serial), conserved_sums(mesh_process)
-            ):
-                raise BackendMismatch(step, (0, 0), float("nan"))
+            for i, leg in enumerate(legs):
+                t0 = _time.perf_counter()
+                leg.step(step_dt)
+                seconds[i] += _time.perf_counter() - t0
+            for leg in legs[1:]:
+                assert_identical(mesh, leg.mesh, step)
+                if not np.array_equal(
+                    conserved_sums(mesh), conserved_sums(leg.mesh)
+                ):
+                    raise BackendMismatch(step, (0, 0), float("nan"))
         detector = (
             process._executor.race_detector
             if process._executor is not None else None
@@ -184,11 +192,12 @@ def crosscheck_hydro(
         process.close()
     return CrosscheckResult(
         steps=steps,
-        leaves=len(mesh_serial.leaves()),
+        leaves=len(mesh.leaves()),
         nprocs=nprocs,
         dt=serial.last_dt,
-        serial_s=serial_s,
-        process_s=process_s,
+        serial_s=seconds[0],
+        process_s=seconds[2],
+        des_s=seconds[1],
         race_findings=race_findings,
         race_events=race_events,
     )
@@ -201,7 +210,7 @@ def crosscheck_scenarios(
     plan_cache=None,  # PlanCache | str | Path | None
 ) -> List[CrosscheckResult]:
     """The CI smoke battery: blast (adaptive, reflux) and a rotating DWD
-    (gravity via FMM), serial vs process, bit for bit."""
+    (gravity via FMM), serial vs DES vs process, bit for bit."""
     from repro.gravity.fmm import FmmSolver
     from repro.scenarios.blast import sedov_blast
     from repro.scenarios.dwd import dwd_scenario

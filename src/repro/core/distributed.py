@@ -1,57 +1,62 @@
-"""Distributed functional hydro: the HPX execution of a real timestep.
+"""Distributed functional hydro: the step program on the DES runtime.
 
 Where :class:`~repro.core.driver.OctoTigerSim` computes physics serially and
-*models* the distributed timing, this driver actually executes the step as a
-distributed task graph on the AMT runtime:
+*models* the distributed timing, this driver executes the step as a task
+graph on the AMT runtime — the third interpreter of
+:func:`repro.hydro.integrator.rk3_ops`, after the serial integrator and the
+process backend:
 
-* every leaf lives on a locality (Morton partition);
-* each RK stage's ghost exchange is one coalesced bundle per ordered
-  locality pair (:mod:`repro.comms`): a pack task on the source, one
-  network message, an unpack task on the destination — or a single
-  promise-guarded apply task and no message when the pair is local and the
-  communication optimization is on (the paper's SVII-B mechanism, executed
-  rather than modelled);
-* the hydro kernel of a leaf is a task on its owner, dependent on every
-  bundle that covers its ghost bands and the previous stage's update;
-* anti-dependencies are honoured: a leaf's stage-k update waits for every
-  bundle pack that still reads its stage-(k-1) interior.
+* the plan is the shared :class:`~repro.hydro.plan.HydroPlan` over
+  ``config.nodes`` ranks (the SFC partition of the *live* topology, so a
+  regrid repartitions), and each locality owns the
+  :class:`~repro.hydro.plan.RankStep` of its rank;
+* a rank op (``begin``, ``rhs``, ``update``, ``finish``) is one work-split
+  task on its locality, one shard per owned leaf;
+* ``ghost`` is one coalesced bundle per ordered locality pair
+  (:mod:`repro.comms`): a pack task on the source, one network message, an
+  unpack task on the destination — or a single promise-guarded apply and
+  no message when the pair is local and the communication optimization is
+  on (the paper's SVII-B mechanism, executed rather than modelled);
+* ``accel`` and ``reflux`` are joins over all ranks, before and after — the
+  barriers the process backend keeps.
 
-The payoff is a strong test: the distributed execution produces **the same
-field values** as the serial reference integrator, step for step, while the
-virtual clock reports a genuinely scheduled (not estimated) makespan and the
-network reports real message counts.
-
-Scope: hydro only (no gravity, no reflux) — enough to pin the distribution
-semantics; the rotating-frame source is supported because it is local.
-The per-face exchange this replaced survives only as a *pricing* ablation
-in :mod:`repro.distsim` (``RunConfig.coalesce`` / ``--no-coalesce``, Fig. 8);
-real multi-process execution is ``HydroIntegrator(backend="process")``.
+The rank ops run on the real arena, so the fields equal the serial
+integrator's bit for bit (:mod:`repro.core.crosscheck` asserts it), while
+the virtual clock reports a scheduled makespan and the network real
+message counts.  The per-face exchange survives only as a *pricing*
+ablation in :mod:`repro.distsim` (``RunConfig.coalesce``, Fig. 8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
-
-import numpy as np
+from functools import partial
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 from repro.amt.future import Future, Promise, make_ready_future, when_all
 from repro.amt.locality import Runtime
 from repro.amt.network import Message, NetworkModel
-from repro.distsim.model import DEFAULT_CONSTANTS, ModelConstants, _cpu_rate
+from repro.distsim.model import DEFAULT_CONSTANTS, _cpu_rate
 from repro.distsim.runconfig import RunConfig
 from repro.hydro.eos import IdealGasEOS
-from repro.hydro.integrator import _RK3_STAGES
-from repro.hydro.plan import HydroPlan, build_hydro_plan, stacked_resync_tau_kernel
-from repro.hydro.solver import dudt_subgrid
-from repro.hydro.sources import rotating_frame_source
-from repro.octree.fields import NFIELDS, Field
+from repro.hydro.integrator import GravityCallback, rk3_ops
+from repro.hydro.plan import (
+    HydroPlan,
+    HydroPlanLifecycle,
+    RankStep,
+    ScratchArena,
+    stack_accel,
+)
+from repro.octree.fields import NFIELDS
 from repro.octree.mesh import AmrMesh
-from repro.octree.node import NodeKey
-from repro.octree.partition import sfc_partition
+from repro.profiling.apex import CounterRegistry
 from repro.resilience.faults import FaultSpec
 from repro.resilience.protocol import ReliableTransport, RetryPolicy
 from repro.resilience.watchdog import DeadlockWatchdog
+
+#: Virtual workers per locality (capped by the machine's active cores).
+WORKERS_PER_LOCALITY = 8
 
 
 @dataclass
@@ -73,27 +78,8 @@ class DistributedStepResult:
     duplicates_suppressed: int = 0
 
 
-def _bundle_members(plan: HydroPlan) -> Dict[Tuple[int, int], Tuple[list, list]]:
-    """Task wiring: per pair bundle, ``(donor_keys, dest_keys)`` — the
-    leaves whose interiors it reads and whose ghost bands it writes, i.e.
-    the arena slots its gather / scatter index arrays touch, in slot
-    (sorted-key) order."""
-    chunk = NFIELDS * plan.m**3
-
-    def keys_of(*index_arrays: np.ndarray) -> list:
-        slots = np.unique(
-            np.concatenate([a.ravel() for a in index_arrays]) // chunk
-        )
-        return [plan.leaf_keys[slot] for slot in slots]
-
-    return {
-        pair: (keys_of(b.copy_src, b.fine_src), keys_of(b.copy_dst, b.fine_dst))
-        for pair, b in plan.ghosts.bundles.items()
-    }
-
-
 class DistributedHydroDriver:
-    """Executes RK3 hydro steps as distributed task graphs."""
+    """Interprets ``rk3_ops`` as distributed task graphs on the DES runtime."""
 
     def __init__(
         self,
@@ -101,10 +87,10 @@ class DistributedHydroDriver:
         eos: Optional[IdealGasEOS] = None,
         omega: float = 0.0,
         config: Optional[RunConfig] = None,
-        constants: ModelConstants = DEFAULT_CONSTANTS,
-        workers_per_locality: int = 8,
+        gravity: Optional[GravityCallback] = None,
+        gravity_every_stage: bool = False,
         faults: Optional[FaultSpec] = None,
-        recovery: Any = None,
+        recovery=None,  # noqa: ANN001 - RetryPolicy | True | None
     ) -> None:
         from repro.machines.specs import FUGAKU
 
@@ -112,29 +98,24 @@ class DistributedHydroDriver:
         self.eos = eos or IdealGasEOS()
         self.omega = omega
         self.config = config or RunConfig(machine=FUGAKU, nodes=2)
-        self.constants = constants
+        self.gravity = gravity
+        self.gravity_every_stage = gravity_every_stage
         self.faults = faults
         if recovery is True:
             recovery = RetryPolicy()
         self.recovery: Optional[RetryPolicy] = recovery or None
-        self.workers = min(self.config.active_cores, workers_per_locality)
-        node_rate = _cpu_rate(self.config, constants)
-        self.core_rate = node_rate / self.workers
-        sfc_partition(mesh, self.config.nodes)
+        self.workers = min(self.config.active_cores, WORKERS_PER_LOCALITY)
+        self.core_rate = _cpu_rate(self.config, DEFAULT_CONSTANTS) / self.workers
+        #: The hydro plan over ``config.nodes`` ranks, rebuilt through the
+        #: shared lifecycle whenever it stops matching the mesh.
+        self.plans = HydroPlanLifecycle()
+        #: The ``hydro.*`` kernel timers of this driver's rank ops.
+        self.registry = CounterRegistry()
         self.time = 0.0
         self.steps_taken = 0
+        self.faces_refluxed = 0
         self.last_result: Optional[DistributedStepResult] = None
-        #: The hydro plan over ``config.nodes`` ranks (arena + coalescing
-        #: bundles), rebuilt only when it stops matching the mesh, and the
-        #: task-wiring membership derived from it (:meth:`_hydro_plan`).
-        self._plan: Optional[HydroPlan] = None
-        self._members: Dict[Tuple[int, int], Tuple[list, list]] = {}
-
-    # -- cost helpers --------------------------------------------------------
-    def _kernel_cost(self) -> float:
-        cells = self.mesh.n**3
-        spec_flops = 2_200.0  # hydro flops per cell per step, 3 stages
-        return cells * spec_flops / 3.0 / self.core_rate
+        self._ranks: Tuple[Optional[HydroPlan], List[RankStep]] = (None, [])
 
     def _network(self) -> NetworkModel:
         net = self.config.machine.interconnect
@@ -146,110 +127,163 @@ class DistributedHydroDriver:
             name=net.name,
         )
 
-    # -- step ------------------------------------------------------------------
+    def _rank_steps(
+        self, plan: HydroPlan, use_accel: bool, collect_fluxes: bool
+    ) -> List[RankStep]:
+        """One :class:`RankStep` per locality, sharing the whole-mesh
+        acceleration and boundary-flux stacks, each with its own scratch
+        (their ``u0`` / ``dudt`` must not alias); rebuilt with the plan."""
+        if self._ranks[0] is not plan:
+            n, total, get = plan.n, plan.n_leaves, plan.scratch.get
+            accel = get(("accel",), (total, 3, n, n, n)) if use_accel else None
+            flux = (
+                get(("flux",), (total, 3, 2, NFIELDS, n, n))
+                if collect_fluxes else None
+            )
+            self._ranks = (plan, [
+                RankStep(
+                    plan, rank, self.eos, "muscl", self.omega, self.registry,
+                    use_accel, collect_fluxes, accel_view=accel,
+                    flux_view=flux, scratch=ScratchArena(),
+                )
+                for rank in range(plan.nranks)
+            ])
+        return self._ranks[1]
+
     def step(self, dt: float) -> DistributedStepResult:
-        mesh, eos = self.mesh, self.eos
-        leaves = mesh.leaves()
+        plan = self.plans.plan_for(
+            self.mesh, self.registry, nranks=self.config.nodes
+        )
+        collect_fluxes = plan.ghosts.face_counts["fine"] > 0
+        use_accel = self.gravity is not None
+        ranks = self._rank_steps(plan, use_accel, collect_fluxes)
         network = self._network()
         if self.faults is not None:
             network.fault_injector = self.faults.injector(stream=self.steps_taken)
-        runtime = Runtime(
-            n_localities=self.config.nodes,
-            workers_per_locality=self.workers,
-            network=network,
-        )
-        transport = (
-            ReliableTransport(network, runtime.engine, policy=self.recovery)
-            if self.recovery is not None
-            else None
-        )
+        runtime = Runtime(plan.nranks, self.workers, network=network)
+        transport = None
+        send = partial(network.send, runtime.engine)
+        if self.recovery is not None:
+            transport = ReliableTransport(network, runtime.engine, self.recovery)
+            send = transport.send
         watchdog = DeadlockWatchdog(runtime)
-        kernel_cost = self._kernel_cost()
-        fill_cost = self.constants.face_sync_cpu_s
 
-        # Arena payoff: every leaf interior is one strided view of the
-        # flat buffer, so the stage-0 state is captured with a single
-        # copy instead of one per leaf.
-        self._hydro_plan()
-        u0_stack = self._stacked_interior().copy()
-        u0: Dict[NodeKey, np.ndarray] = {
-            key: u0_stack[slot]
-            for slot, key in enumerate(sorted(leaf.key for leaf in leaves))
-        }
+        # The rhs price: 2200 hydro flops per owned cell per step, a third
+        # of it per stage.
+        owned = [sum(run.hi - run.lo for run in rank.runs) for rank in ranks]
+        rhs_cost = [
+            leaves * plan.n**3 * 2_200.0 / 3.0 / self.core_rate
+            for leaves in owned
+        ]
+        bundles = plan.ghosts.bundles
+        # Per rank: its last op, the bundles into it (what its rhs waits
+        # for) and the packs reading its interior (what its update waits
+        # for); per pair, the bundle's last unpack.
+        front: List[Future] = [make_ready_future(None)] * plan.nranks
+        into: List[List[Future]] = [[] for _ in ranks]
+        reads: List[List[Future]] = [[] for _ in ranks]
+        prev_done: Dict[Tuple[int, int], Future] = {}
 
-        update_futures: Dict[NodeKey, Future] = {
-            leaf.key: make_ready_future(None) for leaf in leaves
-        }
-
-        prev_bundle_done: Dict[Tuple[int, int], Future] = {}
-        for a0, a1 in _RK3_STAGES:
-            # 1. Ghost fills as coalesced bundles (one message per locality
-            # pair): ``cover_futures`` is what each leaf's kernel waits
-            # for, ``anti_futures`` what reads each leaf's current interior.
-            cover_futures, anti_futures, prev_bundle_done = self._bundle_stage(
-                runtime, network, transport, watchdog,
-                update_futures, fill_cost, prev_bundle_done,
+        def spawn(rank, deps, fn, cost, shards, name, kind):  # noqa: ANN001, ANN202
+            future = runtime.localities[rank].async_sharded(
+                deps, fn, cost=cost, shards=shards, name=name, kind=kind
             )
-            # 2. Kernels + updates with anti-dependencies.
-            new_updates: Dict[NodeKey, Future] = {}
-            rhs_store: Dict[NodeKey, np.ndarray] = {}
-            for leaf in leaves:
-                loc = runtime.localities[leaf.locality]
-                deps = list(cover_futures[leaf.key])
+            watchdog.watch(future, deps, name=name)
+            return future
 
-                def compute(leaf=leaf, rhs_store=rhs_store):  # noqa: ANN001
-                    rhs, _ = dudt_subgrid(leaf.subgrid, leaf.dx, eos)
-                    if self.omega != 0.0:
-                        s = leaf.subgrid.interior
-                        u = leaf.subgrid.data[:, s, s, s]
-                        x, y, _ = leaf.cell_centers()
-                        rhs = rhs + rotating_frame_source(u, self.omega, x, y)
-                    rhs_store[leaf.key] = rhs
-
-                kernel_future = loc.async_after(
-                    deps, compute, cost=kernel_cost,
-                    name=f"hydro.{leaf.key}", kind="hydro.kernel",
+        def join(op: str) -> None:
+            if op == "accel":
+                stack_accel(
+                    self.gravity(self.mesh), plan.leaf_keys, ranks[0].accel_view
                 )
-                # The update may not run until every bundle pack that
-                # reads this leaf's current interior has executed.
-                anti = anti_futures[leaf.key]
+            else:
+                self.faces_refluxed += sum(rank.reflux() for rank in ranks)
 
-                def update(leaf=leaf, a0=a0, a1=a1, rhs_store=rhs_store):  # noqa: ANN001
-                    # Stage coefficients bound as defaults: the task body
-                    # executes after this loop has moved on.  In-place form
-                    # of ``a0*u0 + a1*(u + dt*rhs)`` — same elementary ops
-                    # (addition commuted), so bit-identical to the
-                    # expression form at a third of the temporaries.
-                    s = leaf.subgrid.interior
-                    u = leaf.subgrid.data[:, s, s, s]
-                    u += dt * rhs_store.pop(leaf.key)
-                    u *= a1
-                    u += a0 * u0[leaf.key]
-                    self._floors_view(u)
+        def exchange() -> None:
+            """One ``ghost`` op: per ordered pair, pack → message → unpack,
+            or one local apply; ``face_sync_cpu_s`` per member face."""
+            # One send per neighbor-locality bundle — the coalesced pattern
+            # R005 exists to enforce, not a per-item loop.
+            for pair in sorted(bundles):  # reprolint: sanctioned-bundle
+                bundle, (src, dst) = bundles[pair], pair
+                # Work-split granularity: a shard carries at least ~4 faces
+                # of pack/unpack work — narrower shards cost more in
+                # per-task overhead (real and virtual) than they buy.
+                shards = min(self.workers, max(1, bundle.n_faces // 4))
+                cost = DEFAULT_CONSTANTS.face_sync_cpu_s * bundle.n_faces
+                name = f"bundle.{src}to{dst}"
+                if bundle.local and self.config.comm_local_optimization:
+                    done = pack = spawn(
+                        src, [front[src]], partial(bundle.apply, plan.arena),
+                        cost, shards, name, "ghost.bundle.local",
+                    )
+                else:
+                    # The payload buffer is reused: the next pack waits for
+                    # the previous unpack.
+                    deps = [front[src], prev_done.get(pair, front[src])]
+                    pack = spawn(
+                        src, deps, partial(bundle.pack, plan.arena),
+                        0.5 * cost, shards, f"{name}.pack", "ghost.bundle.pack",
+                    )
+                    arrived = Promise(name=name)
 
-                watchdog.watch(kernel_future, deps, name=f"hydro.{leaf.key}")
-                new_updates[leaf.key] = loc.async_after(
-                    [kernel_future, *anti], update, cost=0.0,
-                    name=f"update.{leaf.key}", kind="hydro.update",
-                )
-                watchdog.watch(
-                    new_updates[leaf.key], [kernel_future, *anti],
-                    name=f"update.{leaf.key}",
-                )
-            update_futures = new_updates
+                    def post(_v, bundle=bundle, arrived=arrived, name=name):  # noqa: ANN001
+                        def deliver(_m: Message) -> None:
+                            # The raw network may duplicate a message; the
+                            # reliable transport dedups per bundle itself.
+                            if not arrived.get_future().is_ready():
+                                arrived.set_value(None)
 
-        barrier = when_all(list(update_futures.values()))
-        watchdog.watch(barrier, list(update_futures.values()), name="step.final")
-        runtime.run_until_ready(barrier, watchdog=watchdog)
+                        send(Message(
+                            bundle.src_locality, bundle.dst_locality, None,
+                            bundle.nbytes, tag=name,
+                        ), deliver, local=bundle.local)
 
-        # Same elementwise resync as the serial integrator, applied to the
-        # whole arena in one set of vectorized ops.
-        stacked_resync_tau_kernel(self._stacked_interior(), eos)
-        mesh.restrict_all()
+                    pack.add_done_callback(post)
+                    deps = [arrived.get_future(), front[dst]]
+                    watchdog.watch(deps[0], [pack], name=name)
+                    done = prev_done[pair] = spawn(
+                        dst, deps, partial(bundle.unpack, plan.arena),
+                        0.5 * cost, shards, f"{name}.unpack",
+                        "ghost.bundle.unpack",
+                    )
+                into[dst].append(done)
+                reads[src].append(pack)
+
+        for op, *args in rk3_ops(
+            dt, collect_fluxes, use_accel, self.gravity_every_stage
+        ):
+            if op == "ghost":
+                for per_rank in (*into, *reads):
+                    per_rank.clear()
+                exchange()
+            elif op in ("accel", "reflux"):
+                deps = [*front, *chain.from_iterable(into + reads)]
+                front = [spawn(0, deps, partial(join, op), 0.0, 1, op,
+                               f"hydro.{op}")] * plan.nranks
+            else:
+                for r, rank in enumerate(ranks):
+                    deps = [front[r]]
+                    if op == "rhs":
+                        ghosts = when_all(into[r])
+                        watchdog.watch(ghosts, into[r], name=f"ghost.{r}")
+                        deps.append(ghosts)
+                    elif op == "update":
+                        deps += reads[r]
+                    front[r] = spawn(
+                        r, deps, partial(getattr(rank, op), *args),
+                        rhs_cost[r] if op == "rhs" else 0.0,
+                        max(1, owned[r]), f"{op}.{r}", f"hydro.{op}",
+                    )
+        final = when_all(front)
+        watchdog.watch(final, front, name="step.final")
+        runtime.run_until_ready(final, watchdog=watchdog)
+        self.mesh.restrict_all()
 
         self.time += dt
         self.steps_taken += 1
-        result = DistributedStepResult(
+        stats = transport.stats if transport else None
+        self.last_result = DistributedStepResult(
             dt=dt,
             makespan_s=runtime.engine.now,
             messages=network.messages_sent,
@@ -257,165 +291,10 @@ class DistributedHydroDriver:
             tasks_completed=sum(l.pool.tasks_completed for l in runtime.localities),
             utilization=runtime.utilization(),
             messages_dropped=network.messages_dropped,
-            retransmits=transport.stats.retransmits if transport else 0,
-            acks=transport.stats.acks_received if transport else 0,
+            retransmits=stats.retransmits if stats else 0,
+            acks=stats.acks_received if stats else 0,
             payload_messages=network.payload_messages,
             control_messages=network.control_messages,
-            duplicates_suppressed=(
-                transport.stats.duplicates_suppressed if transport else 0
-            ),
+            duplicates_suppressed=stats.duplicates_suppressed if stats else 0,
         )
-        self.last_result = result
-        return result
-
-    # -- pieces ------------------------------------------------------------------
-    def _hydro_plan(self) -> HydroPlan:
-        """The plan the serial and process backends step too, built over
-        ``config.nodes`` ranks with this driver's ``leaf.locality`` map as
-        the explicit assignment.  Building it adopts the arena: every
-        leaf's sub-grid becomes a view of one flat buffer (values
-        preserved), so pack/unpack are single fancy-indexed
-        gathers/scatters over the whole mesh.  :meth:`HydroPlan.matches`
-        (fingerprint + view identity) decides validity, so a regrid *and*
-        anything else re-adopting the mesh's storage trigger a rebuild."""
-        if self._plan is None or not self._plan.matches(self.mesh):
-            plan = self._plan = build_hydro_plan(
-                self.mesh,
-                nranks=self.config.nodes,
-                assignment={leaf.key: leaf.locality for leaf in self.mesh.leaves()},
-                reuse=self._plan,
-            )
-            self._members = _bundle_members(plan)
-        return self._plan
-
-    def _stacked_interior(self) -> np.ndarray:
-        """All leaf interiors as one ``(leaves, fields, n, n, n)`` view.
-
-        Valid only after :meth:`_hydro_plan` adopted the arena for the
-        current topology; slot order is sorted leaf key.
-        """
-        plan = self._plan
-        s = slice(plan.ghost_width, plan.ghost_width + plan.n)
-        stacked = plan.arena.reshape(-1, NFIELDS, plan.m, plan.m, plan.m)
-        return stacked[:, :, s, s, s]
-
-    def _bundle_stage(
-        self,
-        runtime: Runtime,
-        network: NetworkModel,
-        transport: Optional[ReliableTransport],
-        watchdog: DeadlockWatchdog,
-        update_futures: Dict[NodeKey, Future],
-        fill_cost: float,
-        prev_done: Dict[Tuple[int, int], Future],
-    ):
-        """One RK stage's ghost exchange as coalesced pair bundles.
-
-        Per ordered locality pair: a **pack** task on the source locality
-        (gathers + restricts every crossing band into the bundle's flat
-        payload), one network message, and an **unpack** task on the
-        destination (scatters into the ghost bands).  Same-locality pairs
-        under the local-communication optimization collapse to a single
-        work-split **apply** task and send nothing.  Virtual cost is
-        ``fill_cost`` per member face, spread over the pool via
-        :meth:`~repro.amt.locality.Locality.async_sharded`.
-
-        ``prev_done`` carries each bundle's previous-stage completion: the
-        payload buffer is reused across stages, so stage ``k``'s pack may
-        not overwrite it until stage ``k-1``'s unpack has scattered it.
-        """
-        plan = self._hydro_plan()
-        arena, bundles = plan.arena, plan.ghosts.bundles
-        fill_done: Dict[Tuple[int, int], Future] = {}
-        pack_done: Dict[Tuple[int, int], Future] = {}
-        # One send per neighbor-locality bundle — the coalesced pattern
-        # R005 exists to enforce, not a per-item loop.
-        for pair in sorted(bundles):  # reprolint: sanctioned-bundle
-            bundle = bundles[pair]
-            src_loc = runtime.localities[bundle.src_locality]
-            dst_loc = runtime.localities[bundle.dst_locality]
-            donor_keys, dest_keys = self._members[pair]
-            donor_deps = [update_futures[k] for k in donor_keys]
-            dest_deps = [update_futures[k] for k in dest_keys]
-            # Work-split granularity: a shard carries at least ~4 faces of
-            # pack/unpack work — narrower shards cost more in per-task
-            # overhead (real and virtual) than the parallelism they buy.
-            shards = min(self.workers, max(1, bundle.n_faces // 4))
-            name = f"bundle.{pair[0]}to{pair[1]}"
-            if bundle.local and self.config.comm_local_optimization:
-                seen = set()
-                deps = [
-                    f for f in donor_deps + dest_deps
-                    if id(f) not in seen and not seen.add(id(f))
-                ]
-                done = src_loc.async_sharded(
-                    deps, lambda b=bundle: b.apply(arena),
-                    cost=fill_cost * bundle.n_faces, shards=shards,
-                    name=name, kind="ghost.bundle.local",
-                )
-                watchdog.watch(done, deps, name=name)
-                fill_done[pair] = done
-                pack_done[pair] = done
-                continue
-            pack_deps = list(donor_deps)
-            if pair in prev_done:
-                pack_deps.append(prev_done[pair])
-            pack = src_loc.async_sharded(
-                pack_deps, lambda b=bundle: b.pack(arena),
-                cost=0.5 * fill_cost * bundle.n_faces, shards=shards,
-                name=f"{name}.pack", kind="ghost.bundle.pack",
-            )
-            watchdog.watch(pack, pack_deps, name=f"{name}.pack")
-            promise = Promise(name=name)
-
-            def send(_v, bundle=bundle, promise=promise, name=name):  # noqa: ANN001
-                delivered = [False]
-
-                def deliver(_m: Message) -> None:
-                    # Guard against raw-network wire duplicates; the
-                    # reliable transport already dedups per bundle.
-                    if not delivered[0]:
-                        delivered[0] = True
-                        promise.set_value(None)
-
-                message = Message(
-                    bundle.src_locality, bundle.dst_locality, None,
-                    bundle.nbytes, tag=name,
-                )
-                if transport is not None:
-                    transport.send(message, deliver, local=bundle.local)
-                else:
-                    network.send(
-                        runtime.engine, message, deliver, local=bundle.local
-                    )
-
-            pack.add_done_callback(send)
-            arrived = promise.get_future()
-            watchdog.watch(arrived, [pack], name=name)
-            unpack_deps = [arrived, *dest_deps]
-            unpack = dst_loc.async_sharded(
-                unpack_deps, lambda b=bundle: b.unpack(arena),
-                cost=0.5 * fill_cost * bundle.n_faces, shards=shards,
-                name=f"{name}.unpack", kind="ghost.bundle.unpack",
-            )
-            watchdog.watch(unpack, unpack_deps, name=f"{name}.unpack")
-            fill_done[pair] = unpack
-            pack_done[pair] = pack
-        # Per leaf: the bundles covering its ghost bands (what its kernel
-        # waits for) and the packs reading its interior (what its update
-        # waits for), in sorted pair order.
-        cover_futures = {key: [] for key in plan.leaf_keys}
-        anti_futures = {key: [] for key in plan.leaf_keys}
-        for pair in sorted(bundles):
-            donor_keys, dest_keys = self._members[pair]
-            for key in dest_keys:
-                cover_futures[key].append(fill_done[pair])
-            for key in donor_keys:
-                anti_futures[key].append(pack_done[pair])
-        return cover_futures, anti_futures, fill_done
-
-    def _floors_view(self, u: np.ndarray) -> None:
-        np.maximum(u[Field.RHO], self.eos.rho_floor, out=u[Field.RHO])
-        np.maximum(u[Field.TAU], 0.0, out=u[Field.TAU])
-        np.maximum(u[Field.FRAC1], 0.0, out=u[Field.FRAC1])
-        np.maximum(u[Field.FRAC2], 0.0, out=u[Field.FRAC2])
+        return self.last_result

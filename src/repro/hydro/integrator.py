@@ -21,13 +21,14 @@ and the kernel-level ops are the methods of one
 * **serial** — :meth:`HydroIntegrator.step` inline, over rank 0 of the
   one-rank :class:`repro.hydro.plan.HydroPlan` (stacked per-level kernels;
   the ghost exchange is the plan's single ``(0, 0)`` bundle);
-* **BSP** — ``backend="process"``: every op is one barrier round of
+* **process** — ``backend="process"``: every op is one barrier round of
   :class:`repro.hydro.process_backend.ProcessHydroExecutor`, each worker
-  forwarding it to the ``RankStep`` over the leaves it owns;
-* **overlap** — the same executor with ``overlap=True``: the same ops,
-  with each stage's ``ghost``, ``rhs`` and (when no reflux intervenes)
-  ``update`` grouped into one dependency-grained round instead of three
-  barrier rounds.
+  forwarding it to the ``RankStep`` over the leaves it owns (with
+  ``overlap=True`` each stage's ``fused`` group is one dependency-grained
+  round instead);
+* **DES** — :class:`repro.core.distributed.DistributedHydroDriver`: every
+  rank op is a task on its locality of the virtual AMT runtime, and the
+  ghost exchange one message per remote locality pair.
 
 :meth:`HydroIntegrator.step_reference` keeps the original per-leaf loops as
 the numerics oracle (exactly like ``FmmSolver.solve_reference``); all three
@@ -79,7 +80,7 @@ def rk3_ops(
     overlap: bool = False,
 ) -> Iterator[tuple]:
     """The ordered ops of one stacked SSP-RK3 step — the single definition
-    every interpreter (serial, BSP, overlap) runs.
+    every interpreter (serial, process, DES) runs.
 
     Parent ops: ``("accel",)`` solves gravity and restages the stacked
     accelerations; ``("ghost",)`` is the whole ghost exchange.  Rank ops

@@ -29,8 +29,8 @@ restructuring for wide vector execution on A64FX (SVE vectorization, Fig 7)
 
 There is **one** plan for any rank count (:func:`build_hydro_plan`): the
 serial integrator steps ``nranks=1``, the process backend forks over
-``nranks=P`` adopted into shared memory, the DES driver wires its task
-graph from one built over its virtual-node map.  A plan is valid while the
+``nranks=P`` adopted into shared memory, the DES driver steps
+``nranks=nodes`` on the virtual runtime.  A plan is valid while the
 mesh's content :meth:`~repro.octree.mesh.AmrMesh.fingerprint` equals the one
 it was built for *and* the leaves still reference its arena views; a
 rebuild goes through the lifecycle every plan kind shares
@@ -281,16 +281,17 @@ def build_hydro_plan(
     ghost bundles and reflux table.
 
     ``assignment`` maps each leaf key to its rank (default: the SFC
-    partition, :func:`repro.octree.partition.sfc_assignment`).  It is an
-    explicit input, never a read of ``leaf.locality`` — the DES driver
-    writes virtual-node localities there that must not split the serial
-    plan.  ``out`` adopts the leaves into a caller-supplied flat
-    ``float64`` view (the executor's shared memory) instead of private
-    memory.  ``trace_cache`` (per-face ghost traces a regrid left intact),
-    ``reuse`` (the previous plan's cell-centre rows) and ``payload`` (a
-    :meth:`~repro.comms.bundle.GhostBundlePlan.to_payload` cache hit: no
-    tracing at all) change build time only — the plan arrays are a pure
-    function of topology and assignment either way.
+    partition of the live topology,
+    :func:`repro.octree.partition.sfc_assignment`, which every interpreter
+    of the step program uses).  It is an explicit input, never a read of
+    ``leaf.locality``, which a regrid leaves stale (refined children
+    inherit their parent's).  ``out`` adopts the leaves into a
+    caller-supplied flat ``float64`` view (the executor's shared memory)
+    instead of private memory.  ``trace_cache`` (per-face ghost traces a
+    regrid left intact), ``reuse`` (the previous plan's cell-centre rows)
+    and ``payload`` (a :meth:`~repro.comms.bundle.GhostBundlePlan.to_payload`
+    cache hit: no tracing at all) change build time only — the plan arrays
+    are a pure function of topology and assignment either way.
     """
     return HydroPlan(
         mesh, nranks=nranks, assignment=assignment, out=out,
@@ -918,11 +919,12 @@ class RankStep:
     ``begin / rhs / reflux / update / finish`` — over the stacked arena
     blocks of ``plan.runs[rank]``.  Every interpreter of the step program
     drives this one object: the serial integrator inline over rank 0 of
-    the one-rank plan, each process-backend worker over the runs it owns.
-    ``accel_view`` / ``flux_view`` are the whole-mesh slot-ordered
-    acceleration and boundary-flux stacks — the caller's (the executor's
-    shm arenas) or, by default, buffers in ``scratch`` (default: the
-    plan's), allocated only when ``use_accel`` / ``collect_fluxes`` ask.
+    the one-rank plan, each process-backend worker and each DES locality
+    over the runs it owns.  ``accel_view`` / ``flux_view`` are the
+    whole-mesh slot-ordered acceleration and boundary-flux stacks — the
+    caller's (the executor's shm arenas, the DES driver's shared stacks)
+    or, by default, buffers in ``scratch`` (default: the plan's),
+    allocated only when ``use_accel`` / ``collect_fluxes`` ask.
     """
 
     def __init__(

@@ -1,9 +1,11 @@
 """Process-parallel hydro execution: the RK3 step on real OS cores.
 
-:class:`ProcessHydroExecutor` interprets the same step program as the
-serial :meth:`repro.hydro.integrator.HydroIntegrator.step`
-(:func:`repro.hydro.integrator.rk3_ops`), with the leaves partitioned over
-the worker processes of a :class:`repro.amt.parallel.ParallelEngine`:
+:class:`ProcessHydroExecutor` interprets the same step program
+(:func:`repro.hydro.integrator.rk3_ops`) as the serial
+:meth:`repro.hydro.integrator.HydroIntegrator.step` and the DES driver
+(:class:`repro.core.distributed.DistributedHydroDriver`), with the leaves
+partitioned over the worker processes of a
+:class:`repro.amt.parallel.ParallelEngine`:
 
 * the plan is the same :class:`repro.hydro.plan.HydroPlan` the serial
   integrator steps, asked for with ``nranks=nprocs`` and a
@@ -22,7 +24,7 @@ the worker processes of a :class:`repro.amt.parallel.ParallelEngine`:
   when it returns every ghost band of the rank is complete, so nothing is
   ever in flight and the rhs needs no interior/halo split;
 * **BSP schedule** (default): every program op is one bulk-synchronous
-  round, so the schedule satisfies the same dependence structure the DES
+  round, so the schedule satisfies the same per-rank dependences the DES
   driver wires through futures: fills read only stage-``k-1`` interiors
   (every traced fill reads interiors only), kernels read own interiors +
   ghosts, updates write own interiors;

@@ -60,8 +60,8 @@ class TestRunOptions:
         assert "unrecognized arguments: --array-backend" in capsys.readouterr().err
 
     def test_tier_flag_is_gone(self, capsys):
-        """One bit gate (serial vs process): the flag that chose the other
-        tier is an argparse error."""
+        """One bit gate (serial, DES and process): the flag that chose the
+        other tier is an argparse error."""
         with pytest.raises(SystemExit) as exc:
             main(["crosscheck", "--tier", "exact"])
         assert exc.value.code == 2

@@ -162,8 +162,9 @@ class TestClosedFormMessageCounts:
             mesh, eos, config=RunConfig(machine=FUGAKU, nodes=nodes)
         )
         result = driver.step(1e-4)
+        sfc_partition(mesh, nodes)  # the driver's map, onto leaf.locality
         pairs = neighbor_locality_pairs(mesh)
-        assert driver._plan.ghosts.remote_pairs == pairs
+        assert driver.plans.plan.ghosts.remote_pairs == pairs
         assert result.payload_messages == len(_RK3_STAGES) * len(pairs)
 
     def test_coalescing_cuts_messages_to_pair_count(self):
@@ -175,6 +176,7 @@ class TestClosedFormMessageCounts:
         on = DistributedHydroDriver(
             mesh, eos, config=RunConfig(machine=FUGAKU, nodes=4)
         ).step(1e-3)
+        sfc_partition(mesh, 4)  # the driver's map, onto leaf.locality
         pairs = neighbor_locality_pairs(mesh)
         assert on.payload_messages == len(_RK3_STAGES) * len(pairs)
         remote_faces = 0
@@ -214,7 +216,7 @@ class TestBitIdenticalOnOff:
                 config=RunConfig(machine=FUGAKU, nodes=4),
             )
         else:
-            driver = HydroIntegrator(mesh, eos, reflux=False)
+            driver = HydroIntegrator(mesh, eos)
         for _ in range(steps):
             driver.step(5e-4)
         return {k: mesh.nodes[k].subgrid.data.copy() for k in mesh.leaf_keys()}

@@ -1,8 +1,9 @@
-"""Distributed functional execution vs the serial reference integrator.
+"""Distributed functional execution vs the serial integrator.
 
-The strongest test in the suite: the same physical step, executed as a
+The strongest test in the suite: the same step program, executed as a
 distributed task graph with ghost messages and anti-dependencies, must
-produce the same field values as the serial integrator.
+produce the same bits as the serial integrator — with reflux, gravity and
+a regrid between steps.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.distsim import RunConfig
 from repro.hydro import HydroIntegrator, IdealGasEOS
 from repro.machines import FUGAKU, OOKAMI
 from repro.octree import AmrMesh, Field
+from repro.octree.partition import sfc_assignment
 
 
 def build_mesh(adaptive=False):
@@ -31,6 +33,15 @@ def build_mesh(adaptive=False):
         leaf.subgrid.set_interior(Field.TAU, eos.tau_from_eint(eint))
     mesh.restrict_all()
     return mesh, eos
+
+
+def assert_same_bits(mesh_a, mesh_b):
+    assert sorted(mesh_a.leaf_keys()) == sorted(mesh_b.leaf_keys())
+    for key in mesh_a.leaf_keys():
+        assert np.array_equal(
+            mesh_b.nodes[key].subgrid.interior_view(),
+            mesh_a.nodes[key].subgrid.interior_view(),
+        ), key
 
 
 def clone(mesh):
@@ -54,7 +65,7 @@ class TestEquivalenceWithSerial:
         mesh_b = clone(mesh_a)
         dt = 1e-3
 
-        serial = HydroIntegrator(mesh_a, eos, reflux=False)
+        serial = HydroIntegrator(mesh_a, eos)
         serial.step(dt)
 
         driver = DistributedHydroDriver(
@@ -62,59 +73,39 @@ class TestEquivalenceWithSerial:
         )
         driver.step(dt)
 
-        for key in mesh_a.leaf_keys():
-            np.testing.assert_allclose(
-                mesh_b.nodes[key].subgrid.interior_view(),
-                mesh_a.nodes[key].subgrid.interior_view(),
-                rtol=0, atol=1e-14,
-            )
+        assert_same_bits(mesh_a, mesh_b)
 
     def test_adaptive_mesh_identical_fields(self):
         mesh_a, eos = build_mesh(adaptive=True)
         mesh_b = clone(mesh_a)
         dt = 5e-4
-        HydroIntegrator(mesh_a, eos, reflux=False).step(dt)
+        HydroIntegrator(mesh_a, eos).step(dt)
         DistributedHydroDriver(
             mesh_b, eos, config=RunConfig(machine=FUGAKU, nodes=3)
         ).step(dt)
-        for key in mesh_a.leaf_keys():
-            np.testing.assert_allclose(
-                mesh_b.nodes[key].subgrid.interior_view(),
-                mesh_a.nodes[key].subgrid.interior_view(),
-                rtol=0, atol=1e-14,
-            )
+        assert_same_bits(mesh_a, mesh_b)
 
     def test_rotating_frame_matches_serial(self):
         mesh_a, eos = build_mesh()
         mesh_b = clone(mesh_a)
         dt = 1e-3
-        HydroIntegrator(mesh_a, eos, omega=0.3, reflux=False).step(dt)
+        HydroIntegrator(mesh_a, eos, omega=0.3).step(dt)
         DistributedHydroDriver(
             mesh_b, eos, omega=0.3, config=RunConfig(machine=FUGAKU, nodes=2)
         ).step(dt)
-        for key in mesh_a.leaf_keys():
-            np.testing.assert_allclose(
-                mesh_b.nodes[key].subgrid.interior_view(),
-                mesh_a.nodes[key].subgrid.interior_view(),
-                rtol=0, atol=1e-14,
-            )
+        assert_same_bits(mesh_a, mesh_b)
 
     def test_multi_step_stays_identical(self):
         mesh_a, eos = build_mesh()
         mesh_b = clone(mesh_a)
-        serial = HydroIntegrator(mesh_a, eos, reflux=False)
+        serial = HydroIntegrator(mesh_a, eos)
         driver = DistributedHydroDriver(
             mesh_b, eos, config=RunConfig(machine=FUGAKU, nodes=2)
         )
         for _ in range(3):
             serial.step(1e-3)
             driver.step(1e-3)
-        for key in mesh_a.leaf_keys():
-            np.testing.assert_allclose(
-                mesh_b.nodes[key].subgrid.interior_view(Field.RHO),
-                mesh_a.nodes[key].subgrid.interior_view(Field.RHO),
-                rtol=0, atol=1e-13,
-            )
+        assert_same_bits(mesh_a, mesh_b)
 
 
     def test_survives_foreign_adoption_between_steps(self):
@@ -123,23 +114,80 @@ class TestEquivalenceWithSerial:
         driver re-adopt, not keep updating a dead arena."""
         mesh_a, eos = build_mesh(adaptive=True)
         mesh_b = clone(mesh_a)
-        serial = HydroIntegrator(mesh_a, eos, reflux=False)
+        serial = HydroIntegrator(mesh_a, eos)
         driver = DistributedHydroDriver(
             mesh_b, eos, config=RunConfig(machine=FUGAKU, nodes=2)
         )
         serial.step(1e-3)
         driver.step(1e-3)
-        stale = driver._plan
+        stale = driver.plans.plan
         HydroIntegrator(mesh_b, eos).plan_for()  # rebinds mesh_b's leaves
         assert not stale.matches(mesh_b)
         serial.step(1e-3)
         driver.step(1e-3)
-        assert driver._plan is not stale
-        for key in mesh_a.leaf_keys():
-            assert np.array_equal(
-                mesh_b.nodes[key].subgrid.interior_view(),
-                mesh_a.nodes[key].subgrid.interior_view(),
-            ), key
+        assert driver.plans.plan is not stale
+        assert_same_bits(mesh_a, mesh_b)
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 4])
+    def test_adaptive_reflux_matches_serial(self, nodes):
+        """Coarse-fine faces: the reflux join corrects every coarse face
+        once, by its owner, exactly as the serial integrator does."""
+        mesh_a, eos = build_mesh(adaptive=True)
+        mesh_b = clone(mesh_a)
+        serial = HydroIntegrator(mesh_a, eos)
+        driver = DistributedHydroDriver(
+            mesh_b, eos, config=RunConfig(machine=FUGAKU, nodes=nodes)
+        )
+        for _ in range(2):
+            serial.step(5e-4)
+            driver.step(5e-4)
+        assert driver.faces_refluxed == serial.faces_refluxed > 0
+        assert_same_bits(mesh_a, mesh_b)
+
+    def test_regrid_between_steps_repartitions(self):
+        """After a regrid the plan is the SFC partition of the live
+        topology, not the localities refined children inherited."""
+        mesh_a, eos = build_mesh()
+        mesh_b = clone(mesh_a)
+        nodes = 4
+        serial = HydroIntegrator(mesh_a, eos)
+        driver = DistributedHydroDriver(
+            mesh_b, eos, config=RunConfig(machine=FUGAKU, nodes=nodes)
+        )
+        serial.step(5e-4)
+        driver.step(5e-4)
+        for mesh in (mesh_a, mesh_b):
+            mesh.refine((1, 0))
+            mesh.refine((1, 7))
+        serial.step(5e-4)
+        driver.step(5e-4)
+        plan = driver.plans.plan
+        live = sfc_assignment(mesh_b, nodes)
+        assert plan.rank_of.tolist() == [live[k] for k in plan.leaf_keys]
+        assert_same_bits(mesh_a, mesh_b)
+
+    def test_star_with_fmm_gravity_matches_serial(self):
+        from repro.gravity.fmm import FmmSolver
+        from repro.scenarios import rotating_star
+
+        star = rotating_star(level=1)
+        mesh_a = star.mesh
+        mesh_b = clone(mesh_a)
+
+        def gravity():
+            return FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback()
+
+        serial = HydroIntegrator(
+            mesh_a, star.eos, omega=star.omega, gravity=gravity()
+        )
+        driver = DistributedHydroDriver(
+            mesh_b, star.eos, omega=star.omega, gravity=gravity(),
+            config=RunConfig(machine=FUGAKU, nodes=2),
+        )
+        dt = serial.timestep()
+        serial.step(dt)
+        driver.step(dt)
+        assert_same_bits(mesh_a, mesh_b)
 
 
 class TestDistributionMechanics:

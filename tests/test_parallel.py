@@ -423,15 +423,15 @@ class TestCrosscheckHarness:
 
 class TestDistributedDriverBackend:
     def test_process_step_matches_des_fields(self):
-        """The DES task-graph driver and the process backend (hydro only,
-        reflux off — the DES driver's scope) agree bit for bit."""
+        """The DES task-graph driver and the process backend agree bit for
+        bit on an adaptive mesh (reflux on)."""
         from repro.core.distributed import DistributedHydroDriver
 
         mesh_a, eos = make_state_mesh(levels=1, refine_keys=(0,))
         mesh_b, _ = make_state_mesh(levels=1, refine_keys=(0,))
         des = DistributedHydroDriver(mesh_a, eos=eos, omega=0.2)
         par = HydroIntegrator(
-            mesh_b, eos, omega=0.2, reflux=False, backend="process", nprocs=2
+            mesh_b, eos, omega=0.2, backend="process", nprocs=2
         )
         try:
             des.step(1e-4)

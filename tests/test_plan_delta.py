@@ -338,8 +338,9 @@ class TestPlanCacheCrosscheck:
             ), key
 
     def test_crosscheck_hydro_with_plan_cache(self, tmp_path):
-        """The full crosscheck battery case: blast, serial vs process,
-        sharing one plan-cache directory — divergence raises."""
+        """The full crosscheck battery case: blast, serial vs DES vs
+        process, serial and process sharing one plan-cache directory —
+        divergence raises."""
         from repro.core.crosscheck import crosscheck_hydro
         from repro.scenarios.blast import sedov_blast
 

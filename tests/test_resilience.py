@@ -55,14 +55,12 @@ from tests.test_distributed_driver import build_mesh, clone
 pytestmark = pytest.mark.timeout(180)
 
 
-def assert_fields_match(mesh_a, mesh_b, atol=1e-12):
+def assert_fields_match(mesh_a, mesh_b):
     for key in mesh_a.leaf_keys():
-        np.testing.assert_allclose(
+        assert np.array_equal(
             mesh_b.nodes[key].subgrid.interior_view(),
             mesh_a.nodes[key].subgrid.interior_view(),
-            rtol=0,
-            atol=atol,
-        )
+        ), key
 
 
 # ---------------------------------------------------------------------------
