@@ -33,7 +33,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.planverify import verify_process_plan  # noqa: E402
-from repro.hydro.process_backend import ProcessHydroExecutor  # noqa: E402
+from repro.hydro.integrator import HydroIntegrator  # noqa: E402
 
 from bench_parallel import best_of, build_mesh  # noqa: E402
 
@@ -51,7 +51,9 @@ def bench_case(levels: int, nprocs: int, reps: int, trials: int) -> dict:
     out = {"levels": levels, "nprocs": nprocs, "configs": {}}
     for name, kwargs in CONFIGS.items():
         mesh, eos = build_mesh(levels)
-        ex = ProcessHydroExecutor(mesh, eos=eos, nprocs=nprocs, **kwargs)
+        ex = HydroIntegrator(
+            mesh, eos, backend="process", nprocs=nprocs, **kwargs
+        ).executor()
         try:
             gc.collect()
             t0 = time.perf_counter()

@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--level", type=int, default=2)
     run.add_argument("--steps", type=int, default=3)
     run.add_argument("--machine", default="Fugaku")
-    run.add_argument("--nodes", type=int, default=4)
+    run.add_argument("--nodes", type=_positive_int, default=4)
     run.add_argument("--checkpoint", default=None,
                      help="write a checkpoint here after the run")
     run.add_argument("--coalesce", default=True,
@@ -123,11 +123,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["rotating_star", "v1309", "dwd"])
     scale.add_argument("--level", type=int, default=5)
     scale.add_argument("--machine", default="Fugaku")
-    scale.add_argument("--nodes", type=int, nargs="+",
+    scale.add_argument("--nodes", type=_positive_int, nargs="+",
                        default=[1, 2, 4, 8, 16, 32, 64, 128])
     scale.add_argument("--gpus", action="store_true")
     scale.add_argument("--no-simd", action="store_true")
-    scale.add_argument("--multipole-tasks", type=int, default=1)
+    scale.add_argument("--multipole-tasks", type=_positive_int, default=1)
 
     sub.add_parser("machines", help="list the machine models")
     sub.add_parser("manifest", help="print the Table I software manifest")

@@ -116,12 +116,12 @@ def crosscheck_hydro(
     gravity: Optional[Callable[[], GravityCallback]] = None,
     gravity_every_stage: bool = False,
     overlap: bool = False,
-    dt: Optional[float] = None,
     mutate: Optional[Callable[[AmrMesh, int], None]] = None,
     detect_races: bool = True,
     plan_cache=None,  # PlanCache | str | Path | None
 ) -> CrosscheckResult:
-    """Run ``steps`` RK3 steps on all three backends; raise on any divergence.
+    """Run ``steps`` RK3 steps on all three backends, each at the serial
+    leg's CFL timestep; raise on any divergence.
 
     The DES leg runs on ``nprocs`` virtual Fugaku nodes — the same SFC
     partition as the process leg's ``nprocs`` workers.  ``gravity`` is a
@@ -171,7 +171,7 @@ def crosscheck_hydro(
                     mutate(leg.mesh, step)
                 for leg in legs[1:]:
                     assert_identical(mesh, leg.mesh, step)
-            step_dt = serial.timestep() if dt is None else dt
+            step_dt = serial.timestep()
             for i, leg in enumerate(legs):
                 t0 = _time.perf_counter()
                 leg.step(step_dt)

@@ -36,9 +36,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.amt.future import Future, Promise, make_ready_future, when_all
 from repro.amt.locality import Runtime
-from repro.amt.network import Message, NetworkModel
-from repro.distsim.model import DEFAULT_CONSTANTS, _cpu_rate
+from repro.amt.network import Message
+from repro.distsim.model import DEFAULT_CONSTANTS
 from repro.distsim.runconfig import RunConfig
+from repro.distsim.taskgraph import virtual_machine
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.integrator import GravityCallback, rk3_ops
 from repro.hydro.plan import (
@@ -104,8 +105,6 @@ class DistributedHydroDriver:
         if recovery is True:
             recovery = RetryPolicy()
         self.recovery: Optional[RetryPolicy] = recovery or None
-        self.workers = min(self.config.active_cores, WORKERS_PER_LOCALITY)
-        self.core_rate = _cpu_rate(self.config, DEFAULT_CONSTANTS) / self.workers
         #: The hydro plan over ``config.nodes`` ranks, rebuilt through the
         #: shared lifecycle whenever it stops matching the mesh.
         self.plans = HydroPlanLifecycle()
@@ -116,16 +115,6 @@ class DistributedHydroDriver:
         self.faces_refluxed = 0
         self.last_result: Optional[DistributedStepResult] = None
         self._ranks: Tuple[Optional[HydroPlan], List[RankStep]] = (None, [])
-
-    def _network(self) -> NetworkModel:
-        net = self.config.machine.interconnect
-        return NetworkModel(
-            latency_s=net.latency_us * 1e-6,
-            bandwidth_Bps=net.bandwidth_gbs * 1e9,
-            action_overhead_s=net.action_overhead_us * 1e-6,
-            local_copy_Bps=self.config.machine.node.memory_bw_gbs * 1e9,
-            name=net.name,
-        )
 
     def _rank_steps(
         self, plan: HydroPlan, use_accel: bool, collect_fluxes: bool
@@ -157,10 +146,12 @@ class DistributedHydroDriver:
         collect_fluxes = plan.ghosts.face_counts["fine"] > 0
         use_accel = self.gravity is not None
         ranks = self._rank_steps(plan, use_accel, collect_fluxes)
-        network = self._network()
+        workers, core_rate, network = virtual_machine(
+            self.config, WORKERS_PER_LOCALITY
+        )
         if self.faults is not None:
             network.fault_injector = self.faults.injector(stream=self.steps_taken)
-        runtime = Runtime(plan.nranks, self.workers, network=network)
+        runtime = Runtime(plan.nranks, workers, network=network)
         transport = None
         send = partial(network.send, runtime.engine)
         if self.recovery is not None:
@@ -172,7 +163,7 @@ class DistributedHydroDriver:
         # of it per stage.
         owned = [sum(run.hi - run.lo for run in rank.runs) for rank in ranks]
         rhs_cost = [
-            leaves * plan.n**3 * 2_200.0 / 3.0 / self.core_rate
+            leaves * plan.n**3 * 2_200.0 / 3.0 / core_rate
             for leaves in owned
         ]
         bundles = plan.ghosts.bundles
@@ -209,7 +200,7 @@ class DistributedHydroDriver:
                 # Work-split granularity: a shard carries at least ~4 faces
                 # of pack/unpack work — narrower shards cost more in
                 # per-task overhead (real and virtual) than they buy.
-                shards = min(self.workers, max(1, bundle.n_faces // 4))
+                shards = min(workers, max(1, bundle.n_faces // 4))
                 cost = DEFAULT_CONSTANTS.face_sync_cpu_s * bundle.n_faces
                 name = f"bundle.{src}to{dst}"
                 if bundle.local and self.config.comm_local_optimization:

@@ -34,13 +34,19 @@ from repro.distsim.taskgraph import TaskGraphResult, TaskGraphSimulator
 from repro.gravity.fmm import FmmSolver
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.integrator import HydroIntegrator
-from repro.machines.specs import FUGAKU, MachineModel
+from repro.machines.specs import FUGAKU
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
 from repro.octree.partition import sfc_partition
 from repro.profiling.apex import CounterRegistry
 from repro.resilience.faults import UnrecoverableFault
 from repro.scenarios.spec import ScenarioSpec, measured_spec, workload_from_mesh
+
+#: Sub-grids lighter than this are vacuum sources to the FMM (see
+#: :attr:`repro.gravity.fmm.FmmSolver.empty_mass_threshold`).
+EMPTY_MASS_THRESHOLD = 1e-12
+#: Rollbacks :meth:`OctoTigerSim.run` attempts before it re-raises the fault.
+MAX_ROLLBACKS = 8
 
 
 @dataclass
@@ -76,14 +82,10 @@ class OctoTigerSim:
         mesh: AmrMesh,
         eos: Optional[IdealGasEOS] = None,
         omega: float = 0.0,
-        cfl: float = 0.4,
         gravity: bool = True,
-        gravity_order: int = 3,
         config: Optional[RunConfig] = None,
-        empty_mass_threshold: float = 1e-12,
         checkpoint_every: int = 0,
         checkpoint_dir: Any = None,  # str | Path | None
-        max_rollbacks: int = 8,
         backend: str = "des",
         nprocs: int = 2,
         overlap: bool = False,
@@ -120,7 +122,6 @@ class OctoTigerSim:
         #: every write and removed by :meth:`close`.
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
-        self.max_rollbacks = max_rollbacks
         self._series = None
         self._remove_owned_dir: Optional[weakref.finalize] = None
 
@@ -133,15 +134,14 @@ class OctoTigerSim:
         self.gravity_solver: Optional[FmmSolver] = None
         if gravity:
             self.gravity_solver = FmmSolver(
-                order=gravity_order,
-                empty_mass_threshold=empty_mass_threshold,
+                empty_mass_threshold=EMPTY_MASS_THRESHOLD,
                 verify_plans=verify_plans,
                 plan_cache=self.plan_cache,
             )
             # Route the solver's per-phase timers (fmm.plan, fmm.p2m_m2m,
             # fmm.m2l, fmm.l2p, fmm.p2p) into this run's counter registry.
             self.gravity_solver.registry = self.counters
-        self.integrator = self._make_integrator(mesh, cfl, omega)
+        self.integrator = self._make_integrator(mesh, omega)
         sfc_partition(mesh, self.config.nodes)
         self._spec: Optional[ScenarioSpec] = None
         #: The last virtual timing and the inputs it is a pure function of
@@ -150,9 +150,7 @@ class OctoTigerSim:
         self.records: List[StepRecord] = []
         self.last_phi: Optional[Dict[NodeKey, np.ndarray]] = None
 
-    def _make_integrator(
-        self, mesh: AmrMesh, cfl: float, omega: float
-    ) -> HydroIntegrator:
+    def _make_integrator(self, mesh: AmrMesh, omega: float) -> HydroIntegrator:
         """The hydro integrator for ``mesh`` with this run's gravity solver
         and execution options — the one construction site, shared by
         ``__init__`` and the post-fault :meth:`_rollback`."""
@@ -160,7 +158,7 @@ class OctoTigerSim:
         if self.gravity_solver is not None:
             gravity_cb = self.gravity_solver.as_gravity_callback()
         integrator = HydroIntegrator(
-            mesh, self.eos, cfl=cfl, omega=omega, gravity=gravity_cb,
+            mesh, self.eos, omega=omega, gravity=gravity_cb,
             backend="process" if self.backend == "process" else "serial",
             nprocs=self.nprocs,
             overlap=self.overlap,
@@ -181,56 +179,6 @@ class OctoTigerSim:
         if self._remove_owned_dir is not None:
             self._remove_owned_dir()
             self._series = None
-
-    # -- configuration --------------------------------------------------------
-    @classmethod
-    def from_config(
-        cls,
-        mesh: AmrMesh,
-        config,  # noqa: ANN001 - repro.util.config.Config
-        machine: MachineModel = FUGAKU,
-        nodes: int = 1,
-        omega: Optional[float] = None,
-        backend: str = "des",
-        nprocs: int = 2,
-        overlap: bool = False,
-        plan_cache: Any = None,  # PlanCache | str | Path | None
-    ) -> "OctoTigerSim":
-        """Build a driver from a validated :class:`repro.util.config.Config`.
-
-        Maps the dotted configuration keys (the Octo-Tiger-options analog)
-        onto the solver and runtime knobs; ``omega`` overrides
-        ``frame.omega`` when the scenario provides the equilibrium value.
-        """
-        eos = IdealGasEOS(
-            gamma=config["hydro.gamma"], dual_eta=config["hydro.dual_energy_eta"]
-        )
-        run_config = RunConfig(
-            machine=machine,
-            nodes=nodes,
-            simd=config["simd.abi"] != "scalar",
-            comm_local_optimization=config["comm.local_optimization"],
-            coalesce=config["comm.coalesce"],
-            tasks_per_multipole_kernel=config["runtime.tasks_per_kernel"],
-        )
-        sim = cls(
-            mesh,
-            eos=eos,
-            omega=config["frame.omega"] if omega is None else omega,
-            cfl=config["hydro.cfl"],
-            gravity=config["gravity.enabled"],
-            gravity_order=config["gravity.order"],
-            config=run_config,
-            backend=backend,
-            nprocs=nprocs,
-            overlap=overlap,
-            plan_cache=plan_cache,
-        )
-        if sim.gravity_solver is not None:
-            sim.gravity_solver.theta = config["gravity.theta"]
-            sim.gravity_solver.angmom_correction = config["gravity.angmom_correction"]
-        sim.integrator.reconstruction = config["hydro.reconstruction"]
-        return sim
 
     # -- restart -------------------------------------------------------------
     @classmethod
@@ -366,9 +314,9 @@ class OctoTigerSim:
                 record = self.step(dt)
             except UnrecoverableFault as exc:
                 rollbacks += 1
-                if rollbacks > self.max_rollbacks:
+                if rollbacks > MAX_ROLLBACKS:
                     raise UnrecoverableFault(
-                        f"giving up after {self.max_rollbacks} rollbacks; "
+                        f"giving up after {MAX_ROLLBACKS} rollbacks; "
                         f"last fault: {exc}"
                     ) from exc
                 self.counters.increment("resilience.rollbacks")
@@ -411,10 +359,9 @@ class OctoTigerSim:
         self.mesh = mesh
         self.integrator.close()  # old worker pool aliases the pre-rollback mesh
         restored = self._make_integrator(
-            mesh,
-            self.integrator.cfl,
-            meta["extra"].get("omega", self.integrator.omega),
+            mesh, meta["extra"].get("omega", self.integrator.omega)
         )
+        restored.cfl = self.integrator.cfl
         restored.reconstruction = self.integrator.reconstruction
         restored.reflux = self.integrator.reflux
         restored.time = meta.get("time", 0.0)

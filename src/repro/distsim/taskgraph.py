@@ -48,9 +48,34 @@ from repro.analysis.race import GraphTask, RaceFinding, check_graph
 from repro.distsim.model import DEFAULT_CONSTANTS, ModelConstants, _cpu_rate
 from repro.distsim.runconfig import RunConfig
 from repro.resilience.faults import FaultSpec
-from repro.resilience.protocol import ReliableTransport, RetryPolicy
 from repro.resilience.watchdog import DeadlockWatchdog
 from repro.scenarios.spec import ScenarioSpec
+
+#: Virtual workers per locality of the lattice graph (capped by the
+#: machine's active cores) — enough to show starvation, few enough that the
+#: event count stays tractable.
+MAX_WORKERS_PER_LOCALITY = 16
+
+
+def virtual_machine(
+    config: RunConfig,
+    max_workers: int,
+    constants: ModelConstants = DEFAULT_CONSTANTS,
+) -> Tuple[int, float, NetworkModel]:
+    """The virtual runtime a run of ``config`` executes on: workers per
+    locality (the node's active cores, at most ``max_workers``), each
+    worker's flop rate (scaled so the node's throughput is preserved under
+    the cap) and a fresh model of the machine's interconnect."""
+    workers = min(config.active_cores, max_workers)
+    net = config.machine.interconnect
+    network = NetworkModel(
+        latency_s=net.latency_us * 1e-6,
+        bandwidth_Bps=net.bandwidth_gbs * 1e9,
+        action_overhead_s=net.action_overhead_us * 1e-6,
+        local_copy_Bps=config.machine.node.memory_bw_gbs * 1e9,
+        name=net.name,
+    )
+    return workers, _cpu_rate(config, constants) / workers, network
 
 
 @dataclass
@@ -61,14 +86,11 @@ class TaskGraphResult:
     starvation_events: int
     messages: int
     tasks: int
-    #: Resilience accounting (zero on clean, unprotected runs).
+    #: Messages lost to injected faults (zero on clean runs).
     messages_dropped: int = 0
-    retransmits: int = 0
-    acks: int = 0
-    #: ``messages`` split into application payloads vs protocol control
-    #: traffic (acks) — see :class:`repro.amt.network.Message.control`.
+    #: Application payload messages; the lattice graph sends no protocol
+    #: control traffic, so this equals ``messages``.
     payload_messages: int = 0
-    control_messages: int = 0
 
 
 @dataclass(frozen=True)
@@ -192,15 +214,9 @@ class TaskGraphSimulator:
         spec: ScenarioSpec,
         config: RunConfig,
         constants: ModelConstants = DEFAULT_CONSTANTS,
-        max_workers_per_locality: int = 16,
         faults: Optional[FaultSpec] = None,
-        recovery: Any = None,
-        fault_stream: int = 0,
     ) -> None:
-        """``faults`` injects a seeded fault schedule into the network;
-        ``recovery`` enables the acknowledged-retransmit transport (``True``
-        for the default :class:`RetryPolicy`, or a policy instance);
-        ``fault_stream`` decorrelates fault draws between timesteps."""
+        """``faults`` injects a seeded fault schedule into the network."""
         if spec.n_subgrids > 20_000:
             raise ValueError(
                 "the task-graph simulator is for small configurations; "
@@ -210,27 +226,11 @@ class TaskGraphSimulator:
         self.config = config
         self.constants = constants
         self.faults = faults
-        if recovery is True:
-            recovery = RetryPolicy()
-        self.recovery: Optional[RetryPolicy] = recovery or None
-        # Cap workers so the event count stays tractable; the per-core rate
-        # is scaled so node throughput is preserved.
-        self.workers = min(config.active_cores, max_workers_per_locality)
-        node_rate = _cpu_rate(config, constants)
-        self.core_rate = node_rate / self.workers
-
-        net = config.machine.interconnect
-        self.network = NetworkModel(
-            latency_s=net.latency_us * 1e-6,
-            bandwidth_Bps=net.bandwidth_gbs * 1e9,
-            action_overhead_s=net.action_overhead_us * 1e-6,
-            local_copy_Bps=config.machine.node.memory_bw_gbs * 1e9,
-            name=net.name,
+        self.workers, self.core_rate, self.network = virtual_machine(
+            config, MAX_WORKERS_PER_LOCALITY, constants
         )
         if faults is not None:
-            self.network.fault_injector = faults.injector(stream=fault_stream)
-        #: Bound per run_step when recovery is enabled.
-        self.transport: Optional[ReliableTransport] = None
+            self.network.fault_injector = faults.injector()
 
         # Lay the sub-grids on a cubic lattice; block-partition the raveled
         # order (slab SFC) across localities.
@@ -428,11 +428,6 @@ class TaskGraphSimulator:
         )
         if detector is not None:
             runtime.install_observer(detector)
-        self.transport = (
-            ReliableTransport(self.network, runtime.engine, policy=self.recovery)
-            if self.recovery is not None
-            else None
-        )
         watchdog = DeadlockWatchdog(runtime)
 
         futures: Dict[int, Future] = {}
@@ -459,7 +454,6 @@ class TaskGraphSimulator:
         runtime.run_until_ready(final, watchdog=watchdog)
         makespan = runtime.engine.now
         starvation = sum(l.pool.starvation_events() for l in runtime.localities)
-        stats = self.transport.stats if self.transport is not None else None
         return TaskGraphResult(
             makespan_s=makespan,
             cells_per_second=self.spec.n_cells / makespan,
@@ -468,10 +462,7 @@ class TaskGraphSimulator:
             messages=self.network.messages_sent,
             tasks=graph.n_pool_tasks,
             messages_dropped=self.network.messages_dropped,
-            retransmits=stats.retransmits if stats else 0,
-            acks=stats.acks_received if stats else 0,
             payload_messages=self.network.payload_messages,
-            control_messages=self.network.control_messages,
         )
 
     def _launch_ghost(
@@ -501,19 +492,12 @@ class TaskGraphSimulator:
                 size_bytes=node.size_bytes,
                 tag=node.name,
             )
-            if self.transport is not None:
-                self.transport.send(
-                    message,
-                    lambda _m: promise.set_value(None),
-                    local=src_loc == dst_loc,
-                )
-            else:
-                self.network.send(
-                    runtime.engine,
-                    message,
-                    lambda _m: promise.set_value(None),
-                    local=src_loc == dst_loc,
-                )
+            self.network.send(
+                runtime.engine,
+                message,
+                lambda _m: promise.set_value(None),
+                local=src_loc == dst_loc,
+            )
 
         def launch() -> None:
             if src_loc == dst_loc and self.config.comm_local_optimization:

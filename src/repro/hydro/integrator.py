@@ -344,23 +344,12 @@ class HydroIntegrator:
 
     # -- process-parallel step ------------------------------------------------
     def executor(self):
-        """The lazy process-backend executor (workers fork on first step)."""
+        """The lazy process-backend executor (workers fork on first step);
+        it reads every setting it runs under from this integrator."""
         if self._executor is None:
             from repro.hydro.process_backend import ProcessHydroExecutor
 
-            self._executor = ProcessHydroExecutor(
-                self.mesh,
-                eos=self.eos,
-                nprocs=self.nprocs,
-                omega=self.omega,
-                reflux=self.reflux,
-                reconstruction=self.reconstruction,
-                overlap=self.overlap,
-                verify_plans=self.verify_plans,
-                detect_races=self.detect_races,
-            )
-            self._executor.plans = self.plans
-        self._executor.registry = self._registry()
+            self._executor = ProcessHydroExecutor(self)
         return self._executor
 
     def close(self) -> None:

@@ -74,21 +74,18 @@ from repro.analysis.shmrace import (
     field_access_rows,
 )
 from repro.comms.bundle import GhostBundlePlan
-from repro.hydro.eos import IdealGasEOS
 from repro.hydro.plan import (
     HydroPlan,
-    HydroPlanLifecycle,
     RankStep,
     ScratchArena,
     stack_accel,
 )
 from repro.octree.fields import NFIELDS
-from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
-from repro.profiling.apex import CounterRegistry, global_registry
+from repro.profiling.apex import CounterRegistry
 
-#: The step program, shared with the serial integrator.
-from repro.hydro.integrator import rk3_ops  # noqa: E402  (cycle-free)
+#: The step program and the integrator whose settings it runs under.
+from repro.hydro.integrator import HydroIntegrator, rk3_ops  # noqa: E402  (cycle-free)
 
 #: Shm arenas are allocated for this many times the current leaf count, so
 #: a growing regrid usually fits the existing segments and can be patched
@@ -137,11 +134,12 @@ class _WorkerState:
         """(Re)derive every topology-dependent view from the executor's
         current plan — at fork time from the inherited one, and again
         after each :meth:`replan` patches it in place."""
-        ex = self.ex
+        ex, integrator = self.ex, self.ex.integrator
         plan, rank = ex.plan, self.rank
         #: The rank ops of the step program, over this rank's slot runs.
         self.step = RankStep(
-            plan, rank, ex.eos, ex.reconstruction, ex.omega, self.registry,
+            plan, rank, integrator.eos, integrator.reconstruction,
+            integrator.omega, self.registry,
             accel_view=ex.accel_view, flux_view=ex.flux_view,
             scratch=ScratchArena(),
         )
@@ -302,48 +300,26 @@ def _make_handler(executor: "ProcessHydroExecutor"):
 class ProcessHydroExecutor:
     """Owns the shm arenas and the worker pool for process-parallel steps.
 
-    Build once and call :meth:`step` repeatedly; :meth:`ensure` revalidates
+    Built by :meth:`HydroIntegrator.executor` for that integrator, the one
+    owner of every setting the executor runs under: mesh, eos, omega,
+    reflux, reconstruction, ``nprocs``, ``overlap`` (run the program's
+    fused groups as one dependency-grained round per RK stage),
+    ``verify_plans`` (static verification of every (re)built plan before
+    forking), ``detect_races`` (workers log shm accesses, the parent scans
+    them at every barrier), the hydro plan lifecycle and the counter
+    registry.  Call :meth:`step` repeatedly; :meth:`ensure` revalidates
     arenas and workers whenever the plan they serve stopped matching the
-    mesh (topology moved, leaf storage rebound).  The plan itself comes
-    from the shared hydro lifecycle (:attr:`plans` — the integrator's when
-    it created this executor, its own otherwise).  A regrid that fits the
+    mesh (topology moved, leaf storage rebound).  A regrid that fits the
     allocated arena headroom is patched **in place** and broadcast to the
     live workers — no re-fork; an overflow (or first build) takes the cold
     path and re-forks.
     """
 
-    def __init__(
-        self,
-        mesh: AmrMesh,
-        eos: Optional[IdealGasEOS] = None,
-        nprocs: int = 2,
-        omega: float = 0.0,
-        reflux: bool = True,
-        reconstruction: str = "muscl",
-        timeout: float = 120.0,
-        verify_plans: bool = True,
-        detect_races: bool = False,
-        overlap: bool = False,
-    ) -> None:
-        self.mesh = mesh
-        self.eos = eos or IdealGasEOS()
-        self.omega = omega
-        self.reflux = reflux
-        self.reconstruction = reconstruction
-        #: Futurized schedule: run the program's fused groups (exchange +
-        #: rhs, + update when no reflux round is needed) as one
-        #: dependency-grained round per RK stage.  Off by default — the
-        #: BSP schedule is the ablation baseline.
-        self.overlap = bool(overlap)
-        self.engine = ParallelEngine(nprocs, timeout=timeout)
+    def __init__(self, integrator: HydroIntegrator) -> None:
+        self.integrator = integrator
+        mesh = self.mesh = integrator.mesh
+        self.engine = ParallelEngine(integrator.nprocs)
         self.nprocs = self.engine.nprocs
-        self.registry: Optional[CounterRegistry] = None
-        #: Static verification (:func:`verify_process_plan`) of every
-        #: (re)built plan; a violated invariant raises before forking.
-        self.verify_plans = verify_plans
-        #: Dynamic shm race detection: workers log access events, the
-        #: parent scans at every barrier (``engine.round_observer``).
-        self.detect_races = detect_races
         self.event_log: Optional[ShmEventLog] = None
         self.race_detector: Optional[ShmRaceDetector] = None
         #: Test/diagnostic hook run on each freshly built bundle plan
@@ -361,11 +337,6 @@ class ProcessHydroExecutor:
         self.arena_view: Optional[np.ndarray] = None
         self.accel_view: Optional[np.ndarray] = None
         self.flux_view: Optional[np.ndarray] = None
-        #: The lifecycle this executor asks for its plan.  A
-        #: :class:`~repro.hydro.integrator.HydroIntegrator` replaces it
-        #: with its own, so regrid announcements and the plan cache reach
-        #: both backends through one object.
-        self.plans = HydroPlanLifecycle()
         #: The plan the arenas and the live workers currently serve.
         self.plan: Optional[HydroPlan] = None
         #: Arena capacity in leaf slots (current count x ARENA_HEADROOM at
@@ -418,7 +389,7 @@ class ProcessHydroExecutor:
         reg.increment(f"plan.bundle.{tier}_builds")
 
     def _registry(self) -> CounterRegistry:
-        return self.registry if self.registry is not None else global_registry()
+        return self.integrator._registry()
 
     def size_views(self, n_leaves: int) -> None:
         """Size the three arena views for ``n_leaves`` slots (parent and,
@@ -431,17 +402,18 @@ class ProcessHydroExecutor:
         )
 
     def _adopt(self, n_leaves: int) -> float:
-        """Ask the lifecycle for the ``nprocs``-rank plan adopted into the
-        arena and verify it; returns the seconds the plan build took."""
+        """Ask the integrator's lifecycle for the ``nprocs``-rank plan
+        adopted into the arena and verify it; returns the seconds the plan
+        build took."""
         self.size_views(n_leaves)
         t0 = time.perf_counter()
-        self.plan = self.plans.plan_for(
+        self.plan = self.integrator.plans.plan_for(
             self.mesh, self._registry(), nranks=self.nprocs, out=self.arena_view
         )
         build_s = time.perf_counter() - t0
         if self.bundle_plan_hook is not None:
             self.bundle_plan_hook(self.plan.ghosts)
-        if self.verify_plans:
+        if self.integrator.verify_plans:
             require_verified(verify_process_plan(self.plan))
         return build_s
 
@@ -457,12 +429,15 @@ class ProcessHydroExecutor:
         self.accel_arena = ShmArena(cap * 3 * n**3 * 8)
         self.flux_arena = ShmArena(cap * 6 * NFIELDS * n**2 * 8)
         build_s = self._adopt(n_leaves)
-        if self.detect_races:
+        if self.integrator.detect_races:
             self.event_log = ShmEventLog(self.nprocs)
             # The only sanctioned intra-epoch cross-rank edge: the fused
             # update is gated by the ghosts->go handshake, ordering every
             # donor-interior read before any interior write.
-            edges = {(PHASE_EXCHANGE, PHASE_UPDATE)} if self.overlap else None
+            edges = (
+                {(PHASE_EXCHANGE, PHASE_UPDATE)}
+                if self.integrator.overlap else None
+            )
             self.race_detector = ShmRaceDetector(
                 self.event_log, ordered_phases=edges
             )
@@ -514,8 +489,9 @@ class ProcessHydroExecutor:
         self._detach_leaves()
         # The served plan's views pin the shm mapping: let go of it here
         # and in the lifecycle (whose next request then builds afresh).
-        if self.plans.plan is self.plan:
-            self.plans.drop()
+        plans = self.integrator.plans
+        if plans.plan is self.plan:
+            plans.drop()
         self.plan = None
         for arena in (self.arena, self.accel_arena, self.flux_arena):
             if arena is not None:
@@ -594,14 +570,14 @@ class ProcessHydroExecutor:
         self.compute_s = 0.0
 
         ghosts = self.plan.ghosts
-        collect_fluxes = self.reflux and ghosts.face_counts["fine"] > 0
+        collect_fluxes = self.integrator.reflux and ghosts.face_counts["fine"] > 0
         remote_messages = len(ghosts.remote_pairs)
         remote_bytes = ghosts.remote_payload_bytes
 
         signals: Dict[NodeKey, float] = {}
         for op in rk3_ops(
             dt, collect_fluxes, gravity is not None, gravity_every_stage,
-            self.overlap,
+            self.integrator.overlap,
         ):
             name = op[0]
             if name == "accel":
@@ -630,7 +606,6 @@ class ProcessHydroExecutor:
                 self.compute_s += time.perf_counter() - t0
                 if name == "reflux":
                     self.faces_refluxed += sum(out)
-        if self.registry is not None:
-            engine.harvest_timers(self.registry)
+        engine.harvest_timers(self._registry())
         self.mesh.restrict_all()
         return signals

@@ -19,9 +19,9 @@ injects the faults; this package adds the *recovery* side:
   one-line diagnosis).
 
 The three act on the *modelled* network, where a dropped message means
-something: :class:`repro.distsim.taskgraph.TaskGraphSimulator` and
-:class:`repro.core.distributed.DistributedHydroDriver` take a ``faults=``
-schedule and a ``recovery=`` policy.  The real driver
+something: :class:`repro.core.distributed.DistributedHydroDriver` takes a
+``faults=`` schedule and a ``recovery=`` policy, and
+:class:`repro.distsim.taskgraph.TaskGraphSimulator` a ``faults=`` schedule.  The real driver
 (:meth:`repro.core.driver.OctoTigerSim.run`) recovers from real faults
 instead: when a worker process dies or stops replying the step raises an
 :class:`UnrecoverableFault`, and the driver rolls back to its newest

@@ -1,4 +1,4 @@
-"""Shared utilities: Morton codes, constants, configuration, plan lifecycle.
+"""Shared utilities: Morton codes, constants, plan lifecycle.
 
 These are the substrate-neutral helpers every other subpackage builds on.
 Nothing here knows about octrees, hydro, or machines.
@@ -19,7 +19,6 @@ from repro.util.morton import (
     morton_children,
     morton_level_offset,
 )
-from repro.util.config import Config, ConfigError
 
 __all__ = [
     "G_NEWTON",
@@ -33,6 +32,4 @@ __all__ = [
     "morton_parent",
     "morton_children",
     "morton_level_offset",
-    "Config",
-    "ConfigError",
 ]

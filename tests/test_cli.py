@@ -80,6 +80,28 @@ class TestRunOptions:
         err = capsys.readouterr().err
         assert "usage: repro" in err and "argument --nprocs" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "--nodes", "0"], "--nodes"),
+        (["scale", "--nodes", "0"], "--nodes"),
+        (["scale", "--multipole-tasks", "0"], "--multipole-tasks"),
+    ], ids=["run-nodes", "scale-nodes", "scale-multipole-tasks"])
+    def test_counts_must_be_positive_ints(self, capsys, monkeypatch, argv, option):
+        """Node and task counts are usage errors from the parser, not a
+        ``RunConfig`` traceback after the scenario was built."""
+        import repro.cli as cli
+
+        built = []
+        monkeypatch.setattr(
+            cli, "_scenario_spec", lambda *args, **kwargs: built.append(args)
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro" in err and f"argument {option}" in err
+        assert "must be a positive integer, got 0" in err
+        assert built == []
+
     @pytest.mark.parametrize("spec, complaint", [
         ("bogus=1", "unknown fault key 'bogus'"),
         ("drop", "is not key=value"),

@@ -419,3 +419,39 @@ class TestDriverSpecFromPlans:
         assert sim.spec.fmm_interactions_per_subgrid == 2.0 * (len(far) + len(near)) / n
         assert sim.spec.p2p_pairs_per_subgrid == 2.0 * len(p2p) / n
         assert sim.spec != workload_from_mesh(mesh, name="driver")
+
+
+class TestOneWayToConfigure:
+    def test_second_config_path_and_unset_options_are_gone(self):
+        """A run is configured by the constructors alone: the dotted-key
+        ``Config`` and ``OctoTigerSim.from_config`` are gone, options no
+        caller set are constants, and the process executor takes only the
+        integrator whose settings it runs under."""
+        import importlib
+        import inspect
+
+        from repro.core.crosscheck import crosscheck_hydro
+        from repro.distsim.taskgraph import TaskGraphSimulator
+        from repro.hydro.process_backend import ProcessHydroExecutor
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.util.config")
+        assert not hasattr(OctoTigerSim, "from_config")
+
+        def parameters(fn):
+            return [p for p in inspect.signature(fn).parameters if p != "self"]
+
+        assert parameters(OctoTigerSim) == [
+            "mesh", "eos", "omega", "gravity", "config", "checkpoint_every",
+            "checkpoint_dir", "backend", "nprocs", "overlap", "verify_plans",
+            "detect_races", "plan_cache",
+        ]
+        assert parameters(ProcessHydroExecutor) == ["integrator"]
+        assert parameters(TaskGraphSimulator) == [
+            "spec", "config", "constants", "faults",
+        ]
+        assert parameters(crosscheck_hydro) == [
+            "mesh", "steps", "nprocs", "eos", "omega", "gravity",
+            "gravity_every_stage", "overlap", "mutate", "detect_races",
+            "plan_cache",
+        ]

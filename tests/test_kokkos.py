@@ -289,7 +289,6 @@ from repro.kokkos import (  # noqa: E402
     sanctioned_crossing,
 )
 from repro.kokkos.view import _DeviceArray  # noqa: E402
-from repro.util.config import Config, ConfigError  # noqa: E402
 
 #: Every registered backend.
 ALL_BACKENDS = registered_backends()
@@ -330,8 +329,6 @@ class TestBackendRegistry:
         for name in ("PyJitBackend", "NumbaBackend", "NumpyBackend"):
             assert not hasattr(backend_module, name), name
         assert not hasattr(ExecutionSpace, "array_backend")
-        with pytest.raises(ConfigError):
-            Config({"kokkos.backend": "numpy"})
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)

@@ -68,11 +68,9 @@ class TestSubgridSizeEight:
     def test_default_n_is_eight(self):
         """Paper SIV-C: 'N is typically 8'."""
         from repro.octree import AmrMesh, SubGrid
-        from repro.util.config import Config
 
         assert AmrMesh().n == 8
         assert SubGrid().n == 8
-        assert Config()["mesh.subgrid_n"] == 8
 
 
 @pytest.mark.slow

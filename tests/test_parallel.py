@@ -34,7 +34,6 @@ from repro.core.crosscheck import (
     crosscheck_hydro,
 )
 from repro.hydro import HydroIntegrator
-from repro.hydro.process_backend import ProcessHydroExecutor
 from repro.profiling.apex import CounterRegistry
 from tests.test_hydro_plan import (
     _apply_mutation,
@@ -172,7 +171,7 @@ class TestShmLifecycle:
 
         before = set(os.listdir("/dev/shm"))
         mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
-        ex = ProcessHydroExecutor(mesh, eos=eos, nprocs=2)
+        ex = HydroIntegrator(mesh, eos, backend="process", nprocs=2).executor()
         ex.ensure()
         victim = ex.engine.localities[1].process
         os.kill(victim.pid, signal.SIGTERM)
@@ -199,7 +198,7 @@ class TestShmLifecycle:
         the typed error propagate, and verify every segment is gone."""
         before = set(os.listdir("/dev/shm"))
         mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
-        ex = ProcessHydroExecutor(mesh, eos=eos, nprocs=2)
+        ex = HydroIntegrator(mesh, eos, backend="process", nprocs=2).executor()
         ex.ensure()
         assert live_segments()  # arenas exist while the pool runs
         ex.engine.crash(0)

@@ -23,7 +23,7 @@ from repro.analysis.planverify import (
 from repro.comms.bundle import build_bundle_plan
 from repro.gravity.fmm import FmmSolver
 from repro.gravity.plan import build_plan
-from repro.hydro.process_backend import ProcessHydroExecutor
+from repro.hydro.integrator import HydroIntegrator
 from repro.octree.fields import NFIELDS
 from repro.octree.partition import sfc_partition
 from tests.conftest import fill_gaussian, make_uniform_mesh
@@ -225,7 +225,7 @@ class TestExecutorGate:
         """verify_plans=True refuses the injected plan before forking —
         the static half of the acceptance criterion."""
         mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
-        ex = ProcessHydroExecutor(mesh, eos=eos, nprocs=2)
+        ex = HydroIntegrator(mesh, eos, backend="process", nprocs=2).executor()
         ex.bundle_plan_hook = inject_scatter_overlap
         try:
             with pytest.raises(PlanVerificationError) as err:
@@ -237,7 +237,7 @@ class TestExecutorGate:
 
     def test_verified_executor_plan_clean(self):
         mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
-        ex = ProcessHydroExecutor(mesh, eos=eos, nprocs=2)
+        ex = HydroIntegrator(mesh, eos, backend="process", nprocs=2).executor()
         try:
             ex.ensure()
             assert verify_process_plan(ex.plan) == []
@@ -248,9 +248,9 @@ class TestExecutorGate:
         """--no-verify-plans must still fork and run the injected plan
         (the dynamic detector is then the only line of defence)."""
         mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
-        ex = ProcessHydroExecutor(
-            mesh, eos=eos, nprocs=2, verify_plans=False
-        )
+        ex = HydroIntegrator(
+            mesh, eos, backend="process", nprocs=2, verify_plans=False,
+        ).executor()
         ex.bundle_plan_hook = inject_scatter_overlap
         try:
             ex.ensure()  # no PlanVerificationError

@@ -77,26 +77,26 @@ class TestReliabilityModel:
 
 
 class TestFaultInjection:
-    def test_lost_ghost_message_deadlocks_the_step(self):
+    def test_lost_ghost_message_deadlocks_the_step(self, monkeypatch):
         """Drop one ghost message in the distributed driver: the dependency
         graph stalls and the runtime reports a deadlock instead of silently
         producing wrong data — the paper's hang, reproduced in miniature."""
         from tests.test_distributed_driver import build_mesh
-        from repro.core.distributed import DistributedHydroDriver
+        import repro.core.distributed as distributed
         from repro.machines import FUGAKU as M
 
         mesh, eos = build_mesh()
-        driver = DistributedHydroDriver(
+        driver = distributed.DistributedHydroDriver(
             mesh, eos, config=RunConfig(machine=M, nodes=2)
         )
-        original = driver._network
+        original = distributed.virtual_machine
 
-        def sabotaged():
-            net = original()
+        def sabotaged(*args):
+            workers, core_rate, net = original(*args)
             net.drop_message(3)
-            return net
+            return workers, core_rate, net
 
-        driver._network = sabotaged
+        monkeypatch.setattr(distributed, "virtual_machine", sabotaged)
         with pytest.raises(RuntimeError, match="deadlock|never resolved"):
             driver.step(1e-3)
 

@@ -27,7 +27,7 @@ from repro.analysis.shmrace import (
     slot_range_rows,
 )
 from repro.core.crosscheck import crosscheck_hydro
-from repro.hydro.process_backend import ProcessHydroExecutor
+from repro.hydro.integrator import HydroIntegrator
 from tests.test_hydro_plan import make_state_mesh
 
 pytestmark = pytest.mark.timeout(300)
@@ -234,9 +234,10 @@ class TestSeededRace:
         """Static verification off, dynamic detection on: the injected
         overlap must surface as an ShmRaceError at a ghost barrier."""
         mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
-        ex = ProcessHydroExecutor(
-            mesh, eos=eos, nprocs=2, verify_plans=False, detect_races=True
-        )
+        ex = HydroIntegrator(
+            mesh, eos, backend="process", nprocs=2,
+            verify_plans=False, detect_races=True,
+        ).executor()
         ex.bundle_plan_hook = inject_scatter_overlap
         try:
             with pytest.raises(ShmRaceError) as err:
@@ -252,7 +253,9 @@ class TestSeededRace:
 
     def test_clean_run_zero_findings_shm_wire(self):
         mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
-        ex = ProcessHydroExecutor(mesh, eos=eos, nprocs=2, detect_races=True)
+        ex = HydroIntegrator(
+            mesh, eos, backend="process", nprocs=2, detect_races=True,
+        ).executor()
         try:
             ex.step(1e-4)
             ex.step(1e-4)

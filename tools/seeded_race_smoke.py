@@ -4,7 +4,8 @@
 
 Injects a real scatter-overlap race into the ghost bundle plan (two
 remote bundles writing the same arena elements from different ranks) and
-drives one hydro step through `ProcessHydroExecutor` three times:
+drives one hydro step through the `ProcessHydroExecutor` of a process-backend
+`HydroIntegrator` three times:
 
 1. **static leg** — plan verification on: the executor must refuse the
    plan with a `PlanVerificationError` naming `bundle-dst-overlap`,
@@ -33,7 +34,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis.planverify import PlanVerificationError  # noqa: E402
 from repro.analysis.shmrace import ShmRaceError  # noqa: E402
 from repro.amt.shm import live_segments  # noqa: E402
-from repro.hydro.process_backend import ProcessHydroExecutor  # noqa: E402
+from repro.hydro.integrator import HydroIntegrator  # noqa: E402
 
 
 def _make_mesh():
@@ -52,10 +53,10 @@ def _run_leg(verify_plans: bool, detect_races: bool):
     """One hydro step with the seeded plan; returns the raised checker
     error (or None when the step completed)."""
     mesh, eos = _make_mesh()
-    ex = ProcessHydroExecutor(
-        mesh, eos=eos, nprocs=2,
+    ex = HydroIntegrator(
+        mesh, eos, backend="process", nprocs=2,
         verify_plans=verify_plans, detect_races=detect_races,
-    )
+    ).executor()
     ex.bundle_plan_hook = _inject
     try:
         ex.step(1e-4)
