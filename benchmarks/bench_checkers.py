@@ -11,7 +11,11 @@ benchmark meshes in three configurations:
 * ``verify``  — static plan verification only (the default shipped
   configuration; the cost lands at plan build, not in the step);
 * ``dynamic`` — verification plus full dynamic shm access-event logging
-  and per-barrier race scans (``detect_races=True``).
+  and a race scan at the end of every round (``detect_races=True``).
+
+It times whole steps and reads neither of the executor's round-time
+clocks (``exchange_wait_s`` / ``compute_s``; their one attribution rule
+is in ``docs/parallel.md``).
 
 Also reports the one-shot static verification wall time (the price of
 refusing an unverified plan) and the access events replayed per step.

@@ -12,10 +12,12 @@ barrier schedule and once with the fused ("overlap") schedule, one round
 per RK stage — next to the distsim-predicted strong-scaling curves (overlap
 on and off) for the same workload shape from ``repro.machines``.
 
-Every point also records the per-phase attribution the executor measures:
-``exchange_wait_ms`` (time in / blocked on the ghost exchange) versus
-``compute_ms`` (rhs/reflux/update) and their ``exchange_wait_share``, on
-both schedules.
+Every point also records the executor's split of the step's round wall
+time, one rule on both schedules (``docs/parallel.md``): ``compute_ms``
+is, per round, the slowest rank's time in rank ops (begin, rhs, reflux,
+update, finish), and ``exchange_wait_ms`` is the rest of the round —
+ghost applies, the ``ghosts``→``go`` wait, control messages and
+imbalance — with ``exchange_wait_share`` their ratio.
 
 Before timing anything, every benchmarked (nprocs, schedule) case is run
 through the DES-vs-process cross-check harness

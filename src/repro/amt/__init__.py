@@ -34,6 +34,7 @@ from repro.amt.locality import Locality, Runtime, Channel, ActionRegistry
 from repro.amt.network import NetworkModel, Message
 from repro.amt.pjm import PjmJob, PjmScheduler
 from repro.amt.parallel import (
+    EngineNotStartedError,
     ParallelEngine,
     ParallelLocality,
     WorkerCrashError,
@@ -61,6 +62,7 @@ __all__ = [
     "Message",
     "PjmJob",
     "PjmScheduler",
+    "EngineNotStartedError",
     "ParallelEngine",
     "ParallelLocality",
     "WorkerCrashError",

@@ -14,9 +14,11 @@ with
   parent adopts mesh storage into a ``/dev/shm`` segment *before* forking,
   so the workers' inherited numpy views alias the same physical pages and
   ghost exchange becomes a shm write plus a control round-trip,
-* bulk-synchronous rounds (:meth:`ParallelEngine.round`) as the barrier
-  primitive: the parent broadcasts one command, every worker executes it
-  and replies, and the gather is the barrier.
+* one round primitive (:meth:`ParallelEngine.round`): the parent
+  broadcasts one command, every worker executes it and replies, and the
+  parent collects the replies together with any mid-round notes, routing
+  messages between workers as the round's dependencies require — the
+  end of the round is the only barrier.
 
 The DES engine stays the bit-exact oracle: the one consumer (the process
 hydro executor) runs the same kernels on the same arenas, so the
@@ -25,11 +27,12 @@ cross-check harness can assert ``np.array_equal`` between backends.
 Failure semantics are typed, mirroring the validation contract of
 :meth:`repro.amt.engine.Engine.post`: non-finite or non-positive timeouts
 and bad worker counts are rejected at construction, a worker that raises
-surfaces as :class:`WorkerError` carrying the remote traceback, and a
-worker that dies (the ``FaultSpec`` crash fate, a kill, an ``os._exit``)
+surfaces as :class:`WorkerError` carrying the remote traceback, a worker
+that dies (the ``FaultSpec`` crash fate, a kill, an ``os._exit``)
 surfaces as :class:`WorkerCrashError` — a subclass of
 :class:`repro.resilience.faults.UnrecoverableFault`, so the driver's
-checkpoint-rollback machinery applies unchanged.
+checkpoint-rollback machinery applies unchanged — and a round on an
+engine without workers raises :class:`EngineNotStartedError`.
 
 Workers terminate through ``os._exit`` on purpose: a forked child inherits
 the parent's ``atexit`` hooks, including the shm-unlink guard, and must
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import multiprocessing.connection
 import numbers
 import os
 import time
@@ -54,15 +58,17 @@ from repro.resilience.faults import UnrecoverableFault
 Handler = Callable[[Any], Any]
 #: Builds the handler inside the child after fork:
 #: (rank, registry, link) -> handler.  The :class:`WorkerLink` is how a
-#: handler takes part in dependency-grained rounds
-#: (:meth:`ParallelEngine.round_async`).
+#: handler posts mid-round notes and waits for routed messages.
 HandlerFactory = Callable[[int, CounterRegistry, "WorkerLink"], Handler]
+#: The parent's view of a mid-round note: (rank, tag, payload) -> routes,
+#: an iterable of (rank, tag, payload) messages to forward (or None).
+NoteHandler = Callable[[int, Any, Any], Any]
 
 #: Reserved control commands (never passed to the handler).
 _STOP = "__stop__"
 _CRASH = "__crash__"
 _TIMERS = "__timers__"
-#: Wire tags of the dependency-grained round protocol (see round_async).
+#: Wire tags of mid-round messages: worker -> parent, parent -> worker.
 _NOTE = "note"
 _ROUTE = "__route__"
 
@@ -104,6 +110,13 @@ class WorkerTimeoutError(UnrecoverableFault):
         )
 
 
+class EngineNotStartedError(RuntimeError):
+    """A round on an engine without workers.
+
+    The engine was never started, was shut down, or was stopped by an
+    earlier round that ended early."""
+
+
 class ParallelLocality:
     """One worker process plus the parent end of its control pipe."""
 
@@ -121,8 +134,8 @@ class ParallelLocality:
             self.conn.send(command)
         except (BrokenPipeError, OSError):
             # The worker died; gather() reports it as a WorkerCrashError
-            # (dropping the send here keeps the barrier the single point
-            # where crashes surface, matching the DES crash-fate path).
+            # (dropping the send here keeps the end of the round the single
+            # point where crashes surface, matching the DES crash-fate path).
             pass
 
     def __repr__(self) -> str:
@@ -140,11 +153,11 @@ def _timer_snapshot(registry: CounterRegistry) -> Dict[str, Tuple[int, float, fl
 
 
 class WorkerLink:
-    """The worker-side end of a dependency-grained round.
+    """The worker-side end of a round's mid-round messages.
 
-    Inside a :meth:`ParallelEngine.round_async` handler the link is the
-    futurization primitive: ``note`` posts a mid-round message to the
-    parent *without* ending the round (the worker keeps computing), and
+    Inside a handler the link is the futurization primitive: ``note``
+    posts a mid-round message to the parent *without* ending the round
+    (the worker keeps computing), and
     ``wait`` blocks until the parent routes a message with the given tag
     back — a message-grained happens-before edge instead of a barrier.
     Routed messages arriving out of order are buffered per tag, so a
@@ -225,7 +238,7 @@ def _worker_main(rank: int, factory: HandlerFactory, conn) -> None:  # noqa: ANN
 
 
 class ParallelEngine:
-    """A pool of forked worker localities driven in BSP rounds.
+    """A pool of forked worker localities driven in rounds.
 
     Parameters
     ----------
@@ -235,7 +248,7 @@ class ParallelEngine:
         :meth:`repro.amt.engine.Engine.post` takes on delays.
     timeout:
         Per-round reply deadline in seconds.  Must be finite and positive:
-        a NaN timeout would make every ``poll`` return instantly and spin,
+        a NaN timeout would make every ``wait`` return instantly and spin,
         exactly the class of silent corruption the DES engine's NaN-delay
         guard rejects at the door.
     """
@@ -260,7 +273,7 @@ class ParallelEngine:
         self.localities: List[ParallelLocality] = []
         self.rounds = 0
         self.control_messages = 0
-        #: Invoked after every completed barrier, while all workers are
+        #: Invoked after every completed round, while all workers are
         #: parked waiting for the next command — the safe window for the
         #: shm race detector (:mod:`repro.analysis.shmrace`) to drain and
         #: reset the shared event log.
@@ -311,6 +324,18 @@ class ParallelEngine:
             loc.conn.close()
         self.localities = []
 
+    def _stop(self) -> None:
+        """End the pool after a round that ended early.  The workers'
+        protocol state is unknown (a peer may be parked in ``link.wait``
+        for a route that never comes), so they are terminated, not asked."""
+        for loc in self.localities:
+            if loc.alive:
+                loc.process.terminate()
+        for loc in self.localities:
+            loc.process.join(timeout=1.0)
+            loc.conn.close()
+        self.localities = []
+
     def crash(self, rank: int) -> None:
         """Make worker ``rank`` die mid-protocol (the crash fate)."""
         loc = self.localities[rank]
@@ -323,7 +348,7 @@ class ParallelEngine:
     def __exit__(self, *exc) -> None:  # noqa: ANN002
         self.shutdown()
 
-    # -- BSP rounds -----------------------------------------------------------
+    # -- rounds ---------------------------------------------------------------
     def send(self, rank: int, command: Any) -> None:
         """Send one command to one worker (reply collected by ``gather``)."""
         self.localities[rank].send(command)
@@ -334,141 +359,91 @@ class ParallelEngine:
             loc.send(command)
         self.control_messages += len(self.localities)
 
-    def gather(self) -> List[Any]:
-        """Collect one reply per worker; the barrier of a BSP round.
+    def gather(self, on_note: Optional[NoteHandler] = None) -> List[Any]:
+        """Collect one reply per worker: the end of a round.
 
-        Raises :class:`WorkerError` (handler raised remotely),
-        :class:`WorkerCrashError` (process died) or
-        :class:`WorkerTimeoutError` (deadline passed), naming the ranks.
+        Replies and mid-round notes are taken as they arrive, against one
+        deadline for the whole round.  A worker posts a note through its
+        :class:`WorkerLink` and keeps computing; ``on_note(rank, tag,
+        payload)`` sees it at once and may return ``(rank, tag, payload)``
+        routes, which are forwarded to the named workers' links — each one
+        a message-grained happens-before edge (the shm race detector is
+        told about exactly these).  Without ``on_note`` notes are dropped.
+
+        Every gather counts in :attr:`rounds`; a completed one runs the
+        :attr:`round_observer` while all workers are parked.  Failures:
+
+        * a remote raise without ``on_note``: the other replies are
+          drained, then :class:`WorkerError` (lowest failing rank) is
+          raised and the pool stays usable;
+        * any other early end — a remote raise with ``on_note``, a death
+          (:class:`WorkerCrashError`), the deadline
+          (:class:`WorkerTimeoutError`) — stops every worker, then raises
+          naming the ranks; a later round raises
+          :class:`EngineNotStartedError` instead of reading this round's
+          late replies.
         """
-        results: List[Any] = []
-        error: Optional[WorkerError] = None
-        dead: List[int] = []
-        stalled: List[int] = []
-        for rank, loc in enumerate(self.localities):
-            try:
-                if not loc.conn.poll(self.timeout):
-                    if loc.alive:
-                        stalled.append(rank)
-                    else:
-                        dead.append(rank)
-                    results.append(None)
-                    continue
-                status, payload = loc.conn.recv()
-            except (EOFError, BrokenPipeError, ConnectionResetError):
-                dead.append(rank)
-                results.append(None)
-                continue
-            self.control_messages += 1
-            if status == "err":
-                error = error or WorkerError(rank, payload)
-                results.append(None)
-            else:
-                results.append(payload)
-        if dead:
-            raise WorkerCrashError(dead)
-        if stalled:
-            raise WorkerTimeoutError(stalled, self.timeout)
-        if error is not None:
-            raise error
-        return results
-
-    def round(self, command: Any) -> List[Any]:
-        """One BSP round: broadcast, then barrier on all replies.
-
-        When a :attr:`round_observer` is set it runs after the barrier —
-        every worker has replied and is blocked on its next ``recv``, so
-        the observer sees a quiescent shared-memory state.
-        """
-        self.broadcast(command)
+        if not self.started:
+            raise EngineNotStartedError("the engine has no workers")
         self.rounds += 1
-        results = self.gather()
-        if self.round_observer is not None:
-            self.round_observer()
-        return results
-
-    def round_async(
-        self,
-        command: Any,
-        on_note: Optional[Callable[[int, Any, Any], Any]] = None,
-    ) -> List[Any]:
-        """One dependency-grained round: per-message progress, late barrier.
-
-        Broadcasts ``command`` like :meth:`round`, but instead of blocking
-        on the replies in rank order it interleaves **mid-round notes**
-        with the final replies as they arrive.  A worker posts a note via
-        its :class:`WorkerLink` (``link.note(tag, payload)``) and keeps
-        computing; the parent delivers it to ``on_note(rank, tag,
-        payload)`` immediately.  ``on_note`` may return an iterable of
-        ``(rank, tag, payload)`` route messages, which the engine forwards
-        to the named workers' links — each forwarded message is one
-        message-grained happens-before edge (the overlap schedule's
-        replacement for the barrier; the shm race detector is told about
-        exactly these edges).  The barrier degenerates to the end of the
-        round: every worker still sends one final ``("ok", result)``
-        before the method returns, so the :attr:`round_observer` still
-        sees a quiescent state.
-
-        Failure semantics match :meth:`round` — remote raise →
-        :class:`WorkerError`, dead process → :class:`WorkerCrashError`,
-        deadline → :class:`WorkerTimeoutError` — except that a remote
-        raise or a death ends the round at once: the failed worker's peers
-        may be blocked in ``link.wait`` on a route that now never comes,
-        so waiting for them would only turn the real error into a timeout
-        naming the healthy ranks.  The pool is not reusable afterwards.
-        """
-        from multiprocessing import connection as mp_connection
-
-        self.broadcast(command)
-        self.rounds += 1
-        n = len(self.localities)
-        results: List[Any] = [None] * n
-        done = [False] * n
-        dead: List[int] = []
-        conn_rank = {self.localities[r].conn: r for r in range(n)}
+        pending = {loc.conn: rank for rank, loc in enumerate(self.localities)}
+        results: List[Any] = [None] * len(pending)
+        errors: Dict[int, str] = {}
         deadline = time.monotonic() + self.timeout
-        while not all(done):
+        while pending:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                undone = [r for r in range(n) if not done[r]]
-                stalled = [r for r in undone if self.localities[r].alive]
-                late_dead = [r for r in undone if not self.localities[r].alive]
-                if late_dead:
-                    raise WorkerCrashError(late_dead)
-                raise WorkerTimeoutError(stalled, self.timeout)
-            ready = mp_connection.wait(
-                [self.localities[r].conn for r in range(n) if not done[r]],
-                timeout=min(remaining, 0.25),
+            ready = multiprocessing.connection.wait(
+                list(pending), timeout=max(remaining, 0.0)
             )
+            if not ready:
+                late = sorted(pending.values())
+                dead = [r for r in late if not self.localities[r].alive]
+                self._stop()
+                if dead:
+                    raise WorkerCrashError(dead)
+                raise WorkerTimeoutError(late, self.timeout)
+            dead = []
             for conn in ready:
-                rank = conn_rank[conn]
+                rank = pending[conn]
                 try:
                     message = conn.recv()
                 except (EOFError, BrokenPipeError, ConnectionResetError):
-                    done[rank] = True
+                    del pending[conn]
                     dead.append(rank)
                     continue
                 self.control_messages += 1
-                if isinstance(message, tuple) and len(message) == 3 \
-                        and message[0] == _NOTE:
-                    if on_note is not None:
-                        routes = on_note(rank, message[1], message[2])
-                        for to_rank, tag, payload in routes or ():
-                            self.localities[to_rank].send(
-                                (_ROUTE, tag, payload)
-                            )
-                            self.control_messages += 1
+                if message[0] == _NOTE:
+                    routes = on_note(rank, *message[1:]) if on_note else None
+                    for to_rank, tag, payload in routes or ():
+                        self.send(to_rank, (_ROUTE, tag, payload))
                     continue
+                del pending[conn]
                 status, payload = message
                 if status == "err":
-                    raise WorkerError(rank, payload)
-                done[rank] = True
-                results[rank] = payload
+                    errors[rank] = payload
+                else:
+                    results[rank] = payload
             if dead:
-                raise WorkerCrashError(dead)
+                self._stop()
+                raise WorkerCrashError(sorted(dead))
+            if errors and on_note is not None:
+                self._stop()
+                rank = min(errors)
+                raise WorkerError(rank, errors[rank])
+        if errors:
+            rank = min(errors)
+            raise WorkerError(rank, errors[rank])
         if self.round_observer is not None:
             self.round_observer()
         return results
+
+    def round(
+        self, command: Any, on_note: Optional[NoteHandler] = None
+    ) -> List[Any]:
+        """One round: :meth:`broadcast` ``command``, then :meth:`gather`
+        the replies (routing mid-round notes through ``on_note``)."""
+        self.broadcast(command)
+        return self.gather(on_note)
 
     # -- timers ---------------------------------------------------------------
     def harvest_timers(self, registry: CounterRegistry) -> Dict[str, float]:

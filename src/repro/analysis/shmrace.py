@@ -5,21 +5,21 @@ world, where every access is a task with declared effects and causality
 rides the future layer.  The process backend
 (:mod:`repro.hydro.process_backend`) has neither: forked workers touch
 :class:`~repro.amt.shm.ShmArena` pages directly, and the only ordering
-primitive is the BSP barrier of :meth:`repro.amt.parallel.ParallelEngine.round`.
+primitive is the end of a :meth:`repro.amt.parallel.ParallelEngine.round`.
 This module is the equivalent checker for that world:
 
 * each worker appends
   ``(epoch, mode, segment, slot_lo, slot_hi, region, phase)``
   access events to its own block of a shared-memory event log
   (:class:`ShmEventLog` / :class:`ShmEventWriter`) — the *epoch* is the
-  worker's dispatch counter, which advances identically on every rank
-  because BSP rounds deliver the same command sequence everywhere;
+  worker's round counter, which advances identically on every rank
+  because rounds deliver the same command sequence everywhere;
 * after each round the parent's :class:`ShmRaceDetector` replays the
   logs.  The happens-before relation is exactly the barrier structure:
   events in **different** epochs are ordered by the barrier between them,
   events in the **same** epoch on **different** ranks are concurrent —
   unless an explicitly sanctioned message-grained happens-before edge
-  (the overlap schedule's ``round_async`` note→route chain, declared as
+  (a round's ``on_note`` note→route chain, declared as
   an ordered ``(phase, phase)`` pair) orders them.  Two
   concurrent events conflict when they touch the same segment, their leaf
   slot ranges intersect, their regions can alias, and their access modes
@@ -71,15 +71,12 @@ REGION_NAMES = {REGION_ALL: "all", REGION_INTERIOR: "interior",
 _HEADER = 2  # [count, dropped]
 _WORDS = 7   # (epoch, mode, segment, slot_lo, slot_hi, region, phase)
 
-#: Default phase stamp: plain barrier-ordered events.  The overlap
-#: schedule stamps its events with protocol phases so the detector can
-#: honour message-grained happens-before edges *within* an epoch (see
-#: :class:`ShmRaceDetector` ``ordered_phases``).
+#: Default phase stamp: events ordered only by the ends of rounds.
 PHASE_NONE = 0
-#: Overlap-protocol phase stamps.  The futurized process backend tags the
-#: events of a fused exchange/compute/update epoch with these so the
-#: detector can recognise the message-grained happens-before edges the
-#: protocol establishes (see ``ordered_phases`` on :class:`ShmRaceDetector`).
+#: Protocol phase stamps.  The process backend tags the events of every
+#: op of a round (one epoch) with these so the detector can honour the
+#: message-grained happens-before edges *within* an epoch (see
+#: ``ordered_phases`` on :class:`ShmRaceDetector`).
 PHASE_EXCHANGE = 1
 PHASE_COMPUTE = 2
 PHASE_UPDATE = 3
@@ -239,7 +236,7 @@ class ShmRaceDetector:
         #: epoch: a set of ``(phase_a, phase_b)`` pairs meaning "events
         #: stamped ``phase_a`` are ordered before cross-rank events
         #: stamped ``phase_b`` by an explicit routed message" (the
-        #: ``round_async`` note→route chain).  Pairs of events joined by
+        #: ``on_note`` note→route chain).  Pairs of events joined by
         #: such an edge are not concurrent and are skipped; the empty
         #: default reproduces pure barrier-epoch semantics.
         self.ordered_phases = frozenset(ordered_phases or ())

@@ -21,11 +21,9 @@ and the kernel-level ops are the methods of one
 * **serial** — :meth:`HydroIntegrator.step` inline, over rank 0 of the
   one-rank :class:`repro.hydro.plan.HydroPlan` (stacked per-level kernels;
   the ghost exchange is the plan's single ``(0, 0)`` bundle);
-* **process** — ``backend="process"``: every op is one barrier round of
-  :class:`repro.hydro.process_backend.ProcessHydroExecutor`, each worker
-  forwarding it to the ``RankStep`` over the leaves it owns (with
-  ``overlap=True`` each stage's ``fused`` group is one dependency-grained
-  round instead);
+* **process** — ``backend="process"``: every op (or ``fused`` group) is
+  one round of :class:`repro.hydro.process_backend.ProcessHydroExecutor`,
+  each worker running it on the ``RankStep`` over the leaves it owns;
 * **DES** — :class:`repro.core.distributed.DistributedHydroDriver`: every
   rank op is a task on its locality of the virtual AMT runtime, and the
   ghost exchange one message per remote locality pair.

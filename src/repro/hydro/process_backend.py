@@ -23,15 +23,15 @@ partitioned over the worker processes of a
   local-communication optimisation, §VII-B).  The apply is synchronous:
   when it returns every ghost band of the rank is complete, so nothing is
   ever in flight and the rhs needs no interior/halo split;
-* **BSP schedule** (default): every program op is one bulk-synchronous
-  round, so the schedule satisfies the same per-rank dependences the DES
-  driver wires through futures: fills read only stage-``k-1`` interiors
-  (every traced fill reads interiors only), kernels read own interiors +
-  ghosts, updates write own interiors;
-* **overlap schedule** (``overlap=True``): the program's ``fused`` groups
-  run as one dependency-grained round per stage — ``ghost``, ``rhs`` and
-  (when no reflux barrier intervenes) ``update`` back to back, the update
-  behind a ``ghosts`` → ``go`` handshake instead of two barriers.
+* every round runs a **group** of program ops through one worker loop
+  (:meth:`_WorkerState.run`): a ``fused`` item of the program is its
+  group, any other op a group of one.  Ends of rounds order what the
+  DES driver orders with futures — fills read only stage-``k-1``
+  interiors, kernels read own interiors + ghosts, updates write own
+  interiors — and inside a group that updates after its ghost apply, a
+  ``ghosts`` → ``go`` handshake orders every rank's donor reads before
+  any rank's interior writes.  Which ops share a group is decided by
+  :func:`~repro.hydro.integrator.rk3_ops` alone.
 
 This module owns what is specific to real processes — the shm arenas, the
 event log, the fork and the in-place replan broadcast; topology
@@ -54,7 +54,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.amt.parallel import ParallelEngine, WorkerLink
+from repro.amt.parallel import NoteHandler, ParallelEngine, WorkerLink
 from repro.amt.shm import ShmArena
 from repro.analysis.effects import ANY, declare_effects
 from repro.analysis.planverify import require_verified, verify_process_plan
@@ -93,13 +93,12 @@ from repro.hydro.integrator import HydroIntegrator, rk3_ops  # noqa: E402  (cycl
 #: re-forking the pool.
 ARENA_HEADROOM = 1.5
 
-#: Program ops a worker forwards verbatim to its :class:`RankStep`, and the
-#: commands it handles itself (the exchange, fused groups, in-place replans).
-RANK_OPS = frozenset({"begin", "rhs", "reflux", "update", "finish"})
-WORKER_OPS = frozenset({"ghost", "fused", "replan"})
-#: Protocol phase of each op a fused group can hold (race-detector stamps).
+#: Protocol phase of each program op, stamped on its shm access events.
+#: A round is one race-detector epoch, and the one cross-rank order inside
+#: it is exchange before update (the ``ghosts`` -> ``go`` handshake).
 FUSED_PHASES = {
-    "ghost": PHASE_EXCHANGE, "rhs": PHASE_COMPUTE, "update": PHASE_UPDATE,
+    "begin": PHASE_COMPUTE, "ghost": PHASE_EXCHANGE, "rhs": PHASE_COMPUTE,
+    "reflux": PHASE_COMPUTE, "update": PHASE_UPDATE, "finish": PHASE_UPDATE,
 }
 
 
@@ -118,10 +117,9 @@ class _WorkerState:
         self.rank = rank
         self.registry = registry
         self.ex = executor
-        #: Futurization primitive for the overlap schedule (mid-round
-        #: notes/waits); ``None`` only in direct unit-test construction.
+        #: Mid-round notes/waits of the ghosts -> go handshake.
         self.link = link
-        #: BSP epoch: one per dispatched command, advanced identically on
+        #: Race-detector epoch: one per round, advanced identically on
         #: every rank (rounds broadcast the same command sequence).
         self.epoch = 0
         self.events = None
@@ -209,25 +207,10 @@ class _WorkerState:
                 ev[("rhs", fluxes, accel)] = np.vstack(parts)
         self._event_rows = ev
 
-    def _log_phase(self, command: Any) -> None:
-        op = command[0]
-        if op == "fused":
-            # Fused overlap epoch: stamp each access group with its
-            # protocol phase so the detector can apply the sanctioned
-            # message-grained happens-before edge (exchange -> update).
-            for sub in command[1]:
-                self.events.log(
-                    self.epoch, self._rows_of(sub), phase=FUSED_PHASES[sub[0]]
-                )
-            return
-        found = self._rows_of(command)
-        if found is not None:
-            self.events.log(self.epoch, found)
-
-    def _rows_of(self, command: tuple) -> Optional[np.ndarray]:
-        if command[0] == "rhs":
-            return self._event_rows[("rhs", bool(command[1]), bool(command[2]))]
-        return self._event_rows.get(command[0])
+    def _rows_of(self, op: tuple) -> np.ndarray:
+        if op[0] == "rhs":
+            return self._event_rows[("rhs", bool(op[1]), bool(op[2]))]
+        return self._event_rows[op[0]]
 
     # -- ghost exchange --------------------------------------------------------
     def ghost(self) -> None:
@@ -238,52 +221,48 @@ class _WorkerState:
             for pair in self.dst_pairs:
                 plan.bundles[pair].apply(arena)
 
-    def fused(self, ops: Tuple[tuple, ...]) -> Dict[str, float]:
-        """One futurized RK stage: the program's fused op group, run
-        without intermediate barriers.
+    def run(self, group: Tuple[tuple, ...]) -> Tuple[Any, float]:
+        """One round: the program ops of ``group`` back to back.
 
-        The apply *is* the receive (donor interiors were sealed by the
-        previous barrier), so the only cross-rank wait is the fused
-        update's go-ahead: every rank notes ``ghosts`` once its applies
-        are done (it has finished reading donor interiors) and the parent
-        routes ``go`` when all have — a message-grained happens-before
-        edge that replaces the rhs/update barrier and is hidden behind the
-        rhs.
+        The apply *is* the receive (donor interiors were sealed by the end
+        of the previous round).  When the group updates after its ghost
+        apply, the update may overwrite interiors other ranks are still
+        reading as donors, so the rank notes ``ghosts`` once its applies
+        are done and waits for the parent's ``go`` — routed when every rank
+        has noted — before the update: a message-grained happens-before
+        edge in place of a barrier, usually absorbed by the rhs between.
 
-        Returns per-phase wall-time attribution for the bench harness.
+        Returns the last op's result and the seconds spent in rank ops.
         """
-        seg = {"ghost_s": 0.0, "wait_s": 0.0, "rhs_s": 0.0}
-        fuse_update = ops[-1][0] == "update"
-        for op, *args in ops:
-            t0 = time.perf_counter()
-            if op == "ghost":
-                self.ghost()
-                if fuse_update:
-                    self.link.note("ghosts")
-                bucket = "ghost_s"
-            else:
-                if op == "update":
-                    # The go-ahead orders every rank's donor-interior reads
-                    # before any rank's interior writes; by now the rhs
-                    # above has usually already absorbed the wait.
-                    self.link.wait("go")
-                    seg["wait_s"] += time.perf_counter() - t0
-                    t0 = time.perf_counter()
-                getattr(self.step, op)(*args)
-                bucket = "rhs_s"
-            seg[bucket] += time.perf_counter() - t0
-        return seg
-
-    def dispatch(self, command: Any) -> Any:
-        op = command[0]
         self.epoch += 1
-        if self.events is not None:
-            self._log_phase(command)
-        if op in RANK_OPS:
-            return getattr(self.step, op)(*command[1:])
-        if op in WORKER_OPS:
-            return getattr(self, op)(*command[1:])
-        raise ValueError(f"unknown command {op!r}")
+        handshake = {"ghost", "update"} <= {op[0] for op in group}
+        out, busy = None, 0.0
+        for op in group:
+            name = op[0]
+            if self.events is not None:
+                self.events.log(
+                    self.epoch, self._rows_of(op), phase=FUSED_PHASES[name]
+                )
+            if name == "ghost":
+                out = self.ghost()
+                if handshake:
+                    self.link.note("ghosts")
+                continue
+            if name == "update" and handshake:
+                self.link.wait("go")
+            t0 = time.perf_counter()
+            out = getattr(self.step, name)(*op[1:])
+            busy += time.perf_counter() - t0
+        return out, busy
+
+    def dispatch(self, command: Tuple[str, Any]) -> Any:
+        """The worker's handler: ``("run", group)`` or ``("replan", piece)``."""
+        kind, arg = command
+        if kind == "run":
+            return self.run(arg)
+        if kind == "replan":
+            return self.replan(arg)
+        raise ValueError(f"unknown command {kind!r}")
 
 
 def _make_handler(executor: "ProcessHydroExecutor"):
@@ -302,8 +281,8 @@ class ProcessHydroExecutor:
 
     Built by :meth:`HydroIntegrator.executor` for that integrator, the one
     owner of every setting the executor runs under: mesh, eos, omega,
-    reflux, reconstruction, ``nprocs``, ``overlap`` (run the program's
-    fused groups as one dependency-grained round per RK stage),
+    reflux, reconstruction, ``nprocs``, ``overlap`` (handed to
+    :func:`rk3_ops`, which groups the program's ops into rounds),
     ``verify_plans`` (static verification of every (re)built plan before
     forking), ``detect_races`` (workers log shm accesses, the parent scans
     them at every barrier), the hydro plan lifecycle and the counter
@@ -347,10 +326,10 @@ class ProcessHydroExecutor:
         #: one message per remote bundle per exchange, and its payload.
         self.payload_messages = 0
         self.payload_bytes = 0
-        #: Per-step phase attribution (seconds): critical-path time spent
-        #: in / waiting on the ghost exchange vs computing.  BSP charges
-        #: whole-round wall time; overlap charges the workers' own
-        #: per-phase clocks (max over ranks per stage).
+        #: Per-step split of the rounds' wall time (seconds): the slowest
+        #: rank's time in rank ops is compute, the rest of each round —
+        #: ghost applies, the handshake, control messages, imbalance — is
+        #: exchange wait.
         self.exchange_wait_s = 0.0
         self.compute_s = 0.0
 
@@ -431,15 +410,13 @@ class ProcessHydroExecutor:
         build_s = self._adopt(n_leaves)
         if self.integrator.detect_races:
             self.event_log = ShmEventLog(self.nprocs)
-            # The only sanctioned intra-epoch cross-rank edge: the fused
-            # update is gated by the ghosts->go handshake, ordering every
-            # donor-interior read before any interior write.
-            edges = (
-                {(PHASE_EXCHANGE, PHASE_UPDATE)}
-                if self.integrator.overlap else None
-            )
+            # The only sanctioned intra-epoch cross-rank edge: an update
+            # grouped after a ghost apply is gated by the ghosts->go
+            # handshake, ordering every donor-interior read before any
+            # interior write.  A one-op epoch never holds both phases.
             self.race_detector = ShmRaceDetector(
-                self.event_log, ordered_phases=edges
+                self.event_log,
+                ordered_phases={(PHASE_EXCHANGE, PHASE_UPDATE)},
             )
 
         # Fork *after* every arena and plan exists: children inherit it all.
@@ -462,9 +439,6 @@ class ProcessHydroExecutor:
         for rank in range(self.nprocs):
             self.engine.send(rank, ("replan", self.plan.rank_slice(rank)))
         self.engine.gather()
-        self.engine.rounds += 1
-        if self.engine.round_observer is not None:
-            self.engine.round_observer()
         return build_s
 
     def _detach_leaves(self) -> None:
@@ -521,33 +495,26 @@ class ProcessHydroExecutor:
     def _write_accel(self, accel_map: Dict[NodeKey, np.ndarray]) -> None:
         """Stage the gravity callback's output into the shm accel arena.
 
-        Parent-side, between barriers: every worker is parked when this
+        Parent-side, between rounds: every worker is parked when this
         runs, so the write is ordered against both the previous and the
         next round — the declared effect documents the footprint for the
         shm discipline lint (R007)."""
         stack_accel(accel_map, self.plan.leaf_keys, self.accel_view)
 
-    # -- fused rounds ---------------------------------------------------------
-    def _fused_round(self, ops: Tuple[tuple, ...]) -> None:
-        """One futurized RK stage: the program's fused op group as a
-        dependency-grained round.  The parent routes the one message in
-        it: the fused update's go-ahead, granted once every rank has
-        finished reading donor interiors."""
-        ghosts_done = {"count": 0}
+    # -- the step -------------------------------------------------------------
+    def _go_after_ghosts(self) -> NoteHandler:
+        """The note handler of a group that updates after its ghost apply:
+        route ``go`` to every rank once all of them have noted ``ghosts``."""
+        noted = []
 
         def on_note(rank: int, tag: Any, payload: Any):
-            ghosts_done["count"] += 1
-            if ghosts_done["count"] == self.nprocs:
+            noted.append(rank)
+            if len(noted) == self.nprocs:
                 return [(r, "go", None) for r in range(self.nprocs)]
             return ()
 
-        segs = self.engine.round_async(("fused", ops), on_note=on_note)
-        self.exchange_wait_s += max(
-            s["ghost_s"] + s["wait_s"] for s in segs
-        )
-        self.compute_s += max(s["rhs_s"] for s in segs)
+        return on_note
 
-    # -- the step -------------------------------------------------------------
     def step(
         self,
         dt: float,
@@ -556,11 +523,12 @@ class ProcessHydroExecutor:
     ) -> Dict[NodeKey, float]:
         """One RK3 step across the worker pool; returns per-leaf signals.
 
-        Interprets :func:`repro.hydro.integrator.rk3_ops`: rank ops become
-        one barrier round each (``fused`` groups one dependency-grained
-        round), parent ops run here between rounds.  The parent solves
-        gravity (when given) and restricts at the end — both read/write
-        the shm arena directly, so the workers never see a stale field.
+        Interprets :func:`repro.hydro.integrator.rk3_ops`: every item but
+        ``accel`` is one round over a group of rank ops (a ``fused`` item
+        is its group, any other op a group of one); ``accel`` runs here
+        between rounds.  The parent solves gravity (when given) and
+        restricts at the end — both read/write the shm arena directly, so
+        the workers never see a stale field.
         """
         self.ensure()
         engine = self.engine
@@ -579,33 +547,29 @@ class ProcessHydroExecutor:
             dt, collect_fluxes, gravity is not None, gravity_every_stage,
             self.integrator.overlap,
         ):
-            name = op[0]
-            if name == "accel":
-                # Workers are between rounds (idle at the barrier), so the
-                # parent may rewrite the accel arena they read next round.
+            if op[0] == "accel":
+                # Workers are between rounds, so the parent may rewrite the
+                # accel arena they read next round.
                 self._write_accel(gravity(self.mesh))
                 continue
-            if name in ("ghost", "fused"):
+            group = op[1] if op[0] == "fused" else (op,)
+            names = {name for name, *_ in group}
+            if "ghost" in names:
                 self.payload_messages += remote_messages
                 self.payload_bytes += remote_bytes
-            if name == "fused":
-                self._fused_round(op[1])
-                continue
-            # One barrier per op: the BSP schedule is the ablation baseline
-            # the overlap crosscheck compares against, and reflux has a
-            # genuine all-rank dependency (its flux reads span every rank)
-            # — these rounds stay blocking on purpose.
             t0 = time.perf_counter()
-            out = engine.round(op)  # reprolint: sanctioned-barrier
-            if name == "ghost":
-                self.exchange_wait_s += time.perf_counter() - t0
-            elif name == "finish":
-                for per_worker in out:
+            out = engine.round(("run", group), on_note=(
+                self._go_after_ghosts() if {"ghost", "update"} <= names
+                else None
+            ))
+            busy = max(seconds for _, seconds in out)
+            self.compute_s += busy
+            self.exchange_wait_s += time.perf_counter() - t0 - busy
+            if "finish" in names:
+                for per_worker, _ in out:
                     signals.update(per_worker)
-            elif name != "begin":
-                self.compute_s += time.perf_counter() - t0
-                if name == "reflux":
-                    self.faces_refluxed += sum(out)
+            elif "reflux" in names:
+                self.faces_refluxed += sum(faces for faces, _ in out)
         engine.harvest_timers(self._registry())
         self.mesh.restrict_all()
         return signals

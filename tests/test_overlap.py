@@ -5,9 +5,9 @@
   checkpoint recovery (the DES backend as oracle throughout, via
   ``crosscheck_hydro``); a fused step is ``begin`` + one round per stage +
   ``finish``;
-* ``ParallelEngine.round_async`` / ``WorkerLink`` — mid-round notes,
-  parent routing, and failure semantics (a remote raise ends the round at
-  once, even with peers parked in ``link.wait``);
+* ``ParallelEngine.round(on_note=)`` / ``WorkerLink`` — mid-round notes,
+  parent routing, and failure semantics (with ``on_note`` a remote raise
+  ends the round at once, even with peers parked in ``link.wait``);
 * the shm race detector's message-grained ``ordered_phases`` edges:
   the fused-update conflict is real without the ``ghosts``→``go`` edge
   and sanctioned with it, and the edge excuses *only* that phase pair;
@@ -208,7 +208,7 @@ class TestOverlapUnderFaults:
 
 
 # ---------------------------------------------------------------------------
-# round_async / WorkerLink: the dependency-grained round primitive.
+# round(on_note=) / WorkerLink: mid-round notes and routes.
 # ---------------------------------------------------------------------------
 def _link_factory(rank, registry, link):
     def handler(command):
@@ -243,7 +243,7 @@ class TestRoundAsync:
 
         with ParallelEngine(3) as engine:
             engine.start(_link_factory)
-            out = engine.round_async(("relay"), on_note=on_note)
+            out = engine.round(("relay"), on_note=on_note)
         assert out == [(0, "token"), (1, "token"), (2, "token")]
         assert {r for r, tag, _ in got} == {0, 1, 2}
         assert all(tag == "ready" for _, tag, _ in got)
@@ -251,15 +251,15 @@ class TestRoundAsync:
     def test_async_round_without_notes_matches_round(self):
         with ParallelEngine(2) as engine:
             engine.start(_link_factory)
-            assert engine.round_async({"x": 1}) == [{"x": 1}] * 2
-            # The pool is reusable for ordinary barrier rounds afterwards.
+            assert engine.round({"x": 1}) == [{"x": 1}] * 2
+            # The pool is reusable for the next round.
             assert engine.round({"y": 2}) == [{"y": 2}] * 2
 
     def test_worker_error_propagates_from_async_round(self):
         with ParallelEngine(2) as engine:
             engine.start(_link_factory)
             with pytest.raises(WorkerError, match="async boom"):
-                engine.round_async("boom")
+                engine.round("boom")
 
     def test_error_before_note_is_raised_at_once(self):
         # The go-ahead needs both notes, so rank 1 waits for ever; the
@@ -272,7 +272,7 @@ class TestRoundAsync:
             engine.start(_link_factory)
             t0 = time.monotonic()
             with pytest.raises(WorkerError, match="early boom") as err:
-                engine.round_async("half", on_note=on_note)
+                engine.round("half", on_note=on_note)
             elapsed = time.monotonic() - t0
         assert err.value.rank == 0
         assert "RuntimeError" in err.value.remote_traceback

@@ -16,6 +16,7 @@ Covers the ISSUE-6 satellite contracts:
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.amt.parallel import (
+    EngineNotStartedError,
     ParallelEngine,
     WorkerCrashError,
     WorkerError,
+    WorkerTimeoutError,
 )
 from repro.amt.shm import ShmArena, live_segments
 from repro.core.crosscheck import (
@@ -56,6 +59,15 @@ def _echo_factory(rank, registry, link):
             with registry.timer("worker.phase"):
                 pass
             return None
+        if command == "stale":
+            # Rank 0 fails at once; rank 1 replies after the parent has
+            # already seen the failure.
+            if rank == 0:
+                raise RuntimeError("early boom")
+            time.sleep(0.3)
+            return ("stale", rank)
+        if command == "sleep":
+            time.sleep(5.0)
         return command
 
     return handler
@@ -116,6 +128,36 @@ class TestEngineRounds:
                 engine.round("rank")
             assert exc.value.ranks == (1,)
             assert isinstance(exc.value, UnrecoverableFault)
+
+    def test_round_after_early_end_raises_not_stale(self):
+        # A raise in a round with on_note stops the pool; the late reply of
+        # rank 1 must not be read as the next round's answer.
+        with ParallelEngine(2, timeout=10.0) as engine:
+            engine.start(_echo_factory)
+            with pytest.raises(WorkerError, match="early boom") as err:
+                engine.round("stale", on_note=lambda rank, tag, payload: ())
+            assert err.value.rank == 0
+            assert not engine.started
+            time.sleep(0.5)  # rank 1's reply would be in the pipe by now
+            with pytest.raises(EngineNotStartedError):
+                engine.round("rank")
+
+    def test_round_on_unstarted_engine_raises(self):
+        engine = ParallelEngine(2)
+        with pytest.raises(EngineNotStartedError):
+            engine.round("rank")
+
+    def test_one_deadline_per_round(self):
+        # Two stalled workers share the round's one deadline: the timeout
+        # names both ranks after ~1 s, not one timeout per worker in turn.
+        with ParallelEngine(2, timeout=1.0) as engine:
+            engine.start(_echo_factory)
+            t0 = time.monotonic()
+            with pytest.raises(WorkerTimeoutError) as err:
+                engine.round("sleep")
+            elapsed = time.monotonic() - t0
+        assert err.value.ranks == (0, 1)
+        assert elapsed < 1.5
 
     def test_harvest_timers_max_and_mean(self):
         registry = CounterRegistry()

@@ -560,8 +560,12 @@ class TestBarrierRoundInLoop:
         assert lint_source(src, "src/repro/hydro/x.py") == []
 
     def test_async_round_in_loop_ok(self):
-        src = "for stage in stages:\n    engine.round_async(cmd, on_note=h)\n"
+        src = "for stage in stages:\n    engine.round(cmd, on_note=h)\n"
         assert lint_source(src, "src/repro/hydro/x.py") == []
+
+    def test_round_with_none_on_note_flagged(self):
+        src = "for stage in stages:\n    engine.round(cmd, on_note=None)\n"
+        assert rules(lint_source(src, "src/repro/hydro/x.py")) == ["R011"]
 
     def test_numpy_round_in_loop_ok(self):
         src = "for v in vals:\n    out.append(np.round(v))\n"

@@ -91,10 +91,10 @@ R010 no-cold-plan-in-step-loop
     the call line or the loop header.
 
 R011 no-barrier-round-in-step-loop
-    No blocking barrier round (``engine.round(...)``) inside a loop.  A
-    barrier per loop iteration makes every rank wait for the slowest at
-    every op; the dependency-grained alternative
-    (``ParallelEngine.round_async`` + the fused schedule, see
+    No barrier round (``engine.round(...)`` without ``on_note``) inside a
+    loop.  A barrier per loop iteration makes every rank wait for the
+    slowest at every op; a round that routes mid-round notes
+    (``engine.round(cmd, on_note=...)`` over a group of ops, see
     docs/parallel.md) orders only what has to be ordered.
     Deliberate barrier loops — the BSP ablation baseline, collective
     phases with genuine all-rank dependencies (reflux), test harnesses —
@@ -163,8 +163,9 @@ _BACKEND_EXEMPT = ("repro/kokkos/backend.py",)
 #: the fingerprint/delta/cache machinery exists to amortize (R010).
 _COLD_BUILD_FNS = {"build_plan", "build_hydro_plan", "build_bundle_plan"}
 _COLD_SANCTION_TAG = "# reprolint: sanctioned-cold-build"
-#: Engine-owner names whose ``.round(...)`` is a blocking barrier (R011);
-#: matching on the receiver name keeps ``np.round`` and friends out.
+#: Engine-owner names whose ``.round(...)`` without ``on_note`` is a
+#: barrier (R011); matching on the receiver name keeps ``np.round`` and
+#: friends out.
 _BARRIER_OWNERS = {"engine"}
 _BARRIER_SANCTION_TAG = "# reprolint: sanctioned-barrier"
 
@@ -737,7 +738,8 @@ def _check_cold_plan_build(
 def _check_barrier_round_in_loop(
     tree: ast.Module, path: str, sanctioned: Set[int]
 ) -> List[Finding]:
-    """R011: no blocking barrier round inside a loop body."""
+    """R011: no barrier round (a round without ``on_note``) inside a loop
+    body."""
     findings: List[Finding] = []
     seen: Set[tuple] = set()
     for node in ast.walk(tree):
@@ -757,15 +759,22 @@ def _check_barrier_round_in_loop(
             )
             if owner_name not in _BARRIER_OWNERS or call.lineno in sanctioned:
                 continue
+            if any(
+                kw.arg == "on_note" and not (
+                    isinstance(kw.value, ast.Constant) and kw.value.value is None
+                )
+                for kw in call.keywords
+            ):
+                continue
             key = (call.lineno, call.col_offset)
             if key in seen:  # nested loops walk the same call twice
                 continue
             seen.add(key)
             findings.append(Finding(
                 path, call.lineno, "R011",
-                "blocking barrier round inside a loop makes every rank "
-                "wait for the slowest at every op; use round_async with "
-                "the fused overlap schedule, or "
+                "barrier round inside a loop makes every rank wait for "
+                "the slowest at every op; group the ops and route their "
+                "dependencies with on_note, or "
                 "mark a deliberate barrier (BSP ablation, reflux "
                 f"collective) with {_BARRIER_SANCTION_TAG!r}",
             ))
