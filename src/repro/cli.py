@@ -71,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--verify-plans", default=True,
                      action=argparse.BooleanOptionalAction,
                      help="statically verify the parallel plans (disjoint "
-                          "rank write sets, one donor per ghost target, "
-                          "disjoint M2L shards) before launch; "
+                          "rank partitions, ghost bundles with one donor "
+                          "per ghost target, M2L row blocks that tile "
+                          "their rows) before launch; "
                           "--no-verify-plans runs unverified plans")
     run.add_argument("--detect-races", action="store_true",
                      help="process backend: log every worker's shm accesses "
@@ -93,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the same steps on the serial, DES and process backends "
              "and assert bit-identical fields (the parallel-smoke CI gate)")
     check.add_argument("--nprocs", type=_positive_int, default=2, metavar="N")
-    check.add_argument("--steps", type=int, default=2)
+    check.add_argument("--steps", type=_positive_int, default=2)
     check.add_argument("--overlap", default=False,
                        action=argparse.BooleanOptionalAction,
                        help="run the process side with the fused "
@@ -235,6 +236,7 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
 
 def _command_verify_plans(args: argparse.Namespace) -> int:
     from repro.analysis.planverify import verify_fmm_blocks, verify_mesh_plans
+    from repro.gravity.fmm import THETA
     from repro.gravity.plan import build_plan
     from repro.scenarios import dwd_scenario, rotating_star, v1309_scenario
     from repro.scenarios.blast import sedov_blast
@@ -255,7 +257,7 @@ def _command_verify_plans(args: argparse.Namespace) -> int:
             violations = verify_mesh_plans(mesh, args.nprocs)
             # Deliberate per-scenario sweep: verify-plans must prove each
             # topology's cold construction, never a cached/delta shortcut.
-            plan = build_plan(mesh, theta=0.5)  # reprolint: sanctioned-cold-build
+            plan = build_plan(mesh, THETA)  # reprolint: sanctioned-cold-build
             violations.extend(verify_fmm_blocks(plan))
             status = "OK" if not violations else "FAIL"
             blocks = len(plan.near_blocks) + sum(len(fl.blocks) for fl in plan.far_levels)

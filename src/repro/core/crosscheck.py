@@ -114,7 +114,6 @@ def crosscheck_hydro(
     eos: Optional[IdealGasEOS] = None,
     omega: float = 0.0,
     gravity: Optional[Callable[[], GravityCallback]] = None,
-    gravity_every_stage: bool = False,
     overlap: bool = False,
     mutate: Optional[Callable[[AmrMesh, int], None]] = None,
     detect_races: bool = True,
@@ -143,12 +142,12 @@ def crosscheck_hydro(
     """
     import time as _time
 
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+
     def physics() -> dict:
         """Each leg's physics options, with its own gravity solver."""
-        return dict(
-            eos=eos, omega=omega, gravity=gravity() if gravity else None,
-            gravity_every_stage=gravity_every_stage,
-        )
+        return dict(eos=eos, omega=omega, gravity=gravity() if gravity else None)
 
     serial = HydroIntegrator(
         mesh, plan_cache=PlanCache.of(plan_cache), **physics()

@@ -89,7 +89,6 @@ class DistributedHydroDriver:
         omega: float = 0.0,
         config: Optional[RunConfig] = None,
         gravity: Optional[GravityCallback] = None,
-        gravity_every_stage: bool = False,
         faults: Optional[FaultSpec] = None,
         recovery=None,  # noqa: ANN001 - RetryPolicy | True | None
     ) -> None:
@@ -100,7 +99,6 @@ class DistributedHydroDriver:
         self.omega = omega
         self.config = config or RunConfig(machine=FUGAKU, nodes=2)
         self.gravity = gravity
-        self.gravity_every_stage = gravity_every_stage
         self.faults = faults
         if recovery is True:
             recovery = RetryPolicy()
@@ -131,7 +129,7 @@ class DistributedHydroDriver:
             )
             self._ranks = (plan, [
                 RankStep(
-                    plan, rank, self.eos, "muscl", self.omega, self.registry,
+                    plan, rank, self.eos, self.omega, self.registry,
                     use_accel, collect_fluxes, accel_view=accel,
                     flux_view=flux, scratch=ScratchArena(),
                 )
@@ -241,9 +239,7 @@ class DistributedHydroDriver:
                 into[dst].append(done)
                 reads[src].append(pack)
 
-        for op, *args in rk3_ops(
-            dt, collect_fluxes, use_accel, self.gravity_every_stage
-        ):
+        for op, *args in rk3_ops(dt, collect_fluxes, use_accel):
             if op == "ghost":
                 for per_rank in (*into, *reads):
                     per_rank.clear()

@@ -223,15 +223,16 @@ class OctoTigerSim:
     def spec(self) -> ScenarioSpec:
         """The live mesh's workload.  With gravity on, the pair and face
         totals are read off the plans the step uses (the same numbers
-        :func:`workload_from_mesh` re-derives by traversal, at the
-        solver's ``theta``); a hydro-only run has no FMM plan to read."""
+        :func:`workload_from_mesh` re-derives by traversal at the FMM's
+        :data:`~repro.gravity.fmm.THETA`); a hydro-only run has no FMM plan
+        to read."""
         if self._spec is None:
             solver = self.gravity_solver
             if solver is None:
                 self._spec = workload_from_mesh(self.mesh, name="driver")
             else:
                 fmm = solver.plan_for(self.mesh)
-                faces = self.integrator.plan_for(self.mesh).ghosts.face_counts
+                faces = self.integrator.plan_for().ghosts.face_counts
                 self._spec = measured_spec(
                     self.mesh, "driver",
                     m2l_pairs=fmm.n_m2l_pairs + fmm.n_near_pairs,
@@ -361,9 +362,6 @@ class OctoTigerSim:
         restored = self._make_integrator(
             mesh, meta["extra"].get("omega", self.integrator.omega)
         )
-        restored.cfl = self.integrator.cfl
-        restored.reconstruction = self.integrator.reconstruction
-        restored.reflux = self.integrator.reflux
         restored.time = meta.get("time", 0.0)
         restored.steps_taken = meta.get("step", 0)
         self.integrator = restored

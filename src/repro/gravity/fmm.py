@@ -3,7 +3,7 @@
 The traversal realises Octo-Tiger's solver phases on an adaptive,
 2:1-balanced octree, classifying node pairs three ways:
 
-* **far** — separation at least ``2 / theta`` node sizes: classic M2L with
+* **far** — separation at least ``2 / THETA`` node sizes: classic M2L with
   the full node multipoles (batched per target),
 * **near** — separated leaf pairs closer than that: M2L from *octant
   sub-moments* of the source's cells.  Octo-Tiger resolves these
@@ -12,9 +12,10 @@ The traversal realises Octo-Tiger's solver phases on an adaptive,
   vectorisable in NumPy,
 * **P2P** — touching leaf pairs: direct cell-cell summation.
 
-With ``theta = 0.5`` the far criterion is a four-node-size separation and
-the near band covers the paper's "same-level cell-to-cell interactions"
-stencil — the Multipole kernel whose task-splitting Fig. 9 studies.
+With :data:`THETA` ``= 0.5`` the far criterion is a four-node-size
+separation and the near band covers the paper's "same-level cell-to-cell
+interactions" stencil — the Multipole kernel whose task-splitting Fig. 9
+studies.
 
 Plan / execute split
 --------------------
@@ -22,7 +23,7 @@ Everything that depends only on mesh *topology* — the dual tree traversal,
 interaction lists, CSR source-index arrays, leaf cell positions and the
 P2P geometry-class templates — lives in a cached
 :class:`~repro.gravity.plan.FmmPlan`, valid while the mesh's content
-:meth:`~repro.octree.mesh.AmrMesh.fingerprint` (and ``theta``) still
+:meth:`~repro.octree.mesh.AmrMesh.fingerprint` (and ``THETA``) still
 equal the ones it was built for, so it invalidates automatically after a
 regrid and is maintained through the lifecycle every plan kind shares
 (:class:`FmmPlanLifecycle`, ``docs/plan_lifecycle.md``).
@@ -74,6 +75,12 @@ from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey, OctreeNode
 from repro.profiling.apex import CounterRegistry, global_registry
 from repro.util.lifecycle import PlanLifecycle
+
+#: Opening criterion: a pair is far at a separation of ``2 / THETA`` node
+#: sizes.
+THETA = 0.5
+#: Gravitational constant in code units.
+G_NEWTON = 1.0
 
 
 @dataclass
@@ -135,8 +142,9 @@ class FmmSolver:
     """Computes the gravitational field of the mesh's density distribution.
 
     ``order`` is the multipole order (1 monopole / 2 +quadrupole /
-    3 +octupole), ``theta`` the opening criterion, and the correction flags
-    control the machine-precision conservation projections.
+    3 +octupole) and the correction flags control the machine-precision
+    conservation projections; the opening criterion is :data:`THETA` and
+    ``G`` is :data:`G_NEWTON`.
 
     The solver caches an :class:`~repro.gravity.plan.FmmPlan` per mesh
     topology (see :meth:`plan_for`); set ``registry`` to route the
@@ -147,19 +155,13 @@ class FmmSolver:
     def __init__(
         self,
         order: int = 3,
-        theta: float = 0.5,
-        g_newton: float = 1.0,
         momentum_correction: bool = True,
         angmom_correction: bool = True,
         empty_mass_threshold: float = 0.0,
         verify_plans: bool = True,
         plan_cache: Optional["PlanCache"] = None,
     ) -> None:
-        if not 0.0 < theta <= 1.0:
-            raise ValueError("theta must be in (0, 1]")
         self.order = order
-        self.theta = theta
-        self.g_newton = g_newton
         self.momentum_correction = momentum_correction
         self.angmom_correction = angmom_correction
         #: Sub-grids whose total mass is below this act as pure vacuum
@@ -184,12 +186,12 @@ class FmmSolver:
     def plan_for(self, mesh: AmrMesh) -> FmmPlan:
         """The cached traversal plan for ``mesh``, rebuilt only when the
         mesh topology (by content :meth:`~repro.octree.mesh.AmrMesh.\
-fingerprint`) or ``theta`` changed — through the shared lifecycle
+fingerprint`) or :data:`THETA` changed — through the shared lifecycle
         (:class:`repro.util.lifecycle.PlanLifecycle`: match → delta →
         cache hit → cold, ``plan.fmm.*`` timers; the tiers are
         bit-identical).
         """
-        return self.plans.plan_for(mesh, self._registry(), theta=self.theta)
+        return self.plans.plan_for(mesh, self._registry(), theta=THETA)
 
     def invalidate_plan(self) -> None:
         """Drop the cached plan (the next solve rebuilds it)."""
@@ -338,14 +340,14 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
             delta = plan.leaf_pos - mom_c[plan.leaf_node_idx][:, None, :]
             idx = plan.leaf_node_idx
             phi_flat, acc_flat = batched_local_evaluate(
-                l0[idx], l1[idx], l2[idx], l3[idx], delta, self.g_newton
+                l0[idx], l1[idx], l2[idx], l3[idx], delta, G_NEWTON
             )
             if n_near_tgt:
                 tgt_slots = plan.near_tgt_slots
                 opos = plan.leaf_pos[tgt_slots][:, plan.oct_cells, :]
                 ocom = oc.reshape(n_part, 8, 3)[plan.near_tgt_rows]
                 odelta = (opos - ocom[:, :, None, :]).reshape(n_near_tgt * 8, sub, 3)
-                po, ao = batched_local_evaluate(q0, q1, q2, q3, odelta, self.g_newton)
+                po, ao = batched_local_evaluate(q0, q1, q2, q3, odelta, G_NEWTON)
                 cells = plan.oct_cells[None, :, :]
                 phi_flat[tgt_slots[:, None, None], cells] += po.reshape(
                     n_near_tgt, 8, sub
@@ -372,7 +374,7 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
                 p2p_apply_class(
                     t1, t3, tgt,
                     plan.leaf_pos[tgt], mass[src], plan.leaf_pos[src],
-                    inv_dx, self.g_newton, phi_flat, acc_flat,
+                    inv_dx, G_NEWTON, phi_flat, acc_flat,
                 )
 
         phi: Dict[NodeKey, np.ndarray] = {}
@@ -426,7 +428,7 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
                     )
                     stats.m2m += 1
 
-        far_pairs, near_pairs, p2p_pairs = traverse(mesh, self.theta)
+        far_pairs, near_pairs, p2p_pairs = traverse(mesh, THETA)
         stats.m2l_pairs = len(far_pairs)
         stats.near_pairs = len(near_pairs)
         stats.m2l_by_level = count_m2l_by_level(far_pairs)
@@ -541,14 +543,14 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
         for leaf in leaves:
             pos, _ = points[leaf.key]
             com = moments[leaf.key].center
-            p, a = locals_[leaf.key].evaluate(pos - com, self.g_newton)
+            p, a = locals_[leaf.key].evaluate(pos - com, G_NEWTON)
             per_octant = octant_locals.get(leaf.key)
             if per_octant is not None:
                 oct_coms = octants_of(leaf.key)[1]
                 for o in range(8):
                     sel = oct_of_cell == o
                     po, ao = per_octant[o].evaluate(
-                        pos[sel] - oct_coms[o], self.g_newton
+                        pos[sel] - oct_coms[o], G_NEWTON
                     )
                     p[sel] += po
                     a[sel] += ao
@@ -594,7 +596,7 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
             if b_empty:  # nothing sources onto a; only b feels a
                 phi_b, acc_b, _, _ = pairwise_accumulate(
                     pos_b, m_b, pos_a, m_a, self_pair=False,
-                    g_newton=self.g_newton, compute_b=False,
+                    g_newton=G_NEWTON, compute_b=False,
                 )
                 phi[kb] += phi_b.reshape(n, n, n)
                 accel[kb] += acc_b.T.reshape(3, n, n, n)
@@ -602,7 +604,7 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
             if a_empty and not same:
                 phi_a, acc_a, _, _ = pairwise_accumulate(
                     pos_a, m_a, pos_b, m_b, self_pair=False,
-                    g_newton=self.g_newton, compute_b=False,
+                    g_newton=G_NEWTON, compute_b=False,
                 )
                 phi[ka] += phi_a.reshape(n, n, n)
                 accel[ka] += acc_a.T.reshape(3, n, n, n)
@@ -613,7 +615,7 @@ fingerprint`) or ``theta`` changed — through the shared lifecycle
             pos_b,
             m_b,
             self_pair=same,
-            g_newton=self.g_newton,
+            g_newton=G_NEWTON,
             compute_b=not same,
         )
         phi[ka] += phi_a.reshape(n, n, n)

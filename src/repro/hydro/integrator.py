@@ -14,9 +14,9 @@ switch is inactive, and interior nodes are restricted from their children.
 
 The stage order exists once, as data: :func:`rk3_ops` yields the ordered
 ops of one step (``ghost → rhs → reflux → update`` per stage, framed by
-``begin`` / ``finish``, with the parent's acceleration rewrites in place),
-and the kernel-level ops are the methods of one
-:class:`repro.hydro.plan.RankStep`.  Three interpreters run that program:
+``begin`` / ``finish``, after the parent's one gravity solve), and the
+kernel-level ops are the methods of one :class:`repro.hydro.plan.RankStep`.
+Three interpreters run that program:
 
 * **serial** — :meth:`HydroIntegrator.step` inline, over rank 0 of the
   one-rank :class:`repro.hydro.plan.HydroPlan` (stacked per-level kernels;
@@ -74,39 +74,32 @@ def rk3_ops(
     dt: float,
     collect_fluxes: bool,
     use_accel: bool,
-    gravity_every_stage: bool,
     overlap: bool = False,
 ) -> Iterator[tuple]:
     """The ordered ops of one stacked SSP-RK3 step — the single definition
     every interpreter (serial, process, DES) runs.
 
-    Parent ops: ``("accel",)`` solves gravity and restages the stacked
-    accelerations; ``("ghost",)`` is the whole ghost exchange.  Rank ops
-    name :class:`repro.hydro.plan.RankStep` methods and carry their
-    arguments: ``begin``, ``rhs(collect_fluxes, use_accel)``, ``reflux``,
-    ``update(a0, a1, dt)``, ``finish``.
+    Parent ops: ``("accel",)`` solves gravity once per step and stages the
+    stacked accelerations; ``("ghost",)`` is the whole ghost exchange.
+    Rank ops name :class:`repro.hydro.plan.RankStep` methods and carry
+    their arguments: ``begin``, ``rhs(collect_fluxes, use_accel)``,
+    ``reflux``, ``update(a0, a1, dt)``, ``finish``.
 
-    With ``overlap`` the leading ops of a stage are grouped as
+    With ``overlap`` the leading ops of every stage are grouped as
     ``("fused", ops)`` — the same ops in the same order, so flattening the
     groups gives the ``overlap=False`` program verbatim.  The group is
     ``ghost, rhs, update`` unless a ``reflux`` (whose flux reads span all
-    ranks, so it keeps a barrier) has to come before the update.  A
-    per-stage acceleration rewrite needs the parent between the ghost fill
-    and the rhs, a seam a group does not have, so those stages stay
-    ungrouped.
+    ranks, so it keeps a barrier) has to come before the update.
     """
     if use_accel:
         yield ("accel",)
     yield ("begin",)
-    for stage_index, (a0, a1) in enumerate(_RK3_STAGES):
-        rewrite_accel = bool(use_accel and gravity_every_stage and stage_index)
+    for a0, a1 in _RK3_STAGES:
         stage = [("ghost",), ("rhs", collect_fluxes, use_accel)]
         if collect_fluxes:
             stage.append(("reflux",))
         stage.append(("update", a0, a1, dt))
-        if rewrite_accel:
-            stage.insert(1, ("accel",))
-        elif overlap:
+        if overlap:
             cut = 2 if collect_fluxes else 3
             stage[:cut] = [("fused", tuple(stage[:cut]))]
         yield from stage
@@ -129,12 +122,8 @@ class HydroIntegrator:
         self,
         mesh: AmrMesh,
         eos: Optional[IdealGasEOS] = None,
-        cfl: float = 0.4,
         omega: float = 0.0,
         gravity: Optional[GravityCallback] = None,
-        gravity_every_stage: bool = False,
-        reflux: bool = True,
-        reconstruction: str = "muscl",
         backend: str = "serial",
         nprocs: int = 2,
         overlap: bool = False,
@@ -148,15 +137,9 @@ class HydroIntegrator:
             )
         self.mesh = mesh
         self.eos = eos or IdealGasEOS()
-        self.cfl = cfl
         self.omega = omega
+        #: Solved once per step, before the first stage.
         self.gravity = gravity
-        self.gravity_every_stage = gravity_every_stage
-        #: Flux correction at coarse-fine boundaries (Octo-Tiger's scheme);
-        #: without it, adaptive meshes leak conservation at AMR interfaces.
-        self.reflux = reflux
-        #: "muscl" (2nd order, default) or "constant" (1st order Godunov).
-        self.reconstruction = reconstruction
         #: "serial" runs in-process; "process" fans the step out over a
         #: :class:`repro.hydro.process_backend.ProcessHydroExecutor` pool.
         self.backend = backend
@@ -187,10 +170,10 @@ class HydroIntegrator:
         self._signal_cache: Optional[Tuple[int, int, Dict[NodeKey, float]]] = None
 
     # -- plan cache -----------------------------------------------------------
-    def plan_for(self, mesh: Optional[AmrMesh] = None) -> HydroPlan:
-        """The current hydro plan, rebuilt only when the mesh topology (by
-        content :meth:`~repro.octree.mesh.AmrMesh.fingerprint`) changed or
-        leaf storage was rebound — through the shared lifecycle
+    def plan_for(self) -> HydroPlan:
+        """The current plan of this integrator's mesh, rebuilt only when the
+        topology (by content :meth:`~repro.octree.mesh.AmrMesh.fingerprint`)
+        changed or leaf storage was rebound — through the shared lifecycle
         (:class:`repro.util.lifecycle.PlanLifecycle`, ``plan.hydro.*``).
         The serial backend asks for the one-rank plan; the process backend
         for the one its executor serves (``nprocs`` ranks, in shm)."""
@@ -198,9 +181,7 @@ class HydroIntegrator:
             ex = self.executor()
             ex.ensure()
             return ex.plan
-        return self.plans.plan_for(
-            mesh if mesh is not None else self.mesh, self._registry()
-        )
+        return self.plans.plan_for(self.mesh, self._registry())
 
     def invalidate_plan(self) -> None:
         """Drop the cached plan (the next step rebuilds it)."""
@@ -235,9 +216,7 @@ class HydroIntegrator:
         that mutates the state directly between steps should call
         :func:`global_timestep` itself (or take another step first).
         """
-        return global_timestep(
-            self.mesh, self.eos, self.cfl, signals=self._cached_signals()
-        )
+        return global_timestep(self.mesh, self.eos, signals=self._cached_signals())
 
     def _record_signals(self, signals: Dict[NodeKey, float]) -> None:
         self._signal_cache = (self.mesh.topology_version, self.steps_taken, signals)
@@ -249,14 +228,10 @@ class HydroIntegrator:
         """RHS of one leaf; returns (dudt, boundary_fluxes_or_None)."""
         if collect_fluxes:
             dudt, _, fluxes = dudt_subgrid(
-                leaf.subgrid, leaf.dx, self.eos,
-                return_boundary_fluxes=True,
-                reconstruction=self.reconstruction,
+                leaf.subgrid, leaf.dx, self.eos, return_boundary_fluxes=True
             )
         else:
-            dudt, _ = dudt_subgrid(
-                leaf.subgrid, leaf.dx, self.eos, reconstruction=self.reconstruction
-            )
+            dudt, _ = dudt_subgrid(leaf.subgrid, leaf.dx, self.eos)
             fluxes = None
         s = leaf.subgrid.interior
         u = leaf.subgrid.data[:, s, s, s]
@@ -310,16 +285,13 @@ class HydroIntegrator:
         # The plan knows whether any coarse-fine interface exists at all
         # (fine-class ghost faces); without one, refluxing cannot trigger
         # and the boundary-flux extraction is pure overhead.
-        collect_fluxes = self.reflux and plan.ghosts.face_counts["fine"] > 0
+        collect_fluxes = plan.ghosts.face_counts["fine"] > 0
         rank = RankStep(
-            plan, 0, self.eos, self.reconstruction, self.omega, reg,
-            use_accel, collect_fluxes,
+            plan, 0, self.eos, self.omega, reg, use_accel, collect_fluxes
         )
         ghosts = plan.ghosts.bundles[(0, 0)]
         signals: Dict[NodeKey, float] = {}
-        for op, *args in rk3_ops(
-            dt, collect_fluxes, use_accel, self.gravity_every_stage
-        ):
+        for op, *args in rk3_ops(dt, collect_fluxes, use_accel):
             if op == "ghost":
                 with reg.timer("hydro.ghost"):
                     ghosts.apply(plan.arena)
@@ -369,10 +341,7 @@ class HydroIntegrator:
         if dt is None:
             dt = self.timestep()
         try:
-            signals = ex.step(
-                dt, gravity=self.gravity,
-                gravity_every_stage=self.gravity_every_stage,
-            )
+            signals = ex.step(dt, gravity=self.gravity)
         except BaseException:
             self.close()
             raise
@@ -401,11 +370,9 @@ class HydroIntegrator:
         # Boundary fluxes only feed refluxing, which needs a coarse-fine
         # interface to exist — on a uniform mesh skip the six face copies
         # per leaf per stage entirely.
-        collect_fluxes = self.reflux and self.mesh.max_level() > 0
-        for stage_index, (a0, a1) in enumerate(_RK3_STAGES):
+        collect_fluxes = self.mesh.max_level() > 0
+        for a0, a1 in _RK3_STAGES:
             fill_all_ghosts(self.mesh)
-            if self.gravity is not None and self.gravity_every_stage and stage_index:
-                accel = self.gravity(self.mesh)
             rhs: Dict[NodeKey, np.ndarray] = {}
             fluxes: Dict[NodeKey, dict] = {}
             for leaf in leaves:

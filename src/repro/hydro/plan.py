@@ -105,8 +105,8 @@ class ScratchArena:
 
 #: Stencil radius of the hydro reconstruction: a cell's RHS reads at most
 #: this many cells away along each sweep axis (MUSCL reconstruction of the
-#: faces around cell ``i`` reads cells ``[i - 2, i + 2]``; the first-order
-#: path reads a subset).  The ghost margin must be at least this wide.
+#: faces around cell ``i`` reads cells ``[i - 2, i + 2]``).  The ghost
+#: margin must be at least this wide.
 STENCIL_RADIUS = 2
 
 
@@ -450,22 +450,6 @@ def _muscl_scratch(w: np.ndarray, ax: int, scratch: ScratchArena) -> np.ndarray:
     return wlr
 
 
-def _constant_scratch(w: np.ndarray, ax: int, scratch: ScratchArena) -> np.ndarray:
-    """First-order face states: shifted cell values, copied into the same
-    ``(2,) + face_shape`` side stack the MUSCL path produces."""
-    nd = w.ndim
-    mx = w.shape[ax]
-    shape = list(w.shape)
-    shape[ax] = mx - 3
-    g = scratch.group(("recon0", ax, w.shape))
-    if not g:
-        g["wlr"] = np.empty((2,) + tuple(shape))
-    wlr = g["wlr"]
-    np.copyto(wlr[0], w[_axslice(nd, ax, 1, mx - 2)])
-    np.copyto(wlr[1], w[_axslice(nd, ax, 2, mx - 1)])
-    return wlr
-
-
 def _hll_scratch(
     wlr: np.ndarray,
     axis: int,
@@ -692,7 +676,6 @@ def stacked_rhs_kernel(
     dx: float,
     eos: IdealGasEOS,
     dudt: np.ndarray,
-    reconstruction: str = "muscl",
     faces: Optional[np.ndarray] = None,
     registry=None,
     scratch: Optional[ScratchArena] = None,
@@ -715,12 +698,6 @@ def stacked_rhs_kernel(
     (when given) is the block's ``(B, 3, 2, NFIELDS, n, n)`` rows of the
     boundary-flux stack the refluxing step reads.
     """
-    if reconstruction == "muscl":
-        reconstruct = _muscl_scratch
-    elif reconstruction == "constant":
-        reconstruct = _constant_scratch
-    else:
-        raise ValueError(f"unknown reconstruction {reconstruction!r}")
     if scratch is None:
         scratch = ScratchArena()
     nb, n = dudt.shape[0], dudt.shape[2]
@@ -763,7 +740,7 @@ def stacked_rhs_kernel(
             wbuf = scratch.get("rhs.sweep", (nk, n + 4, nb, n, n))
             np.copyto(wbuf[:5], ws[:5][trim].transpose(perm))
             np.copyto(wbuf[5:], upass[trim].transpose(perm))
-            wlr = reconstruct(wbuf, 1, scratch)
+            wlr = _muscl_scratch(wbuf, 1, scratch)
             assert wlr.shape[2] == n + 1, "stencil accounting broke"
 
         with _timer(registry, "hydro.riemann"):
@@ -932,7 +909,6 @@ class RankStep:
         plan: HydroPlan,
         rank: int,
         eos: IdealGasEOS,
-        reconstruction: str,
         omega: float,
         registry,
         use_accel: bool = True,
@@ -956,7 +932,6 @@ class RankStep:
         self.keys = keys = plan.leaf_keys
         self.n = n
         self.eos = eos
-        self.reconstruction = reconstruction
         self.omega = omega
         self.registry = registry
         self.scratch = scratch
@@ -1008,7 +983,6 @@ class RankStep:
             for u, dudt, faces in self.batches[i]:
                 stacked_rhs_kernel(
                     u, run.dx, self.eos, dudt,
-                    reconstruction=self.reconstruction,
                     faces=faces if collect_fluxes else None,
                     registry=self.registry,
                     scratch=self.scratch,

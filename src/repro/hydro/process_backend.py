@@ -136,8 +136,7 @@ class _WorkerState:
         plan, rank = ex.plan, self.rank
         #: The rank ops of the step program, over this rank's slot runs.
         self.step = RankStep(
-            plan, rank, integrator.eos, integrator.reconstruction,
-            integrator.omega, self.registry,
+            plan, rank, integrator.eos, integrator.omega, self.registry,
             accel_view=ex.accel_view, flux_view=ex.flux_view,
             scratch=ScratchArena(),
         )
@@ -281,8 +280,8 @@ class ProcessHydroExecutor:
 
     Built by :meth:`HydroIntegrator.executor` for that integrator, the one
     owner of every setting the executor runs under: mesh, eos, omega,
-    reflux, reconstruction, ``nprocs``, ``overlap`` (handed to
-    :func:`rk3_ops`, which groups the program's ops into rounds),
+    ``nprocs``, ``overlap`` (handed to :func:`rk3_ops`, which groups the
+    program's ops into rounds),
     ``verify_plans`` (static verification of every (re)built plan before
     forking), ``detect_races`` (workers log shm accesses, the parent scans
     them at every barrier), the hydro plan lifecycle and the counter
@@ -516,10 +515,7 @@ class ProcessHydroExecutor:
         return on_note
 
     def step(
-        self,
-        dt: float,
-        gravity=None,  # noqa: ANN001 - GravityCallback
-        gravity_every_stage: bool = False,
+        self, dt: float, gravity=None  # noqa: ANN001 - GravityCallback
     ) -> Dict[NodeKey, float]:
         """One RK3 step across the worker pool; returns per-leaf signals.
 
@@ -538,14 +534,13 @@ class ProcessHydroExecutor:
         self.compute_s = 0.0
 
         ghosts = self.plan.ghosts
-        collect_fluxes = self.integrator.reflux and ghosts.face_counts["fine"] > 0
+        collect_fluxes = ghosts.face_counts["fine"] > 0
         remote_messages = len(ghosts.remote_pairs)
         remote_bytes = ghosts.remote_payload_bytes
 
         signals: Dict[NodeKey, float] = {}
         for op in rk3_ops(
-            dt, collect_fluxes, gravity is not None, gravity_every_stage,
-            self.integrator.overlap,
+            dt, collect_fluxes, gravity is not None, self.integrator.overlap
         ):
             if op[0] == "accel":
                 # Workers are between rounds, so the parent may rewrite the

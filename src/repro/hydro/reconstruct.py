@@ -55,20 +55,3 @@ def reconstruct_axis(w: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarray]:
     w_right = chop(center - slope, 1, 0)
     return w_left, w_right
 
-
-def reconstruct_axis_constant(w: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarray]:
-    """First-order (piecewise-constant, Godunov) face states.
-
-    Same face indexing contract as :func:`reconstruct_axis` (``M - 3`` faces,
-    face ``j`` between cells ``j + 1`` and ``j + 2``), so the two schemes are
-    drop-in interchangeable — used by the reconstruction ablation.
-    """
-    w = np.asarray(w)
-    ax = axis % w.ndim
-
-    def chop(lo: int, hi: int) -> np.ndarray:
-        index = [slice(None)] * w.ndim
-        index[ax] = slice(lo, w.shape[ax] + hi if hi < 0 else None)
-        return w[tuple(index)]
-
-    return chop(1, -2), chop(2, -1)

@@ -52,7 +52,6 @@ def dudt_subgrid(
     dx: float,
     eos: IdealGasEOS,
     return_boundary_fluxes: bool = False,
-    reconstruction: str = "muscl",
 ):
     """Flux divergence over the interior of one sub-grid.
 
@@ -67,14 +66,6 @@ def dudt_subgrid(
     """
     if sg.ghost < 2:
         raise ValueError("MUSCL stencil needs ghost width >= 2")
-    if reconstruction == "muscl":
-        reconstruct = reconstruct_axis
-    elif reconstruction == "constant":
-        from repro.hydro.reconstruct import reconstruct_axis_constant
-
-        reconstruct = reconstruct_axis_constant
-    else:
-        raise ValueError(f"unknown reconstruction {reconstruction!r}")
     n, g = sg.n, sg.ghost
     w = primitives_from_conserved(sg.data, eos)
     dudt = np.zeros((NFIELDS, n, n, n))
@@ -91,7 +82,7 @@ def dudt_subgrid(
             # between cell pairs (g-1, g) ... (g+n-1, g+n).
             index = [slice(None)] * 3
             index[axis] = slice(g - 2, g + n + 2)
-            wl, wr = reconstruct(w[key][tuple(index)], axis)
+            wl, wr = reconstruct_axis(w[key][tuple(index)], axis)
             w_left[key] = wl
             w_right[key] = wr
         assert w_left["rho"].shape[axis] == n + 1, "stencil accounting broke"

@@ -23,6 +23,9 @@ from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
 from repro.octree.subgrid import SubGrid
 
+#: Courant number of every step.
+CFL = 0.4
+
 
 def max_signal_subgrid(sg: SubGrid, eos: IdealGasEOS) -> float:
     """Peak CFL wave speed ``|vx| + |vy| + |vz| + 3c`` over one interior."""
@@ -34,23 +37,20 @@ def max_signal_subgrid(sg: SubGrid, eos: IdealGasEOS) -> float:
     return float(speed.max())
 
 
-def _dt_from_peak(dx: float, peak: float, cfl: float) -> float:
+def _dt_from_peak(dx: float, peak: float) -> float:
     if peak <= 0.0:
         return np.inf
-    return cfl * dx / peak
+    return CFL * dx / peak
 
 
-def cfl_timestep_subgrid(
-    sg: SubGrid, dx: float, eos: IdealGasEOS, cfl: float = 0.4
-) -> float:
-    """CFL limit of one sub-grid's interior: cfl * dx / max(|v| + c)."""
-    return _dt_from_peak(dx, max_signal_subgrid(sg, eos), cfl)
+def cfl_timestep_subgrid(sg: SubGrid, dx: float, eos: IdealGasEOS) -> float:
+    """CFL limit of one sub-grid's interior: CFL * dx / max(|v| + c)."""
+    return _dt_from_peak(dx, max_signal_subgrid(sg, eos))
 
 
 def global_timestep(
     mesh: AmrMesh,
     eos: IdealGasEOS,
-    cfl: float = 0.4,
     signals: Optional[Dict[NodeKey, float]] = None,
 ) -> float:
     """The single global dt: minimum CFL limit over all leaves.
@@ -65,7 +65,7 @@ def global_timestep(
         peak = signals.get(leaf.key) if signals is not None else None
         if peak is None:
             peak = max_signal_subgrid(leaf.subgrid, eos)
-        dt = min(dt, _dt_from_peak(leaf.dx, peak, cfl))
+        dt = min(dt, _dt_from_peak(leaf.dx, peak))
     if not np.isfinite(dt):
         raise ValueError("global timestep is unbounded: mesh holds no signal")
     return dt

@@ -98,12 +98,14 @@ def measured_spec(
 
 def workload_from_mesh(mesh, name: str = "measured") -> ScenarioSpec:  # noqa: ANN001
     """Measure a spec from a real mesh alone (small levels): one dual-tree
-    traversal at the default ``theta = 0.5`` and one walk over the ghost
-    faces.  A caller that already holds the mesh's plans reads the same
-    totals off them and calls :func:`measured_spec` (the driver does)."""
+    traversal at the FMM's :data:`~repro.gravity.fmm.THETA` and one walk
+    over the ghost faces.  A caller that already holds the mesh's plans
+    reads the same totals off them and calls :func:`measured_spec` (the
+    driver does)."""
+    from repro.gravity.fmm import THETA
     from repro.gravity.plan import traverse
     from repro.octree.ghost import exchange_plan
 
-    far, near, p2p = traverse(mesh, 0.5)
+    far, near, p2p = traverse(mesh, THETA)
     non_boundary = sum(1 for ex in exchange_plan(mesh) if ex.src is not None)
     return measured_spec(mesh, name, len(far) + len(near), len(p2p), non_boundary)

@@ -1,4 +1,4 @@
-"""Sedov blast validation, virial diagnostics, reconstruction ablation."""
+"""Sedov blast validation and virial diagnostics."""
 
 import numpy as np
 import pytest
@@ -44,11 +44,11 @@ class TestSedovSetup:
 class TestSedovEvolution:
     def test_shock_tracks_selfsimilar_solution(self):
         scenario = sedov_blast(levels=2)
-        integ = HydroIntegrator(scenario.mesh, scenario.eos, cfl=0.3)
+        integ = HydroIntegrator(scenario.mesh, scenario.eos)
         m0 = scenario.mesh.integral(Field.RHO)
         e0 = scenario.mesh.integral(Field.EGAS)
         while integ.time < 0.02:
-            integ.step()
+            integ.step(0.75 * integ.timestep())  # Courant number 0.3
         # Conservation through a strong shock.
         assert scenario.mesh.integral(Field.RHO) == pytest.approx(m0, rel=1e-12)
         assert scenario.mesh.integral(Field.EGAS) == pytest.approx(e0, rel=1e-12)
@@ -60,9 +60,9 @@ class TestSedovEvolution:
 
     def test_blast_stays_spherical(self):
         scenario = sedov_blast(levels=2)
-        integ = HydroIntegrator(scenario.mesh, scenario.eos, cfl=0.3)
+        integ = HydroIntegrator(scenario.mesh, scenario.eos)
         for _ in range(10):
-            integ.step()
+            integ.step(0.75 * integ.timestep())  # Courant number 0.3
         # The octant-averaged shell radii agree (symmetry of the scheme).
         radii = []
         for sx in (-1, 1):
@@ -79,37 +79,6 @@ class TestSedovEvolution:
                     den += float(w.sum())
             radii.append(num / den)
         assert radii[0] == pytest.approx(radii[1], rel=1e-10)
-
-
-class TestReconstructionAblation:
-    def test_constant_reconstruction_runs_and_is_more_diffusive(self):
-        from repro.hydro import sod_solution
-        from tests.test_hydro_integrator import sod_mesh
-
-        errors = {}
-        for scheme in ("muscl", "constant"):
-            mesh, eos = sod_mesh(levels=1)
-            integ = HydroIntegrator(mesh, eos, reconstruction=scheme)
-            integ.run(0.08)
-            xs, rhos = [], []
-            for leaf in mesh.leaves():
-                x, _, _ = leaf.cell_centers()
-                o = leaf.origin
-                if abs(o[1] + 0.5) < 1e-9 and abs(o[2] + 0.5) < 1e-9:
-                    xs.extend(x[:, 0, 0])
-                    rhos.extend(leaf.subgrid.interior_view(Field.RHO)[:, 0, 0])
-            xs, rhos = np.array(xs), np.array(rhos)
-            order = np.argsort(xs)
-            exact, _, _ = sod_solution(xs[order], integ.time, x0=0.0)
-            errors[scheme] = float(np.abs(rhos[order] - exact).mean())
-        assert errors["muscl"] < errors["constant"]
-
-    def test_unknown_scheme_rejected(self, eos):
-        from repro.hydro.solver import dudt_subgrid
-        from repro.octree.subgrid import SubGrid
-
-        with pytest.raises(ValueError):
-            dudt_subgrid(SubGrid(8, 2), 0.1, eos, reconstruction="ppm")
 
 
 class TestVirial:

@@ -84,15 +84,22 @@ class TestRunOptions:
         (["run", "--nodes", "0"], "--nodes"),
         (["scale", "--nodes", "0"], "--nodes"),
         (["scale", "--multipole-tasks", "0"], "--multipole-tasks"),
-    ], ids=["run-nodes", "scale-nodes", "scale-multipole-tasks"])
+        (["crosscheck", "--steps", "0"], "--steps"),
+    ], ids=["run-nodes", "scale-nodes", "scale-multipole-tasks", "crosscheck-steps"])
     def test_counts_must_be_positive_ints(self, capsys, monkeypatch, argv, option):
-        """Node and task counts are usage errors from the parser, not a
-        ``RunConfig`` traceback after the scenario was built."""
+        """Node, task and step counts are usage errors from the parser, not
+        a ``RunConfig`` traceback after the scenario was built (or, for
+        ``crosscheck --steps 0``, a pass that checked nothing)."""
         import repro.cli as cli
+        import repro.core.crosscheck as crosscheck
 
         built = []
         monkeypatch.setattr(
             cli, "_scenario_spec", lambda *args, **kwargs: built.append(args)
+        )
+        monkeypatch.setattr(
+            crosscheck, "crosscheck_scenarios",
+            lambda *args, **kwargs: built.append(args) or [],
         )
         with pytest.raises(SystemExit) as exc:
             main(argv)

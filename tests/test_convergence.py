@@ -2,8 +2,8 @@
 
 Advect a smooth density pulse at constant velocity across a periodic-free
 domain (measured before anything reaches the boundary): the MUSCL scheme
-converges at close to second order on smooth data; the constant scheme at
-first order.  Exact advection solutions make the errors parameter-free.
+converges at close to second order on smooth data.  Exact advection
+solutions make the errors parameter-free.
 """
 
 import numpy as np
@@ -35,10 +35,16 @@ def advection_mesh(levels, velocity=0.5, width=0.04):
     return mesh, eos
 
 
-def advection_error(levels, t_end=0.08, velocity=0.5, reconstruction="muscl"):
+def run_at_courant_03(integ, t_end):
+    """Step to ``t_end`` at 3/4 of the CFL dt: Courant number 0.3."""
+    while integ.time < t_end:
+        integ.step(min(0.75 * integ.timestep(), t_end - integ.time))
+
+
+def advection_error(levels, t_end=0.08, velocity=0.5):
     mesh, eos = advection_mesh(levels, velocity=velocity)
-    integ = HydroIntegrator(mesh, eos, cfl=0.3, reconstruction=reconstruction)
-    integ.run(t_end)
+    integ = HydroIntegrator(mesh, eos)
+    run_at_courant_03(integ, t_end)
     err = 0.0
     volume = 0.0
     for leaf in mesh.leaves():
@@ -62,19 +68,14 @@ class TestAdvectionConvergence:
         # Smooth advection: minmod-MUSCL typically lands ~1.5-2.
         assert 1.2 < rate < 2.4, rate
 
-    def test_muscl_beats_constant_reconstruction(self):
-        muscl = advection_error(2, reconstruction="muscl")
-        constant = advection_error(2, reconstruction="constant")
-        assert muscl < 0.6 * constant
-
     def test_pulse_actually_moves(self):
         mesh, eos = advection_mesh(1)
         from repro.core.diagnostics import center_of_mass
 
         # COM of the over-density, before and after.
-        integ = HydroIntegrator(mesh, eos, cfl=0.3)
+        integ = HydroIntegrator(mesh, eos)
         com0 = center_of_mass(mesh)
-        integ.run(0.08)
+        run_at_courant_03(integ, 0.08)
         com1 = center_of_mass(mesh)
         assert com1[0] > com0[0]
         # The mean density is 1 everywhere, so the COM shift understates the

@@ -407,18 +407,20 @@ class TestDriverSpecFromPlans:
         assert (faces["fine"] > 0) == refine_first
         assert sim.spec == workload_from_mesh(mesh, name="driver")
 
-    def test_follows_the_solver_theta(self):
+    def test_follows_the_solver_theta(self, monkeypatch):
+        from repro.gravity import fmm
         from repro.gravity.plan import traverse
         from repro.scenarios.spec import workload_from_mesh
 
         mesh = make_uniform_mesh(levels=2)  # large enough for theta to matter
         sim = OctoTigerSim(mesh)
-        sim.gravity_solver.theta = 1.0
+        default = workload_from_mesh(mesh, name="driver")
+        monkeypatch.setattr(fmm, "THETA", 1.0)
         far, near, p2p = traverse(mesh, 1.0)
         n = mesh.n_subgrids()
         assert sim.spec.fmm_interactions_per_subgrid == 2.0 * (len(far) + len(near)) / n
         assert sim.spec.p2p_pairs_per_subgrid == 2.0 * len(p2p) / n
-        assert sim.spec != workload_from_mesh(mesh, name="driver")
+        assert sim.spec != default
 
 
 class TestOneWayToConfigure:
@@ -431,7 +433,11 @@ class TestOneWayToConfigure:
         import inspect
 
         from repro.core.crosscheck import crosscheck_hydro
+        from repro.core.distributed import DistributedHydroDriver
         from repro.distsim.taskgraph import TaskGraphSimulator
+        from repro.gravity.fmm import FmmSolver
+        from repro.hydro.integrator import HydroIntegrator, rk3_ops
+        from repro.hydro.plan import RankStep
         from repro.hydro.process_backend import ProcessHydroExecutor
 
         with pytest.raises(ModuleNotFoundError):
@@ -451,7 +457,28 @@ class TestOneWayToConfigure:
             "spec", "config", "constants", "faults",
         ]
         assert parameters(crosscheck_hydro) == [
-            "mesh", "steps", "nprocs", "eos", "omega", "gravity",
-            "gravity_every_stage", "overlap", "mutate", "detect_races",
-            "plan_cache",
+            "mesh", "steps", "nprocs", "eos", "omega", "gravity", "overlap",
+            "mutate", "detect_races", "plan_cache",
         ]
+        # Physics options with one value in use are constants: CFL 0.4,
+        # refluxing, MUSCL, gravity once per step, THETA 0.5, G = 1.
+        assert parameters(HydroIntegrator) == [
+            "mesh", "eos", "omega", "gravity", "backend", "nprocs", "overlap",
+            "verify_plans", "detect_races", "plan_cache",
+        ]
+        assert parameters(HydroIntegrator.plan_for) == []
+        assert parameters(FmmSolver) == [
+            "order", "momentum_correction", "angmom_correction",
+            "empty_mass_threshold", "verify_plans", "plan_cache",
+        ]
+        assert parameters(RankStep) == [
+            "plan", "rank", "eos", "omega", "registry", "use_accel",
+            "collect_fluxes", "accel_view", "flux_view", "scratch",
+        ]
+        assert parameters(rk3_ops) == [
+            "dt", "collect_fluxes", "use_accel", "overlap",
+        ]
+        assert parameters(DistributedHydroDriver) == [
+            "mesh", "eos", "omega", "config", "gravity", "faults", "recovery",
+        ]
+        assert parameters(ProcessHydroExecutor.step) == ["dt", "gravity"]

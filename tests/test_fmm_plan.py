@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import fill_gaussian, make_uniform_mesh
-from repro.gravity.fmm import FmmSolver
+from repro.gravity import fmm
+from repro.gravity.fmm import THETA, FmmSolver
 from repro.gravity.plan import build_plan, count_m2l_by_level
 from repro.octree.fields import Field
 from repro.octree.mesh import AmrMesh
@@ -98,17 +99,17 @@ class TestPlanCache:
         solver.solve(mesh)
         plan = solver.plans.plan
         mesh.refine(sorted(mesh.leaf_keys())[0])
-        assert not plan.matches(mesh, solver.theta)
+        assert not plan.matches(mesh, THETA)
         solver.solve(mesh)
         assert solver.plans.plan is not plan
 
-    def test_plan_invalidated_by_theta_change(self):
+    def test_plan_invalidated_by_theta_change(self, monkeypatch):
         mesh = make_uniform_mesh(1)
         fill_gaussian(mesh)
         solver = FmmSolver()
         solver.solve(mesh)
         plan = solver.plans.plan
-        solver.theta = 0.7
+        monkeypatch.setattr(fmm, "THETA", 0.7)
         solver.solve(mesh)
         assert solver.plans.plan is not plan
         assert solver.plans.plan.theta == 0.7
@@ -122,7 +123,7 @@ class TestPlanCache:
         solver.solve(mesh_a)
         plan = solver.plans.plan
         # Same topology_version value, different object: must rebuild.
-        assert not plan.matches(mesh_b, solver.theta)
+        assert not plan.matches(mesh_b, THETA)
 
     def test_invalidate_plan_forces_rebuild(self):
         mesh = make_uniform_mesh(1)

@@ -237,10 +237,6 @@ class TestFmmAccuracy:
         assert stats.near_pairs > 0
         assert stats.multipole_interactions == stats.m2l_pairs + stats.near_pairs
 
-    def test_theta_validation(self):
-        with pytest.raises(ValueError):
-            FmmSolver(theta=0.0)
-
     def test_result_shapes(self, gaussian_mesh_l2):
         result = FmmSolver().solve(gaussian_mesh_l2)
         for leaf in gaussian_mesh_l2.leaves():

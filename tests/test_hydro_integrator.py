@@ -116,7 +116,7 @@ class TestSodShockTube:
     @pytest.mark.slow
     def test_density_profile_matches_exact(self):
         mesh, eos = sod_mesh(levels=2)
-        integ = HydroIntegrator(mesh, eos, cfl=0.4)
+        integ = HydroIntegrator(mesh, eos)
         integ.run(0.1)
         xs, rhos = [], []
         for leaf in mesh.leaves():

@@ -101,14 +101,7 @@ class TestEquivalence:
             levels=1,
             refine_keys=(2,),
             gravity=fake_gravity,
-            gravity_every_stage=True,
             omega=0.5,
-        )
-        assert_meshes_identical(mesh_a, mesh_b)
-
-    def test_constant_reconstruction_bitwise(self):
-        a, b, mesh_a, mesh_b = run_pair(
-            levels=1, refine_keys=(1, 5), reconstruction="constant"
         )
         assert_meshes_identical(mesh_a, mesh_b)
 
@@ -220,7 +213,7 @@ class TestCflSignalCache:
         integ = HydroIntegrator(mesh, eos)
         integ.step()
         cached = integ.timestep()
-        recomputed = global_timestep(mesh, eos, integ.cfl)
+        recomputed = global_timestep(mesh, eos)
         assert cached == recomputed
 
     def test_cache_dropped_on_regrid(self):
@@ -228,7 +221,7 @@ class TestCflSignalCache:
         integ = HydroIntegrator(mesh, eos)
         integ.step()
         mesh.refine(sorted(mesh.leaf_keys())[0])
-        assert integ.timestep() == global_timestep(mesh, eos, integ.cfl)
+        assert integ.timestep() == global_timestep(mesh, eos)
 
 
 class TestRefluxSkip:
@@ -314,7 +307,6 @@ def _apply_mutation(mesh, op, pick):
 class TestBatchedInvalidationProperty:
     @given(
         ops=_mutation_sequences(),
-        reconstruction=st.sampled_from(["muscl", "constant"]),
         with_sources=st.booleans(),
     )
     @settings(
@@ -322,13 +314,11 @@ class TestBatchedInvalidationProperty:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_reused_integrator_tracks_topology_changes(
-        self, ops, reconstruction, with_sources
-    ):
+    def test_reused_integrator_tracks_topology_changes(self, ops, with_sources):
         """An integrator reused across arbitrary refine/derefine
         sequences stays bit-identical to the reference at every
         intermediate topology."""
-        kw = dict(reconstruction=reconstruction)
+        kw = {}
         if with_sources:
             kw.update(gravity=fake_gravity, omega=0.3)
         mesh_a, eos = make_state_mesh(levels=1, n=4)

@@ -43,7 +43,6 @@ from tests.test_hydro_plan import (
     _apply_mutation,
     _mutation_sequences,
     assert_meshes_identical,
-    fake_gravity,
     make_state_mesh,
 )
 
@@ -91,17 +90,6 @@ class TestOverlapBitIdentity:
             )
         finally:
             ex.close()
-
-    def test_gravity_rotation_every_stage_fallback(self):
-        # gravity_every_stage rewrites accelerations mid-stage; stages 2-3
-        # fall back to the barrier schedule while stage 1 overlaps.  The
-        # mix must still be bit-identical.
-        mesh, eos = make_state_mesh(levels=1, refine_keys=(2,))
-        crosscheck_hydro(
-            mesh, steps=2, nprocs=2, eos=eos, omega=0.4,
-            gravity=lambda: fake_gravity, gravity_every_stage=True,
-            overlap=True,
-        )
 
     @given(ops=_mutation_sequences())
     @settings(

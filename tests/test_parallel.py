@@ -453,6 +453,14 @@ class TestCrosscheckHarness:
         with pytest.raises(BackendMismatch):
             assert_identical(mesh_a, mesh_b)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_crosscheck_needs_at_least_one_step(self, steps):
+        """Zero steps would compare nothing and report bit identity."""
+        mesh, eos = make_state_mesh(levels=1)
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            crosscheck_hydro(mesh, steps=steps, eos=eos)
+        assert live_segments() == ()
+
     def test_clone_mesh_is_private_storage(self):
         mesh, _ = make_state_mesh(levels=1, refine_keys=(0,))
         clone = clone_mesh(mesh)

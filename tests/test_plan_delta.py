@@ -156,12 +156,12 @@ class TestHydroDeltaEquivalence:
         mesh = make_uniform_mesh(1, n=4)
         fill_gaussian(mesh)
         integ = HydroIntegrator(mesh)
-        integ.plan_for(mesh)  # cold build populates the trace cache
+        integ.plan_for()  # cold build populates the trace cache
         delta = apply_ops(mesh, ops)
         if delta is None:
             return
         integ.notify_regrid(delta)
-        warm = integ.plan_for(mesh)
+        warm = integ.plan_for()
         cold = build_hydro_plan(mesh)  # reprolint: sanctioned-cold-build
         assert_plans_equal(warm.ghosts, cold.ghosts)
         assert warm.leaf_keys == cold.leaf_keys

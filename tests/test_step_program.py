@@ -24,49 +24,54 @@ FLAGS = list(itertools.product((False, True), repeat=3))
 
 
 class TestProgram:
-    @pytest.mark.parametrize("collect_fluxes, use_accel, every_stage", FLAGS)
+    @pytest.mark.parametrize("collect_fluxes, use_accel, overlap", FLAGS)
     def test_overlap_is_bsp_with_rhs_split_around_the_drain(
-        self, collect_fluxes, use_accel, every_stage
+        self, collect_fluxes, use_accel, overlap
     ):
         """Flattening every fused group yields the BSP list verbatim (no
-        op is split, renamed or reordered), and each group is the stage's
-        ``ghost, rhs`` plus ``update`` unless a reflux barrier intervenes.
-        (The test name predates the whole-block ``rhs``.)"""
-        args = (1e-3, collect_fluxes, use_accel, every_stage)
+        op is split, renamed or reordered), and with ``overlap`` every
+        stage is one group: the stage's ``ghost, rhs`` plus ``update``
+        unless a reflux barrier intervenes.  (The test name predates the
+        whole-block ``rhs``.)"""
+        args = (1e-3, collect_fluxes, use_accel)
         bsp = list(rk3_ops(*args, overlap=False))
-        overlap = list(rk3_ops(*args, overlap=True))
+        ops = list(rk3_ops(*args, overlap=overlap))
         flat = []
-        for op in overlap:
+        for op in ops:
             flat.extend(op[1] if op[0] == "fused" else [op])
         assert flat == bsp
         assert not any(op[0] == "fused" for op in bsp)
-        for op in overlap:
-            if op[0] == "fused":
-                names = [sub[0] for sub in op[1]]
-                assert names == ["ghost", "rhs"] + (
-                    [] if collect_fluxes else ["update"]
-                )
+        groups = [op[1] for op in ops if op[0] == "fused"]
+        assert len(groups) == (len(_RK3_STAGES) if overlap else 0)
+        for group in groups:
+            names = [sub[0] for sub in group]
+            assert names == ["ghost", "rhs"] + (
+                [] if collect_fluxes else ["update"]
+            )
 
-    @pytest.mark.parametrize("collect_fluxes, use_accel, every_stage", FLAGS)
-    def test_stage_shape(self, collect_fluxes, use_accel, every_stage):
-        ops = list(rk3_ops(1e-3, collect_fluxes, use_accel, every_stage))
+    @pytest.mark.parametrize("collect_fluxes, use_accel, overlap", FLAGS)
+    def test_stage_shape(self, collect_fluxes, use_accel, overlap):
+        ops = []
+        for op in rk3_ops(1e-3, collect_fluxes, use_accel, overlap):
+            ops.extend(op[1] if op[0] == "fused" else [op])
         names = [op[0] for op in ops]
         assert names[-1] == "finish" and names.count("begin") == 1
         assert names.count("ghost") == names.count("rhs") == len(_RK3_STAGES)
         assert [op[1:3] for op in ops if op[0] == "update"] == list(_RK3_STAGES)
         assert names.count("reflux") == (len(_RK3_STAGES) if collect_fluxes else 0)
-        rewrites = len(_RK3_STAGES) - 1 if use_accel and every_stage else 0
-        assert names.count("accel") == (1 + rewrites if use_accel else 0)
+        # Gravity is solved once per step, before the first stage.
+        assert names.count("accel") == int(use_accel)
+        assert names.index("begin") == int(use_accel)
 
     def test_accel_rewrite_stages_keep_the_barrier_form(self):
-        ops = list(rk3_ops(1e-3, False, True, True, overlap=True))
-        names = [op[0] for op in ops]
-        # Stage 1 overlaps; stages 2-3 need the parent between the ghost
-        # fill and the rhs, a seam a fused group does not have.
-        assert names.count("fused") == 1
-        for i, name in enumerate(names):
-            if name == "accel" and i > 0:
-                assert names[i - 1] == "ghost" and names[i + 1] == "rhs"
+        """The one ``accel`` is a parent op between rounds: it leads the
+        program outside every group, and no stage rewrites it, so all
+        three stages group alike."""
+        ops = list(rk3_ops(1e-3, False, True, overlap=True))
+        assert ops[0] == ("accel",) and ops[1] == ("begin",)
+        assert [op[0] for op in ops[2:]] == ["fused"] * len(_RK3_STAGES) + [
+            "finish"
+        ]
 
 
 INTERPRETERS = [
@@ -79,10 +84,10 @@ INTERPRETERS = [
 class TestInterpretersMatchReference:
     @pytest.mark.parametrize("exec_kw", INTERPRETERS)
     def test_everything_on_is_bit_identical_to_step_reference(self, exec_kw):
-        """Refined mesh (reflux active), rotating frame, gravity rewritten
-        every stage, two steps — against the per-leaf oracle itself, not
-        via another interpreter."""
-        physics = dict(gravity=fake_gravity, gravity_every_stage=True, omega=0.4)
+        """Refined mesh (reflux active), rotating frame, gravity, two
+        steps — against the per-leaf oracle itself, not via another
+        interpreter."""
+        physics = dict(gravity=fake_gravity, omega=0.4)
         mesh_kw = dict(levels=1, refine_keys=(0, 3))
         mesh_a, eos = make_state_mesh(**mesh_kw)
         mesh_b, _ = make_state_mesh(**mesh_kw)
