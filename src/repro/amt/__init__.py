@@ -32,7 +32,6 @@ from repro.amt.task import Task, TaskState
 from repro.amt.scheduler import WorkerPool
 from repro.amt.locality import Locality, Runtime, Channel, ActionRegistry
 from repro.amt.network import NetworkModel, Message
-from repro.amt.pjm import PjmJob, PjmScheduler
 from repro.amt.parallel import (
     EngineNotStartedError,
     ParallelEngine,
@@ -60,8 +59,6 @@ __all__ = [
     "ActionRegistry",
     "NetworkModel",
     "Message",
-    "PjmJob",
-    "PjmScheduler",
     "EngineNotStartedError",
     "ParallelEngine",
     "ParallelLocality",

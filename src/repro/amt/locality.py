@@ -89,11 +89,14 @@ class Locality:
         shards: int = 1,
         name: str = "",
         kind: str = "task",
+        effects: Any = None,
     ) -> Future:
         """Work-split ``hpx::dataflow``: one payload, ``shards`` cost slices
-        the pool can interleave (see :meth:`WorkerPool.submit_sharded`)."""
+        the pool can interleave (see :meth:`WorkerPool.submit_sharded`);
+        ``effects`` ride on the payload's task."""
         return self.pool.submit_sharded(
-            deps, fn, cost=cost, shards=shards, name=name, kind=kind
+            deps, fn, cost=cost, shards=shards, name=name, kind=kind,
+            effects=effects,
         )
 
     def __repr__(self) -> str:

@@ -76,6 +76,7 @@ class WorkerPool:
         shards: int = 1,
         name: str = "",
         kind: str = "task",
+        effects: Any = None,
     ) -> Future:
         """Split one unit of work across up to ``shards`` workers.
 
@@ -86,12 +87,14 @@ class WorkerPool:
         seconds instead occupies ``shards`` workers for ``cost/shards``
         each, shrinking the critical path when cores would otherwise
         starve.  The returned future resolves when every shard finishes.
+        ``effects`` (the payload's declared footprint) ride on the first
+        shard, the one that runs it.
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")
         deps = list(deps)
         if shards == 1:
-            task = Task(fn, cost=cost, name=name, kind=kind)
+            task = Task(fn, cost=cost, name=name, kind=kind, effects=effects)
             return self.submit_after(deps, task) if deps else self.submit(task)
         from repro.amt.future import when_all
 
@@ -103,6 +106,7 @@ class WorkerPool:
                 cost=per,
                 name=f"{name}#{i}" if name else "",
                 kind=kind,
+                effects=effects if i == 0 else None,
             )
             parts.append(self.submit_after(deps, task) if deps else self.submit(task))
         return when_all(parts)

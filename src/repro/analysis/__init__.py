@@ -1,22 +1,26 @@
 """Correctness tooling for the asynchronous runtime.
 
 The paper's port lives or dies on two disciplines: no two tasks may touch
-the same sub-grid data without a happens-before edge (the futurized task
-graph issues >10 kernels per sub-grid per step), and data may only cross
-memory spaces through ``deep_copy``.  This package proves both:
+the same sub-grid data without a happens-before edge (the §VII-B
+promise-guarded ghost read), and data may only cross memory spaces
+through ``deep_copy``.  Every op of the step program declares its effects
+once, as ``(mode, segment, lo, hi, region)`` rows derived from the plan
+(:func:`repro.hydro.plan.op_effect_rows`), and three checks read them
+with one conflict predicate
+(:func:`repro.analysis.shmrace.concurrent_conflicts`):
 
-* :mod:`repro.analysis.effects` — declared read/write/accumulate
-  footprints over ``(subgrid, field, space)`` resources,
-* :mod:`repro.analysis.race` — the dynamic vector-clock race detector
-  (hooks the AMT scheduler) and the static task-graph checker,
-* :mod:`repro.analysis.shmrace` — the same contract for the *process*
-  backend: per-rank shm access-event logs replayed against the BSP
-  barrier structure after every round,
-* :mod:`repro.analysis.planverify` — static pre-launch verification that
-  the parallel plans' index arrays are disjoint covers (bundle scatter
-  targets, rank partitions, FMM split shards),
-* :mod:`repro.analysis.spacesan` — the memory-space sanitizer mode that
-  :class:`repro.kokkos.view.View` consults on every access.
+* :mod:`repro.analysis.planverify` — statically, before any worker
+  forks: the op program is race-free for the plan, and the plans' index
+  arrays are disjoint covers (rank partitions, bundle scatter targets,
+  FMM row blocks);
+* :mod:`repro.analysis.shmrace` — on the process backend: per-rank shm
+  access-event logs replayed after every round;
+* :mod:`repro.analysis.race` — on the DES interpreter: the vector-clock
+  race detector hooked into the AMT scheduler, over the rows as
+  :mod:`repro.analysis.effects` sets.
+
+:mod:`repro.analysis.spacesan` is the memory-space sanitizer mode that
+:class:`repro.kokkos.view.View` consults on every access.
 
 The repo-invariant AST linter lives in ``tools/reprolint.py`` (run as
 ``python -m tools.reprolint src/``); see ``docs/analysis.md`` for the
@@ -25,20 +29,15 @@ model and worked examples.
 
 from repro.analysis.effects import (
     ANY,
-    EMPTY_EFFECTS,
-    EffectRegistry,
     EffectSet,
     Resource,
     declare_effects,
     effects_of,
 )
 from repro.analysis.race import (
-    GraphTask,
     RaceDetector,
     RaceError,
     RaceFinding,
-    check_graph,
-    check_space_discipline,
 )
 from repro.analysis.planverify import (
     PlanVerificationError,
@@ -47,6 +46,7 @@ from repro.analysis.planverify import (
     verify_bundle_plan,
     verify_fmm_blocks,
     verify_mesh_plans,
+    verify_op_program,
     verify_partition,
     verify_process_plan,
 )
@@ -70,6 +70,7 @@ __all__ = [
     "verify_bundle_plan",
     "verify_fmm_blocks",
     "verify_mesh_plans",
+    "verify_op_program",
     "verify_partition",
     "verify_process_plan",
     "ShmEventLog",
@@ -77,18 +78,13 @@ __all__ = [
     "ShmRaceDetector",
     "ShmRaceError",
     "ANY",
-    "EMPTY_EFFECTS",
-    "EffectRegistry",
     "EffectSet",
     "Resource",
     "declare_effects",
     "effects_of",
-    "GraphTask",
     "RaceDetector",
     "RaceError",
     "RaceFinding",
-    "check_graph",
-    "check_space_discipline",
     "MemorySpaceViolation",
     "SpaceFinding",
     "sanitizer_mode",

@@ -1,9 +1,10 @@
 """Declared effect sets: the footprint a task touches.
 
 A *resource* is one piece of simulation state identified by
-``(subgrid, field, space)`` — e.g. the conserved variables ``U`` of
-sub-grid 12 in the Host space, or the generation-2 ghost band a neighbour
-donates.  A task's :class:`EffectSet` partitions its footprint into
+``(subgrid, field, space)`` — e.g. the interior of arena slot 12's
+field chunk, as :func:`repro.analysis.shmrace.row_effects` names the
+step program's effect rows.  A task's :class:`EffectSet` partitions its
+footprint into
 
 * **reads** — the task observes the resource,
 * **writes** — the task replaces the resource (exclusive access required),
@@ -17,16 +18,14 @@ write/read, write/accum, read/accum).  Conflicting tasks are only legal
 when a happens-before edge orders them — that check is
 :mod:`repro.analysis.race`'s job; this module only describes footprints.
 
-Effects attach to callables with :func:`declare_effects` (kernels change
-minimally: one decorator line) or to task *kinds* through
-:class:`EffectRegistry`, so graph builders that create pure-cost
-placeholder tasks can still declare what the real kernel would touch.
+Effects travel with a task (``effects=`` on the locality's ``async_*``)
+or attach to a callable with :func:`declare_effects`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 #: Wildcard marker matching any subgrid / field / space.
 ANY = "*"
@@ -122,18 +121,6 @@ class EffectSet:
     def is_empty(self) -> bool:
         return not (self.reads or self.writes or self.accums)
 
-    def __str__(self) -> str:
-        parts = []
-        if self.reads:
-            parts.append("R{" + ", ".join(sorted(map(str, self.reads))) + "}")
-        if self.writes:
-            parts.append("W{" + ", ".join(sorted(map(str, self.writes))) + "}")
-        if self.accums:
-            parts.append("A{" + ", ".join(sorted(map(str, self.accums))) + "}")
-        return " ".join(parts) or "∅"
-
-
-EMPTY_EFFECTS = EffectSet()
 
 _EFFECTS_ATTR = "__effects__"
 
@@ -161,27 +148,3 @@ def declare_effects(
 def effects_of(fn: Callable) -> Optional[EffectSet]:
     """The effect set declared on ``fn``, or None."""
     return getattr(fn, _EFFECTS_ATTR, None)
-
-
-class EffectRegistry:
-    """Task-kind → effect-set-factory registry.
-
-    Graph builders that submit pure-cost placeholder tasks (no payload to
-    decorate) register a factory per *kind*; the factory receives the task
-    parameters and returns the footprint the real kernel would have.
-    """
-
-    def __init__(self) -> None:
-        self._factories: Dict[str, Callable[..., EffectSet]] = {}
-
-    def register(self, kind: str, factory: Callable[..., EffectSet]) -> None:
-        if kind in self._factories:
-            raise ValueError(f"effects for kind {kind!r} already registered")
-        self._factories[kind] = factory
-
-    def effects_for(self, kind: str, *args: Any, **kwargs: Any) -> Optional[EffectSet]:
-        factory = self._factories.get(kind)
-        return factory(*args, **kwargs) if factory else None
-
-    def __contains__(self, kind: str) -> bool:
-        return kind in self._factories

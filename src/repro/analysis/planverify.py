@@ -22,8 +22,12 @@ a single worker forks:
   row list's segments contiguously and in order (no overlap, gap or
   reordering) over consistent CSR bounds, and (:func:`verify_fmm_gathers`)
   every P2P class's shared gather matrix indexes inside its offset table;
-* :func:`verify_process_plan` — all of the above over one
-  :class:`~repro.hydro.plan.HydroPlan`: the plan that runs, not a
+* :func:`verify_op_program` — the step program is race-free on the
+  plan: each op's declared effect rows
+  (:func:`~repro.hydro.plan.op_effect_rows`), replayed round by round
+  with the shm race detector's own conflict predicate;
+* :func:`verify_process_plan` — partition, bundles and op program over
+  one :class:`~repro.hydro.plan.HydroPlan`: the plan that runs, not a
   reconstruction of it.
 
 Checks are pure ``numpy`` set algebra over the live index arrays (the
@@ -40,10 +44,16 @@ return :class:`PlanViolation` records; callers in raise mode get a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
+from repro.analysis.shmrace import (
+    REGION_INTERIOR,
+    concurrent_conflicts,
+    handshake_positions,
+    slot_regions,
+)
 from repro.octree.fields import NFIELDS
 from repro.octree.mesh import AmrMesh
 
@@ -74,26 +84,6 @@ class PlanVerificationError(RuntimeError):
             f"plan failed static verification "
             f"({len(self.violations)} violation(s)):\n{lines}"
         )
-
-
-def _classify(
-    idx: np.ndarray, n: int, ghost: int, nfields: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Leaf slot and interior-mask of flat field-arena element indices."""
-    m = n + 2 * ghost
-    cells = m**3
-    chunk = nfields * cells
-    slot = idx // chunk
-    cell = idx % cells
-    i = cell // (m * m)
-    j = (cell // m) % m
-    k = cell % m
-    interior = (
-        (i >= ghost) & (i < ghost + n)
-        & (j >= ghost) & (j < ghost + n)
-        & (k >= ghost) & (k < ghost + n)
-    )
-    return slot, interior
 
 
 def verify_partition(
@@ -217,7 +207,8 @@ def verify_bundle_plan(
         dst = dst[(dst >= 0) & (dst < total)]
         src = src[(src >= 0) & (src < total)]
         if dst.size:
-            slot, interior = _classify(dst, n, g, nfields)
+            slot, region = slot_regions(dst, n, g, nfields)
+            interior = region == REGION_INTERIOR
             if interior.any():
                 out.append(PlanViolation(
                     "bundle-dst-interior",
@@ -234,7 +225,8 @@ def verify_bundle_plan(
                     f"not dst rank {b.dst_locality}",
                 ))
         if src.size:
-            slot, interior = _classify(src, n, g, nfields)
+            slot, region = slot_regions(src, n, g, nfields)
+            interior = region == REGION_INTERIOR
             if not interior.all():
                 out.append(PlanViolation(
                     "bundle-src-ghost",
@@ -261,15 +253,17 @@ def verify_bundle_plan(
     dup_mask = targets[1:] == targets[:-1]
     if dup_mask.any():
         dup = int(targets[1:][dup_mask][0])
-        slot, _ = _classify(np.array([dup]), n, g, nfields)
+        slot, _ = slot_regions(np.array([dup]), n, g, nfields)
         out.append(PlanViolation(
             "bundle-dst-overlap",
             f"{int(dup_mask.sum())} scatter target(s) written by more than "
             f"one donor (first: element {dup} in slot {int(slot[0])})",
         ))
     expected = _expected_ghost_targets(mesh, nfields)
+    # targets is sorted, so dropping the repeats the duplicate check found
+    # leaves its unique values.
     if targets.size != expected.size or not np.array_equal(
-        np.unique(targets), expected
+        targets[np.concatenate([[True], ~dup_mask])], expected
     ):
         missing = np.setdiff1d(expected, targets).size
         extra = np.setdiff1d(targets, expected).size
@@ -345,11 +339,62 @@ def verify_fmm_gathers(plan: "FmmPlan") -> List[PlanViolation]:
     return out
 
 
+def verify_op_program(plan: "HydroPlan") -> List[PlanViolation]:
+    """The step program is race-free on ``plan``.
+
+    Builds, per rank, the event log a process-backend step would write —
+    every round of :func:`~repro.hydro.integrator.rk3_ops` one epoch,
+    each op's :func:`~repro.hydro.plan.op_effect_rows` stamped with its
+    handshake position — and checks every rank pair with the shm
+    detector's own predicate (:func:`~repro.analysis.shmrace.concurrent_conflicts`):
+    within a round, one rank's writes must be disjoint from the other
+    ranks' reads and writes unless the ``ghosts`` → ``go`` handshake
+    orders them.  The fused grouping is the one proved: its rounds hold
+    every cross-rank pair a one-op round holds, at positions the
+    handshake does not order.  ``accel`` is the parent's, between rounds.
+    """
+    from repro.hydro.integrator import rk3_ops
+    from repro.hydro.plan import op_effect_rows
+
+    collect_fluxes = plan.ghosts.face_counts["fine"] > 0
+    rows: dict = {}  # (op kind or rhs op, unit) -> declared rows
+    logs: List[List[np.ndarray]] = [[] for _ in range(plan.nranks)]
+    rounds = [
+        op[1] if op[0] == "fused" else (op,)
+        for op in rk3_ops(0.0, collect_fluxes, True, overlap=True)
+        if op[0] != "accel"
+    ]
+    for epoch, group in enumerate(rounds):
+        positions = handshake_positions([op[0] for op in group])
+        for op, position in zip(group, positions):
+            for rank in range(plan.nranks):
+                units = [rank] if op[0] != "ghost" else sorted(
+                    p for p in plan.ghosts.bundles if p[1] == rank
+                )
+                for unit in units:
+                    key = (op if op[0] == "rhs" else op[0], unit)
+                    if key not in rows:
+                        rows[key] = op_effect_rows(plan, op, unit)
+                    r = rows[key]
+                    logs[rank].append(np.column_stack([
+                        np.full(len(r), epoch), r, np.full(len(r), position),
+                    ]))
+    events = [np.vstack(log) for log in logs]
+    seen: set = set()
+    return [
+        PlanViolation("op-program-race", str(finding))
+        for a in range(plan.nranks)
+        for b in range(a + 1, plan.nranks)
+        for finding in concurrent_conflicts(a, events[a], b, events[b], seen)
+    ]
+
+
 def verify_process_plan(plan: "HydroPlan") -> List[PlanViolation]:
     """Whole-plan pass over a built :class:`~repro.hydro.plan.HydroPlan`:
-    rank partition + ghost bundles."""
+    rank partition, ghost bundles and the op program."""
     out = verify_partition(plan.runs, plan.n_leaves, plan.rank_of)
     out.extend(verify_bundle_plan(plan.mesh_ref(), plan.ghosts, plan.rank_of))
+    out.extend(verify_op_program(plan))
     return out
 
 

@@ -1,15 +1,12 @@
-"""Race detection over declared effect sets.
+"""Race detection over declared effect sets on the DES runtime.
 
-Two entry points share one conflict engine:
-
-* :class:`RaceDetector` — a *dynamic* observer for
-  :class:`repro.amt.scheduler.WorkerPool`.  It maintains a happens-before
-  relation over tasks as they execute on the virtual runtime and flags any
-  pair of tasks with conflicting effects that no dependency path orders.
-* :func:`check_graph` — the *static* checker: the same analysis over a
-  declarative task graph (:class:`GraphTask` nodes, e.g. from
-  :meth:`repro.distsim.taskgraph.TaskGraphSimulator.build_step_graph`)
-  without executing anything.
+:class:`RaceDetector` is a *dynamic* observer for
+:class:`repro.amt.scheduler.WorkerPool`.  It maintains a happens-before
+relation over tasks as they execute on the virtual runtime and flags any
+pair of tasks with conflicting effects that no dependency path orders.
+:class:`repro.core.distributed.DistributedHydroDriver` installs a fresh
+one on every step's runtime, each task carrying the effect rows its op
+declares (:func:`repro.hydro.plan.op_effect_rows`).
 
 Happens-before is tracked as a vector clock compressed into Python's
 arbitrary-precision integers: task *i* owns bit *i*; a task's clock is the
@@ -26,10 +23,10 @@ run happened to serialise it — the next run, or the real machine, may not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.effects import ANY, EffectSet, Resource
+from repro.analysis.effects import _COMMUTING, EffectSet, Resource
 
 
 class RaceError(RuntimeError):
@@ -46,78 +43,14 @@ class RaceFinding:
     mode_a: str
     resource_b: Resource
     mode_b: str
-    kind: str = "race"  # "race" | "space-mismatch"
+    kind: str = "race"  # "race" | "shm-race" | "shm-log-overflow"
+    reason: str = "no happens-before edge"
 
     def __str__(self) -> str:
         return (
             f"{self.kind}: {self.task_a} [{self.mode_a} {self.resource_a}] vs "
-            f"{self.task_b} [{self.mode_b} {self.resource_b}] — no happens-before edge"
+            f"{self.task_b} [{self.mode_b} {self.resource_b}] — {self.reason}"
         )
-
-
-@dataclass
-class _Record:
-    """One effect-carrying task the conflict index has seen."""
-
-    bit: int  # 1 << index, this task's own clock bit
-    name: str
-    effects: EffectSet
-
-
-class _ConflictIndex:
-    """Resource-keyed index of effect-carrying tasks, shared by the dynamic
-    and static checkers.
-
-    Concrete resources overlap iff equal, so exact-key buckets prune the
-    pairwise check; wildcard resources live in a catch-all bucket matched
-    against everything.
-    """
-
-    def __init__(self) -> None:
-        self._records: List[_Record] = []
-        self._exact: Dict[Tuple[Any, str, str], Set[int]] = {}
-        self._wild: Set[int] = set()
-
-    def candidates(self, effects: EffectSet) -> Set[int]:
-        """Indexes of prior records that may share a resource."""
-        out: Set[int] = set(self._wild)
-        for res, _mode in effects.accesses():
-            if res.is_concrete:
-                out |= self._exact.get((res.subgrid, res.field, res.space), set())
-            else:
-                return set(range(len(self._records)))
-        return out
-
-    def check(self, name: str, effects: EffectSet, clock: int) -> List[RaceFinding]:
-        """Conflicts between the new task and every unordered prior record."""
-        findings: List[RaceFinding] = []
-        for idx in sorted(self.candidates(effects)):
-            prior = self._records[idx]
-            if prior.bit & clock:  # ordered: prior happens-before the new task
-                continue
-            conflicts = effects.conflicts_with(prior.effects)
-            if conflicts:
-                mine, my_mode, theirs, their_mode = conflicts[0]
-                findings.append(
-                    RaceFinding(
-                        task_a=prior.name,
-                        task_b=name,
-                        resource_a=theirs,
-                        mode_a=their_mode,
-                        resource_b=mine,
-                        mode_b=my_mode,
-                    )
-                )
-        return findings
-
-    def add(self, bit: int, name: str, effects: EffectSet) -> None:
-        idx = len(self._records)
-        self._records.append(_Record(bit=bit, name=name, effects=effects))
-        for res, _mode in effects.accesses():
-            if res.is_concrete:
-                self._exact.setdefault((res.subgrid, res.field, res.space), set()).add(idx)
-            else:
-                self._wild.add(idx)
 
 
 class RaceDetector:
@@ -127,7 +60,10 @@ class RaceDetector:
     assigning ``pool.observer``); the scheduler then reports task lifecycle
     events here.  Only tasks carrying a declared
     :class:`~repro.analysis.effects.EffectSet` participate in conflict
-    checking; undeclared tasks still propagate causality.
+    checking; undeclared tasks still propagate causality.  Checked
+    accesses are indexed by resource: concrete resources overlap iff
+    equal, so a new access meets only its own bucket plus the wildcard
+    accesses.
     """
 
     def __init__(self, raise_on_finding: bool = False) -> None:
@@ -135,12 +71,45 @@ class RaceDetector:
         self.findings: List[RaceFinding] = []
         self.tasks_seen = 0
         self.tasks_checked = 0
-        self._index = _ConflictIndex()
+        self._checked: List[Tuple[int, str]] = []  # (own bit, name) per task
+        #: Prior accesses ``(task index, resource, mode)``: per concrete
+        #: resource, and the wildcard ones.
+        self._exact: Dict[Resource, List[Tuple[int, Resource, str]]] = {}
+        self._wild: List[Tuple[int, Resource, str]] = []
         self._next_bit = 0
         self._deps: Dict[int, Sequence[Any]] = {}  # task.id -> dep futures
         self._clock: Dict[int, int] = {}  # task.id -> ancestor clock
         self._bit: Dict[int, int] = {}  # task.id -> own bit
         self._stack: List[int] = []  # task.ids of nested payload execution
+
+    def _check(
+        self, name: str, effects: EffectSet, clock: int, bit: int
+    ) -> List[RaceFinding]:
+        """The first conflict of a new task with each prior task its clock
+        does not order; the task's accesses join the index afterwards."""
+        found: Dict[int, RaceFinding] = {}
+        for res, mode in effects.accesses():
+            priors = self._exact.get(res, []) if res.is_concrete else [
+                access for bucket in self._exact.values() for access in bucket
+            ]
+            for idx, theirs, their_mode in priors + self._wild:
+                prior_bit, prior_name = self._checked[idx]
+                if (idx in found or prior_bit & clock
+                        or (mode, their_mode) in _COMMUTING
+                        or not res.overlaps(theirs)):
+                    continue
+                found[idx] = RaceFinding(
+                    task_a=prior_name, task_b=name,
+                    resource_a=theirs, mode_a=their_mode,
+                    resource_b=res, mode_b=mode,
+                )
+        idx = len(self._checked)
+        self._checked.append((bit, name))
+        for res, mode in effects.accesses():
+            bucket = self._exact.setdefault(res, []) if res.is_concrete \
+                else self._wild
+            bucket.append((idx, res, mode))
+        return [found[i] for i in sorted(found)]
 
     # -- WorkerPool observer protocol -------------------------------------
     def on_submit(self, task: Any, deps: Sequence[Any]) -> None:
@@ -165,8 +134,7 @@ class RaceDetector:
         effects: Optional[EffectSet] = getattr(task, "effects", None)
         if effects is not None and not effects.is_empty():
             self.tasks_checked += 1
-            found = self._index.check(task.name, effects, clock)
-            self._index.add(bit, task.name, effects)
+            found = self._check(task.name, effects, clock, bit)
             if found:
                 self.findings.extend(found)
                 if self.raise_on_finding:
@@ -183,77 +151,3 @@ class RaceDetector:
         *before* the future resolves so dependents inherit the clock."""
         clock = self._clock.get(task.id, 0) | self._bit.get(task.id, 0)
         task.future._origin = clock  # noqa: SLF001 - detector owns provenance
-
-
-# -- static checking ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphTask:
-    """One node of a declarative task graph.
-
-    ``deps`` are ids of earlier nodes (builders emit in topological order).
-    ``exec_space`` is where the task runs ("Host" / "Device"); the space
-    checker flags any effect resource living in the other space unless the
-    node's ``kind`` is ``"deep_copy"`` — the one sanctioned crossing.
-    """
-
-    id: int
-    name: str
-    deps: Tuple[int, ...] = ()
-    effects: Optional[EffectSet] = None
-    exec_space: str = "Host"
-    kind: str = ""
-
-
-def check_space_discipline(nodes: Sequence[GraphTask]) -> List[RaceFinding]:
-    """Static memory-space check: a host node touching a device resource
-    (or vice versa) is a violation unless it *is* the deep_copy."""
-    findings: List[RaceFinding] = []
-    for node in nodes:
-        if node.effects is None or node.kind == "deep_copy":
-            continue
-        for res, mode in node.effects.accesses():
-            if res.space in (ANY, node.exec_space):
-                continue
-            findings.append(
-                RaceFinding(
-                    task_a=node.name,
-                    task_b=f"<{node.exec_space} execution space>",
-                    resource_a=res,
-                    mode_a=mode,
-                    resource_b=res,
-                    mode_b="resides",
-                    kind="space-mismatch",
-                )
-            )
-    return findings
-
-
-def check_graph(nodes: Sequence[GraphTask]) -> List[RaceFinding]:
-    """Static race + space analysis of a task graph, without executing it.
-
-    Computes every node's ancestor clock by propagation over the dependency
-    edges, then runs the same unordered-conflict check the dynamic detector
-    applies — so a race the static pass finds is exactly one the dynamic
-    detector would flag on some schedule, and vice versa for declared
-    effects.
-    """
-    index = _ConflictIndex()
-    clocks: Dict[int, int] = {}
-    findings = check_space_discipline(nodes)
-    for position, node in enumerate(nodes):
-        clock = 0
-        for dep in node.deps:
-            if dep not in clocks:
-                raise ValueError(
-                    f"graph node {node.name!r} depends on {dep} which does not "
-                    "precede it; emit nodes in topological order"
-                )
-            clock |= clocks[dep]
-        bit = 1 << position
-        clocks[node.id] = clock | bit
-        if node.effects is not None and not node.effects.is_empty():
-            findings.extend(index.check(node.name, node.effects, clock))
-            index.add(bit, node.name, node.effects)
-    return findings

@@ -1,65 +1,61 @@
 """Dynamic shm race detection for the process backend.
 
-The vector-clock detector of :mod:`repro.analysis.race` watches the DES
-world, where every access is a task with declared effects and causality
-rides the future layer.  The process backend
-(:mod:`repro.hydro.process_backend`) has neither: forked workers touch
-:class:`~repro.amt.shm.ShmArena` pages directly, and the only ordering
-primitive is the end of a :meth:`repro.amt.parallel.ParallelEngine.round`.
-This module is the equivalent checker for that world:
+The process backend (:mod:`repro.hydro.process_backend`) has no futures:
+forked workers touch :class:`~repro.amt.shm.ShmArena` pages directly, and
+the ordering primitives are the end of a
+:meth:`repro.amt.parallel.ParallelEngine.round` and, inside a round that
+applies ghosts and later updates, the ``ghosts`` → ``go`` handshake.
+This module checks that world against the effect rows every program op
+declares (:func:`repro.hydro.plan.op_effect_rows`):
 
 * each worker appends
-  ``(epoch, mode, segment, slot_lo, slot_hi, region, phase)``
-  access events to its own block of a shared-memory event log
+  ``(epoch, mode, segment, slot_lo, slot_hi, region, position)``
+  events to its own block of a shared-memory event log
   (:class:`ShmEventLog` / :class:`ShmEventWriter`) — the *epoch* is the
   worker's round counter, which advances identically on every rank
-  because rounds deliver the same command sequence everywhere;
+  because rounds deliver the same command sequence everywhere, and the
+  *position* says where in the round the access happened relative to the
+  handshake (:func:`handshake_positions`);
 * after each round the parent's :class:`ShmRaceDetector` replays the
-  logs.  The happens-before relation is exactly the barrier structure:
-  events in **different** epochs are ordered by the barrier between them,
-  events in the **same** epoch on **different** ranks are concurrent —
-  unless an explicitly sanctioned message-grained happens-before edge
-  (a round's ``on_note`` note→route chain, declared as
-  an ordered ``(phase, phase)`` pair) orders them.  Two
-  concurrent events conflict when they touch the same segment, their leaf
-  slot ranges intersect, their regions can alias, and their access modes
-  do not commute under the PR 2 effect vocabulary
-  (:data:`repro.analysis.effects._COMMUTING` — ``read``/``read`` and
-  ``accum``/``accum`` commute, everything else conflicts).
+  logs with :func:`concurrent_conflicts`, the one conflict predicate the
+  static op-program proof (:func:`repro.analysis.planverify.verify_op_program`)
+  uses too.  Events in **different** epochs are ordered by the barrier
+  between them; events in the **same** epoch on **different** ranks are
+  concurrent unless the handshake orders them — a before-note access on
+  one rank precedes every after-wait access on any rank.  Two concurrent
+  events conflict when they touch the same segment, their leaf slot
+  ranges intersect, their regions can alias, and their access modes do
+  not commute (:data:`repro.analysis.effects._COMMUTING`).
 
-Events are *descriptors*, not per-element traces: a worker precomputes a
-handful of ``(mode, segment, slot_lo, slot_hi, region)`` rows per phase
-from the live index arrays of its plan (see :func:`field_access_rows`),
-so logging a phase is one bounded shm append — cheap enough to leave on
-(overhead numbers in ``EXPERIMENTS.md``).  Region codes split each leaf
-chunk into its interior and ghost bands, because the ghost exchange
-legitimately has two ranks in the same chunk at once: the donor reading
-the interior, the owner writing the ghost band.
+Region codes split each leaf chunk into its interior and ghost bands,
+because the ghost exchange legitimately has two ranks in the same chunk
+at once: the donor's interior read, the owner's ghost write.  A full log
+drops rows instead of blocking; the detector reports any growth of that
+count as a finding, since a truncated log cannot prove the round clean.
 
-Findings reuse :class:`~repro.analysis.race.RaceFinding` with
-``kind="shm-race"`` and resources in the ``shm`` space, so both backends
-report violations of the same correctness contract in the same shape.
+Findings are :class:`~repro.analysis.race.RaceFinding` records with
+``kind="shm-race"`` and resources in the ``shm`` space.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.amt.shm import ShmArena
-from repro.analysis.effects import _ACCUM, _COMMUTING, _READ, _WRITE, Resource
+from repro.analysis.effects import _ACCUM, _COMMUTING, _READ, _WRITE, EffectSet, Resource
 from repro.analysis.race import RaceError, RaceFinding
 
-#: Access-mode codes (event word 1) -> PR 2 effect-vocabulary names.
+#: Access-mode codes (row word 0) -> effect-vocabulary names.
 MODE_READ, MODE_WRITE, MODE_ACCUM = 0, 1, 2
 MODE_NAMES = {MODE_READ: _READ, MODE_WRITE: _WRITE, MODE_ACCUM: _ACCUM}
 
-#: Segment codes (event word 2): which shm arena the slot range indexes.
+#: Segment codes (row word 1): which arena the slot range indexes.
 SEG_FIELDS, SEG_ACCEL, SEG_FLUX = 0, 1, 2
 SEG_NAMES = {SEG_FIELDS: "fields", SEG_ACCEL: "accel", SEG_FLUX: "flux"}
 
-#: Region codes (event word 5): which part of each leaf chunk is touched.
+#: Region codes (row word 4): which part of each leaf chunk is touched.
 #: ``ALL`` aliases both; ``INTERIOR`` and ``GHOST`` are disjoint — the
 #: refinement that lets a donor's interior read coexist with the owner's
 #: ghost write inside the same chunk during a ghost round.
@@ -67,23 +63,36 @@ REGION_ALL, REGION_INTERIOR, REGION_GHOST = 0, 1, 2
 REGION_NAMES = {REGION_ALL: "all", REGION_INTERIOR: "interior",
                 REGION_GHOST: "ghost"}
 
+#: Handshake positions (event word 6): before the rank notes ``ghosts``,
+#: between the note and its wait for ``go``, after the wait.
+BEFORE_NOTE, AFTER_NOTE, AFTER_WAIT = 0, 1, 2
+
 #: Event-log wire format: per-rank header words, words per event row.
 _HEADER = 2  # [count, dropped]
-_WORDS = 7   # (epoch, mode, segment, slot_lo, slot_hi, region, phase)
-
-#: Default phase stamp: events ordered only by the ends of rounds.
-PHASE_NONE = 0
-#: Protocol phase stamps.  The process backend tags the events of every
-#: op of a round (one epoch) with these so the detector can honour the
-#: message-grained happens-before edges *within* an epoch (see
-#: ``ordered_phases`` on :class:`ShmRaceDetector`).
-PHASE_EXCHANGE = 1
-PHASE_COMPUTE = 2
-PHASE_UPDATE = 3
+_WORDS = 7   # (epoch, mode, segment, slot_lo, slot_hi, region, position)
 
 
 class ShmRaceError(RaceError):
     """Raised by a :class:`ShmRaceDetector` in raise-on-finding mode."""
+
+
+def handshake_positions(names: Sequence[str]) -> List[int]:
+    """The handshake position of each op of a round running ``names``.
+
+    A round that applies ghosts and later updates notes ``ghosts`` after
+    its ghost op and waits for ``go`` before its update; every other
+    round has no handshake, so all of its ops are :data:`BEFORE_NOTE`.
+    """
+    if not {"ghost", "update"} <= set(names):
+        return [BEFORE_NOTE] * len(names)
+    out, position = [], BEFORE_NOTE
+    for name in names:
+        if name == "update":
+            position = AFTER_WAIT
+        out.append(position)
+        if name == "ghost" and position == BEFORE_NOTE:
+            position = AFTER_NOTE
+    return out
 
 
 def slot_range_rows(
@@ -91,6 +100,21 @@ def slot_range_rows(
 ) -> np.ndarray:
     """One descriptor row for a contiguous leaf-slot range ``[lo, hi)``."""
     return np.array([[mode, segment, lo, hi, region]], dtype=np.int64)
+
+
+def slot_regions(
+    idx: np.ndarray, n: int, ghost: int, nfields: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Leaf slot and region code (interior or ghost band) of flat
+    field-arena element indices into ``(nfields, M, M, M)`` chunks,
+    ``M = n + 2*ghost``."""
+    m = n + 2 * ghost
+    cube = np.full((m, m, m), REGION_GHOST, dtype=np.intp)
+    inner = slice(ghost, ghost + n)
+    cube[inner, inner, inner] = REGION_INTERIOR
+    table = np.tile(cube.ravel(), nfields)
+    slot, local = np.divmod(idx, table.size)
+    return slot, table[local]
 
 
 def field_access_rows(
@@ -102,32 +126,18 @@ def field_access_rows(
 ) -> np.ndarray:
     """Descriptor rows covering flat field-arena element indices.
 
-    Classifies every index into its leaf slot and region (interior vs
-    ghost band of the ``(nfields, M, M, M)`` chunk, ``M = n + 2*ghost``),
-    then compresses consecutive same-region slots into ranges.  Run once
-    at plan time over a bundle's live gather/scatter arrays — the rows,
-    not the indices, are what the worker logs each epoch, so an injected
-    index pointing into a foreign slot shows up as a foreign-slot event.
+    Classifies every index into its leaf slot and region
+    (:func:`slot_regions`), then compresses consecutive same-region slots
+    into ranges.  Run over a bundle's live gather/scatter arrays, so an
+    injected index pointing into a foreign slot shows up as a
+    foreign-slot row.
     """
-    m = n + 2 * ghost
-    cells = m**3
-    chunk = nfields * cells
     flat = [np.asarray(a).ravel() for a in indices if np.asarray(a).size]
     if not flat:
         return np.empty((0, 5), dtype=np.int64)
-    idx = np.concatenate(flat)
-    slot = idx // chunk
-    cell = idx % cells  # chunk is a multiple of cells: the field collapses
-    i = cell // (m * m)
-    j = (cell // m) % m
-    k = cell % m
-    interior = (
-        (i >= ghost) & (i < ghost + n)
-        & (j >= ghost) & (j < ghost + n)
-        & (k >= ghost) & (k < ghost + n)
-    )
-    region = np.where(interior, REGION_INTERIOR, REGION_GHOST)
-    tagged = np.unique(slot * 4 + region)
+    slot, region = slot_regions(np.concatenate(flat), n, ghost, nfields)
+    # The (slot, region) tags present, ascending: one counting pass.
+    tagged = np.flatnonzero(np.bincount(slot * 4 + region))
     rows: List[Tuple[int, int, int, int, int]] = []
     for t in tagged.tolist():
         s, r = t // 4, t % 4
@@ -136,6 +146,90 @@ def field_access_rows(
         else:
             rows.append((mode, SEG_FIELDS, s, s + 1, r))
     return np.array(rows, dtype=np.int64)
+
+
+def row_effects(rows: np.ndarray) -> EffectSet:
+    """The :class:`EffectSet` of descriptor rows, one resource per
+    ``(segment, slot)`` and region (``ALL`` is both regions), so
+    resource equality is exactly :func:`concurrent_conflicts`' overlap."""
+    by_mode: dict = {MODE_READ: [], MODE_WRITE: [], MODE_ACCUM: []}
+    for mode, seg, lo, hi, region in rows.tolist():
+        regions = (REGION_INTERIOR, REGION_GHOST) if region == REGION_ALL \
+            else (region,)
+        by_mode[mode].extend(
+            Resource((SEG_NAMES[seg], s), REGION_NAMES[r])
+            for s in range(lo, hi) for r in regions
+        )
+    return EffectSet.make(
+        by_mode[MODE_READ], by_mode[MODE_WRITE], by_mode[MODE_ACCUM]
+    )
+
+
+def concurrent_conflicts(
+    rank_a: int,
+    ea: np.ndarray,
+    rank_b: int,
+    eb: np.ndarray,
+    seen: set,
+) -> List[RaceFinding]:
+    """Conflicting same-epoch event pairs of two ranks that no ordering
+    edge covers — the one conflict predicate of the step program.
+
+    ``ea``/``eb`` are ``(k, 7)`` event arrays.  Pairs are skipped when
+    their epochs differ (a barrier orders them), their segments, slot
+    ranges or regions cannot alias, their modes commute, or the
+    handshake orders them (one side before its note, the other after its
+    wait).  ``seen`` dedupes findings across calls.
+    """
+    out: List[RaceFinding] = []
+    if not len(ea) or not len(eb):
+        return out
+    same_epoch = ea[:, 0:1] == eb[:, 0]
+    same_seg = ea[:, 2:3] == eb[:, 2]
+    overlap = (ea[:, 3:4] < eb[:, 4]) & (eb[:, 3] < ea[:, 4:5])
+    region_ok = (
+        (ea[:, 5:6] == REGION_ALL)
+        | (eb[:, 5] == REGION_ALL)
+        | (ea[:, 5:6] == eb[:, 5])
+    )
+    handshake = (
+        ((ea[:, 6:7] == BEFORE_NOTE) & (eb[:, 6] == AFTER_WAIT))
+        | ((ea[:, 6:7] == AFTER_WAIT) & (eb[:, 6] == BEFORE_NOTE))
+    )
+    ia, ib = np.nonzero(same_epoch & same_seg & overlap & region_ok & ~handshake)
+    for i, j in zip(ia.tolist(), ib.tolist()):
+        mode_a = MODE_NAMES[int(ea[i, 1])]
+        mode_b = MODE_NAMES[int(eb[j, 1])]
+        if (mode_a, mode_b) in _COMMUTING:
+            continue
+        epoch, seg = int(ea[i, 0]), int(ea[i, 2])
+        lo = max(int(ea[i, 3]), int(eb[j, 3]))
+        hi = min(int(ea[i, 4]), int(eb[j, 4]))
+        key = (epoch, seg, mode_a, mode_b, lo, hi,
+               int(ea[i, 5]), int(eb[j, 5]))
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(
+            RaceFinding(
+                task_a=f"rank{rank_a}@epoch{epoch}",
+                task_b=f"rank{rank_b}@epoch{epoch}",
+                resource_a=Resource(
+                    subgrid=f"{SEG_NAMES[seg]}[{int(ea[i, 3])}:{int(ea[i, 4])})",
+                    field=REGION_NAMES[int(ea[i, 5])],
+                    space="shm",
+                ),
+                mode_a=mode_a,
+                resource_b=Resource(
+                    subgrid=f"{SEG_NAMES[seg]}[{int(eb[j, 3])}:{int(eb[j, 4])})",
+                    field=REGION_NAMES[int(eb[j, 5])],
+                    space="shm",
+                ),
+                mode_b=mode_b,
+                kind="shm-race",
+            )
+        )
+    return out
 
 
 class ShmEventLog:
@@ -164,7 +258,7 @@ class ShmEventLog:
         return ShmEventWriter(self._table[rank], self.capacity)
 
     def events(self, rank: int) -> np.ndarray:
-        """A copy of rank's logged rows: ``(count, 6)`` int64."""
+        """A copy of rank's logged rows: ``(count, 7)`` int64."""
         count = min(int(self._table[rank, 0]), self.capacity)
         block = self._table[rank, _HEADER : _HEADER + count * _WORDS]
         return block.reshape(count, _WORDS).copy()
@@ -195,11 +289,10 @@ class ShmEventWriter:
         self.capacity = capacity
         self._rows = block[_HEADER:].reshape(capacity, _WORDS)
 
-    def log(self, epoch: int, rows: np.ndarray, phase: int = PHASE_NONE) -> None:
+    def log(self, epoch: int, rows: np.ndarray, position: int = BEFORE_NOTE) -> None:
         """Append precomputed ``(mode, segment, lo, hi, region)`` rows,
-        stamped with ``epoch`` and the protocol ``phase`` (overlap rounds
-        tag each schedule stage so the detector can apply message-grained
-        ordering).  Overflow is counted, never blocks."""
+        stamped with ``epoch`` and their handshake ``position``.  Overflow
+        is counted, never blocks."""
         n = len(rows)
         if not n:
             return
@@ -209,7 +302,7 @@ class ShmEventWriter:
             dst = self._rows[count : count + take]
             dst[:, 0] = epoch
             dst[:, 1:6] = rows[:take]
-            dst[:, 6] = phase
+            dst[:, 6] = position
             self._block[0] = count + take
         if take < n:
             self._block[1] += n - take
@@ -221,30 +314,15 @@ class ShmRaceDetector:
     ``scan()`` is called parent-side while every worker is parked at the
     barrier (the :attr:`repro.amt.parallel.ParallelEngine.round_observer`
     hook), so reading and resetting the log is race-free by construction.
-    Epochs partition happens-before exactly: the barrier after epoch ``e``
-    orders all of ``e`` before all of ``e+1``, and nothing orders two
-    same-epoch events on different ranks.
     """
 
-    def __init__(
-        self,
-        log: ShmEventLog,
-        raise_on_finding: bool = True,
-        ordered_phases: Optional[set] = None,
-    ) -> None:
-        #: Sanctioned message-grained happens-before edges *within* an
-        #: epoch: a set of ``(phase_a, phase_b)`` pairs meaning "events
-        #: stamped ``phase_a`` are ordered before cross-rank events
-        #: stamped ``phase_b`` by an explicit routed message" (the
-        #: ``on_note`` note→route chain).  Pairs of events joined by
-        #: such an edge are not concurrent and are skipped; the empty
-        #: default reproduces pure barrier-epoch semantics.
-        self.ordered_phases = frozenset(ordered_phases or ())
+    def __init__(self, log: ShmEventLog, raise_on_finding: bool = True) -> None:
         self.log = log
         self.raise_on_finding = raise_on_finding
         self.findings: List[RaceFinding] = []
         self.events_seen = 0
         self.scans = 0
+        self._dropped_reported = 0
 
     @property
     def dropped(self) -> int:
@@ -257,75 +335,26 @@ class ShmRaceDetector:
         self.scans += 1
         self.events_seen += sum(len(e) for e in per_rank)
         new: List[RaceFinding] = []
-        seen = set()
+        dropped = self.dropped
+        if dropped > self._dropped_reported:
+            log = Resource("event-log", "rows", "shm")
+            new.append(RaceFinding(
+                task_a="workers", task_b="race detector",
+                resource_a=log, mode_a=_WRITE, resource_b=log, mode_b=_READ,
+                kind="shm-log-overflow",
+                reason=f"{dropped - self._dropped_reported} event(s) dropped: "
+                       f"the round cannot be proved race-free",
+            ))
+            self._dropped_reported = dropped
+        seen: set = set()
         for a in range(len(per_rank)):
             for b in range(a + 1, len(per_rank)):
                 new.extend(
-                    self._check_pair(a, per_rank[a], b, per_rank[b], seen)
+                    concurrent_conflicts(a, per_rank[a], b, per_rank[b], seen)
                 )
         self.findings.extend(new)
         if new and self.raise_on_finding:
             raise ShmRaceError(
-                f"{len(new)} shm race(s) detected; first: {new[0]}"
+                f"{len(new)} shm race finding(s); first: {new[0]}"
             )
         return new
-
-    def _check_pair(
-        self,
-        rank_a: int,
-        ea: np.ndarray,
-        rank_b: int,
-        eb: np.ndarray,
-        seen: set,
-    ) -> List[RaceFinding]:
-        out: List[RaceFinding] = []
-        if not len(ea) or not len(eb):
-            return out
-        same_epoch = ea[:, 0:1] == eb[:, 0]
-        same_seg = ea[:, 2:3] == eb[:, 2]
-        overlap = (ea[:, 3:4] < eb[:, 4]) & (eb[:, 3] < ea[:, 4:5])
-        region_ok = (
-            (ea[:, 5:6] == REGION_ALL)
-            | (eb[:, 5] == REGION_ALL)
-            | (ea[:, 5:6] == eb[:, 5])
-        )
-        ia, ib = np.nonzero(same_epoch & same_seg & overlap & region_ok)
-        for i, j in zip(ia.tolist(), ib.tolist()):
-            mode_a = MODE_NAMES[int(ea[i, 1])]
-            mode_b = MODE_NAMES[int(eb[j, 1])]
-            if (mode_a, mode_b) in _COMMUTING:
-                continue
-            phase_a, phase_b = int(ea[i, 6]), int(eb[j, 6])
-            if (phase_a, phase_b) in self.ordered_phases \
-                    or (phase_b, phase_a) in self.ordered_phases:
-                # A sanctioned routed-message edge orders these two
-                # phases across ranks within the epoch: not concurrent.
-                continue
-            epoch, seg = int(ea[i, 0]), int(ea[i, 2])
-            lo = max(int(ea[i, 3]), int(eb[j, 3]))
-            hi = min(int(ea[i, 4]), int(eb[j, 4]))
-            key = (epoch, seg, mode_a, mode_b, lo, hi,
-                   int(ea[i, 5]), int(eb[j, 5]))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(
-                RaceFinding(
-                    task_a=f"rank{rank_a}@epoch{epoch}",
-                    task_b=f"rank{rank_b}@epoch{epoch}",
-                    resource_a=Resource(
-                        subgrid=f"{SEG_NAMES[seg]}[{int(ea[i, 3])}:{int(ea[i, 4])})",
-                        field=REGION_NAMES[int(ea[i, 5])],
-                        space="shm",
-                    ),
-                    mode_a=mode_a,
-                    resource_b=Resource(
-                        subgrid=f"{SEG_NAMES[seg]}[{int(eb[j, 3])}:{int(eb[j, 4])})",
-                        field=REGION_NAMES[int(eb[j, 5])],
-                        space="shm",
-                    ),
-                    mode_b=mode_b,
-                    kind="shm-race",
-                )
-            )
-        return out

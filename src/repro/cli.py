@@ -222,16 +222,15 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
     except BackendMismatch as exc:
         print(f"CROSSCHECK FAILED: {exc}", file=sys.stderr)
         return 1
-    findings = 0
     for name, r in zip(("blast", "dwd"), results):
-        findings += r.race_findings
         print(f"{name}: {r.steps} steps x {r.leaves} leaves, "
               f"nprocs={r.nprocs}, serial {r.serial_s:.2f}s / "
               f"DES {r.des_s:.2f}s / process {r.process_s:.2f}s — "
-              f"bit-identical, "
+              f"bit-identical; DES {r.des_race_findings} race finding(s) "
+              f"over {r.des_race_events} task(s), process "
               f"{r.race_findings} race finding(s) over {r.race_events} "
-              f"shm access events")
-    return 1 if findings else 0
+              f"shm access events ({r.race_dropped} dropped)")
+    return 0 if all(r.ok for r in results) else 1
 
 
 def _command_verify_plans(args: argparse.Namespace) -> int:

@@ -55,15 +55,18 @@ class CrosscheckResult:
     serial_s: float
     process_s: float
     des_s: float
-    #: Checker evidence from the process side: shm race findings (the
-    #: dynamic detector runs at every barrier during the cross-check and
-    #: must stay at zero) and access events it replayed.
+    #: Race-check evidence: findings (must stay zero), events checked and
+    #: (process side) events dropped by a full log (must stay zero).
     race_findings: int = 0
     race_events: int = 0
+    race_dropped: int = 0
+    des_race_findings: int = 0
+    des_race_events: int = 0
 
     @property
     def ok(self) -> bool:  # mismatches raise, so reaching a result is success
-        return self.race_findings == 0
+        return (self.race_findings, self.race_dropped,
+                self.des_race_findings) == (0, 0, 0)
 
 
 def clone_mesh(mesh: AmrMesh) -> AmrMesh:
@@ -135,10 +138,12 @@ def crosscheck_hydro(
     and the bit-identity assertion then covers the cache-hit plan path too.
 
     The process side runs with static plan verification *and* (by
-    default) the dynamic shm race detector enabled, so every cross-check
-    doubles as a zero-findings assertion for the checker stack: a
-    detected race raises ``ShmRaceError`` exactly like a bit mismatch
-    raises :class:`BackendMismatch`.
+    default) the dynamic shm race detector enabled, and the DES side
+    always runs its race detector, so every cross-check doubles as a
+    zero-findings check of the step program's happens-before contract on
+    both: a detected shm race raises ``ShmRaceError`` exactly like a bit
+    mismatch raises :class:`BackendMismatch`, and DES findings count
+    against :attr:`CrosscheckResult.ok`.
     """
     import time as _time
 
@@ -187,6 +192,7 @@ def crosscheck_hydro(
         )
         race_findings = len(detector.findings) if detector else 0
         race_events = detector.events_seen if detector else 0
+        race_dropped = detector.dropped if detector else 0
     finally:
         process.close()
     return CrosscheckResult(
@@ -199,6 +205,9 @@ def crosscheck_hydro(
         des_s=seconds[1],
         race_findings=race_findings,
         race_events=race_events,
+        race_dropped=race_dropped,
+        des_race_findings=len(des.race_findings),
+        des_race_events=des.race_events,
     )
 
 

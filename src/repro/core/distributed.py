@@ -20,6 +20,10 @@ process backend:
 * ``accel`` and ``reflux`` are joins over all ranks, before and after — the
   barriers the process backend keeps.
 
+Every task carries its op's declared effect rows
+(:func:`repro.hydro.plan.op_effect_rows`), checked by a fresh
+:class:`~repro.analysis.race.RaceDetector` per step.
+
 The rank ops run on the real arena, so the fields equal the serial
 integrator's bit for bit (:mod:`repro.core.crosscheck` asserts it), while
 the virtual clock reports a scheduled makespan and the network real
@@ -34,9 +38,14 @@ from functools import partial
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.amt.future import Future, Promise, make_ready_future, when_all
 from repro.amt.locality import Runtime
 from repro.amt.network import Message
+from repro.analysis.effects import EffectSet
+from repro.analysis.race import RaceDetector, RaceFinding
+from repro.analysis.shmrace import MODE_ACCUM, MODE_READ, MODE_WRITE, row_effects
 from repro.distsim.model import DEFAULT_CONSTANTS
 from repro.distsim.runconfig import RunConfig
 from repro.distsim.taskgraph import virtual_machine
@@ -47,6 +56,7 @@ from repro.hydro.plan import (
     HydroPlanLifecycle,
     RankStep,
     ScratchArena,
+    op_effect_rows,
     stack_accel,
 )
 from repro.octree.fields import NFIELDS
@@ -58,6 +68,12 @@ from repro.resilience.watchdog import DeadlockWatchdog
 
 #: Virtual workers per locality (capped by the machine's active cores).
 WORKERS_PER_LOCALITY = 8
+
+#: The cross-rank edges of a rank op, beyond its rank's program order: the
+#: ``rhs`` waits for the bundles *into* its rank (it reads the ghost bands
+#: they write), the ``update`` for the packs *out of* it (it overwrites the
+#: interiors they read) — the process backend's ghosts -> go handshake.
+CROSS_RANK_WAITS = {"rhs": "into", "update": "out"}
 
 
 @dataclass
@@ -112,7 +128,34 @@ class DistributedHydroDriver:
         self.steps_taken = 0
         self.faces_refluxed = 0
         self.last_result: Optional[DistributedStepResult] = None
+        #: Race findings of every step, and the tasks checked for them.
+        self.race_findings: List[RaceFinding] = []
+        self.race_events = 0
         self._ranks: Tuple[Optional[HydroPlan], List[RankStep]] = (None, [])
+        self._effects: Tuple[Optional[HydroPlan], Dict] = (None, {})
+
+    def _effects_of(
+        self, plan: HydroPlan, op: tuple, units, mode: Optional[int] = None
+    ) -> EffectSet:
+        """The effects of a task running ``op`` for ``units`` (ranks, or
+        one bundle pair), or only its ``mode`` rows; cached per plan."""
+        if self._effects[0] is not plan:
+            self._effects = (plan, {})
+        cache = self._effects[1]
+        key = (op if op[0] == "rhs" else op[0], tuple(units), mode)
+        if key not in cache:
+            rows = np.vstack([op_effect_rows(plan, op, u) for u in units])
+            if mode is not None:
+                rows = rows[rows[:, 0] == mode]
+            if op[0] == "ghost":
+                # Bundles into one rank scatter into the same ghost bands
+                # concurrently here, but never into the same cell (the
+                # bundle-dst-overlap proof of verify_bundle_plan), so their
+                # writes commute with each other like accumulations.
+                rows = rows.copy()
+                rows[rows[:, 0] == MODE_WRITE, 0] = MODE_ACCUM
+            cache[key] = row_effects(rows)
+        return cache[key]
 
     def _rank_steps(
         self, plan: HydroPlan, use_accel: bool, collect_fluxes: bool
@@ -150,6 +193,8 @@ class DistributedHydroDriver:
         if self.faults is not None:
             network.fault_injector = self.faults.injector(stream=self.steps_taken)
         runtime = Runtime(plan.nranks, workers, network=network)
+        detector = RaceDetector()
+        runtime.install_observer(detector)
         transport = None
         send = partial(network.send, runtime.engine)
         if self.recovery is not None:
@@ -169,13 +214,15 @@ class DistributedHydroDriver:
         # for) and the packs reading its interior (what its update waits
         # for); per pair, the bundle's last unpack.
         front: List[Future] = [make_ready_future(None)] * plan.nranks
-        into: List[List[Future]] = [[] for _ in ranks]
-        reads: List[List[Future]] = [[] for _ in ranks]
+        waits: Dict[str, List[List[Future]]] = {
+            "into": [[] for _ in ranks], "out": [[] for _ in ranks],
+        }
         prev_done: Dict[Tuple[int, int], Future] = {}
 
-        def spawn(rank, deps, fn, cost, shards, name, kind):  # noqa: ANN001, ANN202
+        def spawn(rank, deps, fn, cost, shards, name, kind, effects):  # noqa: ANN001, ANN202
             future = runtime.localities[rank].async_sharded(
-                deps, fn, cost=cost, shards=shards, name=name, kind=kind
+                deps, fn, cost=cost, shards=shards, name=name, kind=kind,
+                effects=effects,
             )
             watchdog.watch(future, deps, name=name)
             return future
@@ -205,6 +252,7 @@ class DistributedHydroDriver:
                     done = pack = spawn(
                         src, [front[src]], partial(bundle.apply, plan.arena),
                         cost, shards, name, "ghost.bundle.local",
+                        self._effects_of(plan, ("ghost",), [pair]),
                     )
                 else:
                     # The payload buffer is reused: the next pack waits for
@@ -213,6 +261,7 @@ class DistributedHydroDriver:
                     pack = spawn(
                         src, deps, partial(bundle.pack, plan.arena),
                         0.5 * cost, shards, f"{name}.pack", "ghost.bundle.pack",
+                        self._effects_of(plan, ("ghost",), [pair], MODE_READ),
                     )
                     arrived = Promise(name=name)
 
@@ -235,37 +284,46 @@ class DistributedHydroDriver:
                         dst, deps, partial(bundle.unpack, plan.arena),
                         0.5 * cost, shards, f"{name}.unpack",
                         "ghost.bundle.unpack",
+                        self._effects_of(plan, ("ghost",), [pair], MODE_WRITE),
                     )
-                into[dst].append(done)
-                reads[src].append(pack)
+                waits["into"][dst].append(done)
+                waits["out"][src].append(pack)
 
-        for op, *args in rk3_ops(dt, collect_fluxes, use_accel):
-            if op == "ghost":
-                for per_rank in (*into, *reads):
+        all_ranks = range(plan.nranks)
+        for op in rk3_ops(dt, collect_fluxes, use_accel):
+            name, args = op[0], op[1:]
+            if name == "ghost":
+                for per_rank in chain.from_iterable(waits.values()):
                     per_rank.clear()
                 exchange()
-            elif op in ("accel", "reflux"):
-                deps = [*front, *chain.from_iterable(into + reads)]
-                front = [spawn(0, deps, partial(join, op), 0.0, 1, op,
-                               f"hydro.{op}")] * plan.nranks
+            elif name in ("accel", "reflux"):
+                deps = [*front, *chain.from_iterable(
+                    chain.from_iterable(waits.values())
+                )]
+                front = [spawn(
+                    0, deps, partial(join, name), 0.0, 1, name, f"hydro.{name}",
+                    self._effects_of(plan, op, all_ranks),
+                )] * plan.nranks
             else:
                 for r, rank in enumerate(ranks):
                     deps = [front[r]]
-                    if op == "rhs":
-                        ghosts = when_all(into[r])
-                        watchdog.watch(ghosts, into[r], name=f"ghost.{r}")
-                        deps.append(ghosts)
-                    elif op == "update":
-                        deps += reads[r]
+                    edge = CROSS_RANK_WAITS.get(name)
+                    if edge is not None:
+                        joined = when_all(waits[edge][r])
+                        watchdog.watch(joined, waits[edge][r], name=f"{edge}.{r}")
+                        deps.append(joined)
                     front[r] = spawn(
-                        r, deps, partial(getattr(rank, op), *args),
-                        rhs_cost[r] if op == "rhs" else 0.0,
-                        max(1, owned[r]), f"{op}.{r}", f"hydro.{op}",
+                        r, deps, partial(getattr(rank, name), *args),
+                        rhs_cost[r] if name == "rhs" else 0.0,
+                        max(1, owned[r]), f"{name}.{r}", f"hydro.{name}",
+                        self._effects_of(plan, op, [r]),
                     )
         final = when_all(front)
         watchdog.watch(final, front, name="step.final")
         runtime.run_until_ready(final, watchdog=watchdog)
         self.mesh.restrict_all()
+        self.race_findings.extend(detector.findings)
+        self.race_events += detector.tasks_checked
 
         self.time += dt
         self.steps_taken += 1

@@ -15,36 +15,22 @@ latency hiding through task interleaving) rather than assuming them.
 Build / execute split
 ---------------------
 :meth:`TaskGraphSimulator.build_step_graph` produces the step's graph as
-declarative :class:`StepNode` records — task kind, cost, locality, declared
-:class:`~repro.analysis.effects.EffectSet` footprint and dependency edges —
-and :meth:`TaskGraphSimulator.run_step` executes that structure on the
-virtual runtime.  The same graph therefore feeds three consumers:
-
-* execution (timing, starvation, message counts),
-* the *static* race checker (:func:`repro.analysis.race.check_graph` over
-  :meth:`StepGraph.static_tasks` — no execution needed),
-* the *dynamic* race detector (pass one to :meth:`run_step`; it observes
-  the worker pools while the graph runs).
-
-Effect model: each hydro stage task reads and writes its own sub-grid's
-conserved variables ``U``, publishes the next stage's donor bands, and
-reads the generation-``s`` ghost bands its neighbours sent.  A ghost
-transfer reads the donor band its producer published at the previous stage
-(the §VII-B promise-guarded direct read) and writes one generation-indexed
-ghost band of the destination — generation indexing mirrors
-``hpx::lcos::channel`` semantics, where every stage's band is a fresh slot.
+declarative :class:`StepNode` records — task kind, cost, locality and
+dependency edges — and :meth:`TaskGraphSimulator.run_step` executes that
+structure on the virtual runtime (timing, starvation, message counts).
+The graph is a *pricing* model of a lattice of sub-grids and runs no
+kernel; the race checks read the effects of the real step program
+instead (:func:`repro.hydro.plan.op_effect_rows`, ``docs/analysis.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.amt.future import Future, Promise, when_all
 from repro.amt.locality import Runtime
 from repro.amt.network import Message, NetworkModel
-from repro.analysis.effects import ANY, EffectSet
-from repro.analysis.race import GraphTask, RaceFinding, check_graph
 from repro.distsim.model import DEFAULT_CONSTANTS, ModelConstants, _cpu_rate
 from repro.distsim.runconfig import RunConfig
 from repro.resilience.faults import FaultSpec
@@ -109,7 +95,6 @@ class StepNode:
     locality: int
     cost: float
     deps: Tuple[int, ...]
-    effects: Optional[EffectSet] = None
     #: Ghost-transfer routing (ghost nodes only).
     src_locality: int = -1
     size_bytes: int = 0
@@ -130,7 +115,6 @@ class StepGraph:
         locality: int = 0,
         cost: float = 0.0,
         deps: Tuple[int, ...] = (),
-        effects: Optional[EffectSet] = None,
         src_locality: int = -1,
         size_bytes: int = 0,
     ) -> int:
@@ -143,7 +127,6 @@ class StepGraph:
                 locality=locality,
                 cost=cost,
                 deps=deps,
-                effects=effects,
                 src_locality=src_locality,
                 size_bytes=size_bytes,
             )
@@ -154,56 +137,6 @@ class StepGraph:
     def n_pool_tasks(self) -> int:
         """Worker-occupying tasks (excludes ghost events and barriers)."""
         return sum(1 for n in self.nodes if n.kind not in ("ghost", "barrier"))
-
-    def static_tasks(self) -> List[GraphTask]:
-        """The graph as :class:`~repro.analysis.race.GraphTask` nodes for
-        the static checker."""
-        return [
-            GraphTask(
-                id=n.id,
-                name=n.name,
-                deps=n.deps,
-                effects=n.effects,
-                exec_space="Host",
-                kind=n.kind,
-            )
-            for n in self.nodes
-        ]
-
-
-# -- effect-set factories (the declared footprints of the placeholder tasks) --
-
-
-def _hydro_effects(sg: int, stage: int, neighbors: List[int]) -> EffectSet:
-    """Stage ``stage`` of sub-grid ``sg``: update U in place from the
-    generation-``stage`` ghost bands, then publish next-stage donors."""
-    return EffectSet.make(
-        reads=[(sg, "U")] + [(sg, f"ghost[{nb}]@{stage}") for nb in neighbors],
-        writes=[(sg, "U"), (sg, f"donor@{stage + 1}")],
-    )
-
-
-def _ghost_effects(src: int, dst: int, stage: int) -> EffectSet:
-    """Transfer of ``src``'s donor band (published at stage-1) into
-    ``dst``'s generation-``stage`` ghost slot."""
-    return EffectSet.make(
-        reads=[(src, f"donor@{stage}")],
-        writes=[(dst, f"ghost[{src}]@{stage}")],
-    )
-
-
-def _p2p_effects(sg: int) -> EffectSet:
-    return EffectSet.make(reads=[(sg, "U")], writes=[(sg, "phi")])
-
-
-def _multipole_effects(level: int) -> EffectSet:
-    """Tree-traversal tasks read every node's moments and accumulate into
-    the level's local expansions — a commutative reduction, so same-level
-    tasks commute with each other but conflict with any plain write."""
-    return EffectSet.make(
-        reads=[(ANY, "moments")],
-        accums=[(("level", level), "local")],
-    )
 
 
 class TaskGraphSimulator:
@@ -298,20 +231,11 @@ class TaskGraphSimulator:
                         if stage
                         else ()
                     )
-                    effects = EffectSet.make(
-                        reads=[
-                            (nb, f"donor@{stage}") for nb in sorted({e[0] for e in edges})
-                        ],
-                        writes=[
-                            (sg, f"ghost[{nb}]@{stage}") for nb, sg in edges
-                        ],
-                    )
                     bundle_ids[pair] = graph.add(
                         name=f"bundle{stage}.{pair[0]}to{pair[1]}",
                         kind="ghost",
                         locality=pair[1],
                         deps=bundle_deps,
-                        effects=effects,
                         src_locality=pair[0],
                         size_bytes=spec.face_bytes * len(edges),
                     )
@@ -333,7 +257,6 @@ class TaskGraphSimulator:
                             kind="ghost",
                             locality=self.owner[sg],
                             deps=ghost_deps,
-                            effects=_ghost_effects(nb, sg, stage),
                             src_locality=self.owner[nb],
                             size_bytes=spec.face_bytes,
                         )
@@ -344,7 +267,6 @@ class TaskGraphSimulator:
                     locality=self.owner[sg],
                     cost=hydro_cost,
                     deps=tuple(deps),
-                    effects=_hydro_effects(sg, stage, neighbor_lists[sg]),
                 )
                 hydro_ids[(stage, sg)] = node_id
                 stage_ids.append(node_id)
@@ -364,7 +286,6 @@ class TaskGraphSimulator:
                 locality=self.owner[sg],
                 cost=gravity_cost,
                 deps=(barrier,),
-                effects=_p2p_effects(sg),
             )
             for sg in range(self.n_subgrids)
         ]
@@ -395,7 +316,6 @@ class TaskGraphSimulator:
                                 locality=loc_id,
                                 cost=work / k + constants.task_overhead_s,
                                 deps=(barrier,),
-                                effects=_multipole_effects(level),
                             )
                         )
             if level_ids:
@@ -408,26 +328,15 @@ class TaskGraphSimulator:
         graph.finals = (barrier,)
         return graph
 
-    def static_check(self) -> List[RaceFinding]:
-        """Race + space analysis of the step graph without executing it."""
-        return check_graph(self.build_step_graph().static_tasks())
-
     # -- execution ----------------------------------------------------------
-    def run_step(self, detector: Any = None) -> TaskGraphResult:
-        """Execute the step graph on the virtual runtime.
-
-        ``detector`` (a :class:`repro.analysis.race.RaceDetector` or any
-        WorkerPool observer) is installed on every locality's pool for the
-        duration of the step.
-        """
+    def run_step(self) -> TaskGraphResult:
+        """Execute the step graph on the virtual runtime."""
         graph = self.build_step_graph()
         runtime = Runtime(
             n_localities=self.config.nodes,
             workers_per_locality=self.workers,
             network=self.network,
         )
-        if detector is not None:
-            runtime.install_observer(detector)
         watchdog = DeadlockWatchdog(runtime)
 
         futures: Dict[int, Future] = {}
@@ -445,7 +354,6 @@ class TaskGraphSimulator:
                     cost=node.cost,
                     name=node.name,
                     kind=node.kind,
-                    effects=node.effects,
                 )
             watchdog.watch(futures[node.id], deps, name=node.name)
 

@@ -50,7 +50,17 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.effects import ANY, declare_effects
+from repro.analysis.shmrace import (
+    MODE_READ,
+    MODE_WRITE,
+    REGION_ALL,
+    REGION_INTERIOR,
+    SEG_ACCEL,
+    SEG_FIELDS,
+    SEG_FLUX,
+    field_access_rows,
+    slot_range_rows,
+)
 from repro.comms.bundle import GhostBundlePlan, adopt_arena, build_bundle_plan
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.reflux import apply_flux_table, build_reflux_table
@@ -667,10 +677,6 @@ def stacked_primitives_kernel(
     return ws
 
 
-@declare_effects(
-    reads=[(ANY, "U", "Host"), (ANY, "U.ghost", "Host")],
-    writes=[(ANY, "dudt", "Host"), (ANY, "boundary_flux", "Host")],
-)
 def stacked_rhs_kernel(
     u: np.ndarray,
     dx: float,
@@ -764,10 +770,6 @@ def stacked_rhs_kernel(
                 faces[:, axis, 1] = flux[:, n].transpose(1, 0, 2, 3)
 
 
-@declare_effects(
-    reads=[(ANY, "U", "Host"), (ANY, "accel", "Host")],
-    accums=[(ANY, "dudt", "Host")],
-)
 def stacked_source_kernel(
     u_int: np.ndarray,
     dudt: np.ndarray,
@@ -803,10 +805,6 @@ def stacked_source_kernel(
         dt_t[Field.EGAS] += sx * cfx + sy * cfy
 
 
-@declare_effects(
-    reads=[(ANY, "U0", "Host"), (ANY, "dudt", "Host")],
-    writes=[(ANY, "U", "Host")],
-)
 def stacked_update_kernel(
     u_int: np.ndarray,
     u0: np.ndarray,
@@ -840,7 +838,6 @@ def stacked_update_kernel(
     np.maximum(ut[Field.FRAC2], 0.0, out=ut[Field.FRAC2])
 
 
-@declare_effects(reads=[(ANY, "U", "Host")], writes=[(ANY, "U.tau", "Host")])
 def stacked_resync_tau_kernel(u_int: np.ndarray, eos: IdealGasEOS) -> None:
     """End-of-step tau resync where the energy difference is trustworthy."""
     ut = u_int.transpose(1, 0, 2, 3, 4)
@@ -853,7 +850,6 @@ def stacked_resync_tau_kernel(u_int: np.ndarray, eos: IdealGasEOS) -> None:
     )
 
 
-@declare_effects(reads=[(ANY, "U", "Host")])
 def stacked_signal_kernel(
     u_int: np.ndarray, eos: IdealGasEOS, out: np.ndarray
 ) -> None:
@@ -1028,3 +1024,49 @@ class RankStep:
                 for j, key in enumerate(self.keys[run.lo : run.hi]):
                     signals[key] = float(out[j])
         return signals
+
+
+def op_effect_rows(plan: HydroPlan, op: tuple, who: Any) -> np.ndarray:
+    """What one program op touches in the shared arenas, as
+    ``(mode, segment, lo, hi, region)`` rows over leaf slots — the step
+    program's happens-before contract, stated once.
+
+    ``who`` is the rank running a rank op, or the ``(src, dst)`` pair of
+    the :class:`~repro.comms.bundle.PairBundle` a ``ghost`` op applies
+    (its donor-interior reads and ghost-band writes, traced from the live
+    index arrays).  ``accel`` writes and ``reflux`` reads the whole
+    slot-ordered stack, whoever runs them.  The static op-program proof,
+    the shm event log and the DES race detector all read these rows.
+    """
+    kind = op[0]
+    if kind == "ghost":
+        b = plan.ghosts.bundles[who]
+        shape = (plan.n, plan.ghost_width, NFIELDS)
+        return np.vstack([
+            field_access_rows([b.copy_src, b.fine_src], MODE_READ, *shape),
+            field_access_rows([b.copy_dst, b.fine_dst], MODE_WRITE, *shape),
+        ])
+    if kind == "accel":
+        return slot_range_rows(0, plan.n_leaves, MODE_WRITE, SEG_ACCEL)
+    if kind == "reflux":
+        return slot_range_rows(0, plan.n_leaves, MODE_READ, SEG_FLUX)
+
+    def runs(mode: int, segment: int, region: int = REGION_ALL) -> np.ndarray:
+        return np.array(
+            [[mode, segment, run.lo, run.hi, region] for run in plan.runs[who]],
+            dtype=np.int64,
+        ).reshape(-1, 5)
+
+    if kind == "begin":
+        return runs(MODE_READ, SEG_FIELDS, REGION_INTERIOR)
+    if kind in ("update", "finish"):
+        return runs(MODE_WRITE, SEG_FIELDS, REGION_INTERIOR)
+    if kind == "rhs":
+        collect_fluxes, use_accel = op[1:]
+        parts = [runs(MODE_READ, SEG_FIELDS)]
+        if collect_fluxes:
+            parts.append(runs(MODE_WRITE, SEG_FLUX))
+        if use_accel:
+            parts.append(runs(MODE_READ, SEG_ACCEL))
+        return np.vstack(parts)
+    raise ValueError(f"unknown program op {kind!r}")

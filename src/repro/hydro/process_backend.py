@@ -31,7 +31,12 @@ partitioned over the worker processes of a
   interiors — and inside a group that updates after its ghost apply, a
   ``ghosts`` → ``go`` handshake orders every rank's donor reads before
   any rank's interior writes.  Which ops share a group is decided by
-  :func:`~repro.hydro.integrator.rk3_ops` alone.
+  :func:`~repro.hydro.integrator.rk3_ops` alone;
+* with ``detect_races`` each worker logs the effect rows its ops declare
+  (:func:`~repro.hydro.plan.op_effect_rows`), stamped with the round and
+  their position relative to the handshake, and the parent's
+  :class:`~repro.analysis.shmrace.ShmRaceDetector` replays them after
+  every round.
 
 This module owns what is specific to real processes — the shm arenas, the
 event log, the fork and the in-place replan broadcast; topology
@@ -59,25 +64,17 @@ from repro.amt.shm import ShmArena
 from repro.analysis.effects import ANY, declare_effects
 from repro.analysis.planverify import require_verified, verify_process_plan
 from repro.analysis.shmrace import (
-    MODE_READ,
-    MODE_WRITE,
-    PHASE_EXCHANGE,
-    PHASE_COMPUTE,
-    PHASE_UPDATE,
-    REGION_ALL,
-    REGION_INTERIOR,
-    SEG_ACCEL,
-    SEG_FIELDS,
-    SEG_FLUX,
+    AFTER_WAIT,
     ShmEventLog,
     ShmRaceDetector,
-    field_access_rows,
+    handshake_positions,
 )
 from repro.comms.bundle import GhostBundlePlan
 from repro.hydro.plan import (
     HydroPlan,
     RankStep,
     ScratchArena,
+    op_effect_rows,
     stack_accel,
 )
 from repro.octree.fields import NFIELDS
@@ -92,14 +89,6 @@ from repro.hydro.integrator import HydroIntegrator, rk3_ops  # noqa: E402  (cycl
 #: in place (:meth:`ProcessHydroExecutor._replan_in_place`) instead of
 #: re-forking the pool.
 ARENA_HEADROOM = 1.5
-
-#: Protocol phase of each program op, stamped on its shm access events.
-#: A round is one race-detector epoch, and the one cross-rank order inside
-#: it is exchange before update (the ``ghosts`` -> ``go`` handshake).
-FUSED_PHASES = {
-    "begin": PHASE_COMPUTE, "ghost": PHASE_EXCHANGE, "rhs": PHASE_COMPUTE,
-    "reflux": PHASE_COMPUTE, "update": PHASE_UPDATE, "finish": PHASE_UPDATE,
-}
 
 
 class _WorkerState:
@@ -122,11 +111,9 @@ class _WorkerState:
         #: Race-detector epoch: one per round, advanced identically on
         #: every rank (rounds broadcast the same command sequence).
         self.epoch = 0
-        self.events = None
+        log = executor.event_log
+        self.events = log.writer(rank) if log is not None else None
         self._bind()
-        if executor.event_log is not None:
-            self.events = executor.event_log.writer(rank)
-            self._build_event_rows()
 
     def _bind(self) -> None:
         """(Re)derive every topology-dependent view from the executor's
@@ -144,6 +131,8 @@ class _WorkerState:
         self.dst_pairs = sorted(
             pair for pair in plan.ghosts.bundles if pair[1] == rank
         )
+        #: Declared effect rows per op, logged each round (filled lazily).
+        self._rows: Dict[Any, np.ndarray] = {}
 
     def replan(self, piece: Dict[str, Any]) -> None:
         """Patch this worker's plan with its slice of the parent's new one
@@ -154,62 +143,22 @@ class _WorkerState:
         ex.size_views(len(piece["leaf_keys"]))
         ex.plan.rebind(piece, ex.arena_view)
         self._bind()
-        if self.events is not None:
-            self._build_event_rows()
 
-    def _build_event_rows(self) -> None:
-        """Precompute per-phase shm access descriptors from the *live*
-        plan arrays — whatever indices the phases will actually use
-        (including anything injected into the bundle plan) is what gets
-        logged, so the dynamic detector needs no trust in the planner."""
-        ex = self.ex
-        n, g, nfields = ex.n, ex.ghost, NFIELDS
-        plan = ex.bundle_plan
-        n_slots = ex.plan.n_leaves
-
-        def runs_rows(mode: int, seg: int, region: int) -> np.ndarray:
-            return np.array(
-                [[mode, seg, run.lo, run.hi, region] for run in self.step.runs],
-                dtype=np.int64,
-            ).reshape(-1, 5)
-
-        ghost_rows = [np.empty((0, 5), dtype=np.int64)]
-        for pair in self.dst_pairs:
-            b = plan.bundles[pair]
-            ghost_rows.append(field_access_rows(
-                [b.copy_src, b.fine_src], MODE_READ, n, g, nfields))
-            ghost_rows.append(field_access_rows(
-                [b.copy_dst, b.fine_dst], MODE_WRITE, n, g, nfields))
-
-        own_int_read = runs_rows(MODE_READ, SEG_FIELDS, REGION_INTERIOR)
-        own_int_write = runs_rows(MODE_WRITE, SEG_FIELDS, REGION_INTERIOR)
-        ev: Dict[Any, np.ndarray] = {
-            "begin": own_int_read,
-            "ghost": np.vstack(ghost_rows),
-            "reflux": np.array(
-                [[MODE_READ, SEG_FLUX, 0, n_slots, REGION_ALL]],
-                dtype=np.int64,
-            ),
-            "update": own_int_write,
-            "finish": own_int_write,
-        }
-        rhs_base = runs_rows(MODE_READ, SEG_FIELDS, REGION_ALL)
-        rhs_flux = runs_rows(MODE_WRITE, SEG_FLUX, REGION_ALL)
-        rhs_accel = runs_rows(MODE_READ, SEG_ACCEL, REGION_ALL)
-        for fluxes in (False, True):
-            for accel in (False, True):
-                parts = [rhs_base]
-                if fluxes:
-                    parts.append(rhs_flux)
-                if accel:
-                    parts.append(rhs_accel)
-                ev[("rhs", fluxes, accel)] = np.vstack(parts)
-        self._event_rows = ev
-
-    def _rows_of(self, op: tuple) -> np.ndarray:
-        if op[0] == "rhs":
-            return self._event_rows[("rhs", bool(op[1]), bool(op[2]))]
-        return self._event_rows[op[0]]
+    def rows(self, op: tuple) -> np.ndarray:
+        """The op's declared effect rows on this rank
+        (:func:`~repro.hydro.plan.op_effect_rows` over the *live* plan
+        arrays, including anything injected into the bundles), cached per
+        topology: the ghost rows trace every index of the rank's bundles."""
+        key = op if op[0] == "rhs" else op[0]
+        rows = self._rows.get(key)
+        if rows is None:
+            plan = self.ex.plan
+            units = self.dst_pairs if op[0] == "ghost" else [self.rank]
+            rows = self._rows[key] = np.vstack(
+                [op_effect_rows(plan, op, unit) for unit in units]
+                or [np.empty((0, 5), dtype=np.int64)]
+            )
+        return rows
 
     # -- ghost exchange --------------------------------------------------------
     def ghost(self) -> None:
@@ -234,20 +183,18 @@ class _WorkerState:
         Returns the last op's result and the seconds spent in rank ops.
         """
         self.epoch += 1
-        handshake = {"ghost", "update"} <= {op[0] for op in group}
+        positions = handshake_positions([op[0] for op in group])
         out, busy = None, 0.0
-        for op in group:
+        for op, position in zip(group, positions):
             name = op[0]
             if self.events is not None:
-                self.events.log(
-                    self.epoch, self._rows_of(op), phase=FUSED_PHASES[name]
-                )
+                self.events.log(self.epoch, self.rows(op), position)
             if name == "ghost":
                 out = self.ghost()
-                if handshake:
+                if AFTER_WAIT in positions:
                     self.link.note("ghosts")
                 continue
-            if name == "update" and handshake:
+            if name == "update" and position == AFTER_WAIT:
                 self.link.wait("go")
             t0 = time.perf_counter()
             out = getattr(self.step, name)(*op[1:])
@@ -409,14 +356,7 @@ class ProcessHydroExecutor:
         build_s = self._adopt(n_leaves)
         if self.integrator.detect_races:
             self.event_log = ShmEventLog(self.nprocs)
-            # The only sanctioned intra-epoch cross-rank edge: an update
-            # grouped after a ghost apply is gated by the ghosts->go
-            # handshake, ordering every donor-interior read before any
-            # interior write.  A one-op epoch never holds both phases.
-            self.race_detector = ShmRaceDetector(
-                self.event_log,
-                ordered_phases={(PHASE_EXCHANGE, PHASE_UPDATE)},
-            )
+            self.race_detector = ShmRaceDetector(self.event_log)
 
         # Fork *after* every arena and plan exists: children inherit it all.
         self.engine = ParallelEngine(self.engine.nprocs, timeout=self.engine.timeout)
@@ -548,14 +488,14 @@ class ProcessHydroExecutor:
                 self._write_accel(gravity(self.mesh))
                 continue
             group = op[1] if op[0] == "fused" else (op,)
-            names = {name for name, *_ in group}
+            names = [name for name, *_ in group]
             if "ghost" in names:
                 self.payload_messages += remote_messages
                 self.payload_bytes += remote_bytes
             t0 = time.perf_counter()
             out = engine.round(("run", group), on_note=(
-                self._go_after_ghosts() if {"ghost", "update"} <= names
-                else None
+                self._go_after_ghosts()
+                if AFTER_WAIT in handshake_positions(names) else None
             ))
             busy = max(seconds for _, seconds in out)
             self.compute_s += busy

@@ -128,7 +128,7 @@ class DeadlockWatchdog:
         parts.append(f"root stall: {root!r} — its completion event was never scheduled "
                      "(a lost ghost message stalls the dependency graph exactly "
                      "like the paper's Fugaku/Ookami hangs)")
-        # Under the race detector (``run_step(detector=)``) futures carry the
+        # Under the race detector (every DES driver step) futures carry the
         # happens-before provenance clock: report how much completed work
         # the stalled future transports — the depth of the wedged chain.
         origin = getattr(root_future, "_origin", 0)

@@ -1,10 +1,11 @@
 """Effect sets, race detection (dynamic + static), memory-space sanitizer.
 
-The seeded-defect tests are the acceptance gate: a deliberately injected
-race and a deliberate space violation must each be caught by *both* the
-dynamic and the static checker, while the repo's known-good schedules
-(one full blast driver step; the cached-plan FMM solver) must come back
-with zero findings.
+The seeded-defect tests are the acceptance gate: a race seeded into the
+step program — an overlapping bundle scatter, or a dropped ghost
+dependency of the DES interpreter — must be caught by the static
+op-program proof and by the DES race detector, and a space violation by
+the sanitizer, while the repo's known-good schedules (real plans, DES
+driver steps, the cached-plan FMM solver) come back with zero findings.
 """
 
 import numpy as np
@@ -14,20 +15,24 @@ from repro.amt.future import when_all
 from repro.amt.locality import Runtime
 from repro.analysis import (
     ANY,
-    EffectRegistry,
     EffectSet,
-    GraphTask,
     MemorySpaceViolation,
     RaceDetector,
     RaceError,
     Resource,
-    check_graph,
-    check_space_discipline,
     declare_effects,
     effects_of,
     sanitizer_mode,
+    verify_op_program,
 )
+from repro.core import distributed
+from repro.core.distributed import DistributedHydroDriver
+from repro.distsim import RunConfig
+from repro.hydro.plan import build_hydro_plan
 from repro.kokkos import DeviceSpaceTag, View, deep_copy
+from repro.machines import FUGAKU
+from tests.test_hydro_plan import make_state_mesh
+from tests.test_shmrace import inject_scatter_overlap
 
 
 # -- effect sets --------------------------------------------------------------
@@ -81,13 +86,6 @@ class TestEffectSets:
 
         assert kernel() == 42  # unchanged callable, no wrapper
         assert effects_of(kernel).reads == frozenset({Resource(0, "U")})
-
-        registry = EffectRegistry()
-        registry.register("fmm.p2p", lambda sg: EffectSet.make(writes=[(sg, "phi")]))
-        assert "fmm.p2p" in registry
-        assert registry.effects_for("fmm.p2p", 3).writes == frozenset({Resource(3, "phi")})
-        with pytest.raises(ValueError):
-            registry.register("fmm.p2p", lambda sg: EffectSet())
 
 
 # -- dynamic race detection ---------------------------------------------------
@@ -212,73 +210,73 @@ class TestDynamicDetector:
         assert detector.tasks_seen == 3
 
 
-# -- static checking ----------------------------------------------------------
+# -- static checking: the op-program proof ------------------------------------
+
+
+def two_rank_plan(seed_race=False):
+    """A refined (reflux-carrying) mesh's plan over two ranks; the mesh is
+    returned too, since the plan only holds it weakly."""
+    mesh, _ = make_state_mesh(levels=1, refine_keys=(0,))
+    plan = build_hydro_plan(mesh, nranks=2)
+    if seed_race:
+        inject_scatter_overlap(plan.ghosts)
+    return mesh, plan
 
 
 class TestStaticChecker:
-    def seeded_race_graph(self, with_edge):
-        w = EffectSet.make(writes=[(0, "U")])
-        return [
-            GraphTask(id=0, name="a", effects=w),
-            GraphTask(id=1, name="b", deps=(0,) if with_edge else (), effects=w),
-        ]
-
     def test_seeded_race_detected_statically(self):
-        findings = check_graph(self.seeded_race_graph(with_edge=False))
-        assert len(findings) == 1
-        assert findings[0].kind == "race"
+        _mesh, plan = two_rank_plan(seed_race=True)
+        findings = verify_op_program(plan)
+        assert findings
+        assert {v.check for v in findings} == {"op-program-race"}
 
-    def test_edge_clears_static_race(self):
-        assert check_graph(self.seeded_race_graph(with_edge=True)) == []
+    def test_edge_clears_static_race(self, monkeypatch):
+        """The fused round's donor reads and interior writes are ordered by
+        the ghosts -> go handshake alone: without it the proof fails."""
+        mesh, _ = make_state_mesh(levels=1)  # no reflux: every stage fuses
+        plan = build_hydro_plan(mesh, nranks=2)
+        assert verify_op_program(plan) == []
+        from repro.analysis import planverify
 
-    def test_transitive_ordering(self):
-        w = EffectSet.make(writes=[(0, "U")])
-        nodes = [
-            GraphTask(id=0, name="a", effects=w),
-            GraphTask(id=1, name="mid", deps=(0,)),  # effect-free barrier
-            GraphTask(id=2, name="b", deps=(1,), effects=w),
-        ]
-        assert check_graph(nodes) == []
+        monkeypatch.setattr(
+            planverify, "handshake_positions", lambda names: [0] * len(names)
+        )
+        findings = verify_op_program(plan)
+        assert findings
+        # Donor-interior reads against interior writes, in a fused round.
+        assert all("read" in v.detail and "write" in v.detail for v in findings)
 
-    def test_diamond_siblings_race(self):
-        w = EffectSet.make(writes=[(0, "U")])
-        nodes = [
-            GraphTask(id=0, name="root", effects=EffectSet.make(reads=[(0, "U")])),
-            GraphTask(id=1, name="left", deps=(0,), effects=w),
-            GraphTask(id=2, name="right", deps=(0,), effects=w),
-        ]
-        findings = check_graph(nodes)
-        assert len(findings) == 1
-        assert {findings[0].task_a, findings[0].task_b} == {"left", "right"}
 
-    def test_non_topological_emission_rejected(self):
-        nodes = [GraphTask(id=0, name="a", deps=(1,)), GraphTask(id=1, name="b")]
-        with pytest.raises(ValueError):
-            check_graph(nodes)
+# -- the DES interpreter's race detector -------------------------------------
 
-    def test_seeded_space_violation_detected_statically(self):
-        """Host-executing node touching a Device resource — the seeded
-        space violation, static half."""
-        nodes = [
-            GraphTask(
-                id=0, name="host-kernel", exec_space="Host",
-                effects=EffectSet.make(writes=[Resource(0, "U", "Device")]),
+
+class TestDesInterpreter:
+    def test_seeded_scatter_overlap_flagged(self):
+        mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
+        driver = des_driver(mesh, eos)
+        inject_scatter_overlap(
+            driver.plans.plan_for(mesh, driver.registry, nranks=2).ghosts
+        )
+        driver.step(1e-4)
+        assert driver.race_findings
+        assert all(f.kind == "race" for f in driver.race_findings)
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["control", "dropped"])
+    def test_dropped_ghost_dependency_flagged(self, monkeypatch, drop):
+        """Without its wait on the bundles into its rank, an rhs reads
+        ghost bands an unpack may still be writing."""
+        if drop:
+            monkeypatch.delitem(distributed.CROSS_RANK_WAITS, "rhs")
+        mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
+        driver = des_driver(mesh, eos)
+        driver.step(1e-4)
+        if drop:
+            assert any(
+                "unpack" in f.task_a + f.task_b and "rhs" in f.task_a + f.task_b
+                for f in driver.race_findings
             )
-        ]
-        findings = check_space_discipline(nodes)
-        assert len(findings) == 1
-        assert findings[0].kind == "space-mismatch"
-        assert check_graph(nodes) == findings  # check_graph folds it in
-
-    def test_deep_copy_is_the_sanctioned_crossing(self):
-        nodes = [
-            GraphTask(
-                id=0, name="h2d", exec_space="Host", kind="deep_copy",
-                effects=EffectSet.make(writes=[Resource(0, "U", "Device")],
-                                       reads=[Resource(0, "U", "Host")]),
-            )
-        ]
-        assert check_space_discipline(nodes) == []
+        else:
+            assert driver.race_findings == []
 
 
 # -- memory-space sanitizer ---------------------------------------------------
@@ -324,36 +322,34 @@ class TestSpaceSanitizer:
 # -- known-good schedules: zero findings --------------------------------------
 
 
+def des_driver(mesh, eos, nodes=2):
+    return DistributedHydroDriver(
+        mesh, eos, config=RunConfig(machine=FUGAKU, nodes=nodes)
+    )
+
+
 class TestKnownGoodSchedules:
     def test_step_graph_statically_race_free(self):
-        from repro.distsim import RunConfig, TaskGraphSimulator
-        from repro.machines import FUGAKU
-        from repro.scenarios.spec import ScenarioSpec
-
-        spec = ScenarioSpec(name="clean", n_subgrids=27, max_level=3)
-        for nodes in (1, 2):
-            sim = TaskGraphSimulator(spec, RunConfig(machine=FUGAKU, nodes=nodes))
-            assert sim.static_check() == []
+        for refine_keys in ((), (0, 3)):
+            mesh, _ = make_state_mesh(levels=1, refine_keys=refine_keys)
+            for nranks in (1, 2, 3):
+                plan = build_hydro_plan(mesh, nranks=nranks)
+                assert verify_op_program(plan) == []
 
     def test_step_graph_dynamically_race_free(self):
-        from repro.distsim import RunConfig, TaskGraphSimulator
-        from repro.machines import FUGAKU
-        from repro.scenarios.spec import ScenarioSpec
-
-        spec = ScenarioSpec(name="clean", n_subgrids=27, max_level=3)
-        sim = TaskGraphSimulator(spec, RunConfig(machine=FUGAKU, nodes=2))
-        detector = RaceDetector(raise_on_finding=True)
-        result = sim.run_step(detector=detector)
-        assert detector.findings == []
-        assert detector.tasks_checked == result.tasks  # every pool task declared
+        mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
+        driver = des_driver(mesh, eos)
+        driver.step(1e-4)
+        driver.step(1e-4)
+        assert driver.race_findings == []
+        assert driver.race_events > 0
 
     def test_blast_driver_step_sanitized_zero_findings(self):
-        """The task graph a driver step of the blast scenario is priced
-        with, built from the live workload: static and dynamic race checks,
-        zero false positives."""
+        """A driver step of the blast scenario, and the same step program
+        on two DES localities and (statically) on two ranks: zero
+        findings."""
         from repro.core import OctoTigerSim
-        from repro.distsim import RunConfig, TaskGraphSimulator
-        from repro.machines import FUGAKU
+        from repro.core.crosscheck import clone_mesh
         from repro.scenarios import sedov_blast
 
         scenario = sedov_blast(levels=2)
@@ -362,12 +358,11 @@ class TestKnownGoodSchedules:
             config=RunConfig(machine=FUGAKU, nodes=2),
         )
         assert sim.step().dt > 0
-        graph = TaskGraphSimulator(sim.spec, sim.config)
-        assert graph.static_check() == []
-        detector = RaceDetector()
-        result = graph.run_step(detector=detector)
-        assert detector.findings == []
-        assert detector.tasks_checked == result.tasks > 0
+        assert verify_op_program(build_hydro_plan(sim.mesh, nranks=2)) == []
+        driver = des_driver(clone_mesh(sim.mesh), scenario.eos)
+        driver.step(sim.integrator.timestep())
+        assert driver.race_findings == []
+        assert driver.race_events > 0
 
     def test_fmm_plan_path_sanitized_and_exact(self):
         """The cached-traversal-plan FMM path (cold build + warm reuse)

@@ -8,9 +8,9 @@
 * ``ParallelEngine.round(on_note=)`` / ``WorkerLink`` — mid-round notes,
   parent routing, and failure semantics (with ``on_note`` a remote raise
   ends the round at once, even with peers parked in ``link.wait``);
-* the shm race detector's message-grained ``ordered_phases`` edges:
-  the fused-update conflict is real without the ``ghosts``→``go`` edge
-  and sanctioned with it, and the edge excuses *only* that phase pair;
+* the shm race detector's handshake rule: the fused-update conflict is
+  real without the ``ghosts``→``go`` handshake and ordered by it, and the
+  handshake orders *only* before-note against after-wait accesses;
 * the plan cache carries no schedule state (format v4): the payload is
   the ghost arrays alone and builds a complete plan.
 """
@@ -24,11 +24,11 @@ from hypothesis import HealthCheck, given, settings
 from repro.amt.parallel import ParallelEngine, WorkerError
 from repro.amt.shm import live_segments
 from repro.analysis.shmrace import (
+    AFTER_NOTE,
+    AFTER_WAIT,
+    BEFORE_NOTE,
     MODE_READ,
     MODE_WRITE,
-    PHASE_COMPUTE,
-    PHASE_EXCHANGE,
-    PHASE_UPDATE,
     REGION_INTERIOR,
     SEG_FIELDS,
     ShmEventLog,
@@ -269,61 +269,56 @@ class TestRoundAsync:
 
 
 # ---------------------------------------------------------------------------
-# Message-grained happens-before edges in the shm race detector.
+# The handshake rule of the shm race detector.
 # ---------------------------------------------------------------------------
-def _fused_update_events(log):
+def _fused_update_events(log, update_position):
     """The overlap epoch's one real conflict: rank 0 reads rank 1's donor
     interior during the exchange while rank 1's fused update writes it."""
     log.writer(0).log(
         0,
         slot_range_rows(1, 2, MODE_READ, SEG_FIELDS, REGION_INTERIOR),
-        phase=PHASE_EXCHANGE,
+        BEFORE_NOTE,
     )
     log.writer(1).log(
         0,
         slot_range_rows(1, 2, MODE_WRITE, SEG_FIELDS, REGION_INTERIOR),
-        phase=PHASE_UPDATE,
+        update_position,
     )
 
 
 class TestOrderedPhases:
     def test_fused_update_conflict_without_edge(self):
-        # Negative control: with pure barrier-epoch semantics the fused
-        # update IS a race -- the detector must say so.
+        # Negative control: in a round with no handshake every access is
+        # before-note, and the fused update IS a race.
         with ShmEventLog(2) as log:
-            _fused_update_events(log)
+            _fused_update_events(log, BEFORE_NOTE)
             det = ShmRaceDetector(log, raise_on_finding=False)
             findings = det.scan()
         assert len(findings) == 1
         assert findings[0].kind == "shm-race"
 
     def test_ghosts_go_edge_sanctions_it(self):
+        # Before-note on rank 0 precedes after-wait on rank 1.
         with ShmEventLog(2) as log:
-            _fused_update_events(log)
-            det = ShmRaceDetector(
-                log, ordered_phases={(PHASE_EXCHANGE, PHASE_UPDATE)}
-            )
-            assert det.scan() == []
+            _fused_update_events(log, AFTER_WAIT)
+            assert ShmRaceDetector(log).scan() == []
 
     def test_edge_does_not_excuse_other_phases(self):
-        # A compute-phase write against an exchange-phase read is NOT on
-        # the sanctioned edge and must still be flagged.
+        # A write between rank 1's note and its wait (its rhs) is NOT
+        # ordered against rank 0's exchange read, nor are two after-wait
+        # accesses against each other.
         with ShmEventLog(2) as log:
-            log.writer(0).log(
-                0,
-                slot_range_rows(1, 2, MODE_READ, SEG_FIELDS, REGION_INTERIOR),
-                phase=PHASE_EXCHANGE,
-            )
-            log.writer(1).log(
-                0,
-                slot_range_rows(1, 2, MODE_WRITE, SEG_FIELDS, REGION_INTERIOR),
-                phase=PHASE_COMPUTE,
-            )
-            det = ShmRaceDetector(
-                log,
-                raise_on_finding=False,
-                ordered_phases={(PHASE_EXCHANGE, PHASE_UPDATE)},
-            )
+            _fused_update_events(log, AFTER_NOTE)
+            det = ShmRaceDetector(log, raise_on_finding=False)
+            assert len(det.scan()) == 1
+        with ShmEventLog(2) as log:
+            for rank in (0, 1):
+                log.writer(rank).log(
+                    0,
+                    slot_range_rows(1, 2, MODE_WRITE, SEG_FIELDS, REGION_INTERIOR),
+                    AFTER_WAIT,
+                )
+            det = ShmRaceDetector(log, raise_on_finding=False)
             assert len(det.scan()) == 1
 
 

@@ -11,10 +11,10 @@ import pytest
 
 from repro.amt.shm import live_segments
 from repro.analysis.shmrace import (
+    BEFORE_NOTE,
     MODE_ACCUM,
     MODE_READ,
     MODE_WRITE,
-    PHASE_NONE,
     REGION_ALL,
     REGION_GHOST,
     REGION_INTERIOR,
@@ -43,9 +43,9 @@ class TestEventLog:
             rows = log.events(0)
             assert rows.shape == (2, 7)
             assert rows[0].tolist() == [3, MODE_WRITE, SEG_FIELDS, 0, 4,
-                                        REGION_ALL, PHASE_NONE]
+                                        REGION_ALL, BEFORE_NOTE]
             assert rows[1].tolist() == [4, MODE_READ, SEG_FLUX, 1, 2,
-                                        REGION_INTERIOR, PHASE_NONE]
+                                        REGION_INTERIOR, BEFORE_NOTE]
             assert log.events(1).shape == (0, 7)
 
     def test_overflow_counts_dropped_never_raises(self):
@@ -211,6 +211,22 @@ class TestDetector:
             assert det.dropped == 0
             # The scan drained the log: a second scan is clean.
             assert det.scan() == []
+
+    def test_dropped_events_fail_the_scan(self):
+        """A full log drops rows; the scan must not report the truncated
+        round clean — a finding in collect mode, ShmRaceError otherwise,
+        and only when the dropped count grew."""
+        rows = np.repeat(slot_range_rows(0, 1, MODE_READ, SEG_FIELDS), 3, axis=0)
+        with ShmEventLog(nranks=2, capacity=1) as log:
+            log.writer(0).log(1, rows)
+            det = ShmRaceDetector(log, raise_on_finding=False)
+            [finding] = det.scan()
+            assert finding.kind == "shm-log-overflow"
+            assert "2 event(s) dropped" in str(finding)
+            assert det.scan() == []
+            log.writer(1).log(2, rows)
+            with pytest.raises(ShmRaceError, match="dropped"):
+                ShmRaceDetector(log).scan()
 
 
 def inject_scatter_overlap(plan):

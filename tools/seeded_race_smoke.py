@@ -1,26 +1,28 @@
-"""Seeded-race smoke: prove the process-backend checkers are load-bearing.
+"""Seeded-race smoke: prove the step program's race checks are load-bearing.
 
     PYTHONPATH=src python -m tools.seeded_race_smoke
 
 Injects a real scatter-overlap race into the ghost bundle plan (two
 remote bundles writing the same arena elements from different ranks) and
-drives one hydro step through the `ProcessHydroExecutor` of a process-backend
-`HydroIntegrator` three times:
+drives one hydro step with it four times:
 
-1. **static leg** — plan verification on: the executor must refuse the
-   plan with a `PlanVerificationError` naming `bundle-dst-overlap`,
-   before any worker forks;
-2. **dynamic leg** — verification off, race detection on: the injected
-   write-write conflict must surface as an `ShmRaceError` at the first
-   ghost barrier;
-3. **control leg** — both checkers off: the exact same race must run to
-   completion *silently*.  This is the guard against silently-green
-   checkers: if the control leg errors, the "race" we seeded was being
-   caught by something other than the checkers (or was never a clean
-   seed), and legs 1–2 prove nothing.
+1. **static leg** — a process-backend step with plan verification on:
+   the executor must refuse the plan with a `PlanVerificationError`
+   naming both `bundle-dst-overlap` (the scatter index proof) and
+   `op-program-race` (the op-program proof), before any worker forks;
+2. **shm leg** — verification off, shm race detection on: the injected
+   conflict must surface as an `ShmRaceError` at the first ghost round;
+3. **DES leg** — a `DistributedHydroDriver` step over the seeded plan:
+   its always-on race detector must report a `RaceFinding` in
+   `driver.race_findings`;
+4. **control leg** — a process-backend step with both checkers off: the
+   exact same race must run to completion *silently*.  This is the guard
+   against silently-green checkers: if the control leg errors, the "race"
+   we seeded was being caught by something other than the checkers (or
+   was never a clean seed), and legs 1–3 prove nothing.
 
-Exit status 0 only when all three legs behave as specified; 1 otherwise,
-with one line per leg on stdout.
+Exit status 0 only when every leg behaves as specified and no shm segment
+is left behind; 1 otherwise, with one line per leg on stdout.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis.planverify import PlanVerificationError  # noqa: E402
 from repro.analysis.shmrace import ShmRaceError  # noqa: E402
 from repro.amt.shm import live_segments  # noqa: E402
+from repro.core.distributed import DistributedHydroDriver  # noqa: E402
+from repro.distsim.runconfig import RunConfig  # noqa: E402
 from repro.hydro.integrator import HydroIntegrator  # noqa: E402
+from repro.machines import FUGAKU  # noqa: E402
 
 
 def _make_mesh():
@@ -67,24 +72,43 @@ def _run_leg(verify_plans: bool, detect_races: bool):
         ex.close()
 
 
+def _des_findings():
+    """One DES driver step over the seeded plan; its race findings."""
+    mesh, eos = _make_mesh()
+    driver = DistributedHydroDriver(
+        mesh, eos, config=RunConfig(machine=FUGAKU, nodes=2)
+    )
+    driver.plans.plan_for(mesh, driver.registry, nranks=2)
+    _inject(driver.plans.plan.ghosts)
+    driver.step(1e-4)
+    return driver.race_findings
+
+
 def main() -> int:
     ok = True
 
     err = _run_leg(verify_plans=True, detect_races=False)
-    static_ok = isinstance(err, PlanVerificationError) and any(
-        v.check == "bundle-dst-overlap" for v in err.violations
-    )
+    checks = {v.check for v in getattr(err, "violations", ())}
+    static_ok = isinstance(err, PlanVerificationError) and {
+        "bundle-dst-overlap", "op-program-race"
+    } <= checks
     ok &= static_ok
-    print(f"static leg  (verify on):            "
+    print(f"static leg  (verify on):             "
           f"{'caught pre-fork' if static_ok else 'MISSED'} "
-          f"({type(err).__name__ if err else 'no error'})")
+          f"({', '.join(sorted(checks)) or 'no violation'})")
 
     err = _run_leg(verify_plans=False, detect_races=True)
-    dynamic_ok = isinstance(err, ShmRaceError)
-    ok &= dynamic_ok
-    print(f"dynamic leg (verify off, detect on): "
-          f"{'caught at barrier' if dynamic_ok else 'MISSED'} "
+    shm_ok = isinstance(err, ShmRaceError)
+    ok &= shm_ok
+    print(f"shm leg     (verify off, detect on): "
+          f"{'caught at barrier' if shm_ok else 'MISSED'} "
           f"({type(err).__name__ if err else 'no error'})")
+
+    findings = _des_findings()
+    des_ok = bool(findings)
+    ok &= des_ok
+    print(f"DES leg     (always-on detector):    "
+          f"{'caught' if des_ok else 'MISSED'} ({len(findings)} finding(s))")
 
     err = _run_leg(verify_plans=False, detect_races=False)
     control_ok = err is None
