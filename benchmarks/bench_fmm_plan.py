@@ -5,7 +5,8 @@ Standalone (not a paper figure):
     PYTHONPATH=src python benchmarks/bench_fmm_plan.py [--smoke]
 
 Measures the plan-cached batched FMM solve (``FmmSolver.solve``) against
-the per-node reference traversal (``solve_reference``), the row-blocked
+the per-node reference traversal (``solve_reference`` of
+``tests/oracles/fmm.py``), the row-blocked
 M2L (``FmmPlan.near_blocks`` / ``FarLevel.blocks``, see
 ``docs/gravity_plan.md``) against one kernel call over each whole row
 list, what the plan holds (``FmmPlan.nbytes()`` by owner, ``templates``
@@ -63,6 +64,7 @@ from benchmarks.bench_hydro_plan import best_of, host_manifest  # noqa: E402
 from repro.gravity.fmm import FmmSolver  # noqa: E402
 from repro.octree import AmrMesh, Field  # noqa: E402
 from repro.profiling.apex import CounterRegistry  # noqa: E402
+from tests.oracles.fmm import solve_reference  # noqa: E402
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 DRIFT_TOL = 1e-13
@@ -191,7 +193,7 @@ def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
         single_res = single_solver.solve(mesh)
     warm_single = best_of(lambda: single_solver.solve(mesh), reps, trials)
     t0 = time.perf_counter()
-    ref_res = solver.solve_reference(mesh)
+    ref_res = solve_reference(solver, mesh)
     reference_s = time.perf_counter() - t0
 
     plan = solver.plan_for(mesh)

@@ -5,9 +5,10 @@ Standalone (not a paper figure):
     PYTHONPATH=src python benchmarks/bench_hydro_plan.py [--smoke]
 
 Measures the cached batched hydro step (``HydroIntegrator.step``, see
-``docs/hydro_plan.md``) against the per-leaf oracle ``step_reference`` on
-multi-leaf meshes, verifies the two agree (the batched step is designed to
-be bit-identical; the acceptance gate is 1e-13), and persists:
+``docs/hydro_plan.md``) against the per-leaf oracle ``step_reference``
+(``tests/oracles/hydro_step.py``) on multi-leaf meshes, verifies the two
+agree (the batched step is designed to be bit-identical; the acceptance
+gate is 1e-13), and persists:
 
 * ``benchmarks/output/hydro_plan.txt`` — the human-readable table,
 * ``BENCH_hydro.json`` at the repo root — machine-readable numbers.
@@ -40,9 +41,12 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from repro.hydro import HydroIntegrator, IdealGasEOS  # noqa: E402
 from repro.octree import AmrMesh, Field  # noqa: E402
+
+from tests.oracles.hydro_step import step_reference  # noqa: E402
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 DRIFT_TOL = 1e-13
@@ -122,7 +126,7 @@ def check_drift(levels: int, steps: int, refine_keys=()) -> float:
     b = HydroIntegrator(mesh_b, eos)
     for _ in range(steps):
         dt_a = a.step()
-        dt_b = b.step_reference()
+        dt_b = step_reference(b)
         if dt_a != dt_b:
             return float("inf")
     return max(
@@ -144,15 +148,15 @@ def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
     t0 = time.perf_counter()
     batched.step(dt)
     cold_s = time.perf_counter() - t0
-    reference.step_reference(dt)  # warm the reference path's caches too
+    step_reference(reference, dt)  # warm the reference path's caches too
 
     warm_batched = best_of(lambda: batched.step(dt), reps, trials)
-    warm_reference = best_of(lambda: reference.step_reference(dt), reps, trials)
+    warm_reference = best_of(lambda: step_reference(reference, dt), reps, trials)
     # Full step: dt recomputed every step.  The batched path serves
     # global_timestep from the signal reduction folded into the previous
     # step; the reference re-walks every leaf's primitives.
     full_batched = best_of(lambda: batched.step(), reps, trials)
-    full_reference = best_of(lambda: reference.step_reference(), reps, trials)
+    full_reference = best_of(lambda: step_reference(reference), reps, trials)
 
     return {
         "levels": levels,

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from repro.gravity import FmmSolver
-from repro.hydro import IdealGasEOS, dudt_subgrid
+from repro.hydro import IdealGasEOS
 from repro.octree import Field
-from repro.octree.ghost import fill_all_ghosts
 
 from tests.conftest import fill_gaussian, make_uniform_mesh
+from tests.oracles.ghost import fill_all_ghosts
+from tests.oracles.hydro_step import dudt_subgrid
 
 
 @pytest.fixture(scope="module")

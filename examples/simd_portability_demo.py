@@ -26,7 +26,7 @@ from repro.kokkos import (
     parallel_for,
     parallel_for_async,
 )
-from repro.simd import available_abis, get_abi, vector_map
+from repro.simd import get_abi, vector_map
 
 
 def flux_kernel(rho, mom, e):

@@ -25,12 +25,11 @@ from repro.amt.future import (
     FutureError,
     make_ready_future,
     when_all,
-    when_any,
 )
 from repro.amt.engine import Engine
 from repro.amt.task import Task, TaskState
 from repro.amt.scheduler import WorkerPool
-from repro.amt.locality import Locality, Runtime, Channel, ActionRegistry
+from repro.amt.locality import Locality, Runtime, ActionRegistry
 from repro.amt.network import NetworkModel, Message
 from repro.amt.parallel import (
     EngineNotStartedError,
@@ -48,14 +47,12 @@ __all__ = [
     "FutureError",
     "make_ready_future",
     "when_all",
-    "when_any",
     "Engine",
     "Task",
     "TaskState",
     "WorkerPool",
     "Locality",
     "Runtime",
-    "Channel",
     "ActionRegistry",
     "NetworkModel",
     "Message",

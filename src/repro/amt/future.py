@@ -2,7 +2,7 @@
 
 These mirror ``hpx::future`` / ``hpx::promise``: a future is a read handle on
 a value produced asynchronously; ``then`` attaches continuations;
-``when_all`` / ``when_any`` compose futures.  Values resolve during a
+``when_all`` composes futures.  Values resolve during a
 discrete-event run, so ``get()`` is only legal on a ready future (there is no
 blocking — blocking a virtual-time worker would deadlock the simulation,
 exactly as blocking an HPX worker thread can).
@@ -35,8 +35,8 @@ class Future:
         self.name = name
         #: Happens-before provenance: a bitmask clock of the tasks whose
         #: completion this future transports (see repro.analysis.race).
-        #: 0 means "no causality information"; composition (then/when_all/
-        #: when_any) merges origins so dataflow chains carry ordering.
+        #: 0 means "no causality information"; composition (then/when_all)
+        #: merges origins so dataflow chains carry ordering.
         self._origin = 0
 
     # -- state ----------------------------------------------------------
@@ -165,28 +165,4 @@ def when_all(futures: Iterable[Future]) -> Future:
 
     for f in futures:
         f.add_done_callback(on_done)
-    return result
-
-
-def when_any(futures: Iterable[Future]) -> Future:
-    """Future of ``(index, value)`` of the first input to become ready."""
-    futures = list(futures)
-    if not futures:
-        raise ValueError("when_any requires at least one future")
-    result = Future(name="when_any")
-
-    def make_cb(index: int) -> Callable[[Future], None]:
-        def on_done(f: Future) -> None:
-            if result.is_ready():
-                return
-            result._origin |= f._origin  # only the winner's clock counts
-            if f._exception is not None:
-                result._set_exception(f._exception)
-            else:
-                result._set_value((index, f._value))
-
-        return on_done
-
-    for i, f in enumerate(futures):
-        f.add_done_callback(make_cb(i))
     return result

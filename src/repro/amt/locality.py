@@ -9,7 +9,6 @@ for ghost-layer exchange, mirroring ``hpx::lcos::channel``.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.amt.engine import Engine
@@ -229,48 +228,3 @@ class Runtime:
             return 0.0
         capacity = self.engine.now * sum(l.pool.n_workers for l in self.localities)
         return self.total_busy_time() / capacity
-
-
-class Channel:
-    """Single-slot-per-generation mailbox (``hpx::lcos::channel``).
-
-    Producers call :meth:`set` with a generation index; consumers obtain a
-    future per generation via :meth:`get`.  Either side may arrive first.
-    Each generation may be set and consumed exactly once — double-set or
-    double-get of a generation is an error, which catches the ghost-exchange
-    races the paper's §VII-B optimization had to guard against.
-    """
-
-    _ids = itertools.count()
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name or f"channel-{next(self._ids)}"
-        self._values: Dict[int, Any] = {}
-        self._waiters: Dict[int, Promise] = {}
-        self._consumed: set = set()
-
-    def set(self, value: Any, generation: int = 0) -> None:
-        if generation in self._values or (
-            generation in self._waiters and self._waiters[generation].get_future().is_ready()
-        ):
-            raise ValueError(
-                f"channel {self.name!r}: generation {generation} already set"
-            )
-        if generation in self._waiters:
-            self._waiters.pop(generation).set_value(value)
-        else:
-            self._values[generation] = value
-
-    def get(self, generation: int = 0) -> Future:
-        if generation in self._consumed:
-            raise ValueError(
-                f"channel {self.name!r}: generation {generation} already consumed"
-            )
-        self._consumed.add(generation)
-        if generation in self._values:
-            from repro.amt.future import make_ready_future
-
-            return make_ready_future(self._values.pop(generation), name=self.name)
-        promise = Promise(name=f"{self.name}#{generation}")
-        self._waiters[generation] = promise
-        return promise.get_future()

@@ -32,7 +32,6 @@ from repro.analysis.effects import (
     EffectSet,
     Resource,
     declare_effects,
-    effects_of,
 )
 from repro.analysis.race import (
     RaceDetector,
@@ -81,7 +80,6 @@ __all__ = [
     "EffectSet",
     "Resource",
     "declare_effects",
-    "effects_of",
     "RaceDetector",
     "RaceError",
     "RaceFinding",

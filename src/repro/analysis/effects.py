@@ -143,8 +143,3 @@ def declare_effects(
         return fn
 
     return attach
-
-
-def effects_of(fn: Callable) -> Optional[EffectSet]:
-    """The effect set declared on ``fn``, or None."""
-    return getattr(fn, _EFFECTS_ATTR, None)

@@ -13,7 +13,7 @@ arbitrary-precision integers: task *i* owns bit *i*; a task's clock is the
 OR of ``clock | bit`` over all its ancestors.  Ordering tests and clock
 merges are single integer operations.  Clocks propagate through the future
 layer (``Future._origin``): a task future carries its task's clock, and
-``then`` / ``when_all`` / ``when_any`` combine origins, so ``hpx::dataflow``
+``then`` / ``when_all`` combine origins, so ``hpx::dataflow``
 chains and barrier futures transport causality exactly.
 
 The detector flags *schedules*, not *interleavings*: a conflicting pair

@@ -31,9 +31,9 @@ functions of :mod:`repro.octree.ghost` (``trace_face``):
   restricted band, an 8x payload reduction, and the unpack side is a pure
   scatter.
 
-Both sides are bit-identical to the per-face reference fills
-(:func:`repro.octree.ghost.fill_all_ghosts` is the oracle the tests compare
-against).  A bundle plan is part of the hydro plan
+Both sides are bit-identical to the per-face reference fills (the
+sequential ``fill_all_ghosts`` of ``tests/oracles/ghost.py`` is the oracle
+the tests compare against).  A bundle plan is part of the hydro plan
 (:func:`repro.hydro.plan.build_hydro_plan` is its only builder in ``src/``)
 and shares its lifecycle (``docs/plan_lifecycle.md``).
 """

@@ -14,7 +14,6 @@ from repro.core.distributed import DistributedHydroDriver, DistributedStepResult
 from repro.core.diagnostics import (
     conserved_totals,
     total_angular_momentum_z,
-    total_energy,
     center_of_mass,
     Diagnostics,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "DistributedStepResult",
     "conserved_totals",
     "total_angular_momentum_z",
-    "total_energy",
     "center_of_mass",
     "Diagnostics",
 ]

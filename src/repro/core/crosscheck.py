@@ -6,9 +6,10 @@ backend each interpret the one step program
 (:func:`repro.hydro.integrator.rk3_ops`) over the same rank ops, so they
 promise *bit-identical* physics: same kernels, same leaves, different
 schedules.  This harness makes that promise executable — it clones a mesh
-twice, runs the same step sequence through all three, and asserts
-``np.array_equal`` on **every field of every leaf after every step** (not a
-tolerance: identical bits).  The DES and process legs share the SFC
+twice, runs the same step sequence through all three, and compares the
+bit patterns of **every field of every leaf after every step** (not a
+tolerance, and not ``==`` either: ``-0.0`` differs from ``0.0``, and a NaN
+equals the same NaN).  The DES and process legs share the SFC
 partition over ``nprocs`` ranks.  It backs the ``parallel-smoke`` CI job,
 the backend-equivalence tests and the benchmark gate in
 ``benchmarks/bench_parallel.py``.
@@ -87,6 +88,20 @@ def clone_mesh(mesh: AmrMesh) -> AmrMesh:
     return clone
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same bit patterns.
+
+    Value equality would pass a ``+0.0``/``-0.0`` divergence and fail two
+    identical NaN fields; the kernels' bit-pattern selects exist to keep
+    exactly those identical, so the check compares bits.
+    """
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+    )
+
+
 def assert_identical(mesh_a: AmrMesh, mesh_b: AmrMesh, step: int = -1) -> None:
     """Raise :class:`BackendMismatch` unless every leaf is bit-equal."""
     keys_a = sorted(leaf.key for leaf in mesh_a.leaves())
@@ -96,7 +111,7 @@ def assert_identical(mesh_a: AmrMesh, mesh_b: AmrMesh, step: int = -1) -> None:
     for key in keys_a:
         a = mesh_a.nodes[key].subgrid.data
         b = mesh_b.nodes[key].subgrid.data
-        if not np.array_equal(a, b):
+        if not same_bits(a, b):
             raise BackendMismatch(step, key, float(np.max(np.abs(a - b))))
 
 
@@ -182,9 +197,7 @@ def crosscheck_hydro(
                 seconds[i] += _time.perf_counter() - t0
             for leg in legs[1:]:
                 assert_identical(mesh, leg.mesh, step)
-                if not np.array_equal(
-                    conserved_sums(mesh), conserved_sums(leg.mesh)
-                ):
+                if not same_bits(conserved_sums(mesh), conserved_sums(leg.mesh)):
                     raise BackendMismatch(step, (0, 0), float("nan"))
         detector = (
             process._executor.race_detector

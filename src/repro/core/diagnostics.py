@@ -54,22 +54,6 @@ def total_angular_momentum_z(mesh: AmrMesh) -> float:
     return total
 
 
-def total_energy(
-    mesh: AmrMesh, phi: Optional[Dict[NodeKey, np.ndarray]] = None
-) -> float:
-    """Gas energy plus (if a potential is supplied) gravitational energy.
-
-    The potential energy uses the standard 1/2 sum rho phi dV (each pair
-    counted once).
-    """
-    e = mesh.integral(Field.EGAS)
-    if phi is not None:
-        for leaf in mesh.leaves():
-            rho = leaf.subgrid.interior_view(Field.RHO)
-            e += 0.5 * float((rho * phi[leaf.key]).sum()) * leaf.cell_volume
-    return e
-
-
 def center_of_mass(mesh: AmrMesh) -> np.ndarray:
     weighted = np.zeros(3)
     total = 0.0

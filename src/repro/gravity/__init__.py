@@ -26,8 +26,8 @@ steps between regrids and rebuilds it afterwards — incrementally, from the
 plan cache, or cold (``docs/plan_lifecycle.md``).  The
 execute phase replaces the per-node Python loops with stacked moment
 arrays, segmented M2L batches per level and two GEMMs per P2P geometry
-class; :meth:`~repro.gravity.fmm.FmmSolver.solve_reference` retains the
-per-node implementation as the numerical reference.
+class.  The per-node implementation is the numerical reference the
+tests hold the solve to (``tests/oracles/fmm.py``).
 
 Conservation: P2P interactions are pairwise antisymmetric, so the near field
 conserves linear and angular momentum identically.  The truncated M2L far
@@ -37,12 +37,7 @@ octupole-correction construction, but delivering the same machine-precision
 invariants — see DESIGN.md).
 """
 
-from repro.gravity.multipole import (
-    Multipole,
-    LocalExpansion,
-    stacked_octant_moments,
-)
-from repro.gravity.kernels import d_tensors, m2l, m2l_batch, m2l_segmented, p2l
+from repro.gravity.kernels import m2l_segmented
 from repro.gravity.fmm import FmmSolver, FmmResult
 from repro.gravity.plan import FmmPlan, build_plan
 from repro.gravity.direct import direct_sum
@@ -54,14 +49,7 @@ from repro.gravity.conservation import (
 )
 
 __all__ = [
-    "Multipole",
-    "LocalExpansion",
-    "stacked_octant_moments",
-    "d_tensors",
-    "m2l",
-    "m2l_batch",
     "m2l_segmented",
-    "p2l",
     "FmmSolver",
     "FmmResult",
     "FmmPlan",

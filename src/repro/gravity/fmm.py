@@ -30,18 +30,18 @@ regrid and is maintained through the lifecycle every plan kind shares
 :meth:`FmmSolver.solve` is the batched execute phase: stacked
 P2M/M2M moments, one segmented M2L call per plan-time row block
 (``FmmPlan.near_blocks`` / ``FarLevel.blocks``), vectorised L2L/L2P, and
-two GEMMs per P2P geometry class.  It is numerically
-equivalent (to ~1e-13 relative) to :meth:`FmmSolver.solve_reference`,
-the retained per-node reference implementation, and produces identical
-:class:`FmmStats`.  Per-phase wall times are reported through
-:mod:`repro.profiling` under ``fmm.plan``, ``fmm.p2m_m2m``, ``fmm.m2l``,
-``fmm.l2p`` and ``fmm.p2p``.
+two GEMMs per P2P geometry class.  It is numerically equivalent (to
+~1e-13 relative) to the per-node reference solve the tests hold it to
+(``solve_reference(solver, mesh)`` in ``tests/oracles/fmm.py``), and
+produces identical :class:`FmmStats`.  Per-phase wall times are reported
+through :mod:`repro.profiling` under ``fmm.plan``, ``fmm.p2m_m2m``,
+``fmm.m2l``, ``fmm.l2p`` and ``fmm.p2p``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # import cycle: repro.core.__init__ pulls in the driver
     from repro.core.plancache import PlanCache
@@ -50,29 +50,23 @@ import numpy as np
 
 from repro.analysis.planverify import require_verified, verify_fmm_blocks
 from repro.gravity.conservation import project_angular_momentum, project_momentum
-from repro.gravity.kernels import m2l_batch, m2l_segmented
+from repro.gravity.kernels import m2l_segmented
 from repro.gravity.multipole import (
-    LocalExpansion,
-    Multipole,
     batched_combine,
     batched_local_evaluate,
     batched_local_shift,
     batched_moments_from_points,
-    octant_ids,
-    stacked_octant_moments,
 )
-from repro.gravity.pairwise import p2p_apply_class, pairwise_accumulate
+from repro.gravity.pairwise import p2p_apply_class
 from repro.gravity.plan import (
     FmmPlan,
     PairState,
     build_plan,
-    count_m2l_by_level,
-    traverse,
     update_plan,
 )
 from repro.octree.fields import Field
 from repro.octree.mesh import AmrMesh
-from repro.octree.node import NodeKey, OctreeNode
+from repro.octree.node import NodeKey
 from repro.profiling.apex import CounterRegistry, global_registry
 from repro.util.lifecycle import PlanLifecycle
 
@@ -199,15 +193,6 @@ fingerprint`) or :data:`THETA` changed — through the shared lifecycle
 
     def _registry(self) -> CounterRegistry:
         return self.registry if self.registry is not None else global_registry()
-
-    # -- leaf particle data ---------------------------------------------------
-    @staticmethod
-    def leaf_points(leaf: OctreeNode) -> Tuple[np.ndarray, np.ndarray]:
-        """Cell centres (nc, 3) and cell masses (nc,) of a leaf."""
-        x, y, z = leaf.cell_centers()
-        pos = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-        rho = leaf.subgrid.interior_view(Field.RHO).ravel()
-        return pos, rho * leaf.cell_volume
 
     def _stats_from_plan(self, plan: FmmPlan) -> FmmStats:
         return FmmStats(
@@ -395,234 +380,6 @@ fingerprint`) or :data:`THETA` changed — through the shared lifecycle
 
         self.last_stats = stats
         return FmmResult(phi, accel, stats)
-
-    # -- reference implementation ---------------------------------------------
-    def solve_reference(self, mesh: AmrMesh) -> FmmResult:
-        """Unbatched per-node solve, kept as the numerical reference.
-
-        Re-derives the traversal and every intermediate on each call; used
-        by the equivalence tests (the planned :meth:`solve` must agree to
-        ~1e-13 relative) and as documentation of the underlying algorithm.
-        """
-        stats = FmmStats()
-        leaves = mesh.leaves()
-        points: Dict[NodeKey, Tuple[np.ndarray, np.ndarray]] = {
-            leaf.key: self.leaf_points(leaf) for leaf in leaves
-        }
-
-        # Phase 1: bottom-up moments (P2M on leaves, M2M upward).
-        moments: Dict[NodeKey, Multipole] = {}
-        max_level = mesh.max_level()
-        for level in range(max_level, -1, -1):
-            for node in mesh.nodes_at_level(level):
-                if node.is_leaf:
-                    pos, mass = points[node.key]
-                    moments[node.key] = Multipole.from_points(
-                        pos, mass, fallback_center=node.center
-                    )
-                    stats.p2m += 1
-                else:
-                    moments[node.key] = Multipole.combine(
-                        [moments[k] for k in node.children_keys()],
-                        fallback_center=node.center,
-                    )
-                    stats.m2m += 1
-
-        far_pairs, near_pairs, p2p_pairs = traverse(mesh, THETA)
-        stats.m2l_pairs = len(far_pairs)
-        stats.near_pairs = len(near_pairs)
-        stats.m2l_by_level = count_m2l_by_level(far_pairs)
-
-        # Octant sub-moments for every leaf that participates in near pairs.
-        octants: Dict[NodeKey, Tuple[np.ndarray, ...]] = {}
-
-        def octants_of(key: NodeKey) -> Tuple[np.ndarray, ...]:
-            if key not in octants:
-                leaf = mesh.nodes[key]
-                pos, mass = points[key]
-                octants[key] = stacked_octant_moments(
-                    pos, mass, mesh.n, leaf.center, leaf.node_size
-                )
-            return octants[key]
-
-        # Phase 2: same-level cell-to-cell interactions, batched per target.
-        far_sources: Dict[NodeKey, List[NodeKey]] = {}
-        near_sources: Dict[NodeKey, List[NodeKey]] = {}
-        for ka, kb in far_pairs:
-            far_sources.setdefault(ka, []).append(kb)
-            far_sources.setdefault(kb, []).append(ka)
-        for ka, kb in near_pairs:
-            near_sources.setdefault(ka, []).append(kb)
-            near_sources.setdefault(kb, []).append(ka)
-
-        locals_: Dict[NodeKey, LocalExpansion] = {
-            key: LocalExpansion() for key in mesh.nodes
-        }
-        # Far sources expand about the target node's COM.
-        for target_key, sources in far_sources.items():
-            mass_list = []
-            com_list = []
-            quad_list = []
-            octu_list = []
-            for src in sources:
-                mp = moments[src]
-                if mp.mass <= 0.0:
-                    continue
-                mass_list.append(mp.mass)
-                com_list.append(mp.center)
-                quad_list.append(mp.quad)
-                octu_list.append(mp.octu)
-            if not mass_list:
-                continue
-            locals_[target_key] += m2l_batch(
-                np.array(mass_list),
-                np.stack(com_list),
-                np.stack(quad_list),
-                np.stack(octu_list),
-                moments[target_key].center,
-                order=self.order,
-            )
-
-        # Near sources expand about *octant* centres of the target leaf —
-        # halving both the source extent (octant sub-moments) and the target
-        # Taylor radius, which is what keeps marginally separated pairs
-        # accurate.  Contributions are stored per octant and evaluated in
-        # the L2P step below.
-        octant_locals: Dict[NodeKey, List[LocalExpansion]] = {}
-        for target_key, sources in near_sources.items():
-            mass_list = []
-            com_list = []
-            quad_list = []
-            octu_list = []
-            for src in sources:
-                om, oc, oq, oo = octants_of(src)
-                keep = om > 0.0
-                if keep.any():
-                    mass_list.append(om[keep])
-                    com_list.append(oc[keep])
-                    quad_list.append(oq[keep])
-                    octu_list.append(oo[keep])
-            if not mass_list:
-                continue
-            src_mass = np.concatenate(mass_list)
-            src_com = np.concatenate(com_list)
-            src_quad = np.concatenate(quad_list)
-            src_octu = np.concatenate(octu_list)
-            tgt_oct = octants_of(target_key)
-            per_octant = []
-            for o in range(8):
-                per_octant.append(
-                    m2l_batch(
-                        src_mass,
-                        src_com,
-                        src_quad,
-                        src_octu,
-                        tgt_oct[1][o],  # octant COM (geometric centre if empty)
-                        order=self.order,
-                    )
-                )
-            octant_locals[target_key] = per_octant
-
-        # Phase 3: top-down L2L.
-        for level in range(0, max_level):
-            for node in mesh.nodes_at_level(level):
-                if node.is_leaf:
-                    continue
-                parent_local = locals_[node.key]
-                parent_com = moments[node.key].center
-                for child_key in node.children_keys():
-                    child_com = moments[child_key].center
-                    locals_[child_key] += parent_local.shifted(child_com - parent_com)
-                    stats.l2l += 1
-
-        # Far-field evaluation per leaf cell (L2P).
-        phi: Dict[NodeKey, np.ndarray] = {}
-        accel: Dict[NodeKey, np.ndarray] = {}
-        n = mesh.n
-        oct_of_cell = octant_ids(n)
-        for leaf in leaves:
-            pos, _ = points[leaf.key]
-            com = moments[leaf.key].center
-            p, a = locals_[leaf.key].evaluate(pos - com, G_NEWTON)
-            per_octant = octant_locals.get(leaf.key)
-            if per_octant is not None:
-                oct_coms = octants_of(leaf.key)[1]
-                for o in range(8):
-                    sel = oct_of_cell == o
-                    po, ao = per_octant[o].evaluate(
-                        pos[sel] - oct_coms[o], G_NEWTON
-                    )
-                    p[sel] += po
-                    a[sel] += ao
-            phi[leaf.key] = p.reshape(n, n, n)
-            accel[leaf.key] = a.T.reshape(3, n, n, n)
-
-        # Near field: direct sums.
-        for ka, kb in p2p_pairs:
-            stats.p2p_pairs += 1
-            self._p2p(points, phi, accel, ka, kb, n)
-
-        # Conservation projections.
-        masses = {leaf.key: points[leaf.key][1] for leaf in leaves}
-        positions = {leaf.key: points[leaf.key][0] for leaf in leaves}
-        if self.momentum_correction:
-            project_momentum(masses, accel)
-        if self.angmom_correction:
-            project_angular_momentum(masses, positions, accel)
-
-        self.last_stats = stats
-        return FmmResult(phi, accel, stats)
-
-    def _p2p(
-        self,
-        points: Dict[NodeKey, Tuple[np.ndarray, np.ndarray]],
-        phi: Dict[NodeKey, np.ndarray],
-        accel: Dict[NodeKey, np.ndarray],
-        ka: NodeKey,
-        kb: NodeKey,
-        n: int,
-    ) -> None:
-        """Direct cell-cell interaction between two leaves (or one with
-        itself).  Pairwise antisymmetric by construction."""
-        pos_a, m_a = points[ka]
-        pos_b, m_b = points[kb]
-        same = ka == kb
-        thr = self.empty_mass_threshold
-        if thr > 0.0:
-            a_empty = float(m_a.sum()) <= thr
-            b_empty = float(m_b.sum()) <= thr
-            if a_empty and b_empty:
-                return
-            if b_empty:  # nothing sources onto a; only b feels a
-                phi_b, acc_b, _, _ = pairwise_accumulate(
-                    pos_b, m_b, pos_a, m_a, self_pair=False,
-                    g_newton=G_NEWTON, compute_b=False,
-                )
-                phi[kb] += phi_b.reshape(n, n, n)
-                accel[kb] += acc_b.T.reshape(3, n, n, n)
-                return
-            if a_empty and not same:
-                phi_a, acc_a, _, _ = pairwise_accumulate(
-                    pos_a, m_a, pos_b, m_b, self_pair=False,
-                    g_newton=G_NEWTON, compute_b=False,
-                )
-                phi[ka] += phi_a.reshape(n, n, n)
-                accel[ka] += acc_a.T.reshape(3, n, n, n)
-                return
-        phi_a, acc_a, phi_b, acc_b = pairwise_accumulate(
-            pos_a,
-            m_a,
-            pos_b,
-            m_b,
-            self_pair=same,
-            g_newton=G_NEWTON,
-            compute_b=not same,
-        )
-        phi[ka] += phi_a.reshape(n, n, n)
-        accel[ka] += acc_a.T.reshape(3, n, n, n)
-        if not same:
-            phi[kb] += phi_b.reshape(n, n, n)
-            accel[kb] += acc_b.T.reshape(3, n, n, n)
 
     # -- integrator hook ------------------------------------------------------
     def as_gravity_callback(self):

@@ -1,4 +1,4 @@
-"""Multipole moments and local expansions (Cartesian tensors).
+"""Multipole moments and local expansions (Cartesian tensors), batched.
 
 Moments are *raw* (non-traceless) Cartesian moments about the node's centre
 of mass, which keeps the M2M/M2L algebra elementary:
@@ -10,85 +10,17 @@ of mass, which keeps the M2M/M2L algebra elementary:
 Octo-Tiger computes the octupole alongside the lower moments to support its
 angular-momentum-conserving mode; we carry it for the same reason (the
 gravity.order config selects how much of it the kernels use).
+
+Every function works on ``K`` stacked moment sets or expansions at once;
+the one-node ``Multipole`` / ``LocalExpansion`` classes they mirror are
+the reference solve's (``tests/oracles/fmm.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-
-@dataclass
-class Multipole:
-    """Moments of a mass distribution about ``center`` (its COM)."""
-
-    mass: float
-    center: np.ndarray  # (3,)
-    quad: np.ndarray  # (3, 3) raw second moment
-    octu: np.ndarray  # (3, 3, 3) raw third moment
-
-    @classmethod
-    def zero(cls) -> "Multipole":
-        return cls(0.0, np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3, 3)))
-
-    @classmethod
-    def from_points(
-        cls, pos: np.ndarray, mass: np.ndarray, fallback_center: Optional[np.ndarray] = None
-    ) -> "Multipole":
-        """P2M: moments of point masses ``pos`` (n, 3), ``mass`` (n,).
-
-        ``fallback_center`` anchors the expansion of an empty (zero-mass)
-        distribution — vacuum sub-grids exist in every star scenario and a
-        COM at the origin would collide with genuine expansion centres.
-        """
-        total = float(mass.sum())
-        if total <= 0.0:
-            out = cls.zero()
-            if fallback_center is not None:
-                out.center = np.asarray(fallback_center, dtype=np.float64).copy()
-            return out
-        com = (pos * mass[:, None]).sum(axis=0) / total
-        r = pos - com
-        quad = np.einsum("n,ni,nj->ij", mass, r, r)
-        octu = np.einsum("n,ni,nj,nk->ijk", mass, r, r, r)
-        return cls(total, com, quad, octu)
-
-    @classmethod
-    def combine(
-        cls, parts: List["Multipole"], fallback_center: Optional[np.ndarray] = None
-    ) -> "Multipole":
-        """M2M: moments of a union of distributions about the joint COM.
-
-        Shift identities for raw moments with vanishing dipole (d is the
-        displacement of a part's COM from the joint COM):
-
-            Q'_ij  = Q_ij + m d_i d_j
-            O'_ijk = O_ijk + Q_ij d_k + Q_jk d_i + Q_ik d_j + m d_i d_j d_k
-        """
-        total = sum(p.mass for p in parts)
-        if total <= 0.0:
-            out = cls.zero()
-            if fallback_center is not None:
-                out.center = np.asarray(fallback_center, dtype=np.float64).copy()
-            return out
-        com = sum(p.mass * p.center for p in parts) / total
-        quad = np.zeros((3, 3))
-        octu = np.zeros((3, 3, 3))
-        for p in parts:
-            if p.mass == 0.0:
-                continue
-            d = p.center - com
-            quad += p.quad + p.mass * np.outer(d, d)
-            octu += (
-                p.octu
-                + np.einsum("ij,k->ijk", p.quad, d)
-                + np.einsum("jk,i->ijk", p.quad, d)
-                + np.einsum("ik,j->ijk", p.quad, d)
-                + p.mass * np.einsum("i,j,k->ijk", d, d, d)
-            )
-        return cls(float(total), com, quad, octu)
 
 
 def batched_moments_from_points(
@@ -99,7 +31,7 @@ def batched_moments_from_points(
     ``pos`` (K, n, 3), ``mass`` (K, n), ``fallback_center`` (K, 3) anchor
     for zero-mass sets.  Returns ``(mass (K,), com (K, 3), quad (K, 3, 3),
     octu (K, 3, 3, 3))`` — the stacked equivalent of
-    :meth:`Multipole.from_points` per set, used by the planned solver to
+    ``Multipole.from_points`` per set, used by the planned solver to
     replace the per-leaf Python loop.
     """
     total = mass.sum(axis=1)
@@ -123,7 +55,7 @@ def batched_combine(
     """Batched M2M: combine ``C`` children of each of ``K`` parents at once.
 
     ``cmass`` (K, C), ``ccom`` (K, C, 3), ``cquad`` (K, C, 3, 3), ``coctu``
-    (K, C, 3, 3, 3); the shift identities match :meth:`Multipole.combine`
+    (K, C, 3, 3, 3); the shift identities match ``Multipole.combine``
     (zero-mass children contribute exact zeros, so no filtering is needed).
     """
     total = cmass.sum(axis=1)
@@ -146,7 +78,7 @@ def batched_combine(
 def batched_local_shift(
     l0: np.ndarray, l1: np.ndarray, l2: np.ndarray, l3: np.ndarray, d: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched L2L: :meth:`LocalExpansion.shifted` over ``K`` expansions.
+    """Batched L2L: ``LocalExpansion.shifted`` over ``K`` expansions.
 
     ``l0`` (K,), ``l1`` (K, 3), ``l2`` (K, 3, 3), ``l3`` (K, 3, 3, 3),
     ``d`` (K, 3) per-expansion displacement.
@@ -170,7 +102,7 @@ def batched_local_evaluate(
     delta: np.ndarray,
     g_newton: float = 1.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched L2P: :meth:`LocalExpansion.evaluate` over ``K`` expansions.
+    """Batched L2P: ``LocalExpansion.evaluate`` over ``K`` expansions.
 
     ``delta`` (K, n, 3) holds each expansion's evaluation displacements;
     returns ``(phi (K, n), acc (K, n, 3))``.
@@ -202,100 +134,3 @@ def octant_ids(n: int) -> np.ndarray:
         | ((iy >= half).astype(int) << 1)
         | ((iz >= half).astype(int) << 2)
     )
-
-
-def stacked_octant_moments(
-    pos: np.ndarray,
-    mass: np.ndarray,
-    n: int,
-    node_center: np.ndarray,
-    node_size: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sub-moments of a leaf's cells split into its eight octants.
-
-    Returns ``(mass (8,), com (8, 3), quad (8, 3, 3), octu (8, 3, 3, 3))``.
-    Used as cell-resolved sources for marginally separated interactions:
-    halving the source extent is what keeps the near part of the far field
-    accurate at sub-grid granularity (Octo-Tiger resolves these per cell).
-
-    ``pos``/``mass`` are the raveled (C-order, ij-indexed) cell arrays of an
-    ``n**3`` sub-grid; empty octants anchor at their geometric centre.
-    """
-    octant = octant_ids(n)
-    masses = np.empty(8)
-    coms = np.empty((8, 3))
-    quads = np.empty((8, 3, 3))
-    octus = np.empty((8, 3, 3, 3))
-    for o in range(8):
-        sel = octant == o
-        offset = (
-            np.array([(o >> 0) & 1, (o >> 1) & 1, (o >> 2) & 1], dtype=float) - 0.5
-        ) * (node_size / 2.0)
-        geo_center = node_center + offset
-        mp = Multipole.from_points(pos[sel], mass[sel], fallback_center=geo_center)
-        masses[o] = mp.mass
-        coms[o] = mp.center
-        quads[o] = mp.quad
-        octus[o] = mp.octu
-    return masses, coms, quads, octus
-
-
-@dataclass
-class LocalExpansion:
-    """Taylor expansion of the far-field kernel about a node's COM.
-
-    Potential and acceleration at displacement ``delta`` from the centre:
-
-        phi(delta) = -G [ L0 + L1.delta + 1/2 delta.L2.delta
-                          + 1/6 L3:(delta delta delta) ]
-        a(delta)   = -grad phi
-                   = +G [ L1 + L2.delta + 1/2 L3:(delta delta) ]
-    """
-
-    l0: float = 0.0
-    l1: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    l2: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
-    l3: np.ndarray = field(default_factory=lambda: np.zeros((3, 3, 3)))
-
-    def __iadd__(self, other: "LocalExpansion") -> "LocalExpansion":
-        self.l0 += other.l0
-        self.l1 += other.l1
-        self.l2 += other.l2
-        self.l3 += other.l3
-        return self
-
-    def shifted(self, d: np.ndarray) -> "LocalExpansion":
-        """L2L: re-centre the expansion at ``center + d`` (truncated at
-        total order 3)."""
-        l0 = (
-            self.l0
-            + self.l1 @ d
-            + 0.5 * d @ self.l2 @ d
-            + np.einsum("ijk,i,j,k->", self.l3, d, d, d) / 6.0
-        )
-        l1 = self.l1 + self.l2 @ d + 0.5 * np.einsum("ijk,j,k->i", self.l3, d, d)
-        l2 = self.l2 + np.einsum("ijk,k->ij", self.l3, d)
-        return LocalExpansion(float(l0), l1, l2, self.l3.copy())
-
-    def evaluate(
-        self, delta: np.ndarray, g_newton: float = 1.0
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """L2P: potential (n,) and acceleration (n, 3) at displacements
-        ``delta`` (n, 3) from the expansion centre.
-
-        The L tensors hold derivatives of g(r) = 1/r contracted with source
-        moments, so phi = -G * sum_m L^(m) delta^m / m! and the acceleration
-        is a = -grad phi = +G * sum_m L^(m+1) delta^m / m!.
-        """
-        phi = -g_newton * (
-            self.l0
-            + delta @ self.l1
-            + 0.5 * np.einsum("ij,ni,nj->n", self.l2, delta, delta)
-            + np.einsum("ijk,ni,nj,nk->n", self.l3, delta, delta, delta) / 6.0
-        )
-        grad = (
-            self.l1[None, :]
-            + np.einsum("ij,nj->ni", self.l2, delta)
-            + 0.5 * np.einsum("ijk,nj,nk->ni", self.l3, delta, delta)
-        )
-        return phi, g_newton * grad

@@ -2,8 +2,9 @@
 
 The naive P2P forms the (n_a, n_b, 3) separation tensor; for sub-grid pairs
 that is wasteful and for global direct sums it exhausts memory.  Both users
-route through :func:`pairwise_accumulate`, which expresses the interaction
-with matrix products only:
+express the interaction with matrix products only —
+:func:`p2p_apply_class` over a geometry class's cached unit templates,
+:func:`direct_field` in row blocks:
 
     r^2_ab   = |p_a|^2 + |p_b|^2 - 2 p_a . p_b          (one GEMM)
     phi_a    = -G (1/r) m_b                              (one GEMV)
@@ -17,56 +18,9 @@ cell-scale minimum separations.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-
-def pairwise_accumulate(
-    pos_a: np.ndarray,
-    mass_a: np.ndarray,
-    pos_b: np.ndarray,
-    mass_b: np.ndarray,
-    self_pair: bool,
-    g_newton: float = 1.0,
-    compute_b: bool = True,
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Potentials and accelerations both sides of one interaction block.
-
-    Returns ``(phi_a, acc_a, phi_b, acc_b)``; the ``b`` outputs are ``None``
-    when ``compute_b`` is false (used by the blocked direct sum, which visits
-    every ordered block anyway).  ``self_pair`` masks the diagonal.
-    """
-    # r2 = |a|^2 + |b|^2 - 2 a.b, built in place on the GEMM output.
-    r2 = pos_a @ pos_b.T
-    r2 *= -2.0
-    r2 += np.einsum("ni,ni->n", pos_a, pos_a)[:, None]
-    r2 += np.einsum("ni,ni->n", pos_b, pos_b)[None, :]
-    np.maximum(r2, 0.0, out=r2)
-    if self_pair:
-        np.fill_diagonal(r2, np.inf)
-
-    inv_r = np.sqrt(r2)
-    np.reciprocal(inv_r, out=inv_r)
-    inv_r3 = inv_r * inv_r
-    inv_r3 *= inv_r
-
-    phi_a = inv_r @ mass_b
-    phi_a *= -g_newton
-    w = inv_r3 * mass_b[None, :]
-    acc_a = pos_a * w.sum(axis=1)[:, None]
-    acc_a -= w @ pos_b
-    acc_a *= -g_newton
-
-    if not compute_b:
-        return phi_a, acc_a, None, None
-    phi_b = mass_a @ inv_r
-    phi_b *= -g_newton
-    inv_r3 *= mass_a[:, None]  # reuse the buffer: V = m_a / r^3
-    acc_b = inv_r3.T @ pos_a
-    acc_b -= pos_b * inv_r3.sum(axis=0)[:, None]
-    acc_b *= g_newton
-    return phi_a, acc_a, phi_b, acc_b
 
 
 def p2p_apply_class(

@@ -168,22 +168,6 @@ def traverse(
     return far, near, p2p
 
 
-def count_m2l_by_level(far_pairs: List[Tuple[NodeKey, NodeKey]]) -> Dict[int, int]:
-    """Per-level M2L interaction counts, counting *both* directions.
-
-    Each far pair feeds two M2L conversions (a's local from b and b's from
-    a), so both endpoints' levels are counted — the seed solver counted
-    only ``ka``'s level, undercounting the per-level workload the distsim
-    gravity model sees by up to 2x.  The sum over levels is therefore
-    ``2 * len(far_pairs)``.
-    """
-    by_level: Dict[int, int] = {}
-    for ka, kb in far_pairs:
-        by_level[ka[0]] = by_level.get(ka[0], 0) + 1
-        by_level[kb[0]] = by_level.get(kb[0], 0) + 1
-    return by_level
-
-
 # -- canonical pair state ------------------------------------------------------
 
 

@@ -1,49 +1,35 @@
 """Finite-volume hydrodynamics (Octo-Tiger's hydro module analog).
 
-A semi-discrete finite-volume scheme on each leaf sub-grid:
+A semi-discrete finite-volume scheme over the stacked leaves of a
+:class:`~repro.hydro.plan.HydroPlan`:
 
-* primitive reconstruction with minmod-limited MUSCL slopes
-  (:mod:`~repro.hydro.reconstruct`),
-* HLL approximate Riemann fluxes (:mod:`~repro.hydro.riemann`),
-* gravity and rotating-frame source terms (:mod:`~repro.hydro.sources`),
+* primitive reconstruction with minmod-limited MUSCL slopes, HLL
+  approximate Riemann fluxes, and gravity and rotating-frame source terms,
+  as blocked kernels over whole sub-batches (:mod:`~repro.hydro.plan`),
 * strong-stability-preserving RK3 time integration with a *global,
   non-adaptive* timestep (:mod:`~repro.hydro.integrator`) — Octo-Tiger
   deliberately avoids per-level time stepping to keep machine-precision
   conservation,
 * a dual-energy formalism via the ``tau`` entropy tracer
-  (:mod:`~repro.hydro.eos`),
-* an exact ideal-gas Riemann solver for validation
-  (:mod:`~repro.hydro.exact`).
+  (:mod:`~repro.hydro.eos`).
+
+The per-leaf reference chain the kernels reproduce bit for bit, and the
+exact Riemann solver the shock tubes are validated against, are test
+oracles (``tests/oracles/``).
 """
 
-from repro.hydro.eos import BipolytropicEOS, IdealGasEOS, PolytropicEOS
-from repro.hydro.reconstruct import minmod, reconstruct_axis
-from repro.hydro.riemann import hll_flux
-from repro.hydro.solver import dudt_subgrid, primitives_from_conserved
-from repro.hydro.sources import gravity_source, rotating_frame_source
-from repro.hydro.timestep import cfl_timestep_subgrid, global_timestep
+from repro.hydro.eos import IdealGasEOS, PolytropicEOS
+from repro.hydro.primitives import primitives_from_conserved
+from repro.hydro.timestep import global_timestep
 from repro.hydro.integrator import HydroIntegrator
 from repro.hydro.plan import HydroPlan, build_hydro_plan
-from repro.hydro.reflux import apply_flux_corrections
-from repro.hydro.exact import exact_riemann, sod_solution
 
 __all__ = [
     "IdealGasEOS",
     "PolytropicEOS",
-    "BipolytropicEOS",
-    "minmod",
-    "reconstruct_axis",
-    "hll_flux",
-    "dudt_subgrid",
     "primitives_from_conserved",
-    "gravity_source",
-    "rotating_frame_source",
-    "cfl_timestep_subgrid",
     "global_timestep",
     "HydroIntegrator",
     "HydroPlan",
     "build_hydro_plan",
-    "apply_flux_corrections",
-    "exact_riemann",
-    "sod_solution",
 ]

@@ -8,7 +8,7 @@ wherever the kinetic energy dominates.
 
 :class:`PolytropicEOS` (``p = K rho**(1 + 1/n)``) serves the SCF initial
 models; white dwarfs use n = 1.5 (non-relativistic degenerate), main
-sequence stars n = 3 polytropes (bi-polytropic structures combine two).
+sequence stars n = 3.
 """
 
 from __future__ import annotations
@@ -54,95 +54,6 @@ class IdealGasEOS:
         diff = egas - kinetic
         use_tau = diff < self.dual_eta * egas
         return np.where(use_tau, self.eint_from_tau(tau), np.maximum(diff, self.eint_floor))
-
-
-@dataclass(frozen=True)
-class BipolytropicEOS:
-    """Core/envelope bi-polytrope (paper SIV-C: MS stars have a different
-    effective index in the convective envelope than in the core).
-
-    Below ``rho_transition`` the gas follows the envelope polytrope
-    ``p = K_env rho^(1 + 1/n_env)``; above it the core polytrope, with
-    ``K_core`` fixed by pressure continuity at the transition.  The
-    specific enthalpy h = integral dp/rho is continuous by construction and
-    linear in ``K_env``, which is what lets the SCF iteration rescale the
-    whole structure to pin the maximum density.
-    """
-
-    K_env: float = 1.0
-    n_core: float = 3.0
-    n_env: float = 1.5
-    rho_transition: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.rho_transition <= 0:
-            raise ValueError("rho_transition must be positive")
-        if self.K_env <= 0:
-            raise ValueError("K_env must be positive")
-
-    @property
-    def Gamma_core(self) -> float:
-        return 1.0 + 1.0 / self.n_core
-
-    @property
-    def Gamma_env(self) -> float:
-        return 1.0 + 1.0 / self.n_env
-
-    @property
-    def K_core(self) -> float:
-        """Pressure continuity at the transition density."""
-        return (
-            self.K_env
-            * self.rho_transition ** (self.Gamma_env - self.Gamma_core)
-        )
-
-    def pressure(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.maximum(np.asarray(rho, dtype=np.float64), 0.0)
-        core = self.K_core * rho**self.Gamma_core
-        env = self.K_env * rho**self.Gamma_env
-        return np.where(rho > self.rho_transition, core, env)
-
-    def _h_transition(self) -> float:
-        return (self.n_env + 1.0) * self.K_env * self.rho_transition ** (
-            1.0 / self.n_env
-        )
-
-    def enthalpy(self, rho: np.ndarray) -> np.ndarray:
-        """Continuous specific enthalpy h(rho) = integral dp / rho."""
-        rho = np.maximum(np.asarray(rho, dtype=np.float64), 0.0)
-        h_env = (self.n_env + 1.0) * self.K_env * rho ** (1.0 / self.n_env)
-        h_t = self._h_transition()
-        h_core = h_t + (self.n_core + 1.0) * self.K_core * (
-            rho ** (1.0 / self.n_core)
-            - self.rho_transition ** (1.0 / self.n_core)
-        )
-        return np.where(rho > self.rho_transition, h_core, h_env)
-
-    def rho_from_enthalpy(self, h: np.ndarray) -> np.ndarray:
-        """Piecewise inversion of :meth:`enthalpy` (vacuum below h = 0)."""
-        h = np.asarray(h, dtype=np.float64)
-        h_t = self._h_transition()
-        rho_env = (
-            np.maximum(h, 0.0) / ((self.n_env + 1.0) * self.K_env)
-        ) ** self.n_env
-        core_base = (
-            np.maximum(h - h_t, 0.0) / ((self.n_core + 1.0) * self.K_core)
-            + self.rho_transition ** (1.0 / self.n_core)
-        )
-        rho_core = core_base**self.n_core
-        return np.where(h > h_t, rho_core, rho_env)
-
-    def with_K_env(self, K_env: float) -> "BipolytropicEOS":
-        """Rescaled copy (the SCF normalisation step)."""
-        from dataclasses import replace
-
-        return replace(self, K_env=K_env)
-
-    def internal_energy_density(self, rho: np.ndarray) -> np.ndarray:
-        """eps * rho = n p with the local index."""
-        rho = np.maximum(np.asarray(rho, dtype=np.float64), 0.0)
-        n_local = np.where(rho > self.rho_transition, self.n_core, self.n_env)
-        return n_local * self.pressure(rho)
 
 
 @dataclass(frozen=True)

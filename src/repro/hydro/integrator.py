@@ -28,9 +28,9 @@ Three interpreters run that program:
   rank op is a task on its locality of the virtual AMT runtime, and the
   ghost exchange one message per remote locality pair.
 
-:meth:`HydroIntegrator.step_reference` keeps the original per-leaf loops as
-the numerics oracle (exactly like ``FmmSolver.solve_reference``); all three
-interpreters are bit-identical to it.
+The per-leaf loops are the numerics oracle ``step_reference(integrator,
+dt)`` in ``tests/oracles/hydro_step.py`` (like the FMM's
+``solve_reference``); all three interpreters are bit-identical to it.
 
 Every path folds the per-leaf CFL signal reduction into the end of the
 step, so :meth:`HydroIntegrator.timestep` serves the next dt from a cache
@@ -50,14 +50,9 @@ from repro.hydro.plan import (
     RankStep,
     stack_accel,
 )
-from repro.hydro.reflux import apply_flux_corrections
-from repro.hydro.solver import dudt_subgrid
-from repro.hydro.sources import gravity_source, rotating_frame_source
-from repro.hydro.timestep import global_timestep, max_signal_subgrid
-from repro.octree.fields import Field
-from repro.octree.ghost import fill_all_ghosts
+from repro.hydro.timestep import global_timestep
 from repro.octree.mesh import AmrMesh
-from repro.octree.node import NodeKey, OctreeNode
+from repro.octree.node import NodeKey
 from repro.profiling.apex import CounterRegistry, global_registry
 
 if TYPE_CHECKING:
@@ -112,7 +107,7 @@ class HydroIntegrator:
     :meth:`step` runs the step program (:func:`rk3_ops`) over the cached
     :class:`~repro.hydro.plan.HydroPlan` — inline (``backend="serial"``) or
     fanned out over worker processes (``backend="process"``);
-    :meth:`step_reference` is the per-leaf numerics oracle the tests
+    the per-leaf oracle ``tests/oracles/hydro_step.py`` is what the tests
     compare both against.  Set ``registry`` to route the ``hydro.*``
     per-phase timers into a specific :class:`CounterRegistry` instead of the
     process-global one.
@@ -221,47 +216,6 @@ class HydroIntegrator:
     def _record_signals(self, signals: Dict[NodeKey, float]) -> None:
         self._signal_cache = (self.mesh.topology_version, self.steps_taken, signals)
 
-    # -- single stage (reference path) ---------------------------------------
-    def _stage_rhs(
-        self, leaf: OctreeNode, accel: Optional[np.ndarray], collect_fluxes: bool
-    ):
-        """RHS of one leaf; returns (dudt, boundary_fluxes_or_None)."""
-        if collect_fluxes:
-            dudt, _, fluxes = dudt_subgrid(
-                leaf.subgrid, leaf.dx, self.eos, return_boundary_fluxes=True
-            )
-        else:
-            dudt, _ = dudt_subgrid(leaf.subgrid, leaf.dx, self.eos)
-            fluxes = None
-        s = leaf.subgrid.interior
-        u = leaf.subgrid.data[:, s, s, s]
-        if accel is not None:
-            dudt += gravity_source(u, accel)
-        if self.omega != 0.0:
-            x, y, _ = leaf.cell_centers()
-            dudt += rotating_frame_source(u, self.omega, x, y)
-        return dudt, fluxes
-
-    def _apply_floors(self, leaf: OctreeNode) -> None:
-        s = leaf.subgrid.interior
-        u = leaf.subgrid.data[:, s, s, s]
-        np.maximum(u[Field.RHO], self.eos.rho_floor, out=u[Field.RHO])
-        np.maximum(u[Field.TAU], 0.0, out=u[Field.TAU])
-        np.maximum(u[Field.FRAC1], 0.0, out=u[Field.FRAC1])
-        np.maximum(u[Field.FRAC2], 0.0, out=u[Field.FRAC2])
-
-    def _resync_tau(self, leaf: OctreeNode) -> None:
-        """Where the energy difference is trustworthy, reset tau from it."""
-        s = leaf.subgrid.interior
-        u = leaf.subgrid.data[:, s, s, s]
-        rho = np.maximum(u[Field.RHO], self.eos.rho_floor)
-        kinetic = 0.5 * (u[Field.SX] ** 2 + u[Field.SY] ** 2 + u[Field.SZ] ** 2) / rho
-        diff = u[Field.EGAS] - kinetic
-        healthy = diff > self.eos.dual_eta * u[Field.EGAS]
-        u[Field.TAU] = np.where(
-            healthy, self.eos.tau_from_eint(np.maximum(diff, self.eos.eint_floor)), u[Field.TAU]
-        )
-
     # -- full step ------------------------------------------------------------
     def step(self, dt: Optional[float] = None) -> float:
         """Advance the mesh by one RK3 step; returns the dt used.
@@ -269,7 +223,7 @@ class HydroIntegrator:
         The serial interpreter of :func:`rk3_ops`: parent ops run inline
         against the cached plan, rank ops on one
         :class:`~repro.hydro.plan.RankStep` spanning the whole mesh.
-        Bit-identical to :meth:`step_reference`: every kernel reuses the
+        Bit-identical to the per-leaf oracle: every kernel reuses the
         reference's elementwise building blocks on the stacked blocks, the
         reflux table replays the reference's face order, and maxima /
         convex combinations are order-independent per element.
@@ -350,59 +304,6 @@ class HydroIntegrator:
         self.steps_taken += 1
         self.last_dt = dt
         self._record_signals(signals)
-        return dt
-
-    def step_reference(self, dt: Optional[float] = None) -> float:
-        """One RK3 step via the per-leaf reference loops (numerics oracle)."""
-        leaves = self.mesh.leaves()
-        if dt is None:
-            dt = self.timestep()
-
-        u0: Dict[NodeKey, np.ndarray] = {}
-        for leaf in leaves:
-            s = leaf.subgrid.interior
-            u0[leaf.key] = leaf.subgrid.data[:, s, s, s].copy()
-
-        accel: Dict[NodeKey, np.ndarray] = {}
-        if self.gravity is not None:
-            accel = self.gravity(self.mesh)
-
-        # Boundary fluxes only feed refluxing, which needs a coarse-fine
-        # interface to exist — on a uniform mesh skip the six face copies
-        # per leaf per stage entirely.
-        collect_fluxes = self.mesh.max_level() > 0
-        for a0, a1 in _RK3_STAGES:
-            fill_all_ghosts(self.mesh)
-            rhs: Dict[NodeKey, np.ndarray] = {}
-            fluxes: Dict[NodeKey, dict] = {}
-            for leaf in leaves:
-                dudt, leaf_fluxes = self._stage_rhs(
-                    leaf, accel.get(leaf.key), collect_fluxes
-                )
-                rhs[leaf.key] = dudt
-                if leaf_fluxes is not None:
-                    fluxes[leaf.key] = leaf_fluxes
-            if collect_fluxes and fluxes:
-                self.faces_refluxed += apply_flux_corrections(
-                    self.mesh, rhs, fluxes
-                )
-            for leaf in leaves:
-                s = leaf.subgrid.interior
-                u = leaf.subgrid.data[:, s, s, s]
-                leaf.subgrid.data[:, s, s, s] = a0 * u0[leaf.key] + a1 * (
-                    u + dt * rhs[leaf.key]
-                )
-                self._apply_floors(leaf)
-
-        for leaf in leaves:
-            self._resync_tau(leaf)
-        self.mesh.restrict_all()
-        self.time += dt
-        self.steps_taken += 1
-        self.last_dt = dt
-        self._record_signals(
-            {leaf.key: max_signal_subgrid(leaf.subgrid, self.eos) for leaf in leaves}
-        )
         return dt
 
     def run(self, t_end: float, max_steps: int = 100_000) -> int:

@@ -23,9 +23,10 @@ restructuring for wide vector execution on A64FX (SVE vectorization, Fig 7)
   boundary-flux extraction, sources, the RK3 convex combination, floors,
   the tau resync and the CFL signal reduction each run once per block
   instead of once per leaf.  They reuse the *same* elementwise building
-  blocks as the reference (``primitives_from_conserved``,
-  ``reconstruct_axis``, ``hll_flux``), so batching cannot change rounding:
-  the batched step is bit-identical to the reference step.
+  blocks as the per-leaf reference (``primitives_from_conserved``, and
+  ``reconstruct_axis`` / ``hll_flux`` of ``tests/oracles/hydro_step.py``),
+  so batching cannot change rounding: the batched step is bit-identical to
+  the reference step.
 
 There is **one** plan for any rank count (:func:`build_hydro_plan`): the
 serial integrator steps ``nranks=1``, the process backend forks over
@@ -64,8 +65,7 @@ from repro.analysis.shmrace import (
 from repro.comms.bundle import GhostBundlePlan, adopt_arena, build_bundle_plan
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.reflux import apply_flux_table, build_reflux_table
-from repro.hydro.riemann import PRIM_KEYS
-from repro.hydro.solver import primitives_from_conserved
+from repro.hydro.primitives import PRIM_KEYS, primitives_from_conserved
 from repro.octree.fields import Field, NFIELDS
 from repro.octree.ghost import FaceTraceCache
 from repro.octree.mesh import AmrMesh
@@ -383,8 +383,8 @@ _U64_ONE_F = np.uint64(np.float64(1.0).view(np.uint64))
 
 
 def _muscl_scratch(w: np.ndarray, ax: int, scratch: ScratchArena) -> np.ndarray:
-    """Scratch-buffered MUSCL reconstruction, bit-identical to
-    :func:`repro.hydro.reconstruct.reconstruct_axis`.
+    """Scratch-buffered MUSCL reconstruction, bit-identical to the
+    reference ``reconstruct_axis`` (``tests/oracles/hydro_step.py``).
 
     Same elementwise expression tree, two structural savings: every
     temporary lives in the arena (the reference's face-sized temporaries
@@ -469,7 +469,7 @@ def _hll_scratch(
     """Scratch-buffered HLL solve over a ``(2,) + (K,) + face_shape`` side
     stack (row 0 the left states, row 1 the right).
 
-    Bit-identical to :func:`repro.hydro.riemann.hll_flux` (the signal
+    Bit-identical to the reference ``hll_flux`` (the signal
     output, unused on this path, is skipped).  Returns a scratch array of
     shape ``(NFIELDS,) + face_shape`` that stays valid until the next
     ``_hll_scratch`` call with the same face shape.
@@ -614,7 +614,7 @@ def stacked_primitives_kernel(
     """Primitives of one ``(B, NFIELDS, M, M, M)`` block, stacked per key.
 
     Returns a ``(len(PRIM_KEYS), B, M, M, M)`` scratch array holding the
-    exact values of :func:`repro.hydro.solver.primitives_from_conserved`
+    exact values of :func:`repro.hydro.primitives.primitives_from_conserved`
     (same elementwise expressions, evaluated into reused buffers), laid out
     so the whole reconstruction sweep runs as one wide kernel per axis.
 
@@ -688,7 +688,7 @@ def stacked_rhs_kernel(
 ) -> None:
     """Flux divergence over one stacked ``(B, NFIELDS, M, M, M)`` block.
 
-    Bit-identical to :func:`repro.hydro.solver.dudt_subgrid` per leaf: the
+    Bit-identical to the reference ``dudt_subgrid`` per leaf: the
     same reconstruction, Riemann solve and per-axis accumulation order run
     over the stacked block (all elementwise, so batching cannot change
     rounding).  Two batched-only optimizations on top of stacking:
@@ -781,9 +781,8 @@ def stacked_source_kernel(
     """Gravity + rotating-frame sources over one block, in reference order.
 
     ``u_int`` and ``dudt`` are ``(B, NFIELDS, n, n, n)``; ``accel`` (when
-    given) is ``(B, 3, n, n, n)``.  Matches
-    :func:`repro.hydro.sources.gravity_source` then
-    :func:`~repro.hydro.sources.rotating_frame_source` term for term.
+    given) is ``(B, 3, n, n, n)``.  Matches the reference
+    ``gravity_source`` then ``rotating_frame_source`` term for term.
     """
     ut = u_int.transpose(1, 0, 2, 3, 4)
     dt_t = dudt.transpose(1, 0, 2, 3, 4)

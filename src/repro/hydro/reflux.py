@@ -22,10 +22,6 @@ import numpy as np
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
 
-#: Per-leaf boundary fluxes: {(axis, side): (NFIELDS, N, N)}.
-BoundaryFluxes = Dict[Tuple[int, int], np.ndarray]
-
-
 def _transverse_axes(axis: int) -> Tuple[int, int]:
     return tuple(a for a in range(3) if a != axis)  # type: ignore[return-value]
 
@@ -40,59 +36,10 @@ def _restrict_face(flux: np.ndarray) -> np.ndarray:
     )
 
 
-def apply_flux_corrections(
-    mesh: AmrMesh,
-    rhs: Dict[NodeKey, np.ndarray],
-    boundary_fluxes: Dict[NodeKey, BoundaryFluxes],
-) -> int:
-    """Correct the coarse-side flux divergence at every coarse-fine face.
-
-    ``rhs`` maps leaf keys to their (NFIELDS, N, N, N) dudt arrays (mutated
-    in place); ``boundary_fluxes`` holds each leaf's outer-face fluxes from
-    :func:`repro.hydro.solver.dudt_subgrid`.  Returns the number of faces
-    corrected.
-    """
-    corrected = 0
-    n = mesh.n
-    half = n // 2
-    for leaf in mesh.leaves():
-        if leaf.key not in rhs:
-            continue
-        for axis in range(3):
-            for side in (0, 1):
-                kind, children = mesh.face_neighbor(leaf, axis, side)
-                if kind != "fine":
-                    continue
-                coarse_flux = boundary_fluxes[leaf.key][(axis, side)]
-                fine_flux = np.empty_like(coarse_flux)
-                t1, t2 = _transverse_axes(axis)
-                for child in children:
-                    child_face = boundary_fluxes[child.key][(axis, 1 - side)]
-                    block = _restrict_face(child_face)
-                    b1 = (child.octant >> t1) & 1
-                    b2 = (child.octant >> t2) & 1
-                    fine_flux[
-                        :,
-                        b1 * half : (b1 + 1) * half,
-                        b2 * half : (b2 + 1) * half,
-                    ] = block
-
-                delta = fine_flux - coarse_flux
-                # dudt had -(F_high - F_low)/dx; replacing the face flux by
-                # the restricted fine flux shifts the adjacent cell layer by
-                # -delta/dx on the high side and +delta/dx on the low side.
-                index = [slice(None)] * 4
-                index[axis + 1] = n - 1 if side == 1 else 0
-                sign = -1.0 if side == 1 else 1.0
-                rhs[leaf.key][tuple(index)] += sign * delta / leaf.dx
-                corrected += 1
-    return corrected
-
-
 #: One coarse-fine face in slot terms: (coarse key, coarse slot, axis, side,
 #: coarse dx, ((b1, b2, child slot), ...)) — everything
-#: :func:`apply_flux_table` needs to reproduce one
-#: :func:`apply_flux_corrections` face without touching the mesh.
+#: :func:`apply_flux_table` needs to correct one face without touching the
+#: mesh.
 FluxTableRow = Tuple[
     NodeKey, int, int, int, float, Tuple[Tuple[int, int, int], ...]
 ]
@@ -104,7 +51,8 @@ def build_reflux_table(
     """Snapshot every coarse-fine face as slot indices into the flux arena.
 
     The rows are emitted in exactly the ``mesh.leaves()`` / axis / side
-    order :func:`apply_flux_corrections` walks, so replaying them with
+    order the per-leaf oracle (``apply_flux_corrections`` in
+    ``tests/oracles/hydro_step.py``) walks, so replaying them with
     :func:`apply_flux_table` accumulates edge-overlapping corrections in
     the same order — bit-identical dudt.  Built by the parent (which holds
     the live mesh) and shipped to process-backend workers, whose forked
@@ -145,7 +93,7 @@ def apply_flux_table(
     (rows for unowned leaves are skipped, so each face is corrected exactly
     once — by its owner); ``flux_view`` is the whole-mesh
     ``(slots, 3, 2, NFIELDS, n, n)`` boundary-flux arena.  Same arithmetic,
-    same order as :func:`apply_flux_corrections`: identical bits.
+    same order as the per-leaf oracle: identical bits.
     """
     corrected = 0
     half = n // 2

@@ -18,7 +18,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.hydro.eos import IdealGasEOS
-from repro.hydro.solver import primitives_from_conserved
+from repro.hydro.primitives import primitives_from_conserved
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
 from repro.octree.subgrid import SubGrid
@@ -41,11 +41,6 @@ def _dt_from_peak(dx: float, peak: float) -> float:
     if peak <= 0.0:
         return np.inf
     return CFL * dx / peak
-
-
-def cfl_timestep_subgrid(sg: SubGrid, dx: float, eos: IdealGasEOS) -> float:
-    """CFL limit of one sub-grid's interior: CFL * dx / max(|v| + c)."""
-    return _dt_from_peak(dx, max_signal_subgrid(sg, eos))
 
 
 def global_timestep(

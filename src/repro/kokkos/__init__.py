@@ -16,13 +16,12 @@ HPX-Kokkos integration that lets kernels participate in HPX dependency
 graphs.
 """
 
-from repro.kokkos.backend import ArrayBackend, get_backend, registered_backends
+from repro.kokkos.backend import ArrayBackend, get_backend
 from repro.kokkos.view import (
     View,
     deep_copy,
     HostSpace,
     DeviceSpaceTag,
-    reset_transfer_counter,
     sanctioned_crossing,
     transfer_counter,
 )
@@ -37,21 +36,16 @@ from repro.kokkos.spaces import (
 from repro.kokkos.parallel import (
     parallel_for,
     parallel_for_async,
-    parallel_reduce,
-    parallel_reduce_async,
-    parallel_scan,
 )
 
 __all__ = [
     "ArrayBackend",
     "get_backend",
-    "registered_backends",
     "sanctioned_crossing",
     "View",
     "deep_copy",
     "HostSpace",
     "DeviceSpaceTag",
-    "reset_transfer_counter",
     "transfer_counter",
     "RangePolicy",
     "MDRangePolicy",
@@ -63,7 +57,4 @@ __all__ = [
     "KernelStats",
     "parallel_for",
     "parallel_for_async",
-    "parallel_reduce",
-    "parallel_reduce_async",
-    "parallel_scan",
 ]

@@ -21,7 +21,7 @@ rest of ``repro`` so the lowest layers can depend on it without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 import numpy as np
 
@@ -65,8 +65,3 @@ def get_backend(name: str) -> ArrayBackend:
             f"unknown array backend {name!r}; registered: "
             f"{sorted(_REGISTRY)}"
         ) from None
-
-
-def registered_backends() -> List[str]:
-    """Every registered backend name."""
-    return sorted(_REGISTRY)

@@ -1,16 +1,14 @@
-"""Kernel dispatch entry points: parallel_for / parallel_reduce / parallel_scan.
+"""Kernel dispatch entry points: parallel_for and parallel_for_async.
 
-Synchronous variants drive the AMT engine until the kernel completes (only
-valid outside other tasks, like ``Kokkos::fence``).  ``*_async`` variants
-return AMT futures — the HPX-Kokkos integration that lets kernels join HPX
+``parallel_for`` drives the AMT engine until the kernel completes (only
+valid outside other tasks, like ``Kokkos::fence``).  ``parallel_for_async``
+returns an AMT future — the HPX-Kokkos integration that lets kernels join HPX
 dependency graphs and continuation chains.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
-
-import numpy as np
+from typing import Any, Callable, Optional
 
 from repro.amt.future import Future
 from repro.amt.locality import Runtime
@@ -52,58 +50,6 @@ def parallel_for(
     """
     future = parallel_for_async(space, policy, functor, kind)
     _fence(space, future, runtime)
-
-
-def parallel_reduce_async(
-    space: ExecutionSpace,
-    policy,  # noqa: ANN001
-    functor: Callable[[int, int], float],
-    kind: str = "parallel_reduce",
-    combine: Callable[[float, float], float] = lambda a, b: a + b,
-    init: float = 0.0,
-) -> Future:
-    """Launch a reduce-kernel; the future carries the combined value."""
-    chunk_future = space.dispatch(_as_range(policy), functor, kind)
-
-    def combine_all(partials: List[Any]) -> float:
-        acc = init
-        for p in partials:
-            if p is not None:
-                acc = combine(acc, p)
-        return acc
-
-    return chunk_future.then(combine_all)
-
-
-def parallel_reduce(
-    space: ExecutionSpace,
-    policy,  # noqa: ANN001
-    functor: Callable[[int, int], float],
-    kind: str = "parallel_reduce",
-    combine: Callable[[float, float], float] = lambda a, b: a + b,
-    init: float = 0.0,
-    runtime: Optional[Runtime] = None,
-) -> float:
-    future = parallel_reduce_async(space, policy, functor, kind, combine, init)
-    _fence(space, future, runtime)
-    return future.get()
-
-
-def parallel_scan(
-    values: np.ndarray,
-    exclusive: bool = True,
-) -> np.ndarray:
-    """Prefix sum over a host array (Kokkos parallel_scan semantics).
-
-    Used by the load balancer to compute partition offsets; runs inline
-    because it is latency- not throughput-bound.
-    """
-    values = np.asarray(values)
-    if exclusive:
-        out = np.zeros_like(values)
-        np.cumsum(values[:-1], out=out[1:])
-        return out
-    return np.cumsum(values)
 
 
 def _fence(space: ExecutionSpace, future: Future, runtime: Optional[Runtime]) -> None:

@@ -41,14 +41,8 @@ class MemorySpaceTag:
 HostSpace = MemorySpaceTag("Host")
 DeviceSpaceTag = MemorySpaceTag("Device", is_device=True)
 
-#: Total bytes moved host<->device by deep_copy (use reset_transfer_counter()).
+#: Total bytes moved host<->device by deep_copy.
 transfer_counter = {"h2d_bytes": 0, "d2h_bytes": 0, "copies": 0}
-
-
-def reset_transfer_counter() -> None:
-    """Zero the deep_copy accounting (between independent measurements)."""
-    for key in transfer_counter:
-        transfer_counter[key] = 0
 
 
 #: Depth of sanctioned-crossing scopes (deep_copy, kernel launches): device

@@ -20,15 +20,9 @@ from repro.octree.fields import Field, NFIELDS
 from repro.octree.subgrid import SubGrid
 from repro.octree.node import OctreeNode
 from repro.octree.mesh import AmrMesh
-from repro.octree.ghost import fill_all_ghosts, exchange_plan, GhostExchange
+from repro.octree.ghost import exchange_plan, GhostExchange
 from repro.octree.partition import sfc_partition, partition_stats
-from repro.octree.regrid import (
-    DensityCriterion,
-    TracerCriterion,
-    CombinedCriterion,
-    RegridResult,
-    regrid,
-)
+from repro.octree.regrid import RegridResult, regrid
 
 __all__ = [
     "Field",
@@ -36,14 +30,10 @@ __all__ = [
     "SubGrid",
     "OctreeNode",
     "AmrMesh",
-    "fill_all_ghosts",
     "exchange_plan",
     "GhostExchange",
     "sfc_partition",
     "partition_stats",
-    "DensityCriterion",
-    "TracerCriterion",
-    "CombinedCriterion",
     "RegridResult",
     "regrid",
 ]

@@ -16,38 +16,11 @@ the affected plan segments instead of paying a cold rebuild
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Protocol
 
-import numpy as np
-
-from repro.octree.fields import Field
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey, OctreeNode
-
-
-def _validate_threshold(name: str, value: float) -> float:
-    """Typed validation for regrid thresholds.
-
-    Mirrors the ``Engine.post`` non-finite guard: a NaN threshold makes
-    every comparison silently ``False`` (the criterion never refines and
-    always coarsens), and a negative one inverts the hysteresis band — both
-    previously reached the criteria unvalidated and produced wrong meshes
-    instead of an error at construction time.  ``+inf`` stays legal as the
-    explicit "never fires" sentinel.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
-        raise TypeError(
-            f"{name} must be a real number, got {type(value).__name__}"
-        )
-    value = float(value)
-    if math.isnan(value):
-        raise ValueError(f"{name} must not be NaN")
-    if value < 0.0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return value
 
 
 class RefinementCriterion(Protocol):
@@ -56,71 +29,6 @@ class RefinementCriterion(Protocol):
     def wants_refinement(self, leaf: OctreeNode) -> bool: ...  # noqa: D102, E704
 
     def allows_coarsening(self, leaf: OctreeNode) -> bool: ...  # noqa: D102, E704
-
-
-@dataclass(frozen=True)
-class DensityCriterion:
-    """Refine where the density exceeds a threshold (Octo-Tiger's primary
-    criterion); allow coarsening well below it (hysteresis avoids refine/
-    coarsen flapping at the threshold)."""
-
-    refine_above: float = 1e-3
-    coarsen_below: Optional[float] = None  # default: refine_above / 10
-
-    def __post_init__(self) -> None:
-        _validate_threshold("refine_above", self.refine_above)
-        if self.coarsen_below is not None:
-            coarsen = _validate_threshold("coarsen_below", self.coarsen_below)
-            if coarsen > self.refine_above:
-                raise ValueError(
-                    "coarsen_below must not exceed refine_above "
-                    f"({coarsen!r} > {self.refine_above!r}): the hysteresis "
-                    "band would invert and leaves would flap every regrid"
-                )
-
-    def wants_refinement(self, leaf: OctreeNode) -> bool:
-        return leaf.subgrid.max_abs(Field.RHO) > self.refine_above
-
-    def allows_coarsening(self, leaf: OctreeNode) -> bool:
-        threshold = (
-            self.refine_above / 10.0 if self.coarsen_below is None else self.coarsen_below
-        )
-        return leaf.subgrid.max_abs(Field.RHO) < threshold
-
-
-@dataclass(frozen=True)
-class TracerCriterion:
-    """Refine where a component's tracer fraction is significant — the
-    paper's 'refine the mesh on the basis of the density field and a field
-    of tracer variables' (e.g. resolving the accretion stream by donor
-    material rather than total density)."""
-
-    field: Field = Field.FRAC2
-    refine_above: float = 1e-4
-
-    def __post_init__(self) -> None:
-        _validate_threshold("refine_above", self.refine_above)
-
-    def wants_refinement(self, leaf: OctreeNode) -> bool:
-        rho = np.maximum(leaf.subgrid.interior_view(Field.RHO), 1e-300)
-        fraction = leaf.subgrid.interior_view(self.field) / rho
-        return bool((fraction * rho > self.refine_above).any())
-
-    def allows_coarsening(self, leaf: OctreeNode) -> bool:
-        return not self.wants_refinement(leaf)
-
-
-@dataclass(frozen=True)
-class CombinedCriterion:
-    """Refine if any member wants it; coarsen only if all members allow."""
-
-    members: tuple
-
-    def wants_refinement(self, leaf: OctreeNode) -> bool:
-        return any(m.wants_refinement(leaf) for m in self.members)
-
-    def allows_coarsening(self, leaf: OctreeNode) -> bool:
-        return all(m.allows_coarsening(leaf) for m in self.members)
 
 
 @dataclass(frozen=True)

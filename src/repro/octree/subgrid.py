@@ -91,9 +91,6 @@ class SubGrid:
         """Volume integral of one field over the interior."""
         return float(self.interior_view(field).sum()) * cell_volume
 
-    def max_abs(self, field: Field) -> float:
-        return float(np.abs(self.interior_view(field)).max())
-
     def copy(self) -> "SubGrid":
         out = SubGrid(self.n, self.ghost)
         np.copyto(out.data, self.data)

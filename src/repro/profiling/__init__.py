@@ -11,20 +11,10 @@ from repro.profiling.apex import (
     global_registry,
     report,
 )
-from repro.profiling.trace import (
-    TaskTrace,
-    TraceEvent,
-    TraceRecorder,
-    capture_runtime_trace,
-)
 
 __all__ = [
     "CounterRegistry",
     "ScopedTimer",
     "global_registry",
     "report",
-    "TaskTrace",
-    "TraceEvent",
-    "TraceRecorder",
-    "capture_runtime_trace",
 ]

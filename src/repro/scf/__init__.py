@@ -6,26 +6,17 @@ algebraic relation between the effective potential and the enthalpy, which
 is iterated against the gravity solver until the structure converges.  The
 module builds:
 
-* spherical polytropes via the Lane-Emden equation
-  (:mod:`~repro.scf.lane_emden`, :mod:`~repro.scf.polytrope`),
 * rotating single stars (:class:`~repro.scf.scf.SingleStarSCF`),
 * detached / contact binaries (:class:`~repro.scf.scf.BinarySCF`) — the
   progenitors of the paper's v1309 and DWD scenarios,
-* Roche geometry helpers (:mod:`~repro.scf.roche`).
+* the Roche-lobe radius that sizes the binaries (:mod:`~repro.scf.roche`).
 """
 
-from repro.scf.lane_emden import lane_emden, LaneEmdenSolution
-from repro.scf.polytrope import PolytropeModel
-from repro.scf.roche import roche_lobe_radius, lagrange_l1, keplerian_omega
+from repro.scf.roche import roche_lobe_radius
 from repro.scf.scf import SingleStarSCF, BinarySCF, ScfResult
 
 __all__ = [
-    "lane_emden",
-    "LaneEmdenSolution",
-    "PolytropeModel",
     "roche_lobe_radius",
-    "lagrange_l1",
-    "keplerian_omega",
     "SingleStarSCF",
     "BinarySCF",
     "ScfResult",

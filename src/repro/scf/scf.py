@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.hydro.eos import BipolytropicEOS, IdealGasEOS, PolytropicEOS
+from repro.hydro.eos import IdealGasEOS, PolytropicEOS
 from repro.octree.fields import Field
 from repro.octree.mesh import AmrMesh
 from repro.scf.poisson import FftPoissonSolver
@@ -80,7 +80,7 @@ class ScfResult:
             rho = self._trilinear(grid, self.rho, x, y, z)
             rho = np.maximum(rho, eos.rho_floor)
             # Internal energy density from the structural EOS of the region
-            # (eps * rho = n p for polytropes; piecewise for bi-polytropes).
+            # (eps * rho = n p for polytropes).
             eint = self.polytropes[0].internal_energy_density(rho)
             if len(self.polytropes) > 1 and region_split_x is not None:
                 eint2 = self.polytropes[1].internal_energy_density(rho)
@@ -176,7 +176,6 @@ class SingleStarSCF(_ScfBase):
         n: int = 64,
         box_size: float = 2.0,
         g_newton: float = 1.0,
-        structure: Optional["BipolytropicEOS"] = None,
     ) -> None:
         super().__init__(n=n, box_size=box_size, g_newton=g_newton)
         if r_pole > r_equator:
@@ -185,10 +184,6 @@ class SingleStarSCF(_ScfBase):
         self.r_equator = r_equator
         self.r_pole = r_pole
         self.poly_n = poly_n
-        #: Optional bi-polytropic core/envelope structure (paper SIV-C);
-        #: its K_env is rescaled every iteration to pin rho_max, the same
-        #: normalisation Hachisu applies to the single K.
-        self.structure = structure
 
     def run(
         self, max_iter: int = 60, tol: float = 1e-6, relax: float = 0.6
@@ -229,17 +224,8 @@ class SingleStarSCF(_ScfBase):
             h_max = float(h.max())
             if h_max <= 0.0:
                 raise RuntimeError("SCF enthalpy collapsed; bad geometry")
-            if self.structure is not None:
-                # Bi-polytrope: h is linear in K_env, so one division pins
-                # the maximum density exactly.
-                unit = self.structure.with_K_env(1.0)
-                k_env = h_max / float(unit.enthalpy(np.array(self.rho_max)))
-                scaled = self.structure.with_K_env(k_env)
-                rho_new = scaled.rho_from_enthalpy(np.clip(h, 0.0, None))
-                k_poly = k_env
-            else:
-                k_poly = h_max / ((n_poly + 1.0) * self.rho_max ** (1.0 / n_poly))
-                rho_new = self.rho_max * np.clip(h / h_max, 0.0, None) ** n_poly
+            k_poly = h_max / ((n_poly + 1.0) * self.rho_max ** (1.0 / n_poly))
+            rho_new = self.rho_max * np.clip(h / h_max, 0.0, None) ** n_poly
             delta = float(np.abs(rho_new - rho).max() / self.rho_max)
             rho = relax * rho_new + (1.0 - relax) * rho
             d_omega = abs(new_omega2 - omega2) / max(abs(new_omega2), 1e-30)
@@ -253,10 +239,7 @@ class SingleStarSCF(_ScfBase):
                 break
 
         phi = self.solver.solve(rho)
-        if self.structure is not None:
-            eos = self.structure.with_K_env(k_poly)
-        else:
-            eos = PolytropicEOS(K=k_poly, n=n_poly)
+        eos = PolytropicEOS(K=k_poly, n=n_poly)
         return ScfResult(
             n=self.n,
             box_size=self.box_size,

@@ -17,18 +17,15 @@ package reproduces the mechanism:
   exactly what vector units buy.
 """
 
-from repro.simd.abi import SimdAbi, get_abi, available_abis, register_abi
-from repro.simd.pack import Pack, Mask, select
-from repro.simd.vector_map import vector_map, vector_reduce
+from repro.simd.abi import SimdAbi, get_abi, register_abi
+from repro.simd.pack import Pack, Mask
+from repro.simd.vector_map import vector_map
 
 __all__ = [
     "SimdAbi",
     "get_abi",
-    "available_abis",
     "register_abi",
     "Pack",
     "Mask",
-    "select",
     "vector_map",
-    "vector_reduce",
 ]

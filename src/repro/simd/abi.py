@@ -10,7 +10,7 @@ codes (alignment, remainder loops, gather/scatter), and the paper reports
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -75,11 +75,6 @@ def get_abi(name: str) -> SimdAbi:
         raise KeyError(
             f"unknown SIMD ABI {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-
-
-def available_abis() -> Tuple[str, ...]:
-    """Names of every registered ABI, sorted."""
-    return tuple(sorted(_REGISTRY))
 
 
 # The ABIs Octo-Tiger's SIMD-type work covers (paper refs [10], [31]).

@@ -2,9 +2,9 @@
 
 A :class:`Pack` holds exactly ``abi.lanes(dtype)`` elements and supports the
 element-wise operations SIMD kernels use: arithmetic, fused multiply-add,
-square root, min/max, comparisons (yielding a :class:`Mask`) and masked
-blending via :func:`select`.  Packs are immutable value types: every
-operation returns a new pack, like register values.
+square root, min/max and comparisons (yielding a :class:`Mask`).  Packs are
+immutable value types: every operation returns a new pack, like register
+values.
 
 Kernels written against this interface are ABI-generic — instantiating them
 with the scalar ABI or SVE-512 changes only the lane count, which is the
@@ -186,14 +186,3 @@ class Pack:
 
     def __repr__(self) -> str:
         return f"Pack<{self.abi.name}>({self.values.tolist()})"
-
-
-def select(mask: Mask, if_true: Pack, if_false: Pack) -> Pack:
-    """Lane-wise blend (``hpx::experimental::where`` / vector select)."""
-    if if_true.abi != mask.abi or if_false.abi != mask.abi:
-        raise TypeError("select requires matching ABIs")
-    return Pack(
-        mask.abi,
-        np.where(mask.values, if_true.values, if_false.values),
-        dtype=if_true.values.dtype,
-    )

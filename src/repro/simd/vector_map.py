@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from repro.simd.abi import SimdAbi
-from repro.simd.pack import Mask, Pack, select
+from repro.simd.pack import Pack
 
 
 def vector_map(
@@ -57,59 +57,3 @@ def vector_map(
         result = kernel(*packs)
         out[main:] = result.values[:tail]
     return out
-
-
-def vector_reduce(
-    kernel: Callable[..., Pack],
-    abi: SimdAbi,
-    *inputs: np.ndarray,
-    init: float = 0.0,
-    reducer: str = "sum",
-) -> float:
-    """Map ``kernel`` over the inputs and horizontally reduce the results.
-
-    ``reducer`` is one of ``"sum"``, ``"min"``, ``"max"``.  The tail is
-    masked with the reduction identity so padded lanes cannot contaminate
-    the result.
-    """
-    if not inputs:
-        raise ValueError("vector_reduce requires at least one input array")
-    n = inputs[0].shape[0]
-    for arr in inputs:
-        if arr.shape != inputs[0].shape or arr.ndim != 1:
-            raise ValueError("vector_reduce inputs must be matching 1-D arrays")
-    lanes = abi.lanes(inputs[0].dtype)
-
-    identities = {"sum": 0.0, "min": np.inf, "max": -np.inf}
-    combine = {
-        "sum": lambda a, b: a + b,
-        "min": min,
-        "max": max,
-    }
-    horizontal = {
-        "sum": Pack.hsum,
-        "min": Pack.hmin,
-        "max": Pack.hmax,
-    }
-    if reducer not in identities:
-        raise ValueError(f"unknown reducer {reducer!r}")
-    identity = identities[reducer]
-
-    acc = init if reducer == "sum" else combine[reducer](init, identity)
-    main = (n // lanes) * lanes
-    for offset in range(0, main, lanes):
-        packs = [Pack.load(abi, arr, offset) for arr in inputs]
-        acc = combine[reducer](acc, horizontal[reducer](kernel(*packs)))
-
-    tail = n - main
-    if tail:
-        pad = lanes - tail
-        packs = []
-        for arr in inputs:
-            chunk = np.concatenate([arr[main:], np.repeat(arr[-1:], pad)])
-            packs.append(Pack(abi, chunk, dtype=arr.dtype))
-        result = kernel(*packs)
-        live = Mask(abi, np.arange(lanes) < tail)
-        masked = select(live, result, Pack.broadcast(abi, identity, dtype=result.values.dtype))
-        acc = combine[reducer](acc, horizontal[reducer](masked))
-    return float(acc)

@@ -6,15 +6,12 @@ grid coordinates ``(ix, iy, iz)`` of a node at a given refinement level, so
 that sorting nodes by code yields spatially compact, contiguous partitions.
 
 All functions accept and return plain Python ints (codes can exceed 64 bits
-for deep trees, which Python ints handle natively) and are vectorised where
-it matters via :func:`morton_encode3_array`.
+for deep trees, which Python ints handle natively).
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
-
-import numpy as np
 
 # Offsets of the 26 face/edge/corner neighbours in 3-D.
 NEIGHBOR_OFFSETS: Tuple[Tuple[int, int, int], ...] = tuple(
@@ -74,26 +71,6 @@ def morton_decode3(code: int) -> Tuple[int, int, int]:
     return (_compact1by2(code), _compact1by2(code >> 1), _compact1by2(code >> 2))
 
 
-def morton_encode3_array(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> np.ndarray:
-    """Vectorised Morton encode for coordinates < 2**21 (fits in uint64)."""
-    ix = np.asarray(ix, dtype=np.uint64)
-    iy = np.asarray(iy, dtype=np.uint64)
-    iz = np.asarray(iz, dtype=np.uint64)
-    if (ix >= (1 << 21)).any() or (iy >= (1 << 21)).any() or (iz >= (1 << 21)).any():
-        raise ValueError("vectorised Morton encode supports coordinates < 2**21")
-
-    def spread(v: np.ndarray) -> np.ndarray:
-        v = v & np.uint64(0x1FFFFF)
-        v = (v | (v << np.uint64(32))) & np.uint64(0x1F00000000FFFF)
-        v = (v | (v << np.uint64(16))) & np.uint64(0x1F0000FF0000FF)
-        v = (v | (v << np.uint64(8))) & np.uint64(0x100F00F00F00F00F)
-        v = (v | (v << np.uint64(4))) & np.uint64(0x10C30C30C30C30C3)
-        v = (v | (v << np.uint64(2))) & np.uint64(0x1249249249249249)
-        return v
-
-    return spread(ix) | (spread(iy) << np.uint64(1)) | (spread(iz) << np.uint64(2))
-
-
 def morton_parent(code: int) -> int:
     """Code of the parent octant (one level coarser)."""
     return code >> 3
@@ -103,17 +80,6 @@ def morton_children(code: int) -> List[int]:
     """Codes of the eight children (one level finer), in Z order."""
     base = code << 3
     return [base | o for o in range(8)]
-
-
-def morton_level_offset(level: int) -> int:
-    """Cumulative number of octants on all levels coarser than ``level``.
-
-    Useful for building globally unique keys: ``offset(level) + code``.
-    """
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    # sum_{l=0}^{level-1} 8**l  ==  (8**level - 1) / 7
-    return (8**level - 1) // 7
 
 
 def morton_neighbors(

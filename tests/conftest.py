@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 import signal
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -86,6 +88,34 @@ def fill_gaussian(mesh: AmrMesh, center=(0.2, -0.1, 0.0), width: float = 0.05) -
         r2 = (x - center[0]) ** 2 + (y - center[1]) ** 2 + (z - center[2]) ** 2
         leaf.subgrid.set_interior(Field.RHO, np.exp(-r2 / width))
     mesh.restrict_all()
+
+
+@dataclass(frozen=True)
+class DensityCriterion:
+    """The regrid tests' criterion: refine a leaf whose density exceeds
+    ``refine_above``; let it coarsen below ``coarsen_below`` (a tenth of
+    ``refine_above`` by default), so the band between does not flap."""
+
+    refine_above: float
+    coarsen_below: Optional[float] = None
+
+    def wants_refinement(self, leaf) -> bool:  # noqa: ANN001 - OctreeNode
+        return np.abs(leaf.subgrid.interior_view(Field.RHO)).max() > self.refine_above
+
+    def allows_coarsening(self, leaf) -> bool:  # noqa: ANN001 - OctreeNode
+        threshold = (
+            self.refine_above / 10.0
+            if self.coarsen_below is None
+            else self.coarsen_below
+        )
+        return np.abs(leaf.subgrid.interior_view(Field.RHO)).max() < threshold
+
+
+def reset_transfer_counter() -> None:
+    """Zero the ``deep_copy`` byte accounting between measurements."""
+    from repro.kokkos.view import transfer_counter
+
+    transfer_counter.update(dict.fromkeys(transfer_counter, 0))
 
 
 @pytest.fixture(scope="session")

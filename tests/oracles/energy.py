@@ -1,6 +1,6 @@
-"""Gravitational energy and virial diagnostics.
+"""Test oracle: gravitational energy and virial diagnostics.
 
-Used by the scenario health checks: a stable equilibrium satisfies the
+The scenario health checks of the tests: a stable equilibrium satisfies the
 virial theorem (2 E_kin + 2 E_therm_trace + E_grav ~ 0 for the appropriate
 measures); strong violation flags a broken initial model long before the
 hydro blows up.

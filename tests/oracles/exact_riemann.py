@@ -1,7 +1,8 @@
-"""Exact Riemann solver for the 1-D ideal-gas Euler equations (Toro, ch. 4).
+"""Test oracle: exact Riemann solver for the 1-D ideal-gas Euler
+equations (Toro, ch. 4).
 
-Validation oracle only: the shock-tube tests compare the finite-volume
-scheme's output against these profiles.  Not used in production stepping.
+The shock-tube tests compare the finite-volume scheme's output against
+these profiles; nothing in the program steps with it.
 """
 
 from __future__ import annotations

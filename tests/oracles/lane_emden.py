@@ -1,4 +1,8 @@
-"""Lane-Emden equation solver.
+"""Test oracle: the Lane-Emden equation solver.
+
+The non-rotating SCF star is held to its ``theta**n`` profile; nothing in
+the program builds a star from it (the SCF iteration finds its own
+structure).
 
 The dimensionless structure of a polytrope of index n obeys
 

@@ -8,7 +8,6 @@ from repro.amt.future import (
     Promise,
     make_ready_future,
     when_all,
-    when_any,
 )
 
 
@@ -107,20 +106,3 @@ class TestWhenAll:
         p2.set_value(1)
         with pytest.raises(ValueError):
             combined.get()
-
-
-class TestWhenAny:
-    def test_first_wins(self):
-        p1, p2 = Promise(), Promise()
-        any_f = when_any([p1.get_future(), p2.get_future()])
-        p2.set_value("second")
-        assert any_f.get() == (1, "second")
-        p1.set_value("first")  # late resolution must not disturb the result
-        assert any_f.get() == (1, "second")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            when_any([])
-
-    def test_ready_input(self):
-        assert when_any([make_ready_future(7)]).get() == (0, 7)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.amt.locality import ActionRegistry, Channel, Runtime
+from repro.amt.locality import ActionRegistry, Runtime
 
 
 class TestRuntimeBasics:
@@ -96,37 +96,3 @@ class TestActions:
         future = rt.apply_remote(0, 1, "bad")
         with pytest.raises(ValueError, match="remote boom"):
             rt.run_until_ready(future)
-
-
-class TestChannel:
-    def test_set_then_get(self):
-        ch = Channel()
-        ch.set("payload", generation=0)
-        assert ch.get(0).get() == "payload"
-
-    def test_get_then_set(self):
-        ch = Channel()
-        future = ch.get(3)
-        assert not future.is_ready()
-        ch.set("late", generation=3)
-        assert future.get() == "late"
-
-    def test_generations_independent(self):
-        ch = Channel()
-        ch.set("a", 0)
-        ch.set("b", 1)
-        assert ch.get(1).get() == "b"
-        assert ch.get(0).get() == "a"
-
-    def test_double_set_rejected(self):
-        ch = Channel()
-        ch.set(1, 0)
-        with pytest.raises(ValueError):
-            ch.set(2, 0)
-
-    def test_double_get_rejected(self):
-        ch = Channel()
-        ch.set(1, 0)
-        ch.get(0)
-        with pytest.raises(ValueError):
-            ch.get(0)

@@ -21,7 +21,6 @@ from repro.analysis import (
     RaceError,
     Resource,
     declare_effects,
-    effects_of,
     sanitizer_mode,
     verify_op_program,
 )
@@ -85,7 +84,7 @@ class TestEffectSets:
             return 42
 
         assert kernel() == 42  # unchanged callable, no wrapper
-        assert effects_of(kernel).reads == frozenset({Resource(0, "U")})
+        assert kernel.__effects__.reads == frozenset({Resource(0, "U")})
 
 
 # -- dynamic race detection ---------------------------------------------------
@@ -369,6 +368,7 @@ class TestKnownGoodSchedules:
         under the space sanitizer: zero findings, numerics unchanged."""
         from repro.gravity.fmm import FmmSolver
         from tests.conftest import fill_gaussian, make_uniform_mesh
+        from tests.oracles.fmm import solve_reference
 
         mesh = make_uniform_mesh(levels=1)
         fill_gaussian(mesh)
@@ -376,7 +376,7 @@ class TestKnownGoodSchedules:
         with sanitizer_mode(collect=True) as findings:
             cold = solver.solve(mesh)   # builds + caches the plan
             warm = solver.solve(mesh)   # reuses it
-            reference = solver.solve_reference(mesh)
+            reference = solve_reference(solver, mesh)
         assert findings == []
         for key in cold.phi:
             np.testing.assert_allclose(warm.phi[key], cold.phi[key], rtol=0, atol=0)

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from repro.gravity import FmmSolver
-from repro.gravity.energy import (
-    internal_energy,
-    kinetic_energy,
-    potential_energy,
-    virial_diagnostics,
-)
 from repro.hydro import HydroIntegrator
 from repro.octree import Field
 from repro.scenarios import sedov_blast
 
 from tests.conftest import fill_gaussian, make_uniform_mesh
+from tests.oracles.energy import (
+    internal_energy,
+    kinetic_energy,
+    potential_energy,
+    virial_diagnostics,
+)
 
 
 class TestSedovSetup:

@@ -34,10 +34,10 @@ from repro.hydro import HydroIntegrator, IdealGasEOS, build_hydro_plan
 from repro.hydro.integrator import _RK3_STAGES
 from repro.machines import FUGAKU
 from repro.octree import AmrMesh, Field
-from repro.octree.ghost import fill_all_ghosts
 from repro.octree.partition import sfc_partition
 from repro.resilience import FaultSpec
 
+from tests.oracles.ghost import fill_all_ghosts
 from tests.test_distributed_driver import build_mesh, clone
 
 

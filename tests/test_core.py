@@ -9,7 +9,6 @@ from repro.core.diagnostics import (
     conserved_totals,
     diagnostics,
     total_angular_momentum_z,
-    total_energy,
 )
 from repro.distsim.runconfig import RunConfig
 from repro.ioutil import CheckpointError, load_checkpoint, save_checkpoint
@@ -49,15 +48,6 @@ class TestDiagnostics:
         fill_gaussian(mesh, center=(0.3, 0.0, -0.2))
         com = center_of_mass(mesh)
         np.testing.assert_allclose(com, [0.3, 0.0, -0.2], atol=0.02)
-
-    def test_total_energy_with_potential(self):
-        mesh = make_uniform_mesh(levels=1)
-        fill_gaussian(mesh)
-        phi = {leaf.key: -np.ones((8, 8, 8)) for leaf in mesh.leaves()}
-        e = total_energy(mesh, phi)
-        assert e == pytest.approx(
-            mesh.integral(Field.EGAS) - 0.5 * mesh.total_mass()
-        )
 
     def test_diagnostics_bundle(self):
         mesh = make_uniform_mesh(levels=1)
@@ -362,8 +352,8 @@ class TestVirtualTimingReuse:
     priced once per workload."""
 
     def test_priced_once_per_workload(self, monkeypatch):
-        from repro.octree.regrid import DensityCriterion
         from repro.scenarios.blast import sedov_blast
+        from tests.conftest import DensityCriterion
 
         calls = _count_run_step(monkeypatch)
         scenario = sedov_blast(levels=1)

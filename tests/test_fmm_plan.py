@@ -6,12 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import fill_gaussian, make_uniform_mesh
 from repro.gravity import fmm
 from repro.gravity.fmm import THETA, FmmSolver
-from repro.gravity.plan import build_plan, count_m2l_by_level
+from repro.gravity.plan import build_plan
 from repro.octree.fields import Field
 from repro.octree.mesh import AmrMesh
+
+from tests.conftest import fill_gaussian, make_uniform_mesh
+from tests.oracles.fmm import count_m2l_by_level, solve_reference
 
 REL_TOL = 1e-13
 
@@ -41,14 +43,14 @@ class TestEquivalence:
         fill_gaussian(mesh)
         solver = FmmSolver()
         res = solver.solve(mesh)
-        ref = FmmSolver().solve_reference(mesh)
+        ref = solve_reference(FmmSolver(), mesh)
         _assert_results_close(res, ref)
         _assert_stats_equal(res.stats, ref.stats)
 
     def test_level2_matches_reference(self, gaussian_mesh_l2):
         solver = FmmSolver()
         res = solver.solve(gaussian_mesh_l2)
-        ref = FmmSolver().solve_reference(gaussian_mesh_l2)
+        ref = solve_reference(FmmSolver(), gaussian_mesh_l2)
         _assert_results_close(res, ref)
         _assert_stats_equal(res.stats, ref.stats)
 
@@ -59,7 +61,7 @@ class TestEquivalence:
         # level-mixed near/far lists.
         mesh.refine(sorted(mesh.leaf_keys())[0])
         res = FmmSolver().solve(mesh)
-        ref = FmmSolver().solve_reference(mesh)
+        ref = solve_reference(FmmSolver(), mesh)
         _assert_results_close(res, ref)
         _assert_stats_equal(res.stats, ref.stats)
 
@@ -71,14 +73,14 @@ class TestEquivalence:
             mesh.nodes[key].subgrid.interior_view(Field.RHO)[:] = 0.0
         kwargs = dict(empty_mass_threshold=1e-8)
         res = FmmSolver(**kwargs).solve(mesh)
-        ref = FmmSolver(**kwargs).solve_reference(mesh)
+        ref = solve_reference(FmmSolver(**kwargs), mesh)
         _assert_results_close(res, ref)
 
     def test_warm_plan_solve_matches_reference(self, gaussian_mesh_l2):
         solver = FmmSolver()
         solver.solve(gaussian_mesh_l2)  # builds the plan
         res = solver.solve(gaussian_mesh_l2)  # reuses it
-        ref = FmmSolver().solve_reference(gaussian_mesh_l2)
+        ref = solve_reference(FmmSolver(), gaussian_mesh_l2)
         _assert_results_close(res, ref)
 
 
@@ -165,7 +167,7 @@ class TestStatsSemantics:
 
     def test_plan_counters_match_reference_stats(self, gaussian_mesh_l2):
         plan = build_plan(gaussian_mesh_l2, 0.5)
-        ref = FmmSolver().solve_reference(gaussian_mesh_l2)
+        ref = solve_reference(FmmSolver(), gaussian_mesh_l2)
         assert plan.n_p2m == ref.stats.p2m
         assert plan.n_m2m == ref.stats.m2m
         assert plan.n_m2l_pairs == ref.stats.m2l_pairs

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.octree import AmrMesh, Field
-from repro.octree.ghost import exchange_plan, fill_all_ghosts, fill_leaf_ghosts
+from repro.octree.ghost import exchange_plan
 from repro.octree.partition import sfc_partition
 from repro.util.morton import morton_encode3
 
 from tests.conftest import make_uniform_mesh
+from tests.oracles.ghost import fill_all_ghosts, fill_leaf_ghosts
 
 
 def set_linear(mesh, a=2.0, bx=3.0, by=-1.0, bz=0.5):

@@ -6,21 +6,24 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gravity import (
     FmmSolver,
-    LocalExpansion,
-    Multipole,
-    d_tensors,
-    m2l,
-    m2l_batch,
-    p2l,
     project_angular_momentum,
     project_momentum,
-    stacked_octant_moments,
     total_force,
     total_torque,
 )
 from repro.octree import Field
 
 from tests.conftest import fill_gaussian, make_uniform_mesh
+from tests.oracles.fmm import (
+    LocalExpansion,
+    Multipole,
+    d_tensors,
+    leaf_points,
+    m2l,
+    m2l_batch,
+    p2l,
+    stacked_octant_moments,
+)
 
 rng = np.random.default_rng(1234)
 
@@ -275,7 +278,7 @@ class TestConservationProjections:
         result = solver.solve(gaussian_mesh_l2)
         masses, positions = {}, {}
         for leaf in gaussian_mesh_l2.leaves():
-            pos, mass = FmmSolver.leaf_points(leaf)
+            pos, mass = leaf_points(leaf)
             masses[leaf.key] = mass
             positions[leaf.key] = pos
         return masses, positions, result.accel
@@ -308,7 +311,7 @@ class TestConservationProjections:
         result = FmmSolver().solve(gaussian_mesh_l2)
         masses, positions = {}, {}
         for leaf in gaussian_mesh_l2.leaves():
-            pos, mass = FmmSolver.leaf_points(leaf)
+            pos, mass = leaf_points(leaf)
             masses[leaf.key] = mass
             positions[leaf.key] = pos
         assert np.abs(total_force(masses, result.accel)).max() < 1e-12

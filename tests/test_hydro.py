@@ -8,22 +8,26 @@ from repro.hydro import (
     HydroIntegrator,
     IdealGasEOS,
     PolytropicEOS,
-    cfl_timestep_subgrid,
-    dudt_subgrid,
-    exact_riemann,
     global_timestep,
-    hll_flux,
-    minmod,
     primitives_from_conserved,
-    reconstruct_axis,
-    sod_solution,
 )
-from repro.hydro.exact import RiemannState
-from repro.hydro.riemann import PRIM_KEYS
+from repro.hydro.primitives import PRIM_KEYS
 from repro.octree import AmrMesh, Field
-from repro.octree.ghost import fill_all_ghosts
 
 from tests.conftest import make_uniform_mesh
+from tests.oracles.exact_riemann import (
+    RiemannState,
+    exact_riemann,
+    sod_solution,
+)
+from tests.oracles.ghost import fill_all_ghosts
+from tests.oracles.hydro_step import (
+    cfl_timestep_subgrid,
+    dudt_subgrid,
+    hll_flux,
+    minmod,
+    reconstruct_axis,
+)
 
 finite_pos = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.hydro import HydroIntegrator, IdealGasEOS, sod_solution
-from repro.hydro.sources import gravity_source, rotating_frame_source
+from repro.hydro import HydroIntegrator, IdealGasEOS
 from repro.octree import AmrMesh, Field
 
 from tests.conftest import make_uniform_mesh
+from tests.oracles.exact_riemann import sod_solution
+from tests.oracles.hydro_step import gravity_source, rotating_frame_source
 
 
 def sod_mesh(levels=2, gamma=1.4):

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from repro.hydro import HydroIntegrator, IdealGasEOS, build_hydro_plan
 from repro.hydro.timestep import global_timestep
 from repro.octree import AmrMesh, Field
-from repro.octree.ghost import fill_all_ghosts
+
+from tests.oracles.ghost import fill_all_ghosts
+from tests.oracles.hydro_step import step_reference
 
 
 def make_state_mesh(levels=1, n=8, refine_keys=(), seed=0, mach=0.0):
@@ -81,7 +83,7 @@ def run_pair(steps=3, **cfg):
     b = HydroIntegrator(mesh_b, eos, **cfg)
     for _ in range(steps):
         dt_a = a.step()
-        dt_b = b.step_reference()
+        dt_b = step_reference(b)
         assert dt_a == dt_b
     return a, b, mesh_a, mesh_b
 
@@ -231,7 +233,7 @@ class TestRefluxSkip:
         # faces (any uniform mesh); the reference skips on a single-root
         # mesh (max_level() == 0).  Both must count zero refluxed faces.
         for levels in (0, 1):
-            for step in (HydroIntegrator.step, HydroIntegrator.step_reference):
+            for step in (HydroIntegrator.step, step_reference):
                 mesh, eos = make_state_mesh(levels=levels)
                 integ = HydroIntegrator(mesh, eos)
                 step(integ, 1e-4)
@@ -326,11 +328,11 @@ class TestBatchedInvalidationProperty:
         a = HydroIntegrator(mesh_a, eos, **kw)
         b = HydroIntegrator(mesh_b, eos, **kw)
         a.step()
-        b.step_reference()
+        step_reference(b)
         for op, pick in ops:
             changed = _apply_mutation(mesh_a, op, pick)
             assert _apply_mutation(mesh_b, op, pick) == changed
             dt_a = a.step()
-            dt_b = b.step_reference()
+            dt_b = step_reference(b)
             assert dt_a == dt_b
             assert_meshes_identical(mesh_a, mesh_b)

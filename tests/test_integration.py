@@ -51,7 +51,7 @@ class TestRotatingStarEvolution:
                 continue
             v = np.abs(leaf.subgrid.interior_view(Field.SX) / rho)[inside].max()
             vmax = max(vmax, float(v))
-            from repro.hydro.solver import primitives_from_conserved
+            from repro.hydro.primitives import primitives_from_conserved
 
             s = leaf.subgrid.interior
             w = primitives_from_conserved(leaf.subgrid.data[:, s, s, s], sim.eos)

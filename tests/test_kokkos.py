@@ -17,11 +17,10 @@ from repro.kokkos import (
     deep_copy,
     parallel_for,
     parallel_for_async,
-    parallel_reduce,
-    parallel_scan,
-    reset_transfer_counter,
 )
 from repro.kokkos.view import transfer_counter
+
+from tests.conftest import reset_transfer_counter
 
 
 class TestView:
@@ -56,12 +55,6 @@ class TestView:
         deep_copy(dev, host)
         assert (dev.data == 3.0).all()
         assert transfer_counter["h2d_bytes"] == 64
-
-    def test_reset_transfer_counter(self):
-        deep_copy(View("d", (4,), space=DeviceSpaceTag), View("h", (4,)))
-        assert transfer_counter["copies"] > 0
-        reset_transfer_counter()
-        assert transfer_counter == {"h2d_bytes": 0, "d2h_bytes": 0, "copies": 0}
 
     def test_deep_copy_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -180,46 +173,6 @@ class TestHpxSpace:
         assert sum(e - b for b, e in hits) == 8
 
 
-class TestParallelReduce:
-    def test_sum_over_chunks(self):
-        rt = Runtime(1, 4)
-        space = HpxSpace(rt.here(), tasks_per_kernel=4)
-        data = np.arange(100.0)
-        total = parallel_reduce(
-            space, RangePolicy(0, 100), lambda b, e: float(data[b:e].sum())
-        )
-        assert total == pytest.approx(data.sum())
-
-    def test_custom_combine_and_init(self):
-        space = SerialSpace()
-        result = parallel_reduce(
-            space,
-            RangePolicy(0, 10),
-            lambda b, e: float(e),
-            combine=max,
-            init=-1.0,
-        )
-        assert result == 10.0
-
-    def test_serial_reduce(self):
-        space = SerialSpace()
-        data = np.ones(7)
-        total = parallel_reduce(space, RangePolicy(0, 7), lambda b, e: float(data[b:e].sum()))
-        assert total == 7.0
-
-
-class TestParallelScan:
-    def test_exclusive(self):
-        np.testing.assert_array_equal(
-            parallel_scan(np.array([1, 2, 3, 4])), [0, 1, 3, 6]
-        )
-
-    def test_inclusive(self):
-        np.testing.assert_array_equal(
-            parallel_scan(np.array([1, 2, 3, 4]), exclusive=False), [1, 3, 6, 10]
-        )
-
-
 class TestDeviceSpace:
     def test_aggregation_batches_launches(self):
         rt = Runtime(1, 2)
@@ -285,19 +238,16 @@ from repro.analysis.spacesan import sanitizer_mode  # noqa: E402
 from repro.kokkos import (  # noqa: E402
     ExecutionSpace,
     get_backend,
-    registered_backends,
     sanctioned_crossing,
 )
+from repro.kokkos.backend import _REGISTRY  # noqa: E402
 from repro.kokkos.view import _DeviceArray  # noqa: E402
 
 #: Every registered backend.
-ALL_BACKENDS = registered_backends()
+ALL_BACKENDS = sorted(_REGISTRY)
 
 
 class TestBackendRegistry:
-    def test_registered_names(self):
-        assert registered_backends() == ["numpy"]
-
     def test_always_available(self):
         assert get_backend("numpy").module is np
 

@@ -26,10 +26,10 @@ from repro.hydro.plan import (
     stacked_rhs_kernel,
 )
 from repro.octree import NFIELDS
-from repro.octree.ghost import fill_all_ghosts
 from repro.profiling import CounterRegistry
 from repro.scenarios.blast import sedov_blast
 
+from tests.oracles.ghost import fill_all_ghosts
 from tests.test_hydro_plan import make_state_mesh
 
 REPO = Path(__file__).resolve().parent.parent

@@ -1,6 +1,5 @@
 """Morton code unit and property tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,8 +9,6 @@ from repro.util.morton import (
     morton_children,
     morton_decode3,
     morton_encode3,
-    morton_encode3_array,
-    morton_level_offset,
     morton_neighbors,
     morton_parent,
 )
@@ -50,20 +47,6 @@ class TestEncodeDecode:
         if x > 0:
             assert morton_encode3(x - 1, y, z) != code
 
-    @given(st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=64))
-    def test_vectorised_matches_scalar(self, pts):
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        zs = np.array([p[2] for p in pts])
-        vec = morton_encode3_array(xs, ys, zs)
-        for i, (x, y, z) in enumerate(pts):
-            assert int(vec[i]) == morton_encode3(x, y, z)
-
-    def test_vectorised_range_check(self):
-        with pytest.raises(ValueError):
-            morton_encode3_array(np.array([1 << 21]), np.array([0]), np.array([0]))
-
-
 class TestHierarchy:
     @given(coords, coords, coords)
     def test_parent_of_children(self, x, y, z):
@@ -80,17 +63,6 @@ class TestHierarchy:
     def test_parent_halves_coordinates(self, x, y, z):
         parent = morton_parent(morton_encode3(x, y, z))
         assert morton_decode3(parent) == (x // 2, y // 2, z // 2)
-
-    def test_level_offset_values(self):
-        assert morton_level_offset(0) == 0
-        assert morton_level_offset(1) == 1
-        assert morton_level_offset(2) == 9
-        assert morton_level_offset(3) == 73
-
-    def test_level_offset_negative(self):
-        with pytest.raises(ValueError):
-            morton_level_offset(-1)
-
 
 class TestNeighbors:
     def test_corner_has_seven_neighbors(self):

@@ -50,7 +50,7 @@ class TestNonAdaptiveTimestep:
         dt_global = global_timestep(mesh, eos)
         # The fine level's own CFL limit is half the coarse one's; the
         # global dt equals the fine limit.
-        from repro.hydro import cfl_timestep_subgrid
+        from tests.oracles.hydro_step import cfl_timestep_subgrid
 
         fine = [l for l in mesh.leaves() if l.level == 2][0]
         coarse = [l for l in mesh.leaves() if l.level == 1][0]

@@ -453,6 +453,33 @@ class TestCrosscheckHarness:
         with pytest.raises(BackendMismatch):
             assert_identical(mesh_a, mesh_b)
 
+    def test_signed_zero_divergence_detected(self):
+        """A resting cell whose momentum turned ``-0.0`` on one backend has
+        diverged: ``==`` calls the fields equal, their bits are not."""
+        from repro.core.crosscheck import BackendMismatch, assert_identical
+        from repro.octree.fields import Field
+        from repro.scenarios.blast import sedov_blast
+
+        mesh_a = sedov_blast(levels=1).mesh
+        mesh_b = clone_mesh(mesh_a)
+        cell = (Field.SX, 2, 2, 2)
+        data = mesh_b.leaves()[0].subgrid.data
+        assert data[cell] == 0.0 and not np.signbit(data[cell])
+        data[cell] = -0.0
+        with pytest.raises(BackendMismatch):
+            assert_identical(mesh_a, mesh_b)
+
+    def test_same_nan_on_both_sides_is_identical(self):
+        """The same NaN in both meshes is the same bits, not a mismatch."""
+        from repro.core.crosscheck import assert_identical
+        from repro.octree.fields import Field
+        from repro.scenarios.blast import sedov_blast
+
+        mesh_a = sedov_blast(levels=1).mesh
+        mesh_a.leaves()[0].subgrid.data[Field.TAU, 2, 2, 2] = np.nan
+        mesh_b = clone_mesh(mesh_a)
+        assert_identical(mesh_a, mesh_b)
+
     @pytest.mark.parametrize("steps", [0, -3])
     def test_crosscheck_needs_at_least_one_step(self, steps):
         """Zero steps would compare nothing and report bit identity."""

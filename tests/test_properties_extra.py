@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hydro.eos import IdealGasEOS
-from repro.hydro.riemann import PRIM_KEYS, hll_flux
+from repro.hydro.primitives import PRIM_KEYS
 from repro.octree import AmrMesh, Field
-from repro.octree.ghost import fill_all_ghosts
 from repro.octree.partition import sfc_partition
 
 from tests.conftest import fill_gaussian, make_uniform_mesh
+from tests.oracles.ghost import fill_all_ghosts
+from tests.oracles.hydro_step import hll_flux
 
 rho_s = st.floats(min_value=0.01, max_value=100.0)
 v_s = st.floats(min_value=-50.0, max_value=50.0)
@@ -130,16 +131,3 @@ class TestSpecProperties:
         assert nodes * mem >= spec.memory_bytes
         if nodes > 1:
             assert (nodes // 2) * mem < spec.memory_bytes
-
-
-class TestSimdSelectProperties:
-    @given(st.lists(st.floats(allow_nan=False, min_value=-1e6, max_value=1e6),
-                    min_size=8, max_size=8))
-    @settings(max_examples=40)
-    def test_select_same_both_sides_is_identity(self, values):
-        from repro.simd import Pack, get_abi, select
-
-        abi = get_abi("sve512")
-        p = Pack(abi, values)
-        blended = select(p > 0.0, p, p)
-        np.testing.assert_array_equal(blended.values, p.values)

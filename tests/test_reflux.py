@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.hydro import HydroIntegrator, IdealGasEOS, apply_flux_corrections
-from repro.hydro.solver import dudt_subgrid
+from repro.hydro import HydroIntegrator, IdealGasEOS
 from repro.octree import AmrMesh, Field
-from repro.octree.ghost import fill_all_ghosts
+
+from tests.oracles.ghost import fill_all_ghosts
+from tests.oracles.hydro_step import apply_flux_corrections, dudt_subgrid
 
 
 def adaptive_blob_mesh(with_velocity=True):

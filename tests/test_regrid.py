@@ -1,18 +1,11 @@
-"""Dynamic regridding: criteria, hysteresis, conservation, balance."""
+"""Dynamic regridding: refinement, hysteresis, conservation, balance."""
 
 import numpy as np
 import pytest
 
-from repro.octree import (
-    AmrMesh,
-    CombinedCriterion,
-    DensityCriterion,
-    Field,
-    TracerCriterion,
-    regrid,
-)
+from repro.octree import Field, regrid
 
-from tests.conftest import fill_gaussian, make_uniform_mesh
+from tests.conftest import DensityCriterion, fill_gaussian, make_uniform_mesh
 
 
 def blob_mesh():
@@ -66,33 +59,6 @@ class TestDensityCriterion:
             leaf.subgrid.set_interior(Field.RHO, np.full((8, 8, 8), 0.5))
         result = regrid(mesh, crit, max_level=2, min_level=1)
         assert not result.changed
-
-
-class TestTracerCriterion:
-    def test_refines_on_tracer_not_total_density(self):
-        mesh = make_uniform_mesh(levels=1)
-        for leaf in mesh.leaves():
-            leaf.subgrid.set_interior(Field.RHO, np.full((8, 8, 8), 1.0))
-            # Donor material only in the +x half.
-            frac = np.full((8, 8, 8), 1.0 if leaf.center[0] > 0 else 0.0)
-            leaf.subgrid.set_interior(Field.FRAC2, frac)
-        regrid(mesh, TracerCriterion(field=Field.FRAC2, refine_above=0.5), max_level=2)
-        fine = [leaf for leaf in mesh.leaves() if leaf.level == 2]
-        assert fine
-        assert all(leaf.center[0] > 0 for leaf in fine)
-
-
-class TestCombinedCriterion:
-    def test_any_refines_all_coarsen(self):
-        mesh = blob_mesh()
-        combined = CombinedCriterion(
-            members=(
-                DensityCriterion(refine_above=0.5),
-                TracerCriterion(refine_above=np.inf),  # never fires
-            )
-        )
-        result = regrid(mesh, combined, max_level=2)
-        assert result.refined > 0
 
 
 class TestDriverIntegration:

@@ -579,3 +579,69 @@ class TestBarrierRoundInLoop:
         )
         findings = lint_source(src, "src/repro/x.py")
         assert [f.rule for f in findings] == ["R011"]
+
+
+class TestSrcDefinitionNeedsACaller:
+    @staticmethod
+    def checkout(root, extra=None):
+        files = {
+            "src/repro/__init__.py": "",
+            "src/repro/mod.py": "def helper():\n    return 1\n",
+            "tests/test_mod.py": (
+                "from repro.mod import helper\n\n"
+                "def test_helper():\n    assert helper() == 1\n"
+            ),
+        }
+        files.update(extra or {})
+        for rel, text in files.items():
+            path = root / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return root
+
+    def test_definition_called_only_from_tests_flagged(self, tmp_path):
+        root = self.checkout(tmp_path)
+        findings = lint_paths([str(root / "src")])
+        assert [(f.rule, f.line) for f in findings] == [("R013", 1)]
+        assert "'helper'" in findings[0].message
+
+    def test_benchmark_caller_clears_it(self, tmp_path):
+        root = self.checkout(tmp_path, {
+            "benchmarks/bench_mod.py": "from repro.mod import helper\n\nhelper()\n",
+        })
+        assert lint_paths([str(root / "src")]) == []
+
+    def test_callers_read_whatever_paths_are_linted(self, tmp_path):
+        root = self.checkout(tmp_path, {
+            "examples/demo.py": "import repro.mod\n\nrepro.mod.helper()\n",
+        })
+        assert lint_paths([str(root / "src" / "repro" / "mod.py")]) == []
+
+    def test_own_body_and_reexport_are_not_callers(self, tmp_path):
+        root = self.checkout(tmp_path, {
+            "src/repro/mod.py": (
+                "def helper(n=1):\n    return helper(n - 1) if n else 0\n"
+            ),
+            "src/repro/__init__.py": "from repro.mod import helper\n",
+        })
+        assert rules(lint_paths([str(root / "src")])) == ["R013"]
+
+    def test_api_table_generator_is_not_a_caller(self, tmp_path):
+        root = self.checkout(tmp_path, {
+            "tools/gen_api_summary.py": "from repro.mod import helper\n\nhelper()\n",
+        })
+        assert rules(lint_paths([str(root / "src")])) == ["R013"]
+
+    def test_sanction_comment_exempts(self, tmp_path):
+        root = self.checkout(tmp_path, {
+            "src/repro/mod.py": (
+                "def helper():  # reprolint: sanctioned-switch (a check's "
+                "on-switch)\n    return 1\n"
+            ),
+        })
+        assert lint_paths([str(root / "src")]) == []
+
+    def test_files_outside_src_repro_are_not_checked(self, tmp_path):
+        lone = tmp_path / "lone.py"
+        lone.write_text("def orphan():\n    return 1\n")
+        assert lint_paths([str(lone)]) == []

@@ -1,19 +1,12 @@
-"""SCF: Lane-Emden, polytropes, Poisson solver, Roche geometry."""
+"""SCF: Poisson solver, Roche geometry, single stars and binaries."""
 
 import numpy as np
 import pytest
 
-from repro.scf import (
-    BinarySCF,
-    LaneEmdenSolution,
-    PolytropeModel,
-    SingleStarSCF,
-    keplerian_omega,
-    lagrange_l1,
-    lane_emden,
-    roche_lobe_radius,
-)
+from repro.scf import BinarySCF, SingleStarSCF, roche_lobe_radius
 from repro.scf.poisson import FftPoissonSolver
+
+from tests.oracles.lane_emden import lane_emden
 
 
 class TestLaneEmden:
@@ -50,42 +43,6 @@ class TestLaneEmden:
             lane_emden(-1.0)
         with pytest.raises(ValueError):
             lane_emden(5.0)
-
-
-class TestPolytrope:
-    def test_mass_integrates_to_target(self):
-        model = PolytropeModel(mass=1.0, radius=0.5, n=1.5)
-        assert model.integrated_mass() == pytest.approx(1.0, rel=1e-3)
-
-    def test_density_profile_monotone(self):
-        model = PolytropeModel(mass=1.0, radius=0.5, n=1.5)
-        r = np.linspace(0, 0.5, 50)
-        rho = model.density(r)
-        assert rho[0] == pytest.approx(model.rho_c)
-        assert (np.diff(rho) <= 1e-12).all()
-        assert rho[-1] == pytest.approx(0.0, abs=1e-8)
-
-    def test_central_density_formula(self):
-        model = PolytropeModel(mass=2.0, radius=1.0, n=1.0)
-        le = model.lane_emden_solution
-        expected = 2.0 * le.xi1 / (4 * np.pi * abs(le.dtheta_dxi_at_xi1))
-        assert model.rho_c == pytest.approx(expected)
-
-    def test_hydrostatic_consistency(self):
-        """dP/dr = -G m(r) rho / r^2 at a few radii."""
-        model = PolytropeModel(mass=1.0, radius=0.5, n=1.5)
-        r = np.linspace(1e-4, 0.45, 400)
-        p = model.pressure(r)
-        rho = model.density(r)
-        dp_dr = np.gradient(p, r)
-        # enclosed mass by cumulative trapezoid
-        m_enc = 4 * np.pi * np.concatenate(
-            [[0.0], np.cumsum(0.5 * (rho[1:] * r[1:] ** 2 + rho[:-1] * r[:-1] ** 2) * np.diff(r))]
-        )
-        mid = slice(40, 360)
-        np.testing.assert_allclose(
-            dp_dr[mid], -m_enc[mid] * rho[mid] / r[mid] ** 2, rtol=0.05
-        )
 
 
 class TestPoisson:
@@ -148,14 +105,6 @@ class TestPoisson:
 
 
 class TestRoche:
-    def test_keplerian(self):
-        assert keplerian_omega(1.0, 0.0 + 1e-12, 1.0) == pytest.approx(1.0, rel=1e-6)
-        assert keplerian_omega(1.0, 1.0, 1.0) == pytest.approx(np.sqrt(2.0))
-
-    def test_keplerian_validation(self):
-        with pytest.raises(ValueError):
-            keplerian_omega(1.0, 1.0, 0.0)
-
     def test_eggleton_equal_mass(self):
         # q = 1: R_L / a = 0.379 (Eggleton 1983).
         assert roche_lobe_radius(1.0) == pytest.approx(0.379, rel=2e-3)
@@ -164,17 +113,6 @@ class TestRoche:
         qs = [0.1, 0.5, 1.0, 2.0, 10.0]
         radii = [roche_lobe_radius(q) for q in qs]
         assert radii == sorted(radii)
-
-    def test_l1_equal_mass_at_midpoint(self):
-        assert lagrange_l1(1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-10)
-
-    def test_l1_shifts_towards_lighter_star(self):
-        assert lagrange_l1(1.0, 0.5, 1.0) > 0.5
-
-    def test_l1_validation(self):
-        with pytest.raises(ValueError):
-            lagrange_l1(0.0, 1.0)
-
 
 @pytest.mark.slow
 class TestSingleStarScf:
@@ -186,12 +124,12 @@ class TestSingleStarScf:
         # Radial density profile ~ Lane-Emden theta^1.5 (shapes compared
         # after normalising both to their maxima: the 48^3 SCF grid puts
         # its density peak half a cell off r = 0, shifting the scale).
-        model = PolytropeModel(mass=result.star_masses[0], radius=0.5, n=1.5)
+        le = lane_emden(1.5)
         c = -1.0 + (2.0 / 48) * (np.arange(48) + 0.5)
         j = 24
         profile = result.rho[:, j, j]
         r = np.abs(c)
-        expected = model.density(r)
+        expected = le.theta_of(r / (0.5 / le.xi1)) ** 1.5
         inside = r < 0.4
         np.testing.assert_allclose(
             profile[inside] / profile.max(),
@@ -233,7 +171,7 @@ class TestBinaryScf:
         left = np.where(axis < result.split_x, prof, 0)
         right = np.where(axis >= result.split_x, prof, 0)
         sep = axis[np.argmax(right)] - axis[np.argmax(left)]
-        kepler = keplerian_omega(m1, m2, sep)
+        kepler = np.sqrt((m1 + m2) / sep**3)  # Kepler's third law, G = 1
         assert result.omega == pytest.approx(kepler, rel=0.25)
 
     def test_geometry_validation(self):

@@ -109,6 +109,16 @@ R012 no-module-level-scipy
     (0.8 s, +47 MB RSS) for runs that never build a star or solve a
     Riemann problem exactly.
 
+R013 src-definition-needs-a-caller
+    Every top-level function and class under ``src/repro/`` is referenced
+    from ``src/``, ``benchmarks/``, ``examples/`` or ``tools/`` of the same
+    checkout, whatever paths are linted.  The definition's own body, an
+    ``__init__`` re-export and ``tools/gen_api_summary.py`` do not count,
+    and ``tests/`` never does: code that only tests call is either an
+    oracle, and lives in ``tests/oracles/``, or it is dead.  A definition
+    kept on purpose carries ``# reprolint: sanctioned-<reason>`` on its
+    def line.
+
 Exit status: 0 clean, 1 findings reported, 2 usage error, 3 unreadable
 or unparseable input (R000).  ``--json`` emits the findings as a machine
 readable object for CI annotation.
@@ -121,7 +131,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 _ALLOC_FNS = {
     "zeros", "ones", "empty", "full", "array", "arange",
@@ -168,6 +178,11 @@ _COLD_SANCTION_TAG = "# reprolint: sanctioned-cold-build"
 #: friends out.
 _BARRIER_OWNERS = {"engine"}
 _BARRIER_SANCTION_TAG = "# reprolint: sanctioned-barrier"
+#: Where R013 reads callers from, relative to the checkout root.
+_CALLER_DIRS = ("src", "benchmarks", "examples", "tools")
+#: The API table generator imports everything; it is not a caller.
+_CALLER_EXEMPT = ("tools/gen_api_summary.py",)
+_ANY_SANCTION_TAG = "# reprolint: sanctioned-"
 
 
 @dataclass(frozen=True)
@@ -809,6 +824,103 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
 
+def _checkout_root(path: Path) -> Optional[Path]:
+    """The directory holding ``src/repro/`` if ``path`` lies under it."""
+    parts = path.resolve().parts
+    for i in range(len(parts) - 2, -1, -1):
+        if parts[i] == "src" and parts[i + 1] == "repro":
+            return Path(*parts[:i])
+    return None
+
+
+def _top_level_defs(tree: ast.Module) -> List[ast.AST]:
+    return [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
+def _references(tree: ast.Module, is_init: bool) -> List[Tuple[str, str]]:
+    """``(name, owner)`` for every name a module reads that can denote a
+    definition of the package: an attribute, or a bare name the module
+    defines at top level or imports from ``repro`` (renamed imports count
+    under the imported name).  ``owner`` is the top-level definition the
+    reference sits in (``""`` at module level).  An ``__init__`` module's
+    imports are re-exports, not uses."""
+    defs = _top_level_defs(tree)
+    bound: Dict[str, str] = {node.name: node.name for node in defs}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "repro"
+        ):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = alias.name
+    refs: List[Tuple[str, str]] = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, ast.Name) and node.id in bound:
+            refs.append((bound[node.id], owner))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for node in tree.body:
+        if is_init and isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        visit(node, node.name if node in defs else "")
+    return refs
+
+
+def _caller_index(root: Path) -> Dict[str, Set[Tuple[Path, str]]]:
+    """name -> ``{(file, owner)}`` over every caller file of the checkout."""
+    index: Dict[str, Set[Tuple[Path, str]]] = {}
+    for sub in _CALLER_DIRS:
+        for file in sorted((root / sub).rglob("*.py")):
+            rel = file.relative_to(root).as_posix()
+            if rel in _CALLER_EXEMPT:
+                continue
+            try:
+                tree = ast.parse(file.read_text(), filename=str(file))
+            except (OSError, UnicodeDecodeError, SyntaxError):
+                continue  # R000 reports it when the file is linted
+            for name, owner in _references(tree, file.name == "__init__.py"):
+                index.setdefault(name, set()).add((file.resolve(), owner))
+    return index
+
+
+def _check_callers(files: Sequence[Path]) -> List[Finding]:
+    """R013: every top-level definition under src/repro/ has a caller."""
+    findings: List[Finding] = []
+    indexes: Dict[Path, Dict[str, Set[Tuple[Path, str]]]] = {}
+    for file in files:
+        root = _checkout_root(file)
+        if root is None:
+            continue
+        if root not in indexes:
+            indexes[root] = _caller_index(root)
+        try:
+            source = file.read_text()
+            tree = ast.parse(source, filename=str(file))
+        except (OSError, UnicodeDecodeError, SyntaxError):
+            continue
+        lines = source.splitlines()
+        for node in _top_level_defs(tree):
+            if _ANY_SANCTION_TAG in lines[node.lineno - 1]:
+                continue
+            own = (file.resolve(), node.name)
+            if indexes[root].get(node.name, set()) - {own}:
+                continue
+            findings.append(Finding(
+                str(file), node.lineno, "R013",
+                f"{node.name!r} has no caller in src/, benchmarks/, "
+                "examples/ or tools/; move a test oracle to tests/oracles/, "
+                "delete dead code, or mark a deliberate keeper "
+                f"'{_ANY_SANCTION_TAG}<reason>'",
+            ))
+    return findings
+
+
 def iter_python_files(paths: Iterable[str]) -> List[Path]:
     files: List[Path] = []
     for raw in paths:
@@ -832,6 +944,7 @@ def lint_paths(paths: Iterable[str]) -> List[Finding]:
             findings.extend(lint_source(source, str(file)))
         except SyntaxError as exc:
             findings.append(Finding(str(file), exc.lineno or 0, "R000", f"syntax error: {exc.msg}"))
+    findings.extend(_check_callers(iter_python_files(paths)))
     return findings
 
 
