@@ -49,6 +49,15 @@ class TestDiagnostics:
         com = center_of_mass(mesh)
         np.testing.assert_allclose(com, [0.3, 0.0, -0.2], atol=0.02)
 
+    def test_total_energy_with_potential(self):
+        mesh = make_uniform_mesh(levels=1)
+        fill_gaussian(mesh)
+        phi = {leaf.key: -np.ones((8, 8, 8)) for leaf in mesh.leaves()}
+        e = diagnostics(mesh, phi).energy_total
+        assert e == pytest.approx(
+            mesh.integral(Field.EGAS) - 0.5 * mesh.total_mass()
+        )
+
     def test_diagnostics_bundle(self):
         mesh = make_uniform_mesh(levels=1)
         fill_gaussian(mesh)

@@ -12,6 +12,9 @@ from repro.distsim.reliability import (
 from repro.distsim.runconfig import RunConfig
 from repro.machines import FUGAKU, OOKAMI
 from repro.scenarios import rotating_star
+from repro.scenarios.spec import ScenarioSpec
+
+from tests.oracles.reliability import empirical_hang_probability
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +115,53 @@ class TestFaultInjection:
         assert [m.payload for m in delivered] == ["a"]
         assert net.messages_dropped == 1
         assert net.messages_sent == 2
+
+
+class TestMonteCarloCrossValidation:
+    """The closed-form hang model vs actual injected-fault runs.
+
+    ``empirical_hang_probability`` executes the step task graph once per
+    seed under a Bernoulli(p) per-message drop schedule with no recovery:
+    any lost ghost message wedges the graph and the watchdog reports a
+    deadlock.  The observed hang fraction must sit on the analytic
+    ``P(hang) = 1 - (1-p)^M`` curve evaluated at the *measured* message
+    count — the paper's "1 out of 20 runs deadlock" observation, turned
+    into a checked prediction.
+    """
+
+    SPEC = ScenarioSpec(name="mc", n_subgrids=8, max_level=1)
+    CONFIG = RunConfig(machine=FUGAKU, nodes=4)
+
+    def test_hang_fraction_matches_analytic_curve(self):
+        result = empirical_hang_probability(
+            self.SPEC, self.CONFIG, drop_rate=0.01, seeds=range(60)
+        )
+        # Meaningful sample: some runs hang, some survive.
+        assert 0 < result.hangs < result.runs
+        predicted = result.predicted_hang_probability(0.01)
+        # 60 seeded runs at p~0.38: binomial sigma ~ 0.063; the schedule is
+        # deterministic, so 0.12 (~2 sigma) only guards implementation drift.
+        assert abs(result.hang_fraction - predicted) < 0.12
+
+    def test_higher_drop_rate_hangs_more(self):
+        low = empirical_hang_probability(
+            self.SPEC, self.CONFIG, drop_rate=0.002, seeds=range(40)
+        )
+        high = empirical_hang_probability(
+            self.SPEC, self.CONFIG, drop_rate=0.05, seeds=range(40)
+        )
+        assert low.hang_fraction < high.hang_fraction
+        assert high.hang_fraction > 0.5  # 1-(1-.05)^48 ~ 0.91
+
+    def test_analytic_message_count_brackets_the_measured_one(self):
+        """:func:`messages_per_step` counts every RK stage's ghost faces
+        analytically; the executed task graph batches the exchange, so the
+        two agree to a small documented factor, not exactly.  Keeping them
+        within [1x, 6x] pins the scale of the model without overfitting."""
+        result = empirical_hang_probability(
+            self.SPEC, self.CONFIG, drop_rate=0.01, seeds=range(1)
+        )
+        analytic = messages_per_step(self.SPEC, self.CONFIG)
+        measured = result.messages_per_clean_step
+        assert measured > 0
+        assert measured <= analytic <= 6 * measured
