@@ -5,8 +5,7 @@ reproduction runs on.  Like HPX it exposes
 
 * futures and promises with continuations (:mod:`repro.amt.future`),
 * a task scheduler over a pool of worker threads (:mod:`repro.amt.scheduler`),
-* *localities* (process-like address spaces), remote *actions* between them,
-  and channels (:mod:`repro.amt.locality`),
+* *localities* (process-like address spaces, :mod:`repro.amt.locality`),
 * a network model for inter-locality messages (:mod:`repro.amt.network`).
 
 Unlike HPX it runs on a **deterministic discrete-event virtual clock**
@@ -29,7 +28,7 @@ from repro.amt.future import (
 from repro.amt.engine import Engine
 from repro.amt.task import Task, TaskState
 from repro.amt.scheduler import WorkerPool
-from repro.amt.locality import Locality, Runtime, ActionRegistry
+from repro.amt.locality import Locality, Runtime
 from repro.amt.network import NetworkModel, Message
 from repro.amt.parallel import (
     EngineNotStartedError,
@@ -53,7 +52,6 @@ __all__ = [
     "WorkerPool",
     "Locality",
     "Runtime",
-    "ActionRegistry",
     "NetworkModel",
     "Message",
     "EngineNotStartedError",

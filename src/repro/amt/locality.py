@@ -1,10 +1,9 @@
-"""Localities, remote actions and channels — the distributed half of the AMT.
+"""Localities and the runtime — the distributed half of the AMT.
 
 An HPX *locality* is a process-like address space with its own worker pool.
-Remote *actions* invoke registered functions on another locality, crossing
-the network model; the returned future resolves when the result message
-arrives back.  *Channels* are single-producer single-consumer mailboxes used
-for ghost-layer exchange, mirroring ``hpx::lcos::channel``.
+A :class:`Runtime` holds the localities, one virtual clock and the network
+model; traffic between localities is whatever the program sends over that
+model (the DES driver's ghost bundles, :mod:`repro.core.distributed`).
 """
 
 from __future__ import annotations
@@ -12,35 +11,10 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.amt.engine import Engine
-from repro.amt.future import Future, Promise
-from repro.amt.network import Message, NetworkModel
+from repro.amt.future import Future
+from repro.amt.network import NetworkModel
 from repro.amt.scheduler import WorkerPool
 from repro.amt.task import Task
-
-
-class ActionRegistry:
-    """Name → callable registry shared by all localities.
-
-    HPX registers actions globally at startup; here registration is explicit
-    and names must be unique.
-    """
-
-    def __init__(self) -> None:
-        self._actions: Dict[str, Callable[..., Any]] = {}
-
-    def register(self, name: str, fn: Callable[..., Any]) -> None:
-        if name in self._actions:
-            raise ValueError(f"action {name!r} already registered")
-        self._actions[name] = fn
-
-    def lookup(self, name: str) -> Callable[..., Any]:
-        try:
-            return self._actions[name]
-        except KeyError:
-            raise KeyError(f"unknown action {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._actions
 
 
 class Locality:
@@ -103,7 +77,7 @@ class Locality:
 
 
 class Runtime:
-    """The distributed runtime: localities + network + action registry."""
+    """The distributed runtime: localities + network."""
 
     def __init__(
         self,
@@ -116,7 +90,6 @@ class Runtime:
             raise ValueError("n_localities must be >= 1")
         self.engine = engine or Engine()
         self.network = network or NetworkModel()
-        self.actions = ActionRegistry()
         self.localities: List[Locality] = [
             Locality(self, i, workers_per_locality) for i in range(n_localities)
         ]
@@ -134,59 +107,6 @@ class Runtime:
         every locality's worker pool; pass None to detach."""
         for loc in self.localities:
             loc.pool.observer = observer
-
-    # -- remote invocation -------------------------------------------------
-    def apply_remote(
-        self,
-        src: int,
-        dst: int,
-        action: str,
-        *args: Any,
-        size_bytes: int = 256,
-        result_size_bytes: int = 256,
-        cost: Any = 0.0,
-        kind: str = "action",
-    ) -> Future:
-        """Invoke a registered action on locality ``dst`` from ``src``.
-
-        Models: argument message (``size_bytes``) over the wire, task
-        execution on the destination pool (virtual ``cost``), result message
-        (``result_size_bytes``) back.  Same-locality invocations skip the
-        wire but still pay the action overhead unless the caller uses
-        :meth:`Locality.async_` directly — that asymmetry *is* the paper's
-        Fig. 8 communication optimization.
-        """
-        fn = self.actions.lookup(action)
-        promise = Promise(name=f"{action}@{dst}")
-        local = src == dst
-        dest_loc = self.localities[dst]
-
-        def on_request(_msg: Message) -> None:
-            task_future = dest_loc.async_(fn, *args, cost=cost, name=action, kind=kind)
-
-            def send_back(f: Future) -> None:
-                def on_reply(_m: Message) -> None:
-                    if f.has_exception():
-                        promise.set_exception(f._exception)  # noqa: SLF001
-                    else:
-                        promise.set_value(f._value)  # noqa: SLF001
-
-                self.network.send(
-                    self.engine,
-                    Message(dst, src, None, result_size_bytes, tag=f"{action}:reply"),
-                    on_reply,
-                    local=local,
-                )
-
-            task_future.add_done_callback(send_back)
-
-        self.network.send(
-            self.engine,
-            Message(src, dst, args, size_bytes, tag=action),
-            on_request,
-            local=local,
-        )
-        return promise.get_future()
 
     # -- execution ----------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:

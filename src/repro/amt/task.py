@@ -42,10 +42,9 @@ class Task:
         Diagnostics; ``kind`` feeds profiling counters (e.g. "hydro.flux",
         "fmm.m2l").
     effects:
-        Optional declared footprint (:class:`repro.analysis.effects.EffectSet`)
-        consumed by an installed scheduler observer (the race detector).
-        Defaults to the payload's ``__effects__`` attribute when the
-        callable was decorated with ``declare_effects``.
+        Optional declared footprint, ``(k, 5)`` effect rows
+        (:mod:`repro.analysis.effects`), consumed by an installed
+        scheduler observer (the race detector).
     """
 
     __slots__ = (
@@ -79,7 +78,7 @@ class Task:
         self.cost = cost
         self.name = name or f"task-{self.id}"
         self.kind = kind
-        self.effects = effects if effects is not None else getattr(fn, "__effects__", None)
+        self.effects = effects
         self.state = TaskState.PENDING
         self.future = Future(name=self.name)
         self.submitted_at: Optional[float] = None

@@ -7,7 +7,8 @@ through ``deep_copy``.  Every op of the step program declares its effects
 once, as ``(mode, segment, lo, hi, region)`` rows derived from the plan
 (:func:`repro.hydro.plan.op_effect_rows`), and three checks read them
 with one conflict predicate
-(:func:`repro.analysis.shmrace.concurrent_conflicts`):
+(:func:`repro.analysis.effects.conflict_mask`), each adding only its own
+ordering:
 
 * :mod:`repro.analysis.planverify` — statically, before any worker
   forks: the op program is race-free for the plan, and the plans' index
@@ -16,8 +17,7 @@ with one conflict predicate
 * :mod:`repro.analysis.shmrace` — on the process backend: per-rank shm
   access-event logs replayed after every round;
 * :mod:`repro.analysis.race` — on the DES interpreter: the vector-clock
-  race detector hooked into the AMT scheduler, over the rows as
-  :mod:`repro.analysis.effects` sets.
+  race detector hooked into the AMT scheduler.
 
 :mod:`repro.analysis.spacesan` is the memory-space sanitizer mode that
 :class:`repro.kokkos.view.View` consults on every access.
@@ -27,12 +27,6 @@ The repo-invariant AST linter lives in ``tools/reprolint.py`` (run as
 model and worked examples.
 """
 
-from repro.analysis.effects import (
-    ANY,
-    EffectSet,
-    Resource,
-    declare_effects,
-)
 from repro.analysis.race import (
     RaceDetector,
     RaceError,
@@ -76,10 +70,6 @@ __all__ = [
     "ShmEventWriter",
     "ShmRaceDetector",
     "ShmRaceError",
-    "ANY",
-    "EffectSet",
-    "Resource",
-    "declare_effects",
     "RaceDetector",
     "RaceError",
     "RaceFinding",

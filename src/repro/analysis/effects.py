@@ -1,145 +1,116 @@
-"""Declared effect sets: the footprint a task touches.
+"""The effect vocabulary of the step program: rows, and one conflict mask.
 
-A *resource* is one piece of simulation state identified by
-``(subgrid, field, space)`` — e.g. the interior of arena slot 12's
-field chunk, as :func:`repro.analysis.shmrace.row_effects` names the
-step program's effect rows.  A task's :class:`EffectSet` partitions its
-footprint into
+Every op of the step program declares what it touches in the shared
+arenas once, as ``(mode, segment, lo, hi, region)`` rows over leaf slots
+(:func:`repro.hydro.plan.op_effect_rows`):
 
-* **reads** — the task observes the resource,
-* **writes** — the task replaces the resource (exclusive access required),
-* **accums** — the task accumulates into the resource with a commutative
-  reduction (Kokkos atomics / ``+=`` of M2L contributions): accumulations
-  commute with each other but conflict with plain reads and writes.
+* **mode** — the op reads, writes (exclusive access required) or
+  accumulates into the slots with a commutative reduction;
+* **segment** — which arena the slot range ``[lo, hi)`` indexes;
+* **region** — which part of each leaf chunk is touched: its interior,
+  its ghost bands, or all of it.
 
-Two effect sets *conflict* when they touch overlapping resources and at
-least one side needs exclusivity the other violates (write/write,
-write/read, write/accum, read/accum).  Conflicting tasks are only legal
-when a happens-before edge orders them — that check is
-:mod:`repro.analysis.race`'s job; this module only describes footprints.
-
-Effects travel with a task (``effects=`` on the locality's ``async_*``)
-or attach to a callable with :func:`declare_effects`.
+:func:`conflict_mask` is the one conflict predicate: two rows conflict
+when they touch the same segment, their slot ranges intersect, their
+regions can alias and their modes do not commute (only read/read and
+accum/accum do).  The three race checks add only their own ordering on
+top: epoch and handshake position for the shm replay
+(:mod:`repro.analysis.shmrace`) and the static op-program proof
+(:mod:`repro.analysis.planverify`), the vector clock for the DES
+detector (:mod:`repro.analysis.race`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
-#: Wildcard marker matching any subgrid / field / space.
-ANY = "*"
+import numpy as np
+
+#: Access-mode codes (row word 0).
+MODE_READ, MODE_WRITE, MODE_ACCUM = 0, 1, 2
+MODE_NAMES = {MODE_READ: "read", MODE_WRITE: "write", MODE_ACCUM: "accum"}
+
+#: Segment codes (row word 1): which arena the slot range indexes.
+SEG_FIELDS, SEG_ACCEL, SEG_FLUX = 0, 1, 2
+SEG_NAMES = {SEG_FIELDS: "fields", SEG_ACCEL: "accel", SEG_FLUX: "flux"}
+
+#: Region codes (row word 4): which part of each leaf chunk is touched.
+#: ``ALL`` aliases both; ``INTERIOR`` and ``GHOST`` are disjoint — the
+#: refinement that lets a donor's interior read coexist with the owner's
+#: ghost write inside the same chunk during a ghost round.
+REGION_ALL, REGION_INTERIOR, REGION_GHOST = 0, 1, 2
+REGION_NAMES = {REGION_ALL: "all", REGION_INTERIOR: "interior",
+                REGION_GHOST: "ghost"}
 
 
-@dataclass(frozen=True)
-class Resource:
-    """One addressable piece of state: ``(subgrid, field, space)``.
+def conflict_mask(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """``(len(ra), len(rb))`` bool: row ``i`` of ``ra`` conflicts with
+    row ``j`` of ``rb`` — same segment, intersecting slot ranges,
+    aliasing regions, non-commuting modes."""
+    ma, ga = ra[:, 0:1], ra[:, 4:5]
+    mb, gb = rb[:, 0], rb[:, 4]
+    return (
+        (ra[:, 1:2] == rb[:, 1])
+        & (ra[:, 2:3] < rb[:, 3]) & (rb[:, 2] < ra[:, 3:4])
+        & ((ga == REGION_ALL) | (gb == REGION_ALL) | (ga == gb))
+        & ~((ma == mb) & (ma != MODE_WRITE))
+    )
 
-    ``subgrid`` is whatever identifies the data owner (an int sub-grid id,
-    a :class:`~repro.octree.node.NodeKey`, a label...); ``field`` names the
-    array within it; ``space`` the memory space holding it.  Any component
-    may be the wildcard :data:`ANY`, which overlaps everything.
+
+def describe_row(row: Sequence[int]) -> str:
+    """A row's footprint as text, e.g. ``fields[0:4) interior``."""
+    _mode, seg, lo, hi, region = (int(w) for w in row)
+    return f"{SEG_NAMES[seg]}[{lo}:{hi}) {REGION_NAMES[region]}"
+
+
+def slot_range_rows(
+    lo: int, hi: int, mode: int, segment: int, region: int = REGION_ALL
+) -> np.ndarray:
+    """One descriptor row for a contiguous leaf-slot range ``[lo, hi)``."""
+    return np.array([[mode, segment, lo, hi, region]], dtype=np.int64)
+
+
+def slot_regions(
+    idx: np.ndarray, n: int, ghost: int, nfields: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Leaf slot and region code (interior or ghost band) of flat
+    field-arena element indices into ``(nfields, M, M, M)`` chunks,
+    ``M = n + 2*ghost``."""
+    m = n + 2 * ghost
+    cube = np.full((m, m, m), REGION_GHOST, dtype=np.intp)
+    inner = slice(ghost, ghost + n)
+    cube[inner, inner, inner] = REGION_INTERIOR
+    table = np.tile(cube.ravel(), nfields)
+    slot, local = np.divmod(idx, table.size)
+    return slot, table[local]
+
+
+def field_access_rows(
+    indices: Sequence[np.ndarray],
+    mode: int,
+    n: int,
+    ghost: int,
+    nfields: int,
+) -> np.ndarray:
+    """Descriptor rows covering flat field-arena element indices.
+
+    Classifies every index into its leaf slot and region
+    (:func:`slot_regions`), then compresses consecutive same-region slots
+    into ranges.  Run over a bundle's live gather/scatter arrays, so an
+    injected index pointing into a foreign slot shows up as a
+    foreign-slot row.
     """
-
-    subgrid: Any = ANY
-    field: str = ANY
-    space: str = "Host"
-
-    def overlaps(self, other: "Resource") -> bool:
-        """True when the two resources can alias."""
-        return (
-            (self.subgrid == ANY or other.subgrid == ANY or self.subgrid == other.subgrid)
-            and (self.field == ANY or other.field == ANY or self.field == other.field)
-            and (self.space == ANY or other.space == ANY or self.space == other.space)
-        )
-
-    @property
-    def is_concrete(self) -> bool:
-        return ANY not in (self.subgrid, self.field, self.space)
-
-    def __str__(self) -> str:
-        return f"{self.subgrid}.{self.field}@{self.space}"
-
-
-def _as_resources(items: Optional[Iterable]) -> FrozenSet[Resource]:
-    out = set()
-    for item in items or ():
-        if isinstance(item, Resource):
-            out.add(item)
-        elif isinstance(item, tuple):
-            out.add(Resource(*item))
+    flat = [np.asarray(a).ravel() for a in indices if np.asarray(a).size]
+    if not flat:
+        return np.empty((0, 5), dtype=np.int64)
+    slot, region = slot_regions(np.concatenate(flat), n, ghost, nfields)
+    # The (slot, region) tags present, ascending: one counting pass.
+    tagged = np.flatnonzero(np.bincount(slot * 4 + region))
+    rows: List[Tuple[int, int, int, int, int]] = []
+    for t in tagged.tolist():
+        s, r = t // 4, t % 4
+        if rows and rows[-1][4] == r and rows[-1][3] == s:
+            rows[-1] = (mode, SEG_FIELDS, rows[-1][2], s + 1, r)
         else:
-            raise TypeError(f"not a resource: {item!r}")
-    return frozenset(out)
-
-
-#: One conflicting access pair: (my resource, my mode, their resource, their mode).
-Conflict = Tuple[Resource, str, Resource, str]
-
-_READ, _WRITE, _ACCUM = "read", "write", "accum"
-#: Access-mode pairs that commute (everything else conflicts on overlap).
-_COMMUTING = {(_READ, _READ), (_ACCUM, _ACCUM)}
-
-
-@dataclass(frozen=True)
-class EffectSet:
-    """The declared footprint of one task or kernel."""
-
-    reads: FrozenSet[Resource] = field(default_factory=frozenset)
-    writes: FrozenSet[Resource] = field(default_factory=frozenset)
-    accums: FrozenSet[Resource] = field(default_factory=frozenset)
-
-    @classmethod
-    def make(
-        cls,
-        reads: Optional[Iterable] = None,
-        writes: Optional[Iterable] = None,
-        accums: Optional[Iterable] = None,
-    ) -> "EffectSet":
-        """Build from iterables of :class:`Resource` or plain tuples."""
-        return cls(_as_resources(reads), _as_resources(writes), _as_resources(accums))
-
-    def accesses(self) -> List[Tuple[Resource, str]]:
-        """Every (resource, mode) pair this set declares."""
-        return (
-            [(r, _READ) for r in self.reads]
-            + [(r, _WRITE) for r in self.writes]
-            + [(r, _ACCUM) for r in self.accums]
-        )
-
-    def conflicts_with(self, other: "EffectSet") -> List[Conflict]:
-        """All overlapping, non-commuting access pairs between the two sets."""
-        out: List[Conflict] = []
-        for mine, my_mode in self.accesses():
-            for theirs, their_mode in other.accesses():
-                if (my_mode, their_mode) in _COMMUTING:
-                    continue
-                if mine.overlaps(theirs):
-                    out.append((mine, my_mode, theirs, their_mode))
-        return out
-
-    def is_empty(self) -> bool:
-        return not (self.reads or self.writes or self.accums)
-
-
-_EFFECTS_ATTR = "__effects__"
-
-
-def declare_effects(
-    reads: Optional[Iterable] = None,
-    writes: Optional[Iterable] = None,
-    accums: Optional[Iterable] = None,
-) -> Callable[[Callable], Callable]:
-    """Decorator attaching an :class:`EffectSet` to a callable.
-
-    The callable is returned unchanged (no wrapper, no call overhead); the
-    effect set rides along as ``fn.__effects__`` for schedulers and the
-    race detector to pick up.
-    """
-    effects = EffectSet.make(reads, writes, accums)
-
-    def attach(fn: Callable) -> Callable:
-        setattr(fn, _EFFECTS_ATTR, effects)
-        return fn
-
-    return attach
+            rows.append((mode, SEG_FIELDS, s, s + 1, r))
+    return np.array(rows, dtype=np.int64)

@@ -48,12 +48,8 @@ from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
-from repro.analysis.shmrace import (
-    REGION_INTERIOR,
-    concurrent_conflicts,
-    handshake_positions,
-    slot_regions,
-)
+from repro.analysis.effects import REGION_INTERIOR, slot_regions
+from repro.analysis.shmrace import concurrent_conflicts, handshake_positions
 from repro.octree.fields import NFIELDS
 from repro.octree.mesh import AmrMesh
 

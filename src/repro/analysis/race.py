@@ -1,4 +1,4 @@
-"""Race detection over declared effect sets on the DES runtime.
+"""Race detection over declared effect rows on the DES runtime.
 
 :class:`RaceDetector` is a *dynamic* observer for
 :class:`repro.amt.scheduler.WorkerPool`.  It maintains a happens-before
@@ -6,7 +6,9 @@ relation over tasks as they execute on the virtual runtime and flags any
 pair of tasks with conflicting effects that no dependency path orders.
 :class:`repro.core.distributed.DistributedHydroDriver` installs a fresh
 one on every step's runtime, each task carrying the effect rows its op
-declares (:func:`repro.hydro.plan.op_effect_rows`).
+declares (:func:`repro.hydro.plan.op_effect_rows`); conflicts are decided
+by :func:`repro.analysis.effects.conflict_mask`, the predicate the shm
+replay and the static op-program proof use too.
 
 Happens-before is tracked as a vector clock compressed into Python's
 arbitrary-precision integers: task *i* owns bit *i*; a task's clock is the
@@ -24,9 +26,11 @@ run happened to serialise it — the next run, or the real machine, may not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.effects import _COMMUTING, EffectSet, Resource
+import numpy as np
+
+from repro.analysis.effects import MODE_NAMES, conflict_mask, describe_row
 
 
 class RaceError(RuntimeError):
@@ -35,13 +39,14 @@ class RaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RaceFinding:
-    """A pair of unordered tasks with conflicting effects."""
+    """A pair of unordered tasks with conflicting effects; each side's
+    resource is a row description such as ``fields[0:4) interior``."""
 
     task_a: str
     task_b: str
-    resource_a: Resource
+    resource_a: str
     mode_a: str
-    resource_b: Resource
+    resource_b: str
     mode_b: str
     kind: str = "race"  # "race" | "shm-race" | "shm-log-overflow"
     reason: str = "no happens-before edge"
@@ -58,12 +63,12 @@ class RaceDetector:
 
     Install with :meth:`repro.amt.locality.Runtime.install_observer` (or by
     assigning ``pool.observer``); the scheduler then reports task lifecycle
-    events here.  Only tasks carrying a declared
-    :class:`~repro.analysis.effects.EffectSet` participate in conflict
-    checking; undeclared tasks still propagate causality.  Checked
-    accesses are indexed by resource: concrete resources overlap iff
-    equal, so a new access meets only its own bucket plus the wildcard
-    accesses.
+    events here.  Only tasks carrying effect rows participate in conflict
+    checking; undeclared tasks still propagate causality.  The rows of
+    every checked task are kept with the task's clock bit: a new task's
+    rows meet all of them in one
+    :func:`~repro.analysis.effects.conflict_mask`, and the conflicting
+    tasks its clock does not order are its races.
     """
 
     def __init__(self, raise_on_finding: bool = False) -> None:
@@ -71,11 +76,10 @@ class RaceDetector:
         self.findings: List[RaceFinding] = []
         self.tasks_seen = 0
         self.tasks_checked = 0
-        self._checked: List[Tuple[int, str]] = []  # (own bit, name) per task
-        #: Prior accesses ``(task index, resource, mode)``: per concrete
-        #: resource, and the wildcard ones.
-        self._exact: Dict[Resource, List[Tuple[int, Resource, str]]] = {}
-        self._wild: List[Tuple[int, Resource, str]] = []
+        self._names: Dict[int, str] = {}  # clock bit position -> task name
+        #: Prior checked tasks' rows, and the clock bit position of each.
+        self._rows = np.empty((0, 5), dtype=np.int64)
+        self._owner = np.empty(0, dtype=np.intp)
         self._next_bit = 0
         self._deps: Dict[int, Sequence[Any]] = {}  # task.id -> dep futures
         self._clock: Dict[int, int] = {}  # task.id -> ancestor clock
@@ -83,33 +87,33 @@ class RaceDetector:
         self._stack: List[int] = []  # task.ids of nested payload execution
 
     def _check(
-        self, name: str, effects: EffectSet, clock: int, bit: int
+        self, name: str, rows: np.ndarray, clock: int, position: int
     ) -> List[RaceFinding]:
         """The first conflict of a new task with each prior task its clock
-        does not order; the task's accesses join the index afterwards."""
-        found: Dict[int, RaceFinding] = {}
-        for res, mode in effects.accesses():
-            priors = self._exact.get(res, []) if res.is_concrete else [
-                access for bucket in self._exact.values() for access in bucket
-            ]
-            for idx, theirs, their_mode in priors + self._wild:
-                prior_bit, prior_name = self._checked[idx]
-                if (idx in found or prior_bit & clock
-                        or (mode, their_mode) in _COMMUTING
-                        or not res.overlaps(theirs)):
-                    continue
-                found[idx] = RaceFinding(
-                    task_a=prior_name, task_b=name,
-                    resource_a=theirs, mode_a=their_mode,
-                    resource_b=res, mode_b=mode,
-                )
-        idx = len(self._checked)
-        self._checked.append((bit, name))
-        for res, mode in effects.accesses():
-            bucket = self._exact.setdefault(res, []) if res.is_concrete \
-                else self._wild
-            bucket.append((idx, res, mode))
-        return [found[i] for i in sorted(found)]
+        does not order; the task's rows join the priors afterwards.
+        ``position`` is the task's clock bit, which keys its rows."""
+        found: List[RaceFinding] = []
+        pi, ri = np.nonzero(conflict_mask(self._rows, rows))
+        # Rows are stored in task order, so np.unique's first index of
+        # each task is its first conflicting row pair.
+        tasks, first = np.unique(self._owner[pi], return_index=True)
+        for task, f in zip(tasks.tolist(), first.tolist()):
+            if clock >> task & 1:
+                continue  # an ancestor: ordered before this task
+            theirs, mine = self._rows[pi[f]], rows[ri[f]]
+            found.append(RaceFinding(
+                task_a=self._names[task], task_b=name,
+                resource_a=describe_row(theirs),
+                mode_a=MODE_NAMES[int(theirs[0])],
+                resource_b=describe_row(mine),
+                mode_b=MODE_NAMES[int(mine[0])],
+            ))
+        self._names[position] = name
+        self._rows = np.vstack([self._rows, rows])
+        self._owner = np.concatenate(
+            [self._owner, np.full(len(rows), position, dtype=np.intp)]
+        )
+        return found
 
     # -- WorkerPool observer protocol -------------------------------------
     def on_submit(self, task: Any, deps: Sequence[Any]) -> None:
@@ -127,14 +131,14 @@ class RaceDetector:
             # Spawned from inside a running payload: fork edge from parent.
             parent = self._stack[-1]
             clock |= self._clock[parent] | self._bit[parent]
-        bit = 1 << self._next_bit
+        position = self._next_bit
         self._next_bit += 1
-        self._bit[task.id] = bit
+        self._bit[task.id] = 1 << position
         self._clock[task.id] = clock
-        effects: Optional[EffectSet] = getattr(task, "effects", None)
-        if effects is not None and not effects.is_empty():
+        rows: Optional[np.ndarray] = getattr(task, "effects", None)
+        if rows is not None and len(rows):
             self.tasks_checked += 1
-            found = self._check(task.name, effects, clock, bit)
+            found = self._check(task.name, rows, clock, position)
             if found:
                 self.findings.extend(found)
                 if self.raise_on_finding:

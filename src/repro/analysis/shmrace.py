@@ -17,51 +17,32 @@ declares (:func:`repro.hydro.plan.op_effect_rows`):
   *position* says where in the round the access happened relative to the
   handshake (:func:`handshake_positions`);
 * after each round the parent's :class:`ShmRaceDetector` replays the
-  logs with :func:`concurrent_conflicts`, the one conflict predicate the
-  static op-program proof (:func:`repro.analysis.planverify.verify_op_program`)
-  uses too.  Events in **different** epochs are ordered by the barrier
-  between them; events in the **same** epoch on **different** ranks are
+  logs with :func:`concurrent_conflicts`, which the static op-program
+  proof (:func:`repro.analysis.planverify.verify_op_program`) uses too.
+  Events in **different** epochs are ordered by the barrier between
+  them; events in the **same** epoch on **different** ranks are
   concurrent unless the handshake orders them — a before-note access on
   one rank precedes every after-wait access on any rank.  Two concurrent
-  events conflict when they touch the same segment, their leaf slot
-  ranges intersect, their regions can alias, and their access modes do
-  not commute (:data:`repro.analysis.effects._COMMUTING`).
+  events race when their rows conflict
+  (:func:`repro.analysis.effects.conflict_mask`).
 
-Region codes split each leaf chunk into its interior and ghost bands,
-because the ghost exchange legitimately has two ranks in the same chunk
-at once: the donor's interior read, the owner's ghost write.  A full log
-drops rows instead of blocking; the detector reports any growth of that
-count as a finding, since a truncated log cannot prove the round clean.
+A full log drops rows instead of blocking; the detector reports any
+growth of that count as a finding, since a truncated log cannot prove
+the round clean.
 
 Findings are :class:`~repro.analysis.race.RaceFinding` records with
-``kind="shm-race"`` and resources in the ``shm`` space.
+``kind="shm-race"`` and each side's row as its resource.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.amt.shm import ShmArena
-from repro.analysis.effects import _ACCUM, _COMMUTING, _READ, _WRITE, EffectSet, Resource
+from repro.analysis.effects import MODE_NAMES, conflict_mask, describe_row
 from repro.analysis.race import RaceError, RaceFinding
-
-#: Access-mode codes (row word 0) -> effect-vocabulary names.
-MODE_READ, MODE_WRITE, MODE_ACCUM = 0, 1, 2
-MODE_NAMES = {MODE_READ: _READ, MODE_WRITE: _WRITE, MODE_ACCUM: _ACCUM}
-
-#: Segment codes (row word 1): which arena the slot range indexes.
-SEG_FIELDS, SEG_ACCEL, SEG_FLUX = 0, 1, 2
-SEG_NAMES = {SEG_FIELDS: "fields", SEG_ACCEL: "accel", SEG_FLUX: "flux"}
-
-#: Region codes (row word 4): which part of each leaf chunk is touched.
-#: ``ALL`` aliases both; ``INTERIOR`` and ``GHOST`` are disjoint — the
-#: refinement that lets a donor's interior read coexist with the owner's
-#: ghost write inside the same chunk during a ghost round.
-REGION_ALL, REGION_INTERIOR, REGION_GHOST = 0, 1, 2
-REGION_NAMES = {REGION_ALL: "all", REGION_INTERIOR: "interior",
-                REGION_GHOST: "ghost"}
 
 #: Handshake positions (event word 6): before the rank notes ``ghosts``,
 #: between the note and its wait for ``go``, after the wait.
@@ -95,76 +76,6 @@ def handshake_positions(names: Sequence[str]) -> List[int]:
     return out
 
 
-def slot_range_rows(
-    lo: int, hi: int, mode: int, segment: int, region: int = REGION_ALL
-) -> np.ndarray:
-    """One descriptor row for a contiguous leaf-slot range ``[lo, hi)``."""
-    return np.array([[mode, segment, lo, hi, region]], dtype=np.int64)
-
-
-def slot_regions(
-    idx: np.ndarray, n: int, ghost: int, nfields: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Leaf slot and region code (interior or ghost band) of flat
-    field-arena element indices into ``(nfields, M, M, M)`` chunks,
-    ``M = n + 2*ghost``."""
-    m = n + 2 * ghost
-    cube = np.full((m, m, m), REGION_GHOST, dtype=np.intp)
-    inner = slice(ghost, ghost + n)
-    cube[inner, inner, inner] = REGION_INTERIOR
-    table = np.tile(cube.ravel(), nfields)
-    slot, local = np.divmod(idx, table.size)
-    return slot, table[local]
-
-
-def field_access_rows(
-    indices: Sequence[np.ndarray],
-    mode: int,
-    n: int,
-    ghost: int,
-    nfields: int,
-) -> np.ndarray:
-    """Descriptor rows covering flat field-arena element indices.
-
-    Classifies every index into its leaf slot and region
-    (:func:`slot_regions`), then compresses consecutive same-region slots
-    into ranges.  Run over a bundle's live gather/scatter arrays, so an
-    injected index pointing into a foreign slot shows up as a
-    foreign-slot row.
-    """
-    flat = [np.asarray(a).ravel() for a in indices if np.asarray(a).size]
-    if not flat:
-        return np.empty((0, 5), dtype=np.int64)
-    slot, region = slot_regions(np.concatenate(flat), n, ghost, nfields)
-    # The (slot, region) tags present, ascending: one counting pass.
-    tagged = np.flatnonzero(np.bincount(slot * 4 + region))
-    rows: List[Tuple[int, int, int, int, int]] = []
-    for t in tagged.tolist():
-        s, r = t // 4, t % 4
-        if rows and rows[-1][4] == r and rows[-1][3] == s:
-            rows[-1] = (mode, SEG_FIELDS, rows[-1][2], s + 1, r)
-        else:
-            rows.append((mode, SEG_FIELDS, s, s + 1, r))
-    return np.array(rows, dtype=np.int64)
-
-
-def row_effects(rows: np.ndarray) -> EffectSet:
-    """The :class:`EffectSet` of descriptor rows, one resource per
-    ``(segment, slot)`` and region (``ALL`` is both regions), so
-    resource equality is exactly :func:`concurrent_conflicts`' overlap."""
-    by_mode: dict = {MODE_READ: [], MODE_WRITE: [], MODE_ACCUM: []}
-    for mode, seg, lo, hi, region in rows.tolist():
-        regions = (REGION_INTERIOR, REGION_GHOST) if region == REGION_ALL \
-            else (region,)
-        by_mode[mode].extend(
-            Resource((SEG_NAMES[seg], s), REGION_NAMES[r])
-            for s in range(lo, hi) for r in regions
-        )
-    return EffectSet.make(
-        by_mode[MODE_READ], by_mode[MODE_WRITE], by_mode[MODE_ACCUM]
-    )
-
-
 def concurrent_conflicts(
     rank_a: int,
     ea: np.ndarray,
@@ -173,62 +84,44 @@ def concurrent_conflicts(
     seen: set,
 ) -> List[RaceFinding]:
     """Conflicting same-epoch event pairs of two ranks that no ordering
-    edge covers — the one conflict predicate of the step program.
+    edge covers.
 
     ``ea``/``eb`` are ``(k, 7)`` event arrays.  Pairs are skipped when
-    their epochs differ (a barrier orders them), their segments, slot
-    ranges or regions cannot alias, their modes commute, or the
+    their epochs differ (a barrier orders them), their rows do not
+    conflict (:func:`~repro.analysis.effects.conflict_mask`), or the
     handshake orders them (one side before its note, the other after its
-    wait).  ``seen`` dedupes findings across calls.
+    wait).  ``seen`` dedupes findings across calls and rank pairs.
     """
     out: List[RaceFinding] = []
     if not len(ea) or not len(eb):
         return out
-    same_epoch = ea[:, 0:1] == eb[:, 0]
-    same_seg = ea[:, 2:3] == eb[:, 2]
-    overlap = (ea[:, 3:4] < eb[:, 4]) & (eb[:, 3] < ea[:, 4:5])
-    region_ok = (
-        (ea[:, 5:6] == REGION_ALL)
-        | (eb[:, 5] == REGION_ALL)
-        | (ea[:, 5:6] == eb[:, 5])
-    )
     handshake = (
         ((ea[:, 6:7] == BEFORE_NOTE) & (eb[:, 6] == AFTER_WAIT))
         | ((ea[:, 6:7] == AFTER_WAIT) & (eb[:, 6] == BEFORE_NOTE))
     )
-    ia, ib = np.nonzero(same_epoch & same_seg & overlap & region_ok & ~handshake)
+    ia, ib = np.nonzero(
+        (ea[:, 0:1] == eb[:, 0]) & ~handshake
+        & conflict_mask(ea[:, 1:6], eb[:, 1:6])
+    )
     for i, j in zip(ia.tolist(), ib.tolist()):
-        mode_a = MODE_NAMES[int(ea[i, 1])]
-        mode_b = MODE_NAMES[int(eb[j, 1])]
-        if (mode_a, mode_b) in _COMMUTING:
-            continue
-        epoch, seg = int(ea[i, 0]), int(ea[i, 2])
-        lo = max(int(ea[i, 3]), int(eb[j, 3]))
-        hi = min(int(ea[i, 4]), int(eb[j, 4]))
-        key = (epoch, seg, mode_a, mode_b, lo, hi,
+        epoch = int(ea[i, 0])
+        key = (rank_a, rank_b, epoch, int(ea[i, 2]),
+               int(ea[i, 1]), int(eb[j, 1]),
+               max(int(ea[i, 3]), int(eb[j, 3])),
+               min(int(ea[i, 4]), int(eb[j, 4])),
                int(ea[i, 5]), int(eb[j, 5]))
         if key in seen:
             continue
         seen.add(key)
-        out.append(
-            RaceFinding(
-                task_a=f"rank{rank_a}@epoch{epoch}",
-                task_b=f"rank{rank_b}@epoch{epoch}",
-                resource_a=Resource(
-                    subgrid=f"{SEG_NAMES[seg]}[{int(ea[i, 3])}:{int(ea[i, 4])})",
-                    field=REGION_NAMES[int(ea[i, 5])],
-                    space="shm",
-                ),
-                mode_a=mode_a,
-                resource_b=Resource(
-                    subgrid=f"{SEG_NAMES[seg]}[{int(eb[j, 3])}:{int(eb[j, 4])})",
-                    field=REGION_NAMES[int(eb[j, 5])],
-                    space="shm",
-                ),
-                mode_b=mode_b,
-                kind="shm-race",
-            )
-        )
+        out.append(RaceFinding(
+            task_a=f"rank{rank_a}@epoch{epoch}",
+            task_b=f"rank{rank_b}@epoch{epoch}",
+            resource_a=describe_row(ea[i, 1:6]),
+            mode_a=MODE_NAMES[int(ea[i, 1])],
+            resource_b=describe_row(eb[j, 1:6]),
+            mode_b=MODE_NAMES[int(eb[j, 1])],
+            kind="shm-race",
+        ))
     return out
 
 
@@ -337,10 +230,10 @@ class ShmRaceDetector:
         new: List[RaceFinding] = []
         dropped = self.dropped
         if dropped > self._dropped_reported:
-            log = Resource("event-log", "rows", "shm")
+            log = f"event-log[0:{self.log.nranks}) rows"
             new.append(RaceFinding(
                 task_a="workers", task_b="race detector",
-                resource_a=log, mode_a=_WRITE, resource_b=log, mode_b=_READ,
+                resource_a=log, mode_a="write", resource_b=log, mode_b="read",
                 kind="shm-log-overflow",
                 reason=f"{dropped - self._dropped_reported} event(s) dropped: "
                        f"the round cannot be proved race-free",

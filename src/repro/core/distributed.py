@@ -43,9 +43,8 @@ import numpy as np
 from repro.amt.future import Future, Promise, make_ready_future, when_all
 from repro.amt.locality import Runtime
 from repro.amt.network import Message
-from repro.analysis.effects import EffectSet
+from repro.analysis.effects import MODE_ACCUM, MODE_READ, MODE_WRITE
 from repro.analysis.race import RaceDetector, RaceFinding
-from repro.analysis.shmrace import MODE_ACCUM, MODE_READ, MODE_WRITE, row_effects
 from repro.distsim.model import DEFAULT_CONSTANTS
 from repro.distsim.runconfig import RunConfig
 from repro.distsim.taskgraph import virtual_machine
@@ -136,9 +135,9 @@ class DistributedHydroDriver:
 
     def _effects_of(
         self, plan: HydroPlan, op: tuple, units, mode: Optional[int] = None
-    ) -> EffectSet:
-        """The effects of a task running ``op`` for ``units`` (ranks, or
-        one bundle pair), or only its ``mode`` rows; cached per plan."""
+    ) -> np.ndarray:
+        """The effect rows of a task running ``op`` for ``units`` (ranks,
+        or one bundle pair), or only its ``mode`` rows; cached per plan."""
         if self._effects[0] is not plan:
             self._effects = (plan, {})
         cache = self._effects[1]
@@ -154,7 +153,7 @@ class DistributedHydroDriver:
                 # writes commute with each other like accumulations.
                 rows = rows.copy()
                 rows[rows[:, 0] == MODE_WRITE, 0] = MODE_ACCUM
-            cache[key] = row_effects(rows)
+            cache[key] = rows
         return cache[key]
 
     def _rank_steps(

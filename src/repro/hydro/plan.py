@@ -51,7 +51,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.shmrace import (
+from repro.analysis.effects import (
     MODE_READ,
     MODE_WRITE,
     REGION_ALL,

@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.amt.parallel import NoteHandler, ParallelEngine, WorkerLink
 from repro.amt.shm import ShmArena
-from repro.analysis.effects import ANY, declare_effects
 from repro.analysis.planverify import require_verified, verify_process_plan
 from repro.analysis.shmrace import (
     AFTER_WAIT,
@@ -429,17 +428,6 @@ class ProcessHydroExecutor:
         except Exception:  # noqa: BLE001 - interpreter teardown
             pass
 
-    # -- gravity --------------------------------------------------------------
-    @declare_effects(writes=[("accel", ANY, "shm")])
-    def _write_accel(self, accel_map: Dict[NodeKey, np.ndarray]) -> None:
-        """Stage the gravity callback's output into the shm accel arena.
-
-        Parent-side, between rounds: every worker is parked when this
-        runs, so the write is ordered against both the previous and the
-        next round — the declared effect documents the footprint for the
-        shm discipline lint (R007)."""
-        stack_accel(accel_map, self.plan.leaf_keys, self.accel_view)
-
     # -- the step -------------------------------------------------------------
     def _go_after_ghosts(self) -> NoteHandler:
         """The note handler of a group that updates after its ghost apply:
@@ -484,8 +472,10 @@ class ProcessHydroExecutor:
         ):
             if op[0] == "accel":
                 # Workers are between rounds, so the parent may rewrite the
-                # accel arena they read next round.
-                self._write_accel(gravity(self.mesh))
+                # accel arena they read next round; the op's effect rows
+                # declare the write.
+                stack_accel(gravity(self.mesh), self.plan.leaf_keys,
+                            self.accel_view)
                 continue
             group = op[1] if op[0] == "fused" else (op,)
             names = [name for name, *_ in group]

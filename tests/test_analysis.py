@@ -1,4 +1,4 @@
-"""Effect sets, race detection (dynamic + static), memory-space sanitizer.
+"""Effect rows, race detection (dynamic + static), memory-space sanitizer.
 
 The seeded-defect tests are the acceptance gate: a race seeded into the
 step program — an overlapping bundle scatter, or a dropped ghost
@@ -14,16 +14,25 @@ import pytest
 from repro.amt.future import when_all
 from repro.amt.locality import Runtime
 from repro.analysis import (
-    ANY,
-    EffectSet,
     MemorySpaceViolation,
     RaceDetector,
     RaceError,
-    Resource,
-    declare_effects,
     sanitizer_mode,
     verify_op_program,
 )
+from repro.analysis.effects import (
+    MODE_ACCUM,
+    MODE_READ,
+    MODE_WRITE,
+    REGION_ALL,
+    REGION_GHOST,
+    REGION_INTERIOR,
+    SEG_FIELDS,
+    SEG_FLUX,
+    conflict_mask,
+    slot_range_rows,
+)
+from repro.analysis.shmrace import BEFORE_NOTE, concurrent_conflicts
 from repro.core import distributed
 from repro.core.distributed import DistributedHydroDriver
 from repro.distsim import RunConfig
@@ -34,57 +43,63 @@ from tests.test_hydro_plan import make_state_mesh
 from tests.test_shmrace import inject_scatter_overlap
 
 
-# -- effect sets --------------------------------------------------------------
+# -- effect rows --------------------------------------------------------------
+
+
+def row(slot, mode=MODE_WRITE, segment=SEG_FIELDS, region=REGION_INTERIOR):
+    """The effect row of one leaf slot."""
+    return slot_range_rows(slot, slot + 1, mode, segment, region)
+
+
+def conflicts(a, b):
+    return bool(conflict_mask(a, b).any())
 
 
 class TestResources:
     def test_concrete_overlap_is_equality(self):
-        assert Resource(1, "U").overlaps(Resource(1, "U"))
-        assert not Resource(1, "U").overlaps(Resource(2, "U"))
-        assert not Resource(1, "U").overlaps(Resource(1, "phi"))
-        assert not Resource(1, "U", "Host").overlaps(Resource(1, "U", "Device"))
+        assert conflicts(row(1), row(1))
+        assert not conflicts(row(1), row(2))
+        assert not conflicts(row(1), row(1, segment=SEG_FLUX))
+        assert not conflicts(row(1), row(1, region=REGION_GHOST))
+        # Slot ranges alias exactly where they intersect.
+        assert conflicts(slot_range_rows(0, 4, MODE_WRITE, SEG_FIELDS),
+                         slot_range_rows(3, 8, MODE_WRITE, SEG_FIELDS))
+        assert not conflicts(slot_range_rows(0, 4, MODE_WRITE, SEG_FIELDS),
+                             slot_range_rows(4, 8, MODE_WRITE, SEG_FIELDS))
 
     def test_wildcard_overlaps_everything(self):
-        assert Resource(ANY, "moments").overlaps(Resource(7, "moments"))
-        assert Resource(1, ANY).overlaps(Resource(1, "U"))
-        assert not Resource(ANY, "moments").overlaps(Resource(7, "U"))
-
-    def test_concreteness(self):
-        assert Resource(1, "U").is_concrete
-        assert not Resource(ANY, "U").is_concrete
+        everything = row(7, region=REGION_ALL)
+        assert conflicts(everything, row(7, region=REGION_INTERIOR))
+        assert conflicts(row(7, region=REGION_GHOST), everything)
+        assert not conflicts(everything, row(7, segment=SEG_FLUX))
+        assert not conflicts(everything, row(8))
 
 
 class TestEffectSets:
     def test_read_read_commutes(self):
-        a = EffectSet.make(reads=[(1, "U")])
-        assert a.conflicts_with(a) == []
+        a = row(1, MODE_READ)
+        assert not conflicts(a, a)
 
     def test_accum_accum_commutes(self):
-        a = EffectSet.make(accums=[(1, "local")])
-        assert a.conflicts_with(a) == []
+        a = row(1, MODE_ACCUM)
+        assert not conflicts(a, a)
 
     def test_write_conflicts_with_everything(self):
-        w = EffectSet.make(writes=[(1, "U")])
-        assert w.conflicts_with(EffectSet.make(reads=[(1, "U")]))
-        assert w.conflicts_with(EffectSet.make(writes=[(1, "U")]))
-        assert w.conflicts_with(EffectSet.make(accums=[(1, "U")]))
+        w = row(1, MODE_WRITE)
+        assert conflicts(w, row(1, MODE_READ))
+        assert conflicts(w, row(1, MODE_WRITE))
+        assert conflicts(w, row(1, MODE_ACCUM))
+        assert conflicts(row(1, MODE_READ), w)
 
     def test_accum_conflicts_with_read(self):
-        a = EffectSet.make(accums=[(1, "local")])
-        assert a.conflicts_with(EffectSet.make(reads=[(1, "local")]))
+        a = row(1, MODE_ACCUM)
+        assert conflicts(a, row(1, MODE_READ))
 
     def test_disjoint_footprints_never_conflict(self):
-        a = EffectSet.make(writes=[(1, "U")])
-        b = EffectSet.make(writes=[(2, "U")], reads=[(2, "phi")])
-        assert a.conflicts_with(b) == []
-
-    def test_decorator_and_registry(self):
-        @declare_effects(reads=[(0, "U")], writes=[(0, "phi")])
-        def kernel():
-            return 42
-
-        assert kernel() == 42  # unchanged callable, no wrapper
-        assert kernel.__effects__.reads == frozenset({Resource(0, "U")})
+        a = row(1, MODE_WRITE)
+        b = np.vstack([row(2, MODE_WRITE), row(1, MODE_READ, SEG_FLUX)])
+        assert not conflicts(a, b)
+        assert conflict_mask(a, b).shape == (1, 2)
 
 
 # -- dynamic race detection ---------------------------------------------------
@@ -102,13 +117,14 @@ class TestDynamicDetector:
         """Two unordered writers of the same resource — the seeded race."""
         runtime, detector = make_runtime_with_detector()
         loc = runtime.here()
-        effects = EffectSet.make(writes=[(0, "U")])
+        effects = row(0)
         f1 = loc.async_(None, cost=1.0, name="writer-a", effects=effects)
         f2 = loc.async_(None, cost=1.0, name="writer-b", effects=effects)
         runtime.run_until_ready(when_all([f1, f2]))
         assert len(detector.findings) == 1
         finding = detector.findings[0]
         assert {finding.task_a, finding.task_b} == {"writer-a", "writer-b"}
+        assert finding.resource_a == "fields[0:1) interior"
         assert "no happens-before" in str(finding)
 
     def test_detector_flags_schedules_not_interleavings(self):
@@ -117,7 +133,7 @@ class TestDynamicDetector:
         runtime = Runtime(1, 1)
         detector = RaceDetector()
         runtime.install_observer(detector)
-        effects = EffectSet.make(writes=[(0, "U")])
+        effects = row(0)
         f1 = runtime.here().async_(None, cost=1.0, name="a", effects=effects)
         f2 = runtime.here().async_(None, cost=1.0, name="b", effects=effects)
         runtime.run_until_ready(when_all([f1, f2]))
@@ -126,7 +142,7 @@ class TestDynamicDetector:
     def test_dependency_edge_clears_the_race(self):
         runtime, detector = make_runtime_with_detector()
         loc = runtime.here()
-        effects = EffectSet.make(writes=[(0, "U")])
+        effects = row(0)
         f1 = loc.async_(None, cost=1.0, name="a", effects=effects)
         f2 = loc.async_after([f1], None, cost=1.0, name="b", effects=effects)
         runtime.run_until_ready(f2)
@@ -138,14 +154,13 @@ class TestDynamicDetector:
         runtime, detector = make_runtime_with_detector()
         loc = runtime.here()
         stage1 = [
-            loc.async_(None, cost=1.0, name=f"s1.{i}",
-                       effects=EffectSet.make(writes=[(i, "U")]))
+            loc.async_(None, cost=1.0, name=f"s1.{i}", effects=row(i))
             for i in range(4)
         ]
         barrier = when_all(stage1)
         stage2 = [
             loc.async_after([barrier], None, cost=1.0, name=f"s2.{i}",
-                            effects=EffectSet.make(writes=[(i, "U")]))
+                            effects=row(i))
             for i in range(4)
         ]
         runtime.run_until_ready(when_all(stage2))
@@ -154,7 +169,7 @@ class TestDynamicDetector:
     def test_unordered_accums_commute(self):
         runtime, detector = make_runtime_with_detector()
         loc = runtime.here()
-        effects = EffectSet.make(accums=[(0, "local")])
+        effects = row(0, MODE_ACCUM)
         fs = [loc.async_(None, cost=1.0, name=f"m2l.{i}", effects=effects)
               for i in range(4)]
         runtime.run_until_ready(when_all(fs))
@@ -163,10 +178,9 @@ class TestDynamicDetector:
     def test_accum_vs_unordered_reader_is_a_race(self):
         runtime, detector = make_runtime_with_detector()
         loc = runtime.here()
-        f1 = loc.async_(None, cost=1.0, name="acc",
-                        effects=EffectSet.make(accums=[(0, "local")]))
+        f1 = loc.async_(None, cost=1.0, name="acc", effects=row(0, MODE_ACCUM))
         f2 = loc.async_(None, cost=1.0, name="reader",
-                        effects=EffectSet.make(reads=[(0, "local")]))
+                        effects=row(0, MODE_READ))
         runtime.run_until_ready(when_all([f1, f2]))
         assert len(detector.findings) == 1
 
@@ -174,7 +188,7 @@ class TestDynamicDetector:
         """A task spawned inside a running payload inherits its clock."""
         runtime, detector = make_runtime_with_detector()
         loc = runtime.here()
-        effects = EffectSet.make(writes=[(0, "U")])
+        effects = row(0)
         child = []
 
         def parent_body():
@@ -188,7 +202,7 @@ class TestDynamicDetector:
     def test_raise_on_finding(self):
         runtime, detector = make_runtime_with_detector(raise_on_finding=True)
         loc = runtime.here()
-        effects = EffectSet.make(writes=[(0, "U")])
+        effects = row(0)
         with pytest.raises(RaceError):
             # The scheduler may start tasks as soon as a worker is free, so
             # the raise can surface at submission or while running.
@@ -199,7 +213,7 @@ class TestDynamicDetector:
     def test_undeclared_tasks_propagate_causality_unchecked(self):
         runtime, detector = make_runtime_with_detector()
         loc = runtime.here()
-        effects = EffectSet.make(writes=[(0, "U")])
+        effects = row(0)
         f1 = loc.async_(None, cost=1.0, name="w1", effects=effects)
         mid = loc.async_after([f1], None, cost=1.0, name="plain")  # no effects
         f2 = loc.async_after([mid], None, cost=1.0, name="w2", effects=effects)
@@ -207,6 +221,41 @@ class TestDynamicDetector:
         assert detector.findings == []
         assert detector.tasks_checked == 2
         assert detector.tasks_seen == 3
+
+
+class TestOnePredicate:
+    def test_des_and_shm_verdicts_agree(self):
+        """Seeded random row pairs: two unordered DES tasks race exactly
+        when the same rows, as same-epoch before-note events of two
+        ranks, race in the shm replay."""
+        rng = np.random.default_rng(33)
+
+        def random_rows():
+            k = int(rng.integers(1, 4))
+            lo = rng.integers(0, 6, k)
+            return np.column_stack([
+                rng.integers(0, 3, k), rng.integers(0, 2, k),
+                lo, lo + rng.integers(1, 3, k), rng.integers(0, 3, k),
+            ]).astype(np.int64)
+
+        def events(rows):
+            return np.column_stack([
+                np.ones(len(rows)), rows, np.full(len(rows), BEFORE_NOTE),
+            ]).astype(np.int64)
+
+        verdicts = []
+        for _ in range(200):
+            a, b = random_rows(), random_rows()
+            runtime, detector = make_runtime_with_detector()
+            loc = runtime.here()
+            runtime.run_until_ready(when_all([
+                loc.async_(None, cost=1.0, name="a", effects=a),
+                loc.async_(None, cost=1.0, name="b", effects=b),
+            ]))
+            shm = concurrent_conflicts(0, events(a), 1, events(b), set())
+            assert len(detector.findings) == (1 if shm else 0)
+            verdicts.append(bool(shm))
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 # -- static checking: the op-program proof ------------------------------------

@@ -23,17 +23,19 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.amt.parallel import ParallelEngine, WorkerError
 from repro.amt.shm import live_segments
-from repro.analysis.shmrace import (
-    AFTER_NOTE,
-    AFTER_WAIT,
-    BEFORE_NOTE,
+from repro.analysis.effects import (
     MODE_READ,
     MODE_WRITE,
     REGION_INTERIOR,
     SEG_FIELDS,
+    slot_range_rows,
+)
+from repro.analysis.shmrace import (
+    AFTER_NOTE,
+    AFTER_WAIT,
+    BEFORE_NOTE,
     ShmEventLog,
     ShmRaceDetector,
-    slot_range_rows,
 )
 from repro.core.crosscheck import conserved_sums, crosscheck_hydro
 from repro.core.plancache import CACHE_FORMAT_VERSION, PlanCache

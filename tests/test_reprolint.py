@@ -263,15 +263,6 @@ class TestShmWriteDiscipline:
         )
         assert lint_source(src, "src/repro/x.py") == []
 
-    def test_declare_effects_ok(self):
-        src = _SHM_PRELUDE + (
-            "from repro.analysis.effects import declare_effects\n"
-            "@declare_effects(writes=[('accel', None, 'shm')])\n"
-            "def f(x):\n"
-            "    view[0] = x\n"
-        )
-        assert lint_source(src, "src/repro/x.py") == []
-
     def test_sanction_comment_ok(self):
         src = _SHM_PRELUDE + (
             "def f(x):\n"

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from repro.amt.shm import live_segments
-from repro.analysis.shmrace import (
-    BEFORE_NOTE,
+from repro.analysis.effects import (
     MODE_ACCUM,
     MODE_READ,
     MODE_WRITE,
@@ -20,11 +19,14 @@ from repro.analysis.shmrace import (
     REGION_INTERIOR,
     SEG_FIELDS,
     SEG_FLUX,
+    field_access_rows,
+    slot_range_rows,
+)
+from repro.analysis.shmrace import (
+    BEFORE_NOTE,
     ShmEventLog,
     ShmRaceDetector,
     ShmRaceError,
-    field_access_rows,
-    slot_range_rows,
 )
 from repro.core.crosscheck import crosscheck_hydro
 from repro.hydro.integrator import HydroIntegrator
@@ -135,8 +137,8 @@ class TestDetector:
         assert f.kind == "shm-race"
         assert f.task_a == "rank0@epoch2"
         assert f.task_b == "rank1@epoch2"
-        assert f.resource_a.space == "shm"
-        assert "fields" in f.resource_a.subgrid
+        assert f.resource_a == "fields[0:4) all"
+        assert f.resource_b == "fields[3:8) all"
 
     def test_write_read_flagged(self):
         _, found = self._scan({
@@ -195,6 +197,21 @@ class TestDetector:
             1: [(1, rows)],
         })
         assert len(found) == 1
+
+    def test_same_conflict_on_two_rank_pairs_reported_twice(self):
+        """Rank 0 writes fields[0:4) while ranks 1 and 2 both read
+        fields[2:3) in the same epoch: two unordered pairs, two findings."""
+        with ShmEventLog(nranks=3, capacity=8) as log:
+            log.writer(0).log(1, slot_range_rows(0, 4, MODE_WRITE, SEG_FIELDS))
+            for rank in (1, 2):
+                log.writer(rank).log(
+                    1, slot_range_rows(2, 3, MODE_READ, SEG_FIELDS)
+                )
+            found = ShmRaceDetector(log, raise_on_finding=False).scan()
+        assert sorted((f.task_a, f.task_b) for f in found) == [
+            ("rank0@epoch1", "rank1@epoch1"),
+            ("rank0@epoch1", "rank2@epoch1"),
+        ]
 
     def test_raise_mode_and_counters(self):
         with _two_rank_log() as log:

@@ -51,11 +51,10 @@ R007 shm-write-discipline
     shm-backed view (``view[...] = ...``, augmented assigns,
     ``np.copyto(view, ...)``) may appear only inside barrier-delimited
     worker phase classes (classes defining a ``dispatch`` method, driven
-    one command per BSP round) or in functions carrying
-    ``@declare_effects`` — anything else is a cross-process write with no
-    barrier ordering and no declared footprint, invisible to both the
-    static plan verifier and the dynamic shm race detector.  Deliberate
-    exceptions carry ``# reprolint: sanctioned-shm`` on the write line.
+    one command per BSP round) — anything else is a cross-process write
+    with no barrier ordering, invisible to both the static plan verifier
+    and the dynamic shm race detector.  Deliberate exceptions carry
+    ``# reprolint: sanctioned-shm`` on the write line.
     (``repro/amt/shm.py`` and ``repro/analysis/shmrace.py`` are exempt:
     they implement the arena and its instrumentation.)
 
@@ -485,17 +484,6 @@ def _imports_module(tree: ast.Module, dotted: str) -> bool:
     return False
 
 
-def _has_declare_effects(fn: ast.AST) -> bool:
-    for dec in getattr(fn, "decorator_list", []):
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = target.attr if isinstance(target, ast.Attribute) else (
-            target.id if isinstance(target, ast.Name) else ""
-        )
-        if name == "declare_effects":
-            return True
-    return False
-
-
 def _shm_view_names(tree: ast.Module) -> Set[str]:
     """Targets ever bound from an ``<arena>.ndarray(...)`` call — the
     names R007 treats as shm-backed views (attribute or local)."""
@@ -540,7 +528,7 @@ def _check_shm_write_discipline(
 
     # Functions allowed to write shm: methods of barrier-driven phase
     # classes (a class defining ``dispatch`` executes one command per BSP
-    # round) and functions with declared effects.
+    # round).
     allowed: Set[ast.AST] = set()
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef) and any(
@@ -552,11 +540,6 @@ def _check_shm_write_discipline(
                 n for n in ast.walk(cls)
                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
             )
-    for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-            _has_declare_effects(fn)
-        ):
-            allowed.add(fn)
 
     def enclosing_ok(stack: List[ast.AST]) -> bool:
         return any(f in allowed for f in stack)
@@ -593,9 +576,8 @@ def _check_shm_write_discipline(
             findings.append(Finding(
                 path, node.lineno, "R007",
                 f"write to shm view {hit!r} outside a barrier-delimited "
-                "dispatch phase and without @declare_effects; the race "
-                "checkers cannot order it — move it into a phase, declare "
-                f"its footprint, or mark it {_SHM_SANCTION_TAG!r}",
+                "dispatch phase; the race checkers cannot order it — move "
+                f"it into a phase or mark it {_SHM_SANCTION_TAG!r}",
             ))
 
     visit(tree, [])
