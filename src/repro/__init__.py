@@ -1,13 +1,13 @@
 """repro — a Python reproduction of "Simulating Stellar Merger using
 HPX/Kokkos on A64FX on Supercomputer Fugaku" (Diehl et al., 2023).
 
-The package rebuilds the paper's full software stack as working systems —
-an Octo-Tiger-analog AMR astrophysics code (octree + finite-volume hydro +
+The package rebuilds the paper's software stack as working systems — an
+Octo-Tiger-analog AMR astrophysics code (octree + finite-volume hydro +
 FMM gravity + SCF initial models), an HPX-analog asynchronous many-task
-runtime on a virtual clock, a Kokkos-analog performance-portability layer,
-explicit SIMD types — and substitutes the machines (Fugaku, Ookami, Summit,
-Piz Daint, Perlmutter) with calibrated performance models so every table
-and figure of the paper's evaluation regenerates on a laptop.
+runtime on a virtual clock and on forked worker processes — and
+substitutes the machines (Fugaku, Ookami, Summit, Piz Daint, Perlmutter)
+and their SIMD ABIs with calibrated performance models so every table and
+figure of the paper's evaluation regenerates on a laptop.
 
 Entry points:
 
@@ -26,17 +26,20 @@ paper-vs-measured record.
 
 __version__ = "1.0.0"
 
+#: Every subpackage, one entry per directory.
 __all__ = [
     "amt",
+    "analysis",
+    "comms",
     "core",
     "distsim",
     "gravity",
     "hydro",
     "ioutil",
-    "kokkos",
     "machines",
     "octree",
     "profiling",
+    "resilience",
     "scenarios",
     "scf",
     "simd",

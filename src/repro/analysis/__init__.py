@@ -1,10 +1,9 @@
 """Correctness tooling for the asynchronous runtime.
 
-The paper's port lives or dies on two disciplines: no two tasks may touch
+The paper's port lives or dies on one discipline: no two tasks may touch
 the same sub-grid data without a happens-before edge (the §VII-B
-promise-guarded ghost read), and data may only cross memory spaces
-through ``deep_copy``.  Every op of the step program declares its effects
-once, as ``(mode, segment, lo, hi, region)`` rows derived from the plan
+promise-guarded ghost read).  Every op of the step program declares its
+effects once, as ``(mode, segment, lo, hi, region)`` rows derived from the plan
 (:func:`repro.hydro.plan.op_effect_rows`), and three checks read them
 with one conflict predicate
 (:func:`repro.analysis.effects.conflict_mask`), each adding only its own
@@ -18,9 +17,6 @@ ordering:
   access-event logs replayed after every round;
 * :mod:`repro.analysis.race` — on the DES interpreter: the vector-clock
   race detector hooked into the AMT scheduler.
-
-:mod:`repro.analysis.spacesan` is the memory-space sanitizer mode that
-:class:`repro.kokkos.view.View` consults on every access.
 
 The repo-invariant AST linter lives in ``tools/reprolint.py`` (run as
 ``python -m tools.reprolint src/``); see ``docs/analysis.md`` for the
@@ -49,12 +45,6 @@ from repro.analysis.shmrace import (
     ShmRaceDetector,
     ShmRaceError,
 )
-from repro.analysis.spacesan import (
-    MemorySpaceViolation,
-    SpaceFinding,
-    sanitizer_mode,
-    space_checks_enabled,
-)
 
 __all__ = [
     "PlanVerificationError",
@@ -73,8 +63,4 @@ __all__ = [
     "RaceDetector",
     "RaceError",
     "RaceFinding",
-    "MemorySpaceViolation",
-    "SpaceFinding",
-    "sanitizer_mode",
-    "space_checks_enabled",
 ]

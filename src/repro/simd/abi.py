@@ -1,7 +1,7 @@
 """SIMD ABI registry.
 
-An ABI fixes the vector register width and therefore the number of lanes a
-``Pack`` of a given dtype holds.  The efficiency factor feeds the machine
+An ABI fixes the vector register width and therefore the number of lanes
+of a given dtype one register holds.  The efficiency factor feeds the machine
 cost model: real vector units rarely deliver their full width on stencil
 codes (alignment, remainder loops, gather/scatter), and the paper reports
 2-3x rather than the ideal 8x for SVE-512 doubles.
@@ -24,9 +24,7 @@ class SimdAbi:
     name: registry key, e.g. ``"sve512"``.
     register_bits: vector register width; 0 denotes the scalar ABI.
     efficiency: sustained fraction of the ideal width-speedup achieved on
-        Octo-Tiger-like stencil/FMM kernels (cost-model input only; the
-        functional :class:`~repro.simd.pack.Pack` semantics never depend
-        on it).
+        Octo-Tiger-like stencil/FMM kernels (cost-model input only).
     """
 
     name: str

@@ -111,13 +111,6 @@ class DensityCriterion:
         return np.abs(leaf.subgrid.interior_view(Field.RHO)).max() < threshold
 
 
-def reset_transfer_counter() -> None:
-    """Zero the ``deep_copy`` byte accounting between measurements."""
-    from repro.kokkos.view import transfer_counter
-
-    transfer_counter.update(dict.fromkeys(transfer_counter, 0))
-
-
 @pytest.fixture(scope="session")
 def gaussian_mesh_l2() -> AmrMesh:
     """Uniform level-2 mesh (64 sub-grids) with an off-centre Gaussian blob.

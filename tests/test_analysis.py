@@ -1,11 +1,11 @@
-"""Effect rows, race detection (dynamic + static), memory-space sanitizer.
+"""Effect rows and race detection (dynamic + static).
 
 The seeded-defect tests are the acceptance gate: a race seeded into the
 step program — an overlapping bundle scatter, or a dropped ghost
 dependency of the DES interpreter — must be caught by the static
-op-program proof and by the DES race detector, and a space violation by
-the sanitizer, while the repo's known-good schedules (real plans, DES
-driver steps, the cached-plan FMM solver) come back with zero findings.
+op-program proof and by the DES race detector, while the repo's
+known-good schedules (real plans, DES driver steps) come back with zero
+findings and the cached-plan FMM solver stays exact.
 """
 
 import numpy as np
@@ -14,10 +14,8 @@ import pytest
 from repro.amt.future import when_all
 from repro.amt.locality import Runtime
 from repro.analysis import (
-    MemorySpaceViolation,
     RaceDetector,
     RaceError,
-    sanitizer_mode,
     verify_op_program,
 )
 from repro.analysis.effects import (
@@ -37,7 +35,6 @@ from repro.core import distributed
 from repro.core.distributed import DistributedHydroDriver
 from repro.distsim import RunConfig
 from repro.hydro.plan import build_hydro_plan
-from repro.kokkos import DeviceSpaceTag, View, deep_copy
 from repro.machines import FUGAKU
 from tests.test_hydro_plan import make_state_mesh
 from tests.test_shmrace import inject_scatter_overlap
@@ -327,46 +324,6 @@ class TestDesInterpreter:
             assert driver.race_findings == []
 
 
-# -- memory-space sanitizer ---------------------------------------------------
-
-
-class TestSpaceSanitizer:
-    def test_seeded_space_violation_detected_dynamically(self):
-        """Host access to a device view — the seeded violation, dynamic half."""
-        dev = View("rho", (4,), space=DeviceSpaceTag)
-        with sanitizer_mode():
-            with pytest.raises(MemorySpaceViolation):
-                dev[0]
-            with pytest.raises(MemorySpaceViolation):
-                dev[0] = 1.0
-            with pytest.raises(MemorySpaceViolation):
-                dev.data
-
-    def test_collect_mode_reports_without_raising(self):
-        dev = View("rho", (4,), space=DeviceSpaceTag)
-        with sanitizer_mode(collect=True) as findings:
-            _ = dev.nbytes  # metadata stays legal
-            dev[1] = 2.0
-            np.asarray(dev.data)
-        assert [f.op for f in findings] == ["write", "raw-data"]
-        assert all(f.label == "rho" and f.space == "Device" for f in findings)
-
-    def test_host_views_and_deep_copy_are_clean(self):
-        host = View("h", (4,))
-        dev = View("d", (4,), space=DeviceSpaceTag)
-        with sanitizer_mode(collect=True) as findings:
-            host[0] = 1.0
-            _ = host.data
-            deep_copy(dev, host)
-            deep_copy(host, dev)
-        assert findings == []
-
-    def test_checks_off_outside_sanitizer_mode(self):
-        dev = View("rho", (4,), space=DeviceSpaceTag)
-        dev[0] = 1.0  # legal: simulation views are host arrays in truth
-        assert dev[0] == 1.0
-
-
 # -- known-good schedules: zero findings --------------------------------------
 
 
@@ -413,8 +370,8 @@ class TestKnownGoodSchedules:
         assert driver.race_events > 0
 
     def test_fmm_plan_path_sanitized_and_exact(self):
-        """The cached-traversal-plan FMM path (cold build + warm reuse)
-        under the space sanitizer: zero findings, numerics unchanged."""
+        """The cached-traversal-plan FMM path: the cold build and the warm
+        reuse agree bit for bit, and both match the per-node oracle."""
         from repro.gravity.fmm import FmmSolver
         from tests.conftest import fill_gaussian, make_uniform_mesh
         from tests.oracles.fmm import solve_reference
@@ -422,11 +379,9 @@ class TestKnownGoodSchedules:
         mesh = make_uniform_mesh(levels=1)
         fill_gaussian(mesh)
         solver = FmmSolver(order=2)
-        with sanitizer_mode(collect=True) as findings:
-            cold = solver.solve(mesh)   # builds + caches the plan
-            warm = solver.solve(mesh)   # reuses it
-            reference = solve_reference(solver, mesh)
-        assert findings == []
+        cold = solver.solve(mesh)   # builds + caches the plan
+        warm = solver.solve(mesh)   # reuses it
+        reference = solve_reference(solver, mesh)
         for key in cold.phi:
             np.testing.assert_allclose(warm.phi[key], cold.phi[key], rtol=0, atol=0)
             np.testing.assert_allclose(cold.phi[key], reference.phi[key],

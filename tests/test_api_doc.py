@@ -1,8 +1,10 @@
-"""API summary generator."""
+"""API summary generator and the package's subpackage list."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import repro
 
 
 class TestApiSummary:
@@ -18,16 +20,25 @@ class TestApiSummary:
         text = out.read_text()
         for section in (
             "repro.amt",
-            "repro.kokkos",
+            "repro.analysis",
             "repro.gravity",
             "repro.distsim",
         ):
             assert f"## `{section}`" in text
         # Spot-check key public items are documented.
-        for item in ("FmmSolver", "OctoTigerSim", "HpxSpace", "simulate_step"):
+        for item in ("FmmSolver", "OctoTigerSim", "RaceDetector", "simulate_step"):
             assert f"`{item}`" in text
 
     def test_committed_copy_exists(self):
         api = Path(__file__).resolve().parents[1] / "docs" / "API.md"
         assert api.exists()
         assert "repro.core" in api.read_text()
+
+
+class TestSubpackageList:
+    def test_all_names_every_subpackage_directory(self):
+        """``repro.__all__`` is hand-kept; it must list exactly the
+        subpackage directories, no more and no fewer."""
+        src = Path(repro.__file__).resolve().parent
+        dirs = {path.parent.name for path in src.glob("*/__init__.py")}
+        assert set(repro.__all__) == dirs

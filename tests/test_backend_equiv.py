@@ -1,4 +1,4 @@
-"""Hydro step vs its oracle across a regrid, and View transfer accounting.
+"""Hydro step vs its oracle across a regrid.
 
 The hydro step calls its one kernel set directly (no ``array_backend=``
 selector, no second call path to compare), so this file holds
@@ -6,8 +6,7 @@ selector, no second call path to compare), so this file holds
 * regrid invalidation against the oracle — a hypothesis sweep refines a
   leaf mid-run and :meth:`HydroIntegrator.step` (cached plan, per-topology
   scratch rebuilt) must stay bit-identical to ``step_reference``;
-* the pin that neither constructor accepts ``array_backend=``;
-* ``deep_copy`` transfer accounting across memory spaces.
+* the pin that neither constructor accepts ``array_backend=``.
 """
 
 import pytest
@@ -16,15 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.crosscheck import assert_identical, clone_mesh
 from repro.hydro.integrator import HydroIntegrator
-from repro.kokkos import (
-    DeviceSpaceTag,
-    View,
-    deep_copy,
-)
-from repro.kokkos.view import transfer_counter
 from repro.scenarios.blast import sedov_blast
 
-from tests.conftest import reset_transfer_counter
 from tests.oracles.hydro_step import step_reference
 
 
@@ -62,26 +54,3 @@ class TestSelectorIsGone:
             HydroIntegrator(blast.mesh, array_backend="numpy")
         with pytest.raises(TypeError, match="array_backend"):
             OctoTigerSim(blast.mesh, array_backend="numpy")
-
-
-class TestTransferAccounting:
-    @given(
-        nx=st.integers(1, 6),
-        ny=st.integers(1, 6),
-        direction=st.sampled_from(["h2d", "d2h", "h2h", "d2d"]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_deep_copy_counts_real_bytes(self, nx, ny, direction):
-        reset_transfer_counter()
-        spaces = {"h": {}, "d": {"space": DeviceSpaceTag}}
-        src = View("s", (nx, ny), **spaces[direction[0]])
-        dst = View("t", (nx, ny), **spaces[direction[-1]])
-        deep_copy(dst, src)
-        nbytes = nx * ny * 8
-        assert transfer_counter["copies"] == 1
-        assert transfer_counter["h2d_bytes"] == (
-            nbytes if direction == "h2d" else 0
-        )
-        assert transfer_counter["d2h_bytes"] == (
-            nbytes if direction == "d2h" else 0
-        )

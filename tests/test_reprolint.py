@@ -66,32 +66,6 @@ class TestGhostWrites:
         assert lint_source(src, "src/repro/octree/ghost.py") == []
 
 
-class TestRawViewCopy:
-    KOKKOS_PREAMBLE = "import numpy as np\nfrom repro.kokkos import View\n"
-
-    def test_copyto_on_data_flagged(self):
-        src = self.KOKKOS_PREAMBLE + "def f(a, b):\n    np.copyto(a.data, b.data)\n"
-        assert rules(lint_source(src, "src/repro/x.py")) == ["R003"]
-
-    def test_data_aliasing_flagged(self):
-        src = self.KOKKOS_PREAMBLE + "def f(a, b):\n    a.data = b.data\n"
-        assert rules(lint_source(src, "src/repro/x.py")) == ["R003"]
-
-    def test_gated_on_kokkos_import(self):
-        # Plain-numpy modules (e.g. octree internals) copy buffers freely.
-        src = "import numpy as np\ndef f(a, b):\n    np.copyto(a.data, b.data)\n"
-        assert lint_source(src, "src/repro/octree/x.py") == []
-
-    def test_view_module_exempt(self):
-        src = self.KOKKOS_PREAMBLE + "def f(a, b):\n    np.copyto(a.data, b.data)\n"
-        assert lint_source(src, "src/repro/kokkos/view.py") == []
-
-    def test_deep_copy_ok(self):
-        src = self.KOKKOS_PREAMBLE + "from repro.kokkos import deep_copy\n" \
-            "def f(a, b):\n    deep_copy(a, b)\n"
-        assert lint_source(src, "src/repro/x.py") == []
-
-
 class TestBareRandom:
     def test_legacy_global_state_flagged(self):
         src = "import numpy as np\nx = np.random.rand(4)\n"
@@ -420,10 +394,6 @@ class TestBackendImports:
             "numba = importlib.import_module('numba')\n"
         )
         assert rules(lint_source(src, "src/repro/hydro/fast.py")) == ["R009"]
-
-    def test_registry_module_exempt(self):
-        src = "import importlib\nimport numba\nimport cupy\nimport jax\n"
-        assert lint_source(src, "src/repro/kokkos/backend.py") == []
 
     def test_relative_import_not_confused(self):
         # `from .numba import x` is a package-local module, not the JIT.

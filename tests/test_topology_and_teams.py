@@ -1,9 +1,7 @@
-"""Topology models and the Kokkos TeamPolicy."""
+"""Topology models: the torus and the fat tree."""
 
-import numpy as np
 import pytest
 
-from repro.kokkos import SerialSpace, TeamPolicy, parallel_for
 from repro.machines import FUGAKU, OOKAMI
 from repro.machines.topology import (
     FatTreeTopology,
@@ -61,40 +59,3 @@ class TestFatTree:
         out = effective_interconnect(FUGAKU.interconnect, TorusTopology(), 64)
         assert out.bandwidth_gbs == FUGAKU.interconnect.bandwidth_gbs
         assert out.latency_us > FUGAKU.interconnect.latency_us
-
-
-class TestTeamPolicy:
-    def test_flatten(self):
-        policy = TeamPolicy(league_size=10, team_size=8, work_per_team=500.0)
-        flat = policy.flatten()
-        assert flat.size == 10
-        assert flat.work_per_item == 500.0
-
-    def test_dispatch_runs_once_per_league_member(self):
-        space = SerialSpace()
-        hits = []
-        policy = TeamPolicy(league_size=6, team_size=4)
-
-        def functor(begin, end):
-            hits.extend(range(begin, end))
-
-        parallel_for(space, policy, functor)
-        assert sorted(hits) == list(range(6))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TeamPolicy(league_size=-1)
-        with pytest.raises(ValueError):
-            TeamPolicy(league_size=1, team_size=0)
-
-    def test_hpx_space_splits_league(self):
-        from repro.amt.locality import Runtime
-        from repro.kokkos import HpxSpace
-
-        rt = Runtime(1, 4)
-        space = HpxSpace(rt.here(), tasks_per_kernel=3)
-        done = []
-        parallel_for(space, TeamPolicy(league_size=9, work_per_team=1e3),
-                     lambda b, e: done.append((b, e)))
-        assert sum(e - b for b, e in done) == 9
-        assert space.stats.tasks == 3

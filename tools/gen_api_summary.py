@@ -3,34 +3,30 @@
 
     python tools/gen_api_summary.py [output]
 
-Walks the ``repro`` package, imports each module, and tabulates the public
-classes and functions (the ``__all__`` of each subpackage's ``__init__``)
-with the first line of their docstrings.
+Walks the ``repro`` package's subpackages, imports each, and tabulates the
+public classes and functions (the ``__all__`` of each subpackage's
+``__init__``) with the first line of their docstrings.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import pkgutil
 import sys
 from pathlib import Path
+from typing import List
 
-SUBPACKAGES = [
-    "repro.util",
-    "repro.amt",
-    "repro.simd",
-    "repro.kokkos",
-    "repro.octree",
-    "repro.hydro",
-    "repro.gravity",
-    "repro.scf",
-    "repro.scenarios",
-    "repro.machines",
-    "repro.distsim",
-    "repro.core",
-    "repro.ioutil",
-    "repro.profiling",
-]
+import repro
+
+
+def subpackages() -> List[str]:
+    """Every subpackage of ``repro``, as found on disk."""
+    return [
+        f"repro.{info.name}"
+        for info in pkgutil.iter_modules(repro.__path__)
+        if info.ispkg
+    ]
 
 
 def first_line(obj) -> str:  # noqa: ANN001
@@ -47,7 +43,7 @@ def generate() -> str:
         "item (each subpackage's `__all__`).",
         "",
     ]
-    for name in SUBPACKAGES:
+    for name in subpackages():
         module = importlib.import_module(name)
         lines.append(f"## `{name}`")
         lines.append("")

@@ -16,13 +16,6 @@ R002 ghost-write-via-module
     Ghost bands carry inter-sub-grid dependencies; writing them anywhere
     else bypasses the exchange protocol the race analysis reasons about.
 
-R003 raw-view-copy
-    In modules that import ``repro.kokkos``, views move between arrays
-    only through ``deep_copy`` — not ``np.copyto(a.data, b.data)`` or
-    ``a.data = b.data``, which dodge the transfer accounting and the
-    memory-space sanitizer.  (``repro/kokkos/view.py`` itself is exempt:
-    it implements ``deep_copy``.)
-
 R004 no-bare-numpy-random
     No ``numpy.random.*`` legacy global-state API; use
     ``numpy.random.default_rng(seed)``.  Global-state draws make runs
@@ -67,14 +60,11 @@ R008 flat-wire-payloads
     the exact aliasing bug the shm data plane exists to avoid.
     Deliberate exceptions carry ``# reprolint: sanctioned-wire``.
 
-R009 array-backends-via-registry
-    ``numba``, ``cupy`` and ``jax`` may only be imported by
-    ``repro/kokkos/backend.py`` — the View storage backend, today host
-    NumPy only, and the one place an accelerator array module would be
-    added.  Anywhere else a direct import scatters an optional dependency
-    through kernel and physics modules, where a missing install becomes a
-    hard ImportError at module load; kernels reach the array module
-    through ``View.xp`` / ``ArrayBackend.module`` instead.
+R009 no-optional-array-modules
+    ``numba``, ``cupy`` and ``jax`` are not imported anywhere.  The
+    kernels are NumPy only; a direct import scatters an optional
+    dependency through kernel and physics modules, where a missing
+    install becomes a hard ImportError at module load.
 
 R010 no-cold-plan-in-step-loop
     No cold plan construction (``build_plan``, ``build_hydro_plan``,
@@ -146,7 +136,6 @@ _GHOST_EXEMPT = (
     # ghost-band target set from the geometry to check the exchange.
     "repro/analysis/planverify.py",
 )
-_VIEW_EXEMPT = ("repro/kokkos/view.py",)
 _RANDOM_ALLOWED = {"default_rng", "Generator", "SeedSequence"}
 _SANCTION_TAG = "# reprolint: sanctioned-bundle"
 _SEND_OWNERS = ("network", "transport")
@@ -164,10 +153,8 @@ _WIRE_OWNERS = {"conn", "engine", "loc", "pipe", "locality"}
 _WIRE_METHODS = {"send", "broadcast", "round"}
 #: Attribute/name markers of non-flat payloads (object graphs, views).
 _RICH_ATTRS = {"mesh", "subgrid", "nodes", "data"}
-#: Optional array modules that must stay behind the backend registry.
+#: Optional array modules no module may import (R009).
 _BACKEND_MODULES = {"numba", "cupy", "jax"}
-#: The registry itself is the one sanctioned importer (R009).
-_BACKEND_EXEMPT = ("repro/kokkos/backend.py",)
 #: Cold plan constructors — every call pays the full traversal/trace cost
 #: the fingerprint/delta/cache machinery exists to amortize (R010).
 _COLD_BUILD_FNS = {"build_plan", "build_hydro_plan", "build_bundle_plan"}
@@ -206,20 +193,6 @@ def _numpy_aliases(tree: ast.Module) -> Set[str]:
     return aliases
 
 
-def _imports_kokkos(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(a.name.startswith("repro.kokkos") for a in node.names):
-                return True
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module.startswith("repro.kokkos"):
-                return True
-            if module == "repro" and any(a.name == "kokkos" for a in node.names):
-                return True
-    return False
-
-
 def _is_kernel_fn(node: ast.AST) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
         node.name == "kernel" or node.name.endswith("_kernel")
@@ -234,10 +207,6 @@ def _is_numpy_attr_call(call: ast.Call, aliases: Set[str], names: Set[str]) -> b
         and isinstance(fn.value, ast.Name)
         and fn.value.id in aliases
     )
-
-
-def _is_dot_data(node: ast.AST) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "data"
 
 
 def _path_matches(path: str, suffixes: Sequence[str]) -> bool:
@@ -279,35 +248,6 @@ def _check_ghost_writes(tree: ast.Module, path: str) -> List[Finding]:
                 path, node.lineno, "R002",
                 "ghost bands may only be touched through repro.octree.ghost; "
                 "direct ghost_slices access bypasses the exchange protocol",
-            ))
-    return findings
-
-
-def _check_raw_view_copy(tree: ast.Module, path: str, aliases: Set[str]) -> List[Finding]:
-    if not _imports_kokkos(tree) or _path_matches(path, _VIEW_EXEMPT):
-        return []
-    findings = []
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and _is_numpy_attr_call(node, aliases, {"copyto"})
-            and len(node.args) >= 2
-            and _is_dot_data(node.args[0])
-            and _is_dot_data(node.args[1])
-        ):
-            findings.append(Finding(
-                path, node.lineno, "R003",
-                "move views with repro.kokkos.deep_copy, not np.copyto on raw "
-                ".data (skips transfer accounting and the space sanitizer)",
-            ))
-        elif (
-            isinstance(node, ast.Assign)
-            and any(_is_dot_data(t) for t in node.targets)
-            and _is_dot_data(node.value)
-        ):
-            findings.append(Finding(
-                path, node.lineno, "R003",
-                "aliasing one view's .data into another bypasses deep_copy",
             ))
     return findings
 
@@ -633,14 +573,11 @@ def _check_flat_wire_payloads(
 
 
 def _check_backend_imports(tree: ast.Module, path: str) -> List[Finding]:
-    """R009: numba/cupy/jax imports only inside the View storage backend."""
-    if _path_matches(path, _BACKEND_EXEMPT):
-        return []
+    """R009: no numba/cupy/jax imports."""
     findings: List[Finding] = []
     message = (
-        "direct import of optional array module {name!r}: only "
-        "repro/kokkos/backend.py may import it; reach the array module "
-        "through View.xp so a missing install is not an ImportError here"
+        "direct import of optional array module {name!r}: the kernels are "
+        "NumPy only, and a missing install would be an ImportError here"
     )
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -785,7 +722,6 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     findings: List[Finding] = []
     findings += _check_hot_loop_alloc(tree, path, aliases)
     findings += _check_ghost_writes(tree, path)
-    findings += _check_raw_view_copy(tree, path, aliases)
     findings += _check_bare_random(tree, path, aliases)
     findings += _check_uncoalesced_send(tree, path, _sanctioned_lines(source))
     findings += _check_process_spawn(tree, path)
