@@ -43,6 +43,8 @@ class RunConfig:
             raise ValueError("nodes must be >= 1")
         if self.tasks_per_multipole_kernel < 1:
             raise ValueError("tasks_per_multipole_kernel must be >= 1")
+        if self.gpu_aggregation < 1:
+            raise ValueError("gpu_aggregation must be >= 1")
         if self.use_gpus and not self.machine.node.gpus:
             raise ValueError(f"{self.machine.name} nodes have no GPUs")
         if self.boost and self.machine.node.boost_freq_ghz is None:
