@@ -57,6 +57,13 @@ def conflict_mask(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     )
 
 
+def touches(rows: np.ndarray, mode: int, segment: int, region: int) -> bool:
+    """Whether any of ``rows`` has ``mode`` on ``segment`` in a region
+    that aliases ``region``."""
+    hit = (rows[:, 0] == mode) & (rows[:, 1] == segment)
+    return bool(np.any(hit & ((rows[:, 4] == region) | (rows[:, 4] == REGION_ALL))))
+
+
 def describe_row(row: Sequence[int]) -> str:
     """A row's footprint as text, e.g. ``fields[0:4) interior``."""
     _mode, seg, lo, hi, region = (int(w) for w in row)

@@ -340,8 +340,8 @@ def verify_op_program(plan: "HydroPlan") -> List[PlanViolation]:
 
     Builds, per rank, the event log a process-backend step would write —
     every round of :func:`~repro.hydro.integrator.rk3_ops` one epoch,
-    each op's :func:`~repro.hydro.plan.op_effect_rows` stamped with its
-    handshake position — and checks every rank pair with the shm
+    each op's :func:`~repro.hydro.plan.op_effect_rows` stamped with the
+    handshake position they give — and checks every rank pair with the shm
     detector's own predicate (:func:`~repro.analysis.shmrace.concurrent_conflicts`):
     within a round, one rank's writes must be disjoint from the other
     ranks' reads and writes unless the ``ghosts`` → ``go`` handshake
@@ -350,10 +350,8 @@ def verify_op_program(plan: "HydroPlan") -> List[PlanViolation]:
     handshake does not order.  ``accel`` is the parent's, between rounds.
     """
     from repro.hydro.integrator import rk3_ops
-    from repro.hydro.plan import op_effect_rows
 
     collect_fluxes = plan.ghosts.face_counts["fine"] > 0
-    rows: dict = {}  # (op kind or rhs op, unit) -> declared rows
     logs: List[List[np.ndarray]] = [[] for _ in range(plan.nranks)]
     rounds = [
         op[1] if op[0] == "fused" else (op,)
@@ -361,17 +359,14 @@ def verify_op_program(plan: "HydroPlan") -> List[PlanViolation]:
         if op[0] != "accel"
     ]
     for epoch, group in enumerate(rounds):
-        positions = handshake_positions([op[0] for op in group])
+        positions = handshake_positions([plan.effect_rows(op) for op in group])
         for op, position in zip(group, positions):
             for rank in range(plan.nranks):
                 units = [rank] if op[0] != "ghost" else sorted(
                     p for p in plan.ghosts.bundles if p[1] == rank
                 )
                 for unit in units:
-                    key = (op if op[0] == "rhs" else op[0], unit)
-                    if key not in rows:
-                        rows[key] = op_effect_rows(plan, op, unit)
-                    r = rows[key]
+                    r = plan.effect_rows(op, unit)
                     logs[rank].append(np.column_stack([
                         np.full(len(r), epoch), r, np.full(len(r), position),
                     ]))

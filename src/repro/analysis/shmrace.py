@@ -4,7 +4,8 @@ The process backend (:mod:`repro.hydro.process_backend`) has no futures:
 forked workers touch :class:`~repro.amt.shm.ShmArena` pages directly, and
 the ordering primitives are the end of a
 :meth:`repro.amt.parallel.ParallelEngine.round` and, inside a round that
-applies ghosts and later updates, the ``ghosts`` → ``go`` handshake.
+applies ghosts and later writes interiors, the ``ghosts`` → ``go``
+handshake.
 This module checks that world against the effect rows every program op
 declares (:func:`repro.hydro.plan.op_effect_rows`):
 
@@ -41,7 +42,10 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.amt.shm import ShmArena
-from repro.analysis.effects import MODE_NAMES, conflict_mask, describe_row
+from repro.analysis.effects import (
+    MODE_NAMES, MODE_WRITE, REGION_GHOST, REGION_INTERIOR, SEG_FIELDS,
+    conflict_mask, describe_row, touches,
+)
 from repro.analysis.race import RaceError, RaceFinding
 
 #: Handshake positions (event word 6): before the rank notes ``ghosts``,
@@ -57,23 +61,25 @@ class ShmRaceError(RaceError):
     """Raised by a :class:`ShmRaceDetector` in raise-on-finding mode."""
 
 
-def handshake_positions(names: Sequence[str]) -> List[int]:
-    """The handshake position of each op of a round running ``names``.
+def handshake_positions(rows: Sequence[np.ndarray]) -> List[int]:
+    """The handshake position of each op of a round, from the ops'
+    effect rows (``rows[i]``: op ``i``'s rows over every rank, so all
+    ranks take one decision).
 
-    A round that applies ghosts and later updates notes ``ghosts`` after
-    its ghost op and waits for ``go`` before its update; every other
-    round has no handshake, so all of its ops are :data:`BEFORE_NOTE`.
+    A round that writes ghost bands (a ghost apply) and later writes
+    interiors notes ``ghosts`` after the apply and waits for ``go``
+    before the first op that writes interiors, which the other ranks'
+    applies read as donors.  Every other round has no handshake, so all
+    of its ops are :data:`BEFORE_NOTE`.
     """
-    if not {"ghost", "update"} <= set(names):
-        return [BEFORE_NOTE] * len(names)
-    out, position = [], BEFORE_NOTE
-    for name in names:
-        if name == "update":
-            position = AFTER_WAIT
-        out.append(position)
-        if name == "ghost" and position == BEFORE_NOTE:
-            position = AFTER_NOTE
-    return out
+    ghost = [touches(r, MODE_WRITE, SEG_FIELDS, REGION_GHOST) for r in rows]
+    interior = [touches(r, MODE_WRITE, SEG_FIELDS, REGION_INTERIOR) for r in rows]
+    first = ghost.index(True) if True in ghost else len(rows)
+    wait = next((i for i in range(first + 1, len(rows)) if interior[i]), None)
+    if wait is None:
+        return [BEFORE_NOTE] * len(rows)
+    return [BEFORE_NOTE if i <= first else AFTER_NOTE if i < wait else AFTER_WAIT
+            for i in range(len(rows))]
 
 
 def concurrent_conflicts(

@@ -222,7 +222,7 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
     except BackendMismatch as exc:
         print(f"CROSSCHECK FAILED: {exc}", file=sys.stderr)
         return 1
-    for name, r in zip(("blast", "dwd"), results):
+    for name, r in zip(("blast", "dwd", "refined blast"), results):
         print(f"{name}: {r.steps} steps x {r.leaves} leaves, "
               f"nprocs={r.nprocs}, serial {r.serial_s:.2f}s / "
               f"DES {r.des_s:.2f}s / process {r.process_s:.2f}s — "

@@ -230,14 +230,16 @@ def crosscheck_scenarios(
     overlap: bool = False,
     plan_cache=None,  # PlanCache | str | Path | None
 ) -> List[CrosscheckResult]:
-    """The CI smoke battery: blast (adaptive, reflux) and a rotating DWD
-    (gravity via FMM), serial vs DES vs process, bit for bit."""
+    """The CI smoke battery, serial vs DES vs process, bit for bit: a
+    uniform blast, a rotating DWD (gravity via FMM) and a blast with one
+    refined leaf (coarse-fine faces: reflux and the deferred update)."""
     from repro.gravity.fmm import FmmSolver
     from repro.scenarios.blast import sedov_blast
     from repro.scenarios.dwd import dwd_scenario
 
-    blast = sedov_blast(levels=2)
+    blast, window = sedov_blast(levels=2), sedov_blast(levels=1)
     dwd = dwd_scenario(level=1, scf_grid=24)
+    window.mesh.refine(min(window.mesh.leaf_keys()))  # an octant at the deposit
 
     def gravity_factory() -> GravityCallback:
         return FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback()
@@ -250,6 +252,10 @@ def crosscheck_scenarios(
         crosscheck_hydro(
             dwd.mesh, steps=steps, nprocs=nprocs, eos=dwd.eos,
             omega=dwd.omega, gravity=gravity_factory,
+            overlap=overlap, plan_cache=plan_cache,
+        ),
+        crosscheck_hydro(
+            window.mesh, steps=steps, nprocs=nprocs, eos=window.eos,
             overlap=overlap, plan_cache=plan_cache,
         ),
     ]

@@ -43,7 +43,9 @@ import numpy as np
 from repro.amt.future import Future, Promise, make_ready_future, when_all
 from repro.amt.locality import Runtime
 from repro.amt.network import Message
-from repro.analysis.effects import MODE_ACCUM, MODE_READ, MODE_WRITE
+from repro.analysis.effects import (
+    MODE_ACCUM, MODE_READ, MODE_WRITE, REGION_GHOST, REGION_INTERIOR, SEG_FIELDS, touches,
+)
 from repro.analysis.race import RaceDetector, RaceFinding
 from repro.distsim.model import DEFAULT_CONSTANTS
 from repro.distsim.runconfig import RunConfig
@@ -55,7 +57,6 @@ from repro.hydro.plan import (
     HydroPlanLifecycle,
     RankStep,
     ScratchArena,
-    op_effect_rows,
     stack_accel,
 )
 from repro.octree.fields import NFIELDS
@@ -68,11 +69,12 @@ from repro.resilience.watchdog import DeadlockWatchdog
 #: Virtual workers per locality (capped by the machine's active cores).
 WORKERS_PER_LOCALITY = 8
 
-#: The cross-rank edges of a rank op, beyond its rank's program order: the
-#: ``rhs`` waits for the bundles *into* its rank (it reads the ghost bands
-#: they write), the ``update`` for the packs *out of* it (it overwrites the
-#: interiors they read) — the process backend's ghosts -> go handshake.
-CROSS_RANK_WAITS = {"rhs": "into", "update": "out"}
+#: The cross-rank edges of a rank op beyond its rank's program order, read
+#: from its effect rows: an op that reads its ghost bands waits for the
+#: bundles *into* its rank (their unpacks write them), an op that writes
+#: its interiors for the packs *out of* it (they read them as donors) —
+#: the process backend's ghosts -> go handshake.
+CROSS_RANK_WAITS = {"into": (MODE_READ, REGION_GHOST), "out": (MODE_WRITE, REGION_INTERIOR)}
 
 
 @dataclass
@@ -131,30 +133,22 @@ class DistributedHydroDriver:
         self.race_findings: List[RaceFinding] = []
         self.race_events = 0
         self._ranks: Tuple[Optional[HydroPlan], List[RankStep]] = (None, [])
-        self._effects: Tuple[Optional[HydroPlan], Dict] = (None, {})
 
     def _effects_of(
         self, plan: HydroPlan, op: tuple, units, mode: Optional[int] = None
     ) -> np.ndarray:
         """The effect rows of a task running ``op`` for ``units`` (ranks,
-        or one bundle pair), or only its ``mode`` rows; cached per plan."""
-        if self._effects[0] is not plan:
-            self._effects = (plan, {})
-        cache = self._effects[1]
-        key = (op if op[0] == "rhs" else op[0], tuple(units), mode)
-        if key not in cache:
-            rows = np.vstack([op_effect_rows(plan, op, u) for u in units])
-            if mode is not None:
-                rows = rows[rows[:, 0] == mode]
-            if op[0] == "ghost":
-                # Bundles into one rank scatter into the same ghost bands
-                # concurrently here, but never into the same cell (the
-                # bundle-dst-overlap proof of verify_bundle_plan), so their
-                # writes commute with each other like accumulations.
-                rows = rows.copy()
-                rows[rows[:, 0] == MODE_WRITE, 0] = MODE_ACCUM
-            cache[key] = rows
-        return cache[key]
+        or one bundle pair), or only its ``mode`` rows (a fresh array)."""
+        rows = np.vstack([plan.effect_rows(op, u) for u in units])
+        if mode is not None:
+            rows = rows[rows[:, 0] == mode]
+        if op[0] == "ghost":
+            # Bundles into one rank scatter into the same ghost bands
+            # concurrently here, but never into the same cell (the
+            # bundle-dst-overlap proof of verify_bundle_plan), so their
+            # writes commute with each other like accumulations.
+            rows[rows[:, 0] == MODE_WRITE, 0] = MODE_ACCUM
+        return rows
 
     def _rank_steps(
         self, plan: HydroPlan, use_accel: bool, collect_fluxes: bool
@@ -306,11 +300,11 @@ class DistributedHydroDriver:
             else:
                 for r, rank in enumerate(ranks):
                     deps = [front[r]]
-                    edge = CROSS_RANK_WAITS.get(name)
-                    if edge is not None:
-                        joined = when_all(waits[edge][r])
-                        watchdog.watch(joined, waits[edge][r], name=f"{edge}.{r}")
-                        deps.append(joined)
+                    for edge, (mode, region) in CROSS_RANK_WAITS.items():
+                        if touches(plan.effect_rows(op, r), mode, SEG_FIELDS, region):
+                            joined = when_all(waits[edge][r])
+                            watchdog.watch(joined, waits[edge][r], name=f"{edge}.{r}")
+                            deps.append(joined)
                     front[r] = spawn(
                         r, deps, partial(getattr(rank, name), *args),
                         rhs_cost[r] if name == "rhs" else 0.0,

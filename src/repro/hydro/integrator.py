@@ -13,9 +13,11 @@ the entropy tracer is re-synchronised with the energy where the dual-energy
 switch is inactive, and interior nodes are restricted from their children.
 
 The stage order exists once, as data: :func:`rk3_ops` yields the ordered
-ops of one step (``ghost → rhs → reflux → update`` per stage, framed by
-``begin`` / ``finish``, after the parent's one gravity solve), and the
-kernel-level ops are the methods of one :class:`repro.hydro.plan.RankStep`.
+ops of one step (``ghost → rhs`` per stage, the rhs updating each
+sub-batch as it goes, then ``reflux → update`` for the sub-batches a
+coarse-fine face defers; framed by ``begin`` / ``finish``, after the
+parent's one gravity solve), and the kernel-level ops are the methods of
+one :class:`repro.hydro.plan.RankStep`.
 Three interpreters run that program:
 
 * **serial** — :meth:`HydroIntegrator.step` inline, over rank 0 of the
@@ -77,27 +79,26 @@ def rk3_ops(
     Parent ops: ``("accel",)`` solves gravity once per step and stages the
     stacked accelerations; ``("ghost",)`` is the whole ghost exchange.
     Rank ops name :class:`repro.hydro.plan.RankStep` methods and carry
-    their arguments: ``begin``, ``rhs(collect_fluxes, use_accel)``,
-    ``reflux``, ``update(a0, a1, dt)``, ``finish``.
+    their arguments: ``begin``, ``rhs(collect_fluxes, use_accel, a0, a1,
+    dt)`` (divergence, sources and update per sub-batch), ``reflux``,
+    ``update(a0, a1, dt)`` of the sub-batches the reflux corrects (only
+    with ``collect_fluxes``; :meth:`~repro.hydro.plan.HydroPlan.sub_batches`)
+    and ``finish``.
 
-    With ``overlap`` the leading ops of every stage are grouped as
+    With ``overlap`` every stage's ``ghost, rhs`` is grouped as
     ``("fused", ops)`` — the same ops in the same order, so flattening the
-    groups gives the ``overlap=False`` program verbatim.  The group is
-    ``ghost, rhs, update`` unless a ``reflux`` (whose flux reads span all
-    ranks, so it keeps a barrier) has to come before the update.
+    groups gives the ``overlap=False`` program verbatim.  The reflux reads
+    the flux rows of all ranks, so it keeps its barrier.
     """
     if use_accel:
         yield ("accel",)
     yield ("begin",)
     for a0, a1 in _RK3_STAGES:
-        stage = [("ghost",), ("rhs", collect_fluxes, use_accel)]
+        stage = (("ghost",), ("rhs", collect_fluxes, use_accel, a0, a1, dt))
+        yield from [("fused", stage)] if overlap else stage
         if collect_fluxes:
-            stage.append(("reflux",))
-        stage.append(("update", a0, a1, dt))
-        if overlap:
-            cut = 2 if collect_fluxes else 3
-            stage[:cut] = [("fused", tuple(stage[:cut]))]
-        yield from stage
+            yield ("reflux",)
+            yield ("update", a0, a1, dt)
     yield ("finish",)
 
 
@@ -139,8 +140,8 @@ class HydroIntegrator:
         #: :class:`repro.hydro.process_backend.ProcessHydroExecutor` pool.
         self.backend = backend
         self.nprocs = nprocs
-        #: Process backend only: run each stage's ghost, rhs and update as
-        #: one dependency-grained round instead of three barrier rounds
+        #: Process backend only: run each stage's ghost and rhs as one
+        #: dependency-grained round instead of two barrier rounds
         #: (bit-identical to the BSP schedule; off = ablation baseline).
         self.overlap = overlap
         #: Process backend only: static plan verification before forking

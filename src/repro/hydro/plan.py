@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import weakref
 from contextlib import nullcontext
+from itertools import chain
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -75,42 +76,33 @@ from repro.util.lifecycle import PlanLifecycle
 
 
 class ScratchArena:
-    """Named preallocated ``float64`` buffers, reused across stages and steps.
+    """Named grow-only buffers, reused across stages and steps, keeping the
+    hot loops allocation-free.
 
-    ``get`` allocates on first use and returns the same buffer afterwards —
-    the batched step's working set (u0 snapshots, dudt, boundary-flux faces,
-    stacked accelerations, per-leaf signals) is allocated once per plan and
-    recycled, keeping the hot loops allocation-free.
+    One buffer per ``(name, dtype)``: ``get`` returns a contiguous prefix
+    of it in the asked shape and reallocates only for a larger one, so a
+    run's shorter remainder batch reuses the full batch's set.  No caller
+    keeps a view across a ``get`` of the same name.
     """
 
     def __init__(self) -> None:
         self._buffers: Dict[tuple, np.ndarray] = {}
-        self._groups: Dict[tuple, dict] = {}
+        self._views: Dict[tuple, np.ndarray] = {}
 
     def get(self, name, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         key = (name, tuple(shape), dtype)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[key] = buf
-        return buf
-
-    def group(self, key) -> dict:
-        """A named dict for kernels that bundle many buffers: fetched with
-        one lookup per call instead of one ``get`` per buffer."""
-        grp = self._groups.get(key)
-        if grp is None:
-            grp = {}
-            self._groups[key] = grp
-        return grp
+        view = self._views.get(key)
+        if view is None:
+            size = math.prod(shape)
+            buf = self._buffers.get((name, dtype))
+            if buf is None or buf.size < size:
+                buf = self._buffers[(name, dtype)] = np.empty(size, dtype=dtype)
+                self._views = {k: v for k, v in self._views.items() if k[::2] != (name, dtype)}
+            view = self._views[key] = buf[:size].reshape(shape)
+        return view
 
     def nbytes(self) -> int:
-        total = sum(buf.nbytes for buf in self._buffers.values())
-        for grp in self._groups.values():
-            total += sum(
-                buf.nbytes for buf in grp.values() if isinstance(buf, np.ndarray)
-            )
-        return total
+        return sum(buf.nbytes for buf in self._buffers.values())
 
 
 #: Stencil radius of the hydro reconstruction: a cell's RHS reads at most
@@ -225,10 +217,33 @@ class HydroPlan:
             if self.ghosts.face_counts["fine"] > 0 else []
         )
         self.scratch = ScratchArena()
+        self._rows: Dict[tuple, np.ndarray] = {}
 
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_keys)
+
+    def sub_batches(self, rank: int) -> List[List[Tuple[int, int, bool]]]:
+        """Per run of ``rank``: its rhs sub-batches ``(lo, hi, deferred)``
+        of at most :data:`RHS_BLOCK_CELLS` cells.  A batch holding a reflux
+        target (a coarse slot of :attr:`reflux_table`) is *deferred*: its
+        update waits for the reflux op to correct its dudt."""
+        nb = max(1, RHS_BLOCK_CELLS // self.n**3)
+        targets = {row[1] for row in self.reflux_table}
+        cuts = [[(lo, min(lo + nb, r.hi)) for lo in range(r.lo, r.hi, nb)] for r in self.runs[rank]]
+        return [[(lo, hi, not targets.isdisjoint(range(lo, hi))) for lo, hi in run] for run in cuts]
+
+    def effect_rows(self, op: tuple, who: Any = None) -> np.ndarray:
+        """:func:`op_effect_rows`, memoised per topology; ``who=None`` is
+        the union over every unit that runs ``op`` (each rank, or each
+        bundle pair of a ``ghost``).  ``op[:3]`` keys the memo: an rhs's
+        rows do not depend on its stage coefficients."""
+        key = (op[:3], who)
+        if key not in self._rows:
+            every = sorted(self.ghosts.bundles) if op[0] == "ghost" else range(self.nranks)
+            rows = [op_effect_rows(self, op, u) for u in ([who] if who is not None else every)]
+            self._rows[key] = np.vstack(rows or [np.empty((0, 5), dtype=np.int64)])
+        return self._rows[key]
 
     def matches(self, mesh: AmrMesh) -> bool:
         """Whether this plan is still valid for ``mesh``.
@@ -273,7 +288,7 @@ class HydroPlan:
         """Worker side of the replan broadcast: patch this (forked, stale)
         plan with a :meth:`rank_slice` of the parent's new one, over the
         re-sized view ``arena`` of the same shm pages."""
-        vars(self).update(piece, arena=arena)
+        vars(self).update(piece, arena=arena, _rows={})
 
 
 def build_hydro_plan(
@@ -398,29 +413,14 @@ def _muscl_scratch(w: np.ndarray, ax: int, scratch: ScratchArena) -> np.ndarray:
     """
     nd = w.ndim
     mx = w.shape[ax]
-    g = scratch.group(("recon", ax, w.shape))
-    if not g:
-        shape = list(w.shape)
-        shape[ax] = mx - 1
-        sh_d = tuple(shape)
-        shape[ax] = mx - 2
-        sh_m = tuple(shape)
-        shape[ax] = mx - 3
-        sh_f = tuple(shape)
-        g["diff"] = np.empty(sh_d)
-        g["absd"] = np.empty(sh_d)
-        g["prod"] = np.empty(sh_m)
-        g["flag"] = np.empty(sh_m, dtype=bool)
-        g["msk"] = np.empty(sh_m, dtype=np.uint64)
-        g["slope"] = np.empty(sh_m)
-        g["wlr"] = np.empty((2,) + sh_f)
-    diff = g["diff"]
-    absd = g["absd"]
-    prod = g["prod"]
-    flag = g["flag"]
-    msk = g["msk"]
-    slope = g["slope"]
-    wlr = g["wlr"]
+    sh_d, sh_m, sh_f = (w.shape[:ax] + (mx - k,) + w.shape[ax + 1 :] for k in (1, 2, 3))
+    diff = scratch.get("recon.diff", sh_d)
+    absd = scratch.get("recon.absd", sh_d)
+    prod = scratch.get("recon.prod", sh_m)
+    flag = scratch.get("recon.flag", sh_m, dtype=bool)
+    msk = scratch.get("recon.msk", sh_m, dtype=np.uint64)
+    slope = scratch.get("recon.slope", sh_m)
+    wlr = scratch.get("recon.wlr", (2,) + sh_f)
     w_left = wlr[0]
     w_right = wlr[1]
 
@@ -472,7 +472,7 @@ def _hll_scratch(
     Bit-identical to the reference ``hll_flux`` (the signal
     output, unused on this path, is skipped).  Returns a scratch array of
     shape ``(NFIELDS,) + face_shape`` that stays valid until the next
-    ``_hll_scratch`` call with the same face shape.
+    ``_hll_scratch`` call on the same arena.
 
     Structural savings over the reference, none of which move a bit:
 
@@ -480,33 +480,26 @@ def _hll_scratch(
       expression as one ufunc call on the side-stacked pair, halving the
       NumPy dispatch count;
     * the passive rows (tau / f1 / f2, conserved == primitive) are never
-      copied into a conserved stack — their flux and jump terms read the
-      primitives directly (``PRIM_KEYS[5:]`` lines up with
-      ``Field.TAU..FRAC2``);
+      copied into a conserved stack — it holds the five other rows, and
+      the passive flux and jump terms read the primitives directly
+      (``PRIM_KEYS[5:]`` lines up with ``Field.TAU..FRAC2``);
     * ``max(p, 0)`` is computed once per side and reused by the pressure
       flux and the sound speed (the reference evaluates it three times).
     """
     fshape = wlr.shape[2:]
     wide = (NFIELDS,) + fshape
-    g = scratch.group(("hll", fshape))
-    if not g:
-        for name in ("u2", "f2", "t4"):
-            g[name] = np.empty((2,) + wide)
-        for name in ("fs", "diff"):
-            g[name] = np.empty(wide)
-        for name in ("maxp2", "kin2", "tmp2", "c2"):
-            g[name] = np.empty((2,) + fshape)
-        for name in ("sl", "sr", "slsr", "safe"):
-            g[name] = np.empty(fshape)
-        g["mask"] = np.empty(fshape, dtype=bool)
-        g["umask"] = np.empty(fshape, dtype=np.uint64)
-    u2, f2, t4 = g["u2"], g["f2"], g["t4"]
-    fs, dwide = g["fs"], g["diff"]
-    maxp2, kin2, tmp2, c2 = g["maxp2"], g["kin2"], g["tmp2"], g["c2"]
-    s_left, s_right, slsr = g["sl"], g["sr"], g["slsr"]
-    safe = g["safe"]
-    mask = g["mask"]
     npass = Field.TAU  # first passive row; rows [npass:] stay primitive
+    u2 = scratch.get("hll.u2", (2, npass) + fshape)
+    f2 = scratch.get("hll.f2", (2,) + wide)
+    fs, t2, dwide = (scratch.get(k, wide) for k in ("hll.fs", "hll.t2", "hll.diff"))
+    maxp2, kin2, tmp2, c2 = (
+        scratch.get(k, (2,) + fshape) for k in ("hll.maxp2", "hll.kin2", "hll.tmp2", "hll.c2")
+    )
+    s_left, s_right, slsr, safe = (
+        scratch.get(k, fshape) for k in ("hll.sl", "hll.sr", "hll.slsr", "hll.safe")
+    )
+    mask = scratch.get("hll.mask", fshape, dtype=bool)
+    umask = scratch.get("hll.umask", fshape, dtype=np.uint64)
 
     # _conserved_from_prim on both sides at once, reference expressions.
     rho2 = u2[:, Field.RHO]
@@ -533,7 +526,7 @@ def _hll_scratch(
     # _physical_flux on both sides: f = u * v, then the pressure fix-ups.
     vel_slot = _PRIM_SLOT[("vx", "vy", "vz")[axis]]
     v2 = wlr[:, vel_slot]
-    np.multiply(u2[:, :npass], v2[:, None], out=f2[:, :npass])
+    np.multiply(u2, v2[:, None], out=f2[:, :npass])
     np.multiply(wlr[:, npass:], v2[:, None], out=f2[:, npass:])
     f2[:, Field.SX + axis] += maxp2
     np.multiply(maxp2, v2, out=tmp2)
@@ -555,7 +548,6 @@ def _hll_scratch(
     # as an in-place bit select against the constant 1.0 pattern.  In any
     # non-degenerate state s_right - s_left ~ 2c, so the select is skipped
     # unless some face actually collapses (same bits either way).
-    umask = g["umask"]
     np.subtract(s_right, s_left, out=safe)
     np.abs(safe, out=slsr)
     np.greater(slsr, 1e-300, out=mask)
@@ -566,23 +558,18 @@ def _hll_scratch(
         safe_v &= umask
         safe_v ^= _U64_ONE_F
 
-    # f_star = ((s_r * fl - s_l * fr) + (s_l * s_r) * (ur - ul)) / safe.
-    # Pairing s_right with fl and s_left with fr turns the two coefficient
-    # products into one broadcast multiply over the side stack.
+    # f_star = ((s_r * fl - s_l * fr) + (s_l * s_r) * (ur - ul)) / safe,
+    # the two coefficient products written straight into fs and t2.
+    fl, fr = f2[0], f2[1]
     np.multiply(s_left, s_right, out=slsr)
-    np.subtract(u2[1, :npass], u2[0, :npass], out=dwide[:npass])
+    np.subtract(u2[1], u2[0], out=dwide[:npass])
     np.subtract(wlr[1, npass:], wlr[0, npass:], out=dwide[npass:])
-    coef2 = kin2
-    coef2[0] = s_right
-    coef2[1] = s_left
-    np.multiply(coef2[:, None], f2, out=t4)
-    np.subtract(t4[0], t4[1], out=fs)
-    t2 = t4[1]
+    np.multiply(s_right, fl, out=fs)
+    np.multiply(s_left, fr, out=t2)
+    fs -= t2
     np.multiply(slsr, dwide, out=t2)
     fs += t2
     fs /= safe
-    fl = f2[0]
-    fr = f2[1]
 
     # flux = where(s_l >= 0, fl, where(s_r <= 0, fr, f_star)): successive
     # bit selects into f_star pick the same element in every case (the
@@ -682,9 +669,9 @@ def stacked_rhs_kernel(
     dx: float,
     eos: IdealGasEOS,
     dudt: np.ndarray,
+    scratch: ScratchArena,
     faces: Optional[np.ndarray] = None,
     registry=None,
-    scratch: Optional[ScratchArena] = None,
 ) -> None:
     """Flux divergence over one stacked ``(B, NFIELDS, M, M, M)`` block.
 
@@ -704,8 +691,6 @@ def stacked_rhs_kernel(
     (when given) is the block's ``(B, 3, 2, NFIELDS, n, n)`` rows of the
     boundary-flux stack the refluxing step reads.
     """
-    if scratch is None:
-        scratch = ScratchArena()
     nb, n = dudt.shape[0], dudt.shape[2]
     g = (u.shape[2] - n) // 2
     with _timer(registry, "hydro.primitives"):
@@ -812,24 +797,21 @@ def stacked_update_kernel(
     a1: float,
     dt: float,
     eos: IdealGasEOS,
-    scratch: Optional[ScratchArena] = None,
+    scratch: ScratchArena,
 ) -> None:
-    """RK3 convex combination + positivity floors over one level block.
+    """RK3 convex combination + positivity floors over one block.
 
     ``u_new = a0 * u0 + a1 * (u + dt * dudt)`` evaluated in the reference's
-    association, staged through scratch when an arena is provided.
+    association, staged through ``scratch``.
     """
-    if scratch is None:
-        u_int[...] = a0 * u0 + a1 * (u_int + dt * dudt)
-    else:
-        acc = scratch.get("upd.acc", u0.shape)
-        tmp = scratch.get("upd.tmp", u0.shape)
-        np.multiply(dt, dudt, out=acc)
-        np.add(u_int, acc, out=acc)
-        np.multiply(a1, acc, out=acc)
-        np.multiply(a0, u0, out=tmp)
-        np.add(tmp, acc, out=acc)
-        u_int[...] = acc
+    acc = scratch.get("upd.acc", u0.shape)
+    tmp = scratch.get("upd.tmp", u0.shape)
+    np.multiply(dt, dudt, out=acc)
+    np.add(u_int, acc, out=acc)
+    np.multiply(a1, acc, out=acc)
+    np.multiply(a0, u0, out=tmp)
+    np.add(tmp, acc, out=acc)
+    u_int[...] = acc
     ut = u_int.transpose(1, 0, 2, 3, 4)
     np.maximum(ut[Field.RHO], eos.rho_floor, out=ut[Field.RHO])
     np.maximum(ut[Field.TAU], 0.0, out=ut[Field.TAU])
@@ -866,12 +848,13 @@ def stacked_signal_kernel(
 
 # -- the rank step ------------------------------------------------------------
 
-#: Cells per ``rhs`` sub-batch (16 leaves of 8^3): a run's flux divergence
-#: runs in batches of ``max(1, RHS_BLOCK_CELLS // n**3)`` leaves, so each
-#: ufunc pass streams temporaries that fit a 2 MB L2 and the scratch set is
-#: sized by the batch, not the run.  Measured optimum (docs/hydro_plan.md,
-#: "Leaf blocking"): 8 and 16 leaves tie, below 8 dispatch overhead wins.
-RHS_BLOCK_CELLS = 8192
+#: Cells per ``rhs`` sub-batch (8 leaves of 8^3): a run's stage runs in
+#: batches of ``max(1, RHS_BLOCK_CELLS // n**3)`` leaves, so each ufunc
+#: pass streams temporaries that fit a 2 MB L2 and the scratch set is sized
+#: by the batch, not the run.  Measured on the fused sweep
+#: (docs/hydro_plan.md, "Leaf blocking"): faster and smaller than 8 192,
+#: and 2 048 loses to per-call dispatch overhead.
+RHS_BLOCK_CELLS = 4096
 
 
 def stack_accel(
@@ -938,56 +921,59 @@ class RankStep:
         w = slice(ghost - STENCIL_RADIUS, ghost + n + STENCIL_RADIUS)
         stacked = plan.arena.reshape(-1, NFIELDS, plan.m, plan.m, plan.m)
         self.u_int = [stacked[run.lo : run.hi, :, s, s, s] for run in runs]
-        self.u0 = [
-            scratch.get(("u0", i), ui.shape) for i, ui in enumerate(self.u_int)
-        ]
-        self.dudt = [
-            scratch.get(("dudt", i), ui.shape) for i, ui in enumerate(self.u_int)
-        ]
-        #: Owned leaves for the reflux pass: key -> dudt interior view.
+        self.u0 = [scratch.get(("u0", i), ui.shape) for i, ui in enumerate(self.u_int)]
+        #: Owned leaves of deferred batches for the reflux pass: key -> dudt.
         self.owned_rhs: Dict[NodeKey, np.ndarray] = {}
-        if self.reflux_table:
-            for i, run in enumerate(runs):
-                for j, key in enumerate(keys[run.lo : run.hi]):
-                    self.owned_rhs[key] = self.dudt[i][j]
-        #: Per run: its rhs sub-batches ``(u, dudt, faces)`` — views of at
-        #: most ``RHS_BLOCK_CELLS`` cells of consecutive leaves; ``faces`` is
-        #: the batch's rows of the flux stack (``None`` without one).
-        nb = max(1, RHS_BLOCK_CELLS // n**3)
+        #: Per run: its sub-batches ``(lo, hi, u, u_int, u0, dudt)`` — ``u``
+        #: the stencil window of at most ``RHS_BLOCK_CELLS`` cells of
+        #: consecutive leaves, ``u_int`` / ``u0`` its rows of the run's.
+        #: ``dudt`` is ``None`` for a batch ``rhs`` updates itself (through
+        #: the one batch-sized ``dudt`` buffer), and a deferred batch's own
+        #: buffer, kept for the reflux op and ``update``.
         self.batches: List[list] = []
-        for run, dudt in zip(runs, self.dudt):
-            cuts = [(lo, min(lo + nb, run.hi)) for lo in range(run.lo, run.hi, nb)]
-            self.batches.append([
-                (
-                    stacked[lo:hi, :, w, w, w],
-                    dudt[lo - run.lo : hi - run.lo],
-                    None if flux_view is None else flux_view[lo:hi],
+        for i, (run, cuts) in enumerate(zip(runs, plan.sub_batches(rank))):
+            self.batches.append([])
+            for lo, hi, deferred in cuts:
+                dudt = scratch.get(("dudt", lo), (hi - lo, NFIELDS, n, n, n)) if deferred else None
+                self.owned_rhs.update(zip(keys[lo:hi], dudt if deferred else ()))
+                j, k = lo - run.lo, hi - run.lo
+                self.batches[-1].append(
+                    (lo, hi, stacked[lo:hi, :, w, w, w], self.u_int[i][j:k], self.u0[i][j:k], dudt)
                 )
-                for lo, hi in cuts
-            ])
 
     # -- ops (one method per program op) --------------------------------------
     def begin(self) -> None:
         for u_int, u0 in zip(self.u_int, self.u0):
             np.copyto(u0, u_int)
 
-    def rhs(self, collect_fluxes: bool, use_accel: bool) -> None:
-        """Flux divergence over every run, one cache-sized sub-batch at a time,
-        then the sources, which read only the cell's own state."""
-        for i, run in enumerate(self.runs):
-            for u, dudt, faces in self.batches[i]:
+    def rhs(
+        self, collect_fluxes: bool, use_accel: bool, a0: float, a1: float, dt: float
+    ) -> None:
+        """One cache-sized sub-batch at a time: flux divergence, the
+        sources (which read only the cell's own state), and — unless the
+        batch is deferred for the reflux op — its RK3 update, while the
+        batch's working set is still in cache."""
+        sources = use_accel or self.omega != 0.0
+        for run, batches in zip(self.runs, self.batches):
+            for lo, hi, u, u_int, u0, dudt in batches:
+                fused = dudt is None
+                if fused:
+                    dudt = self.scratch.get("dudt", u_int.shape)
                 stacked_rhs_kernel(
-                    u, run.dx, self.eos, dudt,
-                    faces=faces if collect_fluxes else None,
+                    u, run.dx, self.eos, dudt, self.scratch,
+                    faces=self.flux_view[lo:hi] if collect_fluxes else None,
                     registry=self.registry,
-                    scratch=self.scratch,
                 )
-            if use_accel or self.omega != 0.0:
-                stacked_source_kernel(
-                    self.u_int[i], self.dudt[i],
-                    accel=self.accel_view[run.lo : run.hi] if use_accel else None,
-                    omega=self.omega, x=run.x, y=run.y,
-                )
+                if sources:
+                    j, k = lo - run.lo, hi - run.lo
+                    stacked_source_kernel(
+                        u_int, dudt,
+                        accel=self.accel_view[lo:hi] if use_accel else None,
+                        omega=self.omega, x=run.x[j:k], y=run.y[j:k],
+                    )
+                if fused:
+                    with self.registry.timer("hydro.update"):
+                        stacked_update_kernel(u_int, u0, dudt, a0, a1, dt, self.eos, self.scratch)
 
     def reflux(self) -> int:
         """Flux corrections for owned leaves, reading all leaves' faces.
@@ -1004,12 +990,11 @@ class RankStep:
             )
 
     def update(self, a0: float, a1: float, dt: float) -> None:
+        """The RK3 update of the deferred batches, after the reflux op."""
         with self.registry.timer("hydro.update"):
-            for i, u_int in enumerate(self.u_int):
-                stacked_update_kernel(
-                    u_int, self.u0[i], self.dudt[i], a0, a1, dt, self.eos,
-                    scratch=self.scratch,
-                )
+            for *_, u_int, u0, dudt in chain.from_iterable(self.batches):
+                if dudt is not None:
+                    stacked_update_kernel(u_int, u0, dudt, a0, a1, dt, self.eos, self.scratch)
 
     def finish(self) -> Dict[NodeKey, float]:
         """Tau resync + per-leaf CFL signals of the owned leaves."""
@@ -1034,8 +1019,11 @@ def op_effect_rows(plan: HydroPlan, op: tuple, who: Any) -> np.ndarray:
     the :class:`~repro.comms.bundle.PairBundle` a ``ghost`` op applies
     (its donor-interior reads and ghost-band writes, traced from the live
     index arrays).  ``accel`` writes and ``reflux`` reads the whole
-    slot-ordered stack, whoever runs them.  The static op-program proof,
-    the shm event log and the DES race detector all read these rows.
+    slot-ordered stack, whoever runs them.  ``rhs`` writes the interiors
+    of the sub-batches it updates, ``update`` those of the deferred ones
+    (:meth:`HydroPlan.sub_batches`).  The static op-program proof, the
+    shm handshake, the DES driver's cross-rank waits and all three race
+    checks read these rows.
     """
     kind = op[0]
     if kind == "ghost":
@@ -1050,22 +1038,30 @@ def op_effect_rows(plan: HydroPlan, op: tuple, who: Any) -> np.ndarray:
     if kind == "reflux":
         return slot_range_rows(0, plan.n_leaves, MODE_READ, SEG_FLUX)
 
-    def runs(mode: int, segment: int, region: int = REGION_ALL) -> np.ndarray:
+    def rows(ranges, mode: int, segment: int, region: int = REGION_ALL) -> np.ndarray:
         return np.array(
-            [[mode, segment, run.lo, run.hi, region] for run in plan.runs[who]],
+            [[mode, segment, lo, hi, region] for lo, hi, *_ in ranges],
             dtype=np.int64,
         ).reshape(-1, 5)
 
+    runs = plan.runs[who]
     if kind == "begin":
-        return runs(MODE_READ, SEG_FIELDS, REGION_INTERIOR)
-    if kind in ("update", "finish"):
-        return runs(MODE_WRITE, SEG_FIELDS, REGION_INTERIOR)
-    if kind == "rhs":
-        collect_fluxes, use_accel = op[1:]
-        parts = [runs(MODE_READ, SEG_FIELDS)]
-        if collect_fluxes:
-            parts.append(runs(MODE_WRITE, SEG_FLUX))
-        if use_accel:
-            parts.append(runs(MODE_READ, SEG_ACCEL))
+        return rows(runs, MODE_READ, SEG_FIELDS, REGION_INTERIOR)
+    if kind == "finish":
+        return rows(runs, MODE_WRITE, SEG_FIELDS, REGION_INTERIOR)
+    if kind in ("rhs", "update"):
+        # The rhs updates the batches it fuses, ``update`` the deferred ones.
+        batches = chain.from_iterable(plan.sub_batches(who))
+        parts = [rows(
+            [b for b in batches if b[2] == (kind == "update")],
+            MODE_WRITE, SEG_FIELDS, REGION_INTERIOR,
+        )]
+        if kind == "rhs":
+            collect_fluxes, use_accel = op[1:3]
+            parts.append(rows(runs, MODE_READ, SEG_FIELDS))
+            if collect_fluxes:
+                parts.append(rows(runs, MODE_WRITE, SEG_FLUX))
+            if use_accel:
+                parts.append(rows(runs, MODE_READ, SEG_ACCEL))
         return np.vstack(parts)
     raise ValueError(f"unknown program op {kind!r}")

@@ -28,10 +28,11 @@ partitioned over the worker processes of a
   group, any other op a group of one.  Ends of rounds order what the
   DES driver orders with futures — fills read only stage-``k-1``
   interiors, kernels read own interiors + ghosts, updates write own
-  interiors — and inside a group that updates after its ghost apply, a
-  ``ghosts`` → ``go`` handshake orders every rank's donor reads before
-  any rank's interior writes.  Which ops share a group is decided by
-  :func:`~repro.hydro.integrator.rk3_ops` alone;
+  interiors — and inside a group that writes interiors after its ghost
+  apply (the rhs updates as it goes), a ``ghosts`` → ``go`` handshake
+  orders every rank's donor reads before any rank's interior writes.
+  Groups are :func:`~repro.hydro.integrator.rk3_ops`'s, the handshake
+  goes by the ops' effect rows;
 * with ``detect_races`` each worker logs the effect rows its ops declare
   (:func:`~repro.hydro.plan.op_effect_rows`), stamped with the round and
   their position relative to the handshake, and the parent's
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from repro.amt.shm import ShmArena
 from repro.analysis.planverify import require_verified, verify_process_plan
 from repro.analysis.shmrace import (
     AFTER_WAIT,
+    BEFORE_NOTE,
     ShmEventLog,
     ShmRaceDetector,
     handshake_positions,
@@ -73,7 +75,6 @@ from repro.hydro.plan import (
     HydroPlan,
     RankStep,
     ScratchArena,
-    op_effect_rows,
     stack_accel,
 )
 from repro.octree.fields import NFIELDS
@@ -130,8 +131,6 @@ class _WorkerState:
         self.dst_pairs = sorted(
             pair for pair in plan.ghosts.bundles if pair[1] == rank
         )
-        #: Declared effect rows per op, logged each round (filled lazily).
-        self._rows: Dict[Any, np.ndarray] = {}
 
     def replan(self, piece: Dict[str, Any]) -> None:
         """Patch this worker's plan with its slice of the parent's new one
@@ -145,19 +144,13 @@ class _WorkerState:
 
     def rows(self, op: tuple) -> np.ndarray:
         """The op's declared effect rows on this rank
-        (:func:`~repro.hydro.plan.op_effect_rows` over the *live* plan
-        arrays, including anything injected into the bundles), cached per
-        topology: the ghost rows trace every index of the rank's bundles."""
-        key = op if op[0] == "rhs" else op[0]
-        rows = self._rows.get(key)
-        if rows is None:
-            plan = self.ex.plan
-            units = self.dst_pairs if op[0] == "ghost" else [self.rank]
-            rows = self._rows[key] = np.vstack(
-                [op_effect_rows(plan, op, unit) for unit in units]
-                or [np.empty((0, 5), dtype=np.int64)]
-            )
-        return rows
+        (:meth:`HydroPlan.effect_rows` over the *live* plan arrays,
+        including anything injected into the bundles)."""
+        plan = self.ex.plan
+        if op[0] != "ghost":
+            return plan.effect_rows(op, self.rank)
+        return np.vstack([plan.effect_rows(op, p) for p in self.dst_pairs]
+                         or [np.empty((0, 5), dtype=np.int64)])
 
     # -- ghost exchange --------------------------------------------------------
     def ghost(self) -> None:
@@ -168,43 +161,43 @@ class _WorkerState:
             for pair in self.dst_pairs:
                 plan.bundles[pair].apply(arena)
 
-    def run(self, group: Tuple[tuple, ...]) -> Tuple[Any, float]:
+    def run(self, group: Tuple[tuple, ...], positions: List[int]) -> Tuple[Any, float]:
         """One round: the program ops of ``group`` back to back.
 
         The apply *is* the receive (donor interiors were sealed by the end
-        of the previous round).  When the group updates after its ghost
-        apply, the update may overwrite interiors other ranks are still
-        reading as donors, so the rank notes ``ghosts`` once its applies
-        are done and waits for the parent's ``go`` — routed when every rank
-        has noted — before the update: a message-grained happens-before
-        edge in place of a barrier, usually absorbed by the rhs between.
+        of the previous round).  ``positions`` are the parent's
+        :func:`~repro.analysis.shmrace.handshake_positions` of the group:
+        when an op writes interiors after the ghost apply — interiors other
+        ranks may still be reading as donors — the rank notes ``ghosts``
+        once its applies are done and waits for the parent's ``go``, routed
+        when every rank has noted, before that op: a message-grained
+        happens-before edge in place of a barrier.
 
         Returns the last op's result and the seconds spent in rank ops.
         """
         self.epoch += 1
-        positions = handshake_positions([op[0] for op in group])
-        out, busy = None, 0.0
+        out, busy, last = None, 0.0, BEFORE_NOTE
         for op, position in zip(group, positions):
-            name = op[0]
             if self.events is not None:
                 self.events.log(self.epoch, self.rows(op), position)
-            if name == "ghost":
-                out = self.ghost()
-                if AFTER_WAIT in positions:
-                    self.link.note("ghosts")
-                continue
-            if name == "update" and position == AFTER_WAIT:
+            if last == BEFORE_NOTE < position:
+                self.link.note("ghosts")
+            if last < AFTER_WAIT == position:
                 self.link.wait("go")
+            last = position
+            if op[0] == "ghost":
+                out = self.ghost()
+                continue
             t0 = time.perf_counter()
-            out = getattr(self.step, name)(*op[1:])
+            out = getattr(self.step, op[0])(*op[1:])
             busy += time.perf_counter() - t0
         return out, busy
 
     def dispatch(self, command: Tuple[str, Any]) -> Any:
-        """The worker's handler: ``("run", group)`` or ``("replan", piece)``."""
+        """The handler: ``("run", (group, positions))`` or ``("replan", piece)``."""
         kind, arg = command
         if kind == "run":
-            return self.run(arg)
+            return self.run(*arg)
         if kind == "replan":
             return self.replan(arg)
         raise ValueError(f"unknown command {kind!r}")
@@ -430,7 +423,7 @@ class ProcessHydroExecutor:
 
     # -- the step -------------------------------------------------------------
     def _go_after_ghosts(self) -> NoteHandler:
-        """The note handler of a group that updates after its ghost apply:
+        """The note handler of a group that writes interiors after its ghost apply:
         route ``go`` to every rank once all of them have noted ``ghosts``."""
         noted = []
 
@@ -482,10 +475,10 @@ class ProcessHydroExecutor:
             if "ghost" in names:
                 self.payload_messages += remote_messages
                 self.payload_bytes += remote_bytes
+            positions = handshake_positions([self.plan.effect_rows(sub) for sub in group])
             t0 = time.perf_counter()
-            out = engine.round(("run", group), on_note=(
-                self._go_after_ghosts()
-                if AFTER_WAIT in handshake_positions(names) else None
+            out = engine.round(("run", (group, positions)), on_note=(
+                self._go_after_ghosts() if AFTER_WAIT in positions else None
             ))
             busy = max(seconds for _, seconds in out)
             self.compute_s += busy

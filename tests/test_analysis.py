@@ -311,7 +311,7 @@ class TestDesInterpreter:
         """Without its wait on the bundles into its rank, an rhs reads
         ghost bands an unpack may still be writing."""
         if drop:
-            monkeypatch.delitem(distributed.CROSS_RANK_WAITS, "rhs")
+            monkeypatch.delitem(distributed.CROSS_RANK_WAITS, "into")
         mesh, eos = make_state_mesh(levels=1, refine_keys=(0,))
         driver = des_driver(mesh, eos)
         driver.step(1e-4)

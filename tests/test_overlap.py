@@ -74,10 +74,10 @@ class TestOverlapBitIdentity:
 
     @pytest.mark.parametrize("overlap", [False, True], ids=["bsp", "overlap"])
     def test_rounds_per_step(self, overlap):
-        # Uniform mesh (no reflux): BSP is begin + 3 x (ghost, rhs, update)
-        # + finish barrier rounds; fused, each stage is one round.  Either
-        # way one more round harvests the workers' timers into the
-        # integrator's registry.
+        # Uniform mesh (no reflux): BSP is begin + 3 x (ghost, rhs) +
+        # finish barrier rounds, the rhs updating as it goes; fused, each
+        # stage is one round.  Either way one more round harvests the
+        # workers' timers into the integrator's registry.
         stages = len(_RK3_STAGES)
         mesh, eos = make_state_mesh(levels=1)
         ex = HydroIntegrator(
@@ -88,7 +88,7 @@ class TestOverlapBitIdentity:
             before = ex.engine.rounds
             ex.step(1e-4)
             assert ex.engine.rounds - before == 3 + (
-                stages if overlap else 3 * stages
+                stages if overlap else 2 * stages
             )
         finally:
             ex.close()

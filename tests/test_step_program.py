@@ -31,9 +31,9 @@ class TestProgram:
     ):
         """Flattening every fused group yields the BSP list verbatim (no
         op is split, renamed or reordered), and with ``overlap`` every
-        stage is one group: the stage's ``ghost, rhs`` plus ``update``
-        unless a reflux barrier intervenes.  (The test name predates the
-        whole-block ``rhs``.)"""
+        stage is one group: the stage's ``ghost, rhs`` — the rhs updates
+        the sub-batches it does not defer to the reflux barrier.  (The
+        test name predates the whole-block ``rhs``.)"""
         args = (1e-3, collect_fluxes, use_accel)
         bsp = list(rk3_ops(*args, overlap=False))
         ops = list(rk3_ops(*args, overlap=overlap))
@@ -46,9 +46,7 @@ class TestProgram:
         assert len(groups) == (len(_RK3_STAGES) if overlap else 0)
         for group in groups:
             names = [sub[0] for sub in group]
-            assert names == ["ghost", "rhs"] + (
-                [] if collect_fluxes else ["update"]
-            )
+            assert names == ["ghost", "rhs"]
 
     @pytest.mark.parametrize("collect_fluxes, use_accel, overlap", FLAGS)
     def test_stage_shape(self, collect_fluxes, use_accel, overlap):
@@ -58,8 +56,18 @@ class TestProgram:
         names = [op[0] for op in ops]
         assert names[-1] == "finish" and names.count("begin") == 1
         assert names.count("ghost") == names.count("rhs") == len(_RK3_STAGES)
-        assert [op[1:3] for op in ops if op[0] == "update"] == list(_RK3_STAGES)
+        # The rhs carries each stage's update; a separate update (of the
+        # sub-batches the reflux corrects) follows only its reflux.
+        rhs = [op for op in ops if op[0] == "rhs"]
+        assert [op[1:3] for op in rhs] == [(collect_fluxes, use_accel)] * 3
+        assert [op[3:5] for op in rhs] == list(_RK3_STAGES)
+        assert {op[5] for op in rhs} == {1e-3}
+        deferred = [op[1:3] for op in ops if op[0] == "update"]
+        assert deferred == (list(_RK3_STAGES) if collect_fluxes else [])
         assert names.count("reflux") == (len(_RK3_STAGES) if collect_fluxes else 0)
+        for i, name in enumerate(names):
+            if name == "update":
+                assert names[i - 2 : i] == ["rhs", "reflux"]
         # Gravity is solved once per step, before the first stage.
         assert names.count("accel") == int(use_accel)
         assert names.index("begin") == int(use_accel)
