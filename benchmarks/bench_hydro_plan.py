@@ -170,6 +170,7 @@ def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
         "full_reference_ms": full_reference * 1e3,
         "full_speedup": full_reference / full_batched,
         "plan_nbytes": batched.plan_for().nbytes(),
+        "face_trace_nbytes": batched.plans.traces.nbytes(),
         "scratch_bytes_per_cell": (
             batched.plan_for().scratch.nbytes() / mesh_a.n_cells()
         ),
@@ -216,6 +217,13 @@ def main(argv=None) -> int:
             f"{c['warm_speedup']:>7.2f}x {c['full_batched_ms']:>8.1f} "
             f"{c['full_reference_ms']:>9.1f} {c['full_speedup']:>7.2f}x "
             f"{c['scratch_bytes_per_cell']:>15.1f}"
+        )
+    for c in cases:
+        owners = dict(c["plan_nbytes"], face_traces=c["face_trace_nbytes"])
+        lines.append(
+            f"level {c['levels']} plan B/cell by owner: " + ", ".join(
+                f"{name} {nbytes / c['cells']:.1f}" for name, nbytes in owners.items()
+            )
         )
     for name, d in drifts:
         lines.append(f"drift {name}: max|batched - reference| = {d:.3e}")

@@ -11,9 +11,10 @@ with
   up — the "small control message" of the paper's local-communication
   optimization),
 * shared-memory arenas (:mod:`repro.amt.shm`) as the data plane: the
-  parent adopts mesh storage into a ``/dev/shm`` segment *before* forking,
-  so the workers' inherited numpy views alias the same physical pages and
-  ghost exchange becomes a shm write plus a control round-trip,
+  parent maps its ``/dev/shm`` segments *before* forking and adopts mesh
+  storage into them after, so the workers' views alias the same physical
+  pages and ghost exchange becomes a shm write plus a control round-trip
+  (the plan itself reaches each worker as a slice over its pipe),
 * one round primitive (:meth:`ParallelEngine.round`): the parent
   broadcasts one command, every worker executes it and replies, and the
   parent collects the replies together with any mid-round notes, routing
@@ -287,8 +288,8 @@ class ParallelEngine:
 
     def start(self, factory: HandlerFactory) -> None:
         """Fork the workers.  ``factory(rank, registry, link)`` runs *in
-        the child* and returns the command handler, so everything the parent
-        set up before this call (mesh, plans, shm views) is inherited."""
+        the child* and returns the command handler; whatever the parent
+        holds at this call (shm mappings, but also its whole heap) is inherited."""
         if self.started:
             raise RuntimeError("engine already started")
         for rank in range(self.nprocs):

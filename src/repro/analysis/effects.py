@@ -77,6 +77,19 @@ def slot_range_rows(
     return np.array([[mode, segment, lo, hi, region]], dtype=np.int64)
 
 
+#: Indices per pass of the index-array classifiers: bounds their
+#: temporaries to well under a MB whatever the plan size.
+CHUNK = 1 << 14
+
+
+def index_chunks(arrays: Sequence[np.ndarray]):
+    """Fixed-size flat pieces of index arrays, without concatenating them."""
+    for a in arrays:
+        flat = np.asarray(a).reshape(-1)
+        for lo in range(0, flat.size, CHUNK):
+            yield flat[lo : lo + CHUNK]
+
+
 def slot_regions(
     idx: np.ndarray, n: int, ghost: int, nfields: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -84,7 +97,7 @@ def slot_regions(
     field-arena element indices into ``(nfields, M, M, M)`` chunks,
     ``M = n + 2*ghost``."""
     m = n + 2 * ghost
-    cube = np.full((m, m, m), REGION_GHOST, dtype=np.intp)
+    cube = np.full((m, m, m), REGION_GHOST, dtype=np.uint8)
     inner = slice(ghost, ghost + n)
     cube[inner, inner, inner] = REGION_INTERIOR
     table = np.tile(cube.ravel(), nfields)
@@ -102,22 +115,21 @@ def field_access_rows(
     """Descriptor rows covering flat field-arena element indices.
 
     Classifies every index into its leaf slot and region
-    (:func:`slot_regions`), then compresses consecutive same-region slots
-    into ranges.  Run over a bundle's live gather/scatter arrays, so an
-    injected index pointing into a foreign slot shows up as a
-    foreign-slot row.
+    (:func:`slot_regions`, one :func:`index_chunks` piece at a time), then
+    compresses consecutive same-region slots into ranges.  Run over a
+    bundle's live gather/scatter arrays, so an injected index pointing
+    into a foreign slot shows up as a foreign-slot row.
     """
-    flat = [np.asarray(a).ravel() for a in indices if np.asarray(a).size]
-    if not flat:
-        return np.empty((0, 5), dtype=np.int64)
-    slot, region = slot_regions(np.concatenate(flat), n, ghost, nfields)
-    # The (slot, region) tags present, ascending: one counting pass.
-    tagged = np.flatnonzero(np.bincount(slot * 4 + region))
+    # The (slot, region) tags present, ascending: one counting pass a piece.
+    tagged = set()
+    for idx in index_chunks(indices):
+        slot, region = slot_regions(idx, n, ghost, nfields)
+        tagged.update(np.flatnonzero(np.bincount(slot * 4 + region)).tolist())
     rows: List[Tuple[int, int, int, int, int]] = []
-    for t in tagged.tolist():
+    for t in sorted(tagged):
         s, r = t // 4, t % 4
         if rows and rows[-1][4] == r and rows[-1][3] == s:
             rows[-1] = (mode, SEG_FIELDS, rows[-1][2], s + 1, r)
         else:
             rows.append((mode, SEG_FIELDS, s, s + 1, r))
-    return np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)

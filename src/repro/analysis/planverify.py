@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
-from repro.analysis.effects import REGION_INTERIOR, slot_regions
+from repro.analysis.effects import REGION_INTERIOR, index_chunks, slot_regions
 from repro.analysis.shmrace import concurrent_conflicts, handshake_positions
 from repro.octree.fields import NFIELDS
 from repro.octree.mesh import AmrMesh
@@ -135,31 +135,6 @@ def verify_partition(
     return out
 
 
-def _expected_ghost_targets(
-    mesh: AmrMesh, nfields: int
-) -> np.ndarray:
-    """Every face ghost-band element index of every leaf, sorted.
-
-    The reference exchange fills exactly the six face bands
-    (:meth:`~repro.octree.subgrid.SubGrid.ghost_slices`) of every leaf —
-    this is the "covered by exactly one donor" target set the bundle
-    scatter arrays must equal.
-    """
-    n, g = mesh.n, mesh.ghost
-    m = n + 2 * g
-    chunk = nfields * m**3
-    cube = np.arange(chunk, dtype=np.intp).reshape(nfields, m, m, m)
-    leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
-    bands = [
-        cube[(slice(None),) + leaves[0].subgrid.ghost_slices(axis, side)].ravel()
-        for axis in range(3)
-        for side in (0, 1)
-    ]
-    per_leaf = np.sort(np.concatenate(bands))
-    slots = np.arange(len(leaves), dtype=np.intp) * chunk
-    return (slots[:, None] + per_leaf[None, :]).ravel()
-
-
 def verify_bundle_plan(
     mesh: AmrMesh,
     plan: "GhostBundlePlan",
@@ -180,89 +155,101 @@ def verify_bundle_plan(
     * reads (``copy_src``/``fine_src``) come only from interiors, owned
       by the bundle's ``src_locality``;
     * all indices are in-bounds for the arena.
+
+    Memory stays bounded by the arena, not the plan: bounds, region and
+    ownership are checked one :func:`~repro.analysis.effects.index_chunks`
+    piece at a time, uniqueness and coverage against a one-byte-per-element
+    map of the arena.
     """
     out: List[PlanViolation] = []
     n, g = mesh.n, mesh.ghost
     m = n + 2 * g
     loc = np.asarray(localities, dtype=np.int64)
-    total = loc.size * nfields * m**3
+    # The face ghost bands of one leaf chunk: what the reference fills.
+    sg = next(iter(mesh.leaves())).subgrid
+    band = np.zeros((nfields, m, m, m), dtype=bool)
+    for axis in range(3):
+        for side in (0, 1):
+            band[(slice(None),) + sg.ghost_slices(axis, side)] = True
+    band = band.reshape(-1)
+    total = loc.size * band.size
+    written = np.zeros(total, dtype=bool)
+    tally = {"targets": 0, "dups": 0, "first": total}
 
-    all_dst: List[np.ndarray] = []
+    def scan(arrays, owner: int, interior: bool, mark: bool):
+        """(any out of bounds, in-bounds count off ``interior``, sorted
+        slots not owned by ``owner``); ``mark`` records scatter targets."""
+        oob, misplaced, foreign = False, 0, [np.empty(0, dtype=np.int64)]
+        for idx in index_chunks(arrays):
+            inside = (idx >= 0) & (idx < total)
+            if not inside.all():
+                oob, idx = True, idx[inside]
+            slot, region = slot_regions(idx, n, g, nfields)
+            misplaced += int(np.count_nonzero((region == REGION_INTERIOR) != interior))
+            foreign.append(np.unique(slot[loc[slot] != owner]))
+            if mark:
+                u, counts = np.unique(idx, return_counts=True)
+                again = written[u]
+                tally["targets"] += idx.size
+                tally["dups"] += idx.size - u.size + int(np.count_nonzero(again))
+                tally["first"] = min([tally["first"]] + u[again | (counts > 1)][:1].tolist())
+                written[u] = True
+        return oob, misplaced, np.unique(np.concatenate(foreign))
+
     for pair in sorted(plan.bundles):
         b = plan.bundles[pair]
-        dst = np.concatenate([b.copy_dst, b.fine_dst]) if b.fine_dst.size \
-            else b.copy_dst
-        src = np.concatenate([b.copy_src, b.fine_src.ravel()]) \
-            if b.fine_dst.size else b.copy_src
-        for name, idx in (("dst", dst), ("src", src)):
-            if idx.size and (idx.min() < 0 or idx.max() >= total):
+        dst = scan((b.copy_dst, b.fine_dst), b.dst_locality, False, True)
+        src = scan((b.copy_src, b.fine_src), b.src_locality, True, False)
+        for name, (oob, _, _) in (("dst", dst), ("src", src)):
+            if oob:
                 out.append(PlanViolation(
                     "bundle-bounds",
                     f"bundle {pair} {name} index outside [0, {total})",
                 ))
-        dst = dst[(dst >= 0) & (dst < total)]
-        src = src[(src >= 0) & (src < total)]
-        if dst.size:
-            slot, region = slot_regions(dst, n, g, nfields)
-            interior = region == REGION_INTERIOR
-            if interior.any():
-                out.append(PlanViolation(
-                    "bundle-dst-interior",
-                    f"bundle {pair} scatters {int(interior.sum())} "
-                    f"element(s) into leaf interiors (ghost bands only)",
-                ))
-            wrong = np.unique(slot[loc[slot] != b.dst_locality])
-            if wrong.size:
-                out.append(PlanViolation(
-                    "bundle-dst-ownership",
-                    f"bundle {pair} writes slot(s) {wrong.tolist()[:4]} "
-                    f"owned by rank(s) "
-                    f"{np.unique(loc[wrong]).tolist()[:4]}, "
-                    f"not dst rank {b.dst_locality}",
-                ))
-        if src.size:
-            slot, region = slot_regions(src, n, g, nfields)
-            interior = region == REGION_INTERIOR
-            if not interior.all():
-                out.append(PlanViolation(
-                    "bundle-src-ghost",
-                    f"bundle {pair} reads {int((~interior).sum())} "
-                    f"element(s) outside donor interiors",
-                ))
-            wrong = np.unique(slot[loc[slot] != b.src_locality])
-            if wrong.size:
-                out.append(PlanViolation(
-                    "bundle-src-ownership",
-                    f"bundle {pair} reads slot(s) {wrong.tolist()[:4]} not "
-                    f"owned by src rank {b.src_locality}",
-                ))
+        if dst[1]:
+            out.append(PlanViolation(
+                "bundle-dst-interior",
+                f"bundle {pair} scatters {dst[1]} "
+                f"element(s) into leaf interiors (ghost bands only)",
+            ))
+        if dst[2].size:
+            out.append(PlanViolation(
+                "bundle-dst-ownership",
+                f"bundle {pair} writes slot(s) {dst[2].tolist()[:4]} "
+                f"owned by rank(s) "
+                f"{np.unique(loc[dst[2]]).tolist()[:4]}, "
+                f"not dst rank {b.dst_locality}",
+            ))
+        if src[1]:
+            out.append(PlanViolation(
+                "bundle-src-ghost",
+                f"bundle {pair} reads {src[1]} "
+                f"element(s) outside donor interiors",
+            ))
+        if src[2].size:
+            out.append(PlanViolation(
+                "bundle-src-ownership",
+                f"bundle {pair} reads slot(s) {src[2].tolist()[:4]} not "
+                f"owned by src rank {b.src_locality}",
+            ))
         if b.fine_dst.size and b.fine_src.shape != (8, b.fine_dst.size):
             out.append(PlanViolation(
                 "bundle-fine-shape",
                 f"bundle {pair} fine_src {b.fine_src.shape} does not match "
                 f"fine_dst ({b.fine_dst.size},)",
             ))
-        all_dst.append(dst)
 
-    targets = np.sort(np.concatenate(all_dst)) if all_dst else \
-        np.empty(0, dtype=np.intp)
-    dup_mask = targets[1:] == targets[:-1]
-    if dup_mask.any():
-        dup = int(targets[1:][dup_mask][0])
-        slot, _ = slot_regions(np.array([dup]), n, g, nfields)
+    if tally["dups"]:
+        first = tally["first"]
         out.append(PlanViolation(
             "bundle-dst-overlap",
-            f"{int(dup_mask.sum())} scatter target(s) written by more than "
-            f"one donor (first: element {dup} in slot {int(slot[0])})",
+            f"{tally['dups']} scatter target(s) written by more than "
+            f"one donor (first: element {first} in slot {first // band.size})",
         ))
-    expected = _expected_ghost_targets(mesh, nfields)
-    # targets is sorted, so dropping the repeats the duplicate check found
-    # leaves its unique values.
-    if targets.size != expected.size or not np.array_equal(
-        targets[np.concatenate([[True], ~dup_mask])], expected
-    ):
-        missing = np.setdiff1d(expected, targets).size
-        extra = np.setdiff1d(targets, expected).size
+    covered = written.reshape(loc.size, band.size)
+    missing = int(np.count_nonzero(band > covered))
+    extra = int(np.count_nonzero(covered > band))
+    if missing or extra or tally["targets"] != loc.size * int(band.sum()):
         out.append(PlanViolation(
             "bundle-dst-coverage",
             f"scatter targets != face ghost bands: {missing} band cell(s) "

@@ -148,7 +148,7 @@ class PairBundle:
         # is a *view* of payload, and a round-trip silently flattens it to
         # an independent array — pack() would then write the restricted
         # fine data nowhere and unpack() scatter uninitialized memory.
-        # (The replan broadcast pickles bundles; fork inherits them intact.)
+        # (Every worker receives its bundles pickled, in its plan slice.)
         state = self.__dict__.copy()
         for scratch in ("payload", "_fine_acc", "_fine_tmp"):
             state.pop(scratch, None)
@@ -166,6 +166,11 @@ class PairBundle:
     def nbytes(self) -> int:
         """Wire size: one float64 per packed ghost cell (all fields)."""
         return self.payload.size * 8
+
+    @property
+    def buffer_nbytes(self) -> int:
+        """Bytes of the pack buffers: the payload and the restriction tail."""
+        return self.payload.nbytes + self._fine_tmp.nbytes
 
     def pack(self, arena: np.ndarray) -> np.ndarray:
         """Gather (and sender-side restrict) into the payload buffer."""
@@ -196,7 +201,7 @@ class PairBundle:
 #: Ghost face classes, in the order ``face_counts`` is serialised.
 FACE_KINDS = ("same", "coarse", "boundary", "fine")
 #: The index arrays of a :class:`PairBundle`.
-_INDEX_FIELDS = ("copy_src", "copy_dst", "fine_src", "fine_dst")
+INDEX_FIELDS = ("copy_src", "copy_dst", "fine_src", "fine_dst")
 
 
 def _cat(arrays: List[np.ndarray], axis: int = 0) -> np.ndarray:
@@ -246,7 +251,7 @@ class GhostBundlePlan:
             ),
         }
         for i, pair in enumerate(pairs):
-            for name in _INDEX_FIELDS:
+            for name in INDEX_FIELDS:
                 out[f"{name}.{i}"] = getattr(self.bundles[pair], name)
         return out
 
@@ -262,7 +267,7 @@ class GhostBundlePlan:
                     name: np.asarray(payload[f"{name}.{i}"]).astype(
                         np.intp, copy=False
                     )
-                    for name in _INDEX_FIELDS
+                    for name in INDEX_FIELDS
                 },
             )
         counts = np.asarray(payload["face_counts"]).tolist()
@@ -302,10 +307,6 @@ def build_bundle_plan(
     function of topology and assignment (not of mesh construction order).
     """
     leaves = sorted(mesh.leaves(), key=lambda nd: nd.key)
-    n, g = mesh.n, mesh.ghost
-    m = n + 2 * g
-    chunk = nfields * m**3
-
     acc: Dict[PairKey, _PairAccumulator] = defaultdict(_PairAccumulator)
     face_counts = dict.fromkeys(FACE_KINDS, 0)
     for leaf in leaves:
@@ -318,22 +319,17 @@ def build_bundle_plan(
                 else:
                     trace = trace_face(mesh, leaf, axis, side, nfields)
                 face_counts[trace.kind] += 1
-                bases = np.array(
-                    [offsets[k] for k in trace.participants], dtype=np.intp
-                )
                 if trace.kind == "fine":
                     for child_key, rows, dst in trace.fine_parts:
                         entry = acc[locality[child_key], dest_loc]
-                        entry.fine_src.append(trace.relocate(rows, bases, chunk))
-                        entry.fine_dst.append(dst + dest_base)
+                        entry.fine_src.append(np.add(rows, offsets[child_key], dtype=np.intp))
+                        entry.fine_dst.append(np.add(dst, dest_base, dtype=np.intp))
                         entry.n_faces += 1
                     continue
-                donor_key = trace.participants[1] if len(
-                    trace.participants
-                ) > 1 else leaf.key
+                donor_key = trace.participants[-1]
                 entry = acc[locality[donor_key], dest_loc]
-                entry.copy_src.append(trace.relocate(trace.copy_src, bases, chunk))
-                entry.copy_dst.append(trace.copy_dst + dest_base)
+                entry.copy_src.append(np.add(trace.copy_src, offsets[donor_key], dtype=np.intp))
+                entry.copy_dst.append(np.add(trace.copy_dst, dest_base, dtype=np.intp))
                 entry.n_faces += 1
 
     bundles: Dict[PairKey, PairBundle] = {}

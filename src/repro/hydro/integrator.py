@@ -144,8 +144,8 @@ class HydroIntegrator:
         #: dependency-grained round instead of two barrier rounds
         #: (bit-identical to the BSP schedule; off = ablation baseline).
         self.overlap = overlap
-        #: Process backend only: static plan verification before forking
-        #: and dynamic shm race detection at every barrier (see
+        #: Process backend only: static plan verification before any worker
+        #: receives a plan and dynamic shm race detection at every barrier (see
         #: :mod:`repro.analysis.planverify` / :mod:`repro.analysis.shmrace`).
         self.verify_plans = verify_plans
         self.detect_races = detect_races

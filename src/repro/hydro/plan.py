@@ -45,6 +45,7 @@ See ``docs/hydro_plan.md`` for the full architecture.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from contextlib import nullcontext
 from itertools import chain
@@ -63,7 +64,7 @@ from repro.analysis.effects import (
     field_access_rows,
     slot_range_rows,
 )
-from repro.comms.bundle import GhostBundlePlan, adopt_arena, build_bundle_plan
+from repro.comms.bundle import INDEX_FIELDS, GhostBundlePlan, adopt_arena, build_bundle_plan
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.reflux import apply_flux_table, build_reflux_table
 from repro.hydro.primitives import PRIM_KEYS, primitives_from_conserved
@@ -264,31 +265,47 @@ class HydroPlan:
             for key, view in zip(self.leaf_keys, self.views)
         )
 
-    def nbytes(self) -> int:
-        """Arena + scratch footprint (index arrays excluded)."""
-        return self.arena.nbytes + self.scratch.nbytes()
-
-    # -- the replan broadcast (process backend) --------------------------------
-    def rank_slice(self, rank: int) -> Dict[str, Any]:
-        """The topology attributes of this plan as ``rank`` needs them (its
-        own runs, the bundles it applies) — the executor's replan
-        broadcast.  A forked worker cannot derive any of it: its mesh copy
-        is stale the moment the parent regrids."""
-        mine = {p: b for p, b in self.ghosts.bundles.items() if p[1] == rank}
+    def nbytes(self) -> Dict[str, int]:
+        """Bytes this plan holds, by owner: the leaf ``arena``, ``scratch``
+        (the kernels' :class:`ScratchArena` and the bundles' pack buffers),
+        the ghost ``bundles``' index arrays, the ``runs``' cell-centre rows
+        and the ``reflux`` table's row tuples."""
+        bundles = self.ghosts.bundles.values()
+        rows = [(r, r[5], *r[5]) for r in self.reflux_table]
         return {
-            "fingerprint": self.fingerprint,
-            "leaf_keys": self.leaf_keys,
-            "slot": self.slot,
-            "runs": [rs if r == rank else [] for r, rs in enumerate(self.runs)],
-            "reflux_table": self.reflux_table,
-            "ghosts": GhostBundlePlan(mine, self.ghosts.face_counts, self.fingerprint),
+            "arena": self.arena.nbytes,
+            "scratch": self.scratch.nbytes() + sum(b.buffer_nbytes for b in bundles),
+            "bundles": sum(getattr(b, f).nbytes for b in bundles for f in INDEX_FIELDS),
+            "runs": sum(r.x.nbytes + r.y.nbytes for rs in self.runs for r in rs),
+            "reflux": sum(map(sys.getsizeof, chain.from_iterable(rows))),
         }
 
-    def rebind(self, piece: Dict[str, Any], arena: np.ndarray) -> None:
-        """Worker side of the replan broadcast: patch this (forked, stale)
-        plan with a :meth:`rank_slice` of the parent's new one, over the
-        re-sized view ``arena`` of the same shm pages."""
-        vars(self).update(piece, arena=arena, _rows={})
+    # -- the slice broadcast (process backend) --------------------------------
+    def rank_slice(self, rank: int) -> Dict[str, Any]:
+        """The topology of this plan as ``rank`` needs it (its own runs,
+        the bundles it applies) — what the executor sends each worker.  A
+        forked worker cannot derive any of it: the pool forks before the
+        first plan exists, and its mesh copy is stale the moment the parent
+        regrids."""
+        mine = {p: b for p, b in self.ghosts.bundles.items() if p[1] == rank}
+        piece = {name: getattr(self, name) for name in _SLICE_ATTRS}
+        piece["runs"] = [rs if r == rank else [] for r, rs in enumerate(self.runs)]
+        piece["ghosts"] = GhostBundlePlan(mine, self.ghosts.face_counts, self.fingerprint)
+        return piece
+
+    @classmethod
+    def from_slice(cls, piece: Dict[str, Any], arena: np.ndarray) -> "HydroPlan":
+        """A worker's plan: one :meth:`rank_slice` over the view ``arena``
+        of the shared pages.  It holds no mesh and no face traces, so it
+        steps its rank and never validates or rebuilds itself."""
+        plan = cls.__new__(cls)
+        vars(plan).update(piece, arena=arena, scratch=ScratchArena(), _rows={})
+        return plan
+
+
+#: What a :meth:`HydroPlan.rank_slice` carries besides its runs and bundles.
+_SLICE_ATTRS = ("fingerprint", "n", "ghost_width", "m", "nranks", "rank_of",
+                "leaf_keys", "slot", "reflux_table")
 
 
 def build_hydro_plan(

@@ -9,13 +9,16 @@ partitioned over the worker processes of a
 
 * the plan is the same :class:`repro.hydro.plan.HydroPlan` the serial
   integrator steps, asked for with ``nranks=nprocs`` and a
-  :class:`repro.amt.shm.ShmArena` view as its arena: every leaf sub-grid
-  is adopted into **shared memory** *before* forking, so each worker's
-  inherited numpy views alias the same pages — writes to owned interiors
-  and ghost bands are visible everywhere without copies;
-* the plan partitions the leaves along the space-filling curve and each
-  worker holds the :class:`repro.hydro.plan.RankStep` of its rank — the
-  same rank ops the serial integrator runs;
+  :class:`repro.amt.shm.ShmArena` view as its arena: the shm segments are
+  mapped *before* forking and every leaf sub-grid is adopted into them
+  after, so each worker's numpy views alias the same pages — writes to
+  owned interiors and ghost bands are visible everywhere without copies;
+* the pool forks before any plan exists: the parent builds and verifies
+  the plan, then sends each worker its slice
+  (:meth:`repro.hydro.plan.HydroPlan.rank_slice`) — its own runs and the
+  bundles it applies — from which the worker builds its plan and the
+  :class:`repro.hydro.plan.RankStep` of its rank, the same rank ops the
+  serial integrator runs;
 * ghost exchange uses the plan's :class:`~repro.comms.bundle.PairBundle`
   per rank pair: the *destination* worker applies each of its bundles
   directly (pack reads donor interiors from shm, unpack writes its own
@@ -40,7 +43,7 @@ partitioned over the worker processes of a
   every round.
 
 This module owns what is specific to real processes — the shm arenas, the
-event log, the fork and the in-place replan broadcast; topology
+event log, the fork and the slice broadcast; topology
 (partition, runs, bundles, reflux table, plan validity and lifecycle) is
 the shared plan's and the arithmetic the shared ``RankStep``, so the result
 is ``np.array_equal`` with both the serial step and the DES driver — the
@@ -92,9 +95,10 @@ ARENA_HEADROOM = 1.5
 
 
 class _WorkerState:
-    """Everything one worker precomputes after fork (child-side only):
-    its :class:`RankStep` plus the bundle and event-log state the rank ops
-    know nothing about."""
+    """Everything one worker holds (child-side only): the plan it builds
+    from its slice, its :class:`RankStep`, and the event-log state the rank
+    ops know nothing about.  The pool forks before any plan exists, so a
+    worker binds on its first ``replan``."""
 
     def __init__(
         self,
@@ -113,53 +117,38 @@ class _WorkerState:
         self.epoch = 0
         log = executor.event_log
         self.events = log.writer(rank) if log is not None else None
-        self._bind()
-
-    def _bind(self) -> None:
-        """(Re)derive every topology-dependent view from the executor's
-        current plan — at fork time from the inherited one, and again
-        after each :meth:`replan` patches it in place."""
-        ex, integrator = self.ex, self.ex.integrator
-        plan, rank = ex.plan, self.rank
-        #: The rank ops of the step program, over this rank's slot runs.
-        self.step = RankStep(
-            plan, rank, integrator.eos, integrator.omega, self.registry,
-            accel_view=ex.accel_view, flux_view=ex.flux_view,
-            scratch=ScratchArena(),
-        )
-        #: Bundles this rank applies: every one it is the destination of.
-        self.dst_pairs = sorted(
-            pair for pair in plan.ghosts.bundles if pair[1] == rank
-        )
 
     def replan(self, piece: Dict[str, Any]) -> None:
-        """Patch this worker's plan with its slice of the parent's new one
-        (:meth:`HydroPlan.rank_slice`).  Rebinding happens inside the
-        barrier, so no stale index array survives into the next round —
-        the same guarantee a re-fork gave, without the fork."""
+        """Build this worker's plan from its slice of the parent's verified
+        one (:meth:`HydroPlan.rank_slice`): its own runs and the bundles it
+        applies, over the re-sized view of the same shm pages.  Binding
+        happens inside the barrier, so the round after this one runs
+        entirely on the new topology."""
         ex = self.ex
         ex.size_views(len(piece["leaf_keys"]))
-        ex.plan.rebind(piece, ex.arena_view)
-        self._bind()
+        plan = ex.plan = HydroPlan.from_slice(piece, ex.arena_view)
+        #: The rank ops of the step program, over this rank's slot runs.
+        self.step = RankStep(
+            plan, self.rank, ex.integrator.eos, ex.integrator.omega,
+            self.registry, accel_view=ex.accel_view, flux_view=ex.flux_view,
+            scratch=ScratchArena(),
+        )
 
     def rows(self, op: tuple) -> np.ndarray:
         """The op's declared effect rows on this rank
         (:meth:`HydroPlan.effect_rows` over the *live* plan arrays,
-        including anything injected into the bundles)."""
-        plan = self.ex.plan
-        if op[0] != "ghost":
-            return plan.effect_rows(op, self.rank)
-        return np.vstack([plan.effect_rows(op, p) for p in self.dst_pairs]
-                         or [np.empty((0, 5), dtype=np.int64)])
+        including anything injected into the bundles).  The slice holds
+        only this rank's bundles, so a ``ghost``'s union is its applies."""
+        return self.ex.plan.effect_rows(op, None if op[0] == "ghost" else self.rank)
 
     # -- ghost exchange --------------------------------------------------------
     def ghost(self) -> None:
-        """The destination applies each of its bundles in place."""
+        """The destination applies each of its bundles in place (the slice
+        holds only those)."""
         arena = self.ex.arena_view
-        plan = self.ex.bundle_plan
         with self.registry.timer("hydro.ghost"):
-            for pair in self.dst_pairs:
-                plan.bundles[pair].apply(arena)
+            for bundle in self.ex.bundle_plan.bundles.values():
+                bundle.apply(arena)
 
     def run(self, group: Tuple[tuple, ...], positions: List[int]) -> Tuple[Any, float]:
         """One round: the program ops of ``group`` back to back.
@@ -204,8 +193,8 @@ class _WorkerState:
 
 
 def _make_handler(executor: "ProcessHydroExecutor"):
-    """The child-side handler factory (runs after fork; sees the parent's
-    mesh, plans and shm views by inheritance)."""
+    """The child-side handler factory (runs after fork; inherits the shm
+    mappings and the event log, never a plan)."""
 
     def factory(rank: int, registry: CounterRegistry, link: WorkerLink):
         state = _WorkerState(rank, registry, executor, link)
@@ -222,14 +211,14 @@ class ProcessHydroExecutor:
     ``nprocs``, ``overlap`` (handed to :func:`rk3_ops`, which groups the
     program's ops into rounds),
     ``verify_plans`` (static verification of every (re)built plan before
-    forking), ``detect_races`` (workers log shm accesses, the parent scans
-    them at every barrier), the hydro plan lifecycle and the counter
-    registry.  Call :meth:`step` repeatedly; :meth:`ensure` revalidates
-    arenas and workers whenever the plan they serve stopped matching the
-    mesh (topology moved, leaf storage rebound).  A regrid that fits the
-    allocated arena headroom is patched **in place** and broadcast to the
-    live workers — no re-fork; an overflow (or first build) takes the cold
-    path and re-forks.
+    any worker sees it), ``detect_races`` (workers log shm accesses, the
+    parent scans them at every barrier), the hydro plan lifecycle and the
+    counter registry.  Call :meth:`step` repeatedly; :meth:`ensure`
+    revalidates arenas and workers whenever the plan they serve stopped
+    matching the mesh (topology moved, leaf storage rebound).  A regrid
+    that fits the allocated arena headroom is published **in place** to
+    the live workers — no re-fork; an overflow (or first build) takes the
+    cold path, re-forks, and then publishes the same way.
     """
 
     def __init__(self, integrator: HydroIntegrator) -> None:
@@ -240,7 +229,7 @@ class ProcessHydroExecutor:
         self.event_log: Optional[ShmEventLog] = None
         self.race_detector: Optional[ShmRaceDetector] = None
         #: Test/diagnostic hook run on each freshly built bundle plan
-        #: *before* verification and forking — the seeded-race tests
+        #: *before* verification and publishing — the seeded-race tests
         #: inject overlapping scatter indices here.
         self.bundle_plan_hook = None
 
@@ -318,26 +307,11 @@ class ProcessHydroExecutor:
             (n_leaves, 3, 2, NFIELDS, n, n)
         )
 
-    def _adopt(self, n_leaves: int) -> float:
-        """Ask the integrator's lifecycle for the ``nprocs``-rank plan
-        adopted into the arena and verify it; returns the seconds the plan
-        build took."""
-        self.size_views(n_leaves)
-        t0 = time.perf_counter()
-        self.plan = self.integrator.plans.plan_for(
-            self.mesh, self._registry(), nranks=self.nprocs, out=self.arena_view
-        )
-        build_s = time.perf_counter() - t0
-        if self.bundle_plan_hook is not None:
-            self.bundle_plan_hook(self.plan.ghosts)
-        if self.integrator.verify_plans:
-            require_verified(verify_process_plan(self.plan))
-        return build_s
-
     def _cold_start(self, n_leaves: int) -> float:
-        """Allocate arenas with headroom, adopt, fork.  Re-forking is the
-        plan invalidation broadcast of last resort: new children inherit
-        the new plan, so no stale index array can survive."""
+        """Allocate arenas with headroom (and the event log), fork, then
+        publish the plan like an in-place replan.  Forking first keeps the
+        plan build, the face traces and the verifier's temporaries out of
+        every worker's inherited heap."""
         self.close()
         n = self.n
         cap = max(n_leaves, int(math.ceil(n_leaves * ARENA_HEADROOM)))
@@ -345,31 +319,48 @@ class ProcessHydroExecutor:
         self.arena = ShmArena(cap * NFIELDS * self.m**3 * 8)
         self.accel_arena = ShmArena(cap * 3 * n**3 * 8)
         self.flux_arena = ShmArena(cap * 6 * NFIELDS * n**2 * 8)
-        build_s = self._adopt(n_leaves)
         if self.integrator.detect_races:
             self.event_log = ShmEventLog(self.nprocs)
             self.race_detector = ShmRaceDetector(self.event_log)
-
-        # Fork *after* every arena and plan exists: children inherit it all.
         self.engine = ParallelEngine(self.engine.nprocs, timeout=self.engine.timeout)
         if self.race_detector is not None:
             self.engine.round_observer = self.race_detector.scan
         self.engine.start(_make_handler(self))
-        return build_s
+        return self._publish(n_leaves)
 
     def _replan_in_place(self, n_leaves: int) -> float:
-        """Re-adopt the regridded mesh into the live arenas and broadcast
-        each rank its slice of the new plan — no re-fork.  The slice *is*
-        the invalidation message: every worker rebinds inside the barrier,
-        so the round after this one runs entirely on the new topology."""
+        """Re-adopt the regridded mesh into the live arenas and publish the
+        new plan to the live workers — no re-fork."""
         # Detach surviving leaves from the arena first: the new layout
         # overlaps the old one in the same shm pages, so adoption must not
         # read storage it is about to overwrite.
         self._detach_leaves()
-        build_s = self._adopt(n_leaves)
-        for rank in range(self.nprocs):
-            self.engine.send(rank, ("replan", self.plan.rank_slice(rank)))
-        self.engine.gather()
+        return self._publish(n_leaves)
+
+    def _publish(self, n_leaves: int) -> float:
+        """The tail of both tiers: ask the integrator's lifecycle for the
+        ``nprocs``-rank plan adopted into the arena, verify it, and send
+        each rank its slice — the one way a worker gets a plan, and the
+        invalidation message of every regrid.  Returns the seconds the plan
+        build took.  A tail that raises stops the pool, so no worker ever
+        steps an unverified or stale plan."""
+        self.size_views(n_leaves)
+        t0 = time.perf_counter()
+        self.plan = self.integrator.plans.plan_for(
+            self.mesh, self._registry(), nranks=self.nprocs, out=self.arena_view
+        )
+        build_s = time.perf_counter() - t0
+        try:
+            if self.bundle_plan_hook is not None:
+                self.bundle_plan_hook(self.plan.ghosts)
+            if self.integrator.verify_plans:
+                require_verified(verify_process_plan(self.plan))
+            for rank in range(self.nprocs):
+                self.engine.send(rank, ("replan", self.plan.rank_slice(rank)))
+            self.engine.gather()
+        except BaseException:
+            self.engine.shutdown()
+            raise
         return build_s
 
     def _detach_leaves(self) -> None:

@@ -20,7 +20,7 @@ one description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -238,16 +238,19 @@ def _child_fine_rows(
 
 @dataclass(frozen=True)
 class FaceTrace:
-    """One face's fill, traced in **leaf-local** arena indices.
+    """One face's fill, traced in **leaf-local** indices.
 
     ``participants`` lists the dest leaf first, then the donor leaves in
-    fill order; the trace's index cubes place participant ``q`` at base
-    ``q * chunk``, so a local index decomposes as ``q, r = divmod(i,
-    chunk)`` and relocates to any arena layout as ``offsets[participants
-    [q]] + r``.  That makes a trace a pure function of the participant
-    *keys* (geometry enters only via coords parity and octants, which the
-    keys determine) — valid for reuse across plan rebuilds until a regrid
-    touches one of its participants.
+    fill order.  Every fill reads one leaf only, so each index array is an
+    offset into *one* participant's ``(nfields, M, M, M)`` chunk, stored in
+    the smallest unsigned dtype that holds a chunk offset: ``copy_dst`` and
+    a fine part's ``dst`` into the dest leaf, ``copy_src`` into
+    ``participants[-1]`` (the donor, or the dest leaf itself at a
+    boundary), a fine part's ``rows`` into its child.  Relocating to any
+    arena layout adds that leaf's arena offset, so a trace is a pure
+    function of the participant *keys* (geometry enters only via coords
+    parity and octants, which the keys determine) — valid for reuse across
+    plan rebuilds until a regrid touches one of its participants.
 
     ``copy_src/copy_dst`` serve the gather classes (same/coarse/boundary);
     ``fine_parts`` holds per-child ``(child_key, rows (8, K), dst)`` so a
@@ -259,23 +262,11 @@ class FaceTrace:
     copy_src: Optional[np.ndarray]
     copy_dst: Optional[np.ndarray]
     fine_parts: Tuple[Tuple[NodeKey, np.ndarray, np.ndarray], ...]
-    #: Memoised ``divmod(local, chunk)`` splits, keyed on the identity of
-    #: the trace-owned index array — the split never changes for a given
-    #: trace, but relocation reruns on every plan rebuild, so caching it
-    #: removes the divmod from the incremental-rebuild hot path.
-    _splits: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
-    def relocate(self, local: np.ndarray, bases: np.ndarray, chunk: int) -> np.ndarray:
-        """Translate local trace indices into absolute arena indices."""
-        key = (id(local), chunk)
-        split = self._splits.get(key)
-        if split is None:
-            split = np.divmod(local, chunk)
-            self._splits[key] = split
-        q, r = split
-        return bases[q] + r
+    @property
+    def nbytes(self) -> int:
+        arrays = [self.copy_src, self.copy_dst] + [a for _, *pair in self.fine_parts for a in pair]
+        return sum(a.nbytes for a in arrays if a is not None)
 
 
 def trace_face(
@@ -292,14 +283,14 @@ def trace_face(
     kind, other = mesh.face_neighbor(leaf, axis, side)
     donors = [] if kind == "boundary" else ([other] if kind != "fine" else list(other))
 
-    def proxy(node: OctreeNode, slot: int) -> _IndexNode:
-        cube = np.arange(slot * chunk, (slot + 1) * chunk, dtype=np.intp).reshape(
+    def proxy(node: OctreeNode) -> _IndexNode:
+        cube = np.arange(chunk, dtype=np.min_scalar_type(chunk - 1)).reshape(
             nfields, m, m, m
         )
         return _IndexNode(_IndexSubGrid(n, g, cube), node.coords, node.octant)
 
-    dest = proxy(leaf, 0)
-    donor_proxies = [proxy(d, i + 1) for i, d in enumerate(donors)]
+    dest = proxy(leaf)
+    donor_proxies = [proxy(d) for d in donors]
     participants = (leaf.key,) + tuple(d.key for d in donors)
     sg = dest.subgrid
     if kind == "fine":
@@ -343,6 +334,10 @@ class FaceTraceCache:
         self._traces: Dict[Tuple[NodeKey, int, int], FaceTrace] = {}
         self._fingerprint: Optional[str] = None
         self._pending = False
+
+    def nbytes(self) -> int:
+        """Bytes of the index arrays the cached traces hold."""
+        return sum(trace.nbytes for trace in self._traces.values())
 
     def face(self, mesh: AmrMesh, leaf: OctreeNode, axis: int, side: int) -> FaceTrace:
         key = (leaf.key, axis, side)

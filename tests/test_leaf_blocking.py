@@ -120,24 +120,30 @@ def unfused_step(plan, eos, dt, omega=0.0, accel=None):
         stacked_resync_tau_kernel(u_int, eos)
 
 
-def fused_step(plan, eos, dt, omega=0.0, accel=None):
+def fused_step(plan, eos, dt, omega=0.0, accel=None, slices=None):
     """One RK3 step of the program (:func:`rk3_ops`) over one
-    :class:`RankStep` per rank of ``plan``, ranks in turn per op."""
+    :class:`RankStep` per rank of ``plan``, ranks in turn per op.
+
+    ``slices`` (one worker plan per rank, ``HydroPlan.from_slice``) stand
+    in for ``plan`` rank by rank, as on the process backend: each rank
+    steps its own plan and applies its own bundles."""
     n = plan.n
     collect_fluxes = plan.ghosts.face_counts["fine"] > 0
     flux = np.empty((plan.n_leaves, 3, 2, NFIELDS, n, n))
+    per_rank = slices or [plan] * plan.nranks
     ranks = [
         RankStep(
-            plan, r, eos, omega, CounterRegistry(),
+            p, r, eos, omega, CounterRegistry(),
             use_accel=accel is not None, collect_fluxes=collect_fluxes,
             accel_view=accel, flux_view=flux, scratch=ScratchArena(),
         )
-        for r in range(plan.nranks)
+        for r, p in enumerate(per_rank)
     ]
     for op, *args in rk3_ops(dt, collect_fluxes, accel is not None):
         if op == "ghost":
-            for bundle in plan.ghosts.bundles.values():
-                bundle.apply(plan.arena)
+            for p in slices or [plan]:
+                for bundle in p.ghosts.bundles.values():
+                    bundle.apply(p.arena)
         elif op != "accel":  # the stack is staged already
             for rank in ranks:
                 getattr(rank, op)(*args)
@@ -300,6 +306,36 @@ class TestScratchBound:
         assert np.shares_memory(a, b) and arena.nbytes() == 16 * 4 * 8
         assert arena.get("x", (20, 4)).shape == (20, 4)
         assert arena.nbytes() == 20 * 4 * 8
+
+
+class TestPlanOwners:
+    def test_owners_close_against_the_build(self):
+        """``HydroPlan.nbytes()`` accounts for what a build retains: the
+        second plan over an adopted mesh keeps its own arena, bundles,
+        runs and pack buffers, and nothing else of size."""
+        import tracemalloc
+
+        mesh = sedov_blast(levels=2).mesh
+        first = build_hydro_plan(mesh, nranks=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            plan = build_hydro_plan(mesh, nranks=2)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        owners = plan.nbytes()
+        assert sorted(owners) == ["arena", "bundles", "reflux", "runs", "scratch"]
+        assert owners["arena"] == first.arena.nbytes
+        assert sum(owners.values()) == pytest.approx(retained, rel=0.05)
+
+    def test_face_traces_per_cell(self):
+        """Traces keep leaf-local offsets only, as uint16: 2 + 2 bytes per
+        traced ghost element (384 B/cell as intp with a divmod memo)."""
+        mesh = sedov_blast(levels=2).mesh
+        integ = HydroIntegrator(mesh)
+        integ.plan_for()
+        assert integ.plans.traces.nbytes() / mesh.n_cells() == 48.0
 
 
 class TestPhaseTimers:

@@ -11,12 +11,18 @@ Covers the ISSUE-6 satellite contracts:
   hypothesis refine/derefine sweep proving plan invalidation propagates
   to the worker pool;
 * per-worker ``hydro.*`` timers aggregated (max + mean) into the driver's
-  counter registry.
+  counter registry;
+* lean workers — the pool forks before the plan exists, so a worker's
+  peak RSS stays near the parent's before the first step, and a plan
+  built from a pickled slice steps like the full plan.
 """
 
 import math
 import os
+import pickle
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +42,11 @@ from repro.core.crosscheck import (
     conserved_sums,
     crosscheck_hydro,
 )
-from repro.hydro import HydroIntegrator
+from repro.hydro import HydroIntegrator, build_hydro_plan
+from repro.hydro.plan import HydroPlan
 from repro.profiling.apex import CounterRegistry
+from repro.scenarios.blast import sedov_blast
+from tests.test_leaf_blocking import fused_step
 from tests.test_hydro_plan import (
     _apply_mutation,
     _mutation_sequences,
@@ -521,3 +530,58 @@ class TestDistributedDriverBackend:
         mesh, eos = make_state_mesh(levels=0)
         with pytest.raises(ValueError, match="backend"):
             HydroIntegrator(mesh, eos, backend="threads")
+
+
+def _status_kb(pid, field):
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith(f"{field}:"):
+            return int(line.split()[1])
+    raise KeyError(field)
+
+
+class TestWorkersAreBornLean:
+    """The pool forks before any plan exists; a worker holds only the
+    plan it builds from its slice."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_worker_peak_is_the_parent_before_the_plan(self):
+        """A worker inherits the parent as it was at fork: nothing of the
+        plan build, the face traces or the verifier.  Forking after them
+        put each worker of this blast ~36 MB above the parent."""
+        scenario = sedov_blast(levels=2)
+        integ = HydroIntegrator(
+            scenario.mesh, scenario.eos, backend="process", nprocs=2
+        )
+        dt = integ.timestep()
+        ex = integ.executor()
+        try:
+            parent_kb = _status_kb(os.getpid(), "VmRSS")
+            ex.ensure()
+            integ.step(dt)
+            peaks = [_status_kb(loc.process.pid, "VmHWM")
+                     for loc in ex.engine.localities]
+        finally:
+            integ.close()
+        assert len(peaks) == 2
+        assert max(peaks) <= parent_kb + 16 * 1024, (peaks, parent_kb)
+
+    def test_slice_plan_holds_its_bundles_and_steps_bit_identically(self):
+        """A plan built from a pickled slice holds only the bundles its
+        rank applies, and stepping the slices matches the full plan bit
+        for bit — on a refined mesh, so fine bundles cross the pickle."""
+        mesh_kw = dict(levels=1, refine_keys=(0, 5))
+        (mesh, eos), (twin, _) = make_state_mesh(**mesh_kw), make_state_mesh(**mesh_kw)
+        full, other = build_hydro_plan(mesh, nranks=2), build_hydro_plan(twin, nranks=2)
+        slices = [
+            HydroPlan.from_slice(pickle.loads(pickle.dumps(other.rank_slice(r))), other.arena)
+            for r in range(2)
+        ]
+        for rank, piece in enumerate(slices):
+            assert sorted(piece.ghosts.bundles) == sorted(
+                pair for pair in full.ghosts.bundles if pair[1] == rank
+            )
+            assert [bool(runs) for runs in piece.runs] == [r == rank for r in range(2)]
+        assert any(b.fine_dst.size for s in slices for b in s.ghosts.bundles.values())
+        fused_step(full, eos, 1e-3, omega=0.3)
+        fused_step(other, eos, 1e-3, omega=0.3, slices=slices)
+        assert np.array_equal(full.arena.view(np.uint64), other.arena.view(np.uint64))

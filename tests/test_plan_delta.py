@@ -13,6 +13,9 @@ with a plan cache on both the serial and process backends: the cache is
 honoured on both and keeps them bit-identical.
 """
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,10 +26,12 @@ from repro.comms import adopt_arena, build_bundle_plan
 from repro.core.plancache import PlanCache
 from repro.gravity.plan import build_plan, update_plan
 from repro.hydro.integrator import HydroIntegrator
-from repro.hydro.plan import build_hydro_plan
+from repro.hydro.plan import HydroPlanLifecycle, build_hydro_plan
 from repro.octree.ghost import FaceTraceCache
+from repro.octree.mesh import AmrMesh
 from repro.octree.partition import sfc_partition
-from repro.octree.regrid import RegridDelta
+from repro.octree.regrid import RegridDelta, regrid
+from repro.profiling import CounterRegistry
 
 #: Attributes a structural plan comparison must skip: back-references to
 #: the live mesh, uninitialized scratch buffers (np.empty allocations
@@ -40,7 +45,6 @@ _SKIP_ATTRS = {
     "payload",
     "_fine_acc",
     "_fine_tmp",
-    "_splits",
     "blocks_verified",
     "gather_store",
 }
@@ -261,6 +265,69 @@ class TestBundleDeltaEquivalence:
         warm = build_bundle_plan(mesh, offsets, locality, trace_cache=cache)
         cold = build_bundle_plan(mesh, offsets, locality)
         assert_plans_equal(warm, cold)
+
+
+class _Window:
+    """Refine the level-2 leaves near ``centre``; coarsen level-3 leaves
+    whose parent lies outside (the e2e DWD workload's criterion)."""
+
+    def __init__(self, centre, radius):
+        self.centre, self.radius = np.asarray(centre), radius
+
+    def _inside(self, point):
+        return bool(np.linalg.norm(point - self.centre) < self.radius)
+
+    def wants_refinement(self, leaf):
+        return leaf.level == 2 and self._inside(leaf.center)
+
+    def allows_coarsening(self, leaf):
+        size = leaf.node_size
+        parent = leaf.origin - np.asarray(leaf.coords) % 2 * size + size
+        return leaf.level > 2 and not self._inside(parent)
+
+
+def _payload_digest(payload):
+    h = hashlib.sha256()
+    for name in sorted(payload):
+        a = np.ascontiguousarray(payload[name])
+        h.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestPayloadAlongTheRegridChain:
+    #: sha256 over the chain's payload digests, recorded when traces still
+    #: held intp arrays with a divmod memo: compacting the traces must not
+    #: move a byte of the plan.
+    DIGESTS = {
+        1: "0a9c2fe0cd7eba5a36b9f830557f2c98d7e8695e7055ddc0c4597d528c71ac00",
+        2: "df796ea24297a6a45d022da0418906b942d78b64fd2b4c30655dc0d1a5d814c1",
+    }
+
+    @pytest.mark.parametrize("nranks", [1, 2])
+    def test_to_payload_bytes_unchanged(self, nranks):
+        """The DWD level-2 topology (64 leaves on a domain of 2) with its
+        refinement window hopping between two sites: a cold build, then
+        four trace-cache delta rebuilds."""
+        mesh = AmrMesh(n=8, ghost=2, domain_size=2.0)
+        for _ in range(2):
+            for key in list(mesh.leaf_keys()):
+                mesh.refine(key)
+        pitch = mesh.domain_size / 4
+        angle = math.radians(50.0)
+        site = 0.9 * pitch * np.array([math.cos(angle), math.sin(angle), 0.0])
+        windows = [_Window(sign * site, 0.6 * pitch) for sign in (1.0, -1.0)]
+        plans, registry = HydroPlanLifecycle(), CounterRegistry()
+        digests = []
+        for hop in range(5):
+            if hop:
+                plans.notify_regrid(regrid(mesh, windows[(hop + 1) % 2], max_level=3).delta)
+            plan = plans.plan_for(mesh, registry, nranks=nranks)
+            digests.append(_payload_digest(plan.ghosts.to_payload()))
+        assert mesh.n_subgrids() == 78
+        assert registry.count("plan.hydro.delta_builds") == 4
+        chain = hashlib.sha256("".join(digests).encode()).hexdigest()
+        assert chain == self.DIGESTS[nranks]
 
 
 class TestPlanCacheCrosscheck:

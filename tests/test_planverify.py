@@ -6,6 +6,8 @@ scatter-overlap race is caught *statically* by ``verify_process_plan``
 before a single worker forks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.comms.bundle import build_bundle_plan
 from repro.gravity.fmm import FmmSolver
 from repro.gravity.plan import build_plan
 from repro.hydro.integrator import HydroIntegrator
+from repro.hydro.plan import build_hydro_plan
 from repro.octree.fields import NFIELDS
 from repro.octree.partition import sfc_partition
 from tests.conftest import fill_gaussian, make_uniform_mesh
@@ -129,6 +132,26 @@ class TestVerifyBundlePlan:
         assert "bundle-src-ownership" in checks(
             verify_bundle_plan(mesh, plan, ranks)
         )
+
+
+class TestVerifierMemory:
+    def test_peak_bounded_on_the_level2_blast(self):
+        """Bounds, region and ownership are checked chunk by chunk, and
+        uniqueness and coverage against a byte map of the arena: the
+        whole-plan pass stays within 4 MB where concatenating and sorting
+        every bundle's targets took 19 MB."""
+        from repro.scenarios.blast import sedov_blast
+
+        mesh = sedov_blast(levels=2).mesh  # the plan holds it weakly
+        plan = build_hydro_plan(mesh, nranks=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert verify_process_plan(plan) == []
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak / 2**20
 
 
 class TestVerifyFmmSplit:

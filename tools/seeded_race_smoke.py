@@ -9,7 +9,7 @@ drives one hydro step with it four times:
 1. **static leg** — a process-backend step with plan verification on:
    the executor must refuse the plan with a `PlanVerificationError`
    naming both `bundle-dst-overlap` (the scatter index proof) and
-   `op-program-race` (the op-program proof), before any worker forks;
+   `op-program-race` (the op-program proof), before any worker receives it;
 2. **shm leg** — verification off, shm race detection on: the injected
    conflict must surface as an `ShmRaceError` at the first ghost round;
 3. **DES leg** — a `DistributedHydroDriver` step over the seeded plan:
@@ -94,7 +94,7 @@ def main() -> int:
     } <= checks
     ok &= static_ok
     print(f"static leg  (verify on):             "
-          f"{'caught pre-fork' if static_ok else 'MISSED'} "
+          f"{'caught pre-publish' if static_ok else 'MISSED'} "
           f"({', '.join(sorted(checks)) or 'no violation'})")
 
     err = _run_leg(verify_plans=False, detect_races=True)
