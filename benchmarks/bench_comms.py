@@ -141,7 +141,7 @@ def bench_driver(levels: int, trials: int):
         "cold_coalesced_ms": cold_s * 1e3,
         "warm_coalesced_ms": warm * 1e3,
         "overhead_coalesced_ms": overhead * 1e3,
-        "payload_messages_coalesced": result.payload_messages,
+        "payload_messages_coalesced": result.messages,
         "closed_form_messages": len(_RK3_STAGES) * len(pairs),
         "neighbor_pairs": len(pairs),
         "drift": drift,
@@ -158,7 +158,7 @@ def bench_ablation(n_subgrids: int, nodes):
         "variants": {
             label: {
                 "makespan_ms": [r.makespan_s * 1e3 for r in curve],
-                "payload_messages": [r.payload_messages for r in curve],
+                "payload_messages": [r.messages for r in curve],
             }
             for label, curve in curves.items()
         },

@@ -13,32 +13,13 @@ import math
 from typing import Any, Callable, List, Optional, Tuple
 
 
-class EventHandle:
-    """Cancellation handle for a posted event.
-
-    Cancelling does not remove the heap entry; the engine skips cancelled
-    entries when they surface (lazy deletion, the standard timer-wheel
-    trick).  Used by the resilience layer to retire retransmission timers
-    once a message is acknowledged.
-    """
-
-    __slots__ = ("cancelled",)
-
-    def __init__(self) -> None:
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Engine:
     """A minimal, fast event loop over virtual time (seconds)."""
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[float, int, Callable[[], Any], Optional[EventHandle]]] = []
+        self._queue: List[Tuple[float, int, Callable[[], Any]]] = []
         self._seq = 0
         self._now = 0.0
-        self._events_processed = 0
         self._running = False
 
     @property
@@ -46,18 +27,8 @@ class Engine:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
-
-    def post(
-        self, delay: float, fn: Callable[[], Any], cancellable: bool = False
-    ) -> Optional[EventHandle]:
-        """Schedule ``fn`` to run ``delay`` seconds from now.
-
-        With ``cancellable=True`` returns an :class:`EventHandle` whose
-        ``cancel()`` retires the event before it fires.
-        """
+    def post(self, delay: float, fn: Callable[[], Any]) -> None:
+        """Schedule ``fn`` to run ``delay`` seconds from now."""
         if not math.isfinite(delay):
             # nan/inf heappush fine but then poison the heap invariant
             # (nan compares false both ways), corrupting event order for
@@ -65,38 +36,28 @@ class Engine:
             raise ValueError(f"non-finite delay: {delay}")
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        handle = EventHandle() if cancellable else None
-        heapq.heappush(self._queue, (self._now + delay, self._seq, fn, handle))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, fn))
         self._seq += 1
-        return handle
 
-    def post_at(
-        self, time: float, fn: Callable[[], Any], cancellable: bool = False
-    ) -> Optional[EventHandle]:
+    def post_at(self, time: float, fn: Callable[[], Any]) -> None:
         """Schedule ``fn`` at an absolute virtual time (>= now)."""
         if not math.isfinite(time):
             raise ValueError(f"non-finite time: {time}")
         if time < self._now:
             raise ValueError(f"cannot post into the past: {time} < {self._now}")
-        handle = EventHandle() if cancellable else None
-        heapq.heappush(self._queue, (time, self._seq, fn, handle))
+        heapq.heappush(self._queue, (time, self._seq, fn))
         self._seq += 1
-        return handle
 
     def empty(self) -> bool:
-        return not any(h is None or not h.cancelled for _, _, _, h in self._queue)
+        return not self._queue
 
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
-        while self._queue:
-            time, _seq, fn, handle = heapq.heappop(self._queue)
-            if handle is not None and handle.cancelled:
-                continue
-            self._now = time
-            self._events_processed += 1
-            fn()
-            return True
-        return False
+        if not self._queue:
+            return False
+        self._now, _seq, fn = heapq.heappop(self._queue)
+        fn()
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain the event queue.
@@ -127,4 +88,3 @@ class Engine:
         self._queue.clear()
         self._seq = 0
         self._now = 0.0
-        self._events_processed = 0

@@ -50,8 +50,8 @@ class Future:
         """Return the value; raises the stored exception if one was set."""
         if not self._ready:
             raise FutureError(
-                f"get() on future {self.name!r} that is not ready; "
-                "in a virtual-time runtime use .then() instead of blocking"
+                f"get() on future {self.name!r} that is not ready; in a "
+                "virtual-time runtime use add_done_callback() instead of blocking"
             )
         if self._exception is not None:
             raise self._exception
@@ -84,28 +84,6 @@ class Future:
         else:
             self._callbacks.append(fn)
 
-    def then(self, fn: Callable[[Any], Any]) -> "Future":
-        """Attach a synchronous continuation; returns the continuation's future.
-
-        The continuation receives the *value* (not the future).  Exceptions
-        propagate: if this future holds an exception, ``fn`` is skipped and
-        the result future carries the same exception.
-        """
-        result = Future(name=f"{self.name}.then")
-
-        def run(f: "Future") -> None:
-            result._origin |= f._origin
-            if f._exception is not None:
-                result._set_exception(f._exception)
-                return
-            try:
-                result._set_value(fn(f._value))
-            except BaseException as exc:  # noqa: BLE001 - future transports it
-                result._set_exception(exc)
-
-        self.add_done_callback(run)
-        return result
-
     def __repr__(self) -> str:
         state = "ready" if self._ready else "pending"
         if self.has_exception():
@@ -126,9 +104,6 @@ class Promise:
 
     def set_value(self, value: Any = None) -> None:
         self._future._set_value(value)
-
-    def set_exception(self, exc: BaseException) -> None:
-        self._future._set_exception(exc)
 
 
 def make_ready_future(value: Any = None, name: str = "") -> Future:

@@ -27,18 +27,6 @@ class Locality:
         #: Arbitrary application state (e.g. this locality's sub-grids).
         self.state: Dict[str, Any] = {}
 
-    def async_(
-        self,
-        fn: Optional[Callable[..., Any]],
-        *args: Any,
-        cost: Any = 0.0,
-        name: str = "",
-        kind: str = "task",
-        effects: Any = None,
-    ) -> Future:
-        """``hpx::async`` — schedule a task on this locality."""
-        return self.pool.submit_fn(fn, *args, cost=cost, name=name, kind=kind, effects=effects)
-
     def async_after(
         self,
         deps: List[Future],
@@ -97,10 +85,6 @@ class Runtime:
     @property
     def n_localities(self) -> int:
         return len(self.localities)
-
-    def here(self) -> Locality:
-        """Locality 0, the conventional root (AGAS bootstrap locality)."""
-        return self.localities[0]
 
     def install_observer(self, observer: Any) -> None:
         """Attach a task-lifecycle observer (e.g. the race detector) to

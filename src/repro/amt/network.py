@@ -24,10 +24,6 @@ class Message:
     payload: Any
     size_bytes: int
     tag: str = ""
-    #: Protocol overhead (acks, heartbeats) rather than application data.
-    #: Counted under ``control_messages`` so EXPERIMENTS message counts
-    #: stay comparable across ± recovery runs.
-    control: bool = False
 
 
 @dataclass
@@ -52,52 +48,14 @@ class NetworkModel:
     _last_delivery: Dict[Tuple[int, int], float] = field(default_factory=dict)
     messages_sent: int = 0
     bytes_sent: int = 0
-    #: ``messages_sent`` split by :attr:`Message.control`: application
-    #: payloads vs protocol overhead (acks).  The sum equals
-    #: ``messages_sent``.
-    payload_messages: int = 0
-    control_messages: int = 0
     messages_dropped: int = 0
-    messages_delayed: int = 0
-    messages_duplicated: int = 0
-    #: Message indices (0-based send order) to silently drop — the fault
+    #: Optional message-loss schedule consulted on every send — the fault
     #: injection behind the deadlock studies (the paper saw Octo-Tiger hang
     #: under Fujitsu MPI at scale and deadlock 1-in-20 on Ookami; a lost
     #: ghost message stalls the dependency graph exactly like that).
-    _drop_indices: set = field(default_factory=set)
-    #: Optional fault schedule consulted on every send.  Duck-typed:
-    #: any object with ``decide(index, src, dst) -> FaultDecision``
-    #: (see :class:`repro.resilience.faults.FaultInjector`).
+    #: Duck-typed: any object with ``drops(index) -> bool`` (see
+    #: :class:`repro.resilience.faults.FaultInjector`).
     fault_injector: Any = None
-
-    def drop_message(
-        self,
-        index: int = None,  # noqa: RUF013 - optional for the rate form
-        *,
-        rate: float = None,  # noqa: RUF013
-        seed: int = 0,
-    ) -> None:
-        """Arrange for messages to be lost in transit.
-
-        Two forms, combinable:
-
-        * ``drop_message(index)`` — the ``index``-th message sent from now
-          on (counting all sends) is lost (the original absolute-index API);
-        * ``drop_message(rate=p, seed=s)`` — install a seeded Bernoulli
-          schedule: each message is independently lost with probability
-          ``p``, decided purely by its send index, so retransmissions
-          (fresh indices) draw fresh fates.
-        """
-        if index is None and rate is None:
-            raise ValueError("drop_message needs an index or a rate")
-        if index is not None:
-            self._drop_indices.add(index)
-        if rate is not None:
-            from repro.resilience.faults import FaultInjector, FaultSpec
-
-            self.fault_injector = FaultInjector(
-                FaultSpec(drop_rate=rate, seed=seed)
-            )
 
     def transfer_time(self, size_bytes: int, local: bool = False) -> float:
         """Wire time for a message of ``size_bytes``."""
@@ -120,45 +78,19 @@ class NetworkModel:
     ) -> float:
         """Schedule delivery of ``message``; returns the delivery time.
 
-        A message whose send index was registered with :meth:`drop_message`
-        is counted and charged but never delivered (returns ``inf``).
+        A message the fault injector drops is counted and charged but never
+        delivered (returns ``inf``).
         """
         index = self.messages_sent
         self.messages_sent += 1
-        if message.control:
-            self.control_messages += 1
-        else:
-            self.payload_messages += 1
         self.bytes_sent += message.size_bytes
-        extra_delay = 0.0
-        duplicates = 0
-        dropped = index in self._drop_indices
-        if self.fault_injector is not None:
-            decision = self.fault_injector.decide(index, message.src, message.dst)
-            dropped = dropped or decision.drop
-            extra_delay = decision.extra_delay_s
-            duplicates = decision.duplicates
-        if dropped:
+        if self.fault_injector is not None and self.fault_injector.drops(index):
             self.messages_dropped += 1
             return float("inf")
-        if extra_delay > 0.0:
-            self.messages_delayed += 1
-        arrival = (
-            engine.now
-            + self.transfer_time(message.size_bytes, local=local)
-            + extra_delay
-        )
+        arrival = engine.now + self.transfer_time(message.size_bytes, local=local)
         key = (message.src, message.dst)
         # FIFO per ordered pair: never deliver before an earlier message.
         arrival = max(arrival, self._last_delivery.get(key, 0.0))
         self._last_delivery[key] = arrival
         engine.post_at(arrival, lambda: on_delivery(message))
-        for _copy in range(duplicates):
-            # A duplicated wire packet: same payload, delivered again a
-            # little later (still FIFO — it pushes the channel's high-water
-            # mark so later messages follow it).
-            self.messages_duplicated += 1
-            arrival = self._last_delivery[key] + self.latency_s + self.action_overhead_s
-            self._last_delivery[key] = arrival
-            engine.post_at(arrival, lambda: on_delivery(message))
         return arrival

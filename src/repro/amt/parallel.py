@@ -29,7 +29,7 @@ Failure semantics are typed, mirroring the validation contract of
 :meth:`repro.amt.engine.Engine.post`: non-finite or non-positive timeouts
 and bad worker counts are rejected at construction, a worker that raises
 surfaces as :class:`WorkerError` carrying the remote traceback, a worker
-that dies (the ``FaultSpec`` crash fate, a kill, an ``os._exit``)
+that dies (the crash fate, a kill, an ``os._exit``)
 surfaces as :class:`WorkerCrashError` — a subclass of
 :class:`repro.resilience.faults.UnrecoverableFault`, so the driver's
 checkpoint-rollback machinery applies unchanged — and a round on an
@@ -89,8 +89,7 @@ class WorkerCrashError(UnrecoverableFault):
     """A worker process died mid-round (crash fate, kill, lost pipe).
 
     Subclasses :class:`UnrecoverableFault` so the resilient driver loop
-    treats a real dead process exactly like a modelled node crash:
-    rollback to the last checkpoint and replay.
+    rolls back to the last checkpoint and replays.
     """
 
     def __init__(self, ranks: Sequence[int], detail: str = "") -> None:
@@ -337,7 +336,7 @@ class ParallelEngine:
             loc.conn.close()
         self.localities = []
 
-    def crash(self, rank: int) -> None:
+    def crash(self, rank: int) -> None:  # reprolint: sanctioned-chaos (real-worker crash tests)
         """Make worker ``rank`` die mid-protocol (the crash fate)."""
         loc = self.localities[rank]
         loc.send(_CRASH)

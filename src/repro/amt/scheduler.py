@@ -57,17 +57,6 @@ class WorkerPool:
         self._dispatch()
         return task.future
 
-    def submit_fn(
-        self,
-        fn: Optional[Callable[..., Any]],
-        *args: Any,
-        cost: Any = 0.0,
-        name: str = "",
-        kind: str = "task",
-        effects: Any = None,
-    ) -> Future:
-        return self.submit(Task(fn, args, cost=cost, name=name, kind=kind, effects=effects))
-
     def submit_sharded(
         self,
         deps: Iterable[Future],
@@ -208,14 +197,6 @@ class WorkerPool:
         return out
 
     # -- statistics -------------------------------------------------------
-    @property
-    def queue_length(self) -> int:
-        return len(self._ready)
-
-    @property
-    def busy_workers(self) -> int:
-        return self.n_workers - len(self._idle_workers)
-
     def utilization(self) -> float:
         """Mean fraction of worker-time spent busy since construction."""
         elapsed = self.engine.now - self._started_at

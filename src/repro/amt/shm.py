@@ -62,12 +62,11 @@ def live_segments() -> Tuple[str, ...]:
 
 
 class ShmArena:
-    """One owned (or attached) shared-memory segment with numpy views.
+    """One shared-memory segment with numpy views.
 
     ``ShmArena(nbytes)`` creates a segment and registers it for unlink at
-    process exit; ``ShmArena.attach(name)`` maps an existing one without
-    taking ownership.  Ownership is per-PID: only the creating process
-    ever unlinks, so the object can be inherited freely across ``fork``.
+    process exit.  Ownership is per-PID: only the creating process ever
+    unlinks, so the object can be inherited freely across ``fork``.
 
     Use as a context manager for scoped lifetimes::
 
@@ -94,17 +93,6 @@ class ShmArena:
         self._closed = False
         _LIVE[self.name] = self
         _install_hook()
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmArena":
-        """Map an existing segment by name, without ownership."""
-        obj = cls.__new__(cls)
-        obj._shm = shared_memory.SharedMemory(name=name, create=False)
-        obj.name = name
-        obj.nbytes = obj._shm.size
-        obj._owner_pid = -1  # never unlinks
-        obj._closed = False
-        return obj
 
     @property
     def owned(self) -> bool:

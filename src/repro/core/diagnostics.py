@@ -27,10 +27,6 @@ class Diagnostics:
     com: np.ndarray  # (3,)
     tracer_masses: np.ndarray  # (2,)
 
-    @property
-    def energy_total(self) -> float:
-        return self.energy_gas + self.energy_potential
-
 
 def conserved_totals(mesh: AmrMesh) -> Dict[str, float]:
     """Plain domain integrals of the conserved fields."""

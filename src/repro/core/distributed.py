@@ -62,8 +62,6 @@ from repro.hydro.plan import (
 from repro.octree.fields import NFIELDS
 from repro.octree.mesh import AmrMesh
 from repro.profiling.apex import CounterRegistry
-from repro.resilience.faults import FaultSpec
-from repro.resilience.protocol import ReliableTransport, RetryPolicy
 from repro.resilience.watchdog import DeadlockWatchdog
 
 #: Virtual workers per locality (capped by the machine's active cores).
@@ -86,14 +84,6 @@ class DistributedStepResult:
     tasks_completed: int
     utilization: float
     messages_dropped: int = 0
-    retransmits: int = 0
-    acks: int = 0
-    #: ``messages`` split into application payloads vs protocol control
-    #: traffic (acks).  Historically acks doubled ``messages`` under
-    #: recovery; payload_messages is the number to compare across runs.
-    payload_messages: int = 0
-    control_messages: int = 0
-    duplicates_suppressed: int = 0
 
 
 class DistributedHydroDriver:
@@ -106,8 +96,6 @@ class DistributedHydroDriver:
         omega: float = 0.0,
         config: Optional[RunConfig] = None,
         gravity: Optional[GravityCallback] = None,
-        faults: Optional[FaultSpec] = None,
-        recovery=None,  # noqa: ANN001 - RetryPolicy | True | None
     ) -> None:
         from repro.machines.specs import FUGAKU
 
@@ -116,10 +104,6 @@ class DistributedHydroDriver:
         self.omega = omega
         self.config = config or RunConfig(machine=FUGAKU, nodes=2)
         self.gravity = gravity
-        self.faults = faults
-        if recovery is True:
-            recovery = RetryPolicy()
-        self.recovery: Optional[RetryPolicy] = recovery or None
         #: The hydro plan over ``config.nodes`` ranks, rebuilt through the
         #: shared lifecycle whenever it stops matching the mesh.
         self.plans = HydroPlanLifecycle()
@@ -183,16 +167,9 @@ class DistributedHydroDriver:
         workers, core_rate, network = virtual_machine(
             self.config, WORKERS_PER_LOCALITY
         )
-        if self.faults is not None:
-            network.fault_injector = self.faults.injector(stream=self.steps_taken)
         runtime = Runtime(plan.nranks, workers, network=network)
         detector = RaceDetector()
         runtime.install_observer(detector)
-        transport = None
-        send = partial(network.send, runtime.engine)
-        if self.recovery is not None:
-            transport = ReliableTransport(network, runtime.engine, self.recovery)
-            send = transport.send
         watchdog = DeadlockWatchdog(runtime)
 
         # The rhs price: 2200 hydro flops per owned cell per step, a third
@@ -259,16 +236,10 @@ class DistributedHydroDriver:
                     arrived = Promise(name=name)
 
                     def post(_v, bundle=bundle, arrived=arrived, name=name):  # noqa: ANN001
-                        def deliver(_m: Message) -> None:
-                            # The raw network may duplicate a message; the
-                            # reliable transport dedups per bundle itself.
-                            if not arrived.get_future().is_ready():
-                                arrived.set_value(None)
-
-                        send(Message(
+                        network.send(runtime.engine, Message(
                             bundle.src_locality, bundle.dst_locality, None,
                             bundle.nbytes, tag=name,
-                        ), deliver, local=bundle.local)
+                        ), lambda _m: arrived.set_value(None), local=bundle.local)
 
                     pack.add_done_callback(post)
                     deps = [arrived.get_future(), front[dst]]
@@ -320,7 +291,6 @@ class DistributedHydroDriver:
 
         self.time += dt
         self.steps_taken += 1
-        stats = transport.stats if transport else None
         self.last_result = DistributedStepResult(
             dt=dt,
             makespan_s=runtime.engine.now,
@@ -329,10 +299,5 @@ class DistributedHydroDriver:
             tasks_completed=sum(l.pool.tasks_completed for l in runtime.localities),
             utilization=runtime.utilization(),
             messages_dropped=network.messages_dropped,
-            retransmits=stats.retransmits if stats else 0,
-            acks=stats.acks_received if stats else 0,
-            payload_messages=network.payload_messages,
-            control_messages=network.control_messages,
-            duplicates_suppressed=stats.duplicates_suppressed if stats else 0,
         )
         return self.last_result

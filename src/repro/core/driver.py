@@ -181,28 +181,6 @@ class OctoTigerSim:
             self._series = None
 
     # -- restart -------------------------------------------------------------
-    @classmethod
-    def from_checkpoint(
-        cls,
-        path,  # noqa: ANN001 - str | Path
-        eos: Optional[IdealGasEOS] = None,
-        **kwargs,  # noqa: ANN003 - forwarded to __init__
-    ) -> "OctoTigerSim":
-        """Resume a simulation from a checkpoint file.
-
-        Restores the mesh, simulation time and step count; remaining
-        driver options are taken from ``kwargs`` (they are configuration,
-        not state — the same checkpoint can resume on a different machine
-        model, which is the portability story in miniature).
-        """
-        from repro.ioutil import load_checkpoint
-
-        mesh, meta = load_checkpoint(path)
-        sim = cls(mesh, eos=eos, omega=meta["extra"].get("omega", 0.0), **kwargs)
-        sim.integrator.time = meta.get("time", 0.0)
-        sim.integrator.steps_taken = meta.get("step", 0)
-        return sim
-
     def save_checkpoint(self, path, extra: Optional[Dict] = None):  # noqa: ANN001
         """Write the current state; records time/step/omega for restart."""
         from repro.ioutil import save_checkpoint
@@ -385,7 +363,3 @@ class OctoTigerSim:
             self.last_phi = phi
         return diagnostics(self.mesh, phi)
 
-    def mean_cells_per_second(self) -> float:
-        if not self.records:
-            return 0.0
-        return float(np.mean([r.cells_per_second for r in self.records]))

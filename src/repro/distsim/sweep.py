@@ -118,14 +118,13 @@ def comm_ablation_curves(
     return out
 
 
-def min_nodes_for(
-    spec: ScenarioSpec, machine: MachineModel, power_of_two: bool = True
-) -> int:
-    """Smallest node count whose memory holds the scenario (Fig. 4's
-    starting points: Summit 1, Piz Daint 4, Fugaku 16 for v1309)."""
+def min_nodes_for(spec: ScenarioSpec, machine: MachineModel) -> int:
+    """Smallest power-of-two node count whose memory holds the scenario
+    (Fig. 4's starting points: Summit 1, Piz Daint 4, Fugaku 16 for
+    v1309)."""
     need = spec.memory_bytes
     node_mem = machine.node.memory_gb * 1e9
     nodes = 1
     while nodes * node_mem < need:
-        nodes = nodes * 2 if power_of_two else nodes + 1
+        nodes *= 2
     return nodes

@@ -74,9 +74,6 @@ class TaskGraphResult:
     tasks: int
     #: Messages lost to injected faults (zero on clean runs).
     messages_dropped: int = 0
-    #: Application payload messages; the lattice graph sends no protocol
-    #: control traffic, so this equals ``messages``.
-    payload_messages: int = 0
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,8 @@ class TaskGraphSimulator:
         constants: ModelConstants = DEFAULT_CONSTANTS,
         faults: Optional[FaultSpec] = None,
     ) -> None:
-        """``faults`` injects a seeded fault schedule into the network."""
+        """``faults`` injects a seeded message-loss schedule into the
+        network."""
         if spec.n_subgrids > 20_000:
             raise ValueError(
                 "the task-graph simulator is for small configurations; "
@@ -158,7 +156,6 @@ class TaskGraphSimulator:
         self.spec = spec
         self.config = config
         self.constants = constants
-        self.faults = faults
         self.workers, self.core_rate, self.network = virtual_machine(
             config, MAX_WORKERS_PER_LOCALITY, constants
         )
@@ -370,7 +367,6 @@ class TaskGraphSimulator:
             messages=self.network.messages_sent,
             tasks=graph.n_pool_tasks,
             messages_dropped=self.network.messages_dropped,
-            payload_messages=self.network.payload_messages,
         )
 
     def _launch_ghost(

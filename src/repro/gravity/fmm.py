@@ -93,11 +93,6 @@ class FmmStats:
     #: values sum to ``2 * m2l_pairs``.
     m2l_by_level: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def multipole_interactions(self) -> int:
-        """Total same-level interaction count (the Fig. 9 kernel workload)."""
-        return self.m2l_pairs + self.near_pairs
-
 
 @dataclass
 class FmmResult:

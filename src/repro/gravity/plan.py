@@ -705,7 +705,6 @@ def update_plan(
     mesh: AmrMesh,
     theta: float,
     delta: Optional[RegridDelta] = None,
-    cold_fraction: float = DELTA_COLD_FRACTION,
 ) -> Optional[FmmPlan]:
     """Incrementally rebuild ``plan`` for the regridded ``mesh``.
 
@@ -719,8 +718,8 @@ def update_plan(
     Returns ``None`` when the delta path does not apply (different
     ``theta`` or geometry — node keys only identify topology within one
     ``(n, domain_size)`` family) or is not worthwhile (more than
-    ``cold_fraction`` of the leaves changed); the caller falls back to a
-    cold build.
+    :data:`DELTA_COLD_FRACTION` of the leaves changed); the caller falls
+    back to a cold build.
     """
     if theta != plan.theta or plan.n != mesh.n:
         return None
@@ -736,7 +735,7 @@ def update_plan(
             frozenset(mesh.nodes),
             frozenset(mesh.leaf_keys()),
         )
-    if delta.changed_fraction > cold_fraction:
+    if delta.changed_fraction > DELTA_COLD_FRACTION:
         return None
     drop = pack_keys(delta.drop_set)
     drop.sort()

@@ -70,15 +70,6 @@ class PolytropicEOS:
     def pressure(self, rho: np.ndarray) -> np.ndarray:
         return self.K * np.maximum(rho, 0.0) ** self.Gamma
 
-    def enthalpy(self, rho: np.ndarray) -> np.ndarray:
-        """Specific enthalpy h = (n + 1) K rho**(1/n)."""
-        return (self.n + 1.0) * self.K * np.maximum(rho, 0.0) ** (1.0 / self.n)
-
-    def rho_from_enthalpy(self, h: np.ndarray) -> np.ndarray:
-        """Invert the enthalpy relation; negative enthalpy maps to vacuum."""
-        base = np.maximum(h, 0.0) / ((self.n + 1.0) * self.K)
-        return base**self.n
-
     def internal_energy_density(self, rho: np.ndarray) -> np.ndarray:
         """eps * rho = n K rho**Gamma = n p (polytrope thermodynamics)."""
         return self.n * self.pressure(rho)

@@ -26,15 +26,3 @@ class PowerModel:
         scale = (freq / self.reference_freq_ghz) ** 3
         return self.idle_w + (self.peak_w - self.idle_w) * utilization * scale
 
-    def job_power(
-        self, nodes: int, utilization: float, freq_ghz: float = None  # noqa: RUF013
-    ) -> float:
-        """Aggregate power of a job (what Table II tabulates)."""
-        if nodes < 1:
-            raise ValueError("nodes must be >= 1")
-        return nodes * self.node_power(utilization, freq_ghz)
-
-    def energy_joules(
-        self, nodes: int, utilization: float, seconds: float, freq_ghz: float = None  # noqa: RUF013
-    ) -> float:
-        return self.job_power(nodes, utilization, freq_ghz) * seconds

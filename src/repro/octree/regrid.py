@@ -42,9 +42,6 @@ class RegridDelta:
     * ``refined`` — old leaves that became interior nodes,
     * ``coarsened`` — old interior nodes that became leaves,
     * ``removed_nodes`` / ``added_nodes`` — nodes deleted / created,
-    * ``unchanged_leaves`` — leaves present on both sides with data and
-      neighbour-band geometry potentially affected only through the
-      changed sets,
     * ``drop_set`` / ``emit_set`` — the exact invalidation and
       re-traversal frontiers for pair-based plans: any cached pair with an
       endpoint in ``drop_set`` is stale, and every pair of the new
@@ -93,10 +90,6 @@ class RegridDelta:
         return cls.between(
             old_nodes, old_leaves, frozenset(mesh.nodes), frozenset(mesh.leaf_keys())
         )
-
-    @property
-    def unchanged_leaves(self) -> FrozenSet[NodeKey]:
-        return (self.old_leaves & self.new_leaves) - self.coarsened
 
     @property
     def changed(self) -> bool:

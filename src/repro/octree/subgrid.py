@@ -96,7 +96,6 @@ class SubGrid:
         np.copyto(out.data, self.data)
         return out
 
-    def nbytes_face(self, with_ghost_width: int = None) -> int:  # noqa: RUF013
+    def nbytes_face(self) -> int:
         """Bytes of one face band message (feeds the communication model)."""
-        g = self.ghost if with_ghost_width is None else with_ghost_width
-        return NFIELDS * g * self.n * self.n * 8
+        return NFIELDS * self.ghost * self.n * self.n * 8

@@ -65,13 +65,6 @@ class ScenarioSpec:
         """Payload of one ghost-face message."""
         return NFIELDS * self.ghost_width * self.subgrid_n**2 * 8
 
-    def min_nodes(self, node_memory_bytes: float) -> int:
-        """Smallest node count whose aggregate memory fits the scenario."""
-        nodes = 1
-        while nodes * node_memory_bytes < self.memory_bytes:
-            nodes *= 2
-        return nodes
-
     def with_subgrids(self, n_subgrids: int) -> "ScenarioSpec":
         return replace(self, n_subgrids=n_subgrids)
 

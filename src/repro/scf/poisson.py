@@ -34,9 +34,7 @@ def _mean_inverse_distance_unit_cube(samples: int = 48) -> float:
 class FftPoissonSolver:
     """Open-boundary Poisson solver on an ``n^3`` grid of spacing ``dx``.
 
-    ``solve(rho)`` returns the potential phi with G from the constructor;
-    ``gradient(phi)`` returns the acceleration components by second-order
-    central differences (one-sided at the box faces).
+    ``solve(rho)`` returns the potential phi with G from the constructor.
     """
 
     def __init__(self, n: int, dx: float, g_newton: float = 1.0) -> None:
@@ -71,9 +69,3 @@ class FftPoissonSolver:
         phi = sp_fft.irfftn(sp_fft.rfftn(padded) * self._green_hat, s=(m, m, m))
         return self.g_newton * self.dx**3 * phi[: self.n, : self.n, : self.n]
 
-    def gradient(self, phi: np.ndarray) -> np.ndarray:
-        """Acceleration a = -grad phi, shape (3, n, n, n)."""
-        acc = np.empty((3,) + phi.shape)
-        for axis in range(3):
-            acc[axis] = -np.gradient(phi, self.dx, axis=axis, edge_order=2)
-        return acc

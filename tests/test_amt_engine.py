@@ -68,10 +68,11 @@ class TestControl:
 
     def test_max_events(self):
         eng = Engine()
-        for _ in range(10):
-            eng.post(1.0, lambda: None)
+        fired = []
+        for i in range(10):
+            eng.post(1.0, lambda i=i: fired.append(i))
         eng.run(max_events=4)
-        assert eng.events_processed == 4
+        assert fired == [0, 1, 2, 3]
 
     def test_step_returns_false_when_empty(self):
         assert Engine().step() is False
@@ -83,7 +84,6 @@ class TestControl:
         eng.reset()
         assert eng.now == 0.0
         assert eng.empty()
-        assert eng.events_processed == 0
 
     def test_not_reentrant(self):
         eng = Engine()

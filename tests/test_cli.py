@@ -157,7 +157,7 @@ class TestRun:
     def test_checkpoint_resumes_in_the_rotating_frame(self, tmp_path):
         """``run --checkpoint`` records ``omega``: every CLI scenario is a
         rotating frame, and a resume at ``omega = 0`` is different physics."""
-        from repro.core import OctoTigerSim
+        from tests.oracles.restart import resume
         from repro.scenarios import rotating_star
 
         chk = tmp_path / "state.npz"
@@ -168,7 +168,7 @@ class TestRun:
         assert code == 0
         omega = rotating_star(level=1).omega
         assert omega != 0.0
-        resumed = OctoTigerSim.from_checkpoint(chk, gravity=False)
+        resumed = resume(chk, gravity=False)
         assert resumed.integrator.omega == omega
         assert resumed.integrator.steps_taken == 1
 

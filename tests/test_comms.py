@@ -1,6 +1,5 @@
 """The coalescing layer: bundle plans, closed-form message counts, and
-bit-identical physics with or without the exchange on the wire — including
-under faults.
+bit-identical physics with or without the exchange on the wire.
 
 The load-bearing claims, in test form:
 
@@ -11,10 +10,7 @@ The load-bearing claims, in test form:
   O(leaf faces) — and the pair set matches the closed form from the mesh
   topology alone, across arbitrary regrid sequences (hypothesis);
 * the coalesced driver's state is ``np.array_equal``-identical to the
-  serial integrator's (no exchange on any wire), with and without seeded
-  network faults;
-* a retransmitted bundle dedups as a unit: duplicate deliveries never
-  double-apply.
+  serial integrator's (no exchange on any wire).
 """
 
 import numpy as np
@@ -35,7 +31,6 @@ from repro.hydro.integrator import _RK3_STAGES
 from repro.machines import FUGAKU
 from repro.octree import AmrMesh, Field
 from repro.octree.partition import sfc_partition
-from repro.resilience import FaultSpec
 
 from tests.oracles.ghost import fill_all_ghosts
 from tests.test_distributed_driver import build_mesh, clone
@@ -165,7 +160,7 @@ class TestClosedFormMessageCounts:
         sfc_partition(mesh, nodes)  # the driver's map, onto leaf.locality
         pairs = neighbor_locality_pairs(mesh)
         assert driver.plans.plan.ghosts.remote_pairs == pairs
-        assert result.payload_messages == len(_RK3_STAGES) * len(pairs)
+        assert result.messages == len(_RK3_STAGES) * len(pairs)
 
     def test_coalescing_cuts_messages_to_pair_count(self):
         """O(leaf faces) -> O(neighbor localities): the headline claim.
@@ -178,7 +173,7 @@ class TestClosedFormMessageCounts:
         ).step(1e-3)
         sfc_partition(mesh, 4)  # the driver's map, onto leaf.locality
         pairs = neighbor_locality_pairs(mesh)
-        assert on.payload_messages == len(_RK3_STAGES) * len(pairs)
+        assert on.messages == len(_RK3_STAGES) * len(pairs)
         remote_faces = 0
         for leaf in mesh.leaves():
             for axis in range(3):
@@ -189,31 +184,19 @@ class TestClosedFormMessageCounts:
                     remote_faces += any(
                         d.locality != leaf.locality for d in donors
                     )
-        assert len(_RK3_STAGES) * remote_faces > 3 * on.payload_messages
-
-    def test_acks_counted_as_control_not_payload(self):
-        mesh, eos = build_mesh()
-        driver = DistributedHydroDriver(
-            mesh, eos, recovery=True,
-            config=RunConfig(machine=FUGAKU, nodes=4),
-        )
-        result = driver.step(1e-3)
-        assert result.payload_messages > 0
-        assert result.control_messages >= result.payload_messages  # 1 ack each
-        assert result.messages == result.payload_messages + result.control_messages
+        assert len(_RK3_STAGES) * remote_faces > 3 * on.messages
 
 
 class TestBitIdenticalOnOff:
-    """"On" is the coalesced exchange over the (possibly faulty) virtual
-    network; "off" is the serial integrator, which exchanges nothing."""
+    """"On" is the coalesced exchange over the virtual network; "off" is
+    the serial integrator, which exchanges nothing."""
 
-    def _run(self, on, faults=None, recovery=None, steps=2):
+    def _run(self, on, steps=2):
         mesh, eos = build_mesh(adaptive=True)
         seeded_fields(mesh, seed=7)
         if on:
             driver = DistributedHydroDriver(
-                mesh, eos, faults=faults, recovery=recovery,
-                config=RunConfig(machine=FUGAKU, nodes=4),
+                mesh, eos, config=RunConfig(machine=FUGAKU, nodes=4),
             )
         else:
             driver = HydroIntegrator(mesh, eos)
@@ -227,36 +210,6 @@ class TestBitIdenticalOnOff:
         assert on.keys() == off.keys()
         for key in on:
             assert np.array_equal(on[key], off[key])
-
-    def test_on_off_identical_under_faults_with_recovery(self):
-        faults = FaultSpec(drop_rate=0.1, duplicate_rate=0.1, seed=3)
-        on = self._run(on=True, faults=faults, recovery=True)
-        off = self._run(on=False)
-        for key in off:
-            assert np.array_equal(on[key], off[key])
-
-
-class TestBundleUnitDedup:
-    def test_duplicated_bundles_never_double_apply(self):
-        """A retransmitted/duplicated bundle is deduped as a unit: heavy
-        wire duplication leaves the state bit-identical to a clean run."""
-        faults = FaultSpec(duplicate_rate=0.5, seed=11)
-        mesh_a, eos = build_mesh(adaptive=True)
-        mesh_b = clone(mesh_a)
-        config = RunConfig(machine=FUGAKU, nodes=4)
-        clean = DistributedHydroDriver(mesh_a, eos, config=config)
-        noisy = DistributedHydroDriver(
-            mesh_b, eos, config=config, faults=faults, recovery=True
-        )
-        suppressed = 0
-        for _ in range(2):
-            clean.step(5e-4)
-            suppressed += noisy.step(5e-4).duplicates_suppressed
-        assert suppressed > 0  # the fault schedule actually bit
-        for key in mesh_a.leaf_keys():
-            assert np.array_equal(
-                mesh_b.nodes[key].subgrid.data, mesh_a.nodes[key].subgrid.data
-            )
 
 
 class TestBundlePlanShape:

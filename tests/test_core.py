@@ -53,8 +53,8 @@ class TestDiagnostics:
         mesh = make_uniform_mesh(levels=1)
         fill_gaussian(mesh)
         phi = {leaf.key: -np.ones((8, 8, 8)) for leaf in mesh.leaves()}
-        e = diagnostics(mesh, phi).energy_total
-        assert e == pytest.approx(
+        d = diagnostics(mesh, phi)
+        assert d.energy_gas + d.energy_potential == pytest.approx(
             mesh.integral(Field.EGAS) - 0.5 * mesh.total_mass()
         )
 
@@ -63,7 +63,7 @@ class TestDiagnostics:
         fill_gaussian(mesh)
         d = diagnostics(mesh)
         assert d.mass > 0
-        assert d.energy_total == d.energy_gas  # no potential supplied
+        assert d.energy_potential == 0.0  # no potential supplied
         assert d.tracer_masses.shape == (2,)
 
 
@@ -478,6 +478,6 @@ class TestOneWayToConfigure:
             "dt", "collect_fluxes", "use_accel", "overlap",
         ]
         assert parameters(DistributedHydroDriver) == [
-            "mesh", "eos", "omega", "config", "gravity", "faults", "recovery",
+            "mesh", "eos", "omega", "config", "gravity",
         ]
         assert parameters(ProcessHydroExecutor.step) == ["dt", "gravity"]

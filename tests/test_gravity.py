@@ -238,7 +238,7 @@ class TestFmmAccuracy:
         assert stats.m2m == 9  # 8 level-1 interiors + root
         assert stats.p2p_pairs > 0
         assert stats.near_pairs > 0
-        assert stats.multipole_interactions == stats.m2l_pairs + stats.near_pairs
+        assert stats.m2l_pairs > 0
 
     def test_result_shapes(self, gaussian_mesh_l2):
         result = FmmSolver().solve(gaussian_mesh_l2)

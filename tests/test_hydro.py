@@ -64,16 +64,10 @@ class TestEOS:
         poly = PolytropicEOS(K=2.0, n=1.5)
         assert poly.Gamma == pytest.approx(5.0 / 3.0)
         rho = np.array([0.0, 0.5, 2.0])
-        h = poly.enthalpy(rho)
-        np.testing.assert_allclose(poly.rho_from_enthalpy(h), rho, atol=1e-12)
         # eps * rho == n * p.
         np.testing.assert_allclose(
             poly.internal_energy_density(rho), poly.n * poly.pressure(rho)
         )
-
-    def test_polytropic_negative_enthalpy_is_vacuum(self):
-        poly = PolytropicEOS()
-        assert poly.rho_from_enthalpy(np.array(-1.0)) == 0.0
 
 
 class TestMinmod:

@@ -62,7 +62,7 @@ class TestRotatingStarEvolution:
         _, sim, _, _, records = evolved
         assert len(records) == 3
         assert all(r.virtual_seconds > 0 for r in records)
-        assert sim.mean_cells_per_second() > 0
+        assert all(r.cells_per_second > 0 for r in records)
 
 
 class TestDwdEvolution:

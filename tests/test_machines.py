@@ -68,19 +68,18 @@ class TestPower:
         assert p.node_power(1.0, freq_ghz=1.0) == pytest.approx(12.5)
 
     def test_job_power_scales_with_nodes(self):
-        p = FUGAKU.power
-        assert p.job_power(1024, 0.9) == pytest.approx(1024 * p.node_power(0.9))
+        from repro.distsim.model import simulate_step
+        from repro.distsim.runconfig import RunConfig
+        from repro.scenarios import rotating_star
 
-    def test_energy(self):
-        p = PowerModel(idle_w=50, peak_w=50, reference_freq_ghz=1.0)
-        assert p.energy_joules(2, 0.5, 10.0) == pytest.approx(1000.0)
+        spec = rotating_star(level=5, build_mesh=False).spec
+        result = simulate_step(spec, RunConfig(machine=FUGAKU, nodes=1024))
+        assert result.job_power_w == pytest.approx(1024 * result.node_power_w)
 
     def test_validation(self):
         p = FUGAKU.power
         with pytest.raises(ValueError):
             p.node_power(1.5)
-        with pytest.raises(ValueError):
-            p.job_power(0, 0.5)
 
     def test_boost_increases_power(self):
         p = FUGAKU.power

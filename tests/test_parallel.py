@@ -128,7 +128,7 @@ class TestEngineRounds:
             assert engine.round("rank") == [0, 1]
 
     def test_crash_fate_raises_typed_crash_error(self):
-        from repro.resilience.protocol import UnrecoverableFault
+        from repro.resilience import UnrecoverableFault
 
         with ParallelEngine(2) as engine:
             engine.start(_echo_factory)

@@ -123,11 +123,13 @@ class TestSpecProperties:
     @given(subgrids=st.integers(min_value=1, max_value=10**8))
     @settings(max_examples=40)
     def test_min_nodes_sufficient_and_tight(self, subgrids):
+        from repro.distsim.sweep import min_nodes_for
+        from repro.machines import FUGAKU
         from repro.scenarios.spec import ScenarioSpec
 
         spec = ScenarioSpec(name="p", n_subgrids=subgrids, max_level=5)
-        mem = 28e9
-        nodes = spec.min_nodes(mem)
+        mem = FUGAKU.node.memory_gb * 1e9
+        nodes = min_nodes_for(spec, FUGAKU)
         assert nodes * mem >= spec.memory_bytes
         if nodes > 1:
             assert (nodes // 2) * mem < spec.memory_bytes

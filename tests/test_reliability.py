@@ -11,6 +11,7 @@ from repro.distsim.reliability import (
 )
 from repro.distsim.runconfig import RunConfig
 from repro.machines import FUGAKU, OOKAMI
+from repro.resilience.faults import FaultSpec
 from repro.scenarios import rotating_star
 from repro.scenarios.spec import ScenarioSpec
 
@@ -79,9 +80,10 @@ class TestReliabilityModel:
 
 class TestFaultInjection:
     def test_lost_ghost_message_deadlocks_the_step(self, monkeypatch):
-        """Drop one ghost message in the distributed driver: the dependency
-        graph stalls and the runtime reports a deadlock instead of silently
-        producing wrong data — the paper's hang, reproduced in miniature."""
+        """Lose the ghost messages of the distributed driver: the
+        dependency graph stalls and the runtime reports a deadlock instead
+        of silently producing wrong data — the paper's hang, reproduced in
+        miniature on the real step program."""
         from tests.test_distributed_driver import build_mesh
         import repro.core.distributed as distributed
         from repro.machines import FUGAKU as M
@@ -94,7 +96,7 @@ class TestFaultInjection:
 
         def sabotaged(*args):
             workers, core_rate, net = original(*args)
-            net.drop_message(3)
+            net.fault_injector = FaultSpec(drop_rate=1.0).injector()
             return workers, core_rate, net
 
         monkeypatch.setattr(distributed, "virtual_machine", sabotaged)
@@ -107,9 +109,9 @@ class TestFaultInjection:
 
         engine = Engine()
         net = NetworkModel()
-        net.drop_message(1)
         delivered = []
         net.send(engine, Message(0, 1, "a", 10), lambda m: delivered.append(m))
+        net.fault_injector = FaultSpec(drop_rate=1.0).injector()
         net.send(engine, Message(0, 1, "b", 10), lambda m: delivered.append(m))
         engine.run()
         assert [m.payload for m in delivered] == ["a"]

@@ -602,6 +602,85 @@ class TestSrcDefinitionNeedsACaller:
         })
         assert lint_paths([str(root / "src")]) == []
 
+    @staticmethod
+    def with_class(root, body, callers=None):
+        """A checkout whose ``Box`` class has ``body``; the top-level
+        ``helper`` gets a benchmark caller so only the methods are in
+        question."""
+        files = {
+            "src/repro/mod.py": "class Box:\n" + body,
+            "benchmarks/bench_mod.py": "from repro.mod import Box\n\nBox()\n",
+        }
+        files.update(callers or {})
+        return TestSrcDefinitionNeedsACaller.checkout(root, files)
+
+    def test_method_called_only_from_tests_flagged(self, tmp_path):
+        root = self.with_class(tmp_path, "    def peek(self):\n        return 1\n", {
+            "tests/test_mod.py": "from repro.mod import Box\n\nBox().peek()\n",
+        })
+        findings = lint_paths([str(root / "src")])
+        assert [(f.rule, f.line) for f in findings] == [("R013", 2)]
+        assert "'Box.peek'" in findings[0].message
+
+    def test_method_own_body_is_not_a_caller(self, tmp_path):
+        root = self.with_class(
+            tmp_path,
+            "    def peek(self, n=1):\n        return self.peek(n - 1) if n else 0\n",
+        )
+        assert rules(lint_paths([str(root / "src")])) == ["R013"]
+
+    def test_method_called_from_a_sibling_method_ok(self, tmp_path):
+        root = self.with_class(
+            tmp_path,
+            "    def peek(self):\n        return 1\n\n"
+            "    def __call__(self):\n        return self.peek()\n",
+        )
+        assert lint_paths([str(root / "src")]) == []
+
+    def test_getattr_string_dispatch_counts(self, tmp_path):
+        root = self.with_class(tmp_path, "    def rhs(self):\n        return 1\n", {
+            "src/repro/run.py": (
+                "def run(box, ops):\n"
+                "    return [getattr(box, op)() for op in ops]\n\n"
+                "OPS = ('rhs',)\n"
+            ),
+            "examples/demo.py": "from repro.run import OPS, run\n\nrun(None, OPS)\n",
+        })
+        assert lint_paths([str(root / "src")]) == []
+
+    def test_dunders_are_exempt(self, tmp_path):
+        root = self.with_class(tmp_path, "    def __repr__(self):\n        return 'Box'\n")
+        assert lint_paths([str(root / "src")]) == []
+
+    def test_property_with_a_caller_ok(self, tmp_path):
+        root = self.with_class(
+            tmp_path,
+            "    @property\n    def size(self):\n        return 1\n",
+            {"examples/demo.py": "from repro.mod import Box\n\nprint(Box().size)\n"},
+        )
+        assert lint_paths([str(root / "src")]) == []
+
+    def test_property_without_a_caller_flagged(self, tmp_path):
+        root = self.with_class(
+            tmp_path, "    @property\n    def size(self):\n        return 1\n"
+        )
+        findings = lint_paths([str(root / "src")])
+        assert [(f.rule, f.line) for f in findings] == [("R013", 3)]
+
+    def test_sanctioned_method_exempt(self, tmp_path):
+        root = self.with_class(
+            tmp_path,
+            "    def crash(self):  # reprolint: sanctioned-chaos (the crash "
+            "tests drive it)\n        return 1\n",
+        )
+        assert lint_paths([str(root / "src")]) == []
+
+    def test_all_listing_is_not_a_caller(self, tmp_path):
+        root = self.with_class(tmp_path, "    def peek(self):\n        return 1\n", {
+            "src/repro/__init__.py": "__all__ = ['peek']\n",
+        })
+        assert rules(lint_paths([str(root / "src")])) == ["R013"]
+
     def test_files_outside_src_repro_are_not_checked(self, tmp_path):
         lone = tmp_path / "lone.py"
         lone.write_text("def orphan():\n    return 1\n")

