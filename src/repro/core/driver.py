@@ -143,7 +143,8 @@ class OctoTigerSim:
             self.gravity_solver.registry = self.counters
         self.integrator = self._make_integrator(mesh, omega)
         sfc_partition(mesh, self.config.nodes)
-        self._spec: Optional[ScenarioSpec] = None
+        #: ``(mesh fingerprint, spec)`` of the last :attr:`spec`.
+        self._spec: Tuple[Optional[str], Optional[ScenarioSpec]] = (None, None)
         #: The last virtual timing and the inputs it is a pure function of
         #: (see :meth:`_virtual_timing`).
         self._timing: Tuple[Optional[tuple], Optional[TaskGraphResult]] = (None, None)
@@ -199,48 +200,43 @@ class OctoTigerSim:
     # -- workload ----------------------------------------------------------
     @property
     def spec(self) -> ScenarioSpec:
-        """The live mesh's workload.  With gravity on, the pair and face
-        totals are read off the plans the step uses (the same numbers
+        """The live mesh's workload, memoised on its topology
+        fingerprint.  With gravity on, the pair and face totals are read
+        off the plans the step uses (the same numbers
         :func:`workload_from_mesh` re-derives by traversal at the FMM's
         :data:`~repro.gravity.fmm.THETA`); a hydro-only run has no FMM plan
         to read."""
-        if self._spec is None:
+        fingerprint = self.mesh.fingerprint()
+        if self._spec[0] != fingerprint:
             solver = self.gravity_solver
             if solver is None:
-                self._spec = workload_from_mesh(self.mesh, name="driver")
+                spec = workload_from_mesh(self.mesh, name="driver")
             else:
                 fmm = solver.plan_for(self.mesh)
                 faces = self.integrator.plan_for().ghosts.face_counts
-                self._spec = measured_spec(
+                spec = measured_spec(
                     self.mesh, "driver",
                     m2l_pairs=fmm.n_m2l_pairs + fmm.n_near_pairs,
                     p2p_pairs=fmm.p2p_pair_count,
                     ghost_faces=faces["same"] + faces["coarse"] + 4 * faces["fine"],
                 )
-        return self._spec
-
-    def invalidate_workload(self) -> None:
-        """Call after refinement changes the mesh structure."""
-        self._spec = None
-        sfc_partition(self.mesh, self.config.nodes)
+            self._spec = (fingerprint, spec)
+        return self._spec[1]
 
     def regrid(self, criterion, max_level: int):  # noqa: ANN001, ANN201
         """Adapt the mesh to the current state and re-partition.
 
         Octo-Tiger regrids periodically on density/tracer criteria
         (paper SIII-C); returns the
-        :class:`~repro.octree.regrid.RegridResult`.
+        :class:`~repro.octree.regrid.RegridResult`.  Nothing is announced
+        to the plans: the next step's plan requests derive what changed
+        from the topology each plan was built for.
         """
         from repro.octree.regrid import regrid as _regrid
 
         result = _regrid(self.mesh, criterion, max_level=max_level)
         if result.changed:
-            self.invalidate_workload()
-            # Announce the exact topology delta so the next plan rebuild is
-            # incremental: the integrator invalidates only the ghost face
-            # traces the delta touched (the FMM plan derives the same delta
-            # from its own stored topology).
-            self.integrator.notify_regrid(result.delta)
+            sfc_partition(self.mesh, self.config.nodes)
             self.counters.increment("regrid.refined", result.refined)
             self.counters.increment("regrid.coarsened", result.coarsened)
         return result
@@ -344,7 +340,6 @@ class OctoTigerSim:
         restored.steps_taken = meta.get("step", 0)
         self.integrator = restored
         sfc_partition(mesh, self.config.nodes)
-        self._spec = None
         self.records = [r for r in self.records if r.step <= restored.steps_taken]
 
     def _virtual_timing(self) -> TaskGraphResult:

@@ -117,11 +117,11 @@ class FmmPlanLifecycle(PlanLifecycle):
     def params(self, mesh, theta) -> Dict:  # noqa: ANN001
         return {"theta": theta, "n": mesh.n}
 
-    def build(self, tier, prev, mesh, payload=None, *, theta):  # noqa: ANN001, ANN201
+    def build(self, tier, prev, mesh, delta, payload=None, *, theta):  # noqa: ANN001, ANN201
         if tier == "delta":
-            return update_plan(prev, mesh, theta)
+            return update_plan(prev, mesh, theta, delta)
         state = PairState.from_payload(payload) if payload is not None else None
-        return build_plan(mesh, theta, pair_state=state, reuse=self.donor(prev, mesh))  # reprolint: sanctioned-cold-build
+        return build_plan(mesh, theta, pair_state=state, reuse=prev)  # reprolint: sanctioned-cold-build
 
     def payload_of(self, plan) -> Dict[str, np.ndarray]:  # noqa: ANN001
         return plan.pair_state.to_payload()

@@ -701,41 +701,26 @@ def build_plan(
 
 
 def update_plan(
-    plan: FmmPlan,
-    mesh: AmrMesh,
-    theta: float,
-    delta: Optional[RegridDelta] = None,
+    plan: FmmPlan, mesh: AmrMesh, theta: float, delta: RegridDelta
 ) -> Optional[FmmPlan]:
     """Incrementally rebuild ``plan`` for the regridded ``mesh``.
 
-    Computes the :class:`~repro.octree.regrid.RegridDelta` between the
-    plan's stored topology and the live mesh (or takes one), drops every
+    ``delta`` is the :class:`~repro.octree.regrid.RegridDelta` between the
+    topology ``plan`` was built for and the live mesh (the lifecycle
+    derives it, and only for a plan of the same geometry family,
+    :meth:`~repro.util.lifecycle.PlanLifecycle.donor`).  Drops every
     cached pair with an endpoint in the delta's ``drop_set``, re-traverses
     only the changed subtrees (:func:`traverse` with ``emit_set``) and
-    re-assembles — the result is bit-identical to a cold :func:`build_plan`
-    because both assemble the same canonical pair state.
+    re-assembles — the result is bit-identical to a cold
+    :func:`build_plan` because both assemble the same canonical pair
+    state.
 
     Returns ``None`` when the delta path does not apply (different
-    ``theta`` or geometry — node keys only identify topology within one
-    ``(n, domain_size)`` family) or is not worthwhile (more than
+    ``theta``) or is not worthwhile (more than
     :data:`DELTA_COLD_FRACTION` of the leaves changed); the caller falls
     back to a cold build.
     """
-    if theta != plan.theta or plan.n != mesh.n:
-        return None
-    old_mesh = plan.mesh_ref()
-    if old_mesh is not mesh and (
-        old_mesh is None or old_mesh.domain_size != mesh.domain_size
-    ):
-        return None
-    if delta is None:
-        delta = RegridDelta.between(
-            frozenset(plan.node_keys),
-            frozenset(plan.leaf_keys),
-            frozenset(mesh.nodes),
-            frozenset(mesh.leaf_keys()),
-        )
-    if delta.changed_fraction > DELTA_COLD_FRACTION:
+    if theta != plan.theta or delta.changed_fraction > DELTA_COLD_FRACTION:
         return None
     drop = pack_keys(delta.drop_set)
     drop.sort()

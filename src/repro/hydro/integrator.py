@@ -183,13 +183,6 @@ class HydroIntegrator:
         """Drop the cached plan (the next step rebuilds it)."""
         self.plans.drop()
 
-    def notify_regrid(self, delta) -> None:
-        """Announce a regrid's :class:`~repro.octree.regrid.RegridDelta`:
-        only the ghost face traces it touched are dropped, so the next
-        plan request — serial or the executor's in-place replan, they
-        share the lifecycle — rebuilds incrementally."""
-        self.plans.notify_regrid(delta)
-
     def _registry(self) -> CounterRegistry:
         return self.registry if self.registry is not None else global_registry()
 

@@ -175,7 +175,7 @@ class HydroPlan:
         # family): rebuilds reuse the previous plan's rows for surviving
         # leaves (exact, not approximate).
         reuse_xy: Dict[NodeKey, Tuple[np.ndarray, np.ndarray]] = {}
-        if PlanLifecycle.donor(reuse, mesh) is not None:
+        if reuse is not None:
             for run in (r for rank_runs in reuse.runs for r in rank_runs):
                 for j, key in enumerate(reuse.leaf_keys[run.lo : run.hi]):
                     reuse_xy[key] = (run.x[j], run.y[j])
@@ -330,10 +330,12 @@ def build_hydro_plan(
     inherit their parent's).  ``out`` adopts the leaves into a
     caller-supplied flat ``float64`` view (the executor's shared memory)
     instead of private memory.  ``trace_cache`` (per-face ghost traces a
-    regrid left intact), ``reuse`` (the previous plan's cell-centre rows)
-    and ``payload`` (a :meth:`~repro.comms.bundle.GhostBundlePlan.to_payload`
-    cache hit: no tracing at all) change build time only — the plan arrays
-    are a pure function of topology and assignment either way.
+    regrid left intact), ``reuse`` (the cell-centre rows of a previous
+    plan of the same geometry family,
+    :meth:`~repro.util.lifecycle.PlanLifecycle.donor`) and ``payload``
+    (a :meth:`~repro.comms.bundle.GhostBundlePlan.to_payload` cache hit:
+    no tracing at all) change build time only — the plan arrays are a pure
+    function of topology and assignment either way.
     """
     return HydroPlan(
         mesh, nranks=nranks, assignment=assignment, out=out,
@@ -350,16 +352,9 @@ class HydroPlanLifecycle(PlanLifecycle):
 
     def __init__(self, cache=None) -> None:  # noqa: ANN001 - PlanCache
         super().__init__(cache)
-        #: Per-face ghost traces reused across rebuilds; the cache itself
-        #: knows which topology its survivors serve.
+        #: Per-face ghost traces reused across rebuilds, valid for the
+        #: topology :attr:`topology` records.
         self.traces = FaceTraceCache()
-
-    def notify_regrid(self, delta) -> None:  # noqa: ANN001 - RegridDelta
-        """Announce a regrid's exact topology delta: only the ghost face
-        traces it touched are dropped, so the next rebuild is incremental
-        (an unannounced change drops the whole trace cache instead)."""
-        if delta is not None:
-            self.traces.invalidate(delta)
 
     def matches(self, plan, mesh, nranks=1, out=None) -> bool:  # noqa: ANN001
         return (
@@ -371,18 +366,14 @@ class HydroPlanLifecycle(PlanLifecycle):
     def params(self, mesh, nranks=1, out=None) -> Dict:  # noqa: ANN001
         return {"n": mesh.n, "ghost": mesh.ghost, "nranks": nranks}
 
-    def build(self, tier, prev, mesh, payload=None, **request):  # noqa: ANN001, ANN201
-        # Every tier is the one builder, handed different things.  A stale
-        # trace cache clears itself here, whichever tier builds.
-        same_mesh = prev is not None and prev.mesh_ref() is mesh
-        usable = self.traces.usable_for(mesh.fingerprint(), same_mesh)
-        if tier == "delta" and not usable:
+    def build(self, tier, prev, mesh, delta, payload=None, **request):  # noqa: ANN001, ANN201
+        # Every tier is the one builder, handed different things.  The
+        # traces that survive the delta serve the live topology (none
+        # survive a build without a donor); a delta build needs some.
+        self.traces.drop(delta)
+        if tier == "delta" and not self.traces:
             return None
-        plan = build_hydro_plan(mesh, trace_cache=self.traces, reuse=prev, payload=payload, **request)  # reprolint: sanctioned-cold-build
-        # Whatever traces the build left (none after a persistent-cache
-        # hit) are valid for exactly this topology.
-        self.traces.mark_valid(plan.fingerprint)
-        return plan
+        return build_hydro_plan(mesh, trace_cache=self.traces, reuse=prev, payload=payload, **request)  # reprolint: sanctioned-cold-build
 
     def payload_of(self, plan) -> Dict[str, np.ndarray]:  # noqa: ANN001
         return plan.ghosts.to_payload()

@@ -315,25 +315,19 @@ class FaceTraceCache:
     """Per-face fill traces reused across plan rebuilds.
 
     Keyed by ``(dest_key, axis, side)``.  A trace stays valid as long as no
-    participant was touched by a regrid: a face's donor set can only change
-    if the neighbouring topology changed, and every node involved in such a
-    change appears in the :class:`~repro.octree.regrid.RegridDelta`'s
-    drop/emit sets — so :meth:`invalidate` drops exactly the stale entries.
-    Consumed by :func:`repro.comms.bundle.build_bundle_plan`.
-
-    The cache also owns *which topology its traces are valid for*: the
-    fingerprint recorded by the last build (:meth:`mark_valid`), or — right
-    after an announced regrid (:meth:`invalidate`) — the not yet
-    fingerprinted post-delta state of the same mesh.  :meth:`usable_for`
-    is the one question plan builders ask; anything else means the
-    topology moved unannounced and the traces are dropped.
+    participant was touched by a topology change: a face's donor set can
+    only change if the neighbouring topology changed, and every node
+    involved in such a change appears in the
+    :class:`~repro.octree.regrid.RegridDelta`'s drop/emit sets — so
+    :meth:`drop` keeps exactly the valid entries.  The owner (the hydro
+    plan lifecycle) knows which topology the traces serve and hands over
+    the delta from it.  Consumed by
+    :func:`repro.comms.bundle.build_bundle_plan`.
     """
 
     def __init__(self, nfields: int = NFIELDS) -> None:
         self.nfields = nfields
         self._traces: Dict[Tuple[NodeKey, int, int], FaceTrace] = {}
-        self._fingerprint: Optional[str] = None
-        self._pending = False
 
     def nbytes(self) -> int:
         """Bytes of the index arrays the cached traces hold."""
@@ -347,12 +341,15 @@ class FaceTraceCache:
             self._traces[key] = trace
         return trace
 
-    def invalidate(self, delta) -> None:
-        """Drop traces with a participant in the regrid delta's changed
-        sets and mark the survivors valid for the regridded mesh (whose
-        fingerprint the next build records)."""
-        self._fingerprint = None
-        self._pending = True
+    def __len__(self) -> int:
+        return len(self._traces)
+
+    def drop(self, delta) -> None:  # noqa: ANN001 - Optional[RegridDelta]
+        """Drop the traces with a participant in ``delta``'s changed sets;
+        ``None`` (no known topology to diff against) drops them all."""
+        if delta is None:
+            self._traces.clear()
+            return
         touched = delta.drop_set | delta.emit_set
         stale = [
             key
@@ -361,23 +358,3 @@ class FaceTraceCache:
         ]
         for key in stale:
             del self._traces[key]
-
-    def usable_for(self, fingerprint: str, same_mesh: bool) -> bool:
-        """Whether the surviving traces may seed a build of the topology
-        ``fingerprint``: they were recorded against exactly it, or a regrid
-        of the same mesh object was announced since.  A stale cache clears
-        itself, so the build that follows re-traces every face."""
-        ok = len(self._traces) > 0 and (
-            self._fingerprint == fingerprint or (self._pending and same_mesh)
-        )
-        if not ok:
-            self._traces.clear()
-            self._fingerprint, self._pending = None, False
-        return ok
-
-    def mark_valid(self, fingerprint: str) -> None:
-        """Record that a build just (re)populated the traces for
-        ``fingerprint``."""
-        self._fingerprint = fingerprint
-        self._pending = False
-

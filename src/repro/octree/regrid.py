@@ -7,17 +7,20 @@ may coarsen; :func:`regrid` applies the decisions while preserving the
 2:1 balance and conservation (prolongation/restriction are conservative,
 tested).
 
-Every :func:`regrid` call also emits a :class:`RegridDelta` — the exact
-old/new topology difference the plan layers (:mod:`repro.gravity.plan`,
+A regrid announces nothing to the plan layers.  Each plan remembers the
+topology it was built for, and the next plan request derives a
+:class:`RegridDelta` between that topology and the live mesh.  The delta
+is the exact old/new difference the plan layers (:mod:`repro.gravity.plan`,
 :mod:`repro.hydro.plan`, :mod:`repro.comms.bundle`) consume to rebuild only
-the affected plan segments instead of paying a cold rebuild
-(see ``docs/plan_lifecycle.md``).
+the affected plan segments instead of paying a cold rebuild.  A direct
+``refine``/``derefine`` therefore gets the same incremental rebuild as a
+:func:`regrid` call (see ``docs/plan_lifecycle.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Protocol
+from typing import FrozenSet, Protocol
 
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey, OctreeNode
@@ -36,29 +39,26 @@ class RegridDelta:
     """Exact topology difference between two mesh snapshots.
 
     Built from before/after snapshots of the node and leaf key sets
-    (:meth:`between`).  The derived sets drive the plan layers' incremental
-    rebuilds:
+    (:meth:`between`); the plan lifecycle
+    (:class:`repro.util.lifecycle.PlanLifecycle`) derives one between the
+    topology a plan was built for and the live mesh.  It drives the plan
+    layers' incremental rebuilds:
 
-    * ``refined`` — old leaves that became interior nodes,
-    * ``coarsened`` — old interior nodes that became leaves,
-    * ``removed_nodes`` / ``added_nodes`` — nodes deleted / created,
     * ``drop_set`` / ``emit_set`` — the exact invalidation and
       re-traversal frontiers for pair-based plans: any cached pair with an
-      endpoint in ``drop_set`` is stale, and every pair of the new
-      topology not cached has at least one endpoint in ``emit_set``
-      (endpoints untouched by the regrid keep identical traversal
+      endpoint in ``drop_set`` (refined, coarsened or removed nodes) is
+      stale, and every pair of the new topology not cached has at least
+      one endpoint in ``emit_set`` (refined, coarsened or added nodes;
+      endpoints untouched by the change keep identical traversal
       decisions, since their ancestors exist and keep their leaf/interior
-      status on both sides).
+      status on both sides);
+    * ``changed_fraction`` — changed leaves (either side) over the new
+      leaf count, the plan layers' cold-rebuild fallback heuristic.
     """
 
-    old_leaves: FrozenSet[NodeKey]
-    new_leaves: FrozenSet[NodeKey]
-    refined: FrozenSet[NodeKey]
-    coarsened: FrozenSet[NodeKey]
-    removed_nodes: FrozenSet[NodeKey]
-    added_nodes: FrozenSet[NodeKey]
     drop_set: FrozenSet[NodeKey] = field(repr=False)
     emit_set: FrozenSet[NodeKey] = field(repr=False)
+    changed_fraction: float
 
     @classmethod
     def between(
@@ -68,54 +68,20 @@ class RegridDelta:
         new_nodes: FrozenSet[NodeKey],
         new_leaves: FrozenSet[NodeKey],
     ) -> "RegridDelta":
-        refined = frozenset(old_leaves & (new_nodes - new_leaves))
-        coarsened = frozenset((old_nodes - old_leaves) & new_leaves)
-        removed = frozenset(old_nodes - new_nodes)
-        added = frozenset(new_nodes - old_nodes)
+        refined = old_leaves & (new_nodes - new_leaves)
+        coarsened = (old_nodes - old_leaves) & new_leaves
+        touched = refined | coarsened | (old_leaves ^ new_leaves)
         return cls(
-            old_leaves=frozenset(old_leaves),
-            new_leaves=frozenset(new_leaves),
-            refined=refined,
-            coarsened=coarsened,
-            removed_nodes=removed,
-            added_nodes=added,
-            drop_set=frozenset(refined | coarsened | removed),
-            emit_set=frozenset(refined | coarsened | added),
+            drop_set=frozenset(refined | coarsened | (old_nodes - new_nodes)),
+            emit_set=frozenset(refined | coarsened | (new_nodes - old_nodes)),
+            changed_fraction=len(touched) / len(new_leaves) if new_leaves else 1.0,
         )
-
-    @classmethod
-    def from_mesh(
-        cls, old_nodes: FrozenSet[NodeKey], old_leaves: FrozenSet[NodeKey], mesh: AmrMesh
-    ) -> "RegridDelta":
-        return cls.between(
-            old_nodes, old_leaves, frozenset(mesh.nodes), frozenset(mesh.leaf_keys())
-        )
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.drop_set or self.emit_set)
-
-    @property
-    def changed_fraction(self) -> float:
-        """Changed leaves (either side) over the new leaf count — the plan
-        layers' cold-rebuild fallback heuristic."""
-        if not self.new_leaves:
-            return 1.0
-        touched = (
-            self.refined
-            | self.coarsened
-            | (self.new_leaves - self.old_leaves)
-            | (self.old_leaves - self.new_leaves)
-        )
-        return len(touched) / len(self.new_leaves)
 
 
 @dataclass
 class RegridResult:
     refined: int
     coarsened: int
-    #: Exact old/new topology difference for incremental plan maintenance.
-    delta: Optional[RegridDelta] = None
 
     @property
     def changed(self) -> bool:
@@ -134,13 +100,9 @@ def regrid(
     Refinement first (cascades preserve 2:1 balance automatically), then
     conservative coarsening of sibling groups whose eight leaves all allow
     it.  Coarsening that would violate balance is skipped, not forced.
-
-    The returned :class:`RegridResult` carries a :class:`RegridDelta`
-    covering the net effect of the whole call (refine cascades and
-    coarsening included).
+    Returns how many leaves were refined and how many sibling groups were
+    coarsened.
     """
-    old_nodes = frozenset(mesh.nodes)
-    old_leaves = frozenset(mesh.leaf_keys())
     refined = 0
     for _ in range(max_rounds):
         to_refine = [
@@ -178,8 +140,4 @@ def regrid(
             except ValueError:
                 continue  # would break 2:1 balance; keep refined
             coarsened += 1
-    return RegridResult(
-        refined=refined,
-        coarsened=coarsened,
-        delta=RegridDelta.from_mesh(old_nodes, old_leaves, mesh),
-    )
+    return RegridResult(refined=refined, coarsened=coarsened)

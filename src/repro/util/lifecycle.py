@@ -4,14 +4,21 @@ Lives below every plan layer (``repro.hydro``, ``repro.gravity``) so both
 can subclass it at import time; the persistent store it consults
 (:class:`repro.core.plancache.PlanCache`) is constructed by the driver/CLI
 layer and handed down as an opaque handle with ``load / contains / store``.
+
+It is also the one place that learns what changed since the last plan:
+it records the topology each plan serves and derives the
+:class:`~repro.octree.regrid.RegridDelta` to the live mesh itself, so no
+caller announces a regrid and a direct ``refine``/``derefine`` is as
+incremental as :func:`repro.octree.regrid.regrid`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
+from repro.octree.regrid import RegridDelta
 from repro.profiling.apex import CounterRegistry, global_registry
 
 
@@ -20,7 +27,8 @@ class PlanLifecycle:
 
     Every plan layer answers "give me the plan for this mesh" the same
     way: (1) the current plan still **matches** — free; (2) a **delta**
-    rebuild from the previous plan (announced regrid); (3) a **cache hit**
+    rebuild from the previous plan, by the :class:`RegridDelta` between
+    the topology it was built for and the live one; (3) a **cache hit**
     on the persistent :class:`~repro.core.plancache.PlanCache`, keyed on
     the mesh fingerprint plus the kind's parameters; (4) the **cold**
     build.  All tiers build bit-identical plans; the
@@ -40,6 +48,8 @@ class PlanLifecycle:
     def __init__(self, cache=None) -> None:  # noqa: ANN001 - PlanCache
         self.cache = cache
         self.plan: Any = None
+        #: ``(node keys, leaf keys)`` of the topology :attr:`plan` serves.
+        self.topology: Optional[Tuple[FrozenSet, FrozenSet]] = None
 
     # -- per-kind hooks --------------------------------------------------------
     def matches(self, plan, mesh, **request) -> bool:  # noqa: ANN001
@@ -50,11 +60,14 @@ class PlanLifecycle:
         """Non-topology key material of the cache entry."""
         raise NotImplementedError
 
-    def build(self, tier, prev, mesh, payload=None, **request):  # noqa: ANN001, ANN201
+    def build(self, tier, prev, mesh, delta, payload=None, **request):  # noqa: ANN001, ANN201
         """Build the plan in ``tier``: ``"delta"`` incrementally from
-        ``prev`` (or return ``None`` to fall through), ``"cache_hit"`` from
-        the stored ``payload``, ``"cold"`` from scratch (``prev``, possibly
-        ``None``, may still donate recomputable state)."""
+        ``prev`` by ``delta`` (or return ``None`` to fall through),
+        ``"cache_hit"`` from the stored ``payload``, ``"cold"`` from
+        scratch.  ``prev`` is the :meth:`donor` (possibly ``None``) and
+        ``delta`` its :class:`RegridDelta` to ``mesh`` (``None`` exactly
+        when ``prev`` is); every tier gets both, since a donor may still
+        lend recomputable state to a cache-hit or cold build."""
         raise NotImplementedError
 
     def payload_of(self, plan) -> Dict[str, np.ndarray]:  # noqa: ANN001
@@ -64,30 +77,36 @@ class PlanLifecycle:
     @staticmethod
     def donor(prev, mesh):  # noqa: ANN001, ANN205
         """``prev`` if it may donate recomputable per-leaf state (cell
-        positions, P2P gather matrices) to a build for ``mesh``, else
-        ``None``: only sound within one ``(n, domain_size)`` geometry
-        family — node keys alone don't pin the geometry."""
+        positions, P2P gather matrices, ghost face traces) to a build for
+        ``mesh``, else ``None``: only sound within one ``(n, ghost,
+        domain_size)`` geometry family — node keys alone don't pin the
+        geometry."""
         if prev is None or prev.n != mesh.n:
             return None
         old_mesh = prev.mesh_ref()
         if old_mesh is not mesh and (
-            old_mesh is None or old_mesh.domain_size != mesh.domain_size
+            old_mesh is None
+            or (old_mesh.ghost, old_mesh.domain_size) != (mesh.ghost, mesh.domain_size)
         ):
             return None
         return prev
 
     # -- the lifecycle ----------------------------------------------------------
     def drop(self) -> None:
-        """Forget the current plan (the next request rebuilds it)."""
-        self.plan = None
+        """Forget the current plan and its topology (the next request
+        builds without a donor)."""
+        self.plan = self.topology = None
 
     def plan_for(self, mesh, registry: Optional[CounterRegistry] = None, **request):  # noqa: ANN001, ANN201
         """The plan for ``mesh``, rebuilt through the cheapest valid tier."""
         if self.plan is not None and self.matches(self.plan, mesh, **request):
             return self.plan
         reg = registry if registry is not None else global_registry()
-        prev, cache, kind = self.plan, self.cache, self.kind
+        cache, kind = self.cache, self.kind
         key = (kind, mesh.fingerprint(), self.params(mesh, **request))
+        live = (frozenset(mesh.nodes), frozenset(mesh.leaf_keys()))
+        prev = self.donor(self.plan, mesh)
+        delta = RegridDelta.between(*self.topology, *live) if prev is not None else None
         plan = None
         for tier in ("delta", "cache_hit", "cold"):
             hit = tier == "cache_hit"
@@ -95,7 +114,7 @@ class PlanLifecycle:
             if (tier == "delta" and prev is None) or (hit and payload is None):
                 continue
             with reg.timer(f"plan.{kind}.{tier}"):
-                plan = self.build(tier, prev, mesh, payload, **request)
+                plan = self.build(tier, prev, mesh, delta, payload, **request)
             if plan is not None:
                 break
         reg.increment(f"plan.{kind}.{tier}_builds")
@@ -107,5 +126,5 @@ class PlanLifecycle:
             tier == "cold" or (tier == "delta" and not cache.contains(*key))
         ):
             cache.store(*key, self.payload_of(plan))
-        self.plan = plan
+        self.plan, self.topology = plan, live
         return plan

@@ -5,12 +5,16 @@ Hypothesis sweeps drive random refine/coarsen sequences and assert,
 array for array, that the incremental path of each plan layer — FmmPlan
 (``update_plan``), HydroPlan (trace-cache delta rebuild through
 ``plan_for``), and the ghost bundle plan (trace-cache reuse after
-``FaceTraceCache.invalidate``) — produces exactly the plan a cold build
+``FaceTraceCache.drop``) — produces exactly the plan a cold build
 would; a cache-hit hydro plan equals a cold one for one and two ranks.
-One parametrised case drives the shared ``PlanLifecycle`` for both kinds
-through match / cold / delta / cache hit.  A final group runs the blast
-with a plan cache on both the serial and process backends: the cache is
-honoured on both and keeps them bit-identical.
+No test announces a topology change: the lifecycle derives the delta
+from the topology each plan was built for, so direct ``refine`` /
+``derefine`` calls and ``regrid`` are incremental alike, on the serial,
+process and DES interpreters.  One parametrised case drives the shared
+``PlanLifecycle`` for both kinds through match / cold / delta / cache
+hit.  A final group runs the blast with a plan cache on both the serial
+and process backends: the cache is honoured on both and keeps them
+bit-identical.
 """
 
 import hashlib
@@ -140,9 +144,10 @@ class TestFmmDeltaEquivalence:
         mesh = make_uniform_mesh(2, n=4)
         fill_gaussian(mesh)
         plan = build_plan(mesh, theta=0.5)
-        if apply_ops(mesh, ops) is None:
+        delta = apply_ops(mesh, ops)
+        if delta is None:
             return
-        updated = update_plan(plan, mesh, 0.5)
+        updated = update_plan(plan, mesh, 0.5, delta)
         cold = build_plan(mesh, theta=0.5)
         if updated is None:
             return  # cold-fraction fallback: safe by construction
@@ -150,21 +155,36 @@ class TestFmmDeltaEquivalence:
 
 
 class TestHydroDeltaEquivalence:
-    @given(ops=_mutation_sequences())
+    @given(
+        first=_mutation_sequences(),
+        second=_mutation_sequences(),
+        pick=st.integers(0, 63),
+    )
     @settings(
         max_examples=10,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_plan_for_delta_identical_to_cold(self, ops):
+    def test_plan_for_delta_identical_to_cold(self, first, second, pick):
+        """Two mutation sequences between two plan requests, with a leaf
+        the first one refines coarsened back after the second: the plan
+        the lifecycle derives from its recorded topology is the cold
+        one."""
         mesh = make_uniform_mesh(1, n=4)
         fill_gaussian(mesh)
         integ = HydroIntegrator(mesh)
         integ.plan_for()  # cold build populates the trace cache
-        delta = apply_ops(mesh, ops)
-        if delta is None:
-            return
-        integ.notify_regrid(delta)
+        apply_ops(mesh, first)
+        candidates = sorted(k for k in mesh.leaf_keys() if k[0] < 3)
+        there_and_back = candidates[pick % len(candidates)]
+        mesh.refine(there_and_back)
+        apply_ops(mesh, second)
+        node = mesh.get(there_and_back)
+        if node is not None and not node.is_leaf:
+            try:
+                mesh.derefine(there_and_back)
+            except ValueError:
+                pass  # refined further, or 2:1 balance
         warm = integ.plan_for()
         cold = build_hydro_plan(mesh)  # reprolint: sanctioned-cold-build
         assert_plans_equal(warm.ghosts, cold.ghosts)
@@ -225,9 +245,7 @@ class TestSharedLifecycle:
         assert holder.plan_for(mesh, reg, **request) is first  # match: free
         assert tiers() == (1, 0, 0)
 
-        delta = apply_ops(mesh, [("refine", 5)])
-        if kind == "hydro":
-            holder.notify_regrid(delta)
+        apply_ops(mesh, [("refine", 5)])
         second = holder.plan_for(mesh, reg, **request)
         assert second is not first
         assert tiers() == (1, 1, 0)
@@ -259,7 +277,7 @@ class TestBundleDeltaEquivalence:
         delta = apply_ops(mesh, ops)
         if delta is None:
             return
-        cache.invalidate(delta)
+        cache.drop(delta)
         locality = sfc_partition(mesh, nprocs)
         _, offsets = adopt_arena(mesh)
         warm = build_bundle_plan(mesh, offsets, locality, trace_cache=cache)
@@ -308,7 +326,7 @@ class TestPayloadAlongTheRegridChain:
     def test_to_payload_bytes_unchanged(self, nranks):
         """The DWD level-2 topology (64 leaves on a domain of 2) with its
         refinement window hopping between two sites: a cold build, then
-        four trace-cache delta rebuilds."""
+        four trace-cache delta rebuilds the lifecycle derives itself."""
         mesh = AmrMesh(n=8, ghost=2, domain_size=2.0)
         for _ in range(2):
             for key in list(mesh.leaf_keys()):
@@ -321,13 +339,91 @@ class TestPayloadAlongTheRegridChain:
         digests = []
         for hop in range(5):
             if hop:
-                plans.notify_regrid(regrid(mesh, windows[(hop + 1) % 2], max_level=3).delta)
+                regrid(mesh, windows[(hop + 1) % 2], max_level=3)
             plan = plans.plan_for(mesh, registry, nranks=nranks)
             digests.append(_payload_digest(plan.ghosts.to_payload()))
         assert mesh.n_subgrids() == 78
         assert registry.count("plan.hydro.delta_builds") == 4
         chain = hashlib.sha256("".join(digests).encode()).hexdigest()
         assert chain == self.DIGESTS[nranks]
+
+
+class _RefineOnly:
+    """Refine exactly the leaf ``key``; never coarsen."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def wants_refinement(self, leaf):
+        return leaf.key == self.key
+
+    def allows_coarsening(self, leaf):
+        return False
+
+
+class TestUnannouncedTopologyChanges:
+    def test_direct_refine_after_sim_regrid_steps_like_a_fresh_integrator(self):
+        """Regression: ``sim.regrid`` once announced its delta to the face
+        trace cache, and a direct ``mesh.refine`` after it went unseen —
+        the next step read a stale trace and failed with a bare
+        ``KeyError``.  Both changes now reach the plan as one delta from
+        the topology it was built for."""
+        from repro.core import OctoTigerSim
+        from repro.core.crosscheck import assert_identical, clone_mesh
+        from repro.scenarios.blast import sedov_blast
+
+        blast = sedov_blast(levels=1)
+        sim = OctoTigerSim(blast.mesh, eos=blast.eos, gravity=False)
+        dt = 1e-4
+        sim.step(dt)
+        # Opposite corners of the 2x2x2 level-1 mesh: no face in common.
+        assert sim.regrid(_RefineOnly((1, 0)), max_level=2).changed
+        sim.mesh.refine((1, 7))
+        fresh = HydroIntegrator(clone_mesh(sim.mesh), eos=blast.eos)
+        sim.step(dt)
+        fresh.step(dt)
+        assert_identical(fresh.mesh, sim.mesh)
+        assert sim.counters.count("plan.hydro.cold_builds") == 1
+        assert sim.counters.count("plan.hydro.delta_builds") == 1
+
+    def test_direct_regrid_is_a_delta_build_on_every_interpreter(self):
+        """A bare :func:`regrid` on the mesh, with nothing told to the
+        stepper: the serial integrator, the process executor and the DES
+        driver each rebuild through the delta tier, and stay
+        bit-identical.  64 leaves, so the refined mesh still fits the
+        process arenas' headroom (an overflow re-forks cold)."""
+        from repro.core.crosscheck import assert_identical, clone_mesh
+        from repro.core.distributed import DistributedHydroDriver
+        from repro.distsim.runconfig import RunConfig
+        from repro.machines import FUGAKU
+        from repro.scenarios.blast import sedov_blast
+
+        blast = sedov_blast(levels=2)
+        serial = HydroIntegrator(blast.mesh, eos=blast.eos)
+        process = HydroIntegrator(
+            clone_mesh(blast.mesh), eos=blast.eos, backend="process", nprocs=2
+        )
+        des = DistributedHydroDriver(
+            clone_mesh(blast.mesh), eos=blast.eos,
+            config=RunConfig(machine=FUGAKU, nodes=2),
+        )
+        serial.registry, process.registry = CounterRegistry(), CounterRegistry()
+        legs = {"serial": serial, "process": process, "des": des}
+        try:
+            for leg in legs.values():
+                leg.step(1e-4)
+                assert regrid(leg.mesh, _RefineOnly((2, 0)), max_level=3).changed
+                leg.step(1e-4)
+        finally:
+            process.close()
+        for name, leg in legs.items():
+            builds = {
+                tier: leg.registry.count(f"plan.hydro.{tier}_builds")
+                for tier in ("cold", "delta")
+            }
+            assert builds == {"cold": 1, "delta": 1}, name
+        assert_identical(serial.mesh, process.mesh)
+        assert_identical(serial.mesh, des.mesh)
 
 
 class TestPlanCacheCrosscheck:
