@@ -58,12 +58,7 @@ from repro.gravity.multipole import (
     batched_moments_from_points,
 )
 from repro.gravity.pairwise import p2p_apply_class
-from repro.gravity.plan import (
-    FmmPlan,
-    PairState,
-    build_plan,
-    update_plan,
-)
+from repro.gravity.plan import FmmPlan, PairState, build_plan
 from repro.octree.fields import Field
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
@@ -104,9 +99,11 @@ class FmmResult:
 class FmmPlanLifecycle(PlanLifecycle):
     """The FMM kind of the shared plan lifecycle; a request is ``theta``.
 
-    The delta tier is :func:`repro.gravity.plan.update_plan` (exact; it
-    returns ``None`` past its cold-fraction cutoff), the cache payload the
-    canonical traversal pair state.
+    Every tier is one :func:`repro.gravity.plan.build_plan` call: a cache
+    hit hands it the stored canonical pair state, any other tier derives
+    the pair lists afresh; a donor ``prev`` lends its per-leaf cell
+    positions and P2P gather matrices, which makes a build a ``delta``
+    one.  The cache payload is the canonical pair state.
     """
 
     kind = "fmm"
@@ -117,9 +114,7 @@ class FmmPlanLifecycle(PlanLifecycle):
     def params(self, mesh, theta) -> Dict:  # noqa: ANN001
         return {"theta": theta, "n": mesh.n}
 
-    def build(self, tier, prev, mesh, delta, payload=None, *, theta):  # noqa: ANN001, ANN201
-        if tier == "delta":
-            return update_plan(prev, mesh, theta, delta)
+    def build(self, tier, prev, mesh, changed, payload=None, *, theta):  # noqa: ANN001, ANN201
         state = PairState.from_payload(payload) if payload is not None else None
         return build_plan(mesh, theta, pair_state=state, reuse=prev)  # reprolint: sanctioned-cold-build
 

@@ -17,25 +17,19 @@ small number of vectorised batches per level instead of per-node Python
 loops; see the module docstring of :mod:`repro.gravity.fmm` and
 ``docs/gravity_plan.md`` for the full architecture.
 
-Canonical pair state and incremental rebuilds
----------------------------------------------
-The traversal's output is normalised into a :class:`PairState` — three
-lexsorted ``(P, 2)`` arrays of packed ``(level << 58 | code)`` node keys —
-and **every** plan array is assembled from that canonical form by
-:func:`_assemble_plan`.  Because cold builds, delta builds
-(:func:`update_plan`) and plan-cache hits all assemble from the same
-canonical representation, their plans are bit-identical by construction:
-``np.array_equal`` holds for every index array, and the solve output is
-bit-identical too.
-
-After a regrid, :func:`update_plan` avoids re-traversing the whole tree:
-pairs with an endpoint in the :class:`~repro.octree.regrid.RegridDelta`
-``drop_set`` are masked out, :func:`traverse` re-traverses only the
-subtrees containing ``emit_set`` nodes, and the merged pair state is
-re-assembled — reusing the previous plan's per-leaf cell positions and
-P2P gather matrices, which are pure deterministic functions of the
-surviving keys.  This is exact (see ``docs/plan_lifecycle.md`` for the
-invariance argument), not approximate.
+Canonical pair state
+--------------------
+:func:`pair_lists` derives the far, near and P2P pair lists from integer
+node coordinates in one level-synchronous array pass, and normalises them
+into a :class:`PairState` — three lexsorted ``(P, 2)`` arrays of packed
+``(level << 58 | code)`` node keys.  **Every** plan array is assembled
+from that canonical form by :func:`_assemble_plan`, so a cold build, a
+build after a regrid and a plan-cache hit are bit-identical by
+construction: ``np.array_equal`` holds for every index array, and the
+solve output is bit-identical too.  After a regrid the previous plan
+only donates per-leaf cell positions and P2P gather matrices, which are
+pure deterministic functions of the surviving keys; the pair lists are
+derived afresh.
 
 P2P geometry classes
 --------------------
@@ -65,20 +59,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.gravity.multipole import octant_ids
 from repro.octree.mesh import AmrMesh, pack_keys
 from repro.octree.node import NodeKey, OctreeNode
-from repro.octree.regrid import RegridDelta
-from repro.util.morton import morton_parent
-
-#: Delta rebuilds touching more than this fraction of the new leaves fall
-#: back to a cold traversal (the pruned traversal would visit most of the
-#: tree anyway).
-DELTA_COLD_FRACTION = 0.5
 
 #: Interaction rows per M2L kernel call.  Measured on a 64-leaf level-2
 #: mesh (docs/gravity_plan.md): ``fmm.m2l`` is flat between 2 048 and 16 384
@@ -89,106 +76,7 @@ _LEVEL_SHIFT = 58
 _CODE_MASK = (1 << _LEVEL_SHIFT) - 1
 
 
-def is_far(a: OctreeNode, b: OctreeNode, theta: float) -> bool:
-    """The opening criterion: separation of at least ``2 / theta`` sizes."""
-    dist = float(np.linalg.norm(a.center - b.center))
-    return dist * theta >= 2.0 * max(a.node_size, b.node_size) * (1.0 - 1e-12)
-
-
-def is_touching(a: OctreeNode, b: OctreeNode) -> bool:
-    gap = 0.5 * (a.node_size + b.node_size) * (1.0 + 1e-12)
-    return bool(np.all(np.abs(a.center - b.center) <= gap))
-
-
-def traverse(
-    mesh: AmrMesh, theta: float, emit_set: Optional[FrozenSet[NodeKey]] = None
-) -> Tuple[
-    List[Tuple[NodeKey, NodeKey]],
-    List[Tuple[NodeKey, NodeKey]],
-    List[Tuple[NodeKey, NodeKey]],
-]:
-    """Dual tree traversal: returns (far, near, p2p) pairs, each unordered.
-
-    With ``emit_set``, only the pairs with an endpoint in it.  A pair node
-    ``(a, b)`` can only yield such pairs if the subtree of ``a`` or of ``b``
-    contains an ``emit_set`` node, so the traversal skips any pair node
-    whose endpoints both lack a marked descendant-or-self — for a localised
-    regrid this visits a small neighbourhood of the changed region instead
-    of the whole pair space.  The decisions at visited pairs are the same
-    code either way, so the emitted pairs match the full traversal's
-    classification bit for bit.
-    """
-    marked: Optional[set] = None
-    if emit_set is not None:
-        marked = set()
-        for key in emit_set:
-            k = key
-            while k not in marked:
-                marked.add(k)
-                level, code = k
-                if level == 0:
-                    break
-                k = (level - 1, morton_parent(code))
-    far: List[Tuple[NodeKey, NodeKey]] = []
-    near: List[Tuple[NodeKey, NodeKey]] = []
-    p2p: List[Tuple[NodeKey, NodeKey]] = []
-    stack: List[Tuple[NodeKey, NodeKey]] = [((0, 0), (0, 0))]
-    while stack:
-        ka, kb = stack.pop()
-        if marked is not None and ka not in marked and kb not in marked:
-            continue
-        a, b = mesh.nodes[ka], mesh.nodes[kb]
-        emit = emit_set is None or ka in emit_set or kb in emit_set
-        if ka == kb:
-            if a.is_leaf:
-                if emit:
-                    p2p.append((ka, ka))
-            else:
-                kids = a.children_keys()
-                for i in range(8):
-                    for j in range(i, 8):
-                        stack.append((kids[i], kids[j]))
-            continue
-        if is_far(a, b, theta):
-            if emit:
-                far.append((ka, kb))
-            continue
-        if a.is_leaf and b.is_leaf:
-            if emit:
-                (p2p if is_touching(a, b) else near).append((ka, kb))
-            continue
-        # Split the larger node; on a tie split whichever is refined.
-        split_a = (not a.is_leaf) and (a.node_size >= b.node_size or b.is_leaf)
-        if split_a:
-            for kid in a.children_keys():
-                stack.append((kid, kb))
-        else:
-            for kid in b.children_keys():
-                stack.append((ka, kid))
-    return far, near, p2p
-
-
 # -- canonical pair state ------------------------------------------------------
-
-
-def _normalize_pairs(pairs: Iterable[Tuple[NodeKey, NodeKey]]) -> np.ndarray:
-    """Pack unordered key pairs into ``(P, 2)`` int64 ``(min, max)`` rows."""
-    pairs = list(pairs)
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    arr = np.asarray(pairs, dtype=np.int64)  # (P, 2, 2)
-    packed = (arr[..., 0] << _LEVEL_SHIFT) | arr[..., 1]  # (P, 2)
-    lo = np.minimum(packed[:, 0], packed[:, 1])
-    hi = np.maximum(packed[:, 0], packed[:, 1])
-    return np.stack([lo, hi], axis=1)
-
-
-def _canonical_pairs(rows: np.ndarray) -> np.ndarray:
-    """Lexsort normalised pair rows by (first, second) endpoint."""
-    if rows.shape[0] < 2:
-        return rows
-    order = np.lexsort((rows[:, 1], rows[:, 0]))
-    return rows[order]
 
 
 @dataclass(frozen=True)
@@ -205,14 +93,6 @@ class PairState:
     near: np.ndarray  # (Pn, 2)
     p2p: np.ndarray  # (Pp, 2); self pairs appear as (k, k)
 
-    @classmethod
-    def from_traversal(cls, far, near, p2p) -> "PairState":
-        return cls(
-            far=_canonical_pairs(_normalize_pairs(far)),
-            near=_canonical_pairs(_normalize_pairs(near)),
-            p2p=_canonical_pairs(_normalize_pairs(p2p)),
-        )
-
     def to_payload(self) -> Dict[str, np.ndarray]:
         """Flat array payload for the on-disk plan cache."""
         return {"far": self.far, "near": self.near, "p2p": self.p2p}
@@ -224,6 +104,112 @@ class PairState:
             near=np.asarray(payload["near"], dtype=np.int64).reshape(-1, 2),
             p2p=np.asarray(payload["p2p"], dtype=np.int64).reshape(-1, 2),
         )
+
+
+# -- the node table and the interaction lists ---------------------------------
+
+
+@dataclass(frozen=True)
+class _NodeTable:
+    """Every node of one mesh, in sorted key order: what :func:`pair_lists`
+    and :func:`_assemble_plan` read, built once per FMM build."""
+
+    keys: List[NodeKey]
+    packed: np.ndarray  # (N,) int64 ``level << 58 | code``, ascending
+    level: np.ndarray  # (N,) intp
+    coords: np.ndarray  # (N, 3) int64 lattice coordinates on the node's level
+    leaf: np.ndarray  # (N,) bool
+    children: np.ndarray  # (N, 8) intp node indices in octant order; -1 on leaves
+
+
+def _node_table(mesh: AmrMesh) -> _NodeTable:
+    keys = sorted(mesh.nodes)
+    nodes = [mesh.nodes[k] for k in keys]
+    packed = pack_keys(keys)  # sorted: pack is monotone in key order
+    leaf = np.array([node.is_leaf for node in nodes])
+    children = np.full((len(keys), 8), -1, dtype=np.intp)
+    inner = np.flatnonzero(~leaf)
+    child_level = ((packed[inner] >> _LEVEL_SHIFT) + 1) << _LEVEL_SHIFT
+    child_codes = ((packed[inner] & _CODE_MASK) << 3)[:, None] + np.arange(8)
+    children[inner] = np.searchsorted(packed, child_level[:, None] | child_codes)
+    return _NodeTable(
+        keys=keys,
+        packed=packed,
+        level=np.array([node.level for node in nodes], dtype=np.intp),
+        coords=np.array([node.coords for node in nodes], dtype=np.int64),
+        leaf=leaf,
+        children=children,
+    )
+
+
+#: Row/column octants of the 36 child pairs an interior self pair opens into.
+_SELF_SPLIT = np.triu_indices(8)
+
+
+def _pair_lists(table: _NodeTable, theta: float) -> PairState:
+    """The dual tree traversal as one level-synchronous pass over
+    ``table``; see :func:`pair_lists`."""
+    finest = int(table.level.max())
+    size = np.left_shift(1, finest - table.level)  # edge, in finest-level edges
+    centre = (2 * table.coords + 1) * size[:, None]  # in finest-level half-edges
+    emitted: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = {
+        "far": [], "near": [], "p2p": []
+    }
+    a = b = np.zeros(1, dtype=np.intp)  # the root pairs with itself
+    while a.size:
+        same = a == b
+        d = centre[a] - centre[b]
+        s_max = np.maximum(size[a], size[b])
+        far = ~same & (theta * theta * (d * d).sum(axis=1) >= 16 * s_max * s_max)
+        leaves = table.leaf[a] & table.leaf[b] & ~far
+        touch = leaves & np.all(np.abs(d) <= (size[a] + size[b])[:, None], axis=1)
+        for name, mask in (("far", far), ("p2p", touch), ("near", leaves & ~touch)):
+            emitted[name].append((a[mask], b[mask]))
+        # Open the rest: an interior self pair into its 36 child pairs,
+        # any other pair by splitting the larger node (on a tie whichever
+        # is refined).
+        opened = ~far & ~leaves
+        kids = table.children[a[opened & same]]
+        rest = opened & ~same
+        split_a = rest & ~table.leaf[a] & ((table.level[a] <= table.level[b]) | table.leaf[b])
+        split_b = rest & ~split_a
+        a = np.concatenate([
+            kids[:, _SELF_SPLIT[0]].ravel(),
+            table.children[a[split_a]].ravel(),
+            np.repeat(a[split_b], 8),
+        ])
+        b = np.concatenate([
+            kids[:, _SELF_SPLIT[1]].ravel(),
+            np.repeat(b[split_a], 8),
+            table.children[b[split_b]].ravel(),
+        ])
+
+    def canonical(pairs: List[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        pa = table.packed[np.concatenate([p[0] for p in pairs])]
+        pb = table.packed[np.concatenate([p[1] for p in pairs])]
+        rows = np.stack([np.minimum(pa, pb), np.maximum(pa, pb)], axis=1)
+        return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+
+    return PairState(**{name: canonical(pairs) for name, pairs in emitted.items()})
+
+
+def pair_lists(mesh: AmrMesh, theta: float) -> PairState:
+    """The far, near and P2P pair lists of ``mesh`` at opening angle ``theta``.
+
+    Level-synchronous dual tree traversal from ``(root, root)``: each round
+    classifies every pair of the frontier at once and expands the ones it
+    does not emit into the next frontier.  A self pair of a leaf is P2P; an
+    interior self pair opens into its 36 child pairs.  Any other pair is
+    *far* when ``theta**2 * |dc|**2 >= 16 * s**2``, with centre offsets
+    ``dc`` in half-edges of the finest level's nodes and ``s`` the larger
+    node's edge in whole finest-level edges (a separation of at least
+    ``2 / theta`` node sizes); two leaves that are not far are P2P when
+    they touch (``|dc_k| <= s_a + s_b`` on every axis) and near
+    otherwise; anything else splits its larger node, or on a tie whichever
+    is refined.  Offsets and sizes are integers, so the tests are exact on
+    any ``domain_size``.
+    """
+    return _pair_lists(_node_table(mesh), theta)
 
 
 def _m2l_by_level_packed(far: np.ndarray) -> Dict[int, int]:
@@ -451,32 +437,34 @@ def _assemble_plan(
     mesh: AmrMesh,
     theta: float,
     state: PairState,
+    table: _NodeTable,
     reuse: Optional[FmmPlan] = None,
 ) -> FmmPlan:
     """Assemble every plan array from the canonical pair state.
 
-    Pure vectorised grouping/sorting over the packed-key arrays: identical
-    pair states produce bit-identical plans, no matter which path (cold
-    traversal, delta splice, cache load) produced the state.  ``reuse``
-    donates per-leaf cell positions and the P2P gather matrices from a
-    previous plan of the same mesh family — both are exact functions of
-    the surviving keys, so reuse changes build time, never values.
+    Pure vectorised grouping/sorting over the packed-key arrays of
+    ``table`` (the mesh's :func:`_node_table`): identical pair states
+    produce bit-identical plans, no matter which path (traversal or cache
+    load) produced the state.  ``reuse`` donates per-leaf cell positions
+    and the P2P gather matrices from a previous plan of the same mesh
+    family — both are exact functions of the surviving keys, so reuse
+    changes build time, never values.
     """
     nc = mesh.n**3
-    node_keys = sorted(mesh.nodes)
-    packed_nodes = pack_keys(node_keys)  # sorted: pack is monotone in key order
+    node_keys = table.keys
+    packed_nodes = table.packed
+    node_level = table.level
     n_nodes = len(node_keys)
-    node_center = np.empty((n_nodes, 3))
-    node_level = np.empty(n_nodes, dtype=np.intp)
-    for i, k in enumerate(node_keys):
-        node = mesh.nodes[k]
-        node_center[i] = node.center
-        node_level[i] = node.level
-    max_level = mesh.max_level()
+    # OctreeNode.center, vectorised: the same float operations in the same order.
+    node_size = mesh.domain_size / np.left_shift(1, node_level)
+    node_center = (table.coords * node_size[:, None] - mesh.domain_size / 2.0) + (
+        node_size[:, None] / 2.0
+    )
+    max_level = int(node_level.max())
 
-    leaf_keys = [k for k in node_keys if mesh.nodes[k].is_leaf]
-    packed_leaves = pack_keys(leaf_keys)
-    leaf_node_idx = np.searchsorted(packed_nodes, packed_leaves).astype(np.intp)
+    leaf_node_idx = np.flatnonzero(table.leaf)
+    leaf_keys = [node_keys[i] for i in leaf_node_idx]
+    packed_leaves = packed_nodes[leaf_node_idx]
     n_leaves = len(leaf_keys)
 
     reuse_pos = dict(zip(reuse.leaf_keys, reuse.leaf_pos)) if reuse is not None else {}
@@ -487,22 +475,13 @@ def _assemble_plan(
             row = _leaf_positions(mesh.nodes[k])
         leaf_pos[i] = row
     cell_vol = np.array([mesh.nodes[k].cell_volume for k in leaf_keys])
-    dx_leaf = np.array([mesh.nodes[k].dx for k in leaf_keys])
+    dx_leaf = node_size[leaf_node_idx] / mesh.n
 
-    is_leaf_mask = np.zeros(n_nodes, dtype=bool)
-    is_leaf_mask[leaf_node_idx] = True
     level_interiors: List[Tuple[np.ndarray, np.ndarray]] = []
-    oct8 = np.arange(8, dtype=np.int64)
     for level in range(max_level - 1, -1, -1):
-        int_idx = np.flatnonzero((node_level == level) & ~is_leaf_mask)
-        if int_idx.size == 0:
-            continue
-        codes = packed_nodes[int_idx] & _CODE_MASK
-        child_packed = (
-            np.int64(level + 1) << _LEVEL_SHIFT
-        ) | ((codes << 3)[:, None] + oct8)
-        child_idx = np.searchsorted(packed_nodes, child_packed).astype(np.intp)
-        level_interiors.append((int_idx.astype(np.intp), child_idx))
+        int_idx = np.flatnonzero((node_level == level) & ~table.leaf)
+        if int_idx.size:
+            level_interiors.append((int_idx, table.children[int_idx]))
 
     # Far CSR, grouped per target level.  Directed edges lexsorted by
     # (target, source) packed key: packed keys sort level-major, so targets
@@ -549,16 +528,11 @@ def _assemble_plan(
     part_row = np.full(n_leaves, -1, dtype=np.intp)
     part_row[part_slots] = np.arange(part_slots.size)
 
-    oct_geo_centers = np.empty((part_slots.size, 8, 3))
-    offsets = (
-        np.stack(
-            [[(o >> 0) & 1, (o >> 1) & 1, (o >> 2) & 1] for o in range(8)]
-        ).astype(float)
-        - 0.5
-    )
-    for row, slot in enumerate(part_slots):
-        leaf = mesh.nodes[leaf_keys[slot]]
-        oct_geo_centers[row] = leaf.center + offsets * (leaf.node_size / 2.0)
+    offsets = ((np.arange(8)[:, None] >> np.arange(3)) & 1) - 0.5  # (8, 3) octant offsets
+    part_nodes = leaf_node_idx[part_slots]
+    oct_geo_centers = node_center[part_nodes][:, None, :] + offsets * (
+        node_size[part_nodes] / 2.0
+    )[:, None, None]
 
     if t_slot.size:
         near_tgt_slots, tstarts = np.unique(t_slot, return_index=True)
@@ -689,59 +663,12 @@ def build_plan(
 ) -> FmmPlan:
     """Build the full traversal plan of ``mesh`` for opening angle ``theta``.
 
-    ``pair_state`` short-circuits the traversal with a precomputed
+    ``pair_state`` short-circuits :func:`pair_lists` with a precomputed
     canonical pair state (the plan-cache hit path); ``reuse`` donates
     recomputable per-key state from a previous plan.  All paths produce
     bit-identical plans for identical topologies.
     """
+    table = _node_table(mesh)
     if pair_state is None:
-        far, near, p2p = traverse(mesh, theta)
-        pair_state = PairState.from_traversal(far, near, p2p)
-    return _assemble_plan(mesh, theta, pair_state, reuse=reuse)
-
-
-def update_plan(
-    plan: FmmPlan, mesh: AmrMesh, theta: float, delta: RegridDelta
-) -> Optional[FmmPlan]:
-    """Incrementally rebuild ``plan`` for the regridded ``mesh``.
-
-    ``delta`` is the :class:`~repro.octree.regrid.RegridDelta` between the
-    topology ``plan`` was built for and the live mesh (the lifecycle
-    derives it, and only for a plan of the same geometry family,
-    :meth:`~repro.util.lifecycle.PlanLifecycle.donor`).  Drops every
-    cached pair with an endpoint in the delta's ``drop_set``, re-traverses
-    only the changed subtrees (:func:`traverse` with ``emit_set``) and
-    re-assembles — the result is bit-identical to a cold
-    :func:`build_plan` because both assemble the same canonical pair
-    state.
-
-    Returns ``None`` when the delta path does not apply (different
-    ``theta``) or is not worthwhile (more than
-    :data:`DELTA_COLD_FRACTION` of the leaves changed); the caller falls
-    back to a cold build.
-    """
-    if theta != plan.theta or delta.changed_fraction > DELTA_COLD_FRACTION:
-        return None
-    drop = pack_keys(delta.drop_set)
-    drop.sort()
-
-    def retained(rows: np.ndarray) -> np.ndarray:
-        if rows.size == 0 or drop.size == 0:
-            return rows
-        keep = ~(np.isin(rows[:, 0], drop) | np.isin(rows[:, 1], drop))
-        return rows[keep]
-
-    far_add, near_add, p2p_add = traverse(mesh, theta, delta.emit_set)
-
-    def merged(kept: np.ndarray, added) -> np.ndarray:
-        add_rows = _normalize_pairs(added)
-        if add_rows.size == 0:
-            return kept
-        return _canonical_pairs(np.concatenate([kept, add_rows]))
-
-    state = PairState(
-        far=merged(retained(plan.pair_state.far), far_add),
-        near=merged(retained(plan.pair_state.near), near_add),
-        p2p=merged(retained(plan.pair_state.p2p), p2p_add),
-    )
-    return _assemble_plan(mesh, theta, state, reuse=plan)
+        pair_state = _pair_lists(table, theta)
+    return _assemble_plan(mesh, theta, pair_state, table, reuse=reuse)

@@ -366,11 +366,11 @@ class HydroPlanLifecycle(PlanLifecycle):
     def params(self, mesh, nranks=1, out=None) -> Dict:  # noqa: ANN001
         return {"n": mesh.n, "ghost": mesh.ghost, "nranks": nranks}
 
-    def build(self, tier, prev, mesh, delta, payload=None, **request):  # noqa: ANN001, ANN201
+    def build(self, tier, prev, mesh, changed, payload=None, **request):  # noqa: ANN001, ANN201
         # Every tier is the one builder, handed different things.  The
-        # traces that survive the delta serve the live topology (none
+        # traces with no changed participant serve the live topology (none
         # survive a build without a donor); a delta build needs some.
-        self.traces.drop(delta)
+        self.traces.drop(changed)
         if tier == "delta" and not self.traces:
             return None
         return build_hydro_plan(mesh, trace_cache=self.traces, reuse=prev, payload=payload, **request)  # reprolint: sanctioned-cold-build

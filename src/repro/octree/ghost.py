@@ -21,7 +21,7 @@ one description.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -317,11 +317,10 @@ class FaceTraceCache:
     Keyed by ``(dest_key, axis, side)``.  A trace stays valid as long as no
     participant was touched by a topology change: a face's donor set can
     only change if the neighbouring topology changed, and every node
-    involved in such a change appears in the
-    :class:`~repro.octree.regrid.RegridDelta`'s drop/emit sets — so
-    :meth:`drop` keeps exactly the valid entries.  The owner (the hydro
-    plan lifecycle) knows which topology the traces serve and hands over
-    the delta from it.  Consumed by
+    involved in such a change was added, removed or toggled between leaf
+    and interior — so :meth:`drop` of that key set keeps exactly the valid
+    entries.  The owner (the hydro plan lifecycle) knows which topology
+    the traces serve and hands over the keys changed since.  Consumed by
     :func:`repro.comms.bundle.build_bundle_plan`.
     """
 
@@ -344,17 +343,16 @@ class FaceTraceCache:
     def __len__(self) -> int:
         return len(self._traces)
 
-    def drop(self, delta) -> None:  # noqa: ANN001 - Optional[RegridDelta]
-        """Drop the traces with a participant in ``delta``'s changed sets;
-        ``None`` (no known topology to diff against) drops them all."""
-        if delta is None:
+    def drop(self, changed: Optional[FrozenSet[NodeKey]]) -> None:
+        """Drop the traces with a participant in ``changed``; ``None`` (no
+        known topology to diff against) drops them all."""
+        if changed is None:
             self._traces.clear()
             return
-        touched = delta.drop_set | delta.emit_set
         stale = [
             key
             for key, trace in self._traces.items()
-            if any(p in touched for p in trace.participants)
+            if any(p in changed for p in trace.participants)
         ]
         for key in stale:
             del self._traces[key]

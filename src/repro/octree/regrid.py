@@ -8,22 +8,22 @@ may coarsen; :func:`regrid` applies the decisions while preserving the
 tested).
 
 A regrid announces nothing to the plan layers.  Each plan remembers the
-topology it was built for, and the next plan request derives a
-:class:`RegridDelta` between that topology and the live mesh.  The delta
-is the exact old/new difference the plan layers (:mod:`repro.gravity.plan`,
-:mod:`repro.hydro.plan`, :mod:`repro.comms.bundle`) consume to rebuild only
-the affected plan segments instead of paying a cold rebuild.  A direct
-``refine``/``derefine`` therefore gets the same incremental rebuild as a
-:func:`regrid` call (see ``docs/plan_lifecycle.md``).
+topology it was built for, and the next plan request
+(:meth:`repro.util.lifecycle.PlanLifecycle.plan_for`) derives the keys
+that changed since from that topology and the live mesh: the hydro plan
+re-traces only the ghost faces they touch, and the FMM plan reuses its
+predecessor's per-leaf cell positions.  A direct ``refine``/``derefine``
+therefore gets the same incremental rebuild as a :func:`regrid` call (see
+``docs/plan_lifecycle.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Protocol
+from dataclasses import dataclass
+from typing import Protocol
 
 from repro.octree.mesh import AmrMesh
-from repro.octree.node import NodeKey, OctreeNode
+from repro.octree.node import OctreeNode
 
 
 class RefinementCriterion(Protocol):
@@ -32,50 +32,6 @@ class RefinementCriterion(Protocol):
     def wants_refinement(self, leaf: OctreeNode) -> bool: ...  # noqa: D102, E704
 
     def allows_coarsening(self, leaf: OctreeNode) -> bool: ...  # noqa: D102, E704
-
-
-@dataclass(frozen=True)
-class RegridDelta:
-    """Exact topology difference between two mesh snapshots.
-
-    Built from before/after snapshots of the node and leaf key sets
-    (:meth:`between`); the plan lifecycle
-    (:class:`repro.util.lifecycle.PlanLifecycle`) derives one between the
-    topology a plan was built for and the live mesh.  It drives the plan
-    layers' incremental rebuilds:
-
-    * ``drop_set`` / ``emit_set`` — the exact invalidation and
-      re-traversal frontiers for pair-based plans: any cached pair with an
-      endpoint in ``drop_set`` (refined, coarsened or removed nodes) is
-      stale, and every pair of the new topology not cached has at least
-      one endpoint in ``emit_set`` (refined, coarsened or added nodes;
-      endpoints untouched by the change keep identical traversal
-      decisions, since their ancestors exist and keep their leaf/interior
-      status on both sides);
-    * ``changed_fraction`` — changed leaves (either side) over the new
-      leaf count, the plan layers' cold-rebuild fallback heuristic.
-    """
-
-    drop_set: FrozenSet[NodeKey] = field(repr=False)
-    emit_set: FrozenSet[NodeKey] = field(repr=False)
-    changed_fraction: float
-
-    @classmethod
-    def between(
-        cls,
-        old_nodes: FrozenSet[NodeKey],
-        old_leaves: FrozenSet[NodeKey],
-        new_nodes: FrozenSet[NodeKey],
-        new_leaves: FrozenSet[NodeKey],
-    ) -> "RegridDelta":
-        refined = old_leaves & (new_nodes - new_leaves)
-        coarsened = (old_nodes - old_leaves) & new_leaves
-        touched = refined | coarsened | (old_leaves ^ new_leaves)
-        return cls(
-            drop_set=frozenset(refined | coarsened | (old_nodes - new_nodes)),
-            emit_set=frozenset(refined | coarsened | (new_nodes - old_nodes)),
-            changed_fraction=len(touched) / len(new_leaves) if new_leaves else 1.0,
-        )
 
 
 @dataclass

@@ -90,15 +90,17 @@ def measured_spec(
 
 
 def workload_from_mesh(mesh, name: str = "measured") -> ScenarioSpec:  # noqa: ANN001
-    """Measure a spec from a real mesh alone (small levels): one dual-tree
-    traversal at the FMM's :data:`~repro.gravity.fmm.THETA` and one walk
-    over the ghost faces.  A caller that already holds the mesh's plans
-    reads the same totals off them and calls :func:`measured_spec` (the
-    driver does)."""
+    """Measure a spec from a real mesh alone, from its pair lists and ghost faces.
+
+    :func:`~repro.gravity.plan.pair_lists` at :data:`~repro.gravity.fmm.THETA`
+    and one walk over the ghost faces; a caller that already holds the
+    mesh's plans reads the same totals off them and calls
+    :func:`measured_spec` (the driver does)."""
     from repro.gravity.fmm import THETA
-    from repro.gravity.plan import traverse
+    from repro.gravity.plan import pair_lists
     from repro.octree.ghost import exchange_plan
 
-    far, near, p2p = traverse(mesh, THETA)
+    pairs = pair_lists(mesh, THETA)
     non_boundary = sum(1 for ex in exchange_plan(mesh) if ex.src is not None)
-    return measured_spec(mesh, name, len(far) + len(near), len(p2p), non_boundary)
+    n_m2l = pairs.far.shape[0] + pairs.near.shape[0]
+    return measured_spec(mesh, name, n_m2l, pairs.p2p.shape[0], non_boundary)

@@ -6,10 +6,10 @@ can subclass it at import time; the persistent store it consults
 layer and handed down as an opaque handle with ``load / contains / store``.
 
 It is also the one place that learns what changed since the last plan:
-it records the topology each plan serves and derives the
-:class:`~repro.octree.regrid.RegridDelta` to the live mesh itself, so no
-caller announces a regrid and a direct ``refine``/``derefine`` is as
-incremental as :func:`repro.octree.regrid.regrid`.
+it records the topology each plan serves and itself derives which keys
+changed between that topology and the live mesh, so no caller announces
+a regrid and a direct ``refine``/``derefine`` is as incremental as
+:func:`repro.octree.regrid.regrid`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from repro.octree.regrid import RegridDelta
 from repro.profiling.apex import CounterRegistry, global_registry
 
 
@@ -27,8 +26,8 @@ class PlanLifecycle:
 
     Every plan layer answers "give me the plan for this mesh" the same
     way: (1) the current plan still **matches** — free; (2) a **delta**
-    rebuild from the previous plan, by the :class:`RegridDelta` between
-    the topology it was built for and the live one; (3) a **cache hit**
+    rebuild that reuses what the previous plan holds for the keys that did
+    not change since the topology it was built for; (3) a **cache hit**
     on the persistent :class:`~repro.core.plancache.PlanCache`, keyed on
     the mesh fingerprint plus the kind's parameters; (4) the **cold**
     build.  All tiers build bit-identical plans; the
@@ -60,14 +59,15 @@ class PlanLifecycle:
         """Non-topology key material of the cache entry."""
         raise NotImplementedError
 
-    def build(self, tier, prev, mesh, delta, payload=None, **request):  # noqa: ANN001, ANN201
+    def build(self, tier, prev, mesh, changed, payload=None, **request):  # noqa: ANN001, ANN201
         """Build the plan in ``tier``: ``"delta"`` incrementally from
-        ``prev`` by ``delta`` (or return ``None`` to fall through),
-        ``"cache_hit"`` from the stored ``payload``, ``"cold"`` from
-        scratch.  ``prev`` is the :meth:`donor` (possibly ``None``) and
-        ``delta`` its :class:`RegridDelta` to ``mesh`` (``None`` exactly
-        when ``prev`` is); every tier gets both, since a donor may still
-        lend recomputable state to a cache-hit or cold build."""
+        ``prev`` (or return ``None`` to fall through), ``"cache_hit"``
+        from the stored ``payload``, ``"cold"`` from scratch.  ``prev`` is
+        the :meth:`donor` (possibly ``None``) and ``changed`` the frozen
+        set of keys that were added, removed or toggled leaf/interior
+        since the topology ``prev`` was built for (``None`` exactly when
+        ``prev`` is); every tier gets both, since a donor may still lend
+        recomputable state to a cache-hit or cold build."""
         raise NotImplementedError
 
     def payload_of(self, plan) -> Dict[str, np.ndarray]:  # noqa: ANN001
@@ -106,7 +106,10 @@ class PlanLifecycle:
         key = (kind, mesh.fingerprint(), self.params(mesh, **request))
         live = (frozenset(mesh.nodes), frozenset(mesh.leaf_keys()))
         prev = self.donor(self.plan, mesh)
-        delta = RegridDelta.between(*self.topology, *live) if prev is not None else None
+        changed = None
+        if prev is not None:
+            (old_nodes, old_leaves), (new_nodes, new_leaves) = self.topology, live
+            changed = (old_nodes ^ new_nodes) | (old_leaves ^ new_leaves)
         plan = None
         for tier in ("delta", "cache_hit", "cold"):
             hit = tier == "cache_hit"
@@ -114,7 +117,7 @@ class PlanLifecycle:
             if (tier == "delta" and prev is None) or (hit and payload is None):
                 continue
             with reg.timer(f"plan.{kind}.{tier}"):
-                plan = self.build(tier, prev, mesh, delta, payload, **request)
+                plan = self.build(tier, prev, mesh, changed, payload, **request)
             if plan is not None:
                 break
         reg.increment(f"plan.{kind}.{tier}_builds")

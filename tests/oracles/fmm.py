@@ -19,10 +19,64 @@ from repro.gravity.conservation import project_angular_momentum, project_momentu
 from repro.gravity.fmm import G_NEWTON, THETA, FmmResult, FmmSolver, FmmStats
 from repro.gravity.kernels import _EYE
 from repro.gravity.multipole import octant_ids
-from repro.gravity.plan import traverse
 from repro.octree.mesh import AmrMesh
 from repro.octree.fields import Field
 from repro.octree.node import NodeKey, OctreeNode
+
+
+# -- the float dual tree traversal ---------------------------------------------
+def is_far(a: OctreeNode, b: OctreeNode, theta: float) -> bool:
+    """The opening criterion: separation of at least ``2 / theta`` sizes."""
+    dist = float(np.linalg.norm(a.center - b.center))
+    return dist * theta >= 2.0 * max(a.node_size, b.node_size) * (1.0 - 1e-12)
+
+
+def is_touching(a: OctreeNode, b: OctreeNode) -> bool:
+    gap = 0.5 * (a.node_size + b.node_size) * (1.0 + 1e-12)
+    return bool(np.all(np.abs(a.center - b.center) <= gap))
+
+
+def traverse(
+    mesh: AmrMesh, theta: float
+) -> Tuple[
+    List[Tuple[NodeKey, NodeKey]],
+    List[Tuple[NodeKey, NodeKey]],
+    List[Tuple[NodeKey, NodeKey]],
+]:
+    """Dual tree traversal over float node centres, one node pair at a
+    time: returns (far, near, p2p) pairs, each unordered.  The reference
+    :func:`repro.gravity.plan.pair_lists` is held to."""
+    far: List[Tuple[NodeKey, NodeKey]] = []
+    near: List[Tuple[NodeKey, NodeKey]] = []
+    p2p: List[Tuple[NodeKey, NodeKey]] = []
+    stack: List[Tuple[NodeKey, NodeKey]] = [((0, 0), (0, 0))]
+    while stack:
+        ka, kb = stack.pop()
+        a, b = mesh.nodes[ka], mesh.nodes[kb]
+        if ka == kb:
+            if a.is_leaf:
+                p2p.append((ka, ka))
+            else:
+                kids = a.children_keys()
+                for i in range(8):
+                    for j in range(i, 8):
+                        stack.append((kids[i], kids[j]))
+            continue
+        if is_far(a, b, theta):
+            far.append((ka, kb))
+            continue
+        if a.is_leaf and b.is_leaf:
+            (p2p if is_touching(a, b) else near).append((ka, kb))
+            continue
+        # Split the larger node; on a tie split whichever is refined.
+        split_a = (not a.is_leaf) and (a.node_size >= b.node_size or b.is_leaf)
+        if split_a:
+            for kid in a.children_keys():
+                stack.append((kid, kb))
+        else:
+            for kid in b.children_keys():
+                stack.append((ka, kid))
+    return far, near, p2p
 
 
 # -- one node's moments and local expansion ------------------------------------

@@ -408,8 +408,8 @@ class TestDriverSpecFromPlans:
 
     def test_follows_the_solver_theta(self, monkeypatch):
         from repro.gravity import fmm
-        from repro.gravity.plan import traverse
         from repro.scenarios.spec import workload_from_mesh
+        from tests.oracles.fmm import traverse
 
         mesh = make_uniform_mesh(levels=2)  # large enough for theta to matter
         sim = OctoTigerSim(mesh)

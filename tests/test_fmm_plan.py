@@ -1,5 +1,6 @@
 """The cached-plan solver: equivalence with the reference path, cache
-invalidation semantics and the topology_version contract."""
+invalidation semantics, the topology_version contract, and the integer
+pair lists held to the float dual tree traversal."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 
 from repro.gravity import fmm
 from repro.gravity.fmm import THETA, FmmSolver
-from repro.gravity.plan import build_plan
+from repro.gravity.plan import build_plan, pair_lists
 from repro.octree.fields import Field
-from repro.octree.mesh import AmrMesh
+from repro.octree.mesh import AmrMesh, pack_keys
 
 from tests.conftest import fill_gaussian, make_uniform_mesh
-from tests.oracles.fmm import count_m2l_by_level, solve_reference
+from tests.oracles.fmm import count_m2l_by_level, solve_reference, traverse
 
 REL_TOL = 1e-13
 
@@ -205,6 +206,31 @@ def _mutation_sequences(draw):
     )
 
 
+def _apply(mesh, op, pick) -> bool:
+    """Resolve one refine/derefine pick against the live mesh; whether the
+    topology changed."""
+    if op == "refine":
+        candidates = sorted(k for k in mesh.leaf_keys() if k[0] < 3)
+        if not candidates:
+            return False
+        mesh.refine(candidates[pick % len(candidates)])
+        return True
+    candidates = []
+    for key, node in sorted(mesh.nodes.items()):
+        if node.is_leaf:
+            continue
+        children = [mesh.nodes[k] for k in node.children_keys()]
+        if all(c.is_leaf for c in children):
+            candidates.append(key)
+    if not candidates:
+        return False
+    try:
+        mesh.derefine(candidates[pick % len(candidates)])
+    except ValueError:
+        return False  # would break 2:1 balance
+    return True
+
+
 class TestPlanInvalidationProperty:
     @given(ops=_mutation_sequences())
     @settings(
@@ -220,28 +246,53 @@ class TestPlanInvalidationProperty:
         solver = FmmSolver()
         solver.solve(mesh)  # seed the cache before any mutation
         for op, pick in ops:
-            if op == "refine":
-                candidates = sorted(
-                    k for k in mesh.leaf_keys() if k[0] < 3
-                )
-                if not candidates:
-                    continue
-                mesh.refine(candidates[pick % len(candidates)])
-            else:
-                candidates = []
-                for key, node in sorted(mesh.nodes.items()):
-                    if node.is_leaf:
-                        continue
-                    children = [mesh.nodes[k] for k in node.children_keys()]
-                    if all(c.is_leaf for c in children):
-                        candidates.append(key)
-                if not candidates:
-                    continue
-                try:
-                    mesh.derefine(candidates[pick % len(candidates)])
-                except ValueError:
-                    continue  # would break 2:1 balance
+            if not _apply(mesh, op, pick):
+                continue
             res = solver.solve(mesh)
             fresh = FmmSolver().solve(mesh)
             _assert_results_close(res, fresh, rel_tol=1e-14)
             _assert_stats_equal(res.stats, fresh.stats)
+
+
+def _assert_pair_lists_match_oracle(mesh, theta):
+    """``pair_lists`` equals the float dual tree traversal, array for array."""
+    state = pair_lists(mesh, theta)
+    far, near, p2p = traverse(mesh, theta)
+    for name, pairs in (("far", far), ("near", near), ("p2p", p2p)):
+        rows = np.array(
+            [sorted(pack_keys(pair)) for pair in pairs], dtype=np.int64
+        ).reshape(-1, 2)
+        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        got = getattr(state, name)
+        assert got.dtype == np.int64, name
+        assert np.array_equal(got, rows), f"{name} pairs differ at theta={theta}"
+
+
+class TestPairLists:
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_level1_and_adaptive_match_oracle(self, theta):
+        mesh = make_uniform_mesh(1, n=4)
+        _assert_pair_lists_match_oracle(mesh, theta)
+        mesh.refine(sorted(mesh.leaf_keys())[0])
+        _assert_pair_lists_match_oracle(mesh, theta)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_level2_matches_oracle(self, gaussian_mesh_l2, theta):
+        _assert_pair_lists_match_oracle(gaussian_mesh_l2, theta)
+
+    @given(ops=_mutation_sequences())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_refine_derefine_chain_matches_oracle(self, ops):
+        mesh = make_uniform_mesh(1, n=2)
+        for op, pick in ops:
+            if _apply(mesh, op, pick):
+                for theta in (0.5, 0.7, 1.0):
+                    _assert_pair_lists_match_oracle(mesh, theta)
+
+    @pytest.mark.slow
+    def test_level3_matches_oracle(self):
+        _assert_pair_lists_match_oracle(make_uniform_mesh(3, n=2), 0.5)

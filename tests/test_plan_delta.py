@@ -2,13 +2,13 @@
 rebuilds, and every plan kind goes through the one shared lifecycle.
 
 Hypothesis sweeps drive random refine/coarsen sequences and assert,
-array for array, that the incremental path of each plan layer — FmmPlan
-(``update_plan``), HydroPlan (trace-cache delta rebuild through
-``plan_for``), and the ghost bundle plan (trace-cache reuse after
-``FaceTraceCache.drop``) — produces exactly the plan a cold build
-would; a cache-hit hydro plan equals a cold one for one and two ranks.
-No test announces a topology change: the lifecycle derives the delta
-from the topology each plan was built for, so direct ``refine`` /
+array for array, that the incremental path of each plan layer — FmmPlan (a
+donor-lent build through ``FmmSolver.plan_for``), HydroPlan (trace-cache
+delta rebuild through ``plan_for``), and the ghost bundle plan
+(trace-cache reuse after ``FaceTraceCache.drop``) — produces exactly the
+plan a cold build would; a cache-hit hydro plan equals a cold one for one and two ranks.
+No test announces a topology change: the lifecycle derives the changed
+keys from the topology each plan was built for, so direct ``refine`` /
 ``derefine`` calls and ``regrid`` are incremental alike, on the serial,
 process and DES interpreters.  One parametrised case drives the shared
 ``PlanLifecycle`` for both kinds through match / cold / delta / cache
@@ -28,13 +28,14 @@ from hypothesis import strategies as st
 from tests.conftest import fill_gaussian, make_uniform_mesh
 from repro.comms import adopt_arena, build_bundle_plan
 from repro.core.plancache import PlanCache
-from repro.gravity.plan import build_plan, update_plan
+from repro.gravity.fmm import THETA, FmmSolver
+from repro.gravity.plan import build_plan
 from repro.hydro.integrator import HydroIntegrator
 from repro.hydro.plan import HydroPlanLifecycle, build_hydro_plan
 from repro.octree.ghost import FaceTraceCache
 from repro.octree.mesh import AmrMesh
 from repro.octree.partition import sfc_partition
-from repro.octree.regrid import RegridDelta, regrid
+from repro.octree.regrid import regrid
 from repro.profiling import CounterRegistry
 
 #: Attributes a structural plan comparison must skip: back-references to
@@ -84,18 +85,17 @@ def assert_plans_equal(a, b, path="plan"):
 
 
 def apply_ops(mesh, ops, max_level=3):
-    """Resolve refine/derefine picks against the live mesh; return the
-    exact :class:`RegridDelta` (or None if nothing changed)."""
+    """Resolve refine/derefine picks against the live mesh; return the set
+    of keys added, removed or toggled between leaf and interior (empty if
+    the topology ended where it started)."""
     old_nodes = frozenset(mesh.nodes)
     old_leaves = frozenset(mesh.leaf_keys())
-    changed = False
     for op, pick in ops:
         if op == "refine":
             candidates = sorted(k for k in mesh.leaf_keys() if k[0] < max_level)
             if not candidates:
                 continue
             mesh.refine(candidates[pick % len(candidates)])
-            changed = True
         else:
             candidates = []
             for key, node in sorted(mesh.nodes.items()):
@@ -110,12 +110,7 @@ def apply_ops(mesh, ops, max_level=3):
                 mesh.derefine(candidates[pick % len(candidates)])
             except ValueError:
                 continue  # would break 2:1 balance
-            changed = True
-    if not changed:
-        return None
-    return RegridDelta.between(
-        old_nodes, old_leaves, frozenset(mesh.nodes), frozenset(mesh.leaf_keys())
-    )
+    return (old_nodes ^ frozenset(mesh.nodes)) | (old_leaves ^ frozenset(mesh.leaf_keys()))
 
 
 @st.composite
@@ -139,19 +134,19 @@ class TestFmmDeltaEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_update_plan_identical_to_cold(self, ops):
-        # 64 leaves: small mutations stay under the cold-fraction cutoff,
-        # so the delta path actually exercises (8 leaves would fall back).
+        """The solver's plan after any refine/derefine sequence is one
+        delta build (its previous plan donates cell positions and gather
+        matrices) and equals a cold build array for array."""
         mesh = make_uniform_mesh(2, n=4)
         fill_gaussian(mesh)
-        plan = build_plan(mesh, theta=0.5)
-        delta = apply_ops(mesh, ops)
-        if delta is None:
+        solver = FmmSolver()
+        solver.registry = reg = CounterRegistry()
+        solver.plan_for(mesh)
+        if not apply_ops(mesh, ops):
             return
-        updated = update_plan(plan, mesh, 0.5, delta)
-        cold = build_plan(mesh, theta=0.5)
-        if updated is None:
-            return  # cold-fraction fallback: safe by construction
-        assert_plans_equal(updated, cold)
+        warm = solver.plan_for(mesh)
+        assert reg.count("plan.fmm.delta_builds") == 1
+        assert_plans_equal(warm, build_plan(mesh, theta=THETA))
 
 
 class TestHydroDeltaEquivalence:
@@ -274,10 +269,7 @@ class TestBundleDeltaEquivalence:
         _, offsets = adopt_arena(mesh)
         cache = FaceTraceCache()
         build_bundle_plan(mesh, offsets, locality, trace_cache=cache)
-        delta = apply_ops(mesh, ops)
-        if delta is None:
-            return
-        cache.drop(delta)
+        cache.drop(apply_ops(mesh, ops))
         locality = sfc_partition(mesh, nprocs)
         _, offsets = adopt_arena(mesh)
         warm = build_bundle_plan(mesh, offsets, locality, trace_cache=cache)
