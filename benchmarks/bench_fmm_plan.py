@@ -26,6 +26,11 @@ Gates (exit 1 on violation):
 * batched vs reference within 1e-13 (relative to the field scale);
 * blocked vs single-call **exactly zero** — no block cuts a segment and
   ``np.add.reduceat`` reduces each segment on its own, so not a bit moves;
+* the M2L kernel vs its einsum formulation (``m2l_segmented_einsum`` of
+  ``tests/oracles/fmm.py``) **exactly zero** on every block of every mesh,
+  ``--smoke`` included: each kernel call of one warm solve is re-run
+  through the oracle and compared as ``uint64``, so ``-0.0`` vs ``+0.0``
+  counts as a difference;
 * the block-size sweep on the level-2 mesh has an **interior optimum**:
   some block size strictly between "one block" and "one segment per
   block" beats both on ``fmm.m2l`` (the measured companion of the paper's
@@ -59,12 +64,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
+import repro.gravity.fmm as fmm_mod  # noqa: E402
 import repro.gravity.plan as plan_mod  # noqa: E402
 from benchmarks.bench_hydro_plan import best_of, host_manifest  # noqa: E402
 from repro.gravity.fmm import FmmSolver  # noqa: E402
 from repro.octree import AmrMesh, Field  # noqa: E402
 from repro.profiling.apex import CounterRegistry  # noqa: E402
-from tests.oracles.fmm import solve_reference  # noqa: E402
+from tests.oracles.fmm import m2l_segmented_einsum, solve_reference  # noqa: E402
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 DRIFT_TOL = 1e-13
@@ -140,6 +146,33 @@ def exact_drift(res, ref) -> float:
     return worst
 
 
+def kernel_vs_einsum(solver: FmmSolver, mesh):
+    """``(blocks, blocks differing)``: every ``m2l_segmented`` call of one
+    warm solve against ``m2l_segmented_einsum`` on the same arguments,
+    compared bit for bit (``uint64`` views)."""
+    inner = fmm_mod.m2l_segmented
+    calls = []
+
+    def recorded(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    fmm_mod.m2l_segmented = recorded
+    try:
+        solver.solve(mesh)
+    finally:
+        fmm_mod.m2l_segmented = inner
+    differing = 0
+    for args, kwargs, out in calls:
+        want = m2l_segmented_einsum(*args, **kwargs)
+        differing += not all(
+            np.array_equal(np.ascontiguousarray(g).view(np.uint64), w.view(np.uint64))
+            for g, w in zip(out, want)
+        )
+    return len(calls), differing
+
+
 def transient_peak_mb(solver: FmmSolver, mesh) -> float:
     """tracemalloc peak of one warm solve above what was held before it."""
     gc.collect()
@@ -198,6 +231,7 @@ def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
 
     plan = solver.plan_for(mesh)
     template_ms, rebuilt = template_cost(solver, mesh, max(trials, 6))
+    kernel_blocks, kernel_differing = kernel_vs_einsum(solver, mesh)
     return {
         "levels": levels,
         "leaves": len(mesh.leaves()),
@@ -222,6 +256,8 @@ def bench_level(levels: int, reps: int, trials: int, refine_keys=()):
         "transient_peak_single_call_mb": transient_peak_mb(single_solver, mesh),
         "drift_vs_reference": relative_drift(cold_res, ref_res),
         "blocked_drift": exact_drift(cold_res, single_res),
+        "kernel_blocks": kernel_blocks,
+        "kernel_blocks_differing_from_einsum": kernel_differing,
     }
 
 
@@ -289,7 +325,9 @@ def main(argv=None) -> int:
         lines.append(
             f"drift level {c['levels']} (leaves {c['leaves']}): "
             f"vs reference {c['drift_vs_reference']:.3e}, "
-            f"blocked vs single-call {c['blocked_drift']:.3e}"
+            f"blocked vs single-call {c['blocked_drift']:.3e}, "
+            f"kernel vs einsum oracle {c['kernel_blocks_differing_from_einsum']} "
+            f"of {c['kernel_blocks']} blocks differ"
         )
     lines.append(
         "memory by owner (MiB held by the plan | tracemalloc transient peak "
@@ -376,6 +414,14 @@ def main(argv=None) -> int:
             print(
                 f"FAIL: {label} blocked drift {c['blocked_drift']:.3e} != 0 "
                 "(row blocking must be bit-identical)",
+                file=sys.stderr,
+            )
+            status = 1
+        if c["kernel_blocks_differing_from_einsum"]:
+            print(
+                f"FAIL: {label} {c['kernel_blocks_differing_from_einsum']} of "
+                f"{c['kernel_blocks']} M2L blocks differ from the einsum oracle "
+                "(the kernel must keep its bits)",
                 file=sys.stderr,
             )
             status = 1

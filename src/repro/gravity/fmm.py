@@ -35,7 +35,8 @@ two GEMMs per P2P geometry class.  It is numerically equivalent (to
 (``solve_reference(solver, mesh)`` in ``tests/oracles/fmm.py``), and
 produces identical :class:`FmmStats`.  Per-phase wall times are reported
 through :mod:`repro.profiling` under ``fmm.plan``, ``fmm.p2m_m2m``,
-``fmm.m2l``, ``fmm.l2p`` and ``fmm.p2p``.
+``fmm.m2l`` (split into ``fmm.m2l.far``, ``fmm.near_moments`` and
+``fmm.m2l.near``), ``fmm.l2p`` and ``fmm.p2p``.
 """
 
 from __future__ import annotations
@@ -216,113 +217,90 @@ fingerprint`) or :data:`THETA` changed — through the shared lifecycle
                 ]
             )
             mass = rho * plan.cell_vol[:, None]  # (L, nc)
-            lm, lc, lq, lo = batched_moments_from_points(
+            # (mass, com, quad, octu) per node; com defaults to the centre
+            mom = [np.zeros((n_nodes,) + (3,) * k) for k in range(4)]
+            mom[1] = mom_c = plan.node_center.copy()
+            leaf_mom = batched_moments_from_points(
                 plan.leaf_pos, mass, plan.node_center[plan.leaf_node_idx]
             )
-            mom_m = np.zeros(n_nodes)
-            mom_c = plan.node_center.copy()
-            mom_q = np.zeros((n_nodes, 3, 3))
-            mom_o = np.zeros((n_nodes, 3, 3, 3))
-            mom_m[plan.leaf_node_idx] = lm
-            mom_c[plan.leaf_node_idx] = lc
-            mom_q[plan.leaf_node_idx] = lq
-            mom_o[plan.leaf_node_idx] = lo
+            for arr, val in zip(mom, leaf_mom):
+                arr[plan.leaf_node_idx] = val
             for int_idx, child_idx in plan.level_interiors:  # deepest first
-                cm, cc, cq, co = batched_combine(
-                    mom_m[child_idx],
-                    mom_c[child_idx],
-                    mom_q[child_idx],
-                    mom_o[child_idx],
-                    plan.node_center[int_idx],
+                parent = batched_combine(
+                    *(arr[child_idx] for arr in mom), plan.node_center[int_idx]
                 )
-                mom_m[int_idx] = cm
-                mom_c[int_idx] = cc
-                mom_q[int_idx] = cq
-                mom_o[int_idx] = co
+                for arr, val in zip(mom, parent):
+                    arr[int_idx] = val
 
         # Phase 2: same-level interactions — far M2L per level, near M2L
         # from octant sub-moments, all through the segmented kernel.
         with reg.timer("fmm.m2l"):
-            l0 = np.zeros(n_nodes)
-            l1 = np.zeros((n_nodes, 3))
-            l2 = np.zeros((n_nodes, 3, 3))
-            l3 = np.zeros((n_nodes, 3, 3, 3))
+            loc = [np.zeros((n_nodes,) + (3,) * k) for k in range(4)]  # l0..l3
             if self.verify_plans and not plan.blocks_verified:
                 require_verified(verify_fmm_blocks(plan))
                 plan.blocks_verified = True
-            for fl in plan.far_levels:
-                for b0, b1 in fl.blocks:
-                    r0 = fl.indptr[b0]
-                    tgt = fl.tgt_idx[b0:b1]
-                    src = fl.src_idx[r0 : fl.indptr[b1]]
-                    seg = fl.indptr[b0 : b1 + 1] - r0
-                    centers = np.repeat(mom_c[tgt], np.diff(seg), axis=0)
-                    s0, s1, s2, s3 = m2l_segmented(
-                        mom_m[src], mom_c[src], mom_q[src], mom_o[src],
-                        centers, seg, order=self.order,
-                    )
-                    l0[tgt] += s0
-                    l1[tgt] += s1
-                    l2[tgt] += s2
-                    l3[tgt] += s3
+            with reg.timer("fmm.m2l.far"):
+                for fl in plan.far_levels:
+                    for b0, b1 in fl.blocks:
+                        r0 = fl.indptr[b0]
+                        tgt = fl.tgt_idx[b0:b1]
+                        src = fl.src_idx[r0 : fl.indptr[b1]]
+                        out = m2l_segmented(
+                            *(arr[src] for arr in mom),
+                            mom_c[tgt], fl.indptr[b0 : b1 + 1] - r0, order=self.order,
+                        )
+                        for acc, val in zip(loc, out):
+                            acc[tgt] += val
 
             n_part = len(plan.part_slots)
             n_near_tgt = len(plan.near_tgt_slots)
-            if n_part:
-                sub = plan.oct_cells.shape[1]
-                ppos = plan.leaf_pos[plan.part_slots][:, plan.oct_cells, :]
-                pmass = mass[plan.part_slots][:, plan.oct_cells]
-                om, oc, oq, oo = batched_moments_from_points(
-                    ppos.reshape(n_part * 8, sub, 3),
-                    pmass.reshape(n_part * 8, sub),
-                    plan.oct_geo_centers.reshape(n_part * 8, 3),
-                )
-            if n_near_tgt:
-                indptr = plan.near_indptr
-                q0 = np.empty(8 * n_near_tgt)
-                q1 = np.empty((8 * n_near_tgt, 3))
-                q2 = np.empty((8 * n_near_tgt, 3, 3))
-                q3 = np.empty((8 * n_near_tgt, 3, 3, 3))
-                for b0, b1 in plan.near_blocks:
-                    r0 = indptr[b0]
-                    rows = plan.near_rows[r0 : indptr[b1]]
-                    seg = indptr[b0 : b1 + 1] - r0
-                    centers = np.repeat(
-                        oc[plan.near_center_rows[b0:b1]], np.diff(seg), axis=0
+            with reg.timer("fmm.near_moments"):
+                if n_part:
+                    sub = plan.oct_cells.shape[1]
+                    ppos = plan.leaf_pos[plan.part_slots][:, plan.oct_cells, :]
+                    pmass = mass[plan.part_slots][:, plan.oct_cells]
+                    om, oc, oq, oo = batched_moments_from_points(
+                        ppos.reshape(n_part * 8, sub, 3),
+                        pmass.reshape(n_part * 8, sub),
+                        plan.oct_geo_centers.reshape(n_part * 8, 3),
                     )
-                    q0[b0:b1], q1[b0:b1], q2[b0:b1], q3[b0:b1] = m2l_segmented(
-                        om[rows], oc[rows], oq[rows], oo[rows],
-                        centers, seg, order=self.order,
-                    )
+            with reg.timer("fmm.m2l.near"):
+                if n_near_tgt:
+                    indptr = plan.near_indptr
+                    q = [np.empty((8 * n_near_tgt,) + (3,) * k) for k in range(4)]
+                    for b0, b1 in plan.near_blocks:
+                        r0 = indptr[b0]
+                        rows = plan.near_rows[r0 : indptr[b1]]
+                        out = m2l_segmented(
+                            om[rows], oc[rows], oq[rows], oo[rows],
+                            oc[plan.near_center_rows[b0:b1]],
+                            indptr[b0 : b1 + 1] - r0, order=self.order,
+                        )
+                        for acc, val in zip(q, out):
+                            acc[b0:b1] = val
 
         # Phase 3: top-down L2L, then far-field evaluation (L2P).
         with reg.timer("fmm.l2p"):
             for int_idx, child_idx in reversed(plan.level_interiors):
                 d = (mom_c[child_idx] - mom_c[int_idx][:, None, :]).reshape(-1, 3)
-                s0, s1, s2, s3 = batched_local_shift(
-                    np.repeat(l0[int_idx], 8),
-                    np.repeat(l1[int_idx], 8, axis=0),
-                    np.repeat(l2[int_idx], 8, axis=0),
-                    np.repeat(l3[int_idx], 8, axis=0),
-                    d,
+                shifted = batched_local_shift(
+                    *(np.repeat(acc[int_idx], 8, axis=0) for acc in loc), d
                 )
                 flat = child_idx.reshape(-1)
-                l0[flat] += s0
-                l1[flat] += s1
-                l2[flat] += s2
-                l3[flat] += s3
+                for acc, val in zip(loc, shifted):
+                    acc[flat] += val
 
             delta = plan.leaf_pos - mom_c[plan.leaf_node_idx][:, None, :]
             idx = plan.leaf_node_idx
             phi_flat, acc_flat = batched_local_evaluate(
-                l0[idx], l1[idx], l2[idx], l3[idx], delta, G_NEWTON
+                *(acc[idx] for acc in loc), delta, G_NEWTON
             )
             if n_near_tgt:
                 tgt_slots = plan.near_tgt_slots
                 opos = plan.leaf_pos[tgt_slots][:, plan.oct_cells, :]
                 ocom = oc.reshape(n_part, 8, 3)[plan.near_tgt_rows]
                 odelta = (opos - ocom[:, :, None, :]).reshape(n_near_tgt * 8, sub, 3)
-                po, ao = batched_local_evaluate(q0, q1, q2, q3, odelta, G_NEWTON)
+                po, ao = batched_local_evaluate(*q, odelta, G_NEWTON)
                 cells = plan.oct_cells[None, :, :]
                 phi_flat[tgt_slots[:, None, None], cells] += po.reshape(
                     n_near_tgt, 8, sub

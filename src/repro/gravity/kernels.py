@@ -14,6 +14,20 @@ x = c_A - c_B) truncated at combined order 3 is
     L^(m) = sum_n ((-1)^n / n!) M^(n) (x) D^(n+m)(x),   n + m <= 3
 
 with the dipole vanishing because moments are taken about the COM.
+
+Bit contract: :func:`m2l_segmented` returns the bits of the einsum
+formulation it replaced (``m2l_segmented_einsum`` in
+``tests/oracles/fmm.py``) without building einsum's operand tensors.
+Where einsum multiplies operands elementwise, the kernel copies its
+order: left-to-right broadcast products, ``((m7 x_i) x_j) x_k``, and the
+three delta terms of ``D3`` summed into one zeroed buffer in einsum's
+argument order before one scale.  Einsum adds each product to a zeroed
+output, so an exact zero comes out ``+0.0``; a broadcast product can be
+``-0.0``, hence the explicit ``+ 0.0`` on ``l2``.  The 3- and 4-operand
+contractions ``x.Q.x`` and ``O:xxx`` are einsum's sequential C-order sums
+from ``+0.0``.  The 2-operand reductions (``|x|^2``, ``Q x``, ``O_ijj x_i``)
+and the trace/contract einsums stay einsum calls: their SIMD-unrolled sums
+have no sequential equivalent.
 """
 
 from __future__ import annotations
@@ -38,16 +52,15 @@ def m2l_segmented(
 
     The planned solver flattens every (target, source) far pair of a level
     into one row list — ``mass`` (R,), ``com`` (R, 3), ``quad`` (R, 3, 3),
-    ``octu`` (R, 3, 3, 3) are the per-row source moments and ``centers``
-    (R, 3) the per-row target expansion centre.  ``indptr`` (S+1,) gives
-    CSR segment boundaries: rows ``indptr[t]:indptr[t+1]`` belong to target
-    ``t`` (segments must be non-empty).  Returns the per-target local
-    tensors ``(l0 (S,), l1 (S, 3), l2 (S, 3, 3), l3 (S, 3, 3, 3))``,
-    summing each segment with ``np.add.reduceat`` — the batched form of
-    the per-target ``m2l_batch`` of the reference solve
-    (``tests/oracles/fmm.py``).
+    ``octu`` (R, 3, 3, 3) are the per-row source moments.  ``indptr`` (S+1,)
+    gives CSR segment boundaries: rows ``indptr[t]:indptr[t+1]`` belong to
+    target ``t`` (segments must be non-empty), whose expansion centre is
+    ``centers[t]`` (S, 3).  Returns the per-target local tensors
+    ``(l0 (S,), l1 (S, 3), l2 (S, 3, 3), l3 (S, 3, 3, 3))``, summing each
+    segment with ``np.add.reduceat`` — the batched form of the per-target
+    ``m2l_batch`` of the reference solve (``tests/oracles/fmm.py``).
     """
-    x = centers - com  # (R, 3)
+    x = np.repeat(centers, np.diff(indptr), axis=0) - com  # (R, 3)
     r2 = np.einsum("ni,ni->n", x, x)
     if bool((r2 <= 0.0).any()):
         raise ZeroDivisionError("m2l_segmented source coincides with target centre")
@@ -62,16 +75,22 @@ def m2l_segmented(
 
     l0r = mass * inv_r
     l1r = -m3[:, None] * x
-    l2r = 3.0 * np.einsum("n,ni,nj->nij", m5, x, x) - m3[:, None, None] * _EYE
     xs5 = m5[:, None] * x
-    l3r = -15.0 * np.einsum("n,ni,nj,nk->nijk", m7, x, x, x) + 3.0 * (
-        np.einsum("ni,jk->nijk", xs5, _EYE)
-        + np.einsum("nj,ik->nijk", xs5, _EYE)
-        + np.einsum("nk,ij->nijk", xs5, _EYE)
-    )
+    l2r = 3.0 * (xs5[:, :, None] * x[:, None, :] + 0.0) - m3[:, None, None] * _EYE
+    xx7 = (m7[:, None] * x)[:, :, None] * x[:, None, :]
+    l3r = xx7[:, :, :, None] * x[:, None, None, :]
+    sym = np.zeros_like(l3r)
+    for perm in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 2, 1)):  # einsum's A, B, C
+        view = sym.transpose(perm)
+        for d in range(3):
+            view[:, :, d, d] += xs5
+    l3r *= -15.0
+    sym *= 3.0
+    l3r += sym
 
     if order >= 2:
-        q_xx = np.einsum("nij,ni,nj->n", quad, x, x)
+        xt = np.ascontiguousarray(x.T)
+        q_xx = sum((quad[:, i, j] * xt[i]) * xt[j] for i, j in np.ndindex(3, 3))
         q_tr = np.einsum("nii->n", quad)
         l0r += 0.5 * (3.0 * q_xx * inv_r5 - q_tr * inv_r3)
         qx = np.einsum("nij,nj->ni", quad, x)
@@ -80,7 +99,10 @@ def m2l_segmented(
             + 3.0 * (2.0 * inv_r5[:, None] * qx + (q_tr * inv_r5)[:, None] * x)
         )
     if order >= 3:
-        o_xxx = np.einsum("nijk,ni,nj,nk->n", octu, x, x, x)
+        o_xxx = sum(
+            ((octu[:, i, j, k] * xt[i]) * xt[j]) * xt[k]
+            for i, j, k in np.ndindex(3, 3, 3)
+        )
         o_contr = np.einsum("nijj->ni", octu)
         o_dot = np.einsum("ni,ni->n", o_contr, x)
         l0r += -(-15.0 * o_xxx * inv_r7 + 9.0 * o_dot * inv_r5) / 6.0

@@ -5,7 +5,8 @@ evaluates one node (or one octant) at a time with the one-node
 ``Multipole`` / ``LocalExpansion`` algebra; the planned, batched
 :meth:`repro.gravity.fmm.FmmSolver.solve` is the only solve the program
 runs, and the equivalence tests hold it to this one.  The kernel tests
-hold ``m2l_segmented`` to ``m2l_batch`` and ``m2l_batch`` to ``m2l``.
+hold ``m2l_segmented`` to ``m2l_segmented_einsum`` bit for bit and to
+``m2l_batch`` per target, and ``m2l_batch`` to ``m2l``.
 """
 
 from __future__ import annotations
@@ -365,6 +366,66 @@ def m2l_batch(
         ) / 6.0
 
     return LocalExpansion(l0, l1, l2, l3)
+
+
+def m2l_segmented_einsum(
+    mass: np.ndarray,
+    com: np.ndarray,
+    quad: np.ndarray,
+    octu: np.ndarray,
+    centers: np.ndarray,
+    indptr: np.ndarray,
+    order: int = 3,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`repro.gravity.kernels.m2l_segmented` as einsum expressions
+    over per-row derivative tensors (same arguments, same bits: the
+    kernel copies the operand and summation order of every einsum here
+    that it does not call itself)."""
+    x = np.repeat(centers, np.diff(indptr), axis=0) - com  # (R, 3)
+    r2 = np.einsum("ni,ni->n", x, x)
+    if bool((r2 <= 0.0).any()):
+        raise ZeroDivisionError("m2l_segmented source coincides with target centre")
+    inv_r = 1.0 / np.sqrt(r2)
+    inv_r3 = inv_r / r2
+    inv_r5 = inv_r3 / r2
+    inv_r7 = inv_r5 / r2
+
+    m3 = mass * inv_r3
+    m5 = mass * inv_r5
+    m7 = mass * inv_r7
+
+    l0r = mass * inv_r
+    l1r = -m3[:, None] * x
+    l2r = 3.0 * np.einsum("n,ni,nj->nij", m5, x, x) - m3[:, None, None] * _EYE
+    xs5 = m5[:, None] * x
+    l3r = -15.0 * np.einsum("n,ni,nj,nk->nijk", m7, x, x, x) + 3.0 * (
+        np.einsum("ni,jk->nijk", xs5, _EYE)
+        + np.einsum("nj,ik->nijk", xs5, _EYE)
+        + np.einsum("nk,ij->nijk", xs5, _EYE)
+    )
+
+    if order >= 2:
+        q_xx = np.einsum("nij,ni,nj->n", quad, x, x)
+        q_tr = np.einsum("nii->n", quad)
+        l0r += 0.5 * (3.0 * q_xx * inv_r5 - q_tr * inv_r3)
+        qx = np.einsum("nij,nj->ni", quad, x)
+        l1r += 0.5 * (
+            -15.0 * (q_xx * inv_r7)[:, None] * x
+            + 3.0 * (2.0 * inv_r5[:, None] * qx + (q_tr * inv_r5)[:, None] * x)
+        )
+    if order >= 3:
+        o_xxx = np.einsum("nijk,ni,nj,nk->n", octu, x, x, x)
+        o_contr = np.einsum("nijj->ni", octu)
+        o_dot = np.einsum("ni,ni->n", o_contr, x)
+        l0r += -(-15.0 * o_xxx * inv_r7 + 9.0 * o_dot * inv_r5) / 6.0
+
+    starts = np.asarray(indptr[:-1], dtype=np.intp)
+    return (
+        np.add.reduceat(l0r, starts),
+        np.add.reduceat(l1r, starts, axis=0),
+        np.add.reduceat(l2r, starts, axis=0),
+        np.add.reduceat(l3r, starts, axis=0),
+    )
 
 
 def stacked_octant_moments(

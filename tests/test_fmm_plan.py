@@ -178,7 +178,7 @@ class TestStatsSemantics:
 
 
 class TestProfilingCounters:
-    def test_phase_timers_recorded(self):
+    def test_phase_timers_recorded(self, gaussian_mesh_l2):
         from repro.profiling.apex import CounterRegistry
 
         mesh = make_uniform_mesh(1)
@@ -191,6 +191,17 @@ class TestProfilingCounters:
         assert solver.registry.total("fmm.plan_builds") == 1
         solver.solve(mesh)
         assert solver.registry.total("fmm.plan_builds") == 1  # plan reused
+
+        # fmm.m2l's split, on a mesh with far and near lists of many blocks:
+        # one timer per loop, nested inside fmm.m2l
+        solver.registry = reg = CounterRegistry()
+        solver.solve(gaussian_mesh_l2)
+        plan = solver.plan_for(gaussian_mesh_l2)
+        assert len(plan.near_blocks) > 1 and plan.far_levels
+        split = ("fmm.m2l.far", "fmm.near_moments", "fmm.m2l.near")
+        for name in split:
+            assert reg.count(name) == 1 and reg.total(name) > 0.0
+        assert sum(reg.total(name) for name in split) <= reg.total("fmm.m2l")
 
 
 @st.composite
