@@ -17,17 +17,17 @@ with the dipole vanishing because moments are taken about the COM.
 
 Bit contract: :func:`m2l_segmented` returns the bits of the einsum
 formulation it replaced (``m2l_segmented_einsum`` in
-``tests/oracles/fmm.py``) without building einsum's operand tensors.
-Where einsum multiplies operands elementwise, the kernel copies its
-order: left-to-right broadcast products, ``((m7 x_i) x_j) x_k``, and the
-three delta terms of ``D3`` summed into one zeroed buffer in einsum's
-argument order before one scale.  Einsum adds each product to a zeroed
-output, so an exact zero comes out ``+0.0``; a broadcast product can be
-``-0.0``, hence the explicit ``+ 0.0`` on ``l2``.  The 3- and 4-operand
-contractions ``x.Q.x`` and ``O:xxx`` are einsum's sequential C-order sums
-from ``+0.0``.  The 2-operand reductions (``|x|^2``, ``Q x``, ``O_ijj x_i``)
-and the trace/contract einsums stay einsum calls: their SIMD-unrolled sums
-have no sequential equivalent.
+``tests/oracles/fmm.py``).  Each element sees einsum's scalar operations
+in einsum's order: products ``((m7 x_i) x_j) x_k``, the three delta terms
+of ``D3`` summed into one zeroed buffer in argument order before one
+scale, and ``+ 0.0`` on ``l2`` (einsum's zeroed output turns a ``-0.0``
+product into ``+0.0``).  The tensors are component-major, ``(3[, 3[, 3]],
+R)``, so every ufunc loop is R long; ``np.add.reduceat`` along R sums each
+segment of a component in the order that axis 0 of a row-major tensor
+does.  The moment terms still read the gathered row-major moments:
+``x.Q.x`` and ``O:xxx`` as einsum's sequential C-order sums from ``+0.0``,
+and ``|x|^2``, ``Q x``, ``O_ijj x_i`` and the traces as einsum calls, whose
+SIMD-unrolled sums have no sequential twin.
 """
 
 from __future__ import annotations
@@ -73,30 +73,29 @@ def m2l_segmented(
     m5 = mass * inv_r5
     m7 = mass * inv_r7
 
+    xt = np.ascontiguousarray(x.T)
     l0r = mass * inv_r
-    l1r = -m3[:, None] * x
-    xs5 = m5[:, None] * x
-    l2r = 3.0 * (xs5[:, :, None] * x[:, None, :] + 0.0) - m3[:, None, None] * _EYE
-    xx7 = (m7[:, None] * x)[:, :, None] * x[:, None, :]
-    l3r = xx7[:, :, :, None] * x[:, None, None, :]
+    l1r = -m3 * xt
+    xs5 = m5 * xt
+    l2r = 3.0 * (xs5[:, None] * xt + 0.0) - m3 * _EYE[:, :, None]
+    l3r = ((m7 * xt)[:, None] * xt)[:, :, None] * xt
     sym = np.zeros_like(l3r)
-    for perm in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 2, 1)):  # einsum's A, B, C
+    for perm in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3)):  # einsum's A, B, C
         view = sym.transpose(perm)
         for d in range(3):
-            view[:, :, d, d] += xs5
+            view[:, d, d] += xs5
     l3r *= -15.0
     sym *= 3.0
     l3r += sym
 
     if order >= 2:
-        xt = np.ascontiguousarray(x.T)
         q_xx = sum((quad[:, i, j] * xt[i]) * xt[j] for i, j in np.ndindex(3, 3))
         q_tr = np.einsum("nii->n", quad)
         l0r += 0.5 * (3.0 * q_xx * inv_r5 - q_tr * inv_r3)
         qx = np.einsum("nij,nj->ni", quad, x)
         l1r += 0.5 * (
-            -15.0 * (q_xx * inv_r7)[:, None] * x
-            + 3.0 * (2.0 * inv_r5[:, None] * qx + (q_tr * inv_r5)[:, None] * x)
+            -15.0 * (q_xx * inv_r7) * xt
+            + 3.0 * (2.0 * inv_r5 * qx.T + (q_tr * inv_r5) * xt)
         )
     if order >= 3:
         o_xxx = sum(
@@ -108,9 +107,8 @@ def m2l_segmented(
         l0r += -(-15.0 * o_xxx * inv_r7 + 9.0 * o_dot * inv_r5) / 6.0
 
     starts = np.asarray(indptr[:-1], dtype=np.intp)
-    return (
-        np.add.reduceat(l0r, starts),
-        np.add.reduceat(l1r, starts, axis=0),
-        np.add.reduceat(l2r, starts, axis=0),
-        np.add.reduceat(l3r, starts, axis=0),
+    l0, l1, l2, l3 = (
+        np.moveaxis(np.add.reduceat(t, starts, axis=-1), -1, 0)
+        for t in (l0r, l1r, l2r, l3r)
     )
+    return l0, l1, l2, l3

@@ -117,6 +117,53 @@ def star_l2_calls():
     return calls, solver.plan_for(mesh)
 
 
+class Window:
+    """Refine the base-level nodes whose centres lie within ``radius`` of
+    ``site``; every finer leaf outside them may coarsen."""
+
+    def __init__(self, mesh, site, radius, base_level):
+        self.keys = {
+            key for key, node in mesh.nodes.items()
+            if node.level == base_level and np.linalg.norm(node.center - site) < radius
+        }
+
+    def wants_refinement(self, leaf):
+        return leaf.key in self.keys
+
+    def allows_coarsening(self, leaf):
+        return leaf.parent_key not in self.keys
+
+
+@pytest.fixture(scope="module")
+def dwd_l2_hop_calls():
+    """Every kernel call of one level-2 DWD solve after the refinement
+    window hopped from one site to the mirrored one (the regrid workload's
+    operation), and the solve's mesh and plan."""
+    from repro.octree.regrid import regrid
+    from repro.scenarios.dwd import dwd_scenario
+
+    mesh = dwd_scenario(level=2, scf_grid=32).mesh
+    pitch = mesh.domain_size / 4
+    site = 0.9 * pitch * np.array([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0])
+    solver = FmmSolver()
+    regrid(mesh, Window(mesh, site, 0.6 * pitch, 2), max_level=3)
+    solver.solve(mesh)
+    regrid(mesh, Window(mesh, -site, 0.6 * pitch, 2), max_level=3)
+    calls = []
+    mp = pytest.MonkeyPatch()
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return m2l_segmented(*args, **kwargs)
+
+    mp.setattr(fmm_mod, "m2l_segmented", recorder)
+    try:
+        solver.solve(mesh)
+    finally:
+        mp.undo()
+    return calls, mesh, solver.plan_for(mesh)
+
+
 class TestRealBlocks:
     def test_star_l2_blocks_same_bits(self, star_l2_calls):
         calls, plan = star_l2_calls
@@ -126,6 +173,21 @@ class TestRealBlocks:
         for args, kwargs, out in calls:
             want = _bits(m2l_segmented_einsum(*args, **kwargs))
             assert all(np.array_equal(g, w) for g, w in zip(_bits(out), want))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_dwd_l2_blocks_after_window_hop_same_bits(self, dwd_l2_hop_calls, order):
+        calls, mesh, plan = dwd_l2_hop_calls
+        assert len(list(mesh.leaf_keys())) == 78
+        levels = np.array([mesh.nodes[key].level for key in plan.leaf_keys])
+        src = levels[plan.part_slots[plan.near_rows // 8]]
+        tgt = np.repeat(
+            levels[plan.part_slots[plan.near_center_rows // 8]], np.diff(plan.near_indptr)
+        )
+        assert (src != tgt).any()  # coarse-fine near rows
+        far_blocks = sum(len(fl.blocks) for fl in plan.far_levels)
+        assert len(calls) == far_blocks + len(plan.near_blocks)
+        for args in calls:
+            assert_same_bits(args, order)
 
 
 class TestPerTargetBatch:
