@@ -22,14 +22,14 @@ def test_ablation_fmm_order(benchmark):
     """Accuracy of the far field by expansion order, against direct sums."""
     mesh = make_uniform_mesh(levels=2)
     fill_gaussian(mesh)
-    phi_d, acc_d = direct_sum(mesh)
-    den = sum(np.sum(acc_d[k] ** 2) for k in acc_d)
+    _, acc_d = direct_sum(mesh)
+    den = np.sum(acc_d**2)
 
     def solve_all():
         out = {}
         for order in (1, 2, 3):
             result = FmmSolver(order=order).solve(mesh)
-            num = sum(np.sum((result.accel[k] - acc_d[k]) ** 2) for k in acc_d)
+            num = np.sum((result.accel_slots - acc_d) ** 2)
             out[order] = float(np.sqrt(num / den))
         return out
 

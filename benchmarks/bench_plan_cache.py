@@ -87,7 +87,7 @@ def _run(levels: int, steps: int, incremental: bool, plan_cache=None):
     integ = HydroIntegrator(
         mesh,
         eos=scenario.eos,
-        gravity=solver.as_gravity_callback(),
+        gravity=solver,
         plan_cache=plan_cache,
     )
     integ.registry = reg

@@ -18,6 +18,7 @@ the backend-equivalence tests and the benchmark gate in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -241,9 +242,6 @@ def crosscheck_scenarios(
     dwd = dwd_scenario(level=1, scf_grid=24)
     window.mesh.refine(min(window.mesh.leaf_keys()))  # an octant at the deposit
 
-    def gravity_factory() -> GravityCallback:
-        return FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback()
-
     return [
         crosscheck_hydro(
             blast.mesh, steps=steps, nprocs=nprocs, eos=blast.eos,
@@ -251,7 +249,7 @@ def crosscheck_scenarios(
         ),
         crosscheck_hydro(
             dwd.mesh, steps=steps, nprocs=nprocs, eos=dwd.eos,
-            omega=dwd.omega, gravity=gravity_factory,
+            omega=dwd.omega, gravity=partial(FmmSolver, empty_mass_threshold=1e-12),
             overlap=overlap, plan_cache=plan_cache,
         ),
         crosscheck_hydro(

@@ -52,13 +52,7 @@ from repro.distsim.runconfig import RunConfig
 from repro.distsim.taskgraph import virtual_machine
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.integrator import GravityCallback, rk3_ops
-from repro.hydro.plan import (
-    HydroPlan,
-    HydroPlanLifecycle,
-    RankStep,
-    ScratchArena,
-    stack_accel,
-)
+from repro.hydro.plan import HydroPlan, HydroPlanLifecycle, RankStep, ScratchArena
 from repro.octree.fields import NFIELDS
 from repro.octree.mesh import AmrMesh
 from repro.profiling.apex import CounterRegistry
@@ -199,9 +193,7 @@ class DistributedHydroDriver:
 
         def join(op: str) -> None:
             if op == "accel":
-                stack_accel(
-                    self.gravity(self.mesh), plan.leaf_keys, ranks[0].accel_view
-                )
+                self.gravity(self.mesh, ranks[0].accel_view)
             else:
                 self.faces_refluxed += sum(rank.reflux() for rank in ranks)
 

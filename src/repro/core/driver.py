@@ -25,8 +25,6 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.diagnostics import Diagnostics, diagnostics
 from repro.core.plancache import PlanCache
 from repro.distsim.runconfig import RunConfig
@@ -36,7 +34,6 @@ from repro.hydro.eos import IdealGasEOS
 from repro.hydro.integrator import HydroIntegrator
 from repro.machines.specs import FUGAKU
 from repro.octree.mesh import AmrMesh
-from repro.octree.node import NodeKey
 from repro.octree.partition import sfc_partition
 from repro.profiling.apex import CounterRegistry
 from repro.resilience.faults import UnrecoverableFault
@@ -149,17 +146,13 @@ class OctoTigerSim:
         #: (see :meth:`_virtual_timing`).
         self._timing: Tuple[Optional[tuple], Optional[TaskGraphResult]] = (None, None)
         self.records: List[StepRecord] = []
-        self.last_phi: Optional[Dict[NodeKey, np.ndarray]] = None
 
     def _make_integrator(self, mesh: AmrMesh, omega: float) -> HydroIntegrator:
         """The hydro integrator for ``mesh`` with this run's gravity solver
         and execution options — the one construction site, shared by
         ``__init__`` and the post-fault :meth:`_rollback`."""
-        gravity_cb = None
-        if self.gravity_solver is not None:
-            gravity_cb = self.gravity_solver.as_gravity_callback()
         integrator = HydroIntegrator(
-            mesh, self.eos, omega=omega, gravity=gravity_cb,
+            mesh, self.eos, omega=omega, gravity=self.gravity_solver,
             backend="process" if self.backend == "process" else "serial",
             nprocs=self.nprocs,
             overlap=self.overlap,
@@ -355,6 +348,5 @@ class OctoTigerSim:
         phi = None
         if self.gravity_solver is not None:
             phi = self.gravity_solver.solve(self.mesh).phi
-            self.last_phi = phi
         return diagnostics(self.mesh, phi)
 

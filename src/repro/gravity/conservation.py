@@ -15,79 +15,71 @@ Both corrections are orthogonal (a uniform field exerts no torque about the
 COM; a rigid rotation field exerts no net force) and scale with the M2L
 truncation error, i.e. they vanish as the expansion order grows — which the
 tests verify.
+
+Every function takes the leaves stacked in slot order: ``mass (L, nc)``,
+``pos (L, nc, 3)`` and ``accel (L, 3, nc)`` (the solver passes the
+transposed view of its ``(L, nc, 3)`` accumulator, and the projections
+write through it).  Elementwise updates act on the whole stack; reductions
+sum each leaf's row, then add the rows up in slot order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.octree.node import NodeKey
 
-
-def total_force(
-    masses: Dict[NodeKey, np.ndarray], accel: Dict[NodeKey, np.ndarray]
-) -> np.ndarray:
-    """Net force sum m_i a_i over all leaves; accel blocks are (3, N, N, N)."""
+def total_force(mass: np.ndarray, accel: np.ndarray) -> np.ndarray:
+    """Net force sum m_i a_i over all leaves."""
     force = np.zeros(3)
-    for key, m in masses.items():
-        a = accel[key].reshape(3, -1)
+    for a, m in zip(accel, mass):
         force += a @ m
     return force
 
 
 def total_torque(
-    masses: Dict[NodeKey, np.ndarray],
-    positions: Dict[NodeKey, np.ndarray],
-    accel: Dict[NodeKey, np.ndarray],
+    mass: np.ndarray,
+    pos: np.ndarray,
+    accel: np.ndarray,
     about: np.ndarray = None,  # noqa: RUF013
 ) -> np.ndarray:
     """Net torque sum m_i r_i x a_i (about ``about`` or the origin)."""
+    if about is not None:
+        pos = pos - about
     torque = np.zeros(3)
-    for key, m in masses.items():
-        pos = positions[key]
-        if about is not None:
-            pos = pos - about
-        a = accel[key].reshape(3, -1).T
-        torque += np.einsum("n,ni->i", m, np.cross(pos, a))
+    for m, p, a in zip(mass, pos, accel):
+        torque += np.einsum("n,ni->i", m, np.cross(p, a.T))
     return torque
 
 
-def _center_of_mass(
-    masses: Dict[NodeKey, np.ndarray], positions: Dict[NodeKey, np.ndarray]
-) -> Tuple[float, np.ndarray]:
+def _center_of_mass(mass: np.ndarray, pos: np.ndarray) -> Tuple[float, np.ndarray]:
     total = 0.0
     weighted = np.zeros(3)
-    for key, m in masses.items():
+    for m, p in zip(mass, pos):
         total += float(m.sum())
-        weighted += m @ positions[key]
+        weighted += m @ p
     if total <= 0.0:
         return 0.0, np.zeros(3)
     return total, weighted / total
 
 
-def project_momentum(
-    masses: Dict[NodeKey, np.ndarray], accel: Dict[NodeKey, np.ndarray]
-) -> np.ndarray:
+def project_momentum(mass: np.ndarray, accel: np.ndarray) -> np.ndarray:
     """Subtract the uniform acceleration that zeroes the net force.
 
     Mutates ``accel`` in place; returns the correction applied (per unit
     mass), whose magnitude measures the far-field truncation error.
     """
-    total_mass = sum(float(m.sum()) for m in masses.values())
+    total_mass = sum(float(m.sum()) for m in mass)
     if total_mass <= 0.0:
         return np.zeros(3)
-    correction = total_force(masses, accel) / total_mass
-    for key in accel:
-        accel[key] -= correction[:, None, None, None]
+    correction = total_force(mass, accel) / total_mass
+    accel -= correction[:, None]
     return correction
 
 
 def project_angular_momentum(
-    masses: Dict[NodeKey, np.ndarray],
-    positions: Dict[NodeKey, np.ndarray],
-    accel: Dict[NodeKey, np.ndarray],
+    mass: np.ndarray, pos: np.ndarray, accel: np.ndarray
 ) -> np.ndarray:
     """Subtract the rigid field ``alpha x d`` that zeroes the net torque.
 
@@ -95,17 +87,17 @@ def project_angular_momentum(
     ``accel``; returns ``alpha``.  Degenerate inertia tensors (all mass
     collinear) are handled with the pseudo-inverse.
     """
-    total_mass, com = _center_of_mass(masses, positions)
+    total_mass, com = _center_of_mass(mass, pos)
     if total_mass <= 0.0:
         return np.zeros(3)
-    tau = total_torque(masses, positions, accel, about=com)
+    tau = total_torque(mass, pos, accel, about=com)
 
+    d = pos - com
     inertia = np.zeros((3, 3))
-    for key, m in masses.items():
-        d = positions[key] - com
-        r2 = np.einsum("ni,ni->n", d, d)
+    for m, dl in zip(mass, d):
+        r2 = np.einsum("ni,ni->n", dl, dl)
         inertia += np.einsum("n,n->", m, r2) * np.eye(3) - np.einsum(
-            "n,ni,nj->ij", m, d, d
+            "n,ni,nj->ij", m, dl, dl
         )
     # Solve I alpha = tau; fall back to pinv for degenerate distributions.
     try:
@@ -113,8 +105,5 @@ def project_angular_momentum(
     except np.linalg.LinAlgError:
         alpha = np.linalg.pinv(inertia) @ tau
 
-    for key in accel:
-        d = positions[key] - com
-        delta = np.cross(alpha[None, :], d)  # (n, 3)
-        accel[key] -= delta.T.reshape(accel[key].shape)
+    accel -= np.cross(alpha, d).transpose(0, 2, 1)
     return alpha

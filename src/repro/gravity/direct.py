@@ -3,50 +3,38 @@
 Sums every cell-cell interaction over all leaves, in memory-bounded blocks.
 Quadratic and only usable on small meshes, which is exactly its job: the
 tests compare FMM output against it and assert the error bounds the
-expansion order implies.
+expansion order implies.  Results come in the FMM's slot order, so they
+compare with :class:`~repro.gravity.fmm.FmmResult`'s slot arrays whole.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.gravity.pairwise import direct_field
 from repro.octree.fields import Field
 from repro.octree.mesh import AmrMesh
-from repro.octree.node import NodeKey
 
 
-def direct_sum(
-    mesh: AmrMesh, g_newton: float = 1.0
-) -> Tuple[Dict[NodeKey, np.ndarray], Dict[NodeKey, np.ndarray]]:
-    """Exact potential and acceleration per leaf: (phi, accel) dicts
-    matching :class:`~repro.gravity.fmm.FmmResult` shapes."""
-    leaves = mesh.leaves()
+def direct_sum(mesh: AmrMesh, g_newton: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact potential and acceleration as slot arrays.
+
+    ``(L, N, N, N)`` and ``(L, 3, N, N, N)``, leaves in sorted-key order
+    like ``FmmResult.phi_slots`` / ``accel_slots``."""
+    leaves = sorted(mesh.leaves(), key=lambda leaf: leaf.key)
     n = mesh.n
-
-    all_pos = []
-    all_mass = []
-    offsets = {}
-    cursor = 0
+    pos = []
+    mass = []
     for leaf in leaves:
         x, y, z = leaf.cell_centers()
-        pos = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-        mass = leaf.subgrid.interior_view(Field.RHO).ravel() * leaf.cell_volume
-        all_pos.append(pos)
-        all_mass.append(mass)
-        offsets[leaf.key] = (cursor, cursor + pos.shape[0])
-        cursor += pos.shape[0]
-    pos = np.concatenate(all_pos)
-    mass = np.concatenate(all_mass)
+        pos.append(np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1))
+        mass.append(leaf.subgrid.interior_view(Field.RHO).ravel() * leaf.cell_volume)
 
-    phi_flat, acc_flat = direct_field(pos, mass, g_newton=g_newton)
-
-    phi: Dict[NodeKey, np.ndarray] = {}
-    accel: Dict[NodeKey, np.ndarray] = {}
-    for leaf in leaves:
-        lo, hi = offsets[leaf.key]
-        phi[leaf.key] = phi_flat[lo:hi].reshape(n, n, n)
-        accel[leaf.key] = acc_flat[lo:hi].T.reshape(3, n, n, n)
-    return phi, accel
+    phi_flat, acc_flat = direct_field(
+        np.concatenate(pos), np.concatenate(mass), g_newton=g_newton
+    )
+    n_leaves = len(leaves)
+    accel = acc_flat.reshape(n_leaves, n**3, 3).transpose(0, 2, 1)
+    return phi_flat.reshape(n_leaves, n, n, n), accel.reshape(n_leaves, 3, n, n, n)

@@ -42,7 +42,8 @@ through :mod:`repro.profiling` under ``fmm.plan``, ``fmm.p2m_m2m``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # import cycle: repro.core.__init__ pulls in the driver
     from repro.core.plancache import PlanCache
@@ -92,9 +93,25 @@ class FmmStats:
 
 @dataclass
 class FmmResult:
-    phi: Dict[NodeKey, np.ndarray]  # (N, N, N) per leaf
-    accel: Dict[NodeKey, np.ndarray]  # (3, N, N, N) per leaf
+    """One solve's potential and acceleration as slot arrays.
+
+    Row ``i`` belongs to ``leaf_keys[i]``: sorted keys, the hydro plan's
+    slot order."""
+
+    leaf_keys: List[NodeKey]
+    phi_slots: np.ndarray  # (L, N, N, N)
+    accel_slots: np.ndarray  # (L, 3, N, N, N)
     stats: FmmStats
+
+    @cached_property
+    def phi(self) -> Dict[NodeKey, np.ndarray]:
+        """Leaf key -> its ``phi_slots`` row (a view)."""
+        return dict(zip(self.leaf_keys, self.phi_slots))
+
+    @cached_property
+    def accel(self) -> Dict[NodeKey, np.ndarray]:
+        """Leaf key -> its ``accel_slots`` row (a view)."""
+        return dict(zip(self.leaf_keys, self.accel_slots))
 
 
 class FmmPlanLifecycle(PlanLifecycle):
@@ -330,30 +347,23 @@ fingerprint`) or :data:`THETA` changed — through the shared lifecycle
                     inv_dx, G_NEWTON, phi_flat, acc_flat,
                 )
 
-        phi: Dict[NodeKey, np.ndarray] = {}
-        accel: Dict[NodeKey, np.ndarray] = {}
-        masses: Dict[NodeKey, np.ndarray] = {}
-        positions: Dict[NodeKey, np.ndarray] = {}
-        for i, key in enumerate(plan.leaf_keys):
-            phi[key] = phi_flat[i].reshape(n, n, n)
-            accel[key] = acc_flat[i].T.reshape(3, n, n, n)
-            masses[key] = mass[i]
-            positions[key] = plan.leaf_pos[i]
-
-        # Conservation projections.
+        # Conservation projections, in place on the (L, 3, nc) view.
+        accel = acc_flat.transpose(0, 2, 1)
         if self.momentum_correction:
-            project_momentum(masses, accel)
+            project_momentum(mass, accel)
         if self.angmom_correction:
-            project_angular_momentum(masses, positions, accel)
+            project_angular_momentum(mass, plan.leaf_pos, accel)
 
         self.last_stats = stats
-        return FmmResult(phi, accel, stats)
+        return FmmResult(
+            plan.leaf_keys,
+            phi_flat.reshape(n_leaves, n, n, n),
+            accel.reshape(n_leaves, 3, n, n, n),
+            stats,
+        )
 
     # -- integrator hook ------------------------------------------------------
-    def as_gravity_callback(self):
-        """A :class:`~repro.hydro.integrator.GravityCallback` closure."""
-
-        def callback(mesh: AmrMesh) -> Dict[NodeKey, np.ndarray]:
-            return self.solve(mesh).accel
-
-        return callback
+    def __call__(self, mesh: AmrMesh, out: np.ndarray) -> None:
+        """The :data:`~repro.hydro.integrator.GravityCallback`: fill the
+        slot-ordered ``(L, 3, n, n, n)`` acceleration stack ``out``."""
+        np.copyto(out, self.solve(mesh).accel_slots)

@@ -46,12 +46,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.hydro.eos import IdealGasEOS
-from repro.hydro.plan import (
-    HydroPlan,
-    HydroPlanLifecycle,
-    RankStep,
-    stack_accel,
-)
+from repro.hydro.plan import HydroPlan, HydroPlanLifecycle, RankStep
 from repro.hydro.timestep import global_timestep
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
@@ -60,8 +55,10 @@ from repro.profiling.apex import CounterRegistry, global_registry
 if TYPE_CHECKING:
     from repro.core.plancache import PlanCache
 
-#: Signature of a gravity callback: mesh -> {leaf key: (3, N, N, N) accel}.
-GravityCallback = Callable[[AmrMesh], Dict[NodeKey, np.ndarray]]
+#: Signature of a gravity callback ``(mesh, out) -> None``: fill ``out``, the
+#: slot-ordered ``(L, 3, N, N, N)`` acceleration stack (slots in sorted leaf
+#: key order, :attr:`~repro.hydro.plan.HydroPlan.leaf_keys`), every row.
+GravityCallback = Callable[[AmrMesh, np.ndarray], None]
 
 # Convex-combination coefficients (a0, a1): U_new = a0 U0 + a1 (U + dt L(U)).
 _RK3_STAGES = ((0.0, 1.0), (0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))
@@ -76,8 +73,9 @@ def rk3_ops(
     """The ordered ops of one stacked SSP-RK3 step — the single definition
     every interpreter (serial, process, DES) runs.
 
-    Parent ops: ``("accel",)`` solves gravity once per step and stages the
-    stacked accelerations; ``("ghost",)`` is the whole ghost exchange.
+    Parent ops: ``("accel",)`` solves gravity once per step, the callback
+    filling the slot-ordered acceleration stack in place; ``("ghost",)`` is
+    the whole ghost exchange.
     Rank ops name :class:`repro.hydro.plan.RankStep` methods and carry
     their arguments: ``begin``, ``rhs(collect_fluxes, use_accel, a0, a1,
     dt)`` (divergence, sources and update per sub-batch), ``reflux``,
@@ -244,9 +242,7 @@ class HydroIntegrator:
                 with reg.timer("hydro.ghost"):
                     ghosts.apply(plan.arena)
             elif op == "accel":
-                stack_accel(
-                    self.gravity(self.mesh), plan.leaf_keys, rank.accel_view
-                )
+                self.gravity(self.mesh, rank.accel_view)
             elif op == "reflux":
                 self.faces_refluxed += rank.reflux()
             elif op == "finish":

@@ -865,16 +865,6 @@ def stacked_signal_kernel(
 RHS_BLOCK_CELLS = 4096
 
 
-def stack_accel(
-    accel_map: Dict[NodeKey, np.ndarray], keys: List[NodeKey], out: np.ndarray
-) -> None:
-    """Stage a gravity callback's per-leaf output into the slot-ordered
-    ``(slots, 3, n, n, n)`` acceleration stack the ``rhs`` op reads."""
-    for slot, key in enumerate(keys):
-        a = accel_map.get(key)
-        out[slot] = 0.0 if a is None else a
-
-
 class RankStep:
     """One rank's share of the stacked SSP-RK3 step.
 

@@ -74,12 +74,7 @@ from repro.analysis.shmrace import (
     handshake_positions,
 )
 from repro.comms.bundle import GhostBundlePlan
-from repro.hydro.plan import (
-    HydroPlan,
-    RankStep,
-    ScratchArena,
-    stack_accel,
-)
+from repro.hydro.plan import HydroPlan, RankStep, ScratchArena
 from repro.octree.fields import NFIELDS
 from repro.octree.node import NodeKey
 from repro.profiling.apex import CounterRegistry
@@ -458,8 +453,7 @@ class ProcessHydroExecutor:
                 # Workers are between rounds, so the parent may rewrite the
                 # accel arena they read next round; the op's effect rows
                 # declare the write.
-                stack_accel(gravity(self.mesh), self.plan.leaf_keys,
-                            self.accel_view)
+                gravity(self.mesh, self.accel_view)
                 continue
             group = op[1] if op[0] == "fused" else (op,)
             names = [name for name, *_ in group]

@@ -124,7 +124,8 @@ def gaussian_mesh_l2() -> AmrMesh:
 
 @pytest.fixture(scope="session")
 def direct_reference(gaussian_mesh_l2):
-    """Exact potential/acceleration of the Gaussian mesh (computed once)."""
+    """Exact potential/acceleration slot arrays of the Gaussian mesh
+    (computed once), rows in sorted-key order like ``FmmResult``'s."""
     from repro.gravity.direct import direct_sum
 
     return direct_sum(gaussian_mesh_l2)

@@ -702,16 +702,24 @@ def solve_reference(solver: FmmSolver, mesh: AmrMesh) -> FmmResult:
         stats.p2p_pairs += 1
         _p2p(solver, points, phi, accel, ka, kb, n)
 
-    # Conservation projections.
-    masses = {leaf.key: points[leaf.key][1] for leaf in leaves}
-    positions = {leaf.key: points[leaf.key][0] for leaf in leaves}
+    # Conservation projections, on the leaves stacked in slot (sorted-key)
+    # order; each leaf's accelerations stay in the (nc, 3) a.T layout.
+    keys = sorted(points)
+    mass = np.stack([points[k][1] for k in keys])
+    pos = np.stack([points[k][0] for k in keys])
+    acc = np.stack([accel[k].reshape(3, -1).T for k in keys]).transpose(0, 2, 1)
     if solver.momentum_correction:
-        project_momentum(masses, accel)
+        project_momentum(mass, acc)
     if solver.angmom_correction:
-        project_angular_momentum(masses, positions, accel)
+        project_angular_momentum(mass, pos, acc)
 
     solver.last_stats = stats
-    return FmmResult(phi, accel, stats)
+    return FmmResult(
+        keys,
+        np.stack([phi[k] for k in keys]),
+        acc.reshape(len(keys), 3, n, n, n),
+        stats,
+    )
 
 
 def _p2p(

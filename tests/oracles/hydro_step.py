@@ -383,7 +383,10 @@ def step_reference(integ: HydroIntegrator, dt: Optional[float] = None) -> float:
 
     accel: Dict[NodeKey, np.ndarray] = {}
     if integ.gravity is not None:
-        accel = integ.gravity(integ.mesh)
+        n = integ.mesh.n
+        stack = np.empty((len(leaves), 3, n, n, n))
+        integ.gravity(integ.mesh, stack)
+        accel = dict(zip(sorted(leaf.key for leaf in leaves), stack))
 
     # Boundary fluxes only feed refluxing, which needs a coarse-fine
     # interface to exist — on a uniform mesh skip the six face copies

@@ -175,7 +175,7 @@ class TestEquivalenceWithSerial:
         mesh_b = clone(mesh_a)
 
         def gravity():
-            return FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback()
+            return FmmSolver(empty_mass_threshold=1e-12)
 
         serial = HydroIntegrator(
             mesh_a, star.eos, omega=star.omega, gravity=gravity()

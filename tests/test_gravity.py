@@ -210,12 +210,10 @@ class TestFmmAccuracy:
     def test_matches_direct_sum(self, gaussian_mesh_l2, direct_reference):
         phi_d, acc_d = direct_reference
         result = FmmSolver(order=3).solve(gaussian_mesh_l2)
-        num = sum(np.sum((result.accel[k] - acc_d[k]) ** 2) for k in phi_d)
-        den = sum(np.sum(acc_d[k] ** 2) for k in phi_d)
-        assert np.sqrt(num / den) < 1e-2
-        pnum = sum(np.sum((result.phi[k] - phi_d[k]) ** 2) for k in phi_d)
-        pden = sum(np.sum(phi_d[k] ** 2) for k in phi_d)
-        assert np.sqrt(pnum / pden) < 1e-3
+        num = np.sum((result.accel_slots - acc_d) ** 2)
+        assert np.sqrt(num / np.sum(acc_d**2)) < 1e-2
+        pnum = np.sum((result.phi_slots - phi_d) ** 2)
+        assert np.sqrt(pnum / np.sum(phi_d**2)) < 1e-3
 
     def test_pure_p2p_exact_on_level1(self):
         mesh = make_uniform_mesh(levels=1)
@@ -226,9 +224,8 @@ class TestFmmAccuracy:
         from repro.gravity import direct_sum
 
         phi_d, acc_d = direct_sum(mesh)
-        for key in phi_d:
-            np.testing.assert_allclose(result.phi[key], phi_d[key], atol=1e-12)
-            np.testing.assert_allclose(result.accel[key], acc_d[key], atol=1e-12)
+        np.testing.assert_allclose(result.phi_slots, phi_d, atol=1e-12)
+        np.testing.assert_allclose(result.accel_slots, acc_d, atol=1e-12)
         assert result.stats.m2l_pairs == 0 and result.stats.near_pairs == 0
 
     def test_interaction_stats_populated(self, gaussian_mesh_l2):
@@ -273,63 +270,64 @@ class TestFmmAccuracy:
 
 
 class TestConservationProjections:
+    """The projections on the slot stacks: ``mass (L, nc)``, ``pos (L, nc,
+    3)`` and ``accel (L, 3, nc)`` (a view of the solve's ``accel_slots``,
+    the solver's own layout)."""
+
+    @staticmethod
+    def points(mesh):
+        leaves = sorted(mesh.leaves(), key=lambda leaf: leaf.key)
+        pos, mass = zip(*(leaf_points(leaf) for leaf in leaves))
+        return np.stack(mass), np.stack(pos)
+
     def make_field(self, gaussian_mesh_l2):
         solver = FmmSolver(momentum_correction=False, angmom_correction=False)
         result = solver.solve(gaussian_mesh_l2)
-        masses, positions = {}, {}
-        for leaf in gaussian_mesh_l2.leaves():
-            pos, mass = leaf_points(leaf)
-            masses[leaf.key] = mass
-            positions[leaf.key] = pos
-        return masses, positions, result.accel
+        mass, pos = self.points(gaussian_mesh_l2)
+        return mass, pos, result.accel_slots.reshape(len(mass), 3, -1)
 
     def test_momentum_projection_zeroes_force(self, gaussian_mesh_l2):
-        masses, positions, accel = self.make_field(gaussian_mesh_l2)
-        project_momentum(masses, accel)
-        force = total_force(masses, accel)
-        total_mass = sum(m.sum() for m in masses.values())
-        assert np.abs(force).max() / total_mass < 1e-13
+        mass, pos, accel = self.make_field(gaussian_mesh_l2)
+        project_momentum(mass, accel)
+        force = total_force(mass, accel)
+        assert np.abs(force).max() / mass.sum() < 1e-13
 
     def test_angmom_projection_zeroes_torque(self, gaussian_mesh_l2):
-        masses, positions, accel = self.make_field(gaussian_mesh_l2)
-        project_angular_momentum(masses, positions, accel)
-        torque = np.abs(total_torque(masses, positions, accel))
+        mass, pos, accel = self.make_field(gaussian_mesh_l2)
+        project_angular_momentum(mass, pos, accel)
+        torque = np.abs(total_torque(mass, pos, accel))
         assert torque.max() < 1e-13
 
     def test_projections_commute_on_invariants(self, gaussian_mesh_l2):
-        masses, positions, accel = self.make_field(gaussian_mesh_l2)
-        project_momentum(masses, accel)
-        project_angular_momentum(masses, positions, accel)
+        mass, pos, accel = self.make_field(gaussian_mesh_l2)
+        project_momentum(mass, accel)
+        project_angular_momentum(mass, pos, accel)
         # Angular projection must not reintroduce net force and vice versa.
-        assert np.abs(total_force(masses, accel)).max() < 1e-13
-        com = sum(m @ positions[k] for k, m in masses.items()) / sum(
-            m.sum() for m in masses.values()
-        )
-        assert np.abs(total_torque(masses, positions, accel, about=com)).max() < 1e-13
+        assert np.abs(total_force(mass, accel)).max() < 1e-13
+        com = sum(m @ p for m, p in zip(mass, pos)) / mass.sum()
+        assert np.abs(total_torque(mass, pos, accel, about=com)).max() < 1e-13
 
     def test_solver_applies_corrections(self, gaussian_mesh_l2):
         result = FmmSolver().solve(gaussian_mesh_l2)
-        masses, positions = {}, {}
-        for leaf in gaussian_mesh_l2.leaves():
-            pos, mass = leaf_points(leaf)
-            masses[leaf.key] = mass
-            positions[leaf.key] = pos
-        assert np.abs(total_force(masses, result.accel)).max() < 1e-12
-        assert np.abs(total_torque(masses, positions, result.accel)).max() < 1e-12
+        mass, pos = self.points(gaussian_mesh_l2)
+        accel = result.accel_slots.reshape(len(mass), 3, -1)
+        assert np.abs(total_force(mass, accel)).max() < 1e-12
+        assert np.abs(total_torque(mass, pos, accel)).max() < 1e-12
 
     def test_correction_magnitude_is_small(self, gaussian_mesh_l2):
         """The projection must be a perturbation, not a rewrite."""
-        masses, positions, accel = self.make_field(gaussian_mesh_l2)
-        before = {k: a.copy() for k, a in accel.items()}
-        project_momentum(masses, accel)
-        project_angular_momentum(masses, positions, accel)
+        mass, pos, accel = self.make_field(gaussian_mesh_l2)
+        before = accel.copy()
+        project_momentum(mass, accel)
+        project_angular_momentum(mass, pos, accel)
         rel = max(
-            np.abs(accel[k] - before[k]).max() / (np.abs(before[k]).max() + 1e-30)
-            for k in accel
+            np.abs(a - b).max() / (np.abs(b).max() + 1e-30)
+            for a, b in zip(accel, before)
         )
         assert rel < 1e-3
 
     def test_zero_mass_system(self):
-        masses = {(0, 0): np.zeros(4)}
-        accel = {(0, 0): np.ones((3, 4, 1, 1))}
-        assert (project_momentum(masses, accel) == 0).all()
+        mass = np.zeros((1, 4))
+        accel = np.ones((1, 3, 4))
+        assert (project_momentum(mass, accel) == 0).all()
+        assert (accel == 1.0).all()

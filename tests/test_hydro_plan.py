@@ -52,12 +52,11 @@ def make_state_mesh(levels=1, n=8, refine_keys=(), seed=0, mach=0.0):
     return mesh, eos
 
 
-def fake_gravity(mesh):
-    out = {}
-    for leaf in mesh.leaves():
+def fake_gravity(mesh, out):
+    """A gravity callback: a linear field, into the slot-ordered stack."""
+    for slot, leaf in enumerate(sorted(mesh.leaves(), key=lambda nd: nd.key)):
         x, y, z = leaf.cell_centers()
-        out[leaf.key] = np.stack([-0.1 * x, -0.1 * y, -0.05 * z])
-    return out
+        out[slot] = np.stack([-0.1 * x, -0.1 * y, -0.05 * z])
 
 
 def snapshot(mesh):

@@ -124,9 +124,7 @@ class TestOverlapBitIdentity:
         mesh, eos = make_state_mesh(levels=1, refine_keys=(2,))
         crosscheck_hydro(
             mesh, steps=2, nprocs=2, eos=eos, omega=0.4, overlap=True,
-            gravity=lambda: FmmSolver(
-                empty_mass_threshold=1e-12
-            ).as_gravity_callback(),
+            gravity=lambda: FmmSolver(empty_mass_threshold=1e-12),
         )
 
     def test_overlap_attribution_populated(self):

@@ -314,11 +314,9 @@ class TestBackendEquivalence:
         run = dwd_scenario(level=1, scf_grid=24)
         serial = HydroIntegrator(
             ref.mesh, ref.eos, omega=ref.omega,
-            gravity=FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback(),
+            gravity=FmmSolver(empty_mass_threshold=1e-12),
         )
-        gravity_cb = FmmSolver(
-            empty_mass_threshold=1e-12,
-        ).as_gravity_callback()
+        gravity_cb = FmmSolver(empty_mass_threshold=1e-12)
         if backend == "des":
             other = HydroIntegrator(
                 run.mesh, run.eos, omega=run.omega, gravity=gravity_cb

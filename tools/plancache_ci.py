@@ -53,7 +53,7 @@ def run(cache_dir: Path, backend: str = "serial"):
     integ = HydroIntegrator(
         mesh,
         eos=scenario.eos,
-        gravity=solver.as_gravity_callback(),
+        gravity=solver,
         plan_cache=cache,
         backend=backend,
         nprocs=2,
