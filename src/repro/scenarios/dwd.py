@@ -16,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.hydro.eos import IdealGasEOS
 from repro.octree.mesh import AmrMesh
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, workload_from_mesh
 from repro.scf.scf import BinarySCF, ScfResult
 
 #: Paper workload for the Perlmutter comparison.
@@ -87,24 +85,7 @@ def dwd_scenario(
     m1, m2 = model.star_masses
     q = m2 / m1 if m1 > 0 else 0.0
 
-    mesh = AmrMesh(n=8, ghost=2, domain_size=2.0)
-    for key in list(mesh.leaf_keys()):
-        mesh.refine(key)
-    grid = -1.0 + (2.0 / model.n) * (np.arange(model.n) + 0.5)
-
-    def dense_enough(node) -> bool:  # noqa: ANN001
-        x, y, z = node.cell_centers()
-        rho = ScfResult._trilinear(grid, model.rho, x, y, z)  # noqa: SLF001
-        return bool(rho.max() > refine_threshold)
-
-    mesh.refine_by(dense_enough, max_level=level)
-    model.deposit_to_mesh(
-        mesh, eos, frame_omega=model.omega, region_split_x=model.split_x
-    )
-    mesh.check_invariants()
-
-    from repro.scenarios.spec import workload_from_mesh
-
+    mesh = model.to_mesh(eos, level, refine_threshold, model.omega, model.split_x)
     spec = workload_from_mesh(mesh, name=f"dwd_l{level}")
     return DwdScenario(
         mesh=mesh, spec=spec, omega=model.omega, eos=eos, mass_ratio=q, scf=model

@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.hydro.eos import IdealGasEOS
 from repro.octree.mesh import AmrMesh
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, workload_from_mesh
 from repro.scf.scf import ScfResult, SingleStarSCF
 
 #: Cell counts the paper reports for the rotating star at each level.
@@ -92,25 +90,6 @@ def rotating_star(
         box_size=2.0,
     )
     model = scf.run()
-
-    mesh = AmrMesh(n=8, ghost=2, domain_size=2.0)
-    # Base refinement: one uniform level so the star spans several
-    # sub-grids even at the coarsest setting.
-    for key in list(mesh.leaf_keys()):
-        mesh.refine(key)
-
-    grid = -1.0 + (2.0 / model.n) * (np.arange(model.n) + 0.5)
-
-    def dense_enough(node) -> bool:  # noqa: ANN001
-        x, y, z = node.cell_centers()
-        rho = ScfResult._trilinear(grid, model.rho, x, y, z)  # noqa: SLF001
-        return bool(rho.max() > refine_threshold * rho_max)
-
-    mesh.refine_by(dense_enough, max_level=level)
-    model.deposit_to_mesh(mesh, eos, frame_omega=model.omega)
-    mesh.check_invariants()
-
-    from repro.scenarios.spec import workload_from_mesh
-
+    mesh = model.to_mesh(eos, level, refine_threshold * rho_max, model.omega)
     spec = workload_from_mesh(mesh, name=f"rotating_star_l{level}")
     return RotatingStar(mesh=mesh, spec=spec, omega=model.omega, eos=eos, scf=model)

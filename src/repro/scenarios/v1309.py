@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.hydro.eos import IdealGasEOS
 from repro.octree.mesh import AmrMesh
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, workload_from_mesh
 from repro.scf.scf import BinarySCF, ScfResult
 
 #: Paper workload: 17 million sub-grids.
@@ -89,24 +89,7 @@ def v1309_scenario(
     model = scf.run()
     _overlay_common_envelope(model, envelope_fraction)
 
-    mesh = AmrMesh(n=8, ghost=2, domain_size=2.0)
-    for key in list(mesh.leaf_keys()):
-        mesh.refine(key)
-    grid = -1.0 + (2.0 / model.n) * (np.arange(model.n) + 0.5)
-
-    def dense_enough(node) -> bool:  # noqa: ANN001
-        x, y, z = node.cell_centers()
-        rho = ScfResult._trilinear(grid, model.rho, x, y, z)  # noqa: SLF001
-        return bool(rho.max() > refine_threshold)
-
-    mesh.refine_by(dense_enough, max_level=level)
-    model.deposit_to_mesh(
-        mesh, eos, frame_omega=model.omega, region_split_x=model.split_x
-    )
-    mesh.check_invariants()
-
-    from repro.scenarios.spec import workload_from_mesh
-
+    mesh = model.to_mesh(eos, level, refine_threshold, model.omega, model.split_x)
     spec = workload_from_mesh(mesh, name=f"v1309_l{level}")
     return V1309Scenario(
         mesh=mesh, spec=spec, omega=model.omega, eos=eos, scf=model
@@ -124,8 +107,8 @@ def _overlay_common_envelope(model: ScfResult, envelope_fraction: float) -> None
     if envelope_fraction <= 0.0:
         return
     n = model.n
-    c = -model.box_size / 2.0 + model.dx * (np.arange(n) + 0.5)
-    x, y, z = np.meshgrid(c, c, c, indexing="ij")
+    c = model.axis
+    x, y, z = model.cell_centers()
     r_cyl2 = (x - model.x_com) ** 2 + y**2
     phi_eff = model.phi - 0.5 * model.omega**2 * r_cyl2
 

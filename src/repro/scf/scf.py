@@ -12,12 +12,13 @@ module implements, capable of producing detached, semi-detached and contact
 binaries.
 
 The iteration runs on a uniform grid with the FFT Poisson solver (dozens of
-gravity solves are needed); :meth:`ScfResult.deposit_to_mesh` then samples
-the converged model onto the AMR octree for evolution.
+gravity solves are needed); :meth:`ScfResult.to_mesh` then samples the
+converged model onto a density-refined AMR octree for evolution.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -51,29 +52,47 @@ class ScfResult:
     def dx(self) -> float:
         return self.box_size / self.n
 
+    @property
+    def axis(self) -> np.ndarray:
+        """Cell-centre coordinates along each axis of the model's grid."""
+        return -self.box_size / 2.0 + self.dx * (np.arange(self.n) + 0.5)
+
     def cell_centers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        c = -self.box_size / 2.0 + self.dx * (np.arange(self.n) + 0.5)
+        c = self.axis
         return np.meshgrid(c, c, c, indexing="ij")
 
     def total_mass(self) -> float:
         return float(self.rho.sum()) * self.dx**3
 
     # -- transfer to the octree --------------------------------------------------
-    def deposit_to_mesh(
+    def to_mesh(
         self,
-        mesh: AmrMesh,
         eos: IdealGasEOS,
+        level: int,
+        refine_threshold: float,
         frame_omega: Optional[float] = None,
         region_split_x: Optional[float] = None,
-    ) -> None:
-        """Sample the model onto every leaf of an AMR mesh.
+    ) -> AmrMesh:
+        """The model sampled onto an AMR mesh of its own box.
 
-        ``frame_omega`` selects the frame: if equal to the model's omega the
-        gas is static in the rotating frame (Octo-Tiger's choice); if 0 the
-        momenta carry rigid rotation in the inertial frame.  ``region_split_x``
-        paints the tracer fields (FRAC1/FRAC2) by side of the split plane.
+        One uniform base level, then every node whose sampled density exceeds
+        ``refine_threshold`` is refined, up to ``level``.  ``frame_omega``
+        selects the frame: if equal to the model's omega the gas is static in
+        the rotating frame (Octo-Tiger's choice); if 0 the momenta carry rigid
+        rotation in the inertial frame.  ``region_split_x`` paints the tracer
+        fields (FRAC1/FRAC2) by side of the split plane.
         """
-        grid = -self.box_size / 2.0 + self.dx * (np.arange(self.n) + 0.5)
+        mesh = AmrMesh(n=8, ghost=2, domain_size=self.box_size)
+        # One uniform base level, so a star spans several sub-grids.
+        for key in list(mesh.leaf_keys()):
+            mesh.refine(key)
+        grid = self.axis
+
+        def dense_enough(node) -> bool:  # noqa: ANN001
+            rho = self._trilinear(grid, self.rho, *node.cell_centers())
+            return bool(rho.max() > refine_threshold)
+
+        mesh.refine_by(dense_enough, max_level=level)
         omega_gas = self.omega - (self.omega if frame_omega is None else frame_omega)
         for leaf in mesh.leaves():
             x, y, z = leaf.cell_centers()
@@ -102,20 +121,30 @@ class ScfResult:
                 sg.set_interior(Field.FRAC1, rho)
                 sg.set_interior(Field.FRAC2, np.zeros_like(rho))
         mesh.restrict_all()
+        mesh.check_invariants()
+        return mesh
 
     @staticmethod
     def _trilinear(
         grid: np.ndarray, data: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
     ) -> np.ndarray:
         """Trilinear interpolation of ``data`` (defined at ``grid`` centres
-        along each axis) at arbitrary points; clamps to the box."""
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            (grid, grid, grid), data, bounds_error=False, fill_value=0.0
-        )
-        pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-        return interp(pts).reshape(x.shape)
+        along each axis) at arbitrary points; 0 outside the grid's box.  The
+        arithmetic (corner order, weight products) is scipy's
+        ``RegularGridInterpolator``'s, so the samples are its bits."""
+        idx, frac, inside = [], [], True
+        for p in (x.ravel(), y.ravel(), z.ravel()):
+            i = np.clip(np.searchsorted(grid, p, "right") - 1, 0, grid.size - 2)
+            idx.append(i)
+            frac.append((p - grid[i]) / (grid[i + 1] - grid[i]))
+            inside = inside & (p >= grid[0]) & (p <= grid[-1])
+        value = 0.0
+        for corner in itertools.product((0, 1), repeat=3):
+            weight = 1.0
+            for c, f in zip(corner, frac):
+                weight = weight * (f if c else 1 - f)
+            value = value + data[tuple(i + c for i, c in zip(idx, corner))] * weight
+        return np.where(inside, value, 0.0).reshape(x.shape)
 
 
 def _connected_region(mask: np.ndarray, seed: Tuple[int, int, int]) -> np.ndarray:
@@ -125,15 +154,35 @@ def _connected_region(mask: np.ndarray, seed: Tuple[int, int, int]) -> np.ndarra
     The centrifugal term makes the SCF enthalpy positive again far from the
     rotation axis, so an unconstrained update grows spurious 'stars' at the
     box corners; keeping only the component attached to the star seed is the
-    standard guard.
+    standard guard.  Cells connect across faces.  Each pass of the fill
+    numbers the mask's runs along one axis (a ``cumsum`` of run starts) and
+    keeps the runs holding a reached cell, cycling over the axes until a
+    whole round adds nothing.
     """
-    from scipy import ndimage
-
-    labels, _count = ndimage.label(mask)
-    seed_label = labels[seed]
-    if seed_label == 0:
-        return np.zeros_like(mask)
-    return labels == seed_label
+    region = np.zeros(mask.shape, dtype=bool)
+    if not mask[seed]:
+        return region
+    spans = [np.flatnonzero(mask.any(axis=a)) for a in ((1, 2), (0, 2), (0, 1))]
+    box = tuple(slice(span[0], span[-1] + 1) for span in spans)
+    sub = mask[box]
+    runs = []
+    for axis in range(3):
+        lines = np.moveaxis(sub, axis, -1)
+        starts = lines.copy()
+        starts[..., 1:] &= ~lines[..., :-1]
+        ids = np.cumsum(starts, axis=None).reshape(lines.shape) * lines
+        runs.append((np.moveaxis(ids, -1, axis), int(ids.max()) + 1))
+    reached = np.zeros(sub.shape, dtype=bool)
+    reached[tuple(i - b.start for i, b in zip(seed, box))] = True
+    size = 0
+    while np.count_nonzero(reached) > size:
+        size = np.count_nonzero(reached)
+        for ids, nruns in runs:
+            keep = np.zeros(nruns, dtype=bool)
+            keep[ids[reached]] = True
+            reached = keep[ids]
+    region[box] = reached
+    return region
 
 
 class _ScfBase:

@@ -371,3 +371,20 @@ class TestStartup:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_building_the_scf_scenarios_does_not_load_scipy(self):
+        # The SCF solve, the refinement sampler and the deposit run on numpy
+        # alone; scipy is a test-only dependency.
+        code = (
+            "import sys; "
+            "from repro.scenarios import dwd_scenario, rotating_star, v1309_scenario; "
+            "[build(level=1, scf_grid=16) "
+            " for build in (rotating_star, dwd_scenario, v1309_scenario)]; "
+            "bad = sorted(m for m in sys.modules if m.startswith('scipy')); "
+            "assert not bad, bad[:5]"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

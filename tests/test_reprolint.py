@@ -418,14 +418,18 @@ class TestModuleLevelScipy:
         ):
             assert rules(lint_source(src, "src/repro/scf/x.py")) == ["R012"], src
 
-    def test_function_level_import_ok(self):
-        src = (
+    def test_function_level_import_flagged(self):
+        # The package runs on numpy alone: a lazy import still loads scipy.
+        for src in (
             "def solve(f, a, b):\n"
             "    from scipy.optimize import brentq\n"
             "\n"
-            "    return brentq(f, a, b)\n"
-        )
-        assert lint_source(src, "src/repro/scf/x.py") == []
+            "    return brentq(f, a, b)\n",
+            "import importlib\n"
+            "def solve():\n"
+            "    return importlib.import_module('scipy.fft')\n",
+        ):
+            assert rules(lint_source(src, "src/repro/scf/x.py")) == ["R012"], src
 
     def test_only_the_package_is_covered(self):
         # Tests, tools and benchmarks may import scipy wherever they like.

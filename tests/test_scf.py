@@ -1,12 +1,18 @@
 """SCF: Poisson solver, Roche geometry, single stars and binaries."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.scf import BinarySCF, SingleStarSCF, roche_lobe_radius
+from repro.scenarios import dwd_scenario, rotating_star, v1309_scenario
+from repro.scf import BinarySCF, ScfResult, SingleStarSCF, roche_lobe_radius
 from repro.scf.poisson import FftPoissonSolver
+from repro.scf.scf import _connected_region
 
 from tests.oracles.lane_emden import lane_emden
+from tests.oracles.scf import PaddedFftPoissonSolver, label_region, rgi_trilinear
 
 
 class TestLaneEmden:
@@ -186,3 +192,115 @@ class TestBinaryScf:
         result = scf.run(max_iter=150)
         # More mass on the left: COM is at negative x.
         assert result.x_com < 0.0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestNumpyMatchesScipyOracle:
+    """The numpy grid operations give the scipy versions' bits."""
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 48])
+    def test_poisson_solve(self, n):
+        dx = 2.0 / n
+        solver = FftPoissonSolver(n, dx, g_newton=0.7)
+        oracle = PaddedFftPoissonSolver(n, dx, g_newton=0.7)
+        np.testing.assert_array_equal(
+            solver._green_hat.view(np.uint64), oracle._green_hat.view(np.uint64)
+        )
+        rng = np.random.default_rng(n)
+        for rho in (rng.random((n, n, n)), rng.standard_normal((n, n, n))):
+            np.testing.assert_array_equal(
+                _bits(solver.solve(rho)), _bits(oracle.solve(rho))
+            )
+
+    def test_trilinear(self):
+        n = 6
+        grid = -1.0 + (2.0 / n) * (np.arange(n) + 0.5)
+        data = np.random.default_rng(3).standard_normal((n, n, n))
+        rng = np.random.default_rng(4)
+        nodes = np.meshgrid(grid, grid, grid, indexing="ij")  # incl. the last
+        inside = tuple(rng.uniform(grid[0], grid[-1], (5, 7, 9)) for _ in range(3))
+        edge = np.array([-1.5, -1.0, grid[0], grid[-1], 1.0, 1.5, 0.0, grid[2]])
+        outside = np.meshgrid(edge, edge, edge, indexing="ij")
+        for x, y, z in (nodes, inside, outside):
+            got = ScfResult._trilinear(grid, data, x, y, z)
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(
+                _bits(got), _bits(rgi_trilinear(grid, data, x, y, z))
+            )
+        x, y, z = outside
+        beyond = np.zeros(x.shape, dtype=bool)
+        for p in (x, y, z):
+            beyond |= (p < grid[0]) | (p > grid[-1])
+        assert beyond.any() and not got[beyond].any()
+        assert got[0, 0, 0] == 0.0 and got[2, 2, 2] == data[0, 0, 0]
+
+    @given(
+        data=st.data(),
+        shape=st.tuples(*[st.integers(1, 7)] * 3),
+        fill=st.floats(0.1, 0.9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_connected_region(self, data, shape, fill):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mask = rng.random(shape) < fill
+        seed = tuple(data.draw(st.integers(0, s - 1)) for s in shape)
+        got = _connected_region(mask, seed)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, label_region(mask, seed))
+
+    def test_connected_region_cases(self):
+        n = 9
+        c = np.arange(n)
+        x, y, z = np.meshgrid(c, c, c, indexing="ij")
+        blobs = ((x - 2) ** 2 + (y - 2) ** 2 + (z - 2) ** 2 < 5) | (
+            (x - 6) ** 2 + (y - 6) ** 2 + (z - 6) ** 2 < 5
+        )
+        # A spiral: one component that needs many passes of the fill.
+        spiral = np.zeros((n, n, 1), dtype=bool)
+        spiral[0, :, 0] = spiral[:, -1, 0] = spiral[-1, :, 0] = True
+        spiral[2:, 0, 0] = spiral[2, :-2, 0] = spiral[2:-2, -3, 0] = True
+        spiral[-3, 2:-2, 0] = spiral[4:-2, 2, 0] = True
+        faces = (x == 0) | (y == n - 1) | (z == 0) | (x == n - 1)
+        cases = [
+            (blobs, (2, 2, 2)),  # several components
+            (blobs, (6, 6, 6)),
+            (blobs, (0, 8, 0)),  # seed outside the mask
+            (spiral, (0, 0, 0)),
+            (spiral, (4, 4, 0)),
+            (faces, (0, 4, 4)),  # touches the box faces
+            (np.ones((n, n, n), dtype=bool), (8, 8, 8)),
+            (np.zeros((n, n, n), dtype=bool), (4, 4, 4)),
+        ]
+        for mask, seed in cases:
+            np.testing.assert_array_equal(
+                _connected_region(mask, seed), label_region(mask, seed)
+            )
+
+    @pytest.mark.parametrize(
+        "build", [rotating_star, dwd_scenario, v1309_scenario],
+        ids=["star", "dwd", "v1309"],
+    )
+    def test_scenario_build(self, build, monkeypatch):
+        """A level-1 build gives the same model and mesh bits as with the
+        scipy bodies monkeypatched in."""
+        import repro.scf.scf as scf_module
+
+        def fingerprint(scenario):
+            digest = hashlib.sha256()
+            for key in sorted(scenario.mesh.nodes):
+                digest.update(repr(key).encode())
+                interior = scenario.mesh.nodes[key].subgrid.interior_view()
+                digest.update(np.ascontiguousarray(interior).tobytes())
+            model = scenario.scf
+            digest.update(_bits(model.rho).tobytes() + _bits(model.phi).tobytes())
+            digest.update(repr((model.omega, model.iterations, model.star_masses)).encode())
+            return digest.hexdigest()
+
+        production = fingerprint(build(level=1, scf_grid=32))
+        monkeypatch.setattr(scf_module, "FftPoissonSolver", PaddedFftPoissonSolver)
+        monkeypatch.setattr(scf_module, "_connected_region", label_region)
+        monkeypatch.setattr(ScfResult, "_trilinear", staticmethod(rgi_trilinear))
+        assert fingerprint(build(level=1, scf_grid=32)) == production

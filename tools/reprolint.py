@@ -89,13 +89,14 @@ R011 no-barrier-round-in-step-loop
     carry ``# reprolint: sanctioned-barrier`` on the call line or the
     loop header.
 
-R012 no-module-level-scipy
-    Under ``src/repro/`` scipy is imported inside the function that uses
-    it, never at module level (or in a class body): ``repro.hydro`` is on
-    every import path, and one module-level ``from scipy.optimize import
-    brentq`` made ``import repro.core.driver`` load 355 scipy modules
-    (0.8 s, +47 MB RSS) for runs that never build a star or solve a
-    Riemann problem exactly.
+R012 no-scipy-in-src
+    Nothing under ``src/repro/`` imports scipy, at any depth (module level,
+    class body or function body): the package runs on numpy alone, and
+    scipy is a test-only dependency of the oracles.  One module-level
+    ``from scipy.optimize import brentq`` once made ``import
+    repro.core.driver`` load 355 scipy modules (0.8 s, +47 MB RSS), and
+    the function-level imports that replaced it still cost every star and
+    binary build 337 modules, a second OpenBLAS and +53 MB of RSS.
 
 R013 src-definition-needs-a-caller
     Every top-level function and class under ``src/repro/``, and every
@@ -123,7 +124,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 _ALLOC_FNS = {
     "zeros", "ones", "empty", "full", "array", "arange",
@@ -575,27 +576,15 @@ def _check_flat_wire_payloads(
     return findings
 
 
-def _check_backend_imports(tree: ast.Module, path: str) -> List[Finding]:
-    """R009: no numba/cupy/jax imports."""
-    findings: List[Finding] = []
-    message = (
-        "direct import of optional array module {name!r}: the kernels are "
-        "NumPy only, and a missing install would be an ImportError here"
-    )
+def _imported_roots(tree: ast.Module) -> Iterator[Tuple[int, str]]:
+    """``(line, top-level module)`` of every absolute import in ``tree``:
+    plain, ``from`` and ``importlib.import_module("...")``, at any depth."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                root = alias.name.split(".", 1)[0]
-                if root in _BACKEND_MODULES:
-                    findings.append(Finding(
-                        path, node.lineno, "R009", message.format(name=root)
-                    ))
+                yield node.lineno, alias.name.split(".", 1)[0]
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            root = node.module.split(".", 1)[0]
-            if root in _BACKEND_MODULES:
-                findings.append(Finding(
-                    path, node.lineno, "R009", message.format(name=root)
-                ))
+            yield node.lineno, node.module.split(".", 1)[0]
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -603,39 +592,36 @@ def _check_backend_imports(tree: ast.Module, path: str) -> List[Finding]:
             and node.args
             and isinstance(node.args[0], ast.Constant)
             and isinstance(node.args[0].value, str)
-            and node.args[0].value.split(".", 1)[0] in _BACKEND_MODULES
         ):
-            findings.append(Finding(
-                path, node.lineno, "R009",
-                message.format(name=node.args[0].value.split(".", 1)[0]),
-            ))
-    return findings
+            yield node.lineno, node.args[0].value.split(".", 1)[0]
 
 
-def _check_module_level_scipy(tree: ast.Module, path: str) -> List[Finding]:
-    """R012: under src/repro/, scipy imports live inside functions."""
+def _check_backend_imports(tree: ast.Module, path: str) -> List[Finding]:
+    """R009: no numba/cupy/jax imports."""
+    message = (
+        "direct import of optional array module {name!r}: the kernels are "
+        "NumPy only, and a missing install would be an ImportError here"
+    )
+    return [
+        Finding(path, line, "R009", message.format(name=root))
+        for line, root in _imported_roots(tree)
+        if root in _BACKEND_MODULES
+    ]
+
+
+def _check_scipy_imports(tree: ast.Module, path: str) -> List[Finding]:
+    """R012: nothing under src/repro/ imports scipy."""
     if "src/repro/" not in path.replace("\\", "/"):
         return []
-    findings: List[Finding] = []
-    stack: List[ast.AST] = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module or ""]
-        else:
-            stack.extend(ast.iter_child_nodes(node))
-            continue
-        if any(name.split(".", 1)[0] == "scipy" for name in names):
-            findings.append(Finding(
-                path, node.lineno, "R012",
-                "module-level scipy import: import it inside the function "
-                "that uses it, so importing repro does not load scipy",
-            ))
-    return findings
+    return [
+        Finding(
+            path, line, "R012",
+            "scipy import in the package: repro runs on numpy alone "
+            "(scipy is a test-only dependency, for the oracles)",
+        )
+        for line, root in _imported_roots(tree)
+        if root == "scipy"
+    ]
 
 
 def _check_cold_plan_build(
@@ -735,7 +721,7 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
         tree, path, _sanctioned_lines(source, _WIRE_SANCTION_TAG)
     )
     findings += _check_backend_imports(tree, path)
-    findings += _check_module_level_scipy(tree, path)
+    findings += _check_scipy_imports(tree, path)
     findings += _check_cold_plan_build(
         tree, path, _sanctioned_lines(source, _COLD_SANCTION_TAG)
     )
